@@ -20,7 +20,11 @@
    machine the Pareto-front and Monte-Carlo workloads must reach a
    speedup >= 1.5x at jobs=4, or the run exits 1 (after writing the
    JSON, so CI still uploads the evidence).  On fewer cores the gate
-   records itself as not applied and passes. *)
+   records itself as not applied and passes.
+
+   With or without [--gate], the run exits 1 when a digest differs
+   across job counts, or when the Obs disabled-path overhead reaches
+   2% of the probed workload's wall time. *)
 
 module Obs = Es_obs.Obs
 module Pool = Es_par.Pool
@@ -31,6 +35,7 @@ let reps = 3
 let gate_threshold = 1.5
 let gate_jobs = 4
 let gate_min_cores = 4
+let obs_overhead_limit = 0.02
 
 (* The workloads the CI gate asserts scaling on (ISSUE 6: at least the
    Pareto front and Monte-Carlo). *)
@@ -288,6 +293,10 @@ let () =
     results;
   Printf.printf "  obs disabled-path: %.2f ns/probe, %d probes, %.2f%% of wall\n"
     incr_ns probes (100. *. fraction);
+  let overhead_ok = fraction < obs_overhead_limit in
+  if not overhead_ok then
+    Printf.eprintf "bench/par: Obs disabled-path overhead %.2f%% >= %.0f%%\n"
+      (100. *. fraction) (100. *. obs_overhead_limit);
   if gate then begin
     if not gate_applied then
       Printf.printf
@@ -307,4 +316,5 @@ let () =
         failures;
       exit 1
     end
-  end
+  end;
+  if not overhead_ok then exit 1

@@ -186,7 +186,12 @@ let exact_threshold_arg =
 let stats_arg =
   Arg.(
     value & flag
-    & info [ "stats" ] ~doc:"Print telemetry and latency quantiles to stderr.")
+    & info [ "stats" ]
+        ~doc:
+          (Printf.sprintf
+             "Print telemetry, and the latency quantiles of the latest %d \
+              requests, to stderr."
+             Server.sample_window))
 
 let cmd =
   let info =

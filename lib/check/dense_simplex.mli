@@ -1,0 +1,22 @@
+(** Dense two-phase tableau simplex: the reference LP solver that the
+    differential tests check {!Es_lp.Simplex.solve} (the revised sparse
+    core, {!Es_lp.Revised}) against.
+
+    It solves the same problem with the same outcome types —
+    [minimise cᵀx subject to A x (≤|=|≥) b, x ≥ 0] — but shares none of
+    the sparse columns, LU factorisation or eta updates the revised
+    core relies on: O(m·n) work per pivot over a dense tableau, Dantzig
+    pricing with a switch to Bland's rule against cycling.  It records
+    no telemetry, so the [simplex_*] counters count production solves
+    only. *)
+
+val solve :
+  ?max_iters:int ->
+  obj:float array ->
+  Es_lp.Simplex.constr list ->
+  Es_lp.Simplex.outcome
+(** [solve ~obj constraints] minimises [obj · x]; duals follow the
+    shadow-price convention of {!Es_lp.Simplex.outcome}.  [max_iters]
+    (default [200_000]) bounds the pivots of each phase.
+
+    @raise Failure if the iteration limit is exceeded. *)

@@ -5,14 +5,13 @@
     under the VDD-HOPPING model (Section IV) and for the fixed-subset
     TRI-CRIT VDD-HOPPING subproblem.
 
-    {!solve} now routes through {!Revised} — a revised simplex over
+    {!solve} routes through {!Revised} — a revised simplex over
     {!Sparse} CSC columns with an LU-factorised basis, eta-file
     updates and periodic refactorisation — which also exposes the
     warm-start entry points ({!Revised.solve_from}) that Pareto
-    deadline sweeps chain between near-identical LPs.  The original
-    dense tableau method is retained verbatim as {!solve_dense}: it is
-    the independent reference implementation the differential test
-    harness checks the revised core against, not a production path. *)
+    deadline sweeps chain between near-identical LPs.  The dense
+    tableau the differential tests compare it against lives in the
+    test oracles, as [Es_check.Dense_simplex]. *)
 
 type relation = Sparse.relation = Le | Eq | Ge
 
@@ -43,14 +42,5 @@ val solve : ?max_iters:int -> obj:float array -> constr list -> outcome
     variables are implicitly non-negative.  [max_iters] bounds the
     total pivot count (default [200_000]); exceeding it raises
     [Failure].  Thin wrapper over {!Revised.solve}.
-
-    @raise Failure if the simplex iteration limit is exceeded. *)
-
-val solve_dense : ?max_iters:int -> obj:float array -> constr list -> outcome
-(** The retained dense tableau implementation, bit-for-bit the
-    pre-revised solver.  Kept as the differential-testing reference:
-    slow (O(m·n) per pivot, dense storage) but independent of the
-    sparse data structures, LU factorisation and eta updates that
-    {!solve} relies on.
 
     @raise Failure if the simplex iteration limit is exceeded. *)

@@ -28,8 +28,10 @@ type t = {
   verbatim : (string, Protocol.status) Hashtbl.t;
   verbatim_fifo : string Queue.t;
   mutable rescale_seen : int;
-  mutable samples_rev : (string * float) list;
+  samples : (string * float) Queue.t;  (* the latest [sample_window] *)
 }
+
+let sample_window = 10_000
 
 let c_requests = Obs.counter "serve.requests"
 let c_batches = Obs.counter "serve.batches"
@@ -48,12 +50,14 @@ let create config =
     verbatim = Hashtbl.create 64;
     verbatim_fifo = Queue.create ();
     rescale_seen = 0;
-    samples_rev = [];
+    samples = Queue.create ();
   }
 
-let push_sample t tag wall = t.samples_rev <- (tag, wall) :: t.samples_rev
+let push_sample t tag wall =
+  Queue.add (tag, wall) t.samples;
+  if Queue.length t.samples > sample_window then ignore (Queue.take_opt t.samples)
 
-let samples t = List.rev t.samples_rev
+let samples t = List.of_seq (Queue.to_seq t.samples)
 
 let verbatim_insert t line status =
   match status with

@@ -24,8 +24,8 @@
     are solved in parallel on the pool ({!Es_par.Par.parallel_map}:
     order-preserving, exception-safe) and inserted back in request
     order after the join.  Consequently the response stream for a
-    given input trace is byte-identical whatever the pool size —
-    checked by the bench gate.
+    given input trace is byte-identical whatever the pool size; the
+    serve tests compare it against a 2-domain pool.
 
     {b Self-check.}  With [selfcheck = k > 0], every [k]-th
     rescale-hit (counted deterministically in admission order) is
@@ -34,8 +34,9 @@
     (energy within 1e-5 relative, speeds within 1e-4).  Disagreements
     bump [serve.selfcheck.fail].
 
-    Per-request service walls are recorded by cache disposition
-    ([serve.lat.*] timers, and {!samples} for the bench quantiles).
+    Per-request service walls are kept, tagged by cache disposition,
+    for the latest {!sample_window} requests ({!samples}); the p50/p99
+    that [esservd --stats] prints cover that window.
     The [status = "over-budget"] path compares the solve wall against
     the request's [budget_s] after the fact; it is the one
     machine-dependent response and is excluded from byte-identity
@@ -69,6 +70,12 @@ val run : t -> pool:Es_par.Pool.t option -> in_channel -> out_channel -> unit
     @raise Sys_error when the transport channels fail (e.g. the peer
     closed the connection mid-write). *)
 
+val sample_window : int
+(** How many of the latest requests {!samples} keeps: 10 000, so a
+    long-running server's memory does not grow with its request
+    count. *)
+
 val samples : t -> (string * (float[@units "time"])) list
-(** Accumulated per-request service walls, oldest first, tagged with
-    the disposition name (["miss"], ["hit"], ["rescale-hit"]). *)
+(** Per-request service walls of the latest {!sample_window} requests,
+    oldest first, tagged with the disposition name (["miss"], ["hit"],
+    ["rescale-hit"]). *)

@@ -275,7 +275,7 @@ let suite = (fst suite, snd suite @ duals_cases)
 (* --- revised simplex: differential harness --------------------------- *)
 
 (* The revised sparse core (Sparse + Lu + Revised) is locked against
-   the retained dense tableau (Simplex.solve_dense): agreement on
+   the dense tableau oracle (Dense_simplex): agreement on
    outcome class, objective to rtol 1e-8, and Lp_cert certification of
    both solvers' duals, over seeded random LPs with mixed row senses —
    plus warm-started re-solves against cold solves of the same
@@ -284,6 +284,7 @@ let suite = (fst suite, snd suite @ duals_cases)
 module Sparse = Es_lp.Sparse
 module Revised = Es_lp.Revised
 module Lu = Es_lp.Lu
+module Dense_simplex = Es_check.Dense_simplex
 module Lp_cert = Es_check.Lp_cert
 module CGen = Es_check.Gen
 
@@ -342,7 +343,7 @@ let qcheck_differential_random =
     (fun seed ->
       let rng = Es_util.Rng.create ~seed in
       let obj, rows = random_lp rng in
-      let dense = Simplex.solve_dense ~obj rows in
+      let dense = Dense_simplex.solve ~obj rows in
       let revised = Simplex.solve ~obj rows in
       outcomes_agree dense revised
       && is_certified ~obj ~constraints:rows dense
@@ -394,7 +395,7 @@ let qcheck_differential_vdd =
         let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
         let obj = Problem.objective_coeffs lp in
         let rows = Problem.constraints lp in
-        let dense = Simplex.solve_dense ~obj rows in
+        let dense = Dense_simplex.solve ~obj rows in
         let outcome, next = Problem.solve_warm ?basis lp in
         let ok =
           match (dense, outcome) with
@@ -462,7 +463,7 @@ let test_duplicate_row_ties () =
   (match Simplex.solve ~obj rows with
   | Simplex.Optimal { objective; _ } -> check_float "revised" (-2.) objective
   | _ -> Alcotest.fail "expected optimal");
-  match Simplex.solve_dense ~obj rows with
+  match Dense_simplex.solve ~obj rows with
   | Simplex.Optimal { objective; _ } -> check_float "dense" (-2.) objective
   | _ -> Alcotest.fail "expected optimal"
 

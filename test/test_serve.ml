@@ -292,43 +292,60 @@ let test_server_sheds_beyond_queue () =
       (Astring.String.is_infix ~affix:{|"status":"shed"|} r4)
   | _ -> Alcotest.fail "four responses expected"
 
+let test_server_samples_bounded () =
+  (* one miss, then verbatim hits until the window has overflowed *)
+  let srv = Server.create Server.default_config in
+  let hits = List.init 64 (fun _ -> chain_line) in
+  ignore (Server.process_batch srv ~pool:None [ chain_line ]);
+  for _ = 0 to (Server.sample_window / 64) + 1 do
+    ignore (Server.process_batch srv ~pool:None hits)
+  done;
+  let samples = Server.samples srv in
+  Alcotest.(check int) "window is full, not exceeded" Server.sample_window
+    (List.length samples);
+  Alcotest.(check bool) "the oldest sample (the miss) was dropped" true
+    (List.for_all (fun (tag, _) -> String.equal tag "hit") samples)
+
+(* Every CONTINUOUS instance twice (the second pass hits), then a
+   rescaled copy of each (work x2, deadline x1.25) after its base's
+   batch, so interior optima come back as rescale-hits. *)
 let trace_lines () =
   let rng = Rng.create ~seed:41 in
-  let insts =
-    List.init 10 (fun i ->
-        let inst = CGen.generate rng in
-        let pi = continuous_instance inst in
-        let nums xs =
-          Es_obs.Obs_json.List
-            (Array.to_list (Array.map (fun x -> Es_obs.Obs_json.Num x) xs))
-        in
-        Es_obs.Obs_json.to_compact_string
-          (Es_obs.Obs_json.Obj
-             [
-               ("id", Es_obs.Obs_json.Num (float_of_int i));
-               ("tasks", nums pi.Protocol.weights);
-               ( "edges",
-                 Es_obs.Obs_json.List
-                   (List.map
-                      (fun (a, b) ->
-                        Es_obs.Obs_json.List
-                          [
-                            Es_obs.Obs_json.Num (float_of_int a);
-                            Es_obs.Obs_json.Num (float_of_int b);
-                          ])
-                      pi.Protocol.edges) );
-               ("procs", Es_obs.Obs_json.Num (float_of_int pi.Protocol.procs));
-               ( "model",
-                 Es_obs.Obs_json.Obj
-                   [
-                     ("kind", Es_obs.Obs_json.Str "continuous");
-                     ("fmin", Es_obs.Obs_json.Num (CGen.fmin inst));
-                     ("fmax", Es_obs.Obs_json.Num (CGen.fmax inst));
-                   ] );
-               ("deadline", Es_obs.Obs_json.Num pi.Protocol.deadline);
-             ]))
+  let line ~id ~c ~d inst =
+    let pi = continuous_instance inst in
+    let nums xs =
+      Es_obs.Obs_json.List
+        (Array.to_list (Array.map (fun x -> Es_obs.Obs_json.Num x) xs))
+    in
+    Es_obs.Obs_json.to_compact_string
+      (Es_obs.Obs_json.Obj
+         [
+           ("id", Es_obs.Obs_json.Num (float_of_int id));
+           ("tasks", nums (Array.map (fun w -> w *. c) pi.Protocol.weights));
+           ( "edges",
+             Es_obs.Obs_json.List
+               (List.map
+                  (fun (a, b) ->
+                    Es_obs.Obs_json.List
+                      [
+                        Es_obs.Obs_json.Num (float_of_int a);
+                        Es_obs.Obs_json.Num (float_of_int b);
+                      ])
+                  pi.Protocol.edges) );
+           ("procs", Es_obs.Obs_json.Num (float_of_int pi.Protocol.procs));
+           ( "model",
+             Es_obs.Obs_json.Obj
+               [
+                 ("kind", Es_obs.Obs_json.Str "continuous");
+                 ("fmin", Es_obs.Obs_json.Num (CGen.fmin inst));
+                 ("fmax", Es_obs.Obs_json.Num (CGen.fmax inst));
+               ] );
+           ("deadline", Es_obs.Obs_json.Num (pi.Protocol.deadline *. d));
+         ])
   in
-  insts @ insts (* every instance twice: second pass hits *)
+  let insts = List.init 10 (fun _ -> CGen.generate rng) in
+  let base = List.mapi (fun i inst -> line ~id:i ~c:1. ~d:1. inst) insts in
+  base @ base @ List.mapi (fun i inst -> line ~id:(10 + i) ~c:2. ~d:1.25 inst) insts
 
 let run_whole_trace pool =
   let srv =
@@ -346,7 +363,15 @@ let run_whole_trace pool =
 let test_server_jobs_determinism () =
   let seq = run_whole_trace None in
   let par = Pool.with_pool ~domains:2 (fun pool -> run_whole_trace (Some pool)) in
-  Alcotest.(check (list string)) "byte-identical across pool sizes" seq par
+  Alcotest.(check (list string)) "byte-identical across pool sizes" seq par;
+  (* selfcheck = 1 re-solves every rescale-hit cold: all must agree *)
+  let has affix r = Astring.String.is_infix ~affix r in
+  let rescaled = List.filter (has {|"cache":"rescale-hit"|}) seq in
+  Alcotest.(check bool) "some rescale-hits" true (rescaled <> []);
+  Alcotest.(check bool) "every rescale-hit self-checks ok" true
+    (List.for_all (has {|"self_check":"ok"|}) rescaled);
+  Alcotest.(check bool) "no self-check failure" false
+    (List.exists (has {|"self_check":"fail"|}) seq)
 
 let suite =
   ( "serve",
@@ -371,4 +396,6 @@ let suite =
         test_server_sheds_beyond_queue;
       Alcotest.test_case "server: responses identical across pool sizes" `Quick
         test_server_jobs_determinism;
+      Alcotest.test_case "server: latency samples keep a fixed window" `Quick
+        test_server_samples_bounded;
     ] )
