@@ -3,12 +3,9 @@
    Usage:
      eslint [PATH]...                    lint files / directories (default .)
      eslint --rules E001,U001 lib        enforce a subset of the catalogue
-     eslint --only R001,X001 lib         same as --rules
      eslint --skip E005,P002 lib         enforce everything but these
-     eslint --units=false lib            switch off the dimensional analysis
-     eslint --par=false lib              switch off the parallel-safety pass
-     eslint --effects=false lib          switch off the exception/resource pass
-     eslint --format json|sarif lib      machine-readable reports
+     eslint --skip U001,U002,U003 lib    switch off a whole rule family
+     eslint --format sarif lib           GitHub code-scanning report
      eslint --exclude test/fixtures ...  prune a subtree from the scan
      eslint --allow-file lint.allow ...  load checked-in path exemptions
      eslint --stats lib                  report analysis timings on stderr
@@ -78,20 +75,6 @@ let json_array ~indent items =
   if items = [] then "[]"
   else Printf.sprintf "[\n%s\n%s]" (String.concat ",\n" items) indent
 
-(* {"schema":"eslint-json/1","findings":[...],"errors":[...]} *)
-let print_json (diags : Lint.diagnostic list) errors =
-  let finding (d : Lint.diagnostic) =
-    Printf.sprintf
-      "    {\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \
-       \"message\": \"%s\"}"
-      (json_escape d.file) d.line d.col (Rules.id d.rule)
-      (json_escape d.message)
-  in
-  let error e = Printf.sprintf "    \"%s\"" (json_escape e) in
-  Printf.printf "{\n  \"schema\": \"eslint-json/1\",\n  \"findings\": %s,\n  \"errors\": %s\n}\n"
-    (json_array ~indent:"  " (List.map finding diags))
-    (json_array ~indent:"  " (List.map error errors))
-
 (* Minimal SARIF 2.1.0 for GitHub code scanning.  Columns are 1-based
    there, 0-based in our diagnostics. *)
 let print_sarif rules (diags : Lint.diagnostic list) =
@@ -148,8 +131,7 @@ let print_stats () =
         (Obs.pp_duration (Obs.timer_total t)))
     stats_timers
 
-let run list_only rules_spec only_spec skip_spec units par effects stats format
-    allow_file exclude paths =
+let run list_only rules_spec skip_spec stats format allow_file exclude paths =
   if list_only then list_rules ()
   else
     let fail msg =
@@ -157,25 +139,7 @@ let run list_only rules_spec only_spec skip_spec units par effects stats format
       2
     in
     let rules =
-      match (rules_spec, only_spec) with
-      | Some _, Some _ -> Error "--rules and --only are aliases; give only one"
-      | None, None -> Ok Rules.all
-      | Some spec, None | None, Some spec -> parse_rules spec
-    in
-    let rules =
-      Result.map
-        (fun rs ->
-          let rs =
-            if units then rs
-            else List.filter (fun r -> not (List.mem r Rules.units)) rs
-          in
-          let rs =
-            if par then rs
-            else List.filter (fun r -> not (List.mem r Rules.par)) rs
-          in
-          if effects then rs
-          else List.filter (fun r -> not (List.mem r Rules.effects)) rs)
-        rules
+      match rules_spec with None -> Ok Rules.all | Some spec -> parse_rules spec
     in
     let rules =
       match (rules, skip_spec) with
@@ -192,10 +156,7 @@ let run list_only rules_spec only_spec skip_spec units par effects stats format
     in
     match (rules, allow) with
     | Error msg, _ | _, Error msg -> fail msg
-    | Ok [], Ok _ ->
-      fail
-        "empty rule list (--units/--par/--effects=false or --skip removed \
-         every rule)"
+    | Ok [], Ok _ -> fail "empty rule list (--skip removed every rule)"
     | Ok rules, Ok allow ->
       let config = { Lint.rules; allow } in
       let paths = if paths = [] then [ "." ] else paths in
@@ -211,7 +172,6 @@ let run list_only rules_spec only_spec skip_spec units par effects stats format
         in
         (match format with
         | `Human -> print_human diags errors
-        | `Json -> print_json diags errors
         | `Sarif ->
           print_sarif rules diags;
           flush stdout;
@@ -229,41 +189,12 @@ let cmd =
          & info [ "rules" ] ~docv:"RULES"
              ~doc:"Comma-separated rule ids to enforce (default: all).")
   in
-  let only_arg =
-    Arg.(value & opt (some string) None
-         & info [ "only" ] ~docv:"RULES"
-             ~doc:"Alias of $(b,--rules): enforce exactly these rule ids.")
-  in
   let skip_arg =
     Arg.(value & opt (some string) None
          & info [ "skip" ] ~docv:"RULES"
-             ~doc:"Comma-separated rule ids to drop from the selection; \
-                   unknown ids are an error.")
-  in
-  let units_arg =
-    Arg.(value & opt bool true
-         & info [ "units" ] ~docv:"BOOL"
-             ~doc:"Enable the dimensional-analysis pass (U001-U003). On by \
-                   default; $(b,--units=false) switches the family off.")
-  in
-  let par_arg =
-    Arg.(value & opt bool true
-         & info [ "par" ] ~docv:"BOOL"
-             ~doc:"Enable the interprocedural parallel-safety pass \
-                   (P001-P004): race, nondeterminism, blocking and domain- \
-                   ownership checks over parallel regions, with witness call \
-                   chains in the messages. On by default; $(b,--par=false) \
-                   switches the family off.")
-  in
-  let effects_arg =
-    Arg.(value & opt bool true
-         & info [ "effects" ] ~docv:"BOOL"
-             ~doc:"Enable the exception-flow and resource-lifecycle pass \
-                   (X001-X002, R001-R003): may-raise effect inference over \
-                   the cross-module call graph, undocumented raising \
-                   exports, raising parallel callbacks and leak/protocol \
-                   checking with witness chains. On by default; \
-                   $(b,--effects=false) switches the family off.")
+             ~doc:"Comma-separated rule ids to drop from the selection, \
+                   e.g. $(b,--skip U001,U002,U003) for the whole \
+                   dimensional-analysis family; unknown ids are an error.")
   in
   let stats_arg =
     Arg.(value & flag
@@ -273,10 +204,10 @@ let cmd =
   in
   let format_arg =
     Arg.(value
-         & opt (enum [ ("human", `Human); ("json", `Json); ("sarif", `Sarif) ]) `Human
+         & opt (enum [ ("human", `Human); ("sarif", `Sarif) ]) `Human
          & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: $(b,human) (default), $(b,json), or \
-                   $(b,sarif) (GitHub code-scanning annotations).")
+             ~doc:"Output format: $(b,human) (default) or $(b,sarif) \
+                   (GitHub code-scanning annotations).")
   in
   let allow_arg =
     Arg.(value & opt (some string) None
@@ -308,8 +239,7 @@ let cmd =
             parallel-safety invariants."
   in
   Cmd.v info
-    Term.(const run $ list_arg $ rules_arg $ only_arg $ skip_arg $ units_arg
-          $ par_arg $ effects_arg $ stats_arg $ format_arg $ allow_arg
-          $ exclude_arg $ paths_arg)
+    Term.(const run $ list_arg $ rules_arg $ skip_arg $ stats_arg $ format_arg
+          $ allow_arg $ exclude_arg $ paths_arg)
 
 let () = exit (Cmd.eval' cmd)

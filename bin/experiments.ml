@@ -9,13 +9,6 @@ module Stats = Es_util.Stats
 module Par = Es_par.Par
 module Pool = Es_par.Pool
 
-(* X002 allowed file-wide: every sweep maps a solver over instances
-   this harness just generated, so the solvers' documented @raise
-   contracts (malformed DAG, infeasible window) cannot trigger — and
-   if a bug ever makes one trigger, the run SHOULD die loudly at the
-   joiner, not average a partial table. *)
-[@@@lint.allow "X002"]
-
 (* --jobs N: worker domains for the repetition sweeps (0 = the
    machine's recommended domain count).  The pool is created lazily on
    first use and shut down at the end of the run; with --jobs 1

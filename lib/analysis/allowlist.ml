@@ -22,7 +22,7 @@ let normalise_path p =
         Buffer.add_char buf c)
     p;
   let p = Buffer.contents buf in
-  if String.length p > 2 && String.sub p 0 2 = "./" then
+  if String.starts_with ~prefix:"./" p && String.length p > 2 then
     String.sub p 2 (String.length p - 2)
   else p
 

@@ -12,6 +12,10 @@ type t
 
 val empty : t
 
+val normalise_path : string -> string
+(** Forward slashes, duplicate separators collapsed, a leading ["./"]
+    stripped; a trailing ['/'] is kept. *)
+
 val parse : file:string -> string -> (t, string) result
 (** [parse ~file contents] parses an allowlist; [file] is only used in
     error messages.  All malformed lines are reported at once. *)

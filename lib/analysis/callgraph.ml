@@ -53,12 +53,31 @@ let create () =
     file_module = Hashtbl.create 64;
   }
 
+(* ------------------------------------------------------------------ *)
+(* paths, identifiers and AST shapes shared by every pass              *)
+(* ------------------------------------------------------------------ *)
+
+let segments file =
+  String.map (fun c -> if c = '\\' then '/' else c) file
+  |> String.split_on_char '/'
+  |> List.filter (fun s -> s <> "" && s <> ".")
+
+(* A [lib/<dir>] directory pair, for any [dir] of [dirs], anywhere in
+   the path. *)
+let in_lib dirs file =
+  let rec pairs = function
+    | "lib" :: dir :: _ when List.mem dir dirs -> true
+    | _ :: rest -> pairs rest
+    | [] -> false
+  in
+  pairs (segments file)
+
+(* lib/par owns the pool and its blocking joins; lib/obs owns the
+   (atomic) telemetry and the per-domain span stacks. *)
+let sanctioned = [ "par"; "obs" ]
+
 let module_name_of_file file =
   Filename.basename file |> Filename.remove_extension |> String.capitalize_ascii
-
-(* ------------------------------------------------------------------ *)
-(* identifier paths                                                    *)
-(* ------------------------------------------------------------------ *)
 
 let rec flatten_longident = function
   | Longident.Lident s -> Some [ s ]
@@ -69,6 +88,58 @@ let rec flatten_longident = function
 let strip_stdlib = function
   | "Stdlib" :: rest when rest <> [] -> rest
   | segs -> segs
+
+let last_segment = function
+  | Longident.Lident s | Longident.Ldot (_, s) -> Some s
+  | Longident.Lapply _ -> None
+
+let ident_name lid =
+  Option.map
+    (fun segs -> String.concat "." (strip_stdlib segs))
+    (flatten_longident lid)
+
+let last_two_segments name =
+  match List.rev (String.split_on_char '.' name) with
+  | leaf :: parent :: _ -> parent ^ "." ^ leaf
+  | _ -> name
+
+let loc_tag (loc : Location.t) =
+  Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_lnum
+
+let hop (name, loc) = Printf.sprintf "%s@%s" name (loc_tag loc)
+
+let first_positional args =
+  List.find_map
+    (fun ((label : Asttypes.arg_label), e) ->
+      match label with Nolabel -> Some e | _ -> None)
+    args
+
+let rec peel (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (inner, _) | Pexp_newtype (_, inner) -> peel inner
+  | _ -> e
+
+(* Every variable name bound anywhere under [expr]: function
+   parameters, let bindings, match/try cases.  (Shadowing an outer
+   name anywhere in the expression hides the outer one — an accepted
+   imprecision of the scope-free model.) *)
+let bound_names expr =
+  let acc = ref SSet.empty in
+  let open Ast_iterator in
+  let pat iter (p : Parsetree.pattern) =
+    (match p.ppat_desc with
+    | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
+      acc := SSet.add txt !acc
+    | _ -> ());
+    default_iterator.pat iter p
+  in
+  let iter = { default_iterator with pat } in
+  iter.expr iter expr;
+  !acc
+
+(* ------------------------------------------------------------------ *)
+(* identifier resolution                                               *)
+(* ------------------------------------------------------------------ *)
 
 (* Expand a leading module alias, chasing alias-of-alias up to a small
    bound so cyclic aliases cannot loop. *)
@@ -159,7 +230,7 @@ let binding_name (vb : Parsetree.value_binding) =
   in
   go vb.pvb_pat
 
-let add_edges t ~file ~module_name (vb : Parsetree.value_binding) =
+let record_edges t ~file ~module_name (vb : Parsetree.value_binding) =
   match binding_name vb with
   | None -> ()
   | Some name ->
@@ -263,7 +334,7 @@ let add_source t ~file str =
     List.iter
       (fun (si : Parsetree.structure_item) ->
         match si.pstr_desc with
-        | Pstr_value (_, vbs) -> List.iter (add_edges t ~file ~module_name) vbs
+        | Pstr_value (_, vbs) -> List.iter (record_edges t ~file ~module_name) vbs
         | Pstr_module mb -> (
           match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
           | Some sub, Pmod_structure sub_items ->
@@ -280,6 +351,13 @@ let add_source t ~file str =
 
 let defs t id = Hashtbl.find_all t.defs id
 let has_def t id = Hashtbl.mem t.defs id
+
+(* Sanctioned only when every definition under the key lives in a
+   sanctioned owner: a same-named module elsewhere is still analysed. *)
+let node_sanctioned t id =
+  match defs t id with
+  | [] -> false
+  | ds -> List.for_all (fun d -> in_lib sanctioned d.d_file) ds
 
 let edges t id =
   match Hashtbl.find_opt t.edges id with
@@ -300,10 +378,6 @@ let nodes t =
   Hashtbl.fold (fun id _ acc -> SSet.add id acc) t.defs SSet.empty
   |> SSet.elements
 
-let edge_sources t =
-  Hashtbl.fold (fun id _ acc -> SSet.add id acc) t.edges SSet.empty
-  |> SSet.elements
-
 (* ------------------------------------------------------------------ *)
 (* reachability                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -318,18 +392,3 @@ let reachable t ~roots =
   in
   List.iter visit roots;
   SSet.elements !visited
-
-(* ------------------------------------------------------------------ *)
-(* synthetic graphs (unit / property tests)                            *)
-(* ------------------------------------------------------------------ *)
-
-let add_edge t src dst =
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.edges src) in
-  Hashtbl.replace t.edges src (existing @ [ (dst, Location.none) ])
-
-let of_edges spec =
-  let t = create () in
-  List.iter
-    (fun (src, dsts) -> List.iter (fun dst -> add_edge t src dst) dsts)
-    spec;
-  t

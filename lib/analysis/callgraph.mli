@@ -12,6 +12,64 @@
     explicitly.  Functor applications and [open]-scoped bare
     identifiers are not tracked (DESIGN.md §9 caveats). *)
 
+module SSet : Set.S with type elt = string
+
+(** {1 Paths, identifiers and AST shapes shared by every pass} *)
+
+val segments : string -> string list
+(** Path segments of a file name (['\\'] read as ['/'], empty and
+    ["."] segments dropped). *)
+
+val in_lib : string list -> string -> bool
+(** [in_lib dirs file]: does a [lib/<dir>] directory pair with [dir]
+    in [dirs] occur anywhere in [file]'s path?  The one scope test of
+    the analyzer: U003 ([\["core"; "platform"\]]), E007
+    ([\["core"; "sched"; "sim"\]]) and the sanctioned owners
+    ({!sanctioned}). *)
+
+val sanctioned : string list
+(** [\["par"; "obs"\]]: lib/par and lib/obs are the audited owners of
+    domains, blocking joins and telemetry.  Reachability stops at their
+    nodes ({!node_sanctioned}); their files are exempt from region
+    scanning, P004 and the X/R rules. *)
+
+val module_name_of_file : string -> string
+(** ["lib/core/pareto.ml"] -> ["Pareto"] — dune's unwrapped module
+    naming. *)
+
+val flatten_longident : Longident.t -> string list option
+(** Path segments of an identifier; [None] for functor application. *)
+
+val last_segment : Longident.t -> string option
+(** Last component of an identifier ([Queue.Empty] -> ["Empty"]);
+    [None] for functor application. *)
+
+val ident_name : Longident.t -> string option
+(** Dotted name of an identifier with a leading [Stdlib.] stripped, so
+    [Stdlib.compare] and [compare] are the same name while
+    [Float.compare] is not; [None] for functor application. *)
+
+val last_two_segments : string -> string
+(** ["Es_par.Par.parallel_map"] -> ["Par.parallel_map"]. *)
+
+val loc_tag : Location.t -> string
+(** ["file:line"] of the location's start. *)
+
+val hop : string * Location.t -> string
+(** ["name@file:line"], one hop of a witness chain. *)
+
+val first_positional : (Asttypes.arg_label * 'a) list -> 'a option
+(** First unlabelled argument of an application. *)
+
+val peel : Parsetree.expression -> Parsetree.expression
+(** Strip type constraints and [fun (type a) ->] binders. *)
+
+val bound_names : Parsetree.expression -> SSet.t
+(** Every name bound by any pattern under the expression (parameters,
+    lets, match/try cases). *)
+
+(** {1 The graph} *)
+
 type t
 
 type def = {
@@ -22,12 +80,6 @@ type def = {
 }
 
 val create : unit -> t
-
-val module_name_of_file : string -> string
-(** ["lib/core/pareto.ml"] -> ["Pareto"]. *)
-
-val flatten_longident : Longident.t -> string list option
-(** Path segments of an identifier; [None] for functor application. *)
 
 val add_source : t -> file:string -> Parsetree.structure -> unit
 (** Harvest one parsed implementation: top-level (and one-level
@@ -47,6 +99,12 @@ val defs : t -> string -> def list
 
 val has_def : t -> string -> bool
 
+val node_sanctioned : t -> string -> bool
+(** True when the node has definitions and every one of them lives in
+    a sanctioned owner ({!sanctioned}).  A module name defined both in
+    lib/obs and elsewhere is not sanctioned: its other definitions are
+    still analysed. *)
+
 val edges : t -> string -> (string * Location.t) list
 (** Resolved identifiers referenced by the node's body, deduped by
     name in first-occurrence order; the location is the first
@@ -55,20 +113,8 @@ val edges : t -> string -> (string * Location.t) list
 val nodes : t -> string list
 (** Every node key, sorted. *)
 
-val edge_sources : t -> string list
-(** Every name with a (possibly empty) recorded edge list, sorted.
-    Superset-disjoint from {!nodes} only in synthetic {!of_edges}
-    graphs, where edges exist without defs; the {!Effects} fixpoint
-    iterates over the union of both. *)
-
 val reachable : t -> roots:string list -> string list
 (** Every name reachable from [roots] (roots included), following
     edges transitively; terminal names (no outgoing edges) are
     included.  Sorted.  Termination is by visited-set, so cycles
     (recursion) are fine. *)
-
-val add_edge : t -> string -> string -> unit
-(** Synthetic edge, for tests. *)
-
-val of_edges : (string * string list) list -> t
-(** Synthetic graph from an adjacency list, for tests. *)

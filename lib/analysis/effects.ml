@@ -7,7 +7,7 @@
    parameter (whose effects are charged to the caller that built the
    closure). *)
 
-module SSet = Set.Make (String)
+module SSet = Callgraph.SSet
 
 type t = Known of SSet.t | Top
 
@@ -125,14 +125,7 @@ let pure_tbl =
 
 let is_pure_name name =
   Hashtbl.mem pure_tbl name
-  || List.exists (fun p -> String.length name > String.length p
-                           && String.sub name 0 (String.length p) = p)
-       pure_prefixes
-
-let last_segment = function
-  | Longident.Lident s -> Some s
-  | Longident.Ldot (_, s) -> Some s
-  | Longident.Lapply _ -> None
+  || List.exists (fun prefix -> String.starts_with ~prefix name) pure_prefixes
 
 (* ------------------------------------------------------------------ *)
 (* environment                                                         *)
@@ -154,12 +147,6 @@ let direct env id =
   match Hashtbl.find_opt env.locals id with Some s -> s | None -> pure
 
 let raise_site env id exn = Hashtbl.find_opt env.raise_sites (id, exn)
-
-let node_sanctioned env id =
-  match Callgraph.defs env.graph id with
-  | [] -> false
-  | ds ->
-    List.for_all (fun d -> Par_rules.is_sanctioned_file d.Callgraph.d_file) ds
 
 (* ------------------------------------------------------------------ *)
 (* expression evaluation                                               *)
@@ -187,31 +174,15 @@ let immediate_children (e : Parsetree.expression) =
   default_iterator.expr iter e;
   List.rev !acc
 
-(* Every name bound by any pattern under the expression (parameters,
-   lets, match arms) — par_rules uses the same over-approximation. *)
-let bound_names expr =
-  let acc = ref SSet.empty in
-  let open Ast_iterator in
-  let pat_iter iter (p : Parsetree.pattern) =
-    (match p.ppat_desc with
-    | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-      acc := SSet.add txt !acc
-    | _ -> ());
-    default_iterator.pat iter p
-  in
-  let iter = { default_iterator with pat = pat_iter } in
-  iter.expr iter expr;
-  !acc
-
-let binders expr = SSet.elements (bound_names expr)
-
 (* What an unguarded handler pattern covers. *)
 let rec handled (p : Parsetree.pattern) =
   match p.ppat_desc with
   | Ppat_any | Ppat_var _ -> `All
   | Ppat_alias (inner, _) -> handled inner
   | Ppat_construct ({ txt; _ }, _) -> (
-    match last_segment txt with Some n -> `Some [ n ] | None -> `Unknown)
+    match Callgraph.last_segment txt with
+    | Some n -> `Some [ n ]
+    | None -> `Unknown)
   | Ppat_or (a, b) -> (
     match (handled a, handled b) with
     | `All, _ | _, `All -> `All
@@ -336,7 +307,7 @@ and ident_effect ctx txt =
     if
       ctx.deep
       && Callgraph.has_def ctx.env.graph name
-      && not (node_sanctioned ctx.env name)
+      && not (Callgraph.node_sanctioned ctx.env.graph name)
     then summary ctx.env name
     else pure
 
@@ -361,7 +332,7 @@ and apply_effect ctx (head : Parsetree.expression) args =
           match args with
           | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, _); _ }) :: _
             -> (
-            match last_segment c with
+            match Callgraph.last_segment c with
             | Some exn ->
               record ctx exn loc;
               known_one exn
@@ -386,7 +357,7 @@ and apply_effect ctx (head : Parsetree.expression) args =
               else if SSet.mem name ctx.bound then
                 pure (* local closure or parameter: charged elsewhere *)
               else if Callgraph.has_def ctx.env.graph name then
-                if node_sanctioned ctx.env name then pure
+                if Callgraph.node_sanctioned ctx.env.graph name then pure
                 else if ctx.deep then summary ctx.env name
                 else pure
               else Top (* unknown external in call position *))))
@@ -410,45 +381,31 @@ let make_ctx ?record ?(mask = fun _ -> false) ?(bound = SSet.empty) env ~file
   {
     env;
     file;
-    bound = SSet.union bound (bound_names expr);
+    bound = SSet.union bound (Callgraph.bound_names expr);
     deep;
     record;
     masked = mask;
   }
 
-let node_effect env ~deep ~seed id =
-  match Callgraph.defs env.graph id with
-  | [] ->
-    (* def-less node (synthetic of_edges graph): propagate the raw
-       edges instead of evaluating a body *)
-    if not deep then seed
-    else
-      List.fold_left
-        (fun acc (callee, _) ->
-          if Hashtbl.mem env.summaries callee then
-            union acc (summary env callee)
-          else acc)
-        seed
-        (Callgraph.edges env.graph id)
-  | ds ->
-    List.fold_left
-      (fun acc d ->
-        let record =
-          if deep then None
-          else
-            Some
-              (fun exn loc ->
-                if not (Hashtbl.mem env.raise_sites (id, exn)) then
-                  Hashtbl.add env.raise_sites (id, exn) loc)
-        in
-        let ctx =
-          make_ctx ?record env ~file:d.Callgraph.d_file ~deep
-            d.Callgraph.d_expr
-        in
-        union acc (eval ctx d.Callgraph.d_expr))
-      seed ds
+let node_effect env ~deep id =
+  List.fold_left
+    (fun acc d ->
+      let record =
+        if deep then None
+        else
+          Some
+            (fun exn loc ->
+              if not (Hashtbl.mem env.raise_sites (id, exn)) then
+                Hashtbl.add env.raise_sites (id, exn) loc)
+      in
+      let ctx =
+        make_ctx ?record env ~file:d.Callgraph.d_file ~deep d.Callgraph.d_expr
+      in
+      union acc (eval ctx d.Callgraph.d_expr))
+    pure
+    (Callgraph.defs env.graph id)
 
-let infer ?(seeds = []) graph =
+let infer graph =
   let env =
     {
       graph;
@@ -457,20 +414,8 @@ let infer ?(seeds = []) graph =
       raise_sites = Hashtbl.create 128;
     }
   in
-  let ids =
-    let s =
-      List.fold_left
-        (fun s id -> SSet.add id s)
-        SSet.empty
-        (Callgraph.nodes graph @ Callgraph.edge_sources graph
-        @ List.map fst seeds)
-    in
-    SSet.elements s
-  in
+  let ids = Callgraph.nodes graph in
   List.iter (fun id -> Hashtbl.replace env.summaries id pure) ids;
-  let seed_of id =
-    match List.assoc_opt id seeds with Some s -> s | None -> pure
-  in
   (* monotone fixpoint; eval is monotone in the summary table, so the
      extra union-with-current is belt and braces for termination *)
   let changed = ref true in
@@ -481,9 +426,7 @@ let infer ?(seeds = []) graph =
     List.iter
       (fun id ->
         let cur = summary env id in
-        let next =
-          union cur (node_effect env ~deep:true ~seed:(seed_of id) id)
-        in
+        let next = union cur (node_effect env ~deep:true id) in
         if not (equal cur next) then begin
           Hashtbl.replace env.summaries id next;
           changed := true
@@ -493,8 +436,7 @@ let infer ?(seeds = []) graph =
   (* direct (intraprocedural) seeds + raise sites, for witnesses *)
   List.iter
     (fun id ->
-      Hashtbl.replace env.locals id
-        (node_effect env ~deep:false ~seed:(seed_of id) id))
+      Hashtbl.replace env.locals id (node_effect env ~deep:false id))
     ids;
   env
 
@@ -502,11 +444,8 @@ let infer ?(seeds = []) graph =
 (* public expression queries                                           *)
 (* ------------------------------------------------------------------ *)
 
-let expr_summary ?mask ?(bound = []) env ~file expr =
-  let ctx =
-    make_ctx ?mask ~bound:(SSet.of_list bound) env ~file ~deep:true expr
-  in
-  eval ctx expr
+let expr_summary ?mask ?bound env ~file expr =
+  eval (make_ctx ?mask ?bound env ~file ~deep:true expr) expr
 
 (* ------------------------------------------------------------------ *)
 (* witnesses                                                           *)
@@ -537,7 +476,7 @@ let witness env start ~exn =
               (not (Hashtbl.mem visited callee))
               && mem exn (summary env callee)
               && Callgraph.has_def env.graph callee
-              && not (node_sanctioned env callee)
+              && not (Callgraph.node_sanctioned env.graph callee)
             then begin
               Hashtbl.replace visited callee ();
               Hashtbl.replace parent callee (n, loc);
@@ -574,10 +513,8 @@ type evidence = {
    try-block that stays impure is descended without replaying the
    narrowing, so the named hop may occasionally be a handled one — the
    summary (not the evidence) is what decides whether to report. *)
-let expr_evidence ?(mask = fun _ -> false) ?(bound = []) env ~file expr =
-  let ctx =
-    make_ctx ~mask ~bound:(SSet.of_list bound) env ~file ~deep:true expr
-  in
+let expr_evidence ?(mask = fun _ -> false) ?bound env ~file expr =
+  let ctx = make_ctx ~mask ?bound env ~file ~deep:true expr in
   let node_evidence name loc =
     match summary env name with
     | Known s when not (SSet.is_empty s) ->
@@ -603,7 +540,7 @@ let expr_evidence ?(mask = fun _ -> false) ?(bound = []) env ~file expr =
               match args with
               | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, _); _ })
                 :: _ ->
-                last_segment c
+                Callgraph.last_segment c
               | _ -> None
             in
             Some { e_exn = exn; e_hops = [ ("raise", loc) ] }
@@ -629,7 +566,7 @@ let expr_evidence ?(mask = fun _ -> false) ?(bound = []) env ~file expr =
                   if
                     is_pure_name name
                     || SSet.mem name ctx.bound
-                    || node_sanctioned env name
+                    || Callgraph.node_sanctioned env.graph name
                   then None
                   else if Callgraph.has_def env.graph name then
                     node_evidence name loc
@@ -640,7 +577,7 @@ let expr_evidence ?(mask = fun _ -> false) ?(bound = []) env ~file expr =
         match Callgraph.resolve env.graph ~file txt with
         | Some name
           when Callgraph.has_def env.graph name
-               && not (node_sanctioned env name) ->
+               && not (Callgraph.node_sanctioned env.graph name) ->
           node_evidence name loc
         | _ -> None)
       | Pexp_match (scrut, cases) when partial_constant_match cases -> (

@@ -29,7 +29,7 @@
       binding that contains them, and a parameter's effects belong to
       the caller;
     - nodes of the sanctioned owners (lib/par, lib/obs — see
-      {!Par_rules.is_sanctioned_file}) are treated as pure: their
+      {!Callgraph.node_sanctioned}) are treated as pure: their
       raise contracts are documented manually and their internals are
       excluded, mirroring the P-pass sanctioning.
 
@@ -41,7 +41,7 @@
     unknown external {e referenced} but not applied contributes
     nothing. *)
 
-module SSet : Set.S with type elt = string
+module SSet = Callgraph.SSet
 
 type t =
   | Known of SSet.t  (** at most these exception constructors *)
@@ -52,33 +52,19 @@ val pure : t
 
 val is_pure : t -> bool
 
-val equal : t -> t -> bool
-
 val union : t -> t -> t
 (** Lattice join; [Top] absorbs. *)
 
-val mem : string -> t -> bool
-(** May this summary raise the given constructor?  Always true for
-    [Top]. *)
-
 val to_list : t -> string list option
 (** Sorted exception names, or [None] for [Top]. *)
-
-val binders : Parsetree.expression -> string list
-(** Every name bound by any pattern under the expression (parameters,
-    lets, match arms) — what {!Resource_rules} passes as [bound] when
-    summarising a subexpression of a larger binding. *)
 
 type env
 (** The result of one fixpoint run: per-node summaries, per-node
     direct (intraprocedural) seeds, and first-raise-site locations for
     witness reconstruction. *)
 
-val infer : ?seeds:(string * t) list -> Callgraph.t -> env
-(** Run the fixpoint.  [seeds] force a base summary onto named nodes —
-    used by the synthetic-graph property tests ([of_edges] graphs have
-    no defs, so their nodes propagate seeds along raw edges instead of
-    evaluating bodies). *)
+val infer : Callgraph.t -> env
+(** Run the fixpoint over every node of the graph. *)
 
 val graph : env -> Callgraph.t
 
@@ -86,19 +72,9 @@ val summary : env -> string -> t
 (** Full interprocedural summary of a node; [pure] for unknown
     names. *)
 
-val direct : env -> string -> t
-(** Intraprocedural seed only: what the node's own body introduces,
-    with callee nodes treated as pure.  Witness chains bottom out on
-    nodes whose direct summary contains the exception. *)
-
-val raise_site : env -> string -> string -> Location.t option
-(** First location in the node's body that introduces the exception
-    (the [raise]/[failwith]/catalogue call recorded while computing
-    {!direct}). *)
-
 val expr_summary :
   ?mask:(Parsetree.expression -> bool) ->
-  ?bound:string list ->
+  ?bound:SSet.t ->
   env ->
   file:string ->
   Parsetree.expression ->
@@ -106,7 +82,8 @@ val expr_summary :
 (** Effect of an arbitrary expression in [file]'s resolution scope,
     looking callee nodes up in [env].  [mask] prunes subtrees (treated
     as pure) — {!Resource_rules} masks release calls and everything
-    after them; [bound] adds names bound by enclosing patterns (the
+    after them; [bound] adds names bound by enclosing patterns, such as
+    the {!Callgraph.bound_names} of the whole binding (the
     expression's own binders are always included). *)
 
 type evidence = {
@@ -120,7 +97,7 @@ type evidence = {
 
 val expr_evidence :
   ?mask:(Parsetree.expression -> bool) ->
-  ?bound:string list ->
+  ?bound:SSet.t ->
   env ->
   file:string ->
   Parsetree.expression ->
@@ -131,8 +108,8 @@ val expr_evidence :
     is pure (or its impurity has no nameable source). *)
 
 val witness : env -> string -> exn:string -> (string * Location.t) list
-(** Shortest reference chain from the node to a binding whose
-    {!direct} summary introduces [exn], as
+(** Shortest reference chain from the node to a binding whose own body
+    (callee nodes treated as pure) introduces [exn], as
     [(callee, reference site); ...; (exn, raise site)].  Empty when
     the node's summary does not contain [exn] or no direct introducer
     is reachable (a [Top] cause). *)

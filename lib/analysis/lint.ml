@@ -63,52 +63,21 @@ let print_fns =
 (* paths                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let segments file =
-  String.map (fun c -> if c = '\\' then '/' else c) file
-  |> String.split_on_char '/'
-  |> List.filter (fun s -> s <> "" && s <> ".")
-
 (* Library code is anything with a [lib] path segment.  Test runners
    (a [test] segment) are held to the same E004/E005 bar — exemptions
    go in the checked-in allowlist, not in the scanner. *)
 let is_lib_source file =
-  let segs = segments file in
+  let segs = Callgraph.segments file in
   List.mem "lib" segs || List.mem "test" segs
 
-(* U003 applies to the interfaces of the numeric core: a [lib/core] or
-   [lib/platform] directory pair anywhere in the path. *)
-let is_units_scope file =
-  let rec pairs = function
-    | "lib" :: (("core" | "platform") as _next) :: _ -> true
-    | _ :: rest -> pairs rest
-    | [] -> false
-  in
-  pairs (segments file)
+(* U003 applies to the interfaces of the numeric core. *)
+let units_scope = [ "core"; "platform" ]
 
 (* E007 applies to the libraries whose values are shared across worker
    domains by lib/par: the solver core, the schedulers and the
    simulator.  lib/obs keeps its (atomic) counters, and binaries own
    their CLI state, so neither is in scope. *)
-let is_domain_scope file =
-  let rec pairs = function
-    | "lib" :: (("core" | "sched" | "sim") as _next) :: _ -> true
-    | _ :: rest -> pairs rest
-    | [] -> false
-  in
-  pairs (segments file)
-
-let rec flatten_longident = function
-  | Longident.Lident s -> Some [ s ]
-  | Longident.Ldot (p, s) ->
-    Option.map (fun segs -> segs @ [ s ]) (flatten_longident p)
-  | Longident.Lapply _ -> None
-
-let ident_name lid =
-  match flatten_longident lid with
-  | None -> None
-  | Some segs ->
-    let segs = match segs with "Stdlib" :: rest when rest <> [] -> rest | _ -> segs in
-    Some (String.concat "." segs)
+let domain_scope = [ "core"; "sched"; "sim" ]
 
 (* ------------------------------------------------------------------ *)
 (* one-file analysis state                                             *)
@@ -204,7 +173,7 @@ let check_ident st ~lib name loc =
          "direct printing via %s from library code; return a string or \
           annotate the render entry point with [@lint.allow \"E004\"]"
          name)
-  else if name = "Obj.magic" || String.length name > 8 && String.sub name 0 8 = "Marshal." then
+  else if name = "Obj.magic" || String.starts_with ~prefix:"Marshal." name then
     report st Rules.E006 loc
       (Printf.sprintf "unsafe representation escape %s" name)
 
@@ -235,7 +204,8 @@ let rec creation_head (e : Parsetree.expression) =
   | Pexp_let (_, _, inner)
   | Pexp_sequence (_, inner) ->
     creation_head inner
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> ident_name txt
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
+    Callgraph.ident_name txt
   | _ -> None
 
 let check_module_level_mutability st (si : Parsetree.structure_item) =
@@ -301,7 +271,7 @@ let make_iterator st ~lib ~domain =
     add_suppressions st ~scope:e.pexp_loc e.pexp_attributes;
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } -> (
-      match ident_name txt with
+      match Callgraph.ident_name txt with
       | Some name -> check_ident st ~lib name loc
       | None -> ())
     | Pexp_try (_, cases) -> List.iter (check_try_case st) cases
@@ -393,9 +363,7 @@ let finalise config st =
   | [] -> Ok diags
   | errs -> Error (String.concat "\n" (List.rev errs))
 
-let has_mli file = Sys.file_exists (Filename.remove_extension file ^ ".mli")
-
-let missing_mli config file =
+let missing_mli config ~has_mli file =
   if
     List.mem Rules.E005 config.rules
     && Filename.check_suffix file ".ml"
@@ -425,14 +393,9 @@ let parse_error_message file exn =
     |> String.map (fun c -> if c = '\n' then ' ' else c)
   | _ -> Printf.sprintf "%s: parse error" file
 
-let units_enabled config =
-  List.exists (fun r -> List.mem r config.rules) Rules.units
-
-let par_enabled config =
-  List.exists (fun r -> List.mem r config.rules) Rules.par
-
-let effects_enabled config =
-  List.exists (fun r -> List.mem r config.rules) Rules.effects
+(* Is any rule of the family ([Rules.units], [par], [effects]) on? *)
+let enabled config family =
+  List.exists (fun r -> List.mem r config.rules) family
 
 module Obs = Es_obs.Obs
 
@@ -440,151 +403,125 @@ module Obs = Es_obs.Obs
 let callgraph_timer = Obs.timer "eslint.callgraph.build"
 let effects_timer = Obs.timer "eslint.effects.infer"
 
-let lint_source ?(units_env = Units_rules.empty_env ()) ?par_ctx ?eff config
-    ~file contents =
-  let st = { src_file = file; findings = []; suppressions = []; errors = [] } in
+type ast = Intf of Parsetree.signature | Impl of Parsetree.structure
+
+(* The one parse of a file: the [@units] harvest, the call graph and
+   the per-file rules all read this AST. *)
+let parse ~file contents =
   let lexbuf = Lexing.from_string contents in
   Location.init lexbuf file;
-  let report_units rule loc msg = report st rule loc msg in
-  let error_units msg = st.errors <- msg :: st.errors in
-  let parsed =
-    if Filename.check_suffix file ".mli" then (
-      match Parse.interface lexbuf with
-      | sg ->
-        let iter =
-          make_iterator st ~lib:(is_lib_source file)
-            ~domain:(is_domain_scope file)
-        in
-        iter.signature iter sg;
-        if units_enabled config then
-          Units_rules.check_interface ~annotate_scope:(is_units_scope file)
-            ~report:report_units ~error:error_units sg;
-        (* X001 needs the cross-file summaries of a directory run; a
-           bare interface lint has no implementation to summarise *)
-        (if effects_enabled config then
-           match eff with
-           | Some env ->
-             Resource_rules.check_interface ~eff:env ~file
-               ~report:(fun rule loc msg -> report st rule loc msg)
-               sg
-           | None -> ());
-        Ok ()
-      | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) ->
-        Error (parse_error_message file exn))
-    else
-      match Parse.implementation lexbuf with
-      | str ->
-        let iter =
-          make_iterator st ~lib:(is_lib_source file)
-            ~domain:(is_domain_scope file)
-        in
-        iter.structure iter str;
-        if units_enabled config then
-          Units_rules.check_structure units_env
-            ~module_name:(Units_rules.module_name_of_file file)
-            ~report:report_units ~error:error_units str;
-        (if par_enabled config || effects_enabled config then begin
-           (* directory runs share the cross-module graph from pass 1;
-              a bare single-file lint still gets intra-file traces
-              from a graph over just this structure *)
-           let local_graph =
-             lazy
-               (let g = Callgraph.create () in
-                Callgraph.add_source g ~file str;
-                g)
-           in
-           let ctx =
-             match par_ctx with
-             | Some ctx -> ctx
-             | None -> Par_rules.make_ctx (Lazy.force local_graph)
-           in
-           if par_enabled config then
-             Par_rules.check_structure ctx ~file
-               ~report:(fun rule loc msg -> report st rule loc msg)
-               str;
-           if effects_enabled config then begin
-             let env =
-               match eff with
-               | Some env -> env
-               | None -> Effects.infer (Lazy.force local_graph)
-             in
-             Resource_rules.check_structure ~eff:env
-               ~is_former:(Par_rules.is_former ctx) ~file
-               ~report:(fun rule loc msg -> report st rule loc msg)
-               str
-           end
-         end);
-        Ok ()
-      | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) ->
-        Error (parse_error_message file exn)
+  match
+    if Filename.check_suffix file ".mli" then Intf (Parse.interface lexbuf)
+    else Impl (Parse.implementation lexbuf)
+  with
+  | ast -> Ok ast
+  | exception ((Syntaxerr.Error _ | Lexer.Error _) as exn) ->
+    Error (parse_error_message file exn)
+
+(* Pass 2 over one file: the syntactic rules plus every enabled family,
+   against the environments pass 1 built over the whole run.  X001 on a
+   [.mli] reads the summaries of the implementations linted with it. *)
+let lint_ast config ~has_mli ~units_env ~par_ctx ~eff file ast =
+  let st = { src_file = file; findings = []; suppressions = []; errors = [] } in
+  let report = report st in
+  let error msg = st.errors <- msg :: st.errors in
+  let iter =
+    make_iterator st ~lib:(is_lib_source file)
+      ~domain:(Callgraph.in_lib domain_scope file)
   in
-  match parsed with
+  (match ast with
+  | Intf sg ->
+    iter.signature iter sg;
+    if enabled config Rules.units then
+      Units_rules.check_interface
+        ~annotate_scope:(Callgraph.in_lib units_scope file)
+        ~report ~error sg;
+    Option.iter
+      (fun eff -> Resource_rules.check_interface ~eff ~file ~report sg)
+      eff
+  | Impl str ->
+    iter.structure iter str;
+    if enabled config Rules.units then
+      Units_rules.check_structure units_env
+        ~module_name:(Callgraph.module_name_of_file file)
+        ~report ~error str;
+    Option.iter
+      (fun ctx -> Par_rules.check_structure ctx ~file ~report str)
+      par_ctx;
+    Option.iter
+      (fun eff -> Resource_rules.check_structure ~eff ~file ~report str)
+      eff);
+  match finalise config st with
+  | Ok diags ->
+    Ok (missing_mli config ~has_mli file @ diags |> List.sort compare_diagnostic)
   | Error msg -> Error msg
-  | Ok () -> (
-    match finalise config st with
-    | Ok diags -> Ok (missing_mli config file @ diags |> List.sort compare_diagnostic)
-    | Error msg -> Error msg)
 
-(* Pass 1: harvest [@units] annotations from every .mli of the lint
-   set.  Parse failures are ignored here — the file surfaces its own
-   error when linted in pass 2. *)
-let build_units_env config files =
-  let env = Units_rules.empty_env () in
-  if units_enabled config then
+(* Full order including the message, so a file reached both directly
+   and through a directory walk cannot yield duplicate findings. *)
+let compare_diagnostic_full a b =
+  let c = compare_diagnostic a b in
+  if c <> 0 then c else String.compare a.message b.message
+
+(* Pass 1 harvests [@units] annotations from every interface and
+   builds ONE call graph over every implementation, shared by the P
+   and X/R families; pass 2 lints file by file.  A file that failed to
+   parse contributes nothing to pass 1 and reports its error in pass 2,
+   in file order. *)
+let lint_parsed config sources =
+  let units_env = Units_rules.empty_env () in
+  if enabled config Rules.units then
     List.iter
-      (fun file ->
-        if Filename.check_suffix file ".mli" then
-          match In_channel.with_open_text file In_channel.input_all with
-          | contents -> (
-            let lexbuf = Lexing.from_string contents in
-            Location.init lexbuf file;
-            match Parse.interface lexbuf with
-            | sg ->
-              Units_rules.collect_interface env
-                ~module_name:(Units_rules.module_name_of_file file)
-                sg
-            | exception (Syntaxerr.Error _ | Lexer.Error _) -> ())
-          | exception Sys_error _ -> ())
-      files;
-  env
+      (function
+        | file, Ok (Intf sg) ->
+          Units_rules.collect_interface units_env
+            ~module_name:(Callgraph.module_name_of_file file)
+            sg
+        | _ -> ())
+      sources;
+  let graph =
+    if enabled config Rules.par || enabled config Rules.effects then
+      Some
+        (Obs.time callgraph_timer (fun () ->
+             let graph = Callgraph.create () in
+             List.iter
+               (function
+                 | file, Ok (Impl str) -> Callgraph.add_source graph ~file str
+                 | _ -> ())
+               sources;
+             graph))
+    else None
+  in
+  let par_ctx =
+    if enabled config Rules.par then Option.map Par_rules.make_ctx graph
+    else None
+  in
+  let eff =
+    if enabled config Rules.effects then
+      Option.map
+        (fun g -> Obs.time effects_timer (fun () -> Effects.infer g))
+        graph
+    else None
+  in
+  (* E005 accepts an interface linted in the same run or on disk *)
+  let has_mli file =
+    let mli = Filename.remove_extension file ^ ".mli" in
+    List.mem_assoc mli sources || Sys.file_exists mli
+  in
+  List.fold_left
+    (fun (diags, errors) (file, ast) ->
+      match
+        Result.bind ast (lint_ast config ~has_mli ~units_env ~par_ctx ~eff file)
+      with
+      | Ok ds -> (ds :: diags, errors)
+      | Error msg -> (diags, msg :: errors))
+    ([], []) sources
+  |> fun (diags, errors) ->
+  ( List.concat (List.rev diags) |> List.sort_uniq compare_diagnostic_full,
+    List.rev errors )
 
-(* Pass 1 of both interprocedural analyses: ONE call graph over every
-   .ml of the lint set, shared by the parallel-safety and the
-   exception-flow/resource passes.  Parse failures are ignored here —
-   the file surfaces its own error when linted in pass 2. *)
-let build_graph files =
-  Obs.time callgraph_timer (fun () ->
-      let graph = Callgraph.create () in
-      List.iter
-        (fun file ->
-          if Filename.check_suffix file ".ml" then
-            match In_channel.with_open_text file In_channel.input_all with
-            | contents -> (
-              let lexbuf = Lexing.from_string contents in
-              Location.init lexbuf file;
-              match Parse.implementation lexbuf with
-              | str -> Callgraph.add_source graph ~file str
-              | exception (Syntaxerr.Error _ | Lexer.Error _) -> ())
-            | exception Sys_error _ -> ())
-        files;
-      graph)
-
-let build_par_ctx config files =
-  if not (par_enabled config) then Par_rules.empty_ctx ()
-  else Par_rules.make_ctx (build_graph files)
-
-let lint_file_in_env ?par_ctx ?eff config ~units_env file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | contents -> lint_source ~units_env ?par_ctx ?eff config ~file contents
-  | exception Sys_error msg -> Error msg
-
-let lint_file config file =
-  (* single-file convenience: the sibling .mli (if any) seeds the
-     interprocedural environment, mirroring what a directory run sees;
-     the par graph covers just this file (lint_source builds it) *)
-  let sibling = Filename.remove_extension file ^ ".mli" in
-  let seeds = if Sys.file_exists sibling then [ file; sibling ] else [ file ] in
-  lint_file_in_env config ~units_env:(build_units_env config seeds) file
+let lint_sources config sources =
+  lint_parsed config
+    (List.map (fun (file, contents) -> (file, parse ~file contents)) sources)
 
 (* Directory recursion: descend everywhere except build/VCS droppings.
    Explicitly named roots are always scanned, so pointing the driver at
@@ -600,20 +537,7 @@ let is_source file =
    [eslint lib/core lib/core/ ./lib//core] all name the same root and
    [--exclude test/fixtures/] matches what the walker compares. *)
 let normalise_path p =
-  let p = String.map (fun c -> if c = '\\' then '/' else c) p in
-  let buf = Buffer.create (String.length p) in
-  String.iter
-    (fun c ->
-      let n = Buffer.length buf in
-      if not (c = '/' && n > 0 && Buffer.nth buf (n - 1) = '/') then
-        Buffer.add_char buf c)
-    p;
-  let p = Buffer.contents buf in
-  let p =
-    if String.length p > 2 && String.sub p 0 2 = "./" then
-      String.sub p 2 (String.length p - 2)
-    else p
-  in
+  let p = Allowlist.normalise_path p in
   if String.length p > 1 && p.[String.length p - 1] = '/' then
     String.sub p 0 (String.length p - 1)
   else p
@@ -622,9 +546,7 @@ let is_excluded ~exclude path =
   let path = normalise_path path in
   List.exists
     (fun ex ->
-      path = ex
-      || String.length path > String.length ex
-         && String.sub path 0 (String.length ex + 1) = ex ^ "/")
+      path = ex || String.starts_with ~prefix:(ex ^ "/") path)
     exclude
 
 let rec collect_path ~exclude acc path =
@@ -643,12 +565,6 @@ let rec collect_path ~exclude acc path =
   else if is_source path then path :: acc
   else acc
 
-(* Full order including the message, so a file reached both directly
-   and through a directory walk cannot yield duplicate findings. *)
-let compare_diagnostic_full a b =
-  let c = compare_diagnostic a b in
-  if c <> 0 then c else String.compare a.message b.message
-
 let lint_paths ?(exclude = []) config paths =
   let exclude = List.map normalise_path exclude in
   let files =
@@ -656,27 +572,11 @@ let lint_paths ?(exclude = []) config paths =
     |> List.map normalise_path
     |> List.sort_uniq String.compare
   in
-  let units_env = build_units_env config files in
-  (* the callgraph is built once per run and shared between the P and
-     X/R passes; the par ctx is needed even for an effects-only run
-     (X002 asks it which nodes are derived combinators) *)
-  let graph =
-    if par_enabled config || effects_enabled config then
-      Some (build_graph files)
-    else None
-  in
-  let par_ctx = Option.map Par_rules.make_ctx graph in
-  let eff =
-    if effects_enabled config then
-      Option.map (fun g -> Obs.time effects_timer (fun () -> Effects.infer g)) graph
-    else None
-  in
-  List.fold_left
-    (fun (diags, errors) file ->
-      match lint_file_in_env ?par_ctx ?eff config ~units_env file with
-      | Ok ds -> (ds :: diags, errors)
-      | Error msg -> (diags, msg :: errors))
-    ([], []) files
-  |> fun (diags, errors) ->
-  ( List.concat (List.rev diags) |> List.sort_uniq compare_diagnostic_full,
-    List.rev errors )
+  lint_parsed config
+    (List.map
+       (fun file ->
+         ( file,
+           match In_channel.with_open_text file In_channel.input_all with
+           | contents -> parse ~file contents
+           | exception Sys_error msg -> Error msg ))
+       files)

@@ -33,40 +33,14 @@ val to_string : diagnostic -> string
 val compare_diagnostic : diagnostic -> diagnostic -> int
 (** Order by file, line, column, rule. *)
 
-val lint_source :
-  ?units_env:Units_rules.env ->
-  ?par_ctx:Par_rules.ctx ->
-  ?eff:Effects.env ->
-  config ->
-  file:string ->
-  string ->
-  (diagnostic list, string) result
-(** Lint source text as if it were [file] (drives fixture tests).
-    [units_env] carries the interprocedural [\[@units\]] knowledge of a
-    surrounding directory run (default: empty — intra-file constraints
-    still check); [par_ctx] carries its cross-module call graph
-    (default: a graph over this file alone, so intra-file witness
-    chains still resolve); [eff] carries the may-raise summaries of
-    that graph for the X/R rules (default for [.ml]: inferred over the
-    single-file graph; X001 on a [.mli] is skipped without it, since
-    the exported values' bodies live elsewhere).  [Error] means a parse
-    failure or a malformed [\[@lint.allow\]]/[\[@units\]] payload, not
-    a finding. *)
-
-val build_units_env : config -> string list -> Units_rules.env
-(** Pass 1 of the dimensional analysis: harvest [\[@units\]]
-    annotations from every [.mli] in the list.  Cheap no-op when no U
-    rule is enabled. *)
-
-val build_par_ctx : config -> string list -> Par_rules.ctx
-(** Pass 1 of the parallel-safety analysis: one {!Callgraph} over
-    every [.ml] in the list, with the derived-combinator fixpoint
-    precomputed.  Cheap no-op when no P rule is enabled. *)
-
-val lint_file : config -> string -> (diagnostic list, string) result
-(** Lint one file from disk.  Includes the E005 missing-[.mli] check
-    for [lib/] implementation files; the file's sibling [.mli] (if
-    any) seeds the units environment. *)
+val lint_sources :
+  config -> (string * string) list -> diagnostic list * string list
+(** Lint in-memory [(file, contents)] pairs as one run, exactly as
+    {!lint_paths} lints files read from disk (drives the unit tests);
+    E005 accepts a sibling [.mli] among the pairs or on disk.
+    Returns sorted, deduplicated diagnostics and the per-file errors
+    (a parse failure or a malformed [\[@lint.allow\]]/[\[@units\]]
+    payload, not a finding) in input order. *)
 
 val lint_paths :
   ?exclude:string list ->
@@ -75,8 +49,9 @@ val lint_paths :
   diagnostic list * string list
 (** Lint files and directories (recursively; [_build]/[.git] skipped;
     [exclude] prunes path prefixes such as [test/fixtures], with or
-    without a trailing slash) in two passes — [\[@units\]] and
-    call-graph collection, then per-file checking — returning sorted,
-    deduplicated diagnostics and any per-file errors.  Roots and
-    collected files are path-normalised, so naming a file directly and
-    reaching it through a directory walk yields one set of findings. *)
+    without a trailing slash).  Each file is parsed once; pass 1
+    harvests the [\[@units\]] annotations of every [.mli] and builds
+    one {!Callgraph} over every [.ml], pass 2 runs the per-file rules
+    against them.  Roots and collected files are path-normalised, so
+    naming a file directly and reaching it through a directory walk
+    yields one set of findings. *)

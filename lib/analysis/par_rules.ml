@@ -28,11 +28,11 @@
    - P004 (not region-based): any [Domain.*] / [Domain.DLS] use in a
      file outside the two sanctioned owners, lib/par and lib/obs.
 
-   lib/par and lib/obs are *sanctioned*: reachability stops at their
-   nodes (the pool is the audited owner of blocking joins, and Obs
-   counters are atomic by construction — par.mli's contract), so
-   [Obs.incr] inside a region stays silent while a raw [Mutex.lock]
-   does not.
+   lib/par and lib/obs are *sanctioned*: reachability stops at nodes
+   defined only there (the pool is the audited owner of blocking
+   joins, and Obs counters are atomic by construction — par.mli's
+   contract), so [Obs.incr] inside a region stays silent while a raw
+   [Mutex.lock] does not.
 
    Soundness caveats (DESIGN.md §9): the pass over-approximates
    reachability (mentioning a value reaches it) but cannot see
@@ -41,7 +41,7 @@
    or region arguments that are locally-let-bound closures; externals
    not on a deny-list are assumed effect-free. *)
 
-module SSet = Set.Make (String)
+module SSet = Callgraph.SSet
 
 (* ------------------------------------------------------------------ *)
 (* name tables                                                         *)
@@ -85,35 +85,8 @@ let container_writes =
    table second, [to_seq h] first *)
 let hash_iteration = [ ("Hashtbl.iter", 1); ("Hashtbl.fold", 1); ("Hashtbl.to_seq", 0) ]
 
-let last_two_segments name =
-  match List.rev (String.split_on_char '.' name) with
-  | leaf :: parent :: _ -> parent ^ "." ^ leaf
-  | _ -> name
-
-let is_base_combinator name = List.mem (last_two_segments name) base_combinators
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* ------------------------------------------------------------------ *)
-(* sanctioned files                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let segments file =
-  String.map (fun c -> if c = '\\' then '/' else c) file
-  |> String.split_on_char '/'
-  |> List.filter (fun s -> s <> "" && s <> ".")
-
-(* lib/par owns the pool and its blocking joins; lib/obs owns the
-   (atomic) telemetry and the per-domain span stacks. *)
-let is_sanctioned_file file =
-  let rec pairs = function
-    | "lib" :: (("par" | "obs") as _next) :: _ -> true
-    | _ :: rest -> pairs rest
-    | [] -> false
-  in
-  pairs (segments file)
+let is_base_combinator name =
+  List.mem (Callgraph.last_two_segments name) base_combinators
 
 (* ------------------------------------------------------------------ *)
 (* facts                                                               *)
@@ -125,25 +98,6 @@ type fact = {
   f_op : string;  (* short op name, the terminal witness hop *)
   f_loc : Location.t;
 }
-
-(* Every variable name bound anywhere under [expr]: function
-   parameters, let bindings, match/try cases.  Writes to names outside
-   this set touch state defined outside the scanned code.  (Shadowing
-   an outer name anywhere in the region hides writes to the outer one
-   — an accepted false-negative of the scope-free model.) *)
-let bound_names expr =
-  let acc = ref SSet.empty in
-  let open Ast_iterator in
-  let pat iter (p : Parsetree.pattern) =
-    (match p.ppat_desc with
-    | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-      acc := SSet.add txt !acc
-    | _ -> ());
-    default_iterator.pat iter p
-  in
-  let iter = { default_iterator with pat } in
-  iter.expr iter expr;
-  !acc
 
 (* The state a write targets, reduced to its leftmost identifier:
    [Some name] when that identifier lives outside [bound] (a captured
@@ -162,12 +116,6 @@ let rec free_target ~bound (e : Parsetree.expression) =
   | Pexp_constraint (inner, _) -> free_target ~bound inner
   | _ -> None
 
-let first_positional args =
-  List.find_map
-    (fun ((label : Asttypes.arg_label), e) ->
-      match label with Nolabel -> Some e | _ -> None)
-    args
-
 let positional_at args k =
   let positional =
     List.filter_map
@@ -179,9 +127,11 @@ let positional_at args k =
 
 (* Scan one expression for local facts and outgoing references.
    [resolve] canonicalises identifier paths as seen from the file the
-   expression lives in. *)
+   expression lives in.  Writes to names the expression does not bind
+   touch state defined outside the scanned code (shadowing an outer
+   name hides writes to it — an accepted false negative). *)
 let scan ~resolve expr =
-  let bound = bound_names expr in
+  let bound = Callgraph.bound_names expr in
   let facts = ref [] in
   let callees = ref [] in
   let seen_callees = Hashtbl.create 32 in
@@ -190,7 +140,7 @@ let scan ~resolve expr =
     facts := { f_rule; f_what; f_op; f_loc } :: !facts
   in
   let check_name name loc =
-    if List.exists (fun p -> has_prefix ~prefix:p name) ambient_prefixes then
+    if List.exists (fun p -> String.starts_with ~prefix:p name) ambient_prefixes then
       add_fact Rules.P002
         (Printf.sprintf "%s (use a pre-split Rng stream / map_seeded)" name)
         name loc
@@ -198,7 +148,7 @@ let scan ~resolve expr =
       add_fact Rules.P002 name name loc
     else if List.mem name blocking_always then
       add_fact Rules.P003 name name loc
-    else if List.mem (last_two_segments name) pool_reentry then
+    else if List.mem (Callgraph.last_two_segments name) pool_reentry then
       add_fact Rules.P003
         (Printf.sprintf "%s re-enters the pool from worker code" name)
         name loc
@@ -219,17 +169,20 @@ let scan ~resolve expr =
       match resolve txt with
       | None -> ()
       | Some head -> (
-        let tail2 = last_two_segments head in
+        let tail2 = Callgraph.last_two_segments head in
+        let first_target =
+          Option.bind (Callgraph.first_positional args) (free_target ~bound)
+        in
         (match head with
         | ":=" -> (
-          match Option.bind (first_positional args) (fun a -> free_target ~bound a) with
+          match first_target with
           | Some target ->
             add_fact Rules.P001
               (Printf.sprintf "':=' on captured ref '%s'" target)
               (":= " ^ target) loc
           | None -> ())
         | "incr" | "decr" -> (
-          match Option.bind (first_positional args) (fun a -> free_target ~bound a) with
+          match first_target with
           | Some target ->
             add_fact Rules.P001
               (Printf.sprintf "'%s' on captured ref '%s'" head target)
@@ -237,7 +190,7 @@ let scan ~resolve expr =
           | None -> ())
         | _ -> ());
         if List.mem tail2 container_writes then (
-          match Option.bind (first_positional args) (fun a -> free_target ~bound a) with
+          match first_target with
           | Some target ->
             add_fact Rules.P001
               (Printf.sprintf "%s on captured container '%s'" tail2 target)
@@ -245,7 +198,7 @@ let scan ~resolve expr =
           | None -> ());
         (match List.assoc_opt tail2 hash_iteration with
         | Some table_pos -> (
-          match Option.bind (positional_at args table_pos) (fun a -> free_target ~bound a) with
+          match Option.bind (positional_at args table_pos) (free_target ~bound) with
           | Some target ->
             add_fact Rules.P002
               (Printf.sprintf
@@ -255,7 +208,7 @@ let scan ~resolve expr =
           | None -> ())
         | None -> ());
         if List.mem tail2 lock_takers then begin
-          (match Option.bind (first_positional args) (fun a -> free_target ~bound a) with
+          (match first_target with
           | Some target ->
             add_fact Rules.P003
               (Printf.sprintf "%s on captured lock '%s'" tail2 target)
@@ -341,7 +294,7 @@ let region_formers graph =
           let forms =
             List.exists
               (fun (d : Callgraph.def) ->
-                (not (is_sanctioned_file d.d_file))
+                (not (Callgraph.in_lib Callgraph.sanctioned d.d_file))
                 && forwards_param_to_region
                      ~resolve:(Callgraph.resolve graph ~file:d.d_file)
                      ~params:d.d_params
@@ -364,41 +317,33 @@ let region_formers graph =
 type ctx = {
   graph : Callgraph.t;
   formers : (string, unit) Hashtbl.t;
-  facts_memo : (string, fact list) Hashtbl.t;
+  facts_memo : (string, fact list * (string * Location.t) list) Hashtbl.t;
 }
 
 let make_ctx graph = { graph; formers = region_formers graph; facts_memo = Hashtbl.create 64 }
-let empty_ctx () = make_ctx (Callgraph.create ())
-let is_former ctx name = Hashtbl.mem ctx.formers name
 
-let node_sanctioned ctx id =
-  match Callgraph.defs ctx.graph id with
-  | [] -> false
-  | defs -> List.exists (fun (d : Callgraph.def) -> is_sanctioned_file d.d_file) defs
-
+(* The facts of a node and the callees to walk on to, both from its
+   definitions outside the sanctioned owners: a module name defined in
+   lib/obs and elsewhere is neither scanned nor walked out of through
+   its lib/obs body. *)
 let node_facts ctx id =
   match Hashtbl.find_opt ctx.facts_memo id with
-  | Some facts -> facts
+  | Some r -> r
   | None ->
-    let facts =
-      List.concat_map
+    let scans =
+      List.filter_map
         (fun (d : Callgraph.def) ->
-          if is_sanctioned_file d.d_file then []
-          else
-            fst (scan ~resolve:(Callgraph.resolve ctx.graph ~file:d.d_file) d.d_expr))
+          if Callgraph.in_lib Callgraph.sanctioned d.d_file then None
+          else Some (scan ~resolve:(Callgraph.resolve ctx.graph ~file:d.d_file) d.d_expr))
         (Callgraph.defs ctx.graph id)
     in
-    Hashtbl.replace ctx.facts_memo id facts;
-    facts
+    let r = (List.concat_map fst scans, List.concat_map snd scans) in
+    Hashtbl.replace ctx.facts_memo id r;
+    r
 
 (* ------------------------------------------------------------------ *)
 (* reporting                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let loc_tag (loc : Location.t) =
-  Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_lnum
-
-let hop (name, loc) = Printf.sprintf "%s@%s" name (loc_tag loc)
 
 let rule_phrase = function
   | Rules.P001 ->
@@ -410,11 +355,13 @@ let rule_phrase = function
 let report_fact ~report ~combinator ~region_loc ~path ~seen (f : fact) =
   let witness =
     String.concat " -> "
-      ((Printf.sprintf "region@%s" (loc_tag region_loc) :: List.map hop path)
-      @ [ hop (f.f_op, f.f_loc) ])
+      ((Printf.sprintf "region@%s" (Callgraph.loc_tag region_loc)
+       :: List.map Callgraph.hop path)
+      @ [ Callgraph.hop (f.f_op, f.f_loc) ])
   in
   let key =
-    Printf.sprintf "%s|%s|%s" (Rules.id f.f_rule) f.f_what (loc_tag f.f_loc)
+    Printf.sprintf "%s|%s|%s" (Rules.id f.f_rule) f.f_what
+      (Callgraph.loc_tag f.f_loc)
   in
   if not (Hashtbl.mem seen key) then begin
     Hashtbl.replace seen key ();
@@ -431,28 +378,22 @@ let analyse_reachable ctx ~report ~combinator ~region_loc ~seen ~visited roots =
   let rec visit (name, loc) path =
     if Callgraph.has_def ctx.graph name && not (SSet.mem name !visited) then begin
       visited := SSet.add name !visited;
-      if not (node_sanctioned ctx name) then begin
+      if not (Callgraph.node_sanctioned ctx.graph name) then begin
         let path = path @ [ (name, loc) ] in
-        List.iter
-          (report_fact ~report ~combinator ~region_loc ~path ~seen)
-          (node_facts ctx name);
-        List.iter (fun callee -> visit callee path) (Callgraph.edges ctx.graph name)
+        let facts, callees = node_facts ctx name in
+        List.iter (report_fact ~report ~combinator ~region_loc ~path ~seen) facts;
+        List.iter (fun callee -> visit callee path) callees
       end
     end
   in
   List.iter (fun root -> visit root []) roots
-
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (inner, _) | Pexp_newtype (_, inner) -> peel inner
-  | _ -> e
 
 let analyse_region ctx ~file ~report ~combinator ~region_loc args =
   let seen = Hashtbl.create 8 in
   let visited = ref SSet.empty in
   List.iter
     (fun (_, arg) ->
-      let arg = peel arg in
+      let arg = Callgraph.peel arg in
       match arg.pexp_desc with
       | Pexp_fun _ | Pexp_function _ ->
         let facts, callees =
@@ -486,14 +427,14 @@ let analyse_region ctx ~file ~report ~combinator ~region_loc args =
 (* ------------------------------------------------------------------ *)
 
 let check_structure ctx ~file ~report str =
-  if not (is_sanctioned_file file) then begin
+  if not (Callgraph.in_lib Callgraph.sanctioned file) then begin
     let resolve = Callgraph.resolve ctx.graph ~file in
     let open Ast_iterator in
     let expr_iter iter (e : Parsetree.expression) =
       (match e.pexp_desc with
       | Pexp_ident { txt; loc } -> (
         match resolve txt with
-        | Some name when has_prefix ~prefix:"Domain." name ->
+        | Some name when String.starts_with ~prefix:"Domain." name ->
           report Rules.P004 loc
             (Printf.sprintf
                "%s used outside the sanctioned owners (lib/par, lib/obs); \
@@ -501,14 +442,13 @@ let check_structure ctx ~file ~report str =
                 [@lint.allow \"P004\"]"
                name)
         | _ -> ())
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc = head_loc }; _ }, args)
-        -> (
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
         match resolve txt with
         | Some head
           when is_base_combinator head || Hashtbl.mem ctx.formers head ->
-          ignore head_loc;
           analyse_region ctx ~file ~report
-            ~combinator:(last_two_segments head) ~region_loc:e.pexp_loc args
+            ~combinator:(Callgraph.last_two_segments head)
+            ~region_loc:e.pexp_loc args
         | _ -> ())
       | _ -> ());
       default_iterator.expr iter e

@@ -32,25 +32,6 @@ type ctx
 
 val make_ctx : Callgraph.t -> ctx
 
-val empty_ctx : unit -> ctx
-(** Context over an empty graph — single-file lints with no
-    cross-module information still check inline region bodies. *)
-
-val is_base_combinator : string -> bool
-(** Matches the last two segments of a resolved name against the
-    [Es_par] region-taking combinators ([Par.parallel_map] ...
-    [Pool.submit_batch]). *)
-
-val is_former : ctx -> string -> bool
-(** Is the node a derived combinator (a wrapper that forwards a
-    parameter into a region position)?  {!Resource_rules} shares the
-    fixpoint for its X002 callback check. *)
-
-val is_sanctioned_file : string -> bool
-(** True for files under [lib/par] or [lib/obs]: the audited owners of
-    domains, blocking joins and telemetry.  Reachability stops at
-    their nodes; they are exempt from region scanning and P004. *)
-
 val check_structure :
   ctx ->
   file:string ->

@@ -1,4 +1,4 @@
-(* Exception-flow / resource-lifecycle checks (X001, X002, R001-R003)
+(* Exception-flow / resource-lifecycle checks (X001, R001-R003)
    — layer 2 over the {!Effects} summaries.  See resource_rules.mli
    for the rule semantics and caveats.
 
@@ -17,42 +17,10 @@
 
 module SSet = Effects.SSet
 
-(* ------------------------------------------------------------------ *)
-(* small shared helpers (mirrors par_rules)                            *)
-(* ------------------------------------------------------------------ *)
-
-let last_two_segments name =
-  match List.rev (String.split_on_char '.' name) with
-  | leaf :: parent :: _ -> parent ^ "." ^ leaf
-  | _ -> name
-
-let loc_tag (loc : Location.t) =
-  Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_lnum
-
-let hop (name, loc) = Printf.sprintf "%s@%s" name (loc_tag loc)
-
-let segments file =
-  String.map (fun c -> if c = '\\' then '/' else c) file
-  |> String.split_on_char '/'
-  |> List.filter (fun s -> s <> "" && s <> ".")
-
-let is_lib_interface file = List.mem "lib" (segments file)
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-let first_positional args =
-  List.find_map
-    (fun ((label : Asttypes.arg_label), e) ->
-      match label with Nolabel -> Some e | _ -> None)
-    args
-
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (inner, _) | Pexp_newtype (_, inner) -> peel inner
-  | _ -> e
 
 (* ------------------------------------------------------------------ *)
 (* acquire / release forms                                             *)
@@ -72,7 +40,7 @@ let acquire_of head =
     Some
       { r_word = "output channel"; r_fix = "Fun.protect ~finally:close_out" }
   | _ -> (
-    match last_two_segments head with
+    match Callgraph.last_two_segments head with
     | "Unix.openfile" ->
       Some
         {
@@ -88,14 +56,14 @@ let releases ~acquire_head name =
   match acquire_head with
   | "open_in" | "open_in_bin" | "open_in_gen" ->
     name = "close_in" || name = "close_in_noerr"
-    || last_two_segments name = "In_channel.close"
+    || Callgraph.last_two_segments name = "In_channel.close"
   | "open_out" | "open_out_bin" | "open_out_gen" ->
     name = "close_out" || name = "close_out_noerr"
-    || last_two_segments name = "Out_channel.close"
+    || Callgraph.last_two_segments name = "Out_channel.close"
   | _ -> (
-    match last_two_segments acquire_head with
-    | "Unix.openfile" -> last_two_segments name = "Unix.close"
-    | "Pool.create" -> last_two_segments name = "Pool.shutdown"
+    match Callgraph.last_two_segments acquire_head with
+    | "Unix.openfile" -> Callgraph.last_two_segments name = "Unix.close"
+    | "Pool.create" -> Callgraph.last_two_segments name = "Pool.shutdown"
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -122,7 +90,7 @@ let iter_applies ~resolve expr f =
 let finally_ranges ~resolve expr =
   let ranges = ref [] in
   iter_applies ~resolve expr (fun ~head ~args ~loc:_ ->
-      if last_two_segments head = "Fun.protect" then
+      if Callgraph.last_two_segments head = "Fun.protect" then
         List.iter
           (fun ((label : Asttypes.arg_label), (a : Parsetree.expression)) ->
             match label with
@@ -140,7 +108,7 @@ let in_ranges ranges (loc : Location.t) =
 
 (* argument is the bare identifier [x] *)
 let arg_is args x =
-  match first_positional args with
+  match Callgraph.first_positional args with
   | Some
       ({ pexp_desc = Pexp_ident { txt = Longident.Lident y; _ }; _ } :
         Parsetree.expression) ->
@@ -150,7 +118,7 @@ let arg_is args x =
 (* leftmost identifier of the first positional argument, for naming
    the lock in messages and matching its unlock *)
 let arg_name args =
-  match Option.map peel (first_positional args) with
+  match Option.map Callgraph.peel (Callgraph.first_positional args) with
   | Some ({ pexp_desc = Pexp_ident { txt; _ }; _ } : Parsetree.expression) -> (
     match Callgraph.flatten_longident txt with
     | Some segs -> Some (String.concat "." segs)
@@ -173,7 +141,7 @@ let raise_phrase eff_sum =
 
 let evidence_suffix = function
   | Some (ev : Effects.evidence) when ev.e_hops <> [] ->
-    "; witness: " ^ String.concat " -> " (List.map hop ev.e_hops)
+    "; witness: " ^ String.concat " -> " (List.map Callgraph.hop ev.e_hops)
   | _ -> ""
 
 (* ------------------------------------------------------------------ *)
@@ -242,7 +210,7 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
   let graph = Effects.graph eff in
   let resolve = Callgraph.resolve graph ~file in
   let once rule loc msg =
-    let key = Printf.sprintf "%s|%s" (Rules.id rule) (loc_tag loc) in
+    let key = Printf.sprintf "%s|%s" (Rules.id rule) (Callgraph.loc_tag loc) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
       report rule loc msg
@@ -336,12 +304,12 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
       (* Mutex.lock m, protocol scoped to this sequence *)
       (match
          find_apply ~resolve stmt (fun ~head ~args:_ ->
-             last_two_segments head = "Mutex.lock")
+             Callgraph.last_two_segments head = "Mutex.lock")
        with
       | Some (lock_loc, lock_args) -> (
         let target = arg_name lock_args in
         let is_unlock ~head ~args =
-          last_two_segments head = "Mutex.unlock"
+          Callgraph.last_two_segments head = "Mutex.unlock"
           && (target = None || arg_name args = target)
         in
         let lock_name = Option.value ~default:"<lock>" target in
@@ -380,10 +348,12 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
       (* Obs.enable () toggle protocol *)
       (match
          find_apply ~resolve stmt (fun ~head ~args:_ ->
-             last_two_segments head = "Obs.enable")
+             Callgraph.last_two_segments head = "Obs.enable")
        with
       | Some (en_loc, _) -> (
-        let is_disable ~head ~args:_ = last_two_segments head = "Obs.disable" in
+        let is_disable ~head ~args:_ =
+          Callgraph.last_two_segments head = "Obs.disable"
+        in
         match
           find_release_in stmt ~after:en_loc.Location.loc_end.pos_cnum
             is_disable
@@ -421,67 +391,6 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
   walk stmts
 
 (* ------------------------------------------------------------------ *)
-(* X002: raising callbacks in parallel regions                         *)
-(* ------------------------------------------------------------------ *)
-
-let drop_task_error = function
-  | Effects.Top -> Effects.Top
-  | Effects.Known s -> Effects.Known (SSet.remove "Task_error" s)
-
-let check_callback ~eff ~is_former ~file ~bound ~report ~combinator args =
-  let graph = Effects.graph eff in
-  let resolve = Callgraph.resolve graph ~file in
-  ignore is_former;
-  List.iter
-    (fun ((label : Asttypes.arg_label), raw_arg) ->
-      match label with
-      | Labelled _ | Optional _ -> ()
-      | Nolabel -> (
-        let arg = peel raw_arg in
-        match arg.pexp_desc with
-        | Pexp_fun _ | Pexp_function _ ->
-          let sum =
-            drop_task_error (Effects.expr_summary ~bound eff ~file arg)
-          in
-          if not (Effects.is_pure sum) then
-            let ev = Effects.expr_evidence ~bound eff ~file arg in
-            report Rules.X002 arg.pexp_loc
-              (Printf.sprintf
-                 "callback passed to %s %s beyond the sanctioned Task_error \
-                  wrapping — a raise inside a worker surfaces at the joiner \
-                  and abandons the batch%s; make the task total (or use \
-                  Par.try_map and handle the error value)"
-                 combinator (raise_phrase sum) (evidence_suffix ev))
-        | Pexp_ident { txt; loc } -> (
-          match resolve txt with
-          | Some name
-            when Callgraph.has_def graph name
-                 && List.exists
-                      (fun (d : Callgraph.def) -> d.d_params <> [])
-                      (Callgraph.defs graph name) -> (
-            let sum = drop_task_error (Effects.summary eff name) in
-            if not (Effects.is_pure sum) then
-              let chain =
-                match sum with
-                | Effects.Known s when not (SSet.is_empty s) ->
-                  (name, loc)
-                  :: Effects.witness eff name ~exn:(SSet.min_elt s)
-                | _ -> [ (name, loc) ]
-              in
-              report Rules.X002 loc
-                (Printf.sprintf
-                   "callback %s passed to %s %s beyond the sanctioned \
-                    Task_error wrapping — a raise inside a worker surfaces \
-                    at the joiner and abandons the batch; witness: %s; make \
-                    the task total (or use Par.try_map and handle the error \
-                    value)"
-                   name combinator (raise_phrase sum)
-                   (String.concat " -> " (List.map hop chain))))
-          | _ -> ())
-        | _ -> ()))
-    args
-
-(* ------------------------------------------------------------------ *)
 (* X001: undocumented raising exports                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,7 +422,10 @@ let has_raise_tag attrs =
   List.exists (fun s -> contains_sub s "@raise") (doc_strings attrs)
 
 let check_interface ~eff ~file ~report (sg : Parsetree.signature) =
-  if is_lib_interface file && not (Par_rules.is_sanctioned_file file) then begin
+  if
+    List.mem "lib" (Callgraph.segments file)
+    && not (Callgraph.in_lib Callgraph.sanctioned file)
+  then begin
     let modname = Callgraph.module_name_of_file file in
     List.iter
       (fun (item : Parsetree.signature_item) ->
@@ -530,7 +442,9 @@ let check_interface ~eff ~file ~report (sg : Parsetree.signature) =
               if chain = [] then ""
               else
                 Printf.sprintf "; witness: %s"
-                  (String.concat " -> " (hop (node, vd.pval_loc) :: List.map hop chain))
+                  (String.concat " -> "
+                     (Callgraph.hop (node, vd.pval_loc)
+                     :: List.map Callgraph.hop chain))
             in
             report Rules.X001 vd.pval_loc
               (Printf.sprintf
@@ -549,20 +463,22 @@ let check_interface ~eff ~file ~report (sg : Parsetree.signature) =
 (* entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let check_structure ~eff ~is_former ~file ~report str =
-  if not (Par_rules.is_sanctioned_file file) then begin
+let check_structure ~eff ~file ~report str =
+  if not (Callgraph.in_lib Callgraph.sanctioned file) then begin
     let graph = Effects.graph eff in
     let resolve = Callgraph.resolve graph ~file in
     let seen = Hashtbl.create 32 in
     let check_binding (b : Parsetree.expression) =
-      let bound = Effects.binders b in
+      let bound = Callgraph.bound_names b in
       let open Ast_iterator in
       let expr_iter iter (e : Parsetree.expression) =
         (match e.pexp_desc with
         | Pexp_let (_, vbs, body) ->
           List.iter
             (fun (vb : Parsetree.value_binding) ->
-              match (vb.pvb_pat.ppat_desc, (peel vb.pvb_expr).pexp_desc) with
+              match
+                (vb.pvb_pat.ppat_desc, (Callgraph.peel vb.pvb_expr).pexp_desc)
+              with
               | ( Ppat_var { txt = x; _ },
                   Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) )
                 -> (
@@ -575,13 +491,6 @@ let check_structure ~eff ~is_former ~file ~report str =
             vbs
         | Pexp_sequence _ ->
           check_chain ~eff ~file ~bound ~report ~seen (sequence_chain e)
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-          match resolve txt with
-          | Some head
-            when Par_rules.is_base_combinator head || is_former head ->
-            check_callback ~eff ~is_former ~file ~bound ~report
-              ~combinator:(last_two_segments head) args
-          | _ -> ())
         | _ -> ());
         default_iterator.expr iter e
       in

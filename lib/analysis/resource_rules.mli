@@ -1,4 +1,4 @@
-(** Exception-flow and resource-lifecycle checks (rules X001, X002,
+(** Exception-flow and resource-lifecycle checks (rules X001,
     R001-R003) — layer 2 over the {!Effects} summaries.
 
     - X001 ([check_interface]): a value exported from a [lib/] [.mli]
@@ -6,10 +6,6 @@
       carries no [@raise] tag.  [Top] summaries are skipped (there is
       no exception to name); the fix is a doc tag or a [try/with]
       narrowing in the implementation.
-    - X002: a callback handed to an [Es_par] combinator (or a derived
-      combinator, shared with {!Par_rules}) may raise something other
-      than the sanctioned [Task_error] wrapping — a raise inside a
-      worker surfaces on the joiner and abandons the batch.
     - R001: a resource bound by [let x = <acquire> in ...] is never
       released in the binding — channels ([open_in]/[open_out]/...),
       [Unix.openfile], [Pool.create] — or a [Mutex.lock] has no
@@ -26,8 +22,8 @@
     Witness chains are rendered like the P rules
     (["open_out@file:line -> Enc.render@file:line -> Failure@file:line"]).
     Files under lib/par and lib/obs are exempt
-    ({!Par_rules.is_sanctioned_file}): they are the audited owners of
-    the pool and telemetry lifecycles.
+    ({!Callgraph.sanctioned}): they are the audited owners of the pool
+    and telemetry lifecycles.
 
     Caveats (DESIGN.md §9): the leak analysis is per-binding and
     syntactic — a handle that escapes (returned, stored in a record)
@@ -47,9 +43,8 @@ val check_interface :
 
 val check_structure :
   eff:Effects.env ->
-  is_former:(string -> bool) ->
   file:string ->
   report:(Rules.t -> Location.t -> string -> unit) ->
   Parsetree.structure ->
   unit
-(** X002 and R001-R003 over one parsed implementation. *)
+(** R001-R003 over one parsed implementation. *)

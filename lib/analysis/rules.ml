@@ -18,17 +18,16 @@ type t =
   | P003
   | P004
   | X001
-  | X002
   | R001
   | R002
   | R003
 
 let all =
-  [ E001; E002; E003; E004; E005; E006; E007; U001; U002; U003; P001; P002; P003; P004; X001; X002; R001; R002; R003 ]
+  [ E001; E002; E003; E004; E005; E006; E007; U001; U002; U003; P001; P002; P003; P004; X001; R001; R002; R003 ]
 
 let units = [ U001; U002; U003 ]
 let par = [ P001; P002; P003; P004 ]
-let effects = [ X001; X002; R001; R002; R003 ]
+let effects = [ X001; R001; R002; R003 ]
 
 let id = function
   | E001 -> "E001"
@@ -46,7 +45,6 @@ let id = function
   | P003 -> "P003"
   | P004 -> "P004"
   | X001 -> "X001"
-  | X002 -> "X002"
   | R001 -> "R001"
   | R002 -> "R002"
   | R003 -> "R003"
@@ -68,7 +66,6 @@ let of_id s =
   | "P003" -> Some P003
   | "P004" -> Some P004
   | "X001" -> Some X001
-  | "X002" -> Some X002
   | "R001" -> Some R001
   | "R002" -> Some R002
   | "R003" -> Some R003
@@ -129,10 +126,6 @@ let describe = function
   | X001 ->
     "exported lib/ value may raise but its .mli doc comment has no @raise \
      tag; document the contract or narrow the exceptions with try/with"
-  | X002 ->
-    "callback handed to a parallel region may raise an exception other \
-     than the sanctioned Task_error wrapping; a raise inside a worker \
-     strands the joiner — make the task total or pre-validate its inputs"
   | R001 ->
     "resource acquired but never released in this binding (open_in/open_out \
      or Unix.openfile without close, Pool.create without shutdown, \

@@ -25,8 +25,6 @@
     - P004: [Domain.*] / DLS use outside [lib/par] and [lib/obs].
     - X001: a may-raising value is exported from a [lib/] [.mli] whose
       doc comment carries no [@raise] tag.
-    - X002: a callback handed to a parallel region may raise something
-      other than the sanctioned [Task_error] wrapping.
     - R001: a resource is acquired but never released in the binding
       (channels, [Unix.openfile], [Pool.create], [Mutex.lock]).
     - R002: the code between an acquire and its unprotected release may
@@ -55,7 +53,6 @@ type t =
   | P003
   | P004
   | X001
-  | X002
   | R001
   | R002
   | R003
@@ -64,16 +61,16 @@ val all : t list
 (** Every rule, in catalogue order. *)
 
 val units : t list
-(** The dimensional-analysis family ([U001]-[U003]) — what
-    [eslint --units=false] switches off. *)
+(** The dimensional-analysis family ([U001]-[U003]); the [\[@units\]]
+    harvest runs only when one of them is enabled. *)
 
 val par : t list
-(** The parallel-safety family ([P001]-[P004]) — what
-    [eslint --par=false] switches off. *)
+(** The parallel-safety family ([P001]-[P004]). *)
 
 val effects : t list
-(** The exception-flow / resource-lifecycle family ([X001]-[R003]) —
-    what [eslint --effects=false] switches off. *)
+(** The exception-flow / resource-lifecycle family ([X001], [R001]-
+    [R003]).  The call graph is built only when a P or X/R rule is
+    enabled, the effect fixpoint only for the latter. *)
 
 val id : t -> string
 (** ["E001"] ... ["P004"]. *)

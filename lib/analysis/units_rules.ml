@@ -27,9 +27,6 @@ type env = {
 
 let empty_env () = { vals = Hashtbl.create 64; fields = Hashtbl.create 64 }
 
-let module_name_of_file file =
-  Filename.basename file |> Filename.remove_extension |> String.capitalize_ascii
-
 (* ------------------------------------------------------------------ *)
 (* [@units] payloads on core types                                     *)
 (* ------------------------------------------------------------------ *)
@@ -220,30 +217,12 @@ type ctx = {
   error : string -> unit;
 }
 
-let rec flatten_longident = function
-  | Longident.Lident s -> Some [ s ]
-  | Longident.Ldot (p, s) ->
-    Option.map (fun segs -> segs @ [ s ]) (flatten_longident p)
-  | Longident.Lapply _ -> None
-
-let ident_name lid =
-  match flatten_longident lid with
-  | None -> None
-  | Some segs ->
-    let segs =
-      match segs with "Stdlib" :: rest when rest <> [] -> rest | _ -> segs
-    in
-    Some (String.concat "." segs)
-
-let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
-let last_segment lid = Option.bind (flatten_longident lid) last
-
 let lookup_val ctx name =
   if String.contains name '.' then Hashtbl.find_opt ctx.genv.vals name
   else Hashtbl.find_opt ctx.genv.vals (ctx.own ^ "." ^ name)
 
 let lookup_field ctx lid =
-  match last_segment lid with
+  match Callgraph.last_segment lid with
   | None -> None
   | Some name -> (
     match Hashtbl.find_opt ctx.genv.fields name with
@@ -367,7 +346,7 @@ let rec eval ctx env (e : Parsetree.expression) : value =
   | Pexp_constant (Pconst_float _ | Pconst_integer _) -> Literal
   | Pexp_constant _ -> Unknown
   | Pexp_ident { txt; _ } -> (
-    match ident_name txt with
+    match Callgraph.ident_name txt with
     | None -> Unknown
     | Some name -> (
       match SMap.find_opt name env with
@@ -487,7 +466,9 @@ and check_field ctx env loc lid rhs =
   match (lookup_field ctx lid.Location.txt, v) with
   | Some u, Known uv when not (Units.equal uv u) ->
     let name =
-      match last_segment lid.Location.txt with Some s -> s | None -> "?"
+      match Callgraph.last_segment lid.Location.txt with
+      | Some s -> s
+      | None -> "?"
     in
     ctx.report Rules.U002 loc
       (Printf.sprintf "record field %s expects units %s, got %s" name
@@ -497,7 +478,7 @@ and check_field ctx env loc lid rhs =
 and eval_apply ctx env loc fn args =
   let name =
     match fn.pexp_desc with
-    | Pexp_ident { txt; _ } -> ident_name txt
+    | Pexp_ident { txt; _ } -> Callgraph.ident_name txt
     | _ ->
       ignore (eval ctx env fn);
       None
@@ -545,7 +526,7 @@ and eval_apply ctx env loc fn args =
     | Pexp_ident { txt = Lident ("+." | "-."); _ } ->
       checked_merge ctx (op ^ " (+.)") loc (eval ctx env init) (eval ctx env seq)
     | Pexp_ident { txt; _ }
-      when match ident_name txt with
+      when match Callgraph.ident_name txt with
            | Some n -> List.mem n minmax_ops
            | None -> false ->
       checked_merge ctx (op ^ " min/max") loc (eval ctx env init)

@@ -42,10 +42,6 @@ type env
 
 val empty_env : unit -> env
 
-val module_name_of_file : string -> string
-(** ["lib/platform/speed.mli"] -> ["Speed"] — dune's unwrapped module
-    naming. *)
-
 val collect_interface :
   env -> module_name:string -> Parsetree.signature -> unit
 (** Pass 1.  Malformed [\[@units\]] payloads are treated as absent

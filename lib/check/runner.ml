@@ -27,7 +27,6 @@ type report = { base_seed : int; trials : int; summaries : summary list }
 let protected_run (r : Relation.t) inst =
   try r.Relation.run inst with
   | e -> Relation.Fail ("uncaught exception: " ^ Printexc.to_string e)
-[@@lint.allow "E003"]
 
 let shrink_to_minimal ?(budget = 400) relation inst =
   let budget = ref budget in

@@ -2,12 +2,7 @@ type point = { deadline : float; energy : float; n_reexecuted : int }
 
 (* Both sweeps solve each deadline independently, so they parallelise
    over the pool; results come back in deadline order either way, and
-   infeasible deadlines are dropped after the join.
-
-   X002 allowed: the solvers validate their mapping argument, which is
-   the same caller-validated value for every deadline of the sweep —
-   if one task raises they all would, and that programming error
-   should surface loudly at the joiner rather than be swallowed. *)
+   infeasible deadlines are dropped after the join. *)
 let bicrit_front ?pool ~fmin ~fmax ~deadlines mapping =
   let n = Dag.n (Mapping.dag mapping) in
   let lo = Array.make n fmin and hi = Array.make n fmax in
@@ -18,7 +13,6 @@ let bicrit_front ?pool ~fmin ~fmax ~deadlines mapping =
          | None -> None
          | Some { energy; _ } -> Some { deadline; energy; n_reexecuted = 0 })
        deadlines)
-[@@lint.allow "X002"]
 
 (* Warm chaining runs inside fixed 25-deadline blocks: the partition
    is a function of the deadline list alone, never of the pool size,
@@ -54,7 +48,6 @@ let bicrit_vdd_front ?pool ?(warm = true) ~levels ~deadlines mapping =
                   Some { deadline = block.(i); energy; n_reexecuted = 0 })
               (Array.to_list energies)))
        blocks results)
-[@@lint.allow "X002"]
 
 let tricrit_front ?pool ~rel ~deadlines mapping =
   List.filter_map Fun.id
@@ -70,7 +63,6 @@ let tricrit_front ?pool ~rel ~deadlines mapping =
            in
            Some { deadline; energy = sol.Heuristics.energy; n_reexecuted })
        deadlines)
-[@@lint.allow "X002"]
 
 let dominates a b =
   a.deadline <= b.deadline && a.energy <= b.energy

@@ -183,7 +183,3 @@ let monte_carlo_par ?pool ?(replicas = default_replicas) rng ~rel ~trials sched 
   match tallies with
   | [] -> assert false (* replicas >= 1 *)
   | first :: rest -> report_of_tally sched (List.fold_left merge_tally first rest)
-(* X002 allowed: every replica replays the same caller-validated
-   schedule, so a raising task is a programming error shared by the
-   whole batch — let it surface at the joiner *)
-[@@lint.allow "X002"]

@@ -11,9 +11,23 @@ module Allowlist = Es_analysis.Allowlist
 let fixture name = Filename.concat "../fixtures/lint" name
 
 let lint ?(rules = Rules.all) ?(allow = Allowlist.empty) name =
-  match Lint.lint_file { Lint.rules; allow } (fixture name) with
-  | Ok diags -> diags
-  | Error msg -> Alcotest.failf "lint_file %s: %s" name msg
+  let diags, errors = Lint.lint_paths { Lint.rules; allow } [ fixture name ] in
+  List.iter (fun e -> Alcotest.failf "lint_paths %s: %s" name e) errors;
+  diags
+
+(* Lint in-memory sources as one run; per-file errors fail the test. *)
+let lint_sources ?(rules = Rules.all) sources =
+  let diags, errors =
+    Lint.lint_sources { Lint.rules; allow = Allowlist.empty } sources
+  in
+  List.iter (fun e -> Alcotest.failf "lint_sources: %s" e) errors;
+  diags
+
+let lint_string ?rules ~file src = lint_sources ?rules [ (file, src) ]
+
+(* The per-file errors of an in-memory run. *)
+let errors_of ~file src =
+  snd (Lint.lint_sources Lint.default_config [ (file, src) ])
 
 let rule_ids diags =
   List.map (fun (d : Lint.diagnostic) -> Rules.id d.rule) diags
@@ -74,15 +88,14 @@ let test_suppression_is_rule_specific () =
 
 let test_file_wide_suppression_is_rule_specific () =
   let src = "[@@@lint.allow \"E006\"]\nlet x : int = Obj.magic (List.hd [])\n" in
-  match Lint.lint_source Lint.default_config ~file:"wide.ml" src with
-  | Ok diags -> check_ids "E002 survives file-wide E006" [ "E002" ] (rule_ids diags)
-  | Error msg -> Alcotest.fail msg
+  check_ids "E002 survives file-wide E006" [ "E002" ]
+    (rule_ids (lint_string ~file:"wide.ml" src))
 
 let test_malformed_allow_payload_is_an_error () =
   let src = "let x = (compare 1 2) [@lint.allow]\n" in
-  match Lint.lint_source Lint.default_config ~file:"bad.ml" src with
-  | Ok _ -> Alcotest.fail "malformed [@lint.allow] must be rejected"
-  | Error msg ->
+  match errors_of ~file:"bad.ml" src with
+  | [] -> Alcotest.fail "malformed [@lint.allow] must be rejected"
+  | msg :: _ ->
     Alcotest.(check bool) "error mentions the attribute" true
       (Astring.String.is_infix ~affix:"lint.allow" msg)
 
@@ -98,14 +111,8 @@ let test_rules_are_toggleable () =
 
 let test_e004_only_applies_to_lib_paths () =
   let src = "let main () = print_string \"cli output is fine\"\n" in
-  match Lint.lint_source Lint.default_config ~file:"bin/tool.ml" src with
-  | Ok diags -> check_ids "no E004 outside lib/" [] (rule_ids diags)
-  | Error msg -> Alcotest.fail msg
-
-let lint_string ?(rules = Rules.all) ~file src =
-  match Lint.lint_source { Lint.rules; allow = Allowlist.empty } ~file src with
-  | Ok diags -> diags
-  | Error msg -> Alcotest.failf "lint_source %s: %s" file msg
+  check_ids "no E004 outside lib/" []
+    (rule_ids (lint_string ~file:"bin/tool.ml" src))
 
 let test_e007_scoped_to_domain_libs () =
   let src = "let total = ref 0\ntype t = { mutable n : int }\n" in
@@ -187,11 +194,6 @@ let test_allowlist_directory_entries () =
 (* dimensional analysis: the U rules                                   *)
 (* ------------------------------------------------------------------ *)
 
-let lint_dir ?(rules = Rules.all) ?(allow = Allowlist.empty) name =
-  let diags, errors = Lint.lint_paths { Lint.rules; allow } [ fixture name ] in
-  List.iter (fun e -> Alcotest.failf "lint_paths %s: %s" name e) errors;
-  diags
-
 let test_u001_triggers () =
   check_ids "three mixed-unit contexts" [ "U001"; "U001"; "U001" ]
     (rule_ids (lint "u001_mismatch.ml"))
@@ -203,7 +205,7 @@ let test_u001_suppressed () =
 let test_u002_interprocedural () =
   (* pass 1 reads metrics.mli; the bad call site and the bad record
      construction live in a different file of the same directory *)
-  let diags = lint_dir ~rules:[ Rules.U002 ] "u002" in
+  let diags = lint ~rules:[ Rules.U002 ] "u002" in
   check_ids "call site and record field" [ "U002"; "U002" ] (rule_ids diags);
   List.iter
     (fun (d : Lint.diagnostic) ->
@@ -215,35 +217,28 @@ let test_u003_scope_and_suppression () =
   (* one unannotated public float fires; the annotated and the
      [@@lint.allow]-suppressed declarations stay silent *)
   check_ids "exactly the bare float" [ "U003" ]
-    (rule_ids (lint_dir "u003"))
+    (rule_ids (lint "u003"))
 
 let test_u003_only_in_core_interfaces () =
   let src = "val helper : float\n" in
-  match
-    Lint.lint_source Lint.default_config ~file:"lib/dag/helper.mli" src
-  with
-  | Ok diags -> check_ids "no U003 outside lib/core|lib/platform" [] (rule_ids diags)
-  | Error msg -> Alcotest.fail msg
+  check_ids "no U003 outside lib/core|lib/platform" []
+    (rule_ids (lint_string ~file:"lib/dag/helper.mli" src))
 
 let test_exported_result_checked () =
   (* interprocedural return units: an exported function whose body
      disagrees with its own .mli annotation is a U002 *)
-  let env =
-    Lint.build_units_env Lint.default_config [ fixture "u002/metrics.mli" ]
-  in
+  let mli = fixture "u002/metrics.mli" in
+  let mli_src = In_channel.with_open_text mli In_channel.input_all in
   let src = "let cost ~w ~f = w /. f\n" in
-  match
-    Lint.lint_source ~units_env:env Lint.default_config
-      ~file:(fixture "u002/metrics.ml") src
-  with
-  | Ok diags -> check_ids "body units vs signature" [ "U002" ] (rule_ids diags)
-  | Error msg -> Alcotest.fail msg
+  check_ids "body units vs signature" [ "U002" ]
+    (rule_ids
+       (lint_sources [ (mli, mli_src); (fixture "u002/metrics.ml", src) ]))
 
 let test_malformed_units_payload_is_an_error () =
   let src = "val x : (float[@units \"furlong\"])\n" in
-  match Lint.lint_source Lint.default_config ~file:"lib/core/x.mli" src with
-  | Ok _ -> Alcotest.fail "unknown unit name must be rejected"
-  | Error msg ->
+  match errors_of ~file:"lib/core/x.mli" src with
+  | [] -> Alcotest.fail "unknown unit name must be rejected"
+  | msg :: _ ->
     Alcotest.(check bool) "error names the bad unit" true
       (Astring.String.is_infix ~affix:"furlong" msg)
 
@@ -258,7 +253,7 @@ let test_p001_cross_module_witness () =
   (* the Hashtbl write lives in counter.ml, the region in worker.ml:
      pass 1 builds the graph over the directory and the finding is
      anchored at the region with the full call chain in the message *)
-  let diags = lint_dir ~rules:[ Rules.P001 ] "p001" in
+  let diags = lint ~rules:[ Rules.P001 ] "p001" in
   check_ids "captured ref + captured Hashtbl" [ "P001"; "P001" ]
     (rule_ids diags);
   List.iter
@@ -278,7 +273,7 @@ let test_p001_cross_module_witness () =
 let test_p002_triggers_and_suppression () =
   (* seeds.ml fires; seeds_quiet.ml carries [@lint.allow "P002"] on
      the region expression and must stay silent *)
-  let diags = lint_dir ~rules:[ Rules.P002 ] "p002" in
+  let diags = lint ~rules:[ Rules.P002 ] "p002" in
   check_ids "only the unsuppressed region" [ "P002" ] (rule_ids diags);
   Alcotest.(check bool) "names Random.float" true
     (List.exists (infix "Random.float") (messages diags))
@@ -297,8 +292,8 @@ let test_p004_allowlisted () =
     (rule_ids (lint ~rules:[ Rules.P004 ] ~allow "p004/spawn.ml"))
 
 let test_p_rules_toggle_off () =
-  (* --par=false in the driver filters Rules.par: with the family
-     removed, the raciest fixture of the set is silent *)
+  (* with the Rules.par family skipped, the raciest fixture of the set
+     is silent *)
   let rules =
     List.filter (fun r -> not (List.mem r Rules.par)) Rules.all
   in
@@ -306,52 +301,73 @@ let test_p_rules_toggle_off () =
     (rule_ids
        (List.filter
           (fun (d : Lint.diagnostic) -> List.mem d.Lint.rule Rules.par)
-          (lint_dir ~rules "p001")))
+          (lint ~rules "p001")))
 
-let parse_structure ~file src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf file;
-  Parse.implementation lexbuf
+let lock_helper =
+  "let m = Mutex.create ()\n\
+   let note x = Mutex.lock m; ignore x; Mutex.unlock m\n"
 
-(* Lint [region_src] as [region_file] against a two-file graph that
-   also contains a lock-holding helper at [helper_file]. *)
-let lint_with_helper ~helper_file ~helper_mod ~region_file =
-  let helper_src =
-    "let m = Mutex.create ()\n\
-     let note x = Mutex.lock m; ignore x; Mutex.unlock m\n"
-  in
+(* P003 over a region at [region_file] calling [helper_mod.note], with
+   the in-memory [helpers] (file, source) linted in the same run. *)
+let lint_with_helper ~helpers ~helper_mod ~region_file =
   let region_src =
     Printf.sprintf
       "let run pool xs =\n\
       \  Es_par.Par.parallel_map ~pool (fun x -> %s.note x; x) xs\n"
       helper_mod
   in
-  let g = Es_analysis.Callgraph.create () in
-  Es_analysis.Callgraph.add_source g ~file:helper_file
-    (parse_structure ~file:helper_file helper_src);
-  Es_analysis.Callgraph.add_source g ~file:region_file
-    (parse_structure ~file:region_file region_src);
-  let par_ctx = Es_analysis.Par_rules.make_ctx g in
-  match
-    Lint.lint_source ~par_ctx
-      { Lint.rules = [ Rules.P003 ]; allow = Allowlist.empty }
-      ~file:region_file region_src
-  with
-  | Ok diags -> diags
-  | Error msg -> Alcotest.failf "lint_source %s: %s" region_file msg
+  lint_sources ~rules:[ Rules.P003 ] (helpers @ [ (region_file, region_src) ])
 
 let test_par_sanctioned_owner_is_terminal () =
   (* a helper under lib/obs may hold locks — reachability must stop at
      the sanctioned owner instead of flagging its internals ... *)
   check_ids "lock inside lib/obs not reported through the region" []
     (rule_ids
-       (lint_with_helper ~helper_file:"lib/obs/obs_helper.ml"
+       (lint_with_helper
+          ~helpers:[ ("lib/obs/obs_helper.ml", lock_helper) ]
           ~helper_mod:"Obs_helper" ~region_file:"lib/sim/sweep.ml"));
   (* ... while the identical helper anywhere else is a real P003 *)
   check_ids "same lock outside the owners is reported" [ "P003" ]
     (rule_ids
-       (lint_with_helper ~helper_file:"lib/util/helper.ml"
+       (lint_with_helper ~helpers:[ ("lib/util/helper.ml", lock_helper) ]
           ~helper_mod:"Helper" ~region_file:"lib/sim/sweep.ml"))
+
+let test_par_shared_module_name_not_sanctioned () =
+  (* one module name defined in lib/obs AND lib/core: the node is not
+     sanctioned as a whole, so the lib/core definition's lock is still
+     reached — one sanctioned definition must not hide the other *)
+  check_ids "lock in the lib/core twin is reported" [ "P003" ]
+    (rule_ids
+       (lint_with_helper
+          ~helpers:
+            [
+              ("lib/obs/helper.ml", "let note x = ignore x\n");
+              ("lib/core/helper.ml", lock_helper);
+            ]
+          ~helper_mod:"Helper" ~region_file:"lib/sim/sweep.ml"));
+  (* conversely, the lib/obs twin's body is not walked out of: a lock
+     reached only through its callee stays silent *)
+  check_ids "lock behind the lib/obs twin is not reported" []
+    (rule_ids
+       (lint_with_helper
+          ~helpers:
+            [
+              ("lib/util/lockbox.ml",
+               "let m = Mutex.create ()\n\
+                let take x = Mutex.lock m; ignore x; Mutex.unlock m\n");
+              ("lib/obs/helper.ml", "let note x = Lockbox.take x\n");
+              ("lib/core/helper.ml", "let note x = ignore x\n");
+            ]
+          ~helper_mod:"Helper" ~region_file:"lib/sim/sweep.ml"))
+
+let test_e005_sees_interface_in_the_run () =
+  let ml = ("lib/util/meter.ml", "let v = 1\n") in
+  check_ids "missing interface reported" [ "E005" ]
+    (rule_ids (lint_sources ~rules:[ Rules.E005 ] [ ml ]));
+  check_ids "interface among the sources" []
+    (rule_ids
+       (lint_sources ~rules:[ Rules.E005 ]
+          [ ml; ("lib/util/meter.mli", "val v : int\n") ]))
 
 (* ------------------------------------------------------------------ *)
 (* the unit algebra: laws of the abelian group                         *)
@@ -491,6 +507,10 @@ let suite =
       Alcotest.test_case "P family toggles off" `Quick test_p_rules_toggle_off;
       Alcotest.test_case "sanctioned owners are terminal" `Quick
         test_par_sanctioned_owner_is_terminal;
+      Alcotest.test_case "a module name shared with lib/obs stays analysed"
+        `Quick test_par_shared_module_name_not_sanctioned;
+      Alcotest.test_case "E005 sees an interface linted in the same run"
+        `Quick test_e005_sees_interface_in_the_run;
       Alcotest.test_case "derived unit aliases" `Quick test_derived_aliases;
       Alcotest.test_case "rule ids round trip" `Quick test_rule_ids_round_trip;
     ] )

@@ -91,10 +91,7 @@ let test_empty_input () =
       Alcotest.(check int)
         "try_map []" 0
         (List.length (Par.try_map ~pool ~timeout:0.01 busy []));
-      (* X002 allowed: raising inside the worker is the point — the
-         callback must never run on an empty input *)
-      (Par.parallel_iteri ~pool (fun _ _ -> Alcotest.fail "no items to visit") []
-      [@lint.allow "X002"]);
+      Par.parallel_iteri ~pool (fun _ _ -> Alcotest.fail "no items to visit") [];
       Alcotest.(check int)
         "map_reduce [] keeps init" 42
         (Par.map_reduce ~pool ~map:busy ~reduce:( + ) 42 []))
