@@ -66,16 +66,25 @@ let run_lp_cert t =
    optimal basis from one solve into the next, and demand (a) the same
    outcome class as an independent cold solve, (b) objectives within
    rtol 1e-8, and (c) that every warm optimum still carries a valid
-   primal-dual certificate against the raw LP statement. *)
+   primal-dual certificate against the raw LP statement.  (d)
+   [Bicrit_vdd.energy_sweep], which builds the LP once and restates
+   only its rhs, must return bit for bit what the chain of rebuilt LPs
+   returns at every deadline. *)
 let run_lp_warm t =
   let mapping = Gen.mapping t in
+  let levels = t.Gen.levels in
   let base = Gen.deadline t in
+  let deadlines = Array.map (fun s -> s *. base) [| 1.; 1.3; 0.9; 1.8 |] in
   let basis = ref None in
-  let check_at deadline =
-    let lp = Bicrit_vdd.lp ~deadline ~levels:t.Gen.levels mapping in
+  let chained = Array.make (Array.length deadlines) None in
+  let check_at i deadline =
+    let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
     let cold = Problem.solve lp in
     let warm, basis' = Problem.solve_warm ?basis:!basis lp in
     basis := basis';
+    (match warm with
+    | Problem.Solution w -> chained.(i) <- Some (Problem.objective w)
+    | Problem.Infeasible | Problem.Unbounded -> ());
     match (cold, warm) with
     | Problem.Infeasible, Problem.Infeasible -> Pass
     | Problem.Unbounded, _ | _, Problem.Unbounded ->
@@ -94,7 +103,19 @@ let run_lp_warm t =
     | Problem.Infeasible, Problem.Solution _ ->
       Fail (Printf.sprintf "D=%g: warm-started solve feasible but cold claims infeasible" deadline)
   in
-  combine (List.map (fun s -> check_at (s *. base)) [ 1.; 1.3; 0.9; 1.8 ])
+  let verdicts = Array.mapi check_at deadlines in
+  let swept = Bicrit_vdd.energy_sweep ~warm:true ~deadlines ~levels mapping in
+  let show = function None -> "infeasible" | Some e -> Printf.sprintf "%h" e in
+  let same_as_chain i deadline =
+    match (chained.(i), swept.(i)) with
+    | None, None -> Pass
+    | Some c, Some s when Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float s) -> Pass
+    | c, s ->
+      Fail
+        (Printf.sprintf "D=%g: energy_sweep %s vs chained solve_warm %s" deadline (show s)
+           (show c))
+  in
+  combine (Array.to_list verdicts @ Array.to_list (Array.mapi same_as_chain deadlines))
 
 (* ---- kkt ----------------------------------------------------------- *)
 

@@ -1,4 +1,5 @@
 module Problem = Es_lp.Problem
+module Sparse = Es_lp.Sparse
 
 let build_lp ~deadline ~levels mapping =
   let cdag = Mapping.constraint_dag mapping in
@@ -7,13 +8,11 @@ let build_lp ~deadline ~levels mapping =
   let lp = Problem.create () in
   (* alpha.(i).(k): time task i spends at speed levels.(k) *)
   let alpha =
-    Array.init n (fun i ->
+    Array.init n (fun _ ->
         Array.init m (fun k ->
-            Problem.var lp
-              ~obj:(levels.(k) *. levels.(k) *. levels.(k))
-              (Printf.sprintf "a_%d_%d" i k)))
+            Problem.var lp ~obj:(levels.(k) *. levels.(k) *. levels.(k)) ()))
   in
-  let start = Array.init n (fun i -> Problem.var lp (Printf.sprintf "s_%d" i)) in
+  let start = Array.init n (fun _ -> Problem.var lp ()) in
   let time_expr i = Array.to_list (Array.map (fun v -> (1., v)) alpha.(i)) in
   (* record which rows carry the deadline on their right-hand side, so
      their duals sum to dE/dD *)
@@ -87,23 +86,22 @@ let energy ~deadline ~levels mapping =
   | Problem.Unbounded -> assert false
 
 (* The LPs of a deadline sweep share every coefficient — the deadline
-   enters only as the right-hand side of the deadline (and nothing
-   else), so the optimal basis at one deadline is a legal warm start at
-   the next.  Chaining bases turns a sweep of two-phase solves into a
-   chain of few-pivot dual-simplex re-optimisations. *)
+   enters only as the right-hand side of the deadline rows — so the
+   sweep builds the LP once and restates it per deadline with
+   [Sparse.with_rhs], and the optimal basis at one deadline is a legal
+   warm start at the next.  Chaining bases turns a sweep of two-phase
+   solves into a chain of few-pivot dual-simplex re-optimisations. *)
 let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
+  (* every solve below overwrites the deadline rows' placeholder rhs *)
+  let lp, _, deadline_rows = build_lp ~deadline:0. ~levels mapping in
+  let sp = Problem.to_sparse lp in
+  let rhs = Sparse.rhs sp in
   let basis = ref None in
   Array.map
     (fun deadline ->
-      let lp, _, _ = build_lp ~deadline ~levels mapping in
-      let outcome =
-        if warm then begin
-          let outcome, next = Problem.solve_warm ?basis:!basis lp in
-          basis := next;
-          outcome
-        end
-        else Problem.solve lp
-      in
+      List.iter (fun r -> rhs.(r) <- deadline) deadline_rows;
+      let outcome, next = Problem.solve_sparse ?basis:!basis (Sparse.with_rhs sp rhs) in
+      if warm then basis := next;
       match outcome with
       | Problem.Solution s -> Some (Problem.objective s)
       | Problem.Infeasible -> None

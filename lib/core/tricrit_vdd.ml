@@ -23,13 +23,11 @@ let solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits =
   let alphas =
     Array.init n (fun i ->
         let n_exec = if subset.(i) then 2 else 1 in
-        Array.init n_exec (fun e ->
+        Array.init n_exec (fun _ ->
             Array.init m (fun k ->
-                Problem.var lp
-                  ~obj:(levels.(k) *. levels.(k) *. levels.(k))
-                  (Printf.sprintf "a_%d_%d_%d" i e k))))
+                Problem.var lp ~obj:(levels.(k) *. levels.(k) *. levels.(k)) ())))
   in
-  let start = Array.init n (fun i -> Problem.var lp (Printf.sprintf "s_%d" i)) in
+  let start = Array.init n (fun _ -> Problem.var lp ()) in
   let task_time_expr i =
     Array.to_list alphas.(i)
     |> List.concat_map (fun exec -> Array.to_list (Array.map (fun v -> (1., v)) exec))

@@ -3,7 +3,6 @@ type var = int
 type row = { expr : (float * var) list; relation : Simplex.relation; rhs : float }
 
 type t = {
-  mutable names : string list; (* reversed *)
   mutable objs : float list; (* reversed *)
   mutable nv : int;
   mutable rows : row list; (* reversed *)
@@ -12,20 +11,13 @@ type t = {
 
 type expr = (float * var) list
 
-let create () = { names = []; objs = []; nv = 0; rows = []; nr = 0 }
+let create () = { objs = []; nv = 0; rows = []; nr = 0 }
 
-let var t ?(obj = 0.) name =
+let var t ?(obj = 0.) () =
   let id = t.nv in
   t.nv <- id + 1;
-  t.names <- name :: t.names;
   t.objs <- obj :: t.objs;
   id
-
-let obj_coeff t v c =
-  (* The objective list is reversed: entry for variable [v] sits at
-     position [nv - 1 - v]. *)
-  let pos = t.nv - 1 - v in
-  t.objs <- List.mapi (fun i x -> if i = pos then c else x) t.objs
 
 let add_row t expr relation rhs =
   t.rows <- { expr; relation; rhs } :: t.rows;
@@ -53,21 +45,41 @@ let to_constr t { expr; relation; rhs } =
 
 let constraints t = List.rev_map (to_constr t) t.rows
 
-let solve ?max_iters t =
-  Obs.incr c_solves;
-  Obs.time t_solve @@ fun () ->
-  let obj = objective_coeffs t in
-  let constraints = constraints t in
-  match Simplex.solve ?max_iters ~obj constraints with
-  | Simplex.Optimal { objective; solution; duals } ->
-    Solution { objective; values = solution; duals }
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
+(* Each row's coefficients summed per variable exactly as [to_constr]
+   sums them — in list order, starting from 0. — with zero sums
+   dropped, so the CSC form is the one [Sparse.of_rows] builds from
+   [constraints], without an n_vars-long array per row. *)
+let to_sparse t =
+  let acc = Array.make t.nv 0. in
+  let seen = Array.make t.nv false in
+  let sparse_row { expr; relation; rhs } =
+    let touched =
+      List.fold_left
+        (fun touched (c, v) ->
+          acc.(v) <- acc.(v) +. c;
+          if seen.(v) then touched
+          else begin
+            seen.(v) <- true;
+            v :: touched
+          end)
+        [] expr
+    in
+    let nonzeros =
+      List.fold_left
+        (fun nonzeros v ->
+          let c = acc.(v) in
+          acc.(v) <- 0.;
+          seen.(v) <- false;
+          if c <> 0. then (v, c) :: nonzeros else nonzeros)
+        [] touched
+    in
+    { Sparse.nonzeros; relation; rhs }
+  in
+  Sparse.of_sparse_rows ~obj:(objective_coeffs t) (List.rev_map sparse_row t.rows)
 
-let solve_warm ?max_iters ?basis t =
+let solve_sparse ?max_iters ?basis sp =
   Obs.incr c_solves;
   Obs.time t_solve @@ fun () ->
-  let sp = Sparse.of_rows ~obj:(objective_coeffs t) (constraints t) in
   let outcome, next =
     match basis with
     | None -> Revised.solve ?max_iters sp
@@ -81,6 +93,9 @@ let solve_warm ?max_iters ?basis t =
     | Simplex.Unbounded -> Unbounded
   in
   (outcome, next)
+
+let solve ?max_iters t = fst (solve_sparse ?max_iters (to_sparse t))
+let solve_warm ?max_iters ?basis t = solve_sparse ?max_iters ?basis (to_sparse t)
 
 let objective s = s.objective
 let value s v = s.values.(v)

@@ -1,7 +1,7 @@
-(** Named-variable LP builder on top of {!Simplex}.
+(** LP builder on top of {!Sparse} and {!Revised}.
 
     The energy-scheduling LPs (VDD-HOPPING BI-CRIT, fixed-subset
-    TRI-CRIT) are much easier to state with named variables and
+    TRI-CRIT) are much easier to state with variable handles and
     incremental rows than with raw coefficient arrays; this module
     provides that layer.  All variables are non-negative, as in the
     paper's formulations (execution-time shares and start times). *)
@@ -14,13 +14,9 @@ type var
 
 val create : unit -> t
 
-val var : t -> ?obj:float -> string -> var
-(** [var t ~obj name] registers a fresh non-negative variable with
-    objective coefficient [obj] (default [0.]).  Names are for
-    debugging and need not be unique. *)
-
-val obj_coeff : t -> var -> float -> unit
-(** Overwrite the objective coefficient of [var]. *)
+val var : t -> ?obj:float -> unit -> var
+(** [var t ~obj ()] registers a fresh non-negative variable with
+    objective coefficient [obj] (default [0.]). *)
 
 type expr = (float * var) list
 (** Linear expression [Σ cᵢ·xᵢ]. *)
@@ -42,10 +38,36 @@ type solution
 
 type outcome = Solution of solution | Infeasible | Unbounded
 
-val solve : ?max_iters:int -> t -> outcome
-(** Minimise the objective.  See {!Simplex.solve} for [max_iters].
+val to_sparse : t -> Sparse.t
+(** The LP in CSC standard form, built straight from the rows' terms
+    with no dense intermediate.  A variable repeated in one expression
+    gets the sum of its coefficients, added in list order starting
+    from [0.] exactly as {!constraints} adds them, and zero sums are
+    dropped: the result equals
+    [Sparse.of_rows ~obj:(objective_coeffs t) (constraints t)] field
+    for field.
+
+    @raise Invalid_argument if a row uses a variable [t] did not
+    register (a handle from another, larger problem). *)
+
+val solve_sparse :
+  ?max_iters:int ->
+  ?basis:Revised.basis ->
+  Sparse.t ->
+  outcome * Revised.basis option
+(** Minimise an already-built problem, cold or from [basis] as
+    {!solve_warm} does.  A deadline sweep builds {!to_sparse} once and
+    solves each deadline's {!Sparse.with_rhs} restatement here.  Counts
+    under ["lp_solves"] and times under ["lp_solve"] like {!solve}.
 
     @raise Failure if the simplex iteration limit is exceeded. *)
+
+val solve : ?max_iters:int -> t -> outcome
+(** Minimise the objective: {!solve_sparse} of {!to_sparse}.  See
+    {!Simplex.solve} for [max_iters].
+
+    @raise Failure if the simplex iteration limit is exceeded.
+    @raise Invalid_argument as {!to_sparse}. *)
 
 val solve_warm :
   ?max_iters:int -> ?basis:Revised.basis -> t -> outcome * Revised.basis option
@@ -57,7 +79,8 @@ val solve_warm :
     A stale or mismatched basis silently degrades to a cold solve (see
     {!Revised.solve_from}).
 
-    @raise Failure if the simplex iteration limit is exceeded. *)
+    @raise Failure if the simplex iteration limit is exceeded.
+    @raise Invalid_argument as {!to_sparse}. *)
 
 val objective : solution -> float
 val value : solution -> var -> float
@@ -80,7 +103,8 @@ val objective_coeffs : t -> float array
     solver. *)
 
 val constraints : t -> Simplex.constr list
-(** The rows in the order they were added, densified exactly as
-    {!solve} hands them to {!Simplex.solve}.  Together with
-    {!objective_coeffs} this is the full LP statement, so a checker can
-    verify a solution without trusting the builder or the solver. *)
+(** The rows in the order they were added, as dense rows of
+    {!n_vars} entries.  Together with {!objective_coeffs} this is the
+    full LP statement, so a checker can verify a solution without
+    trusting the builder or the solver; the solves themselves go
+    through {!to_sparse} and never densify. *)

@@ -9,7 +9,8 @@
     warm-start path the Pareto deadline sweeps use.
 
     This module is pure data: {!Revised} does the pivoting, and the
-    dense reference implementation in {!Simplex} ignores it. *)
+    dense reference implementation, [Es_check.Dense_simplex], ignores
+    it. *)
 
 type relation = Le | Eq | Ge
 
@@ -17,12 +18,25 @@ type constr = { coeffs : float array; relation : relation; rhs : float }
 (** One row [coeffs · x (≤|=|≥) rhs] with one entry per structural
     variable, exactly as accepted by {!Simplex.solve}. *)
 
+type sparse_row = { nonzeros : (int * float) list; relation : relation; rhs : float }
+(** One row [Σ v·x_j (≤|=|≥) rhs] given by its nonzeros [(j, v)]: each
+    structural column [j] at most once, in any order. *)
+
 type t
 (** An immutable standard-form problem. *)
 
+val of_sparse_rows : obj:float array -> sparse_row list -> t
+(** Build the CSC form — the one constructor.  Rows keep their input
+    order (duals are reported against it); each column's entries come
+    out in increasing row order.  Entries are stored as given, so the
+    caller drops the zeros.
+
+    @raise Invalid_argument if a column index is outside
+    [0 .. Array.length obj − 1]. *)
+
 val of_rows : obj:float array -> constr list -> t
-(** Build the CSC form.  Zero coefficients are dropped; rows keep their
-    input order (duals are reported against it).
+(** {!of_sparse_rows} over dense rows: drops each row's zero
+    coefficients and builds the same CSC form.
 
     @raise Invalid_argument if a row's length differs from [obj]'s. *)
 

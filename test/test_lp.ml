@@ -141,8 +141,8 @@ let qcheck_simplex_matches_brute_force =
 
 let test_problem_builder () =
   let lp = Problem.create () in
-  let x = Problem.var lp ~obj:2. "x" in
-  let y = Problem.var lp ~obj:3. "y" in
+  let x = Problem.var lp ~obj:2. () in
+  let y = Problem.var lp ~obj:3. () in
   Problem.ge lp [ (1., x); (1., y) ] 10.;
   Problem.le lp [ (1., x) ] 4.;
   (* min 2x + 3y, x+y >= 10, x <= 4 → x=4, y=6, value 26 *)
@@ -155,29 +155,15 @@ let test_problem_builder () =
 
 let test_problem_upper_bound () =
   let lp = Problem.create () in
-  let x = Problem.var lp ~obj:(-1.) "x" in
+  let x = Problem.var lp ~obj:(-1.) () in
   Problem.upper_bound lp x 7.;
   match Problem.solve lp with
   | Problem.Solution s -> check_float "x at bound" 7. (Problem.value s x)
   | _ -> Alcotest.fail "expected solution"
 
-let test_problem_obj_coeff_update () =
-  let lp = Problem.create () in
-  let x = Problem.var lp ~obj:1. "x" in
-  let y = Problem.var lp ~obj:1. "y" in
-  Problem.obj_coeff lp x (-2.);
-  Problem.upper_bound lp x 3.;
-  Problem.upper_bound lp y 3.;
-  (* min -2x + y → x = 3, y = 0 *)
-  match Problem.solve lp with
-  | Problem.Solution s ->
-    check_float "objective" (-6.) (Problem.objective s);
-    check_float "x" 3. (Problem.value s x)
-  | _ -> Alcotest.fail "expected solution"
-
 let test_problem_counts () =
   let lp = Problem.create () in
-  let x = Problem.var lp "x" in
+  let x = Problem.var lp () in
   Problem.le lp [ (1., x) ] 1.;
   Problem.ge lp [ (1., x) ] 0.;
   Alcotest.(check int) "vars" 1 (Problem.n_vars lp);
@@ -196,7 +182,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_simplex_matches_brute_force;
       Alcotest.test_case "problem builder" `Quick test_problem_builder;
       Alcotest.test_case "problem upper bound" `Quick test_problem_upper_bound;
-      Alcotest.test_case "problem obj update" `Quick test_problem_obj_coeff_update;
       Alcotest.test_case "problem counts" `Quick test_problem_counts;
     ] )
 
@@ -611,3 +596,107 @@ let revised_cases =
   ]
 
 let suite = (fst suite, snd suite @ revised_cases)
+
+(* --- the built statement ----------------------------------------------- *)
+
+(* [Problem.to_sparse] must build exactly the CSC form that
+   [Sparse.of_rows] builds from the dense [Problem.constraints]: same
+   shape, same senses, same rhs and objective bits, same column
+   entries in the same order.  Coefficients come from a small pool
+   whose partial sums depend on the order they are added in
+   (0.1 + 0.2 − 0.3 ≠ 0), and rows repeat variables, cancel term pairs
+   to zero, carry explicit zeros or no terms at all. *)
+let bits = Int64.bits_of_float
+
+let same_statement a b =
+  let rows = List.init (Sparse.m a) Fun.id in
+  let column sp j =
+    let acc = ref [] in
+    Sparse.iter_col sp j (fun i v -> acc := (i, bits v) :: !acc);
+    List.rev !acc
+  in
+  Sparse.m a = Sparse.m b
+  && Sparse.n_struct a = Sparse.n_struct b
+  && Sparse.n_cols a = Sparse.n_cols b
+  && Sparse.nnz a = Sparse.nnz b
+  && List.for_all (fun i -> Sparse.slack_col a i = Sparse.slack_col b i) rows
+  && List.for_all (fun i -> Sparse.row_relation a i = Sparse.row_relation b i) rows
+  && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) (Sparse.rhs a) (Sparse.rhs b)
+  && List.for_all
+       (fun j ->
+         Int64.equal (bits (Sparse.obj a j)) (bits (Sparse.obj b j))
+         && column a j = column b j)
+       (List.init (Sparse.n_cols a) Fun.id)
+
+let random_problem rng =
+  let pick arr = arr.(Es_util.Rng.int rng (Array.length arr)) in
+  let coeff () = pick [| 0.1; 0.2; -0.3; 1.; -1.; 0.; 2.5; -0.7 |] in
+  let lp = Problem.create () in
+  let n = 1 + Es_util.Rng.int rng 5 in
+  let vars = Array.init n (fun _ -> Problem.var lp ~obj:(coeff ()) ()) in
+  for _ = 1 to Es_util.Rng.int rng 7 do
+    let terms =
+      List.concat
+        (List.init (Es_util.Rng.int rng 6) (fun _ ->
+             let v = pick vars in
+             match Es_util.Rng.int rng 4 with
+             | 0 ->
+               let c = coeff () in
+               [ (c, v); (-.c, v) ] (* cancels to zero *)
+             | 1 -> [ (0., v) ]
+             | _ -> [ (coeff (), v) ]))
+    in
+    let rhs = Es_util.Rng.uniform_in rng (-2.) 4. in
+    match Es_util.Rng.int rng 3 with
+    | 0 -> Problem.le lp terms rhs
+    | 1 -> Problem.ge lp terms rhs
+    | _ -> Problem.eq lp terms rhs
+  done;
+  (* variables no row mentions: empty structural columns *)
+  for _ = 1 to Es_util.Rng.int rng 2 do
+    ignore (Problem.var lp ~obj:(coeff ()) ())
+  done;
+  lp
+
+let qcheck_to_sparse_matches_dense =
+  QCheck.Test.make ~name:"problem: to_sparse = of_rows of the dense statement" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let lp = random_problem (Es_util.Rng.create ~seed) in
+      same_statement (Problem.to_sparse lp)
+        (Sparse.of_rows ~obj:(Problem.objective_coeffs lp) (Problem.constraints lp)))
+
+(* A 1000-row × 1500-variable LP whose all-slack basis is already
+   optimal (≤ rows with rhs ≥ 0, costs ≥ 0): solving it must not
+   allocate anything near the m·n dense rows a densifying build
+   would. *)
+let test_solve_allocates_no_dense_rows () =
+  let m = 1000 and n = 1500 in
+  let lp = Problem.create () in
+  let vars = Array.init n (fun j -> Problem.var lp ~obj:(float_of_int (j mod 3)) ()) in
+  for i = 0 to m - 1 do
+    let terms =
+      List.init (1 + (i mod 4)) (fun k -> (1. +. float_of_int k, vars.(((i * 7) + (k * 389)) mod n)))
+    in
+    Problem.le lp terms (float_of_int (i mod 5))
+  done;
+  let before = Gc.allocated_bytes () in
+  let outcome = Problem.solve lp in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match outcome with
+  | Problem.Solution s -> check_float "objective" 0. (Problem.objective s)
+  | Problem.Infeasible | Problem.Unbounded -> Alcotest.fail "expected a solution");
+  let dense = float_of_int (m * n * 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f MB allocated < half of the %.1f MB dense rows" (allocated /. 1e6)
+       (dense /. 1e6))
+    true
+    (allocated < 0.5 *. dense)
+
+let statement_cases =
+  [
+    QCheck_alcotest.to_alcotest qcheck_to_sparse_matches_dense;
+    Alcotest.test_case "solve allocates no dense rows" `Quick test_solve_allocates_no_dense_rows;
+  ]
+
+let suite = (fst suite, snd suite @ statement_cases)

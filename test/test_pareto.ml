@@ -86,7 +86,9 @@ let test_pipeline_all_models () =
    bases must equal the all-cold front point-for-point, and must not
    depend on how many pool domains execute the 25-deadline blocks.
    rtol 1e-9 — warm and cold solves land on the same optimal basis, so
-   the agreement is near-exact, not merely approximate. *)
+   the agreement is near-exact, not merely approximate.  The cold
+   front restates one LP per block at each deadline; it must equal,
+   exactly, the LP rebuilt from scratch at that deadline. *)
 let check_fronts_equal ~rtol name a b =
   Alcotest.(check int) (name ^ ": same length") (List.length a) (List.length b);
   List.iter2
@@ -115,6 +117,15 @@ let test_vdd_warm_front_invariance () =
         List.init 30 (fun i -> dmin *. (1.02 +. (0.07 *. float_of_int i)))
       in
       let cold = Pareto.bicrit_vdd_front ~warm:false ~levels ~deadlines m in
+      let rebuilt =
+        List.filter_map
+          (fun deadline ->
+            Option.map
+              (fun energy -> { Pareto.deadline; energy; n_reexecuted = 0 })
+              (Bicrit_vdd.energy ~deadline ~levels m))
+          deadlines
+      in
+      check_fronts_equal ~rtol:0. (Printf.sprintf "seed %d cold=rebuilt" seed) rebuilt cold;
       let warm = Pareto.bicrit_vdd_front ~warm:true ~levels ~deadlines m in
       check_fronts_equal ~rtol:1e-9 (Printf.sprintf "seed %d warm=cold" seed) cold warm;
       let warm_par =
