@@ -1063,8 +1063,8 @@ let e20 ~seed () =
     [ 24; 48; 72; 96 ];
   emit
     ~caption:
-      "The convex solve is the dominant cost (dense Newton, O(n³) per step);\n\
-       the LP and the heuristics remain interactive well past 100 tasks" t
+      "With sparse Newton steps the convex solve stays at tens of milliseconds;\n\
+       the best-of heuristics, a handful of convex solves each, take the most" t
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner wiring                                                     *)

@@ -1,6 +1,5 @@
 module Futil = Es_util.Futil
 
-module Mat = Es_linalg.Mat
 module Barrier = Es_numopt.Barrier
 
 type result = { speeds : float array; energy : float }
@@ -131,45 +130,43 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
       let lv = levels cdag in
       let alpha = (deadline -. m0) /. float_of_int (n + 2) in
       let s0 = Array.init n (fun i -> es0.(i) +. (alpha *. (float_of_int lv.(i) +. 0.5))) in
-      (* variables x = [d; s] *)
-      let rows = ref [] and rhs = ref [] in
-      let add_row coeffs b =
-        rows := coeffs :: !rows;
-        rhs := b :: !rhs
+      (* variables x = [d; s]; rows of A in CSR, columns ascending *)
+      let edges = Dag.edges cdag in
+      let n_lo = Array.fold_left (fun c l -> if l > 0. then c + 1 else c) 0 lo in
+      let m = List.length edges + (3 * n) + n_lo in
+      let nnz = (3 * List.length edges) + (4 * n) + n_lo in
+      let row_ptr = Array.make (m + 1) 0 and col_idx = Array.make nnz 0 in
+      let value = Array.make nnz 0. and b = Array.make m 0. in
+      let r = ref 0 in
+      let add_row entries rhs =
+        let p = ref row_ptr.(!r) in
+        List.iter
+          (fun (j, v) ->
+            col_idx.(!p) <- j;
+            value.(!p) <- v;
+            incr p)
+          entries;
+        b.(!r) <- rhs;
+        incr r;
+        row_ptr.(!r) <- !p
       in
-      let row () = Array.make (2 * n) 0. in
       List.iter
         (fun (i, j) ->
           (* s_i + d_i - s_j <= 0 *)
-          let r = row () in
-          r.(i) <- 1.;
-          r.(n + i) <- 1.;
-          r.(n + j) <- -1.;
-          add_row r 0.)
-        (Dag.edges cdag);
+          let s_i = (n + i, 1.) and s_j = (n + j, -1.) in
+          add_row ((i, 1.) :: (if i < j then [ s_i; s_j ] else [ s_j; s_i ])) 0.)
+        edges;
       for i = 0 to n - 1 do
         (* s_i + d_i <= D *)
-        let r = row () in
-        r.(i) <- 1.;
-        r.(n + i) <- 1.;
-        add_row r deadline;
+        add_row [ (i, 1.); (n + i, 1.) ] deadline;
         (* -s_i <= 0 *)
-        let r = row () in
-        r.(n + i) <- -1.;
-        add_row r 0.;
+        add_row [ (n + i, -1.) ] 0.;
         (* -d_i <= -w_i/hi_i  (speed at most hi) *)
-        let r = row () in
-        r.(i) <- -1.;
-        add_row r (-.d_min.(i));
+        add_row [ (i, -1.) ] (-.d_min.(i));
         (* d_i <= w_i/lo_i (speed at least lo), only when lo > 0 *)
-        if lo.(i) > 0. then begin
-          let r = row () in
-          r.(i) <- 1.;
-          add_row r (w.(i) /. lo.(i))
-        end
+        if lo.(i) > 0. then add_row [ (i, 1.) ] (w.(i) /. lo.(i))
       done;
-      let a = Array.of_list (List.rev !rows) in
-      let b = Array.of_list (List.rev !rhs) in
+      let a = { Barrier.row_ptr; col_idx; value } in
       let x0 = Array.append d0 s0 in
       let objective =
         {
@@ -189,9 +186,9 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
               g);
           hess =
             (fun x ->
-              let h = Mat.make (2 * n) (2 * n) 0. in
+              let h = Array.make (2 * n) 0. in
               for i = 0 to n - 1 do
-                h.(i).(i) <- 6. *. Futil.cube w.(i) /. (Futil.square x.(i) *. Futil.square x.(i))
+                h.(i) <- 6. *. Futil.cube w.(i) /. (Futil.square x.(i) *. Futil.square x.(i))
               done;
               h);
         }

@@ -1,7 +1,7 @@
 module Vec = Es_linalg.Vec
-module Mat = Es_linalg.Mat
 
-type objective = { f : Vec.t -> float; grad : Vec.t -> Vec.t; hess : Vec.t -> Mat.t }
+type rows = { row_ptr : int array; col_idx : int array; value : float array }
+type objective = { f : Vec.t -> float; grad : Vec.t -> Vec.t; hess : Vec.t -> Vec.t }
 
 exception Not_strictly_feasible
 
@@ -9,113 +9,222 @@ module Obs = Es_obs.Obs
 
 let c_centering = Obs.counter "barrier_centering_steps"
 let c_newton = Obs.counter "barrier_newton_iters"
+let c_line_search = Obs.counter "barrier_line_search_evals"
+let c_dense_fallback = Obs.counter "barrier_dense_fallbacks"
 let t_minimize = Obs.timer "barrier_minimize"
 
-let slacks ~a ~b x =
-  let ax = Mat.mulv a x in
-  Vec.sub b ax
+let n_rows a = Array.length a.row_ptr - 1
 
-let feasible_start ~a ~b ~x0 =
-  Array.for_all (fun s -> s > 0.) (slacks ~a ~b x0)
+(* s = b - A x into [s], row by row; stops at the first slack that is
+   not positive and says whether none was. *)
+let fill_slacks a b x s =
+  let m = n_rows a in
+  let r = ref 0 and positive = ref true in
+  while !positive && !r < m do
+    let acc = ref 0. in
+    for p = a.row_ptr.(!r) to a.row_ptr.(!r + 1) - 1 do
+      acc := !acc +. (a.value.(p) *. x.(a.col_idx.(p)))
+    done;
+    s.(!r) <- b.(!r) -. !acc;
+    positive := s.(!r) > 0.;
+    incr r
+  done;
+  !positive
 
-(* Barrier-augmented value, gradient and Hessian at x for weight t:
-   phi(x) = t f(x) - sum_i log s_i with s = b - A x.
-   grad = t grad_f + A^T (1/s)
-   hess = t hess_f + A^T diag(1/s^2) A *)
-let barrier_value obj ~t ~a ~b x =
-  let s = slacks ~a ~b x in
-  if Array.exists (fun v -> v <= 0.) s then infinity
-  else begin
-    let logsum = Array.fold_left (fun acc v -> acc +. log v) 0. s in
-    (t *. obj.f x) -. logsum
-  end
+let feasible_start ~a ~b ~x0 = fill_slacks a b x0 (Array.make (n_rows a) 0.)
 
-let barrier_grad obj ~t ~a ~b x =
-  let s = slacks ~a ~b x in
-  let inv = Array.map (fun v -> 1. /. v) s in
-  let g = Vec.scale t (obj.grad x) in
-  let at_inv = Mat.mulv_t a inv in
-  Vec.add g at_inv
+(* The barrier problem at weight t, for s = b - A x > 0:
+   phi(x) = t f(x) - sum_r log s_r
+   grad   = t grad_f + A^T (1/s)
+   hess   = t diag(hess_f) + A^T diag(1/s^2) A *)
+let barrier_value obj ~t x s =
+  let logsum = ref 0. in
+  for r = 0 to Vec.dim s - 1 do
+    logsum := !logsum +. log s.(r)
+  done;
+  (t *. obj.f x) -. !logsum
 
-let barrier_hess obj ~t ~a ~b x =
-  let s = slacks ~a ~b x in
-  let h = Mat.scale t (obj.hess x) in
-  let m, n = Mat.dims a in
-  assert (n = Vec.dim x);
-  (* h += A^T diag(1/s²) A, accumulated row by row of A. *)
-  for i = 0 to m - 1 do
-    let w = 1. /. (s.(i) *. s.(i)) in
-    let ai = a.(i) in
-    for j = 0 to n - 1 do
-      let aij = ai.(j) in
-      if aij <> 0. then begin
-        let hj = h.(j) in
-        let waij = w *. aij in
-        for k = 0 to n - 1 do
-          hj.(k) <- hj.(k) +. (waij *. ai.(k))
-        done
-      end
+let barrier_grad obj ~t a x s =
+  let g = Array.make (Vec.dim x) 0. in
+  for r = 0 to n_rows a - 1 do
+    let inv = 1. /. s.(r) in
+    for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      let j = a.col_idx.(p) in
+      g.(j) <- g.(j) +. (inv *. a.value.(p))
     done
   done;
+  let gf = obj.grad x in
+  for j = 0 to Vec.dim x - 1 do
+    g.(j) <- (t *. gf.(j)) +. g.(j)
+  done;
+  g
+
+(* Once per [minimize]: the lower pattern of the Hessian (the diagonal
+   plus every pair of columns that share a row of A), where each
+   row-pair product lands in it, and the Cholesky analysis. *)
+type plan = {
+  chol : Chol.t;
+  hval : float array; (* lower-triangle values, aligned with [chol]'s pattern *)
+  diag_pos : int array;
+  pair_pos : int array; (* per row of A, per entry pair (pa, pb <= pa), in loop order *)
+}
+
+let plan a n =
+  let below = Array.make n [] in
+  for r = 0 to n_rows a - 1 do
+    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      for pb = a.row_ptr.(r) to pa - 1 do
+        let j = a.col_idx.(pa) in
+        below.(j) <- a.col_idx.(pb) :: below.(j)
+      done
+    done
+  done;
+  let rows = Array.mapi (fun j ks -> Array.of_list (List.sort_uniq Int.compare (j :: ks))) below in
+  let row_ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun j row -> row_ptr.(j + 1) <- row_ptr.(j) + Array.length row) rows;
+  let col_idx = Array.concat (Array.to_list rows) in
+  (* binary search for column k in row j of the pattern *)
+  let position j k =
+    let rec go lo hi =
+      let mid = (lo + hi) / 2 in
+      if col_idx.(mid) < k then go (mid + 1) hi else if col_idx.(mid) > k then go lo mid else mid
+    in
+    go row_ptr.(j) row_ptr.(j + 1)
+  in
+  let pairs = ref [] in
+  for r = 0 to n_rows a - 1 do
+    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      for pb = a.row_ptr.(r) to pa do
+        pairs := position a.col_idx.(pa) a.col_idx.(pb) :: !pairs
+      done
+    done
+  done;
+  {
+    chol = Chol.analyze ~n ~row_ptr ~col_idx;
+    hval = Array.make (Array.length col_idx) 0.;
+    diag_pos = Array.init n (fun j -> row_ptr.(j + 1) - 1);
+    pair_pos = Array.of_list (List.rev !pairs);
+  }
+
+(* Lower triangle of the regularised Hessian into [plan.hval].  Entry
+   (j, k), k <= j, sums (w_r a_rj) a_rk over the rows r in order, as
+   the dense accumulation did; the 1e-12 keeps the factor positive
+   definite when f is flat along some direction inside the polytope. *)
+let assemble plan ~t a hd s =
+  let h = plan.hval in
+  Array.fill h 0 (Array.length h) 0.;
+  Array.iteri (fun j p -> h.(p) <- t *. hd.(j)) plan.diag_pos;
+  let q = ref 0 in
+  for r = 0 to n_rows a - 1 do
+    let w = 1. /. (s.(r) *. s.(r)) in
+    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      let wa = w *. a.value.(pa) in
+      for pb = a.row_ptr.(r) to pa do
+        let p = plan.pair_pos.(!q) in
+        h.(p) <- h.(p) +. (wa *. a.value.(pb));
+        incr q
+      done
+    done
+  done;
+  Array.iter (fun p -> h.(p) <- h.(p) +. 1e-12) plan.diag_pos
+
+(* The same Hessian as a dense matrix, both triangles, for the LU
+   fallback.  Its upper triangle is not the exact mirror of the lower
+   one: each entry keeps its own rounding. *)
+let dense_hessian ~t a hd s =
+  let n = Vec.dim hd in
+  let h = Array.make_matrix n n 0. in
+  Array.iteri (fun j hj -> hj.(j) <- t *. hd.(j)) h;
+  for r = 0 to n_rows a - 1 do
+    let w = 1. /. (s.(r) *. s.(r)) in
+    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      let hj = h.(a.col_idx.(pa)) and wa = w *. a.value.(pa) in
+      for pb = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+        let k = a.col_idx.(pb) in
+        hj.(k) <- hj.(k) +. (wa *. a.value.(pb))
+      done
+    done
+  done;
+  Array.iteri (fun j hj -> hj.(j) <- hj.(j) +. 1e-12) h;
   h
+
+(* Newton direction: sparse Cholesky; an indefinite (to working
+   precision) system goes to the dense pivoting LU, and a singular one
+   to a short gradient step. *)
+let newton_step obj plan ~t a x s g =
+  let hd = obj.hess x in
+  assemble plan ~t a hd s;
+  let rhs = Array.make (Vec.dim g) 0. in
+  for j = 0 to Vec.dim g - 1 do
+    rhs.(j) <- -1. *. g.(j)
+  done;
+  match Chol.factor plan.chol plan.hval with
+  | () -> Chol.solve plan.chol rhs
+  | exception Chol.Not_positive_definite -> (
+    Obs.incr c_dense_fallback;
+    match Dense_lu.solve (dense_hessian ~t a hd s) rhs with
+    | step -> step
+    | exception Dense_lu.Singular -> Vec.scale (-1e-6) g)
+
+(* The iterate, its slacks, and spare buffers for line-search trial
+   points; an accepted trial swaps in with the slacks it computed. *)
+type iterate = { mutable x : Vec.t; mutable s : Vec.t; mutable x' : Vec.t; mutable s' : Vec.t }
+
+let accept it =
+  let x = it.x and s = it.s in
+  it.x <- it.x';
+  it.s <- it.s';
+  it.x' <- x;
+  it.s' <- s
 
 (* Damped Newton with backtracking on the barrier function; stops when
    the Newton decrement is small. *)
-let newton obj ~t ~a ~b ~tol ~max_iters x0 =
-  let x = ref (Vec.copy x0) in
+let newton obj plan ~t ~a ~b ~tol ~max_iters it =
   let continue = ref true in
   let iters = ref 0 in
   while !continue && !iters < max_iters do
     incr iters;
     Obs.incr c_newton;
-    let g = barrier_grad obj ~t ~a ~b !x in
-    let h = barrier_hess obj ~t ~a ~b !x in
-    (* Regularise slightly: keeps Cholesky happy when f is flat along
-       some direction inside the polytope. *)
-    let n = Vec.dim !x in
-    for i = 0 to n - 1 do
-      h.(i).(i) <- h.(i).(i) +. 1e-12
-    done;
-    let step =
-      match Mat.solve_spd h (Vec.scale (-1.) g) with
-      | s -> s
-      | exception Mat.Singular -> Vec.scale (-1e-6) g
-    in
+    let g = barrier_grad obj ~t a it.x it.s in
+    let step = newton_step obj plan ~t a it.x it.s g in
     let decrement = -.Vec.dot g step in
     if decrement /. 2. <= tol then continue := false
     else begin
-      (* backtracking line search, alpha=0.25, beta=0.5 *)
-      let phi0 = barrier_value obj ~t ~a ~b !x in
+      (* backtracking line search, alpha=0.25, beta=0.5; a trial point
+         with a non-positive slack has phi = +inf *)
+      let phi0 = barrier_value obj ~t it.x it.s in
       let rec search stepsize k =
-        if k > 60 then None
+        if k > 60 then false
         else begin
-          let cand = Vec.copy !x in
+          let cand = it.x' in
+          Array.blit it.x 0 cand 0 (Vec.dim cand);
           Vec.axpy stepsize step cand;
-          let phi = barrier_value obj ~t ~a ~b cand in
-          if phi <= phi0 -. (0.25 *. stepsize *. decrement) then Some cand
-          else search (stepsize *. 0.5) (k + 1)
+          Obs.incr c_line_search;
+          (fill_slacks a b cand it.s'
+          && barrier_value obj ~t cand it.s' <= phi0 -. (0.25 *. stepsize *. decrement))
+          || search (stepsize *. 0.5) (k + 1)
         end
       in
-      match search 1. 0 with
-      | Some cand -> x := cand
-      | None -> continue := false
+      if search 1. 0 then accept it else continue := false
     end
-  done;
-  !x
+  done
 
 let minimize ?(tol = 1e-8) ?(t0 = 1.) ?(mu = 15.) ?(newton_tol = 1e-10)
     ?(max_newton = 80) obj ~a ~b ~x0 =
-  if not (feasible_start ~a ~b ~x0) then raise Not_strictly_feasible;
+  let m = n_rows a and n = Vec.dim x0 in
+  assert (Vec.dim b = m);
+  let s0 = Array.make m 0. in
+  if not (fill_slacks a b x0 s0) then raise Not_strictly_feasible;
   Obs.time t_minimize @@ fun () ->
-  let m, _ = Mat.dims a in
-  let x = ref (Vec.copy x0) in
+  let plan = plan a n in
+  let it = { x = Vec.copy x0; s = s0; x' = Array.make n 0.; s' = Array.make m 0. } in
   let t = ref t0 in
   let gap () = float_of_int m /. !t in
   while gap () > tol do
     Obs.incr c_centering;
-    x := newton obj ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton !x;
+    newton obj plan ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton it;
     t := !t *. mu
   done;
   Obs.incr c_centering;
-  x := newton obj ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton !x;
-  !x
+  newton obj plan ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton it;
+  it.x

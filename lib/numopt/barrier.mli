@@ -1,22 +1,53 @@
 (** Log-barrier interior-point method for linearly constrained convex
     programs.
 
-    Solves [minimise f(x) subject to A x ≤ b] for smooth convex [f]
-    with user-supplied gradient and Hessian.  This is the
-    "geometric programming" engine the paper invokes (Section III,
-    citing Boyd & Vandenberghe §4.5) for BI-CRIT CONTINUOUS on general
-    DAGs: the energy objective [Σ wᵢ³/dᵢ²] is convex in the durations
-    and every precedence/deadline constraint is linear in the start
-    times and durations.
+    Solves [minimise f(x) subject to A x ≤ b] for smooth convex
+    separable [f] with user-supplied gradient and Hessian diagonal.
+    This is the "geometric programming" engine the paper invokes
+    (Section III, citing Boyd & Vandenberghe §4.5) for BI-CRIT
+    CONTINUOUS on general DAGs: the energy objective [Σ wᵢ³/dᵢ²] is
+    convex and separable in the durations, and every
+    precedence/deadline constraint is linear in the start times and
+    durations, with one to three nonzeros per row.
 
     The method is the standard path-following scheme: minimise
     [t·f(x) − Σ log(bᵢ − aᵢx)] by damped Newton for increasing [t]
-    until [m/t] (the duality-gap bound) drops below [tol]. *)
+    until [m/t] (the duality-gap bound) drops below [tol].
+
+    {b Sparse Newton steps.}  The slacks [s = b − A x] are computed
+    once per Newton step and shared by the barrier value, its gradient
+    and its Hessian [t·diag(h) + Aᵀ diag(1/s²) A + 10⁻¹² I].  Once per
+    {!minimize} call the Hessian's lower pattern (the diagonal plus
+    each pair of columns sharing a row) and its Cholesky analysis are
+    built ({!Chol.analyze}); each step then assembles the values in
+    O(nnz) and factors and solves in O(nnz(L)), in the natural
+    variable order.  A line-search trial point computes its slacks in
+    O(nnz) and stops at the first non-positive one.
+
+    {b Bit-identical to the dense method.}  Every sum keeps the order
+    of the dense formulation (rows of [A] in order, columns ascending)
+    and skips only exact zeros, so iterates, Newton counts and answers
+    are bit-for-bit those of dense assembly plus a dense Cholesky.
+
+    {b Dense fallback.}  When the sparse factor meets a non-positive
+    pivot, the step builds the dense Hessian (both triangles, each
+    entry with its own rounding) and solves it with the pivoting
+    {!Dense_lu}; if that is singular too, it takes the gradient step
+    [−10⁻⁶·g].  The counter [barrier_dense_fallbacks] counts these
+    steps, [barrier_line_search_evals] the trial points. *)
+
+type rows = {
+  row_ptr : int array;  (** length [m + 1]: row [r] is entries [row_ptr.(r) .. row_ptr.(r + 1) − 1] *)
+  col_idx : int array;  (** column of each entry, strictly ascending within a row *)
+  value : float array;  (** coefficient of each entry *)
+}
+(** The constraint matrix [A] in compressed sparse row form. *)
 
 type objective = {
   f : Es_linalg.Vec.t -> float;  (** objective value *)
   grad : Es_linalg.Vec.t -> Es_linalg.Vec.t;  (** gradient *)
-  hess : Es_linalg.Vec.t -> Es_linalg.Mat.t;  (** Hessian (dense) *)
+  hess : Es_linalg.Vec.t -> Es_linalg.Vec.t;
+      (** diagonal of the Hessian ([f] is separable) *)
 }
 
 exception Not_strictly_feasible
@@ -29,7 +60,7 @@ val minimize :
   ?newton_tol:float ->
   ?max_newton:int ->
   objective ->
-  a:Es_linalg.Mat.t ->
+  a:rows ->
   b:Es_linalg.Vec.t ->
   x0:Es_linalg.Vec.t ->
   Es_linalg.Vec.t
@@ -41,7 +72,6 @@ val minimize :
     @raise Not_strictly_feasible if [x0] is on or outside the
     boundary. *)
 
-val feasible_start :
-  a:Es_linalg.Mat.t -> b:Es_linalg.Vec.t -> x0:Es_linalg.Vec.t -> bool
+val feasible_start : a:rows -> b:Es_linalg.Vec.t -> x0:Es_linalg.Vec.t -> bool
 (** [feasible_start ~a ~b ~x0] checks strict feasibility, as required
     by {!minimize}. *)

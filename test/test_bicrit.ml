@@ -224,6 +224,53 @@ let qcheck_chain_energy_formula =
         let total = Array.fold_left ( +. ) 0. weights in
         Float.abs (energy -. (total ** 3. /. (deadline *. deadline))) < 1e-6 *. energy)
 
+(* Run [solve_general] on a 300-task chain with telemetry on: the
+   result, its Newton steps, its dense-fallback steps and the bytes it
+   allocated. *)
+let solve_chain_300 ~p ~fmin ~fmax ~slack =
+  let module Obs = Es_obs.Obs in
+  let dag = Generators.chain (Es_util.Rng.create ~seed:1) ~n:300 ~wlo:0.5 ~whi:3. in
+  let n = Dag.n dag in
+  let mapping = Mapping.of_assignment ~p dag ~proc:(Array.init n (fun i -> i mod p)) in
+  let deadline = slack *. List_sched.makespan_at_speed mapping ~f:fmax in
+  let newton = Obs.counter "barrier_newton_iters" in
+  let fallbacks = Obs.counter "barrier_dense_fallbacks" in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+  let before = Gc.allocated_bytes () in
+  let result =
+    Bicrit_continuous.solve_general ~lo:(Array.make n fmin) ~hi:(Array.make n fmax) ~deadline
+      mapping
+  in
+  (result, Obs.value newton, Obs.value fallbacks, Gc.allocated_bytes () -. before)
+
+(* 600 barrier variables: every Newton step stays on the sparse
+   Cholesky, and allocates far less than one dense 2n×2n Hessian. *)
+let test_sparse_newton_steps_at_scale () =
+  let result, newton, fallbacks, allocated = solve_chain_300 ~p:4 ~fmin:0.2 ~fmax:1. ~slack:1.5 in
+  Alcotest.(check bool) "feasible" true (result <> None);
+  Alcotest.(check int) "no dense fallback" 0 fallbacks;
+  let per_step = allocated /. float_of_int newton in
+  let dense = float_of_int (600 * 600 * 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f kB per Newton step < 1/8 of the %.1f MB dense Hessian" (per_step /. 1e3)
+       (dense /. 1e6))
+    true
+    (per_step < dense /. 8.)
+
+(* One processor and fmax/fmin = 100: 77 of the 512 Newton systems are
+   indefinite to working precision and take the dense LU fallback.
+   The answer is bit for bit the one the all-dense Newton steps gave. *)
+let test_dense_fallback_keeps_the_answer () =
+  let result, newton, fallbacks, _ = solve_chain_300 ~p:1 ~fmin:0.1 ~fmax:10. ~slack:1.2 in
+  Alcotest.(check int) "dense fallbacks" 77 fallbacks;
+  Alcotest.(check int) "Newton steps" 512 newton;
+  match result with
+  | None -> Alcotest.fail "feasible"
+  | Some { energy; _ } ->
+    Alcotest.(check string) "energy bits" "0x1.1de9c2e35029bp+15" (Printf.sprintf "%h" energy)
+
 let suite =
   ( "bicrit-continuous",
     [
@@ -243,6 +290,8 @@ let suite =
       Alcotest.test_case "effective weights = re-execution time" `Quick
         test_effective_weights_model_reexecution;
       Alcotest.test_case "lower bound sanity" `Quick test_lower_bound_below_feasible_solutions;
+      Alcotest.test_case "sparse newton steps at scale" `Quick test_sparse_newton_steps_at_scale;
+      Alcotest.test_case "dense fallback keeps the answer" `Slow test_dense_fallback_keeps_the_answer;
       QCheck_alcotest.to_alcotest qcheck_chain_energy_formula;
     ] )
 

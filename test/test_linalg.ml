@@ -1,9 +1,11 @@
-(* Tests for Es_linalg: vector ops, matrix products, Cholesky and LU
-   factorisations, including property tests against random SPD
-   matrices. *)
+(* Tests for the linear algebra: Es_linalg's vector ops, and the two
+   factorisations behind the barrier's Newton steps (Es_numopt's sparse
+   Cholesky and its dense LU fallback), including property tests
+   against random matrices. *)
 
 module Vec = Es_linalg.Vec
-module Mat = Es_linalg.Mat
+module Chol = Es_numopt.Chol
+module Dense_lu = Es_numopt.Dense_lu
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -20,64 +22,50 @@ let test_vec_axpy () =
   Vec.axpy 2. x y;
   Alcotest.(check (array (float 1e-12))) "axpy" [| 12.; 24. |] y
 
-let test_mat_mul () =
-  let a = [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = [| [| 5.; 6. |]; [| 7.; 8. |] |] in
-  let c = Mat.mul a b in
-  Alcotest.(check (array (array (float 1e-12))))
-    "product" [| [| 19.; 22. |]; [| 43.; 50. |] |] c
-
-let test_mat_identity_neutral () =
-  let a = [| [| 2.; -1. |]; [| 0.5; 3. |] |] in
-  Alcotest.(check (array (array (float 1e-12)))) "a·I = a" a (Mat.mul a (Mat.identity 2))
-
-let test_mat_mulv () =
-  let a = [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  Alcotest.(check (array (float 1e-12))) "a·x" [| 5.; 11. |] (Mat.mulv a [| 1.; 2. |]);
-  Alcotest.(check (array (float 1e-12))) "aᵀ·x" [| 7.; 10. |] (Mat.mulv_t a [| 1.; 2. |])
-
-let test_transpose () =
-  let a = [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  let at = Mat.transpose a in
-  Alcotest.(check (array (array (float 1e-12))))
-    "transpose" [| [| 1.; 4. |]; [| 2.; 5. |]; [| 3.; 6. |] |] at
+let mulv a x = Array.map (fun row -> Vec.dot row x) a
 
 let random_spd rng n =
   (* B·Bᵀ + n·I is SPD for random B *)
-  let b = Mat.init n n (fun _ _ -> Es_util.Rng.uniform_in rng (-1.) 1.) in
-  let bbt = Mat.mul b (Mat.transpose b) in
-  Mat.init n n (fun i j -> bbt.(i).(j) +. if i = j then float_of_int n else 0.)
+  let b = Array.init n (fun _ -> Array.init n (fun _ -> Es_util.Rng.uniform_in rng (-1.) 1.)) in
+  Array.init n (fun i ->
+      Array.init n (fun j -> Vec.dot b.(i) b.(j) +. if i = j then float_of_int n else 0.))
+
+(* sparse Cholesky of a dense matrix: every lower entry in the pattern *)
+let factor_dense a =
+  let n = Array.length a in
+  let row_ptr = Array.init (n + 1) (fun i -> i * (i + 1) / 2) in
+  let col_idx = Array.concat (List.init n (fun i -> Array.init (i + 1) Fun.id)) in
+  let chol = Chol.analyze ~n ~row_ptr ~col_idx in
+  Chol.factor chol (Array.concat (List.init n (fun i -> Array.sub a.(i) 0 (i + 1))));
+  chol
 
 let test_cholesky_roundtrip () =
   let rng = Es_util.Rng.create ~seed:21 in
   for n = 1 to 8 do
     let a = random_spd rng n in
-    let l = Mat.cholesky a in
-    let llt = Mat.mul l (Mat.transpose l) in
+    let x_true = Array.init n (fun i -> float_of_int (i + 1)) in
+    let x = Chol.solve (factor_dense a) (mulv a x_true) in
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        Alcotest.(check (float 1e-8)) "l·lᵀ = a" a.(i).(j) llt.(i).(j)
-      done
+      Alcotest.(check (float 1e-8)) "l·lᵀ x = a x" x_true.(i) x.(i)
     done
   done
 
 let test_cholesky_rejects_indefinite () =
   let a = [| [| 1.; 2. |]; [| 2.; 1. |] |] in
   (* eigenvalues 3 and -1 *)
-  Alcotest.check_raises "not PD" Mat.Not_positive_definite (fun () ->
-      ignore (Mat.cholesky a))
+  Alcotest.check_raises "not PD" Chol.Not_positive_definite (fun () ->
+      ignore (factor_dense a))
 
 let test_solve_roundtrip () =
   let rng = Es_util.Rng.create ~seed:22 in
   for n = 1 to 8 do
-    let a = Mat.init n n (fun _ _ -> Es_util.Rng.uniform_in rng (-2.) 2.) in
+    let a = Array.init n (fun _ -> Array.init n (fun _ -> Es_util.Rng.uniform_in rng (-2.) 2.)) in
     (* make it comfortably nonsingular *)
     for i = 0 to n - 1 do
       a.(i).(i) <- a.(i).(i) +. 5.
     done;
     let x_true = Array.init n (fun i -> float_of_int (i + 1)) in
-    let b = Mat.mulv a x_true in
-    let x = Mat.solve a b in
+    let x = Dense_lu.solve a (mulv a x_true) in
     for i = 0 to n - 1 do
       Alcotest.(check (float 1e-8)) "lu solve" x_true.(i) x.(i)
     done
@@ -87,14 +75,15 @@ let test_solve_spd_matches_lu () =
   let rng = Es_util.Rng.create ~seed:23 in
   let a = random_spd rng 6 in
   let b = Array.init 6 (fun i -> float_of_int i +. 0.5) in
-  let x1 = Mat.solve_spd a b and x2 = Mat.solve a b in
+  let x1 = Chol.solve (factor_dense a) b and x2 = Dense_lu.solve a b in
   for i = 0 to 5 do
     Alcotest.(check (float 1e-8)) "cholesky = lu" x2.(i) x1.(i)
   done
 
 let test_singular_detected () =
   let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular" Mat.Singular (fun () -> ignore (Mat.solve a [| 1.; 1. |]))
+  Alcotest.check_raises "singular" Dense_lu.Singular (fun () ->
+      ignore (Dense_lu.solve a [| 1.; 1. |]))
 
 let qcheck_solve_residual =
   QCheck.Test.make ~name:"lu solve residual small" ~count:100
@@ -102,13 +91,13 @@ let qcheck_solve_residual =
     (fun seed ->
       let rng = Es_util.Rng.create ~seed in
       let n = 1 + Es_util.Rng.int rng 10 in
-      let a = Mat.init n n (fun _ _ -> Es_util.Rng.uniform_in rng (-1.) 1.) in
+      let a = Array.init n (fun _ -> Array.init n (fun _ -> Es_util.Rng.uniform_in rng (-1.) 1.)) in
       for i = 0 to n - 1 do
         a.(i).(i) <- a.(i).(i) +. float_of_int n
       done;
       let b = Array.init n (fun _ -> Es_util.Rng.uniform_in rng (-1.) 1.) in
-      let x = Mat.solve a b in
-      let r = Vec.sub (Mat.mulv a x) b in
+      let x = Dense_lu.solve a b in
+      let r = Vec.sub (mulv a x) b in
       Vec.norm_inf r < 1e-8)
 
 let suite =
@@ -116,10 +105,6 @@ let suite =
     [
       Alcotest.test_case "vector ops" `Quick test_vec_ops;
       Alcotest.test_case "axpy in place" `Quick test_vec_axpy;
-      Alcotest.test_case "matrix product" `Quick test_mat_mul;
-      Alcotest.test_case "identity neutral" `Quick test_mat_identity_neutral;
-      Alcotest.test_case "matrix-vector products" `Quick test_mat_mulv;
-      Alcotest.test_case "transpose" `Quick test_transpose;
       Alcotest.test_case "cholesky roundtrip" `Quick test_cholesky_roundtrip;
       Alcotest.test_case "cholesky rejects indefinite" `Quick test_cholesky_rejects_indefinite;
       Alcotest.test_case "lu solve roundtrip" `Quick test_solve_roundtrip;

@@ -73,6 +73,43 @@ let test_degenerate_terminates () =
   | Simplex.Optimal { objective; _ } -> check_float "objective" (-2.) objective
   | _ -> Alcotest.fail "expected optimal"
 
+exception Singular
+
+(* Gaussian elimination with partial pivoting, on copies of [a] and [b]. *)
+let gauss_solve a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  let swap v i j =
+    let t = v.(i) in
+    v.(i) <- v.(j);
+    v.(j) <- t
+  in
+  for k = 0 to n - 1 do
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if Float.abs a.(i).(k) > Float.abs a.(!p).(k) then p := i
+    done;
+    if Float.abs a.(!p).(k) < 1e-300 then raise Singular;
+    swap a k !p;
+    swap b k !p;
+    for i = k + 1 to n - 1 do
+      let f = a.(i).(k) /. a.(k).(k) in
+      for j = k to n - 1 do
+        a.(i).(j) <- a.(i).(j) -. (f *. a.(k).(j))
+      done;
+      b.(i) <- b.(i) -. (f *. b.(k))
+    done
+  done;
+  let x = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let acc = ref b.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (a.(i).(j) *. x.(j))
+    done;
+    x.(i) <- !acc /. a.(i).(i)
+  done;
+  x
+
 (* Brute-force LP reference: enumerate all choices of n constraints
    (from rows plus axes), solve the linear system, keep feasible points,
    return the best objective.  Sound for bounded non-degenerate LPs. *)
@@ -102,7 +139,7 @@ let brute_force ~obj rows =
     if k = 0 then begin
       let a = Array.of_list (List.rev_map (fun i -> Array.copy (fst planes.(i))) acc) in
       let b = Array.of_list (List.rev_map (fun i -> snd planes.(i)) acc) in
-      match Es_linalg.Mat.solve a b with
+      match gauss_solve a b with
       | x when feasible x ->
         let v = ref 0. in
         Array.iteri (fun i c -> v := !v +. (c *. x.(i))) obj;
@@ -110,7 +147,7 @@ let brute_force ~obj rows =
         | Some bv when bv <= !v -> ()
         | _ -> best := Some !v)
       | _ -> ()
-      | exception Es_linalg.Mat.Singular -> ()
+      | exception Singular -> ()
     end
     else
       for i = start to m - 1 do

@@ -1,8 +1,11 @@
 (* Tests for scalar search and the log-barrier solver, cross-checked
-   against analytic optima of small convex programs. *)
+   against analytic optima of small convex programs, and for the
+   barrier's sparse Cholesky against the dense one it replaced. *)
 
 module Scalar = Es_numopt.Scalar
 module Barrier = Es_numopt.Barrier
+module Chol = Es_numopt.Chol
+module Rng = Es_util.Rng
 
 let check_float tol = Alcotest.(check (float tol))
 
@@ -49,11 +52,23 @@ let quadratic_objective () =
   {
     Barrier.f = (fun x -> ((x.(0) -. 2.) ** 2.) +. ((x.(1) -. 3.) ** 2.));
     grad = (fun x -> [| 2. *. (x.(0) -. 2.); 2. *. (x.(1) -. 3.) |]);
-    hess = (fun _ -> [| [| 2.; 0. |]; [| 0.; 2. |] |]);
+    hess = (fun _ -> [| 2.; 2. |]);
   }
 
+(* CSR rows of a dense matrix, zeros dropped *)
+let csr dense =
+  let rows =
+    Array.map
+      (fun row -> List.filter (fun (_, v) -> v <> 0.) (List.mapi (fun j v -> (j, v)) (Array.to_list row)))
+      dense
+  in
+  let row_ptr = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r row -> row_ptr.(r + 1) <- row_ptr.(r) + List.length row) rows;
+  let entries = Array.of_list (List.concat (Array.to_list rows)) in
+  { Barrier.row_ptr; col_idx = Array.map fst entries; value = Array.map snd entries }
+
 let simplex_region =
-  ( [| [| 1.; 1. |]; [| -1.; 0. |]; [| 0.; -1. |] |],
+  ( csr [| [| 1.; 1. |]; [| -1.; 0. |]; [| 0.; -1. |] |],
     [| 3.; 0.; 0. |] )
 
 let test_barrier_projection () =
@@ -65,7 +80,7 @@ let test_barrier_projection () =
 
 let test_barrier_interior_optimum () =
   (* loose constraint: optimum interior, should reach (2,3) *)
-  let a = [| [| 1.; 1. |] |] and b = [| 100. |] in
+  let a = csr [| [| 1.; 1. |] |] and b = [| 100. |] in
   let x = Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
       (quadratic_objective ()) ~a ~b ~x0:[| 1.; 1. |] in
   check_float 1e-4 "x free" 2. x.(0);
@@ -101,19 +116,14 @@ let test_barrier_energy_chain () =
           done;
           !acc);
       grad = (fun d -> Array.init n (fun i -> -2. *. cube w.(i) /. cube d.(i)));
-      hess =
-        (fun d ->
-          let h = Array.init n (fun _ -> Array.make n 0.) in
-          for i = 0 to n - 1 do
-            h.(i).(i) <- 6. *. cube w.(i) /. (d.(i) *. d.(i) *. d.(i) *. d.(i))
-          done;
-          h);
+      hess = (fun d -> Array.init n (fun i -> 6. *. cube w.(i) /. (d.(i) *. d.(i) *. d.(i) *. d.(i))));
     }
   in
   let a =
-    Array.append
-      [| Array.make n 1. |]
-      (Array.init n (fun i -> Array.init n (fun j -> if i = j then -1. else 0.)))
+    csr
+      (Array.append
+         [| Array.make n 1. |]
+         (Array.init n (fun i -> Array.init n (fun j -> if i = j then -1. else 0.))))
   in
   let b = Array.append [| d_total |] (Array.map (fun wi -> -.wi /. 10.) w) in
   let x0 = Array.map (fun wi -> d_total *. wi /. 6. *. 0.9) w in
@@ -122,6 +132,110 @@ let test_barrier_energy_chain () =
   for i = 0 to n - 1 do
     check_float 1e-4 "duration proportional to weight" (2. *. w.(i)) d.(i)
   done
+
+(* The dense Cholesky and triangular solves the barrier's Newton steps
+   used before they went sparse: the reference for the sparse factor. *)
+exception Not_positive_definite
+
+let dense_cholesky a =
+  let n = Array.length a in
+  let l = Array.make_matrix n n 0. in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let acc = ref a.(i).(j) in
+      for k = 0 to j - 1 do
+        acc := !acc -. (l.(i).(k) *. l.(j).(k))
+      done;
+      if i = j then begin
+        if !acc <= 0. then raise Not_positive_definite;
+        l.(i).(j) <- sqrt !acc
+      end
+      else l.(i).(j) <- !acc /. l.(j).(j)
+    done
+  done;
+  l
+
+let dense_cholesky_solve l b =
+  let n = Array.length l in
+  let y = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let acc = ref b.(i) in
+    for k = 0 to i - 1 do
+      acc := !acc -. (l.(i).(k) *. y.(k))
+    done;
+    y.(i) <- !acc /. l.(i).(i)
+  done;
+  let x = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let acc = ref y.(i) in
+    for k = i + 1 to n - 1 do
+      acc := !acc -. (l.(k).(i) *. x.(k))
+    done;
+    x.(i) <- !acc /. l.(i).(i)
+  done;
+  x
+
+(* H = diag(d) + Aᵀ W A over random rows of 1-3 nonzeros, accumulated
+   like the barrier's Hessian ((w·a_j)·a_k, rows in order, both
+   triangles).  Weights span 10⁰-10¹² against a diagonal down to 10⁻¹²,
+   so some matrices are singular to working precision: about one in
+   twenty hits a non-positive pivot. *)
+let qcheck_sparse_cholesky_bitwise =
+  QCheck.Test.make ~name:"sparse cholesky = dense cholesky, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 1 + Rng.int rng 40 in
+      let rows =
+        Array.init (Rng.int rng (3 * n)) (fun _ ->
+            List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n)
+            |> List.sort_uniq Int.compare
+            |> List.map (fun j -> (j, Rng.uniform_in rng (-2.) 2.)))
+      in
+      let h =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                if i <> j then 0.
+                else if Rng.int rng 2 = 0 then 1e-12 (* like the barrier's start times *)
+                else 10. ** Rng.uniform_in rng (-12.) 0.))
+      in
+      Array.iter
+        (fun row ->
+          let w = 10. ** Rng.uniform_in rng 0. 12. in
+          List.iter
+            (fun (j, aj) ->
+              let wa = w *. aj in
+              List.iter (fun (k, ak) -> h.(j).(k) <- h.(j).(k) +. (wa *. ak)) row)
+            row)
+        rows;
+      (* the lower pattern by rows, and its values read off h *)
+      let below = Array.init n (fun i -> [ i ]) in
+      Array.iter
+        (fun row ->
+          List.iter (fun (j, _) -> List.iter (fun (k, _) -> if k < j then below.(j) <- k :: below.(j)) row) row)
+        rows;
+      let pattern = Array.map (fun ks -> Array.of_list (List.sort_uniq Int.compare ks)) below in
+      let row_ptr = Array.make (n + 1) 0 in
+      Array.iteri (fun i ks -> row_ptr.(i + 1) <- row_ptr.(i) + Array.length ks) pattern;
+      let col_idx = Array.concat (Array.to_list pattern) in
+      let values = Array.concat (Array.to_list (Array.mapi (fun i ks -> Array.map (fun k -> h.(i).(k)) ks) pattern)) in
+      let b = Array.init n (fun _ -> Rng.uniform_in rng (-1.) 1.) in
+      let reference =
+        match dense_cholesky h with
+        | l -> Some (dense_cholesky_solve l b)
+        | exception Not_positive_definite -> None
+      in
+      let chol = Chol.analyze ~n ~row_ptr ~col_idx in
+      let sparse =
+        match Chol.factor chol values with
+        | () -> Some (Chol.solve chol b)
+        | exception Chol.Not_positive_definite -> None
+      in
+      let same u v = Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v) in
+      match (reference, sparse) with
+      | Some x, Some y -> Array.for_all2 same x y
+      | None, None -> true
+      | _ -> false)
 
 let suite =
   ( "numopt",
@@ -138,4 +252,5 @@ let suite =
       Alcotest.test_case "barrier rejects bad start" `Quick test_barrier_rejects_infeasible_start;
       Alcotest.test_case "feasible_start predicate" `Quick test_feasible_start_predicate;
       Alcotest.test_case "barrier energy chain" `Quick test_barrier_energy_chain;
+      QCheck_alcotest.to_alcotest qcheck_sparse_cholesky_bitwise;
     ] )
