@@ -329,8 +329,9 @@ let pareto_cmd =
   in
   let cold =
     Arg.(value & flag & info [ "cold" ]
-           ~doc:"With $(b,--vdd): solve every deadline from scratch instead of \
-                 warm-starting.  The front is identical either way.")
+           ~doc:"With $(b,--vdd): solve every deadline independently, from the \
+                 crash basis, instead of chaining optimal bases.  The front is \
+                 identical either way.")
   in
   Cmd.v (Cmd.info "pareto" ~doc:"Sweep the energy/deadline trade-off")
     Term.(const pareto $ kind_arg $ n_arg $ seed_arg $ p_arg $ reliability $ vdd

@@ -43,21 +43,39 @@ let is_fork n edges = edge_set_is edges (List.init (max 0 (n - 1)) (fun i -> (0,
 
 (* ---- lp-cert ------------------------------------------------------- *)
 
+(* The VDD LP solved twice — two-phase from scratch, and from
+   [Bicrit_vdd.crash_basis] as every answer the solvers serve is —
+   must give the same outcome class, optima within rtol 1e-8, and a
+   valid primal-dual certificate for each optimum. *)
 let run_lp_cert t =
   let mapping = Gen.mapping t in
   let deadline = Gen.deadline t in
-  let lp = Bicrit_vdd.lp ~deadline ~levels:t.Gen.levels mapping in
-  match Problem.solve lp with
-  | Problem.Solution s -> (
+  let levels = t.Gen.levels in
+  let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
+  let certify path s =
     match Lp_cert.certify_problem lp s with
     | Lp_cert.Certified _ -> Pass
-    | Lp_cert.Rejected _ as v -> Fail (Lp_cert.describe v))
-  | Problem.Infeasible ->
+    | Lp_cert.Rejected _ as v -> Fail (Printf.sprintf "%s: %s" path (Lp_cert.describe v))
+  in
+  let cold = Problem.solve lp in
+  let crashed, _ = Problem.solve_warm ~basis:(Bicrit_vdd.crash_basis ~levels mapping) lp in
+  match (cold, crashed) with
+  | Problem.Solution c, Problem.Solution w ->
+    let ec = Problem.objective c and ew = Problem.objective w in
+    if not (close ~rtol:1e-8 ec ew) then
+      Fail (Printf.sprintf "two-phase objective %.12g vs crash-started %.12g" ec ew)
+    else combine [ certify "two-phase" c; certify "crash-started" w ]
+  | Problem.Infeasible, Problem.Infeasible ->
     if feasible t then
       Fail
         (Printf.sprintf "LP infeasible but all-fmax meets the deadline (slack %g)" t.Gen.slack)
     else Pass
-  | Problem.Unbounded -> Fail "VDD LP reported unbounded; energy is bounded below by 0"
+  | Problem.Unbounded, _ | _, Problem.Unbounded ->
+    Fail "VDD LP reported unbounded; energy is bounded below by 0"
+  | Problem.Solution _, Problem.Infeasible ->
+    Fail "two-phase solve feasible but crash-started solve claims infeasible"
+  | Problem.Infeasible, Problem.Solution _ ->
+    Fail "crash-started solve feasible but two-phase claims infeasible"
 
 (* ---- lp-warm ------------------------------------------------------- *)
 
@@ -69,18 +87,20 @@ let run_lp_cert t =
    primal-dual certificate against the raw LP statement.  (d)
    [Bicrit_vdd.energy_sweep], which builds the LP once and restates
    only its rhs, must return bit for bit what the chain of rebuilt LPs
-   returns at every deadline. *)
+   returns at every deadline; like the sweep, the chain starts every
+   step with no basis to chain from at [Bicrit_vdd.crash_basis]. *)
 let run_lp_warm t =
   let mapping = Gen.mapping t in
   let levels = t.Gen.levels in
   let base = Gen.deadline t in
   let deadlines = Array.map (fun s -> s *. base) [| 1.; 1.3; 0.9; 1.8 |] in
+  let crash = Bicrit_vdd.crash_basis ~levels mapping in
   let basis = ref None in
   let chained = Array.make (Array.length deadlines) None in
   let check_at i deadline =
     let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
     let cold = Problem.solve lp in
-    let warm, basis' = Problem.solve_warm ?basis:!basis lp in
+    let warm, basis' = Problem.solve_warm ~basis:(Option.value !basis ~default:crash) lp in
     basis := basis';
     (match warm with
     | Problem.Solution w -> chained.(i) <- Some (Problem.objective w)

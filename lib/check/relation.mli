@@ -3,15 +3,19 @@
     A relation takes a generated {!Gen.inst} and checks one executable
     consequence of the paper's theory against the production solvers:
 
-    - ["lp-cert"]: every [Simplex] optimum of the VDD-HOPPING LP is
-      re-certified by {!Lp_cert} (primal/dual feasibility,
+    - ["lp-cert"]: the VDD-HOPPING LP solved two-phase and from
+      {!Bicrit_vdd.crash_basis} (the path that serves answers) gives
+      the same outcome class and optimum (rtol 1e-8), and each optimum
+      is re-certified by {!Lp_cert} (primal/dual feasibility,
       complementary slackness, zero gap); an [Infeasible] claim is
       cross-checked against the all-[fmax] schedule.
     - ["lp-warm"]: sweeping the VDD LP over several deadlines with the
       optimal basis chained from one solve into the next
-      ({!Es_lp.Problem.solve_warm}) yields the same outcome class and
-      objective (rtol 1e-8) as independent cold solves, and every warm
-      optimum is re-certified by {!Lp_cert}.
+      ({!Es_lp.Problem.solve_warm}, the first step from the crash
+      basis) yields the same outcome class and objective (rtol 1e-8)
+      as independent cold solves, every warm optimum is re-certified
+      by {!Lp_cert}, and {!Bicrit_vdd.energy_sweep} returns the
+      chain's energies bit for bit.
     - ["kkt"]: every {!Bicrit_continuous.solve_general} result passes
       {!Kkt.check_general} (feasibility, energy accounting,
       critical-path saturation, exchange stationarity).

@@ -1,7 +1,20 @@
 module Problem = Es_lp.Problem
 module Sparse = Es_lp.Sparse
 
+type built = {
+  lp : Problem.t;
+  alpha : Problem.var array array;
+  deadline_rows : int list;
+  crash : Sparse.t -> Es_lp.Revised.basis; (* over [Problem.to_sparse lp] *)
+}
+
+(* The crash basis (see the .mli): slack-basic rows first, then each
+   constrained start time on the precedence row that sets its ASAP
+   start at fmin, in reverse topological order, then each task's
+   slowest share.  In this order every column meets exactly one
+   unfactored row, so the LU factors are triangular with no fill. *)
 let build_lp ~deadline ~levels mapping =
+  if Array.length levels = 0 then invalid_arg "Bicrit_vdd: empty level set";
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let m = Array.length levels in
@@ -34,12 +47,37 @@ let build_lp ~deadline ~levels mapping =
     (* deadline: s_i + time_i <= D *)
     add_le ~is_deadline:true ((1., start.(i)) :: time_expr i) deadline
   done;
+  (* ASAP at the slowest level: tight.(j) is the predecessor that sets
+     task j's earliest start (exact argmax, lowest index on ties) *)
+  let kmin = ref 0 in
+  Array.iteri (fun k f -> if f < levels.(!kmin) then kmin := k) levels;
+  let fmin = levels.(!kmin) in
+  let order = Dag.topological_order cdag in
+  let es = Array.make n 0. and tight = Array.make n (-1) in
+  Array.iter
+    (fun j ->
+      List.iter
+        (fun i ->
+          let t = es.(i) +. (Dag.weight cdag i /. fmin) in
+          if tight.(j) < 0 || t > es.(j) then begin
+            es.(j) <- t;
+            tight.(j) <- i
+          end)
+        (Dag.preds cdag j))
+    order;
+  let slack_rows = ref !deadline_rows in
   List.iter
     (fun (i, j) ->
       (* s_i + time_i - s_j <= 0 *)
+      if tight.(j) <> i then slack_rows := !row_count :: !slack_rows;
       add_le (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
     (Dag.edges cdag);
-  (lp, alpha, !deadline_rows)
+  let tight_starts =
+    Array.fold_left (fun acc j -> if tight.(j) >= 0 then start.(j) :: acc else acc) [] order
+  in
+  let slacks = List.rev !slack_rows in
+  let vars = tight_starts @ Array.to_list (Array.map (fun a -> a.(!kmin)) alpha) in
+  { lp; alpha; deadline_rows = !deadline_rows; crash = Problem.basis ~slacks ~vars }
 
 let extract_schedule ~levels mapping alpha solution =
   let cdag = Mapping.constraint_dag mapping in
@@ -65,22 +103,28 @@ let extract_schedule ~levels mapping alpha solution =
   in
   Schedule.make mapping ~executions
 
-let lp ~deadline ~levels mapping =
-  let lp, _, _ = build_lp ~deadline ~levels mapping in
-  lp
+let lp ~deadline ~levels mapping = (build_lp ~deadline ~levels mapping).lp
+let crash_basis ~levels mapping =
+  let b = build_lp ~deadline:0. ~levels mapping in
+  b.crash (Problem.to_sparse b.lp)
+
+(* Every solve that has no optimal basis to chain from starts from the
+   crash basis. *)
+let solve_built b =
+  let sp = Problem.to_sparse b.lp in
+  fst (Problem.solve_sparse ~basis:(b.crash sp) sp)
 
 let solve ~deadline ~levels mapping =
-  let lp, alpha, _ = build_lp ~deadline ~levels mapping in
-  match Problem.solve lp with
-  | Problem.Solution s -> Some (extract_schedule ~levels mapping alpha s)
+  let b = build_lp ~deadline ~levels mapping in
+  match solve_built b with
+  | Problem.Solution s -> Some (extract_schedule ~levels mapping b.alpha s)
   | Problem.Infeasible -> None
   | Problem.Unbounded ->
     (* energy is bounded below by 0: cannot happen on well-formed input *)
     assert false
 
 let energy ~deadline ~levels mapping =
-  let lp, _, _ = build_lp ~deadline ~levels mapping in
-  match Problem.solve lp with
+  match solve_built (build_lp ~deadline ~levels mapping) with
   | Problem.Solution s -> Some (Problem.objective s)
   | Problem.Infeasible -> None
   | Problem.Unbounded -> assert false
@@ -89,18 +133,21 @@ let energy ~deadline ~levels mapping =
    enters only as the right-hand side of the deadline rows — so the
    sweep builds the LP once and restates it per deadline with
    [Sparse.with_rhs], and the optimal basis at one deadline is a legal
-   warm start at the next.  Chaining bases turns a sweep of two-phase
-   solves into a chain of few-pivot dual-simplex re-optimisations. *)
+   warm start at the next.  Chaining bases turns a sweep of solves into
+   a chain of few-pivot dual-simplex re-optimisations; a step with no
+   basis to chain from starts from the crash basis. *)
 let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   (* every solve below overwrites the deadline rows' placeholder rhs *)
-  let lp, _, deadline_rows = build_lp ~deadline:0. ~levels mapping in
-  let sp = Problem.to_sparse lp in
+  let b = build_lp ~deadline:0. ~levels mapping in
+  let sp = Problem.to_sparse b.lp in
   let rhs = Sparse.rhs sp in
+  let crash = b.crash sp in
   let basis = ref None in
   Array.map
     (fun deadline ->
-      List.iter (fun r -> rhs.(r) <- deadline) deadline_rows;
-      let outcome, next = Problem.solve_sparse ?basis:!basis (Sparse.with_rhs sp rhs) in
+      List.iter (fun r -> rhs.(r) <- deadline) b.deadline_rows;
+      let start = Option.value !basis ~default:crash in
+      let outcome, next = Problem.solve_sparse ~basis:start (Sparse.with_rhs sp rhs) in
       if warm then basis := next;
       match outcome with
       | Problem.Solution s -> Some (Problem.objective s)
@@ -111,11 +158,11 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
     deadlines
 
 let energy_with_deadline_price ~deadline ~levels mapping =
-  let lp, _, deadline_rows = build_lp ~deadline ~levels mapping in
-  match Problem.solve lp with
+  let b = build_lp ~deadline ~levels mapping in
+  match solve_built b with
   | Problem.Solution s ->
     let duals = Problem.duals s in
-    let price = List.fold_left (fun acc r -> acc +. duals.(r)) 0. deadline_rows in
+    let price = List.fold_left (fun acc r -> acc +. duals.(r)) 0. b.deadline_rows in
     Some (Problem.objective s, price)
   | Problem.Infeasible -> None
   | Problem.Unbounded -> assert false

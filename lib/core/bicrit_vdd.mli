@@ -12,7 +12,41 @@
     The classical structural result (R4) also holds here: some optimal
     solution uses at most two, consecutive, speeds per task —
     geometrically, the optimal energy/time trade-off lives on the lower
-    convex hull of the points [(1/fₖ, fₖ²)]. *)
+    convex hull of the points [(1/fₖ, fₖ²)].
+
+    {b Crash basis.}  Every solve with no optimal basis to chain from
+    starts the simplex from the energy-minimal schedule that ignores
+    the deadline: each task at the slowest level [fmin], started as
+    soon as possible.  Its basic columns are
+    - [α_{i,kmin}] for every task [i] ([kmin] the slowest level);
+    - for each task [j] with predecessors in the constraint DAG, the
+      start time [s_j] on the precedence row [(i, j)] of the
+      predecessor that sets its ASAP start — the exact argmax of
+      [es_i + w_i/fmin], lowest index on ties;
+    - the slack of every other [≤] row: all deadline rows and the
+      remaining precedence rows.
+
+    {i Nonsingular.}  Work row [i] meets no basic column but
+    [α_{i,kmin}] (coefficient [fmin > 0]), and each slack is a unit
+    column; what remains pairs each chosen precedence row [(i, j)]
+    with [s_j] (coefficient [−1]), whose other entries on chosen rows
+    are [+1] on the rows of successors of [j].  Ordered by work rows,
+    then in topological order, the basis is triangular with a nonzero
+    diagonal.
+
+    {i Dual feasible.}  Slack-basic rows price at [y = 0].  In reverse
+    topological order, [s_j]'s zero cost makes its chosen row price at
+    the sum of the prices of the chosen rows leaving [j], so every
+    precedence row prices at [0] too.  Each work row then prices at
+    [fmin²], so [α_{i,k}] has reduced cost [f_k(f_k² − fmin²) ≥ 0],
+    and the nonbasic start times and slacks price at [0].
+
+    {i Only deadlines can be violated.}  [α_{i,kmin} = w_i/fmin ≥ 0],
+    each [s_j] is its ASAP start, and each unchosen precedence slack
+    is the gap the ASAP schedule leaves; only a deadline slack
+    [D − es_i − w_i/fmin] can be negative.  The dual simplex therefore
+    starts at once, with no phase 1, and only has to repair the
+    deadline rows this schedule overruns. *)
 
 val lp :
   deadline:(float[@units "time"]) ->
@@ -22,7 +56,18 @@ val lp :
 (** The LP itself (objective and rows), exposed so that the
     verification subsystem can solve it and certify the result against
     the raw problem statement (primal/dual feasibility, complementary
-    slackness) independently of this module. *)
+    slackness) independently of this module.
+
+    @raise Invalid_argument if [levels] is empty. *)
+
+val crash_basis :
+  levels:(float[@units "freq"]) array -> Mapping.t -> Es_lp.Revised.basis
+(** The crash basis of {!lp} at any deadline (its columns do not
+    depend on the deadline), for {!Es_lp.Problem.solve_sparse} on
+    [Problem.to_sparse (lp ~deadline ~levels mapping)].  Every solve
+    below that has no basis to chain from starts from it.
+
+    @raise Invalid_argument if [levels] is empty. *)
 
 val solve :
   deadline:(float[@units "time"]) ->
@@ -49,7 +94,8 @@ val energy :
   (float[@units "energy"]) option
 (** Optimal objective value without materialising the schedule.
 
-    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit). *)
+    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
+    @raise Invalid_argument if [levels] is empty. *)
 
 val energy_sweep :
   ?warm:bool ->
@@ -59,11 +105,15 @@ val energy_sweep :
   (float[@units "energy"]) option array
 (** {!energy} at each deadline, in order, re-optimising each LP from
     the previous deadline's optimal basis (the LPs differ only in
-    their right-hand side).  [~warm:false] forces independent cold
-    solves — same results, no basis reuse; the warm-invariance tests
-    pin the two paths against each other point-for-point.
+    their right-hand side); the first deadline, and any after an
+    infeasible one, start from {!crash_basis}.  [~warm:false] solves
+    every deadline independently from {!crash_basis}, exactly as
+    {!energy} does — same results, no basis reuse; the
+    warm-invariance tests pin the two paths against each other
+    point-for-point.
 
-    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit). *)
+    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
+    @raise Invalid_argument if [levels] is empty. *)
 
 val energy_with_deadline_price :
   deadline:(float[@units "time"]) ->
@@ -76,7 +126,8 @@ val energy_with_deadline_price :
     (non-positive; experiment E17 cross-checks it against finite
     differences).
 
-    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit). *)
+    @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
+    @raise Invalid_argument if [levels] is empty. *)
 
 val emulate_continuous :
   levels:(float[@units "freq"]) array ->

@@ -37,7 +37,8 @@ val bicrit_vdd_front :
     {!Bicrit_vdd.energy_sweep}.  Warm chaining happens inside fixed
     25-deadline blocks whose partition depends only on [deadlines], so
     the front is identical point-for-point across pool sizes and under
-    [~warm:false] (independent cold solves) — the warm-start
+    [~warm:false] (independent solves, each from
+    {!Bicrit_vdd.crash_basis}) — the warm-start
     invariance suite pins exactly that.  [?pool] parallelises over
     blocks.
 

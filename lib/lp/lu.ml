@@ -3,12 +3,19 @@ exception Unstable
 
 (* Product-form update: after the basis column at position [pos] is
    replaced, B_new = B_old · E where E is the identity with column
-   [pos] replaced by w = B_old⁻¹ a_entering.  [idx]/[vals] hold w's
-   off-[pos] nonzeros; [diag] = w.(pos). *)
-type eta = { pos : int; idx : int array; vals : float array; diag : float }
-
+   [pos] replaced by w = B_old⁻¹ a_entering.  The eta file is one flat
+   pool: eta [e] replaced position [eta_pos.(e)], has diagonal
+   [eta_diag.(e)] = w.(pos), and its off-[pos] nonzeros are
+   [eta_idx]/[eta_val] over [eta_start.(e) .. eta_start.(e + 1) − 1].
+   The pool outlives refactorisations, so once it has grown to a
+   solve's working size an update allocates nothing. *)
 type t = {
   m : int;
+  n_cols : int;
+  col_ptr : int array;
+  row_idx : int array;
+  col_val : float array;
+  art_sign : float array;
   (* L: unit lower triangular over pivot positions; column [j] stores
      (original row, value) pairs with pinv.(row) > j *)
   l_rows : int array array;
@@ -20,8 +27,19 @@ type t = {
   u_diag : float array;
   prow : int array; (* pivot position -> original row *)
   pinv : int array; (* original row -> pivot position *)
-  mutable etas : eta array; (* applied oldest-first *)
   mutable n_etas : int;
+  mutable eta_pos : int array;
+  mutable eta_diag : float array;
+  mutable eta_start : int array; (* length = capacity + 1 *)
+  mutable eta_idx : int array;
+  mutable eta_val : float array;
+  (* factorisation scratch *)
+  x : float array;
+  stamp : int array;
+  node_stack : int array;
+  child_pos : int array;
+  order : int array;
+  pattern : int array;
 }
 
 let pivot_floor = 1e-12
@@ -29,68 +47,73 @@ let pivot_floor = 1e-12
 (* Left-looking (Gilbert–Peierls) sparse LU with partial pivoting.
    Column k of the basis is solved against the already-built L via a
    DFS over L's pattern (reverse post-order = topological order), so
-   the factorisation costs O(flops) rather than O(m²). *)
-let factor ~m ~col basis =
+   the factorisation costs O(flops) rather than O(m²).  A basis entry
+   [col] at or past [n_cols] names the unit artificial
+   art_sign.(i)·e_i of row i = col − n_cols; the rest are read from
+   the CSC arrays. *)
+let refactor t basis =
+  let m = t.m in
   if Array.length basis <> m then invalid_arg "Lu.factor: basis length";
-  let l_rows = Array.make m [||] and l_vals = Array.make m [||] in
-  let u_rows = Array.make m [||] and u_vals = Array.make m [||] in
-  let u_diag = Array.make m 0. in
-  let prow = Array.make m (-1) and pinv = Array.make m (-1) in
-  let x = Array.make m 0. in
-  let stamp = Array.make m (-1) in
-  (* DFS scratch: node stack + per-node child cursor + post-order out *)
-  let node_stack = Array.make m 0 in
-  let child_pos = Array.make m 0 in
-  let order = Array.make m 0 in
-  let pattern = Array.make m 0 in
+  let { l_rows; l_vals; u_rows; u_vals; u_diag; prow; pinv; x; stamp; _ } = t in
+  let { node_stack; child_pos; order; pattern; _ } = t in
+  Array.fill prow 0 m (-1);
+  Array.fill pinv 0 m (-1);
+  Array.fill stamp 0 m (-1);
+  t.n_etas <- 0;
   for k = 0 to m - 1 do
-    let a = col basis.(k) in
+    let col = basis.(k) in
+    let art = col >= t.n_cols in
+    let lo = if art then 0 else t.col_ptr.(col) in
+    let hi = if art then 1 else t.col_ptr.(col + 1) in
     (* symbolic: pattern of x = reach of rows(a) through L *)
     let n_order = ref 0 and n_pattern = ref 0 in
-    List.iter
-      (fun (r0, _) ->
-        if stamp.(r0) <> k then begin
-          (* iterative DFS from r0 *)
-          let top = ref 0 in
-          node_stack.(0) <- r0;
-          child_pos.(0) <- 0;
-          stamp.(r0) <- k;
-          while !top >= 0 do
-            let r = node_stack.(!top) in
-            let j = pinv.(r) in
-            if j < 0 then begin
-              (* unpivoted row: terminal *)
-              pattern.(!n_pattern) <- r;
-              incr n_pattern;
-              decr top
+    for e = lo to hi - 1 do
+      let r0 = if art then col - t.n_cols else t.row_idx.(e) in
+      if stamp.(r0) <> k then begin
+        (* iterative DFS from r0 *)
+        let top = ref 0 in
+        node_stack.(0) <- r0;
+        child_pos.(0) <- 0;
+        stamp.(r0) <- k;
+        while !top >= 0 do
+          let r = node_stack.(!top) in
+          let j = pinv.(r) in
+          if j < 0 then begin
+            (* unpivoted row: terminal *)
+            pattern.(!n_pattern) <- r;
+            incr n_pattern;
+            decr top
+          end
+          else begin
+            let rows = l_rows.(j) in
+            let c = child_pos.(!top) in
+            if c < Array.length rows then begin
+              child_pos.(!top) <- c + 1;
+              let r' = rows.(c) in
+              if stamp.(r') <> k then begin
+                stamp.(r') <- k;
+                incr top;
+                node_stack.(!top) <- r';
+                child_pos.(!top) <- 0
+              end
             end
             else begin
-              let rows = l_rows.(j) in
-              let c = child_pos.(!top) in
-              if c < Array.length rows then begin
-                child_pos.(!top) <- c + 1;
-                let r' = rows.(c) in
-                if stamp.(r') <> k then begin
-                  stamp.(r') <- k;
-                  incr top;
-                  node_stack.(!top) <- r';
-                  child_pos.(!top) <- 0
-                end
-              end
-              else begin
-                (* post-order: all descendants done *)
-                order.(!n_order) <- j;
-                pattern.(!n_pattern) <- r;
-                incr n_pattern;
-                incr n_order;
-                decr top
-              end
+              (* post-order: all descendants done *)
+              order.(!n_order) <- j;
+              pattern.(!n_pattern) <- r;
+              incr n_pattern;
+              incr n_order;
+              decr top
             end
-          done
-        end)
-      a;
+          end
+        done
+      end
+    done;
     (* numeric: scatter, then eliminate in reverse post-order *)
-    List.iter (fun (r, v) -> x.(r) <- x.(r) +. v) a;
+    for e = lo to hi - 1 do
+      if art then x.(col - t.n_cols) <- t.art_sign.(col - t.n_cols)
+      else x.(t.row_idx.(e)) <- x.(t.row_idx.(e)) +. t.col_val.(e)
+    done;
     for o = !n_order - 1 downto 0 do
       let j = order.(o) in
       let xj = x.(prow.(j)) in
@@ -157,16 +180,50 @@ let factor ~m ~col basis =
     l_vals.(k) <- lv;
     prow.(k) <- piv_row;
     pinv.(piv_row) <- k
-  done;
-  { m; l_rows; l_vals; u_rows; u_vals; u_diag; prow; pinv; etas = [||]; n_etas = 0 }
+  done
+
+let eta_capacity = 8
+
+let factor sp ~art_sign basis =
+  let m = Sparse.m sp in
+  let t =
+    {
+      m;
+      n_cols = Sparse.n_cols sp;
+      col_ptr = Sparse.col_ptr sp;
+      row_idx = Sparse.row_idx sp;
+      col_val = Sparse.col_val sp;
+      art_sign;
+      l_rows = Array.make m [||];
+      l_vals = Array.make m [||];
+      u_rows = Array.make m [||];
+      u_vals = Array.make m [||];
+      u_diag = Array.make m 0.;
+      prow = Array.make m (-1);
+      pinv = Array.make m (-1);
+      n_etas = 0;
+      eta_pos = Array.make eta_capacity 0;
+      eta_diag = Array.make eta_capacity 0.;
+      eta_start = Array.make (eta_capacity + 1) 0;
+      eta_idx = Array.make m 0;
+      eta_val = Array.make m 0.;
+      x = Array.make m 0.;
+      stamp = Array.make m (-1);
+      node_stack = Array.make m 0;
+      child_pos = Array.make m 0;
+      order = Array.make m 0;
+      pattern = Array.make m 0;
+    }
+  in
+  refactor t basis;
+  t
 
 let n_updates t = t.n_etas
 
-(* solve B x = b: x returned in basis-position space; [b] is consumed
-   as scratch (row space). *)
-let ftran t b =
+(* solve B x = b into [z] (basis-position space); [b] is consumed as
+   scratch (row space). *)
+let ftran t b z =
   let m = t.m in
-  let z = Array.make m 0. in
   (* L z = P b *)
   for j = 0 to m - 1 do
     let zj = b.(t.prow.(j)) in
@@ -190,29 +247,30 @@ let ftran t b =
     end
   done;
   (* eta file, oldest first *)
+  let idx = t.eta_idx and vals = t.eta_val in
   for e = 0 to t.n_etas - 1 do
-    let eta = t.etas.(e) in
-    let xp = z.(eta.pos) /. eta.diag in
+    let pos = t.eta_pos.(e) in
+    let xp = z.(pos) /. t.eta_diag.(e) in
     if xp <> 0. then
-      for i = 0 to Array.length eta.idx - 1 do
-        z.(eta.idx.(i)) <- z.(eta.idx.(i)) -. (eta.vals.(i) *. xp)
+      for i = t.eta_start.(e) to t.eta_start.(e + 1) - 1 do
+        z.(idx.(i)) <- z.(idx.(i)) -. (vals.(i) *. xp)
       done;
-    z.(eta.pos) <- xp
-  done;
-  z
+    z.(pos) <- xp
+  done
 
-(* solve Bᵀ y = c: [c] indexed by basis position (consumed as
-   scratch); y returned in row space. *)
-let btran t c =
+(* solve Bᵀ y = c into [y] (row space); [c] is indexed by basis
+   position and consumed as scratch. *)
+let btran t c y =
   let m = t.m in
   (* eta transposes, newest first *)
+  let idx = t.eta_idx and vals = t.eta_val in
   for e = t.n_etas - 1 downto 0 do
-    let eta = t.etas.(e) in
-    let s = ref c.(eta.pos) in
-    for i = 0 to Array.length eta.idx - 1 do
-      s := !s -. (eta.vals.(i) *. c.(eta.idx.(i)))
+    let pos = t.eta_pos.(e) in
+    let s = ref c.(pos) in
+    for i = t.eta_start.(e) to t.eta_start.(e + 1) - 1 do
+      s := !s -. (vals.(i) *. c.(idx.(i)))
     done;
-    c.(eta.pos) <- !s /. eta.diag
+    c.(pos) <- !s /. t.eta_diag.(e)
   done;
   (* Uᵀ s = c (forward) *)
   for k = 0 to m - 1 do
@@ -224,7 +282,6 @@ let btran t c =
     c.(k) <- !acc /. t.u_diag.(k)
   done;
   (* Lᵀ t = s (backward), then y = Pᵀ t *)
-  let y = Array.make m 0. in
   for j = m - 1 downto 0 do
     let acc = ref c.(j) in
     let rows = t.l_rows.(j) and vals = t.l_vals.(j) in
@@ -233,33 +290,49 @@ let btran t c =
     done;
     c.(j) <- !acc;
     y.(t.prow.(j)) <- !acc
-  done;
-  y
+  done
 
 let eta_stability = 1e-8
 
+let grow_int a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_float a n =
+  let b = Array.make n 0. in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let update t ~pos ~w =
-  let wp = w.(pos) in
-  let wmax = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. w in
-  if Float.abs wp <= eta_stability *. Float.max 1. wmax then raise Unstable;
-  let n = ref 0 in
-  Array.iteri (fun i v -> if i <> pos && v <> 0. then incr n) w;
-  let idx = Array.make !n 0 and vals = Array.make !n 0. in
-  let k = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if i <> pos && v <> 0. then begin
-        idx.(!k) <- i;
-        vals.(!k) <- v;
-        incr k
-      end)
-    w;
-  let eta = { pos; idx; vals; diag = wp } in
-  let cap = Array.length t.etas in
-  if t.n_etas >= cap then begin
-    let grown = Array.make (max 8 (2 * cap)) eta in
-    Array.blit t.etas 0 grown 0 t.n_etas;
-    t.etas <- grown
+  let m = t.m and e = t.n_etas in
+  if e = Array.length t.eta_pos then begin
+    t.eta_pos <- grow_int t.eta_pos (2 * e);
+    t.eta_diag <- grow_float t.eta_diag (2 * e);
+    t.eta_start <- grow_int t.eta_start ((2 * e) + 1)
   end;
-  t.etas.(t.n_etas) <- eta;
-  t.n_etas <- t.n_etas + 1
+  let start = t.eta_start.(e) in
+  if start + m > Array.length t.eta_idx then begin
+    let cap = max (start + m) (2 * Array.length t.eta_idx) in
+    t.eta_idx <- grow_int t.eta_idx cap;
+    t.eta_val <- grow_float t.eta_val cap
+  end;
+  (* one pass: the largest |w_i| and w's off-[pos] nonzeros, written
+     straight into the pool past the current end *)
+  let wmax = ref 0. and k = ref start in
+  for i = 0 to m - 1 do
+    let v = w.(i) in
+    let a = Float.abs v in
+    if a > !wmax then wmax := a;
+    if v <> 0. && i <> pos then begin
+      t.eta_idx.(!k) <- i;
+      t.eta_val.(!k) <- v;
+      incr k
+    end
+  done;
+  let wp = w.(pos) in
+  if Float.abs wp <= eta_stability *. Float.max 1. !wmax then raise Unstable;
+  t.eta_pos.(e) <- pos;
+  t.eta_diag.(e) <- wp;
+  t.eta_start.(e + 1) <- !k;
+  t.n_etas <- e + 1

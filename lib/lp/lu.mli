@@ -8,10 +8,18 @@
     is updated in product form — [B·E] with [E] an identity whose
     column [p] is [w = B⁻¹ a_enter] — and {!Revised} refactorises from
     scratch once the eta file grows past its threshold or an update
-    looks numerically unsafe. *)
+    looks numerically unsafe.
+
+    Buffer contract: a [t] owns every array its kernels need.  The
+    factorisation scratch and the eta file are reused by {!refactor}
+    and {!update}, and {!ftran} and {!btran} write into a result
+    buffer the caller passes, so a pivot allocates nothing once the
+    eta pool has grown to the solve's working size.  A [t] belongs to
+    one solve: nothing is shared between solves or domains. *)
 
 type t
-(** A factorisation [P·B = L·U] plus an ordered eta file. *)
+(** A factorisation [P·B = L·U] plus an ordered eta file and the
+    buffers both are built in. *)
 
 exception Singular
 (** The supplied basis columns are linearly dependent (to working
@@ -22,24 +30,41 @@ exception Unstable
 (** A product-form update would divide by a pivot too small relative
     to the column — the caller must refactorise instead. *)
 
-val factor : m:int -> col:(int -> (int * float) list) -> int array -> t
-(** [factor ~m ~col basis] factorises the m×m matrix whose k-th column
-    is [col basis.(k)] (a row-index/value list).
+val factor : Sparse.t -> art_sign:float array -> int array -> t
+(** [factor sp ~art_sign basis] factorises the m×m matrix whose k-th
+    column is column [basis.(k)] of [sp], read straight from its CSC
+    arrays.  An entry [j ≥ Sparse.n_cols sp] names the virtual unit
+    artificial [art_sign.(i)·e_i] of row [i = j − n_cols] (see
+    {!Revised}).
 
     @raise Singular if the basis is numerically rank-deficient.
     @raise Invalid_argument if [basis] does not have length [m]. *)
 
-val ftran : t -> float array -> float array
-(** [ftran t b] solves [B x = b].  [b] is in row space and is consumed
-    as scratch; the result is indexed by basis position. *)
+val refactor : t -> int array -> unit
+(** [refactor t basis] factorises a new basis over the same columns in
+    place, reusing [t]'s buffers, and empties the eta file.  After
+    [Singular] the factors are unusable until a successful
+    [refactor].
 
-val btran : t -> float array -> float array
-(** [btran t c] solves [Bᵀ y = c].  [c] is indexed by basis position
-    and is consumed as scratch; the result is in row space. *)
+    @raise Singular as {!factor}.
+    @raise Invalid_argument as {!factor}. *)
+
+val ftran : t -> float array -> float array -> unit
+(** [ftran t b x] solves [B x = b].  [b] is in row space and is
+    consumed as scratch; [x], indexed by basis position, is
+    overwritten with the result.  Both have length [m] and must be
+    distinct. *)
+
+val btran : t -> float array -> float array -> unit
+(** [btran t c y] solves [Bᵀ y = c].  [c] is indexed by basis position
+    and is consumed as scratch; [y], in row space, is overwritten with
+    the result.  Both have length [m] and must be distinct. *)
 
 val update : t -> pos:int -> w:float array -> unit
 (** [update t ~pos ~w] records the replacement of the basis column at
-    [pos], where [w = ftran t a_enter] (position space).  O(nnz w).
+    [pos], where [w] is {!ftran} of the entering column (position
+    space).  One pass over [w]; the nonzeros are copied into the eta
+    pool, so [w] may be reused afterwards.
 
     @raise Unstable if [w.(pos)] is too small for a safe update. *)
 

@@ -77,6 +77,14 @@ let to_sparse t =
   in
   Sparse.of_sparse_rows ~obj:(objective_coeffs t) (List.rev_map sparse_row t.rows)
 
+let basis sp ~slacks ~vars =
+  let slack r =
+    if r < 0 || r >= Sparse.m sp || Sparse.slack_col sp r < 0 then
+      invalid_arg "Problem.basis: not an inequality row";
+    Sparse.slack_col sp r
+  in
+  Revised.basis_of_columns (Array.of_list (List.map slack slacks @ vars))
+
 let solve_sparse ?max_iters ?basis sp =
   Obs.incr c_solves;
   Obs.time t_solve @@ fun () ->

@@ -50,6 +50,18 @@ val to_sparse : t -> Sparse.t
     @raise Invalid_argument if a row uses a variable [t] did not
     register (a handle from another, larger problem). *)
 
+val basis : Sparse.t -> slacks:int list -> vars:var list -> Revised.basis
+(** [basis sp ~slacks ~vars] names a starting basis for
+    {!solve_sparse} on [sp], the {!to_sparse} form of a problem (or a
+    {!Sparse.with_rhs} restatement of it): the slack or surplus
+    columns of the rows [slacks] (numbered from 0 in the order the
+    rows were added), then the columns of [vars], in that position
+    order.  Whether the columns form a basis is checked when it is
+    used, not here.
+
+    @raise Invalid_argument if a row of [slacks] is an equality or
+    does not exist. *)
+
 val solve_sparse :
   ?max_iters:int ->
   ?basis:Revised.basis ->

@@ -5,6 +5,8 @@ type outcome =
 
 type basis = int array
 
+let basis_of_columns columns = Array.copy columns
+
 module Obs = Es_obs.Obs
 
 (* Shared names with the dense reference ([Obs.counter] find-or-creates
@@ -30,59 +32,86 @@ let art_tol = 1e-7
    are virtual artificials: the unit column sign(b_i)·e_i for row
    i = j − n_cols.  The sign is fixed per solve from the current
    right-hand side so a phase-1 artificial starts at |b_i| ≥ 0; it is
-   never materialised in the CSC arrays. *)
+   never materialised in the CSC arrays.  Every array a primal pivot
+   touches is allocated here once per solve; the dual simplex adds its
+   reduced costs and pivot row. *)
 type state = {
   sp : Sparse.t;
   m : int;
   n_cols : int;
   n_struct : int;
+  col_ptr : int array;
+  row_idx : int array;
+  col_val : float array;
   b : float array;
   art_sign : float array;
   basis : int array; (* per position: its basic column *)
   in_basis : bool array; (* length n_cols + m *)
-  mutable lu : Lu.t;
-  mutable xb : float array; (* basic values, position space *)
+  lu : Lu.t;
+  mutable factorizations : int; (* bumped by every refactor *)
+  xb : float array; (* basic values, position space *)
   cost : float array; (* current phase costs, length n_cols + m *)
   mutable price_from : int; (* partial-pricing rotation pointer *)
+  (* kernel buffers *)
+  scatter : float array; (* row space: ftran input, consumed *)
+  w : float array; (* position space: B⁻¹ a_j of the entering column *)
+  cb : float array; (* position space: btran input, consumed *)
+  y : float array; (* row space: btran output, duals or a row of B⁻¹ *)
 }
 
-let col_fn sp art_sign =
-  let n_cols = Sparse.n_cols sp in
-  fun j ->
-    if j < n_cols then Sparse.col_list sp j
-    else [ (j - n_cols, art_sign.(j - n_cols)) ]
-
-let a_dot st j y =
-  if j < st.n_cols then Sparse.dot_col st.sp j y
-  else begin
-    let i = j - st.n_cols in
-    st.art_sign.(i) *. y.(i)
-  end
+(* v · a_j for a real column; inlined so the sum stays unboxed *)
+let[@inline] col_dot st j v =
+  let acc = ref 0. in
+  for k = st.col_ptr.(j) to st.col_ptr.(j + 1) - 1 do
+    acc := !acc +. (v.(st.row_idx.(k)) *. st.col_val.(k))
+  done;
+  !acc
 
 (* w = B⁻¹ a_j, dense in position space *)
 let ftran_col st j =
-  let bvec = Array.make st.m 0. in
+  Array.fill st.scatter 0 st.m 0.;
   if j < st.n_cols then
-    Sparse.iter_col st.sp j (fun i v -> bvec.(i) <- bvec.(i) +. v)
+    for k = st.col_ptr.(j) to st.col_ptr.(j + 1) - 1 do
+      let i = st.row_idx.(k) in
+      st.scatter.(i) <- st.scatter.(i) +. st.col_val.(k)
+    done
   else begin
     let i = j - st.n_cols in
-    bvec.(i) <- st.art_sign.(i)
+    st.scatter.(i) <- st.art_sign.(i)
   end;
-  Lu.ftran st.lu bvec
+  Lu.ftran st.lu st.scatter st.w
 
-let basic_costs st = Array.init st.m (fun k -> st.cost.(st.basis.(k)))
+(* y = B⁻ᵀ c_B: the simplex multipliers of the current phase *)
+let btran_costs st y =
+  for k = 0 to st.m - 1 do
+    st.cb.(k) <- st.cost.(st.basis.(k))
+  done;
+  Lu.btran st.lu st.cb y
+
+(* y = B⁻ᵀ e_p: row p of B⁻¹ *)
+let btran_unit st p =
+  Array.fill st.cb 0 st.m 0.;
+  st.cb.(p) <- 1.;
+  Lu.btran st.lu st.cb st.y
+
+let basic_values st =
+  Array.blit st.b 0 st.scatter 0 st.m;
+  Lu.ftran st.lu st.scatter st.xb
 
 let refactor st =
   Obs.incr c_refactor;
-  (match Lu.factor ~m:st.m ~col:(col_fn st.sp st.art_sign) st.basis with
-  | lu -> st.lu <- lu
+  (match Lu.refactor st.lu st.basis with
+  | () -> ()
   | exception Lu.Singular ->
     failwith "Lp.Revised: basis became singular during pivoting");
-  st.xb <- Lu.ftran st.lu (Array.copy st.b)
+  st.factorizations <- st.factorizations + 1;
+  basic_values st
 
-let apply_pivot st ~p ~j ~w ~theta ~refactor_every =
+(* Swap column [j] into position [p] at primal step [theta] along
+   [st.w = B⁻¹ a_j]. *)
+let apply_pivot st ~p ~j ~theta ~refactor_every =
   for k = 0 to st.m - 1 do
-    let v = st.xb.(k) -. (theta *. w.(k)) in
+    let v = st.xb.(k) -. (theta *. st.w.(k)) in
     st.xb.(k) <- (if Float.abs v < 1e-12 then 0. else v)
   done;
   st.xb.(p) <- theta;
@@ -91,24 +120,25 @@ let apply_pivot st ~p ~j ~w ~theta ~refactor_every =
   st.basis.(p) <- j;
   if Lu.n_updates st.lu + 1 >= refactor_every then refactor st
   else
-    match Lu.update st.lu ~pos:p ~w with
+    match Lu.update st.lu ~pos:p ~w:st.w with
     | () -> ()
     | exception Lu.Unstable -> refactor st
 
-(* Partial Dantzig pricing: on wide problems, scan rotating 512-column
-   windows and take the most negative reduced cost in the first window
-   that has one; a full fruitless rotation means optimal.  Narrow
-   problems get the plain full Dantzig scan. *)
+(* Partial Dantzig pricing against the multipliers in [st.y]: on wide
+   problems, scan rotating 512-column windows and take the most
+   negative reduced cost in the first window that has one; a full
+   fruitless rotation means optimal.  Narrow problems get the plain
+   full Dantzig scan. *)
 let partial_threshold = 2048
 let price_window = 512
 
-let entering_dantzig st y =
+let entering_dantzig st =
   let n = st.n_cols in
   let best = ref (-1) and best_v = ref (-.dual_tol) in
   if n <= partial_threshold then
     for j = 0 to n - 1 do
       if not st.in_basis.(j) then begin
-        let d = st.cost.(j) -. a_dot st j y in
+        let d = st.cost.(j) -. col_dot st j st.y in
         if d < !best_v then begin
           best := j;
           best_v := d
@@ -122,7 +152,7 @@ let entering_dantzig st y =
       for t = 0 to chunk - 1 do
         let j = (!pos + t) mod n in
         if not st.in_basis.(j) then begin
-          let d = st.cost.(j) -. a_dot st j y in
+          let d = st.cost.(j) -. col_dot st j st.y in
           if d < !best_v then begin
             best := j;
             best_v := d
@@ -136,12 +166,12 @@ let entering_dantzig st y =
   end;
   !best
 
-let entering_bland st y =
+let entering_bland st =
   let found = ref (-1) in
   (try
      for j = 0 to st.n_cols - 1 do
        if not st.in_basis.(j) then begin
-         let d = st.cost.(j) -. a_dot st j y in
+         let d = st.cost.(j) -. col_dot st j st.y in
          if d < -.dual_tol then begin
            found := j;
            raise Exit
@@ -151,11 +181,11 @@ let entering_bland st y =
    with Exit -> ());
   !found
 
-(* Leaving position for entering direction [w]; Bland tie-break on the
-   basic column index for termination.  A zero-level basic artificial
-   with w_k < 0 would drift positive (silently leaving the feasible
-   region of the real LP), so it is forced out at θ = 0. *)
-let ratio_test st w =
+(* Leaving position for the entering direction [st.w]; Bland tie-break
+   on the basic column index for termination.  A zero-level basic
+   artificial with w_k < 0 would drift positive (silently leaving the
+   feasible region of the real LP), so it is forced out at θ = 0. *)
+let ratio_test st =
   let p = ref (-1) and best = ref infinity in
   let consider k r =
     if
@@ -169,7 +199,7 @@ let ratio_test st w =
     end
   in
   for k = 0 to st.m - 1 do
-    let wk = w.(k) in
+    let wk = st.w.(k) in
     if wk > ratio_eps then begin
       let num = if st.xb.(k) > 0. then st.xb.(k) else 0. in
       consider k (num /. wk)
@@ -188,21 +218,20 @@ let optimise st ~max_iters ~bland_after ~refactor_every ~phase_pivots =
     if !iters > max_iters then
       failwith "Lp.Revised: iteration limit exceeded";
     incr iters;
-    let y = Lu.btran st.lu (basic_costs st) in
+    btran_costs st st.y;
     let j =
-      if !iters < bland_after then entering_dantzig st y
-      else entering_bland st y
+      if !iters < bland_after then entering_dantzig st else entering_bland st
     in
     if j < 0 then `Optimal
     else begin
-      let w = ftran_col st j in
-      let p, theta = ratio_test st w in
+      ftran_col st j;
+      let p, theta = ratio_test st in
       if p < 0 then `Unbounded
       else begin
         Obs.incr c_pivots;
         Obs.incr phase_pivots;
         if theta <= ratio_eps then Obs.incr c_degenerate;
-        apply_pivot st ~p ~j ~w ~theta ~refactor_every;
+        apply_pivot st ~p ~j ~theta ~refactor_every;
         loop ()
       end
     end
@@ -215,13 +244,11 @@ let optimise st ~max_iters ~bland_after ~refactor_every ~phase_pivots =
 let drive_out_artificials st ~refactor_every =
   for p = 0 to st.m - 1 do
     if st.basis.(p) >= st.n_cols && Float.abs st.xb.(p) <= art_tol then begin
-      let e = Array.make st.m 0. in
-      e.(p) <- 1.;
-      let rho = Lu.btran st.lu e in
+      btran_unit st p;
       let found = ref (-1) in
       (try
          for j = 0 to st.n_cols - 1 do
-           if (not st.in_basis.(j)) && Float.abs (a_dot st j rho) > art_tol
+           if (not st.in_basis.(j)) && Float.abs (col_dot st j st.y) > art_tol
            then begin
              found := j;
              raise Exit
@@ -230,10 +257,10 @@ let drive_out_artificials st ~refactor_every =
        with Exit -> ());
       if !found >= 0 then begin
         let j = !found in
-        let w = ftran_col st j in
-        if Float.abs w.(p) > ratio_eps then begin
-          let theta = st.xb.(p) /. w.(p) in
-          apply_pivot st ~p ~j ~w ~theta ~refactor_every
+        ftran_col st j;
+        if Float.abs st.w.(p) > ratio_eps then begin
+          let theta = st.xb.(p) /. st.w.(p) in
+          apply_pivot st ~p ~j ~theta ~refactor_every
         end
       end
     end
@@ -262,7 +289,8 @@ let extract st =
   for k = 0 to st.m - 1 do
     objective := !objective +. (st.cost.(st.basis.(k)) *. st.xb.(k))
   done;
-  let duals = Lu.btran st.lu (basic_costs st) in
+  let duals = Array.make st.m 0. in
+  btran_costs st duals;
   Optimal { objective = !objective; solution; duals }
 
 let mk_state sp basis =
@@ -271,21 +299,32 @@ let mk_state sp basis =
   let art_sign = Array.map (fun v -> if v >= 0. then 1. else -1.) b in
   let in_basis = Array.make (n_cols + m) false in
   Array.iter (fun j -> in_basis.(j) <- true) basis;
-  let lu = Lu.factor ~m ~col:(col_fn sp art_sign) basis in
-  {
-    sp;
-    m;
-    n_cols;
-    n_struct = Sparse.n_struct sp;
-    b;
-    art_sign;
-    basis;
-    in_basis;
-    lu;
-    xb = Lu.ftran lu (Array.copy b);
-    cost = Array.make (n_cols + m) 0.;
-    price_from = 0;
-  }
+  let st =
+    {
+      sp;
+      m;
+      n_cols;
+      n_struct = Sparse.n_struct sp;
+      col_ptr = Sparse.col_ptr sp;
+      row_idx = Sparse.row_idx sp;
+      col_val = Sparse.col_val sp;
+      b;
+      art_sign;
+      basis;
+      in_basis;
+      lu = Lu.factor sp ~art_sign basis;
+      factorizations = 0;
+      xb = Array.make m 0.;
+      cost = Array.make (n_cols + m) 0.;
+      price_from = 0;
+      scatter = Array.make m 0.;
+      w = Array.make m 0.;
+      cb = Array.make m 0.;
+      y = Array.make m 0.;
+    }
+  in
+  basic_values st;
+  st
 
 let phase1_objective st =
   let acc = ref 0. in
@@ -312,33 +351,44 @@ let primal_feasible st =
   done;
   !ok && artificials_at_zero st
 
-let dual_feasible st =
-  let y = Lu.btran st.lu (basic_costs st) in
+(* d_j = c_j − y·a_j from scratch for every real column (0 on basic
+   ones); the dual simplex keeps [d] up to date between calls. *)
+let reduced_costs st d =
+  btran_costs st st.y;
+  for j = 0 to st.n_cols - 1 do
+    d.(j) <- (if st.in_basis.(j) then 0. else st.cost.(j) -. col_dot st j st.y)
+  done
+
+(* Fills [d] with the reduced costs, which the dual simplex starts from. *)
+let dual_feasible st d =
+  reduced_costs st d;
   let ok = ref true in
-  (try
-     for j = 0 to st.n_cols - 1 do
-       if (not st.in_basis.(j)) && st.cost.(j) -. a_dot st j y < -.art_tol
-       then begin
-         ok := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
+  for j = 0 to st.n_cols - 1 do
+    if d.(j) < -.art_tol then ok := false
+  done;
   !ok
 
-(* Dual simplex: drive out the most negative basic value while keeping
-   reduced costs non-negative.  Used by warm starts whose basis is dual
-   feasible at the new rhs (the deadline-sweep case: tightening b keeps
-   the old optimal basis dual feasible).  Returns [`Feasible] once
-   x_B ≥ 0, [`Infeasible] when the dual is unbounded (no entering
-   column), or [`Stalled] on numerical trouble — the caller falls back
-   to a cold solve. *)
-let dual_simplex st ~max_iters ~refactor_every =
+(* Dual simplex from a dual-feasible basis whose reduced costs are in
+   [d]: drive out the most negative basic value while keeping
+   reduced costs non-negative.  Each pivot makes one BTRAN for the
+   pivot row ρ = B⁻ᵀe_p, computes α_j = ρ·a_j once per nonbasic column
+   for both the ratio test and the update d_j ← d_j − θ_d·α_j, and
+   recomputes d from scratch after every refactorisation.  Returns
+   [`Feasible] once x_B ≥ 0, [`Infeasible] when the dual is unbounded
+   (no entering column), or [`Stalled] on numerical trouble — the
+   caller falls back to a cold solve. *)
+let dual_simplex st d ~max_iters ~refactor_every =
+  let alpha_row = Array.make st.n_cols 0. in
   let iters = ref 0 and retried = ref false in
+  let priced_at = ref st.factorizations in
   let rec loop () =
     if !iters > max_iters then
       failwith "Lp.Revised: dual iteration limit exceeded";
     incr iters;
+    if st.factorizations <> !priced_at then begin
+      reduced_costs st d;
+      priced_at := st.factorizations
+    end;
     let p = ref (-1) and most = ref (-.feas_tol) in
     for k = 0 to st.m - 1 do
       if st.xb.(k) < !most then begin
@@ -348,17 +398,16 @@ let dual_simplex st ~max_iters ~refactor_every =
     done;
     if !p < 0 then `Feasible
     else begin
-      let e = Array.make st.m 0. in
-      e.(!p) <- 1.;
-      let rho = Lu.btran st.lu e in
-      let y = Lu.btran st.lu (basic_costs st) in
+      let p = !p in
+      btran_unit st p;
       let je = ref (-1) and best = ref infinity in
       for j = 0 to st.n_cols - 1 do
         if not st.in_basis.(j) then begin
-          let alpha = a_dot st j rho in
+          let alpha = col_dot st j st.y in
+          alpha_row.(j) <- alpha;
           if alpha < -.dual_tol then begin
-            let d = st.cost.(j) -. a_dot st j y in
-            let r = Float.max 0. d /. -.alpha in
+            let dj = d.(j) in
+            let r = (if dj > 0. then dj else 0.) /. -.alpha in
             if r < !best -. 1e-12 || (r <= !best +. 1e-12 && !je >= 0 && j < !je)
             then begin
               best := r;
@@ -370,8 +419,8 @@ let dual_simplex st ~max_iters ~refactor_every =
       if !je < 0 then `Infeasible
       else begin
         let j = !je in
-        let w = ftran_col st j in
-        if Float.abs w.(!p) <= 1e-11 then begin
+        ftran_col st j;
+        if Float.abs st.w.(p) <= 1e-11 then begin
           if !retried then `Stalled
           else begin
             retried := true;
@@ -381,10 +430,18 @@ let dual_simplex st ~max_iters ~refactor_every =
         end
         else begin
           retried := false;
-          let theta = st.xb.(!p) /. w.(!p) in
+          (* dual step θ_d = d_j/α_j = −best; the leaving column's α is 1 *)
+          let step = !best in
+          for k = 0 to st.n_cols - 1 do
+            if not st.in_basis.(k) then d.(k) <- d.(k) +. (step *. alpha_row.(k))
+          done;
+          d.(j) <- 0.;
+          let leaving = st.basis.(p) in
+          if leaving < st.n_cols then d.(leaving) <- step;
+          let theta = st.xb.(p) /. st.w.(p) in
           Obs.incr c_pivots;
           Obs.incr c_dual_pivots;
-          apply_pivot st ~p:!p ~j ~w ~theta ~refactor_every;
+          apply_pivot st ~p ~j ~theta ~refactor_every;
           loop ()
         end
       end
@@ -479,13 +536,15 @@ let solve_from ?(max_iters = default_max_iters)
       set_phase2_costs st;
       if primal_feasible st then
         finish_phase2 st ~max_iters ~bland_after ~refactor_every
-      else if dual_feasible st then begin
-        match dual_simplex st ~max_iters ~refactor_every with
-        | `Infeasible -> (Infeasible, None)
-        | `Stalled -> fallback ()
-        | `Feasible ->
-          if artificials_at_zero st then
-            finish_phase2 st ~max_iters ~bland_after ~refactor_every
-          else fallback ()
+      else begin
+        let d = Array.make n_cols 0. in
+        if not (dual_feasible st d) then fallback ()
+        else
+          match dual_simplex st d ~max_iters ~refactor_every with
+          | `Infeasible -> (Infeasible, None)
+          | `Stalled -> fallback ()
+          | `Feasible ->
+            if artificials_at_zero st then
+              finish_phase2 st ~max_iters ~bland_after ~refactor_every
+            else fallback ()
       end
-      else fallback ()

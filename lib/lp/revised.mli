@@ -8,14 +8,24 @@
     rotating window, on wide problems) with a Bland fallback after
     [bland_after] iterations of a phase to escape cycling.
 
-    The payoff is {!solve_from}: a deadline sweep re-optimises each
-    step from the previous optimal basis — primal simplex if the basis
-    is still primal feasible at the new rhs, dual simplex if it is
-    only dual feasible (the common case when tightening a deadline),
-    and a transparent cold start otherwise.  Soundness does not depend
-    on the warm basis: any nonsingular basis is a legal starting
-    point, stale bases fall back to a cold solve, and {!Lp_cert}
-    certifies every [Optimal] independently of how it was reached. *)
+    The payoff is {!solve_from}: a solve may start from any named
+    basis — the previous deadline's optimum in a sweep, or a crash
+    basis built from the problem's structure — and runs primal simplex
+    if the basis is primal feasible, the dual simplex if it is only
+    dual feasible (the common case when tightening a deadline), and a
+    transparent cold start otherwise.  The dual simplex keeps its
+    reduced costs up to date: one BTRAN per pivot for the pivot row,
+    one product per nonbasic column shared by the ratio test and the
+    update, and a fresh pricing after every refactorisation.
+    Soundness does not depend on the starting basis: any nonsingular
+    basis is a legal starting point, stale bases fall back to a cold
+    solve, and [Lp_cert] certifies every [Optimal] independently of
+    how it was reached.
+
+    Every array a pivot touches — the FTRAN/BTRAN buffers, the basic
+    costs, the reduced costs and the pivot row — is allocated once per
+    solve and owned by it, so pivots allocate nothing on the major
+    heap and concurrent solves share no state. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array; duals : float array }
@@ -26,8 +36,17 @@ type outcome =
           ≥ 0 on [Ge] rows, free on [Eq] rows). *)
 
 type basis
-(** An optimal basis, reusable as a warm start for any problem with
-    the same columns (e.g. {!Sparse.with_rhs} restatements). *)
+(** A basis: one column per row.  An optimal one is reusable as a
+    warm start for any problem with the same columns (e.g.
+    {!Sparse.with_rhs} restatements). *)
+
+val basis_of_columns : int array -> basis
+(** Name a starting basis by its columns in {!Sparse} numbering
+    (structural columns, then the slack/surplus columns of
+    {!Sparse.slack_col}), one per row; the position order is the order
+    {!Lu.factor} eliminates them in.  Nothing is checked here:
+    {!solve_from} falls back to a cold solve if the columns are not a
+    nonsingular basis of the problem it is given. *)
 
 val solve :
   ?max_iters:int ->
@@ -47,8 +66,10 @@ val solve_from :
   basis ->
   Sparse.t ->
   outcome * basis option
-(** Warm solve from a previous optimal basis.  Invalid, singular or
-    otherwise stale bases fall back to {!solve} (counted under the
+(** Warm solve from a previous optimal basis or a named starting basis
+    (counted under ["lp_warm_starts"]).  Invalid, singular or
+    otherwise stale bases, bases neither primal nor dual feasible, and
+    stalled dual simplex runs fall back to {!solve} (counted under the
     ["lp_warm_cold_fallbacks"] telemetry counter), so the result is
     identical in kind to a cold solve — only faster.
 

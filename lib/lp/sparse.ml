@@ -116,22 +116,6 @@ let nnz t = t.col_ptr.(t.n_cols)
 let rhs t = Array.copy t.rhs
 let obj t j = t.obj.(j)
 
-let iter_col t j f =
-  for k = t.col_ptr.(j) to t.col_ptr.(j + 1) - 1 do
-    f t.row_idx.(k) t.col_val.(k)
-  done
-
-let col_list t j =
-  let acc = ref [] in
-  for k = t.col_ptr.(j + 1) - 1 downto t.col_ptr.(j) do
-    acc := (t.row_idx.(k), t.col_val.(k)) :: !acc
-  done;
-  !acc
-
-(* y·a_j without materialising the column *)
-let dot_col t j y =
-  let acc = ref 0. in
-  for k = t.col_ptr.(j) to t.col_ptr.(j + 1) - 1 do
-    acc := !acc +. (y.(t.row_idx.(k)) *. t.col_val.(k))
-  done;
-  !acc
+let col_ptr t = t.col_ptr
+let row_idx t = t.row_idx
+let col_val t = t.col_val

@@ -73,12 +73,12 @@ val rhs : t -> float array
 val obj : t -> int -> float
 (** Objective coefficient of a column (0 on slack columns). *)
 
-val iter_col : t -> int -> (int -> float -> unit) -> unit
-(** [iter_col t j f] calls [f row value] for each stored nonzero of
-    column [j], in increasing row order. *)
-
-val col_list : t -> int -> (int * float) list
-(** Column [j] as a [(row, value)] list in increasing row order. *)
-
-val dot_col : t -> int -> float array -> float
-(** [dot_col t j y] is [y · a_j] — the pricing kernel. *)
+val col_ptr : t -> int array
+val row_idx : t -> int array
+val col_val : t -> float array
+(** The CSC arrays themselves, shared, not copied: column [j]'s
+    nonzeros are [(row_idx.(k), col_val.(k))] for [k] from
+    [col_ptr.(j)] to [col_ptr.(j + 1) − 1], in increasing row order.
+    {!Lu} and {!Revised} scan them in their inner loops so that
+    pricing and factorisation allocate nothing; callers must not write
+    to them. *)

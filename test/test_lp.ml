@@ -515,6 +515,21 @@ let test_refactor_threshold () =
 
 (* --- LU reconstruction property -------------------------------------- *)
 
+(* The m×m matrix with the given (row, value) columns, as the
+   structural columns of an all-equality problem. *)
+let sparse_of_cols m cols =
+  let rows =
+    List.init m (fun r ->
+        let nonzeros =
+          List.concat
+            (List.mapi
+               (fun k col -> List.filter_map (fun (i, v) -> if i = r then Some (k, v) else None) col)
+               (Array.to_list cols))
+        in
+        { Sparse.nonzeros; relation = Sparse.Eq; rhs = 0. })
+  in
+  Sparse.of_sparse_rows ~obj:(Array.make m 0.) rows
+
 (* After k product-form updates, the factorisation must still solve
    against the *current* basis matrix: B·ftran(b) ≈ b and
    Bᵀ·btran-consistency (column · y = c), both to rtol 1e-10 — the
@@ -542,16 +557,17 @@ let qcheck_lu_reconstruction =
         List.sort (fun (a, _) (b, _) -> Int.compare a b) !entries
       in
       let cols = Array.init m random_col in
-      let lu = Lu.factor ~m ~col:(fun k -> cols.(k)) (Array.init m Fun.id) in
+      let lu = Lu.factor (sparse_of_cols m cols) ~art_sign:[||] (Array.init m Fun.id) in
       (* k eta updates, each replacing a random position with a fresh
          column; keep the shadow matrix in sync *)
-      let k_updates = 1 + Es_util.Rng.int rng 8 in
+      let k_updates = 1 + Es_util.Rng.int rng 20 in
       for _ = 1 to k_updates do
         let pos = Es_util.Rng.int rng m in
         let fresh = random_col pos in
         let a = Array.make m 0. in
         List.iter (fun (r, v) -> a.(r) <- v) fresh;
-        let w = Lu.ftran lu a in
+        let w = Array.make m 0. in
+        Lu.ftran lu a w;
         match Lu.update lu ~pos ~w with
         | () -> cols.(pos) <- fresh
         | exception Lu.Unstable -> () (* skip the swap, keep B in sync *)
@@ -564,7 +580,8 @@ let qcheck_lu_reconstruction =
         out
       in
       let b = Array.init m (fun _ -> Es_util.Rng.uniform_in rng (-3.) 3.) in
-      let x = Lu.ftran lu (Array.copy b) in
+      let x = Array.make m 0. in
+      Lu.ftran lu (Array.copy b) x;
       let recon = mat_vec x in
       let scale =
         Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. b
@@ -576,7 +593,8 @@ let qcheck_lu_reconstruction =
       in
       (* Bᵀ y = c  ⇔  (column k) · y = c_k for every k *)
       let c = Array.init m (fun _ -> Es_util.Rng.uniform_in rng (-3.) 3.) in
-      let y = Lu.btran lu (Array.copy c) in
+      let y = Array.make m 0. in
+      Lu.btran lu (Array.copy c) y;
       let cscale =
         Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. c
       in
@@ -593,7 +611,7 @@ let qcheck_lu_reconstruction =
 let test_lu_singular_detected () =
   (* two identical columns: factor must raise Singular *)
   let cols = [| [ (0, 1.); (1, 1.) ]; [ (0, 1.); (1, 1.) ] |] in
-  match Lu.factor ~m:2 ~col:(fun k -> cols.(k)) [| 0; 1 |] with
+  match Lu.factor (sparse_of_cols 2 cols) ~art_sign:[||] [| 0; 1 |] with
   | _ -> Alcotest.fail "expected Singular"
   | exception Lu.Singular -> ()
 
@@ -648,9 +666,10 @@ let bits = Int64.bits_of_float
 let same_statement a b =
   let rows = List.init (Sparse.m a) Fun.id in
   let column sp j =
-    let acc = ref [] in
-    Sparse.iter_col sp j (fun i v -> acc := (i, bits v) :: !acc);
-    List.rev !acc
+    let ptr = Sparse.col_ptr sp in
+    List.init (ptr.(j + 1) - ptr.(j)) (fun e ->
+        let k = ptr.(j) + e in
+        ((Sparse.row_idx sp).(k), bits (Sparse.col_val sp).(k)))
   in
   Sparse.m a = Sparse.m b
   && Sparse.n_struct a = Sparse.n_struct b

@@ -155,11 +155,63 @@ let qcheck_vdd_below_best_single_speed =
         in
         e_lp <= best_single *. (1. +. 1e-6))
 
+(* bench/e2e solve-large's VDD Cholesky instance, unrenamed: 10×10
+   tiled Cholesky (220 tasks) on 4 processors, the workload's 6-level
+   menu, D = 1.6 × the fmax makespan.  A 1,150-row LP. *)
+let solve_large_menu () =
+  let rng = Es_util.Rng.create ~seed:0 in
+  let fmax = Es_util.Rng.uniform_in rng 1. 3. in
+  let fmin = fmax *. Es_util.Rng.uniform_in rng 0.15 0.4 in
+  let step = (fmax -. fmin) /. 5. in
+  Array.init 6 (fun i ->
+      if i = 0 then fmin
+      else if i = 5 then fmax
+      else fmin +. (step *. (float_of_int i +. Es_util.Rng.uniform_in rng (-0.4) 0.4)))
+
+(* The cold solve starts from the dual-feasible crash basis (no phase
+   1, no fallback to the two-phase solve), and its pivots reuse the
+   solve's buffers.  Words allocated straight on the major heap —
+   arrays past the minor heap's 256-word limit, such as any m-long
+   float array — are then a per-solve cost: measured 213 per pivot
+   over 713 pivots, against 5,468 over 2,115 two-phase pivots (about
+   4.75 m-long arrays each) when every pivot allocated its FTRAN and
+   BTRAN results.  The bound is half of one m-long array. *)
+let test_crash_start_allocation () =
+  let module Obs = Es_obs.Obs in
+  let levels = solve_large_menu () in
+  let mapping =
+    List_sched.schedule (Generators.cholesky ~n:10) ~p:4 ~priority:List_sched.Bottom_level
+  in
+  let deadline =
+    1.6 *. List_sched.makespan_at_speed mapping ~f:levels.(Array.length levels - 1)
+  in
+  let m = Es_lp.Problem.n_constraints (Bicrit_vdd.lp ~deadline ~levels mapping) in
+  let pivots = Obs.counter "simplex_pivots" in
+  let phase1 = Obs.counter "simplex_phase1_pivots" in
+  let fallbacks = Obs.counter "lp_warm_cold_fallbacks" in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+  let _, promoted0, major0 = Gc.counters () in
+  let sched = Bicrit_vdd.solve ~deadline ~levels mapping in
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check bool) "feasible" true (sched <> None);
+  Alcotest.(check int) "no phase-1 pivots" 0 (Obs.value phase1);
+  Alcotest.(check int) "no fallback" 0 (Obs.value fallbacks);
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  let per_pivot = direct /. float_of_int (Obs.value pivots) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major-heap words per pivot (%d pivots) < m/2 = %d" per_pivot
+       (Obs.value pivots) (m / 2))
+    true
+    (per_pivot < float_of_int m /. 2.)
+
 let suite =
   ( "bicrit-vdd",
     [
       Alcotest.test_case "lp feasible schedule" `Quick test_lp_feasible_schedule;
       Alcotest.test_case "lp infeasible detected" `Quick test_lp_infeasible_detected;
+      Alcotest.test_case "crash start allocation" `Quick test_crash_start_allocation;
       Alcotest.test_case "two-speed support" `Quick test_two_speed_support;
       Alcotest.test_case "cont <= vdd <= discrete" `Slow test_lp_between_continuous_and_discrete;
       Alcotest.test_case "more levels help" `Quick test_lp_tightens_with_more_levels;
