@@ -16,8 +16,7 @@ module Pool = Es_par.Pool
    below computes its table rows through [pmap]/[pmap_seeded], which
    keep results in submission order and give each task a pre-split RNG
    stream — so the output is byte-identical for any N (see
-   test/cram/experiments_jobs.t); chunk granularity is auto-tuned by
-   lib/par from a per-item cost probe. *)
+   test/cram/experiments_jobs.t); each row is one pool task. *)
 let jobs = ref 1
 
 let set_jobs j =

@@ -1,8 +1,7 @@
 (* Interprocedural parallel-safety pass (rules P001-P004).
 
    A *parallel region* is a function handed to an [Es_par] combinator
-   ([Par.parallel_map], [Par.parallel_iteri], [Par.map_reduce],
-   [Par.try_map], [Par.map_seeded]) or to the raw pool
+   ([Par.parallel_map], [Par.map_seeded]) or to the raw pool
    ([Pool.submit], [Pool.submit_batch]) — plus every call through a
    *derived combinator*: a top-level binding that forwards one of its
    own parameters into a region position (the [pmap] wrappers in
@@ -15,8 +14,8 @@
      [x := e] / [incr] / [decr] on a captured ref, [e.f <- v] on a
      captured record, Hashtbl/Queue/Stack/Buffer mutators on a
      captured container — unless syntactically under [Mutex.protect].
-     Array/Bytes element writes are exempt: disjoint-slot writes are
-     the sanctioned [parallel_iteri] pattern (par.mli).
+     Array/Bytes element writes are exempt: disjoint-slot writes into
+     a preallocated result array are the pool's own output idiom.
    - P002: ambient nondeterminism — [Random.*] (the sanctioned
      randomness is a pre-split [Rng] stream), wall clocks,
      [Domain.self] as data, Gc statistics, and hash-ordered iteration
@@ -51,10 +50,7 @@ module SSet = Callgraph.SSet
    [Es_par.Par.parallel_map], [Par.parallel_map] and an aliased
    [P.parallel_map] all hit. *)
 let base_combinators =
-  [
-    "Par.parallel_map"; "Par.parallel_iteri"; "Par.map_reduce"; "Par.try_map";
-    "Par.map_seeded"; "Pool.submit"; "Pool.submit_batch";
-  ]
+  [ "Par.parallel_map"; "Par.map_seeded"; "Pool.submit"; "Pool.submit_batch" ]
 
 let ambient_prefixes = [ "Random." ]
 

@@ -1,17 +1,17 @@
 (** Interprocedural parallel-safety pass (rules P001-P004).
 
     A {e parallel region} is a function handed to an [Es_par]
-    combinator ([Par.parallel_map] / [parallel_iteri] / [map_reduce] /
-    [try_map] / [map_seeded]) or to the raw pool ([Pool.submit] /
-    [submit_batch]) — including calls through {e derived combinators},
-    top-level wrappers that forward a parameter into a region position
-    (computed as a fixpoint over the {!Callgraph}).  Each region's
-    closure body and everything reachable from it is checked for:
+    combinator ([Par.parallel_map] / [map_seeded]) or to the raw pool
+    ([Pool.submit] / [submit_batch]) — including calls through
+    {e derived combinators}, top-level wrappers that forward a
+    parameter into a region position (computed as a fixpoint over the
+    {!Callgraph}).  Each region's closure body and everything reachable
+    from it is checked for:
 
     - P001 — writes to captured mutable state ([:=], [incr]/[decr],
       mutable-field assignment, Hashtbl/Queue/Stack/Buffer mutators)
       outside [Mutex.protect]; array/bytes element writes are exempt
-      (the disjoint-slot [parallel_iteri] pattern).
+      (disjoint-slot writes into a preallocated result array).
     - P002 — ambient nondeterminism: [Random.*], wall clocks,
       [Domain.self], Gc statistics, hash-ordered iteration over a
       captured table.

@@ -1,6 +1,6 @@
 (** Dense two-phase tableau simplex: the reference LP solver that the
-    differential tests check {!Es_lp.Simplex.solve} (the revised sparse
-    core, {!Es_lp.Revised}) against.
+    differential tests check the revised sparse core,
+    {!Es_lp.Revised.solve}, against.
 
     It solves the same problem with the same outcome types —
     [minimise cᵀx subject to A x (≤|=|≥) b, x ≥ 0] — but shares none of

@@ -85,13 +85,13 @@ let basis sp ~slacks ~vars =
   in
   Revised.basis_of_columns (Array.of_list (List.map slack slacks @ vars))
 
-let solve_sparse ?max_iters ?basis sp =
+let solve_sparse ?basis sp =
   Obs.incr c_solves;
   Obs.time t_solve @@ fun () ->
   let outcome, next =
     match basis with
-    | None -> Revised.solve ?max_iters sp
-    | Some b -> Revised.solve_from ?max_iters b sp
+    | None -> Revised.solve sp
+    | Some b -> Revised.solve_from b sp
   in
   let outcome =
     match outcome with
@@ -102,8 +102,8 @@ let solve_sparse ?max_iters ?basis sp =
   in
   (outcome, next)
 
-let solve ?max_iters t = fst (solve_sparse ?max_iters (to_sparse t))
-let solve_warm ?max_iters ?basis t = solve_sparse ?max_iters ?basis (to_sparse t)
+let solve t = fst (solve_sparse (to_sparse t))
+let solve_warm ?basis t = solve_sparse ?basis (to_sparse t)
 
 let objective s = s.objective
 let value s v = s.values.(v)

@@ -62,11 +62,7 @@ val basis : Sparse.t -> slacks:int list -> vars:var list -> Revised.basis
     @raise Invalid_argument if a row of [slacks] is an equality or
     does not exist. *)
 
-val solve_sparse :
-  ?max_iters:int ->
-  ?basis:Revised.basis ->
-  Sparse.t ->
-  outcome * Revised.basis option
+val solve_sparse : ?basis:Revised.basis -> Sparse.t -> outcome * Revised.basis option
 (** Minimise an already-built problem, cold or from [basis] as
     {!solve_warm} does.  A deadline sweep builds {!to_sparse} once and
     solves each deadline's {!Sparse.with_rhs} restatement here.  Counts
@@ -74,15 +70,13 @@ val solve_sparse :
 
     @raise Failure if the simplex iteration limit is exceeded. *)
 
-val solve : ?max_iters:int -> t -> outcome
-(** Minimise the objective: {!solve_sparse} of {!to_sparse}.  See
-    {!Simplex.solve} for [max_iters].
+val solve : t -> outcome
+(** Minimise the objective: {!solve_sparse} of {!to_sparse}.
 
     @raise Failure if the simplex iteration limit is exceeded.
     @raise Invalid_argument as {!to_sparse}. *)
 
-val solve_warm :
-  ?max_iters:int -> ?basis:Revised.basis -> t -> outcome * Revised.basis option
+val solve_warm : ?basis:Revised.basis -> t -> outcome * Revised.basis option
 (** Like {!solve}, but optionally re-optimises from a previous optimal
     basis and returns the optimal basis alongside the outcome ([Some]
     exactly when the outcome is [Solution]).  The basis is valid as a

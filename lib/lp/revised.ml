@@ -28,6 +28,10 @@ let ratio_eps = 1e-10
 let feas_tol = 1e-9
 let art_tol = 1e-7
 
+(* Pivots one phase (or one dual simplex run) may take before the solve
+   gives up with [Failure]. *)
+let max_iters = 200_000
+
 (* Columns 0..n_cols-1 come from the sparse problem; n_cols..n_cols+m-1
    are virtual artificials: the unit column sign(b_i)·e_i for row
    i = j − n_cols.  The sign is fixed per solve from the current
@@ -212,7 +216,7 @@ let ratio_test st =
   done;
   (!p, !best)
 
-let optimise st ~max_iters ~bland_after ~refactor_every ~phase_pivots =
+let optimise st ~bland_after ~refactor_every ~phase_pivots =
   let iters = ref 0 in
   let rec loop () =
     if !iters > max_iters then
@@ -377,7 +381,7 @@ let dual_feasible st d =
    [`Feasible] once x_B ≥ 0, [`Infeasible] when the dual is unbounded
    (no entering column), or [`Stalled] on numerical trouble — the
    caller falls back to a cold solve. *)
-let dual_simplex st d ~max_iters ~refactor_every =
+let dual_simplex st d ~refactor_every =
   let alpha_row = Array.make st.n_cols 0. in
   let iters = ref 0 and retried = ref false in
   let priced_at = ref st.factorizations in
@@ -449,21 +453,20 @@ let dual_simplex st d ~max_iters ~refactor_every =
   in
   loop ()
 
-let default_max_iters = 200_000
 let default_bland_after = 20_000
 let default_refactor_every = 64
 
 (* Phase 2 from a primal-feasible state; assumes costs are set. *)
-let finish_phase2 st ~max_iters ~bland_after ~refactor_every =
+let finish_phase2 st ~bland_after ~refactor_every =
   match
     Obs.time t_phase2 (fun () ->
-        optimise st ~max_iters ~bland_after ~refactor_every
+        optimise st ~bland_after ~refactor_every
           ~phase_pivots:c_phase2_pivots)
   with
   | `Unbounded -> (Unbounded, None)
   | `Optimal -> (extract st, Some (Array.copy st.basis))
 
-let solve ?(max_iters = default_max_iters) ?(bland_after = default_bland_after)
+let solve ?(bland_after = default_bland_after)
     ?(refactor_every = default_refactor_every) sp =
   let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
   let b = Sparse.rhs sp in
@@ -491,8 +494,7 @@ let solve ?(max_iters = default_max_iters) ?(bland_after = default_bland_after)
     set_phase1_costs st;
     (match
        Obs.time t_phase1 (fun () ->
-           optimise st ~max_iters ~bland_after ~refactor_every
-             ~phase_pivots:c_phase1_pivots)
+           optimise st ~bland_after ~refactor_every ~phase_pivots:c_phase1_pivots)
      with
     | `Unbounded -> failwith "Lp.Revised: phase-1 objective unbounded"
     | `Optimal -> ());
@@ -502,7 +504,7 @@ let solve ?(max_iters = default_max_iters) ?(bland_after = default_bland_after)
   if !infeasible then (Infeasible, None)
   else begin
     set_phase2_costs st;
-    finish_phase2 st ~max_iters ~bland_after ~refactor_every
+    finish_phase2 st ~bland_after ~refactor_every
   end
 
 let valid_basis ~m ~n_cols basis =
@@ -519,13 +521,12 @@ let valid_basis ~m ~n_cols basis =
       end)
     basis
 
-let solve_from ?(max_iters = default_max_iters)
-    ?(bland_after = default_bland_after)
+let solve_from ?(bland_after = default_bland_after)
     ?(refactor_every = default_refactor_every) basis0 sp =
   let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
   let fallback () =
     Obs.incr c_warm_fallback;
-    solve ~max_iters ~bland_after ~refactor_every sp
+    solve ~bland_after ~refactor_every sp
   in
   if not (valid_basis ~m ~n_cols basis0) then fallback ()
   else
@@ -535,16 +536,16 @@ let solve_from ?(max_iters = default_max_iters)
       Obs.incr c_warm;
       set_phase2_costs st;
       if primal_feasible st then
-        finish_phase2 st ~max_iters ~bland_after ~refactor_every
+        finish_phase2 st ~bland_after ~refactor_every
       else begin
         let d = Array.make n_cols 0. in
         if not (dual_feasible st d) then fallback ()
         else
-          match dual_simplex st d ~max_iters ~refactor_every with
+          match dual_simplex st d ~refactor_every with
           | `Infeasible -> (Infeasible, None)
           | `Stalled -> fallback ()
           | `Feasible ->
             if artificials_at_zero st then
-              finish_phase2 st ~max_iters ~bland_after ~refactor_every
+              finish_phase2 st ~bland_after ~refactor_every
             else fallback ()
       end

@@ -49,23 +49,14 @@ val basis_of_columns : int array -> basis
     nonsingular basis of the problem it is given. *)
 
 val solve :
-  ?max_iters:int ->
-  ?bland_after:int ->
-  ?refactor_every:int ->
-  Sparse.t ->
-  outcome * basis option
+  ?bland_after:int -> ?refactor_every:int -> Sparse.t -> outcome * basis option
 (** Cold two-phase solve.  The basis is [Some] exactly on [Optimal].
 
-    @raise Failure if [max_iters] (default 200_000) is exceeded or the
-    basis becomes numerically singular mid-solve. *)
+    @raise Failure if a phase exceeds 200_000 pivots or the basis
+    becomes numerically singular mid-solve. *)
 
 val solve_from :
-  ?max_iters:int ->
-  ?bland_after:int ->
-  ?refactor_every:int ->
-  basis ->
-  Sparse.t ->
-  outcome * basis option
+  ?bland_after:int -> ?refactor_every:int -> basis -> Sparse.t -> outcome * basis option
 (** Warm solve from a previous optimal basis or a named starting basis
     (counted under ["lp_warm_starts"]).  Invalid, singular or
     otherwise stale bases, bases neither primal nor dual feasible, and

@@ -10,6 +10,3 @@ type outcome = Revised.outcome =
   | Optimal of { objective : float; solution : float array; duals : float array }
   | Infeasible
   | Unbounded
-
-let solve ?max_iters ~obj constraints =
-  fst (Revised.solve ?max_iters (Sparse.of_rows ~obj constraints))

@@ -1,17 +1,14 @@
-(** Two-phase primal simplex — compatibility front door.
+(** The LP types the solvers and checkers share.
 
-    Solves [minimise cᵀx subject to A x (≤|=|≥) b, x ≥ 0].  This is the
-    LP engine behind the paper's polynomial-time result for BI-CRIT
+    A linear program [minimise cᵀx subject to A x (≤|=|≥) b, x ≥ 0] is
+    the engine behind the paper's polynomial-time result for BI-CRIT
     under the VDD-HOPPING model (Section IV) and for the fixed-subset
-    TRI-CRIT VDD-HOPPING subproblem.
-
-    {!solve} routes through {!Revised} — a revised simplex over
-    {!Sparse} CSC columns with an LU-factorised basis, eta-file
-    updates and periodic refactorisation — which also exposes the
-    warm-start entry points ({!Revised.solve_from}) that Pareto
-    deadline sweeps chain between near-identical LPs.  The dense
-    tableau the differential tests compare it against lives in the
-    test oracles, as [Es_check.Dense_simplex]. *)
+    TRI-CRIT VDD-HOPPING subproblem.  This module only names its row
+    and outcome types: {!Problem} builds and solves the scheduling LPs,
+    {!Revised} solves a {!Sparse} standard form (dense rows go through
+    {!Sparse.of_rows}), and the dense tableau the differential tests
+    compare against lives in the test oracles, as
+    [Es_check.Dense_simplex]. *)
 
 type relation = Sparse.relation = Le | Eq | Ge
 
@@ -36,11 +33,3 @@ type outcome = Revised.outcome =
     }  (** Minimiser found. *)
   | Infeasible  (** Phase 1 ended with positive artificial mass. *)
   | Unbounded  (** Phase 2 found an improving ray. *)
-
-val solve : ?max_iters:int -> obj:float array -> constr list -> outcome
-(** [solve ~obj constraints] minimises [obj · x].  All structural
-    variables are implicitly non-negative.  [max_iters] bounds the
-    total pivot count (default [200_000]); exceeding it raises
-    [Failure].  Thin wrapper over {!Revised.solve}.
-
-    @raise Failure if the simplex iteration limit is exceeded. *)

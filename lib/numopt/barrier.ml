@@ -1,7 +1,10 @@
-module Vec = Es_linalg.Vec
-
 type rows = { row_ptr : int array; col_idx : int array; value : float array }
-type objective = { f : Vec.t -> float; grad : Vec.t -> Vec.t; hess : Vec.t -> Vec.t }
+
+type objective = {
+  f : float array -> float;
+  grad : float array -> float array;
+  hess : float array -> float array;
+}
 
 exception Not_strictly_feasible
 
@@ -14,6 +17,23 @@ let c_dense_fallback = Obs.counter "barrier_dense_fallbacks"
 let t_minimize = Obs.timer "barrier_minimize"
 
 let n_rows a = Array.length a.row_ptr - 1
+
+let dot x y =
+  assert (Array.length x = Array.length y);
+  let acc = ref 0. in
+  for i = 0 to Array.length x - 1 do
+    acc := !acc +. (x.(i) *. y.(i))
+  done;
+  !acc
+
+(* y <- a x + y *)
+let axpy a x y =
+  assert (Array.length x = Array.length y);
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- y.(i) +. (a *. x.(i))
+  done
+
+let scale a x = Array.map (fun v -> a *. v) x
 
 (* s = b - A x into [s], row by row; stops at the first slack that is
    not positive and says whether none was. *)
@@ -39,13 +59,13 @@ let feasible_start ~a ~b ~x0 = fill_slacks a b x0 (Array.make (n_rows a) 0.)
    hess   = t diag(hess_f) + A^T diag(1/s^2) A *)
 let barrier_value obj ~t x s =
   let logsum = ref 0. in
-  for r = 0 to Vec.dim s - 1 do
+  for r = 0 to Array.length s - 1 do
     logsum := !logsum +. log s.(r)
   done;
   (t *. obj.f x) -. !logsum
 
 let barrier_grad obj ~t a x s =
-  let g = Array.make (Vec.dim x) 0. in
+  let g = Array.make (Array.length x) 0. in
   for r = 0 to n_rows a - 1 do
     let inv = 1. /. s.(r) in
     for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
@@ -54,7 +74,7 @@ let barrier_grad obj ~t a x s =
     done
   done;
   let gf = obj.grad x in
-  for j = 0 to Vec.dim x - 1 do
+  for j = 0 to Array.length x - 1 do
     g.(j) <- (t *. gf.(j)) +. g.(j)
   done;
   g
@@ -132,7 +152,7 @@ let assemble plan ~t a hd s =
    fallback.  Its upper triangle is not the exact mirror of the lower
    one: each entry keeps its own rounding. *)
 let dense_hessian ~t a hd s =
-  let n = Vec.dim hd in
+  let n = Array.length hd in
   let h = Array.make_matrix n n 0. in
   Array.iteri (fun j hj -> hj.(j) <- t *. hd.(j)) h;
   for r = 0 to n_rows a - 1 do
@@ -154,8 +174,8 @@ let dense_hessian ~t a hd s =
 let newton_step obj plan ~t a x s g =
   let hd = obj.hess x in
   assemble plan ~t a hd s;
-  let rhs = Array.make (Vec.dim g) 0. in
-  for j = 0 to Vec.dim g - 1 do
+  let rhs = Array.make (Array.length g) 0. in
+  for j = 0 to Array.length g - 1 do
     rhs.(j) <- -1. *. g.(j)
   done;
   match Chol.factor plan.chol plan.hval with
@@ -164,11 +184,16 @@ let newton_step obj plan ~t a x s g =
     Obs.incr c_dense_fallback;
     match Dense_lu.solve (dense_hessian ~t a hd s) rhs with
     | step -> step
-    | exception Dense_lu.Singular -> Vec.scale (-1e-6) g)
+    | exception Dense_lu.Singular -> scale (-1e-6) g)
 
 (* The iterate, its slacks, and spare buffers for line-search trial
    points; an accepted trial swaps in with the slacks it computed. *)
-type iterate = { mutable x : Vec.t; mutable s : Vec.t; mutable x' : Vec.t; mutable s' : Vec.t }
+type iterate = {
+  mutable x : float array;
+  mutable s : float array;
+  mutable x' : float array;
+  mutable s' : float array;
+}
 
 let accept it =
   let x = it.x and s = it.s in
@@ -187,7 +212,7 @@ let newton obj plan ~t ~a ~b ~tol ~max_iters it =
     Obs.incr c_newton;
     let g = barrier_grad obj ~t a it.x it.s in
     let step = newton_step obj plan ~t a it.x it.s g in
-    let decrement = -.Vec.dot g step in
+    let decrement = -.dot g step in
     if decrement /. 2. <= tol then continue := false
     else begin
       (* backtracking line search, alpha=0.25, beta=0.5; a trial point
@@ -197,8 +222,8 @@ let newton obj plan ~t ~a ~b ~tol ~max_iters it =
         if k > 60 then false
         else begin
           let cand = it.x' in
-          Array.blit it.x 0 cand 0 (Vec.dim cand);
-          Vec.axpy stepsize step cand;
+          Array.blit it.x 0 cand 0 (Array.length cand);
+          axpy stepsize step cand;
           Obs.incr c_line_search;
           (fill_slacks a b cand it.s'
           && barrier_value obj ~t cand it.s' <= phi0 -. (0.25 *. stepsize *. decrement))
@@ -211,13 +236,13 @@ let newton obj plan ~t ~a ~b ~tol ~max_iters it =
 
 let minimize ?(tol = 1e-8) ?(t0 = 1.) ?(mu = 15.) ?(newton_tol = 1e-10)
     ?(max_newton = 80) obj ~a ~b ~x0 =
-  let m = n_rows a and n = Vec.dim x0 in
-  assert (Vec.dim b = m);
+  let m = n_rows a and n = Array.length x0 in
+  assert (Array.length b = m);
   let s0 = Array.make m 0. in
   if not (fill_slacks a b x0 s0) then raise Not_strictly_feasible;
   Obs.time t_minimize @@ fun () ->
   let plan = plan a n in
-  let it = { x = Vec.copy x0; s = s0; x' = Array.make n 0.; s' = Array.make m 0. } in
+  let it = { x = Array.copy x0; s = s0; x' = Array.make n 0.; s' = Array.make m 0. } in
   let t = ref t0 in
   let gap () = float_of_int m /. !t in
   while gap () > tol do

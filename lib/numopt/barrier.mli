@@ -44,9 +44,9 @@ type rows = {
 (** The constraint matrix [A] in compressed sparse row form. *)
 
 type objective = {
-  f : Es_linalg.Vec.t -> float;  (** objective value *)
-  grad : Es_linalg.Vec.t -> Es_linalg.Vec.t;  (** gradient *)
-  hess : Es_linalg.Vec.t -> Es_linalg.Vec.t;
+  f : float array -> float;  (** objective value *)
+  grad : float array -> float array;  (** gradient *)
+  hess : float array -> float array;
       (** diagonal of the Hessian ([f] is separable) *)
 }
 
@@ -61,9 +61,9 @@ val minimize :
   ?max_newton:int ->
   objective ->
   a:rows ->
-  b:Es_linalg.Vec.t ->
-  x0:Es_linalg.Vec.t ->
-  Es_linalg.Vec.t
+  b:float array ->
+  x0:float array ->
+  float array
 (** [minimize obj ~a ~b ~x0] returns an approximate minimiser.  [x0]
     must satisfy [a x0 < b] strictly.  [tol] is the target duality gap
     (default [1e-8]); [mu] the barrier growth factor (default [15.]);
@@ -72,6 +72,6 @@ val minimize :
     @raise Not_strictly_feasible if [x0] is on or outside the
     boundary. *)
 
-val feasible_start : a:rows -> b:Es_linalg.Vec.t -> x0:Es_linalg.Vec.t -> bool
+val feasible_start : a:rows -> b:float array -> x0:float array -> bool
 (** [feasible_start ~a ~b ~x0] checks strict feasibility, as required
     by {!minimize}. *)

@@ -1,377 +1,81 @@
 (* Deterministic combinators over Pool.  The design invariant: result
    assembly, exception selection and RNG stream assignment depend only
    on the input list, never on which worker ran what or in which
-   order.  See par.mli for the contract.
-
-   Chunk granularity is what decides whether the pool wins or loses:
-   too fine and queue traffic dominates, too coarse and workers idle.
-   When the caller does not pin [?chunk], the combinators probe the
-   first few items inline, estimate the per-item cost, and size chunks
-   to ~1 ms of work each (clamped so every worker still gets several
-   chunks to steal).  The probe runs the items it measures — their
-   outcomes are kept — so tuning costs nothing and, since chunking is
-   invisible in the results, the output stays byte-identical whatever
-   granularity the probe picks. *)
+   order.  See par.mli for the contract. *)
 
 module Obs = Es_obs.Obs
 
 exception Task_error of { index : int; exn : exn; backtrace : string }
 
-type 'a outcome =
-  | Done of 'a
-  | Failed of { exn : exn; backtrace : string }
-  | Timed_out
+let c_tasks = Obs.counter "par.chunk.tasks"
 
-let now () = Unix.gettimeofday ()
-
-let c_probed = Obs.counter "par.chunk.probed_items"
-let c_chunks = Obs.counter "par.chunk.tasks"
-
+(* An item's result or what it raised: nothing raises into the pool. *)
 let protected f x =
   match f x with
-  | y -> Done y
-  | exception exn ->
-    let backtrace = Printexc.get_backtrace () in
-    Failed { exn; backtrace }
-
-(* Split [xs] into consecutive runs of [size] items, preserving order. *)
-let chunk_list ~size xs =
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | xs ->
-      let chunk, rest = take size [] xs in
-      go (chunk :: acc) rest
-  in
-  go [] xs
-
-(* Static fallback chunk size, used when there is no cost probe (the
-   timeout path, [parallel_iteri]): ~4 tasks per worker, by *ceiling*
-   division — floor division degenerated to chunk 1 (one task per
-   item) as soon as [n < 4 * pool_size] — with a floor of
-   [min_items_per_chunk] so tiny sweeps never pay per-item queue
-   traffic. *)
-let min_items_per_chunk = 2
-
-let default_chunk ~pool_size ~n =
-  if pool_size < 1 then invalid_arg "Par.default_chunk: pool_size must be >= 1";
-  if n < 0 then invalid_arg "Par.default_chunk: n must be >= 0";
-  let denom = 4 * pool_size in
-  max min_items_per_chunk ((n + denom - 1) / denom)
-
-(* Cost-probe auto-tuning: run items inline until [probe_budget]
-   seconds of measured work (or the item cap) accumulate, then size
-   chunks to [chunk_target] seconds of estimated work, clamped so the
-   rest of the list still splits into >= 2 chunks per worker for
-   stealing to balance.  Returns the probed outcomes (kept — they are
-   slots 0..k-1 of the result) and the chosen size. *)
-let probe_budget = 2e-4
-
-let chunk_target = 1e-3
-
-let probe_and_tune ~pool_size ~n f xs =
-  let cap = max 1 (min 8 (n / 8)) in
-  let t0 = now () in
-  let rec go acc taken rest =
-    match rest with
-    | [] -> (List.rev acc, [], 1)
-    | x :: tl ->
-      let elapsed = now () -. t0 in
-      if taken >= cap || (taken >= 1 && elapsed >= probe_budget) then begin
-        let remaining = n - taken in
-        let per_item = elapsed /. float_of_int taken in
-        let size =
-          if per_item <= 0. then default_chunk ~pool_size ~n:remaining
-          else begin
-            let ideal = int_of_float (Float.ceil (chunk_target /. per_item)) in
-            let balance_cap =
-              let denom = 2 * pool_size in
-              max 1 ((remaining + denom - 1) / denom)
-            in
-            max 1 (min ideal balance_cap)
-          end
-        in
-        (List.rev acc, rest, size)
-      end
-      else begin
-        Obs.incr c_probed;
-        go (protected f x :: acc) (taken + 1) tl
-      end
-  in
-  go [] 0 xs
-
-(* ------------------------------------------------------------------ *)
-(* joins                                                               *)
-(* ------------------------------------------------------------------ *)
+  | y -> Ok y
+  | exception exn -> Error (exn, Printexc.get_backtrace ())
 
 (* Result slots are strided 8 words apart so two workers completing
-   adjacent chunks never write the same cache line. *)
+   adjacent items never write the same cache line. *)
 let slot_stride = 8
 
-(* No-timeout join: thunks must not raise (callers wrap with
-   [protected]).  Each completion is one plain slot write plus one
-   atomic decrement; only the final task touches the mutex, to hand
+(* Thunks must not raise.  Each completion is one plain slot write plus
+   one atomic decrement; only the final task touches the mutex, to hand
    the join condition to the caller.  There is no polling and no
-   per-completion lock on this path. *)
-let run_thunks pool (thunks : (unit -> 'r) array) : 'r array =
+   per-completion lock. *)
+let run_thunks pool (thunks : (unit -> 'r) array) : 'r list =
   let n = Array.length thunks in
-  if n = 0 then [||]
-  else begin
-    let slots : 'r option array = Array.make (n * slot_stride) None in
-    let remaining = Atomic.make n in
-    let m = Mutex.create () in
-    let all_done = Condition.create () in
-    let tasks =
-      Array.mapi
-        (fun i thunk () ->
-          let r = thunk () in
-          slots.(i * slot_stride) <- Some r;
-          (* the decrement publishes the slot write; the last task
-             signals the joiner under the lock it waits on *)
-          if Atomic.fetch_and_add remaining (-1) = 1 then begin
-            Mutex.lock m;
-            Condition.signal all_done;
-            Mutex.unlock m
-          end)
-        thunks
-    in
-    Pool.submit_batch pool tasks;
-    Mutex.lock m;
-    while Atomic.get remaining > 0 do
-      Condition.wait all_done m
-    done;
-    Mutex.unlock m;
-    Array.init n (fun i ->
-        match slots.(i * slot_stride) with
-        | Some r -> r
-        | None -> assert false (* every slot resolved before the join *))
-  end
-
-(* Timeout join ([try_map] only): a thunk still running [limit]
-   seconds after a worker picked it up resolves to [Error `Timed_out];
-   its late real result is discarded.  Queued-but-unstarted thunks
-   cannot time out — the clock starts at pick-up.  The stdlib
-   condition has no deadline wait, so the joiner polls at 1 ms — but
-   only while [live > 0], i.e. while some started task could actually
-   expire; with nothing overdue-eligible it blocks on the condition
-   (workers signal on start and on completion). *)
-let run_thunks_timeout pool ~limit (thunks : (unit -> 'r) array) :
-    ('r, [ `Timed_out ]) result array =
-  let n = Array.length thunks in
-  if n = 0 then [||]
-  else begin
-    let slots : ('r, [ `Timed_out ]) result option array = Array.make n None in
-    let started = Array.make n Float.nan in
-    let resolved = ref 0 in
-    let live = ref 0 in
-    (* started and not yet resolved *)
-    let m = Mutex.create () in
-    let settled = Condition.create () in
-    let tasks =
-      Array.mapi
-        (fun i thunk () ->
+  let slots : 'r option array = Array.make (n * slot_stride) None in
+  let remaining = Atomic.make n in
+  let m = Mutex.create () in
+  let all_done = Condition.create () in
+  let tasks =
+    Array.mapi
+      (fun i thunk () ->
+        let r = thunk () in
+        slots.(i * slot_stride) <- Some r;
+        (* the decrement publishes the slot write; the last task
+           signals the joiner under the lock it waits on *)
+        if Atomic.fetch_and_add remaining (-1) = 1 then begin
           Mutex.lock m;
-          started.(i) <- now ();
-          incr live;
-          Condition.signal settled;
-          Mutex.unlock m;
-          let r = thunk () in
-          Mutex.lock m;
-          (match slots.(i) with
-          | None ->
-            slots.(i) <- Some (Ok r);
-            incr resolved;
-            decr live;
-            Condition.signal settled
-          | Some _ -> () (* joiner timed this slot out; [live] already down *));
-          Mutex.unlock m)
-        thunks
-    in
-    Pool.submit_batch pool tasks;
-    Mutex.lock m;
-    while !resolved < n do
-      if !live = 0 then Condition.wait settled m
-      else begin
-        let t = now () in
-        Array.iteri
-          (fun i slot ->
-            match slot with
-            | Some _ -> ()
-            | None ->
-              if (not (Float.is_nan started.(i))) && t -. started.(i) > limit
-              then begin
-                slots.(i) <- Some (Error `Timed_out);
-                incr resolved;
-                decr live
-              end)
-          slots;
-        if !resolved < n && !live > 0 then begin
-          Mutex.unlock m;
-          Unix.sleepf 0.001;
-          Mutex.lock m
-        end
-      end
-    done;
-    Mutex.unlock m;
-    Array.map
-      (function
-        | Some r -> r
-        | None -> assert false (* every slot resolved before the join *))
-      slots
-  end
+          Condition.signal all_done;
+          Mutex.unlock m
+        end)
+      thunks
+  in
+  Pool.submit_batch pool tasks;
+  Mutex.lock m;
+  while Atomic.get remaining > 0 do
+    Condition.wait all_done m
+  done;
+  Mutex.unlock m;
+  List.init n (fun i ->
+      match slots.(i * slot_stride) with
+      | Some r -> r
+      | None -> assert false (* every slot resolved before the join *))
 
-(* ------------------------------------------------------------------ *)
-(* core                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let usable_pool pool =
-  match pool with Some p when not (Pool.in_worker ()) -> Some p | _ -> None
-
-let explicit_chunk c =
-  if c < 1 then invalid_arg "Par: chunk must be >= 1";
-  c
-
-(* Core: per-item outcomes in submission order, chunked onto the pool.
-   [pool = None] — and any call from inside a worker — takes the
-   sequential reference path. *)
-let outcomes ?pool ?timeout ?chunk f xs =
-  match usable_pool pool with
-  | None ->
-    List.map
-      (fun x ->
-        let t0 = now () in
-        let r = protected f x in
-        match timeout with
-        | Some limit when now () -. t0 > limit -> Timed_out
-        | _ -> r)
-      xs
-  | Some pool -> (
-    let n = List.length xs in
-    if n = 0 then []
-    else
-      match timeout with
-      | Some limit ->
-        (* no probing under a timeout: probed items would run inline,
-           un-timed-out; callers ([try_map]) pin the chunk anyway *)
-        let size =
-          match chunk with
-          | Some c -> explicit_chunk c
-          | None -> default_chunk ~pool_size:(Pool.size pool) ~n
-        in
-        let chunks = chunk_list ~size xs in
-        let thunks =
-          Array.of_list
-            (List.map (fun items () -> List.map (protected f) items) chunks)
-        in
-        let results = run_thunks_timeout pool ~limit thunks in
-        List.concat
-          (List.map2
-             (fun items result ->
-               match result with
-               | Ok outs -> outs
-               | Error `Timed_out -> List.map (fun _ -> Timed_out) items)
-             chunks (Array.to_list results))
-      | None ->
-        let probed, rest, size =
-          match chunk with
-          | Some c -> ([], xs, explicit_chunk c)
-          | None -> probe_and_tune ~pool_size:(Pool.size pool) ~n f xs
-        in
-        let chunks = chunk_list ~size rest in
-        let thunks =
-          Array.of_list
-            (List.map (fun items () -> List.map (protected f) items) chunks)
-        in
-        Obs.add c_chunks (Array.length thunks);
-        let results = run_thunks pool thunks in
-        probed @ List.concat (Array.to_list results))
-
-(* Raise the lowest-index failure; outcomes are already in submission
-   order, so the first [Failed] encountered is the one to raise. *)
-let collect_exn outs =
+let parallel_map ?pool f xs =
+  let outcomes =
+    match (pool, xs) with
+    | Some pool, _ :: _ :: _ when not (Pool.in_worker ()) ->
+      let thunks = Array.of_list (List.map (fun x () -> protected f x) xs) in
+      Obs.add c_tasks (Array.length thunks);
+      run_thunks pool thunks
+    | _ -> List.map (protected f) xs
+  in
+  (* outcomes are in submission order, so the first error met is the
+     lowest failing index *)
   List.mapi
-    (fun index out ->
-      match out with
-      | Done y -> y
-      | Failed { exn; backtrace } -> raise (Task_error { index; exn; backtrace })
-      | Timed_out -> assert false (* no timeout on this path *))
-    outs
+    (fun index -> function
+      | Ok y -> y
+      | Error (exn, backtrace) -> raise (Task_error { index; exn; backtrace }))
+    outcomes
 
-let parallel_map ?pool ?chunk f xs = collect_exn (outcomes ?pool ?chunk f xs)
-
-(* Effect-only sweep: no per-item result is materialised.  Each chunk
-   task returns only its first failure (index, exn, backtrace) — chunks
-   cover consecutive index ranges, so the first failing chunk's first
-   failure is the globally lowest index. *)
-let parallel_iteri ?pool ?chunk f xs =
-  let run_items first items =
-    List.iter
-      (fun (i, x) ->
-        match f i x with
-        | () -> ()
-        | exception exn -> (
-          match !first with
-          | None -> first := Some (i, exn, Printexc.get_backtrace ())
-          | Some _ -> ()))
-      items
-  in
-  let raise_first first =
-    match first with
-    | Some (index, exn, backtrace) ->
-      raise (Task_error { index; exn; backtrace })
-    | None -> ()
-  in
-  match usable_pool pool with
-  | None ->
-    (* sequential reference path: like the pool path, every item runs
-       even when an earlier one failed, then the lowest index raises *)
-    let first = ref None in
-    run_items first (List.mapi (fun i x -> (i, x)) xs);
-    raise_first !first
-  | Some pool ->
-    let n = List.length xs in
-    if n > 0 then begin
-      let size =
-        match chunk with
-        | Some c -> explicit_chunk c
-        | None -> default_chunk ~pool_size:(Pool.size pool) ~n
-      in
-      let chunks = chunk_list ~size (List.mapi (fun i x -> (i, x)) xs) in
-      let thunks =
-        Array.of_list
-          (List.map
-             (fun items () ->
-               let first = ref None in
-               run_items first items;
-               !first)
-             chunks)
-      in
-      Obs.add c_chunks (Array.length thunks);
-      let failures = run_thunks pool thunks in
-      raise_first (Array.fold_left
-                     (fun acc failure ->
-                       match acc with Some _ -> acc | None -> failure)
-                     None failures)
-    end
-
-let map_reduce ?pool ?chunk ~map ~reduce init xs =
-  let mapped = parallel_map ?pool ?chunk map xs in
-  List.fold_left reduce init mapped
-
-let try_map ?pool ?timeout f xs =
-  (* chunk = 1 so a timeout marks exactly the overdue task, not the
-     innocent neighbours sharing its chunk *)
-  outcomes ?pool ?timeout ~chunk:1 f xs
-
-let map_seeded ?pool ?chunk ~rng f xs =
+let map_seeded ?pool ~rng f xs =
   (* split with fold_left, whose application order is guaranteed: the
      order of the splits is part of the determinism contract *)
   let seeded =
     List.rev
       (List.fold_left (fun acc x -> (Es_util.Rng.split rng, x) :: acc) [] xs)
   in
-  parallel_map ?pool ?chunk (fun (r, x) -> f r x) seeded
+  parallel_map ?pool (fun (r, x) -> f r x) seeded

@@ -1,122 +1,59 @@
 (** Deterministic multicore execution combinators.
 
-    The experiment harness is an embarrassingly-parallel sweep — many
-    seeds x deadlines x speed models x heuristics — and every
-    repetition is a pure function of its inputs.  These combinators
-    run such repetitions on a {!Pool} of reusable domains while
+    Every parallel sweep here is a list of whole, independent solves —
+    the deadlines of an energy/deadline front, Monte-Carlo replicas,
+    the cold requests of a serving window, the rows of an experiment
+    table — and each one is a pure function of its inputs.  These
+    combinators run such lists on a {!Pool} of reusable domains while
     keeping the {b sequential semantics observable}: results come back
-    in submission order, the RNG stream of each task is derived up
+    in submission order, the RNG stream of each item is derived up
     front with [Rng.split] (never from a shared generator mid-flight),
     and a failure is re-raised at the join point carrying the index of
-    the task that caused it.  Consequently the output of a sweep is
+    the item that caused it.  Consequently the output of a sweep is
     byte-identical whether it ran on 1 domain or N — parallelism is a
     pure wall-clock optimisation, never a semantic knob.
 
-    All combinators accept [?pool]:
-    - [None] (default): run sequentially, inline, in the calling
-      domain — the reference semantics;
-    - [Some pool]: distribute over the pool's workers.
+    {b Contract.}  Each item is one pool task; there is no chunk size
+    and no timeout.  A list runs inline, in order, in the calling
+    domain when
+    - [?pool] is [None] (the default): the reference semantics;
+    - it has fewer than two items: a pool round trip would only add
+      latency to a single item;
+    - the call comes from inside a pool worker (see {!Pool.in_worker}):
+      nested parallelism degrades to sequential execution instead of
+      deadlocking on a queue the caller's own worker must drain.
 
-    Called from inside a pool worker, every combinator runs inline
-    (see {!Pool.in_worker}): nested parallelism degrades to sequential
-    execution instead of deadlocking on a queue the caller's own
-    worker must drain.
+    Otherwise every item is submitted to the pool, and the telemetry
+    counter [par.chunk.tasks] rises by one per item.  A pool task costs
+    about a microsecond, so a caller whose items are cheaper than that
+    groups them itself, as [Pareto.bicrit_vdd_front] does with its
+    25-deadline blocks.
 
-    {b Chunking.}  Work is submitted in chunks of consecutive items.
-    An explicit [?chunk] pins the size; otherwise the combinator
-    probes the first few items inline, estimates the per-item cost,
-    and sizes chunks to ~1 ms of work each (clamped so every worker
-    still gets at least two chunks for stealing to balance) — cheap
-    items get coarse chunks that amortise queue traffic, expensive
-    items get fine chunks that spread across the workers.  The probed
-    items' results are kept, and chunking is invisible in the output:
-    any [?chunk] and any probe decision yield the same bytes.
-
-    Determinism contract: for a pure [f], any [?pool] and any
-    [?chunk],
-    [parallel_map ?pool ?chunk f xs = List.map f xs]
-    (and likewise [map_reduce] against the sequential fold).  Effects
-    inside [f] run concurrently and must be independent per task —
-    telemetry counters ({!Es_obs.Obs}) are safe, shared mutable
-    work-state is not. *)
+    Determinism contract: for a pure [f] and any [?pool],
+    [parallel_map ?pool f xs = List.map f xs].  Effects inside [f] run
+    concurrently and must be independent per item — telemetry counters
+    ({!Es_obs.Obs}) are safe, shared mutable work-state is not. *)
 
 exception Task_error of { index : int; exn : exn; backtrace : string }
-(** A task raised: [exn] is the original exception, [index] the
-    0-based submission index of the failing task.  When several tasks
-    fail, the lowest index wins — independently of scheduling. *)
+(** An item raised: [exn] is the original exception, [index] the
+    0-based position of the failing item.  Every item runs before the
+    join raises, and when several fail the lowest index wins —
+    independently of scheduling, and on the inline path too. *)
 
-type 'a outcome =
-  | Done of 'a
-  | Failed of { exn : exn; backtrace : string }
-  | Timed_out  (** the task exceeded its [?timeout]; see {!try_map} *)
-
-val default_chunk : pool_size:int -> n:int -> int
-(** The static fallback chunk size used when no cost probe is possible
-    (the {!try_map} timeout path, {!parallel_iteri}): [n] items split
-    into ~4 tasks per worker by {e ceiling} division, never below a
-    floor of 2 items per chunk — so small sweeps ([n < 4 * pool_size],
-    where floor division used to degenerate to one task per item) stay
-    coarse enough to amortise queue traffic.
-    @raise Invalid_argument when [pool_size < 1] or [n < 0]. *)
-
-val parallel_map : ?pool:Pool.t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map ?pool ?chunk f xs] is [List.map f xs], computed on
-    the pool.  [chunk] groups that many consecutive items into one
-    pool task (default: probe-tuned, see the chunking note above);
-    results are re-assembled in submission order either way.  If any
-    [f x] raises, the join point raises {!Task_error} for the lowest
-    failing index after all tasks settle. *)
-
-val parallel_iteri : ?pool:Pool.t -> ?chunk:int -> (int -> 'a -> unit) -> 'a list -> unit
-(** [parallel_iteri ?pool f xs] runs [f i x] for every item.  The
-    effects of distinct tasks run concurrently (write to disjoint
-    state, e.g. distinct array slots); completion order is
-    unspecified but the join only returns once every task settled.
-    No per-item result list is materialised — each chunk reports only
-    its first failure.  Failures raise {!Task_error} as in
-    {!parallel_map}. *)
-
-val map_reduce :
-  ?pool:Pool.t ->
-  ?chunk:int ->
-  map:('a -> 'b) ->
-  reduce:('c -> 'b -> 'c) ->
-  'c ->
-  'a list ->
-  'c
-(** [map_reduce ?pool ~map ~reduce init xs] computes every [map x] on
-    the pool, then folds [reduce] over the results {e at the join
-    point, left-to-right in submission order} — so it equals
-    [List.fold_left reduce init (List.map map xs)] exactly, with no
-    associativity requirement on [reduce].  Parallelism covers the
-    [map] phase, which is where sweep time goes. *)
-
-val try_map :
-  ?pool:Pool.t -> ?timeout:float -> ('a -> 'b) -> 'a list -> 'b outcome list
-(** Like {!parallel_map} but total: per-task outcomes instead of a
-    re-raise, one per input in submission order.  [?timeout] (seconds,
-    per task) marks a straggler {!Timed_out} and lets the rest of the
-    sweep continue — the straggler's domain keeps running until its
-    task returns (domains cannot be cancelled) and its late result is
-    discarded.  Timeouts are measured from task start; on the
-    sequential path they are applied after the fact (the task runs to
-    completion, then is marked).  The joiner only polls (1 ms) while
-    at least one started task could still expire; with no task
-    overdue-eligible it blocks on a condition, and without [?timeout]
-    the join never polls at all.  A run where no task times out is
-    deterministic; [Timed_out] outcomes themselves depend on machine
-    speed, which is the point. *)
+val parallel_map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
+(** [parallel_map ?pool f xs] is [List.map f xs], with each [f x] run as
+    its own pool task.  If any [f x] raises, the join raises
+    {!Task_error} for the lowest failing index. *)
 
 val map_seeded :
   ?pool:Pool.t ->
-  ?chunk:int ->
   rng:Es_util.Rng.t ->
   (Es_util.Rng.t -> 'a -> 'b) ->
   'a list ->
   'b list
-(** [map_seeded ~rng f xs] gives each task its own generator, derived
-    with [Rng.split rng] {e up front, in submission order} — so the
-    streams tasks consume are a function of the input list alone,
-    never of scheduling.  This is the only safe way to use randomness
-    under [parallel_map]: a shared generator mutated from several
-    domains would tear its state and destroy reproducibility. *)
+(** [map_seeded ~rng f xs] gives each item its own generator, derived
+    with [Rng.split rng] {e up front, in list order} — so the streams
+    the items consume are a function of the input list alone, never of
+    scheduling.  This is the only safe way to use randomness under
+    {!parallel_map}: a shared generator mutated from several domains
+    would tear its state and destroy reproducibility. *)

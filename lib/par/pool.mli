@@ -40,8 +40,8 @@ val submit_batch : t -> (unit -> unit) array -> unit
     it across the worker deques (task [j] of the batch lands on shard
     [(start + j) mod domains]) with one lock acquisition per shard,
     then wakes at most [Array.length tasks] parked workers.  This is
-    what the {!Par} combinators use: per-task queue traffic is the
-    overhead that made fine chunks unprofitable.
+    what the {!Par} combinators use, one task per item: the batch
+    keeps the locking per shard, not per task.
     @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> unit

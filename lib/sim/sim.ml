@@ -176,7 +176,7 @@ let monte_carlo_par ?pool ?(replicas = default_replicas) rng ~rel ~trials sched 
     go 0 []
   in
   let tallies =
-    Es_par.Par.parallel_map ?pool ~chunk:1
+    Es_par.Par.parallel_map ?pool
       (fun (rng, trials) -> run_tally rng ~rel ~trials sched)
       plan
   in

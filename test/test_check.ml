@@ -5,6 +5,8 @@
    fuzz runner shrinks deterministically. *)
 
 module Simplex = Es_lp.Simplex
+module Sparse = Es_lp.Sparse
+module Revised = Es_lp.Revised
 module Lp_cert = Es_check.Lp_cert
 module Kkt = Es_check.Kkt
 module Brute = Es_check.Brute
@@ -26,7 +28,7 @@ let tiny_rows =
   ]
 
 let solved_tiny () =
-  match Simplex.solve ~obj:tiny_obj tiny_rows with
+  match fst (Revised.solve (Sparse.of_rows ~obj:tiny_obj tiny_rows)) with
   | Simplex.Optimal { objective; solution; duals } -> (objective, solution, duals)
   | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "tiny LP must be optimal"
 
@@ -106,7 +108,7 @@ let qcheck_random_lp_certificates =
       let constraints =
         List.map (fun (coeffs, relation, rhs) -> { Simplex.coeffs; relation; rhs }) rows
       in
-      match Simplex.solve ~obj constraints with
+      match fst (Revised.solve (Sparse.of_rows ~obj constraints)) with
       | exception Failure _ -> true (* pivot limit: no claim to check *)
       | Simplex.Infeasible | Simplex.Unbounded -> true
       | Simplex.Optimal _ as o -> (

@@ -4,9 +4,14 @@
    intersections. *)
 
 module Simplex = Es_lp.Simplex
+module Sparse = Es_lp.Sparse
+module Revised = Es_lp.Revised
 module Problem = Es_lp.Problem
 
 let check_float = Alcotest.(check (float 1e-7))
+
+(* A cold revised-simplex solve of dense rows. *)
+let solve_rows ~obj rows = fst (Revised.solve (Sparse.of_rows ~obj rows))
 
 let constr coeffs relation rhs = { Simplex.coeffs; relation; rhs }
 
@@ -14,7 +19,7 @@ let test_simple_min () =
   (* min x + y  s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0.
      Optimum at intersection: x = 8/5, y = 6/5, value 14/5. *)
   match
-    Simplex.solve ~obj:[| 1.; 1. |]
+    solve_rows ~obj:[| 1.; 1. |]
       [ constr [| 1.; 2. |] Simplex.Ge 4.; constr [| 3.; 1. |] Simplex.Ge 6. ]
   with
   | Simplex.Optimal { objective; solution } ->
@@ -26,7 +31,7 @@ let test_simple_min () =
 let test_le_only () =
   (* min -x - 2y s.t. x + y <= 4, y <= 3 → x=1,y=3, value -7 *)
   match
-    Simplex.solve ~obj:[| -1.; -2. |]
+    solve_rows ~obj:[| -1.; -2. |]
       [ constr [| 1.; 1. |] Simplex.Le 4.; constr [| 0.; 1. |] Simplex.Le 3. ]
   with
   | Simplex.Optimal { objective; _ } -> check_float "objective" (-7.) objective
@@ -34,7 +39,7 @@ let test_le_only () =
 
 let test_equality () =
   (* min x + 3y s.t. x + y = 2 → x=2, y=0 *)
-  match Simplex.solve ~obj:[| 1.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 2. ] with
+  match solve_rows ~obj:[| 1.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 2. ] with
   | Simplex.Optimal { objective; solution } ->
     check_float "objective" 2. objective;
     check_float "y stays 0" 0. solution.(1)
@@ -42,27 +47,27 @@ let test_equality () =
 
 let test_infeasible () =
   match
-    Simplex.solve ~obj:[| 1. |]
+    solve_rows ~obj:[| 1. |]
       [ constr [| 1. |] Simplex.Ge 3.; constr [| 1. |] Simplex.Le 1. ]
   with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_unbounded () =
-  match Simplex.solve ~obj:[| -1. |] [ constr [| -1. |] Simplex.Le 0. ] with
+  match solve_rows ~obj:[| -1. |] [ constr [| -1. |] Simplex.Le 0. ] with
   | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_negative_rhs_normalised () =
   (* x >= 2 written as -x <= -2 *)
-  match Simplex.solve ~obj:[| 1. |] [ constr [| -1. |] Simplex.Le (-2.) ] with
+  match solve_rows ~obj:[| 1. |] [ constr [| -1. |] Simplex.Le (-2.) ] with
   | Simplex.Optimal { objective; _ } -> check_float "objective" 2. objective
   | _ -> Alcotest.fail "expected optimal"
 
 let test_degenerate_terminates () =
   (* classic degeneracy: redundant constraints through the optimum *)
   match
-    Simplex.solve ~obj:[| -1.; -1. |]
+    solve_rows ~obj:[| -1.; -1. |]
       [
         constr [| 1.; 0. |] Simplex.Le 1.;
         constr [| 0.; 1. |] Simplex.Le 1.;
@@ -171,7 +176,7 @@ let qcheck_simplex_matches_brute_force =
             constr coeffs Simplex.Ge (Es_util.Rng.uniform_in rng 0.5 4.))
       in
       let obj = Array.init n (fun _ -> Es_util.Rng.uniform_in rng 0.2 2.) in
-      match (Simplex.solve ~obj rows, brute_force ~obj rows) with
+      match (solve_rows ~obj rows, brute_force ~obj rows) with
       | Simplex.Optimal { objective; _ }, Some bf -> Float.abs (objective -. bf) < 1e-5
       | Simplex.Infeasible, None -> true
       | _ -> false)
@@ -228,7 +233,7 @@ let test_duals_simple () =
   (* min x + y s.t. x + 2y >= 4, 3x + y >= 6: optimum (1.6, 1.2).
      Duals solve: y1 + 3y2 = 1, 2y1 + y2 = 1 → y1 = 0.4, y2 = 0.2. *)
   match
-    Simplex.solve ?max_iters:None ~obj:[| 1.; 1. |]
+    solve_rows ~obj:[| 1.; 1. |]
       [ constr [| 1.; 2. |] Simplex.Ge 4.; constr [| 3.; 1. |] Simplex.Ge 6. ]
   with
   | Simplex.Optimal { duals; _ } ->
@@ -239,7 +244,7 @@ let test_duals_simple () =
 let test_duals_nonbinding_row_zero () =
   (* min x s.t. x >= 2, x <= 100 — the upper bound is slack *)
   match
-    Simplex.solve ?max_iters:None ~obj:[| 1. |]
+    solve_rows ~obj:[| 1. |]
       [ constr [| 1. |] Simplex.Ge 2.; constr [| 1. |] Simplex.Le 100. ]
   with
   | Simplex.Optimal { duals; _ } ->
@@ -249,7 +254,7 @@ let test_duals_nonbinding_row_zero () =
 
 let test_duals_equality () =
   (* min 2x + 3y s.t. x + y = 5 → all mass on x, dual = 2 *)
-  match Simplex.solve ?max_iters:None ~obj:[| 2.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 5. ] with
+  match solve_rows ~obj:[| 2.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 5. ] with
   | Simplex.Optimal { duals; _ } -> check_float "eq dual" 2. duals.(0)
   | _ -> Alcotest.fail "expected optimal"
 
@@ -278,7 +283,7 @@ let qcheck_duals_predict_rhs_perturbation =
             Es_util.Rng.uniform_in r 0.5 2.)
       in
       let h = 1e-5 in
-      match (Simplex.solve ?max_iters:None ~obj (rows 3.), Simplex.solve ?max_iters:None ~obj (rows (3. +. h))) with
+      match (solve_rows ~obj (rows 3.), solve_rows ~obj (rows (3. +. h))) with
       | Simplex.Optimal { objective = o1; duals; _ }, Simplex.Optimal { objective = o2; _ }
         ->
         Float.abs (o2 -. o1 -. (duals.(0) *. h)) < 1e-7
@@ -303,8 +308,6 @@ let suite = (fst suite, snd suite @ duals_cases)
    plus warm-started re-solves against cold solves of the same
    restated problem. *)
 
-module Sparse = Es_lp.Sparse
-module Revised = Es_lp.Revised
 module Lu = Es_lp.Lu
 module Dense_simplex = Es_check.Dense_simplex
 module Lp_cert = Es_check.Lp_cert
@@ -366,7 +369,7 @@ let qcheck_differential_random =
       let rng = Es_util.Rng.create ~seed in
       let obj, rows = random_lp rng in
       let dense = Dense_simplex.solve ~obj rows in
-      let revised = Simplex.solve ~obj rows in
+      let revised = solve_rows ~obj rows in
       outcomes_agree dense revised
       && is_certified ~obj ~constraints:rows dense
       && is_certified ~obj ~constraints:rows revised)
@@ -457,7 +460,7 @@ let beale_rows =
   ]
 
 let test_beale_terminates () =
-  match Simplex.solve ~obj:beale_obj beale_rows with
+  match solve_rows ~obj:beale_obj beale_rows with
   | Simplex.Optimal { objective; solution; _ } ->
     check_float "objective" (-0.05) objective;
     check_float "x3 at bound" 1. solution.(2)
@@ -482,7 +485,7 @@ let test_duplicate_row_ties () =
     ]
   in
   let obj = [| -1.; -1. |] in
-  (match Simplex.solve ~obj rows with
+  (match solve_rows ~obj rows with
   | Simplex.Optimal { objective; _ } -> check_float "revised" (-2.) objective
   | _ -> Alcotest.fail "expected optimal");
   match Dense_simplex.solve ~obj rows with
