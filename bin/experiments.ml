@@ -1062,7 +1062,7 @@ let e20 ~seed () =
     [ 24; 48; 72; 96 ];
   emit
     ~caption:
-      "With sparse Newton steps the convex solve stays at tens of milliseconds;\n\
+      "With sparse Newton steps the convex solve stays at a few milliseconds;\n\
        the best-of heuristics, a handful of convex solves each, take the most" t
 
 (* ------------------------------------------------------------------ *)

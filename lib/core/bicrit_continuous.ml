@@ -195,8 +195,7 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
       in
       let x =
         if Barrier.feasible_start ~a ~b ~x0 then
-          Barrier.minimize ~tol ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
-            objective ~a ~b ~x0
+          Barrier.minimize ~tol objective ~a ~b ~x0
         else x0
       in
       let speeds =

@@ -14,6 +14,7 @@ let c_centering = Obs.counter "barrier_centering_steps"
 let c_newton = Obs.counter "barrier_newton_iters"
 let c_line_search = Obs.counter "barrier_line_search_evals"
 let c_dense_fallback = Obs.counter "barrier_dense_fallbacks"
+let c_cap_hit = Obs.counter "barrier_newton_cap_hits"
 let t_minimize = Obs.timer "barrier_minimize"
 
 let n_rows a = Array.length a.row_ptr - 1
@@ -202,40 +203,50 @@ let accept it =
   it.x' <- x;
   it.s' <- s
 
-(* Damped Newton with backtracking on the barrier function; stops when
-   the Newton decrement is small. *)
-let newton obj plan ~t ~a ~b ~tol ~max_iters it =
+(* The inner loop's stop rule and the outer loop's schedule. *)
+let t0 = 1.
+let mu = 15.
+let newton_tol = 1e-10
+let max_newton = 80
+
+(* Damped Newton with backtracking on the barrier function.  A
+   centering ends when the Newton decrement is small, when the Armijo
+   decrease a full step must show is below phi's rounding unit, when
+   the point the line search settles on does not lower phi in double
+   precision (that step is not taken), or at [max_newton] steps. *)
+let newton obj plan ~t ~a ~b it =
   let continue = ref true in
   let iters = ref 0 in
-  while !continue && !iters < max_iters do
+  while !continue && !iters < max_newton do
     incr iters;
     Obs.incr c_newton;
     let g = barrier_grad obj ~t a it.x it.s in
     let step = newton_step obj plan ~t a it.x it.s g in
     let decrement = -.dot g step in
-    if decrement /. 2. <= tol then continue := false
+    let phi0 = barrier_value obj ~t it.x it.s in
+    if decrement /. 2. <= newton_tol || 0.25 *. decrement <= epsilon_float *. Float.abs phi0 then
+      continue := false
     else begin
       (* backtracking line search, alpha=0.25, beta=0.5; a trial point
          with a non-positive slack has phi = +inf *)
-      let phi0 = barrier_value obj ~t it.x it.s in
       let rec search stepsize k =
-        if k > 60 then false
+        if k > 60 then infinity
         else begin
           let cand = it.x' in
           Array.blit it.x 0 cand 0 (Array.length cand);
           axpy stepsize step cand;
           Obs.incr c_line_search;
-          (fill_slacks a b cand it.s'
-          && barrier_value obj ~t cand it.s' <= phi0 -. (0.25 *. stepsize *. decrement))
-          || search (stepsize *. 0.5) (k + 1)
+          let phi = if fill_slacks a b cand it.s' then barrier_value obj ~t cand it.s' else infinity in
+          if phi <= phi0 -. (0.25 *. stepsize *. decrement) then phi
+          else search (stepsize *. 0.5) (k + 1)
         end
       in
-      if search 1. 0 then accept it else continue := false
+      if search 1. 0 < phi0 then accept it else continue := false
     end
-  done
+  done;
+  if !continue then Obs.incr c_cap_hit
 
-let minimize ?(tol = 1e-8) ?(t0 = 1.) ?(mu = 15.) ?(newton_tol = 1e-10)
-    ?(max_newton = 80) obj ~a ~b ~x0 =
+let minimize ?(tol = 1e-8) obj ~a ~b ~x0 =
   let m = n_rows a and n = Array.length x0 in
   assert (Array.length b = m);
   let s0 = Array.make m 0. in
@@ -247,9 +258,9 @@ let minimize ?(tol = 1e-8) ?(t0 = 1.) ?(mu = 15.) ?(newton_tol = 1e-10)
   let gap () = float_of_int m /. !t in
   while gap () > tol do
     Obs.incr c_centering;
-    newton obj plan ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton it;
+    newton obj plan ~t:!t ~a ~b it;
     t := !t *. mu
   done;
   Obs.incr c_centering;
-  newton obj plan ~t:!t ~a ~b ~tol:newton_tol ~max_iters:max_newton it;
+  newton obj plan ~t:!t ~a ~b it;
   it.x

@@ -11,8 +11,21 @@
     durations, with one to three nonzeros per row.
 
     The method is the standard path-following scheme: minimise
-    [t·f(x) − Σ log(bᵢ − aᵢx)] by damped Newton for increasing [t]
-    until [m/t] (the duality-gap bound) drops below [tol].
+    [φ = t·f(x) − Σ log(bᵢ − aᵢx)] by damped Newton (a centering) for
+    [t = 1, 15, 15², …] until [m/t] (the duality-gap bound of an
+    exactly centered point) drops below [tol].
+
+    {b Stops.}  [m/t ≤ tol] is only the outer stop: it ends the
+    sequence of centerings.  A centering ends at the first of four
+    events: the Newton decrement [λ²] is at most [2·10⁻¹⁰]; the
+    Armijo decrease a full step must show, [λ²/4], is at most
+    [ε·|φ|] (ε the double-precision machine epsilon), so it is below
+    φ's rounding unit; the point the backtracking line search settles
+    on does not lower φ strictly in double precision, and that step
+    is not taken; or 80 Newton steps.  The two middle stops end the
+    centerings that large [t·f] would stall at the rounding floor.
+    The counter [barrier_newton_cap_hits] counts the centerings that
+    end at the cap.
 
     {b Sparse Newton steps.}  The slacks [s = b − A x] are computed
     once per Newton step and shared by the barrier value, its gradient
@@ -53,21 +66,10 @@ type objective = {
 exception Not_strictly_feasible
 (** Raised when the supplied starting point violates [A x < b]. *)
 
-val minimize :
-  ?tol:float ->
-  ?t0:float ->
-  ?mu:float ->
-  ?newton_tol:float ->
-  ?max_newton:int ->
-  objective ->
-  a:rows ->
-  b:float array ->
-  x0:float array ->
-  float array
+val minimize : ?tol:float -> objective -> a:rows -> b:float array -> x0:float array -> float array
 (** [minimize obj ~a ~b ~x0] returns an approximate minimiser.  [x0]
-    must satisfy [a x0 < b] strictly.  [tol] is the target duality gap
-    (default [1e-8]); [mu] the barrier growth factor (default [15.]);
-    [t0] the initial barrier weight (default [1.]).
+    must satisfy [a x0 < b] strictly.  [tol] is the outer stop's
+    target duality-gap bound [m/t] (default [1e-8]).
 
     @raise Not_strictly_feasible if [x0] is on or outside the
     boundary. *)

@@ -73,16 +73,14 @@ let simplex_region =
 
 let test_barrier_projection () =
   let a, b = simplex_region in
-  let x = Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
-      (quadratic_objective ()) ~a ~b ~x0:[| 0.5; 0.5 |] in
+  let x = Barrier.minimize (quadratic_objective ()) ~a ~b ~x0:[| 0.5; 0.5 |] in
   check_float 1e-5 "x" 1. x.(0);
   check_float 1e-5 "y" 2. x.(1)
 
 let test_barrier_interior_optimum () =
   (* loose constraint: optimum interior, should reach (2,3) *)
   let a = csr [| [| 1.; 1. |] |] and b = [| 100. |] in
-  let x = Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
-      (quadratic_objective ()) ~a ~b ~x0:[| 1.; 1. |] in
+  let x = Barrier.minimize (quadratic_objective ()) ~a ~b ~x0:[| 1.; 1. |] in
   check_float 1e-4 "x free" 2. x.(0);
   check_float 1e-4 "y free" 3. x.(1)
 
@@ -90,8 +88,7 @@ let test_barrier_rejects_infeasible_start () =
   let a, b = simplex_region in
   Alcotest.check_raises "infeasible start" Barrier.Not_strictly_feasible (fun () ->
       ignore
-        (Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None
-           (quadratic_objective ()) ~a ~b ~x0:[| 2.; 2. |]))
+        (Barrier.minimize (quadratic_objective ()) ~a ~b ~x0:[| 2.; 2. |]))
 
 let test_feasible_start_predicate () =
   let a, b = simplex_region in
@@ -127,7 +124,7 @@ let test_barrier_energy_chain () =
   in
   let b = Array.append [| d_total |] (Array.map (fun wi -> -.wi /. 10.) w) in
   let x0 = Array.map (fun wi -> d_total *. wi /. 6. *. 0.9) w in
-  let d = Barrier.minimize ?tol:None ?t0:None ?mu:None ?newton_tol:None ?max_newton:None obj ~a ~b ~x0 in
+  let d = Barrier.minimize obj ~a ~b ~x0 in
   (* optimal: common speed Σw/D = 0.5, so d_i = 2 w_i *)
   for i = 0 to n - 1 do
     check_float 1e-4 "duration proportional to weight" (2. *. w.(i)) d.(i)
