@@ -265,7 +265,7 @@ let e5 ~seed () =
         let dmin = List_sched.makespan_at_speed mapping ~f:fmax in
         let deadline = 1.5 *. dmin in
         match
-          ( Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping,
+          ( Bicrit_discrete.solve_exact ~deadline ~levels mapping,
             Bicrit_discrete.round_up ~deadline ~levels mapping )
         with
         | Some exact, Some approx ->
@@ -329,7 +329,7 @@ let e6 ~seed () =
         in
         let b, _ = cell (Tricrit_chain.no_reexecution ~rel ~deadline m) in
         let g, gn = cell (Tricrit_chain.solve_greedy ~rel ~deadline m) in
-        let e, en = cell (Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m) in
+        let e, en = cell (Tricrit_chain.solve_exact ~rel ~deadline m) in
         [ Printf.sprintf "%.2f" slack; b; g; e; gn; en ])
       [ 1.0; 1.2; 1.5; 2.0; 2.5; 3.0; 4.0; 6.0 ]
   in
@@ -358,7 +358,7 @@ let e7 ~seed () =
     pmap
       (fun slack ->
         let deadline = slack *. dmin in
-        let poly = Tricrit_fork.solve ?grid:None ~rel ~deadline dag in
+        let poly = Tricrit_fork.solve ~rel ~deadline dag in
         let h name f =
           match f ~rel ~deadline mapping with
           | Some (s : Heuristics.solution) -> Printf.sprintf "%.5f" s.energy
@@ -525,7 +525,7 @@ let e9 ~seed () =
                 .Tricrit_vdd.energy
         in
         let c =
-          match Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m with
+          match Tricrit_chain.solve_exact ~rel ~deadline m with
           | Some s -> Printf.sprintf "%.5f" s.Tricrit_chain.energy
           | None -> "infeasible"
         in
@@ -726,10 +726,10 @@ let e13 ~seed () =
         (fun slack ->
           let deadline = slack *. dmin in
           match
-            (Tricrit_exact.solve ?max_n:None ~rel ~deadline m, Heuristics.best_of ~rel ~deadline m)
+            (Tricrit_exact.solve ~rel ~deadline m, Heuristics.best_of ~rel ~deadline m)
           with
           | Some e, Some (h, _) ->
-            let refined = Heuristics.local_search ?sweeps:None ?max_candidates:None ~rel ~deadline m h in
+            let refined = Heuristics.local_search ~rel ~deadline m h in
             Table.add_row t
               [
                 name;
@@ -772,7 +772,7 @@ let e14 ~seed () =
   in
   List.iter
     (fun c ->
-      match Checkpointing.solve ?speed_grid:None ~rel ~checkpoint_work:c ~deadline ~weights with
+      match Checkpointing.solve ~rel ~checkpoint_work:c ~deadline ~weights with
       | Some sol ->
         Table.add_row t
           [
@@ -940,7 +940,7 @@ let e18 ~seed () =
         let mapping = Mapping.one_task_per_proc dag in
         let dmin = List_sched.makespan_at_speed mapping ~f:fmax in
         let deadline = slack *. dmin in
-        match Tricrit_exact.solve ?max_n:None ~rel ~deadline mapping with
+        match Tricrit_exact.solve ~rel ~deadline mapping with
         | None -> ()
         | Some exact ->
           let record acc = function

@@ -40,7 +40,7 @@ let () =
   report "discrete (exact B&B)"
     (Option.map
        (fun r -> r.Bicrit_discrete.schedule)
-       (Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping));
+       (Bicrit_discrete.solve_exact ~deadline ~levels mapping));
   List.iter
     (fun delta ->
       report

@@ -33,7 +33,7 @@ let () =
       let t = Trace.run (Es_util.Rng.split sim_rng) ~rel sol.Tricrit_chain.schedule in
       Printf.printf "run %d: realised makespan %.3f, realised energy %.4f, %d attempts\n"
         run t.Trace.makespan t.Trace.energy (List.length t.Trace.events);
-      print_string (Trace.render ?width:None sol.Tricrit_chain.schedule t);
+      print_string (Trace.render sol.Tricrit_chain.schedule t);
       print_newline ()
     done;
     (* and the aggregate view *)

@@ -52,7 +52,9 @@ let vdd_chain_optimum ~levels ~weights ~deadline =
     | None -> None
     | Some h -> Some (total *. h)
 
-let discrete_optimum ?(assignment_limit = 200_000) ~levels ~deadline mapping =
+let assignment_limit = 200_000
+
+let discrete_optimum ~levels ~deadline mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let w = Dag.weights cdag in

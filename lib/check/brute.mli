@@ -33,7 +33,6 @@ val vdd_chain_optimum :
     chain: [W·H(D/W)].  [None] when the deadline is infeasible. *)
 
 val discrete_optimum :
-  ?assignment_limit:int ->
   levels:(float[@units "freq"]) array ->
   deadline:(float[@units "time"]) ->
   Mapping.t ->
@@ -41,5 +40,5 @@ val discrete_optimum :
 (** Exhaustive DISCRETE optimum: try all [mⁿ] one-speed-per-task
     assignments against the mapping's constraint DAG and keep the
     cheapest deadline-feasible one.  [None] when none is feasible.
-    @raise Invalid_argument when [mⁿ] exceeds [assignment_limit]
-    (default [200_000]) — use it only on tiny instances. *)
+    @raise Invalid_argument when [mⁿ] exceeds 200 000 — use it only
+    on tiny instances. *)

@@ -1,12 +1,12 @@
-type relation = Es_lp.Simplex.relation = Le | Eq | Ge
+type relation = Es_lp.Sparse.relation = Le | Eq | Ge
 
-type constr = Es_lp.Simplex.constr = {
+type constr = Es_lp.Sparse.constr = {
   coeffs : float array;
   relation : relation;
   rhs : float;
 }
 
-type outcome = Es_lp.Simplex.outcome =
+type outcome = Es_lp.Revised.outcome =
   | Optimal of { objective : float; solution : float array; duals : float array }
   | Infeasible
   | Unbounded
@@ -70,11 +70,14 @@ let objective_value t c =
   done;
   !acc
 
+let max_iters = 200_000
+let bland_after = 20_000
+
 (* One simplex phase: minimise c over the current tableau.  [allowed j]
    restricts entering columns (used to bar artificials in phase 2).
    Returns [`Optimal] or [`Unbounded].  Switches from Dantzig to
    Bland's rule after [bland_after] pivots to escape cycling. *)
-let optimise ?(bland_after = 20_000) ~max_iters t c allowed =
+let optimise t c allowed =
   let iters = ref 0 in
   let rec loop () =
     if !iters > max_iters then failwith "Dense_simplex.solve: iteration limit exceeded";
@@ -136,7 +139,7 @@ let optimise ?(bland_after = 20_000) ~max_iters t c allowed =
 
 (* Both phases; raises [Exit] when phase 1 ends with positive
    artificial mass, which [solve] reports as [Infeasible]. *)
-let two_phase ?(max_iters = 200_000) ~obj constraints =
+let two_phase ~obj constraints =
   let n_struct = Array.length obj in
   let rows = Array.of_list constraints in
   let m = Array.length rows in
@@ -204,7 +207,7 @@ let two_phase ?(max_iters = 200_000) ~obj constraints =
   (* Phase 1. *)
   if n_art > 0 then begin
     let c1 = Array.init n_cols (fun j -> if j >= art_start then 1. else 0.) in
-    (match optimise ~max_iters t c1 (fun _ -> true) with
+    (match optimise t c1 (fun _ -> true) with
     | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
     | `Optimal -> ());
     if objective_value t c1 > 1e-7 then raise Exit
@@ -227,7 +230,7 @@ let two_phase ?(max_iters = 200_000) ~obj constraints =
   done;
   (* Phase 2: bar artificial columns. *)
   let c2 = Array.init n_cols (fun j -> if j < n_struct then obj.(j) else 0.) in
-  match optimise ~max_iters t c2 (fun j -> j < art_start) with
+  match optimise t c2 (fun j -> j < art_start) with
   | `Unbounded -> Unbounded
   | `Optimal ->
     let solution = Array.make n_struct 0. in
@@ -247,7 +250,7 @@ let two_phase ?(max_iters = 200_000) ~obj constraints =
     in
     Optimal { objective = objective_value t c2; solution; duals }
 
-let solve ?max_iters ~obj constraints =
-  match two_phase ?max_iters ~obj constraints with
+let solve ~obj constraints =
+  match two_phase ~obj constraints with
   | outcome -> outcome
   | exception Exit -> Infeasible

@@ -10,13 +10,9 @@
     no telemetry, so the [simplex_*] counters count production solves
     only. *)
 
-val solve :
-  ?max_iters:int ->
-  obj:float array ->
-  Es_lp.Simplex.constr list ->
-  Es_lp.Simplex.outcome
+val solve : obj:float array -> Es_lp.Sparse.constr list -> Es_lp.Revised.outcome
 (** [solve ~obj constraints] minimises [obj · x]; duals follow the
-    shadow-price convention of {!Es_lp.Simplex.outcome}.  [max_iters]
-    (default [200_000]) bounds the pivots of each phase.
+    shadow-price convention of {!Es_lp.Revised.outcome}.  Each phase
+    stops after 200 000 pivots.
 
     @raise Failure if the iteration limit is exceeded. *)

@@ -8,15 +8,18 @@ let describe = function Ok -> "KKT conditions hold" | Violation v -> "KKT violat
 
 let violationf fmt = Printf.ksprintf (fun s -> Violation s) fmt
 
-(* [significantly_less ~tol a b]: a < b beyond a symmetric relative
-   slop.  The slop scales with the operands, so both sides of every
+(* Relative slop of every comparison, and of the energy accounting. *)
+let tol = 1e-6
+
+(* [significantly_less a b]: a < b beyond a symmetric relative slop.
+   The slop scales with the operands, so both sides of every
    comparison keep the operands' unit. *)
-let significantly_less ~tol a b = b -. a > tol *. (Float.abs a +. Float.abs b)
+let significantly_less a b = b -. a > tol *. (Float.abs a +. Float.abs b)
 
 let energy_of ~weights ~speeds =
   Futil.sum (Array.map2 (fun w f -> w *. f *. f) weights speeds)
 
-let check_waterfill ?(tol = 1e-6) ~eff_weights ~floors ~fmax ~deadline ~speeds =
+let check_waterfill ~eff_weights ~floors ~fmax ~deadline ~speeds =
   let n = Array.length eff_weights in
   if Array.length speeds <> n || Array.length floors <> n then
     Violation "dimension mismatch"
@@ -25,9 +28,9 @@ let check_waterfill ?(tol = 1e-6) ~eff_weights ~floors ~fmax ~deadline ~speeds =
     let report v = match !bad with Ok -> bad := v | Violation _ -> () in
     Array.iteri
       (fun i f ->
-        if significantly_less ~tol f floors.(i) then
+        if significantly_less f floors.(i) then
           report (violationf "task %d below its floor (%g < %g)" i f floors.(i));
-        if significantly_less ~tol fmax f then
+        if significantly_less fmax f then
           report (violationf "task %d above fmax (%g > %g)" i f fmax))
       speeds;
     let time = Futil.sum (Array.mapi (fun i f -> eff_weights.(i) /. f) speeds) in
@@ -40,7 +43,7 @@ let check_waterfill ?(tol = 1e-6) ~eff_weights ~floors ~fmax ~deadline ~speeds =
     let unclamped =
       Array.to_list
         (Array.mapi (fun i f -> (i, f)) speeds)
-      |> List.filter (fun (i, f) -> significantly_less ~tol floors.(i) f)
+      |> List.filter (fun (i, f) -> significantly_less floors.(i) f)
     in
     (match unclamped with
     | [] -> ()
@@ -55,8 +58,8 @@ let check_waterfill ?(tol = 1e-6) ~eff_weights ~floors ~fmax ~deadline ~speeds =
       let f_c = f0 in
       Array.iteri
         (fun i f ->
-          let clamped = not (significantly_less ~tol floors.(i) f) in
-          if clamped && significantly_less ~tol floors.(i) f_c then
+          let clamped = not (significantly_less floors.(i) f) in
+          if clamped && significantly_less floors.(i) f_c then
             report
               (violationf
                  "task %d clamped at floor %g below the water level %g (should run at f_c)" i
@@ -72,13 +75,13 @@ let check_waterfill ?(tol = 1e-6) ~eff_weights ~floors ~fmax ~deadline ~speeds =
     !bad
   end
 
-let check_chain ?(tol = 1e-6) ~weights ~deadline ~fmin ~fmax (r : Bicrit_continuous.result) =
+let check_chain ~weights ~deadline ~fmin ~fmax (r : Bicrit_continuous.result) =
   let n = Array.length weights in
   if Array.length r.speeds <> n then Violation "dimension mismatch"
   else begin
     let floors = Array.make n fmin in
     match
-      check_waterfill ~tol ~eff_weights:weights ~floors ~fmax ~deadline ~speeds:r.speeds
+      check_waterfill ~eff_weights:weights ~floors ~fmax ~deadline ~speeds:r.speeds
     with
     | Violation _ as v -> v
     | Ok ->
@@ -88,20 +91,19 @@ let check_chain ?(tol = 1e-6) ~weights ~deadline ~fmin ~fmax (r : Bicrit_continu
       else Ok
   end
 
-let check_general ?(tol = 1e-6) ?(slack_tol = 1e-3) ?(probes = 32) ?(probe_seed = 7)
-    ?eff_weights ~deadline ~lo ~hi mapping (r : Bicrit_continuous.result) =
+let check_general ~deadline ~lo ~hi mapping (r : Bicrit_continuous.result) =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
-  let w = match eff_weights with Some a -> a | None -> Dag.weights cdag in
+  let w = Dag.weights cdag in
   if Array.length r.speeds <> n then Violation "dimension mismatch"
   else begin
     let bad = ref Ok in
     let report v = match !bad with Ok -> bad := v | Violation _ -> () in
     Array.iteri
       (fun i f ->
-        if significantly_less ~tol f lo.(i) then
+        if significantly_less f lo.(i) then
           report (violationf "task %d below lo (%g < %g)" i f lo.(i));
-        if significantly_less ~tol hi.(i) f then
+        if significantly_less hi.(i) f then
           report (violationf "task %d above hi (%g > %g)" i f hi.(i)))
       r.speeds;
     let durations = Array.init n (fun i -> w.(i) /. r.speeds.(i)) in
@@ -116,20 +118,20 @@ let check_general ?(tol = 1e-6) ?(slack_tol = 1e-3) ?(probes = 32) ?(probe_seed 
     let slack = Dag.slack cdag ~durations ~deadline in
     Array.iteri
       (fun i f ->
-        if significantly_less ~tol lo.(i) f && slack.(i) > slack_tol *. deadline then
+        if significantly_less lo.(i) f && slack.(i) > 1e-3 *. deadline then
           report
             (violationf "task %d runs at %g > lo %g but has slack %g (could be slowed)" i f
                lo.(i) slack.(i)))
       r.speeds;
-    (* Exchange probes: transferring a sliver of duration between two
+    (* 32 exchange probes: transferring a sliver of duration between two
        tasks must not produce a feasible, strictly cheaper point. *)
     (match !bad with
     | Violation _ -> ()
     | Ok ->
-      if n >= 2 && probes > 0 then begin
-        let rng = Rng.create ~seed:probe_seed in
+      if n >= 2 then begin
+        let rng = Rng.create ~seed:7 in
         let base_energy = e in
-        for _ = 1 to probes do
+        for _ = 1 to 32 do
           let i = Rng.int rng n in
           let j = Rng.int rng n in
           if i <> j then begin
@@ -144,7 +146,7 @@ let check_general ?(tol = 1e-6) ?(slack_tol = 1e-3) ?(probes = 32) ?(probe_seed 
             in
             if in_bounds && Dag.critical_path_length cdag ~durations:d' <= deadline then begin
               let e' = energy_of ~weights:w ~speeds:f' in
-              if e' < base_energy *. (1. -. Float.max tol 1e-6) then
+              if e' < base_energy *. (1. -. tol) then
                 report
                   (violationf
                      "exchange probe found a cheaper feasible point (move %g of duration from \

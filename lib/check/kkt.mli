@@ -17,7 +17,8 @@
       two tasks may strictly reduce the energy while staying feasible
       (a randomised first-order probe on general DAGs).
 
-    These are necessary conditions; together with convexity of the
+    Every comparison allows a relative slop of [1e-6].  These are
+    necessary conditions; together with convexity of the
     program the waterfilling/chain check is also sufficient.  The
     checks deliberately recompute energy from speeds, so wrong energy
     {e accounting} (as opposed to wrong speeds) is caught too. *)
@@ -29,7 +30,6 @@ val is_ok : verdict -> bool
 val describe : verdict -> string
 
 val check_waterfill :
-  ?tol:(float[@units "dimensionless"]) ->
   eff_weights:(float[@units "work"]) array ->
   floors:(float[@units "freq"]) array ->
   fmax:(float[@units "freq"]) ->
@@ -43,7 +43,6 @@ val check_waterfill :
     BI-CRIT chain closed form and the TRI-CRIT waterfill step. *)
 
 val check_chain :
-  ?tol:(float[@units "dimensionless"]) ->
   weights:(float[@units "work"]) array ->
   deadline:(float[@units "time"]) ->
   fmin:(float[@units "freq"]) ->
@@ -54,11 +53,6 @@ val check_chain :
     accounting ([energy = Σ wᵢ·fᵢ²] recomputed from the speeds). *)
 
 val check_general :
-  ?tol:(float[@units "dimensionless"]) ->
-  ?slack_tol:(float[@units "dimensionless"]) ->
-  ?probes:int ->
-  ?probe_seed:int ->
-  ?eff_weights:(float[@units "work"]) array ->
   deadline:(float[@units "time"]) ->
   lo:(float[@units "freq"]) array ->
   hi:(float[@units "freq"]) array ->
@@ -68,9 +62,8 @@ val check_general :
 (** Certify a {!Bicrit_continuous.solve_general} result on an
     arbitrary mapped DAG: feasibility, energy accounting,
     critical-path saturation of every task above its lower clamp
-    (slack at most [slack_tol·deadline], default [1e-3]), and
-    [probes] (default [32]) randomised duration-exchange probes
-    seeded by [probe_seed] that must not find a feasible first-order
-    improvement.
+    (slack at most [1e-3·deadline]), and 32 randomised
+    duration-exchange probes (seed 7) that must not find a feasible
+    first-order improvement.
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)

@@ -1,4 +1,5 @@
-module Simplex = Es_lp.Simplex
+module Sparse = Es_lp.Sparse
+module Revised = Es_lp.Revised
 module Problem = Es_lp.Problem
 
 type report = {
@@ -23,7 +24,7 @@ let scale_of ~obj ~rows ~solution ~duals =
   let see v = if Float.abs v > !m then m := Float.abs v in
   Array.iter see obj;
   List.iter
-    (fun (r : Simplex.constr) ->
+    (fun (r : Sparse.constr) ->
       see r.rhs;
       Array.iter see r.coeffs)
     rows;
@@ -31,7 +32,9 @@ let scale_of ~obj ~rows ~solution ~duals =
   Array.iter see duals;
   !m
 
-let certify ?(tol = 1e-6) ~obj ~constraints ~objective ~solution ~duals =
+let tol = 1e-6
+
+let certify ~obj ~constraints ~objective ~solution ~duals =
   let rows = constraints in
   let m = List.length rows in
   let n = Array.length obj in
@@ -52,22 +55,22 @@ let certify ?(tol = 1e-6) ~obj ~constraints ~objective ~solution ~duals =
     Array.iter (fun x -> if -.x > !primal then primal := -.x) solution;
     (* rows: feasibility, dual signs, y_i * slack_i *)
     List.iteri
-      (fun i (r : Simplex.constr) ->
+      (fun i (r : Sparse.constr) ->
         let ax = dot r.coeffs solution in
         let slack = r.rhs -. ax in
         let viol =
           match r.relation with
-          | Simplex.Le -> -.slack (* ax <= b *)
-          | Simplex.Ge -> slack (* ax >= b *)
-          | Simplex.Eq -> Float.abs slack
+          | Sparse.Le -> -.slack (* ax <= b *)
+          | Sparse.Ge -> slack (* ax >= b *)
+          | Sparse.Eq -> Float.abs slack
         in
         if viol > !primal then primal := viol;
         let y = duals.(i) in
         let sign_viol =
           match r.relation with
-          | Simplex.Le -> y (* shadow price of a <= row: y <= 0 *)
-          | Simplex.Ge -> -.y (* >= row: y >= 0 *)
-          | Simplex.Eq -> 0. (* free *)
+          | Sparse.Le -> y (* shadow price of a <= row: y <= 0 *)
+          | Sparse.Ge -> -.y (* >= row: y >= 0 *)
+          | Sparse.Eq -> 0. (* free *)
         in
         if sign_viol > !dual then dual := sign_viol;
         let c = Float.abs (y *. slack) in
@@ -76,7 +79,7 @@ let certify ?(tol = 1e-6) ~obj ~constraints ~objective ~solution ~duals =
     (* reduced costs r_j = c_j - sum_i y_i a_ij >= 0, and x_j r_j = 0 *)
     let red = Array.copy obj in
     List.iteri
-      (fun i (r : Simplex.constr) ->
+      (fun i (r : Sparse.constr) ->
         let y = duals.(i) in
         if y <> 0. then
           Array.iteri (fun j a -> red.(j) <- red.(j) -. (y *. a)) r.coeffs)
@@ -90,7 +93,7 @@ let certify ?(tol = 1e-6) ~obj ~constraints ~objective ~solution ~duals =
     let cx = dot obj solution in
     let by =
       let acc = ref 0. in
-      List.iteri (fun i (r : Simplex.constr) -> acc := !acc +. (r.rhs *. duals.(i))) rows;
+      List.iteri (fun i (r : Sparse.constr) -> acc := !acc +. (r.rhs *. duals.(i))) rows;
       !acc
     in
     let report =
@@ -113,13 +116,13 @@ let certify ?(tol = 1e-6) ~obj ~constraints ~objective ~solution ~duals =
     else Certified report
   end
 
-let certify_outcome ?tol ~obj ~constraints = function
-  | Simplex.Optimal { objective; solution; duals } ->
-    Some (certify ?tol ~obj ~constraints ~objective ~solution ~duals)
-  | Simplex.Infeasible | Simplex.Unbounded -> None
+let certify_outcome ~obj ~constraints = function
+  | Revised.Optimal { objective; solution; duals } ->
+    Some (certify ~obj ~constraints ~objective ~solution ~duals)
+  | Revised.Infeasible | Revised.Unbounded -> None
 
-let certify_problem ?tol lp solution =
-  certify ?tol ~obj:(Problem.objective_coeffs lp) ~constraints:(Problem.constraints lp)
+let certify_problem lp solution =
+  certify ~obj:(Problem.objective_coeffs lp) ~constraints:(Problem.constraints lp)
     ~objective:(Problem.objective solution) ~solution:(Problem.values solution)
     ~duals:(Problem.duals solution)
 

@@ -1,6 +1,7 @@
 (** Independent certification of LP optima.
 
-    {!Es_lp.Simplex} claims [Optimal {objective; solution; duals}];
+    An LP solve ({!Es_lp.Revised.outcome}) claims
+    [Optimal {objective; solution; duals}];
     this module verifies the claim against the raw problem statement
     without re-running (or trusting) the solver.  For the minimisation
     [min cᵀx, A x (≤|=|≥) b, x ≥ 0] an optimal primal-dual pair
@@ -9,7 +10,7 @@
     - {b primal feasibility}: every row holds and [x ≥ 0];
     - {b dual feasibility}: reduced costs [rⱼ = cⱼ − Σᵢ yᵢ·aᵢⱼ ≥ 0]
       (the implicit [x ≥ 0] rows absorb the slack), with the shadow
-      price sign convention of {!Es_lp.Simplex.outcome}: [yᵢ ≤ 0] on
+      price sign convention of {!Es_lp.Revised.outcome}: [yᵢ ≤ 0] on
       [≤] rows, [yᵢ ≥ 0] on [≥] rows, free on [=] rows;
     - {b complementary slackness}: [yᵢ·(bᵢ − aᵢx) = 0] per row and
       [xⱼ·rⱼ = 0] per variable;
@@ -17,8 +18,9 @@
       objective).
 
     Any feasible pair passing all four is optimal by LP duality — the
-    checker is a complete certificate, not a heuristic.  All
-    tolerances are relative to the magnitude of the data. *)
+    checker is a complete certificate, not a heuristic.  Every
+    residual is scaled by the magnitude of the data and must stay
+    within [1e-6]. *)
 
 type report = {
   primal_infeasibility : float;
@@ -35,27 +37,23 @@ type report = {
 type verdict = Certified of report | Rejected of report * string
 
 val certify :
-  ?tol:(float[@units "dimensionless"]) ->
   obj:float array ->
-  constraints:Es_lp.Simplex.constr list ->
+  constraints:Es_lp.Sparse.constr list ->
   objective:float ->
   solution:float array ->
   duals:float array ->
   verdict
-(** Check one claimed optimum.  [tol] (default [1e-6]) bounds every
-    scaled residual of the {!report}. *)
+(** Check one claimed optimum. *)
 
 val certify_outcome :
-  ?tol:(float[@units "dimensionless"]) ->
   obj:float array ->
-  constraints:Es_lp.Simplex.constr list ->
-  Es_lp.Simplex.outcome ->
+  constraints:Es_lp.Sparse.constr list ->
+  Es_lp.Revised.outcome ->
   verdict option
 (** [Some] verdict on [Optimal]; [None] on [Infeasible]/[Unbounded]
     (those claims carry no certificate we can check here). *)
 
 val certify_problem :
-  ?tol:(float[@units "dimensionless"]) ->
   Es_lp.Problem.t ->
   Es_lp.Problem.solution ->
   verdict

@@ -28,8 +28,8 @@ let protected_run (r : Relation.t) inst =
   try r.Relation.run inst with
   | e -> Relation.Fail ("uncaught exception: " ^ Printexc.to_string e)
 
-let shrink_to_minimal ?(budget = 400) relation inst =
-  let budget = ref budget in
+let shrink_to_minimal relation inst =
+  let budget = ref 400 in
   let still_fails i =
     decr budget;
     match protected_run relation i with

@@ -37,11 +37,10 @@ type report = {
   summaries : summary list;
 }
 
-val shrink_to_minimal :
-  ?budget:int -> Relation.t -> Gen.inst -> Gen.inst * int
+val shrink_to_minimal : Relation.t -> Gen.inst -> Gen.inst * int
 (** Greedy descent over {!Gen.shrink}: repeatedly move to the first
     simplification on which the relation still fails; stop at a local
-    minimum or after [budget] (default [400]) candidate evaluations.
+    minimum or after 400 candidate evaluations.
     Returns the final instance and the number of accepted steps. *)
 
 val run_relation :

@@ -30,7 +30,9 @@ let tails cdag ~durations =
   done;
   tl
 
-let solve_exact ?(node_limit = 50_000_000) ~deadline ~levels mapping =
+let node_limit = 50_000_000
+
+let solve_exact ~deadline ~levels mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let sorted = Array.copy levels in

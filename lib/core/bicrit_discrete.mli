@@ -24,13 +24,12 @@ type exact = {
 }
 
 val solve_exact :
-  ?node_limit:int ->
   deadline:(float[@units "time"]) ->
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   exact option
 (** Optimal discrete speed assignment.  [None] when infeasible.
-    @raise Failure when [node_limit] (default [50_000_000]) is hit —
+    @raise Failure when the search visits 50 000 000 nodes —
     the instance is too large for exact search. *)
 
 val round_up :

@@ -1,57 +1,77 @@
 module Problem = Es_lp.Problem
 module Sparse = Es_lp.Sparse
 
+type reliability = { rates : float array; budgets : float array array }
+
 type built = {
   lp : Problem.t;
-  alpha : Problem.var array array;
-  deadline_rows : int list;
-  crash : Sparse.t -> Es_lp.Revised.basis; (* over [Problem.to_sparse lp] *)
+  levels : float array;
+  mapping : Mapping.t;
+  alpha : Problem.var array array array; (* task → execution → level *)
+  start : Problem.var array;
+  deadline_rows : int list; (* last row first *)
+  edges : (Dag.task * Dag.task) list; (* one precedence row each, after the task rows *)
 }
 
-(* The crash basis (see the .mli): slack-basic rows first, then each
-   constrained start time on the precedence row that sets its ASAP
-   start at fmin, in reverse topological order, then each task's
-   slowest share.  In this order every column meets exactly one
-   unfactored row, so the LU factors are triangular with no fill. *)
-let build_lp ~deadline ~levels mapping =
+let build ~deadline ~levels ~reliability mapping =
   if Array.length levels = 0 then invalid_arg "Bicrit_vdd: empty level set";
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
-  let m = Array.length levels in
   let lp = Problem.create () in
-  (* alpha.(i).(k): time task i spends at speed levels.(k) *)
+  let executions i =
+    match reliability with Some r -> Array.length r.budgets.(i) | None -> 1
+  in
+  (* alpha.(i).(e).(k): time execution e of task i spends at speed
+     levels.(k) *)
   let alpha =
-    Array.init n (fun _ ->
-        Array.init m (fun k ->
-            Problem.var lp ~obj:(levels.(k) *. levels.(k) *. levels.(k)) ()))
+    Array.init n (fun i ->
+        Array.init (executions i) (fun _ ->
+            Array.map (fun f -> Problem.var lp ~obj:(f *. f *. f) ()) levels))
   in
   let start = Array.init n (fun _ -> Problem.var lp ()) in
-  let time_expr i = Array.to_list (Array.map (fun v -> (1., v)) alpha.(i)) in
+  let time_expr i =
+    Array.fold_right (Array.fold_right (fun v expr -> (1., v) :: expr)) alpha.(i) []
+  in
+  let weighted coeffs a = Array.to_list (Array.mapi (fun k v -> (coeffs.(k), v)) a) in
   (* record which rows carry the deadline on their right-hand side, so
      their duals sum to dE/dD *)
   let deadline_rows = ref [] in
-  let row_count = ref 0 in
-  let add_eq expr rhs =
-    Problem.eq lp expr rhs;
-    incr row_count
-  in
-  let add_le ?(is_deadline = false) expr rhs =
-    Problem.le lp expr rhs;
-    if is_deadline then deadline_rows := !row_count :: !deadline_rows;
-    incr row_count
-  in
   for i = 0 to n - 1 do
-    (* work conservation *)
-    let work = Array.to_list (Array.mapi (fun k v -> (levels.(k), v)) alpha.(i)) in
-    add_eq work (Dag.weight cdag i);
+    Array.iteri
+      (fun e a ->
+        (* work conservation, then the failure probability within the
+           execution's budget *)
+        Problem.eq lp (weighted levels a) (Dag.weight cdag i);
+        Option.iter (fun r -> Problem.le lp (weighted r.rates a) r.budgets.(i).(e)) reliability)
+      alpha.(i);
     (* deadline: s_i + time_i <= D *)
-    add_le ~is_deadline:true ((1., start.(i)) :: time_expr i) deadline
+    deadline_rows := Problem.n_constraints lp :: !deadline_rows;
+    Problem.le lp ((1., start.(i)) :: time_expr i) deadline
   done;
+  let edges = Dag.edges cdag in
+  List.iter
+    (fun (i, j) ->
+      (* s_i + time_i - s_j <= 0 *)
+      Problem.le lp (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
+    edges;
+  { lp; levels; mapping; alpha; start; deadline_rows = !deadline_rows; edges }
+
+let problem b = b.lp
+
+(* The crash basis (see the .mli) of a one-execution LP without
+   reliability rows: slack-basic rows first, then each constrained
+   start time on the precedence row that sets its ASAP start at fmin,
+   in reverse topological order, then each task's slowest share.  In
+   this order every column meets exactly one unfactored row, so the LU
+   factors are triangular with no fill. *)
+let crash b sp =
+  let cdag = Mapping.constraint_dag b.mapping in
+  let n = Dag.n cdag in
   (* ASAP at the slowest level: tight.(j) is the predecessor that sets
      task j's earliest start (exact argmax, lowest index on ties) *)
   let kmin = ref 0 in
-  Array.iteri (fun k f -> if f < levels.(!kmin) then kmin := k) levels;
-  let fmin = levels.(!kmin) in
+  Array.iteri (fun k f -> if f < b.levels.(!kmin) then kmin := k) b.levels;
+  let fmin = b.levels.(!kmin) in
   let order = Dag.topological_order cdag in
   let es = Array.make n 0. and tight = Array.make n (-1) in
   Array.iter
@@ -65,59 +85,57 @@ let build_lp ~deadline ~levels mapping =
           end)
         (Dag.preds cdag j))
     order;
-  let slack_rows = ref !deadline_rows in
+  (* the precedence rows follow the n work and n deadline rows *)
+  let row = ref (2 * n) and slack_rows = ref b.deadline_rows in
   List.iter
     (fun (i, j) ->
-      (* s_i + time_i - s_j <= 0 *)
-      if tight.(j) <> i then slack_rows := !row_count :: !slack_rows;
-      add_le (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
-    (Dag.edges cdag);
+      if tight.(j) <> i then slack_rows := !row :: !slack_rows;
+      incr row)
+    b.edges;
   let tight_starts =
-    Array.fold_left (fun acc j -> if tight.(j) >= 0 then start.(j) :: acc else acc) [] order
+    Array.fold_left (fun acc j -> if tight.(j) >= 0 then b.start.(j) :: acc else acc) [] order
   in
-  let slacks = List.rev !slack_rows in
-  let vars = tight_starts @ Array.to_list (Array.map (fun a -> a.(!kmin)) alpha) in
-  { lp; alpha; deadline_rows = !deadline_rows; crash = Problem.basis ~slacks ~vars }
+  let vars = tight_starts @ Array.to_list (Array.map (fun a -> a.(0).(!kmin)) b.alpha) in
+  Problem.basis sp ~slacks:(List.rev !slack_rows) ~vars
 
-let extract_schedule ~levels mapping alpha solution =
-  let cdag = Mapping.constraint_dag mapping in
-  let n = Dag.n cdag in
-  let executions =
-    Array.init n (fun i ->
-        let total = Es_util.Futil.sum (Array.map (Problem.value solution) alpha.(i)) in
-        let parts = ref [] in
-        Array.iteri
-          (fun k v ->
-            let t = Problem.value solution v in
-            if t > 1e-9 *. Float.max total 1. then
-              parts := { Schedule.speed = levels.(k); time = t } :: !parts)
-          alpha.(i);
-        (* repair rounding: rescale part times so the work is exact *)
-        let parts = List.rev !parts in
-        let work =
-          Es_util.Futil.sum_by (fun (p : Schedule.part) -> p.speed *. p.time) parts
-        in
-        let target = Dag.weight cdag i in
-        let scale = target /. work in
-        [ List.map (fun (p : Schedule.part) -> { p with Schedule.time = p.time *. scale }) parts ])
+let schedule b solution =
+  let cdag = Mapping.constraint_dag b.mapping in
+  let execution i a =
+    let total = Es_util.Futil.sum (Array.map (Problem.value solution) a) in
+    let parts = ref [] in
+    Array.iteri
+      (fun k v ->
+        let t = Problem.value solution v in
+        if t > 1e-9 *. Float.max total 1. then
+          parts := { Schedule.speed = b.levels.(k); time = t } :: !parts)
+      a;
+    (* repair rounding: rescale part times so the work is exact *)
+    let parts = List.rev !parts in
+    let work = Es_util.Futil.sum_by (fun (p : Schedule.part) -> p.speed *. p.time) parts in
+    let scale = Dag.weight cdag i /. work in
+    List.map (fun (p : Schedule.part) -> { p with Schedule.time = p.time *. scale }) parts
   in
-  Schedule.make mapping ~executions
+  Schedule.make b.mapping
+    ~executions:(Array.mapi (fun i execs -> Array.to_list (Array.map (execution i) execs)) b.alpha)
+
+let build_lp ~deadline ~levels mapping = build ~deadline ~levels ~reliability:None mapping
 
 let lp ~deadline ~levels mapping = (build_lp ~deadline ~levels mapping).lp
+
 let crash_basis ~levels mapping =
   let b = build_lp ~deadline:0. ~levels mapping in
-  b.crash (Problem.to_sparse b.lp)
+  crash b (Problem.to_sparse b.lp)
 
 (* Every solve that has no optimal basis to chain from starts from the
    crash basis. *)
 let solve_built b =
   let sp = Problem.to_sparse b.lp in
-  fst (Problem.solve_sparse ~basis:(b.crash sp) sp)
+  fst (Problem.solve_sparse ~basis:(crash b sp) sp)
 
 let solve ~deadline ~levels mapping =
   let b = build_lp ~deadline ~levels mapping in
   match solve_built b with
-  | Problem.Solution s -> Some (extract_schedule ~levels mapping b.alpha s)
+  | Problem.Solution s -> Some (schedule b s)
   | Problem.Infeasible -> None
   | Problem.Unbounded ->
     (* energy is bounded below by 0: cannot happen on well-formed input *)
@@ -141,7 +159,7 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   let b = build_lp ~deadline:0. ~levels mapping in
   let sp = Problem.to_sparse b.lp in
   let rhs = Sparse.rhs sp in
-  let crash = b.crash sp in
+  let crash = crash b sp in
   let basis = ref None in
   Array.map
     (fun deadline ->

@@ -142,3 +142,52 @@ val emulate_continuous :
     range.
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
+
+(** {1 The LP with re-executions}
+
+    TRI-CRIT under VDD-HOPPING at a fixed re-execution subset (R11) is
+    the LP above plus two things: a second execution, with its own
+    shares and work row, for each re-executed task, and one linear
+    reliability row per execution.  {!Tricrit_vdd} states its subset
+    LPs with {!build}. *)
+
+type reliability = {
+  rates : (float[@units "prob/time"]) array;
+      (** failure rate at each level, per unit of time: an execution's
+          failure probability is [Σₖ rates.(k)·αₖ] *)
+  budgets : (float[@units "prob"]) array array;
+      (** per task, one failure budget per execution: one entry runs
+          the task once, two re-execute it *)
+}
+
+type built
+(** An LP together with what reading a schedule off its solution
+    needs. *)
+
+val build :
+  deadline:(float[@units "time"]) ->
+  levels:(float[@units "freq"]) array ->
+  reliability:reliability option ->
+  Mapping.t ->
+  built
+(** The LP over the mapping's constraint DAG.  Columns: the time
+    shares [αᵢₑₖ] by task, then execution, then level, then the start
+    times [sᵢ].  Rows: for each task, each execution's work row
+    [Σₖ fₖ·αᵢₑₖ = wᵢ] followed by its reliability row
+    [Σₖ rates.(k)·αᵢₑₖ ≤ budgets.(i).(e)], then the task's deadline
+    row [sᵢ + Σₑₖ αᵢₑₖ ≤ D]; the precedence rows
+    [sᵢ + Σₑₖ αᵢₑₖ − sⱼ ≤ 0] come last, in edge order.  Without
+    [reliability] every task runs once with no reliability row: that
+    is {!lp}.
+
+    @raise Invalid_argument if [levels] is empty. *)
+
+val problem : built -> Es_lp.Problem.t
+(** The LP itself. *)
+
+val schedule : built -> Es_lp.Problem.solution -> Schedule.t
+(** The schedule an optimal solution of {!problem} encodes: each
+    execution runs its levels' shares, dropping those under [1e-9] of
+    its duration, rescaled so that it does exactly the task's work.
+
+    @raise Invalid_argument if the solution is not one of {!problem}. *)

@@ -58,7 +58,9 @@ let evaluate ~rel ~checkpoint_work ~deadline ~weights segmentation =
           speeds;
         Some { segments = segmentation; speeds; energy = !energy; time = !time }))
 
-let solve ?(speed_grid = 64) ~rel ~checkpoint_work ~deadline ~weights =
+let speed_grid = 64
+
+let solve ~rel ~checkpoint_work ~deadline ~weights =
   let n = Array.length weights in
   if n = 0 then None
   else begin

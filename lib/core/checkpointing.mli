@@ -60,13 +60,12 @@ val evaluate :
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 
 val solve :
-  ?speed_grid:int ->
   rel:Rel.params ->
   checkpoint_work:(float[@units "work"]) ->
   deadline:(float[@units "time"]) ->
   weights:(float[@units "work"]) array ->
   solution option
-(** Best segmentation over a grid of [speed_grid] (default 64) common
+(** Best segmentation over a grid of 64 common
     speed levels: per level, an interval DP picks the
     minimum-"energy at that level" segmentation, then {!evaluate}
     re-optimises its speeds exactly.  Returns the cheapest feasible

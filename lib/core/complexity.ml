@@ -25,7 +25,7 @@ let of_two_partition items =
 let decide_two_partition items =
   let r = of_two_partition items in
   match
-    Bicrit_discrete.solve_exact ?node_limit:None ~deadline:r.deadline ~levels:r.levels
+    Bicrit_discrete.solve_exact ~deadline:r.deadline ~levels:r.levels
       r.mapping
   with
   | None -> false

@@ -187,7 +187,10 @@ let winner_name = function
   | Parallel_oriented -> "parallel-oriented"
   | Baseline_only -> "baseline"
 
-let local_search ?(sweeps = 2) ?(max_candidates = 20) ~rel ~deadline mapping start =
+let sweeps = 2
+let max_candidates = 20
+
+let local_search ~rel ~deadline mapping start =
   let dag = Mapping.dag mapping in
   let n = Dag.n dag in
   let frel_floor = Float.max rel.Rel.fmin rel.Rel.frel in

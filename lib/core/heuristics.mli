@@ -81,16 +81,14 @@ val winner_name : winner -> string
     reports. *)
 
 val local_search :
-  ?sweeps:int ->
-  ?max_candidates:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   Mapping.t ->
   solution ->
   solution
 (** Single-task toggle descent seeded from an existing solution: in
-    each sweep (default 2), try flipping the re-execution bit of up to
-    [max_candidates] tasks (default 20, ranked by optimistic gain) and
+    each of up to two sweeps, try flipping the re-execution bit of up
+    to 20 tasks (ranked by optimistic gain) and
     keep the best improvement; candidate probes run at a loose barrier
     tolerance and the final winner is re-evaluated at full precision.
     Never returns a worse solution.  Closes most of the gap the prefix

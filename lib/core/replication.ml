@@ -77,28 +77,14 @@ let evaluate ~rel ~deadline ~weights ~kinds =
 
 let all_kinds = [| Single; Reexecute; Replicate |]
 
-let better a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some sa, Some sb -> if sb.energy < sa.energy then Some sb else Some sa
+let solve_over_kinds menu ~rel ~deadline ~weights =
+  Subset_search.exhaustive ~menu ~vary:(Array.make (Array.length weights) true)
+    ~evaluate:(fun kinds -> evaluate ~rel ~deadline ~weights ~kinds)
+    ~energy:(fun s -> s.energy)
 
-let solve_over_kinds options ~rel ~deadline ~weights =
-  let n = Array.length weights in
-  let kinds = Array.make n Single in
-  let best = ref None in
-  let rec enum i =
-    if i = n then best := better !best (evaluate ~rel ~deadline ~weights ~kinds)
-    else
-      Array.iter
-        (fun k ->
-          kinds.(i) <- k;
-          enum (i + 1))
-        options
-  in
-  enum 0;
-  !best
+let max_n = 12
 
-let solve_exact ?(max_n = 12) ~rel ~deadline ~weights =
+let solve_exact ~rel ~deadline ~weights =
   if Array.length weights > max_n then
     invalid_arg
       (Printf.sprintf "Replication.solve_exact: n = %d > %d" (Array.length weights) max_n);
@@ -110,37 +96,6 @@ let reexec_only ~rel ~deadline ~weights =
   else None
 
 let solve_greedy ~rel ~deadline ~weights =
-  let n = Array.length weights in
-  let kinds = Array.make n Single in
-  let current = ref (evaluate ~rel ~deadline ~weights ~kinds) in
-  match !current with
-  | None -> None
-  | Some _ ->
-    let improved = ref true in
-    while !improved do
-      improved := false;
-      let best_move = ref None in
-      for i = 0 to n - 1 do
-        let saved = kinds.(i) in
-        Array.iter
-          (fun k ->
-            if k <> saved then begin
-              kinds.(i) <- k;
-              (match (evaluate ~rel ~deadline ~weights ~kinds, !current) with
-              | Some cand, Some cur when cand.energy < cur.energy -. 1e-12 -> (
-                match !best_move with
-                | Some (_, _, e) when e <= cand.energy -> ()
-                | _ -> best_move := Some (i, k, cand.energy))
-              | _ -> ());
-              kinds.(i) <- saved
-            end)
-          all_kinds
-      done;
-      match !best_move with
-      | Some (i, k, _) ->
-        kinds.(i) <- k;
-        current := evaluate ~rel ~deadline ~weights ~kinds;
-        improved := true
-      | None -> ()
-    done;
-    !current
+  Subset_search.descent ~menu:all_kinds ~vary:(Array.make (Array.length weights) true)
+    ~evaluate:(fun kinds -> evaluate ~rel ~deadline ~weights ~kinds)
+    ~energy:(fun s -> s.energy)

@@ -44,12 +44,12 @@ val evaluate :
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 
 val solve_exact :
-  ?max_n:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   weights:(float[@units "work"]) array ->
   solution option
-(** Enumerate all [3ⁿ] option vectors (guard [max_n], default 12).
+(** Enumerate all [3ⁿ] option vectors ({!Subset_search.exhaustive};
+    at most 12 tasks).
 
     @raise Invalid_argument if the instance exceeds the exhaustive-search size bound. *)
 
@@ -58,8 +58,9 @@ val solve_greedy :
   deadline:(float[@units "time"]) ->
   weights:(float[@units "work"]) array ->
   solution option
-(** Local search over per-task option toggles, mirroring
-    {!Tricrit_chain.solve_greedy}.
+(** Local search over per-task option changes
+    ({!Subset_search.descent}), as {!Tricrit_chain.solve_greedy} does
+    over toggles.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 

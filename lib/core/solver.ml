@@ -67,7 +67,7 @@ let solve ?(exact_threshold = 14) { mapping; model; deadline; rel } =
     end)
   | Speed.Discrete levels, None ->
     if n <= exact_threshold then begin
-      match Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping with
+      match Bicrit_discrete.solve_exact ~deadline ~levels mapping with
       | Some r -> answer ~exact:true ~engine:"discrete branch-and-bound" r.Bicrit_discrete.schedule
       | None -> Error "infeasible: the deadline cannot be met under this model"
     end

@@ -1,0 +1,46 @@
+(** The combinatorial half of TRI-CRIT: choose one option per task.
+
+    Once every task's option is fixed — run once or re-execute, and
+    with a mirror processor also replicate — what is left is a convex
+    program or an LP that the caller's [evaluate] solves.  This module
+    is the search over those option vectors: an exhaustive one for
+    exact answers on small instances, and a best-improvement descent
+    for long ones.  A subset of re-executed tasks is the menu
+    [[|false; true|]].
+
+    Both searches work on one vector of [Array.length vary] choices.
+    It starts with [menu.(0)] at every position; only the positions
+    where [vary] is [true] ever change.  [evaluate] receives that
+    vector itself and must copy it to keep it, since the search goes
+    on mutating it; [None] marks an infeasible vector.  Of two answers
+    of equal [energy], the one evaluated first is kept. *)
+
+val exhaustive :
+  menu:'c array ->
+  vary:bool array ->
+  evaluate:('c array -> 'a option) ->
+  energy:('a -> (float[@units "energy"])) ->
+  'a option
+(** The minimum-energy answer over all [|menu|^k] vectors ([k] varying
+    positions), [None] if none is feasible.  Vectors are evaluated
+    depth first: the lowest varying position is outermost, and each
+    position runs through [menu] in order.  The caller bounds [k].
+
+    @raise Invalid_argument if [menu] is empty. *)
+
+val descent :
+  menu:'c array ->
+  vary:bool array ->
+  evaluate:('c array -> 'a option) ->
+  energy:('a -> (float[@units "energy"])) ->
+  'a option
+(** Best-improvement local search from the all-[menu.(0)] vector.
+    Each round evaluates every single move — one varying position set
+    to another menu entry, positions in increasing order, entries in
+    menu order — and commits the move of least energy (the first on
+    ties) when it beats the current answer by more than [1e-12], then
+    re-evaluates the committed vector.  It stops at a vector that no
+    single move improves by that margin.  [None] if the start vector
+    is infeasible.
+
+    @raise Invalid_argument if [menu] is empty. *)

@@ -77,68 +77,27 @@ let no_reexecution ~rel ~deadline mapping =
   let subset = Array.make (Dag.n (Mapping.dag mapping)) false in
   evaluate_subset ~rel ~deadline mapping ~subset
 
-let solve_exact ?(max_n = 20) ~rel ~deadline mapping =
-  let dag = Mapping.dag mapping in
-  let n = Dag.n dag in
+let max_n = 20
+
+let solve_exact ~rel ~deadline mapping =
+  let n = Dag.n (Mapping.dag mapping) in
   if n > max_n then
     invalid_arg (Printf.sprintf "Tricrit_chain.solve_exact: n = %d > %d" n max_n);
-  let best = ref None in
-  let subset = Array.make n false in
-  let consider () =
-    match evaluate_subset ~rel ~deadline mapping ~subset with
-    | None -> ()
-    | Some sol -> (
-      match !best with
-      | Some b when b.energy <= sol.energy -> ()
-      | _ -> best := Some sol)
-  in
-  let rec enum i =
-    if i = n then consider ()
-    else begin
-      subset.(i) <- false;
-      enum (i + 1);
-      subset.(i) <- true;
-      enum (i + 1);
-      subset.(i) <- false
-    end
-  in
-  enum 0;
-  !best
+  Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
+    ~evaluate:(fun subset -> evaluate_subset ~rel ~deadline mapping ~subset)
+    ~energy:(fun s -> s.energy)
 
+(* When the deadline is too tight even for S = ∅ the instance is
+   infeasible: adding re-executions only lengthens the chain. *)
 let solve_greedy ~rel ~deadline mapping =
-  let dag = Mapping.dag mapping in
-  let n = Dag.n dag in
-  let subset = Array.make n false in
-  let current = ref (evaluate_subset ~rel ~deadline mapping ~subset) in
-  (* When the deadline is too tight even for S = ∅ the instance is
-     infeasible: adding re-executions only lengthens the chain. *)
-  match !current with
-  | None -> None
-  | Some _ ->
-    let improved = ref true in
-    while !improved do
-      improved := false;
-      let best_toggle = ref None in
-      for i = 0 to n - 1 do
-        subset.(i) <- not subset.(i);
-        (match (evaluate_subset ~rel ~deadline mapping ~subset, !current) with
-        | Some cand, Some cur when cand.energy < cur.energy -. 1e-12 -> (
-          match !best_toggle with
-          | Some (_, e) when e <= cand.energy -> ()
-          | _ -> best_toggle := Some (i, cand.energy))
-        | _ -> ());
-        subset.(i) <- not subset.(i)
-      done;
-      match !best_toggle with
-      | Some (i, _) ->
-        subset.(i) <- not subset.(i);
-        current := evaluate_subset ~rel ~deadline mapping ~subset;
-        improved := true
-      | None -> ()
-    done;
-    !current
+  let n = Dag.n (Mapping.dag mapping) in
+  Subset_search.descent ~menu:[| false; true |] ~vary:(Array.make n true)
+    ~evaluate:(fun subset -> evaluate_subset ~rel ~deadline mapping ~subset)
+    ~energy:(fun s -> s.energy)
 
-let solve_dp ?(buckets = 512) ~rel ~deadline mapping =
+let buckets = 512
+
+let solve_dp ~rel ~deadline mapping =
   let dag = Mapping.dag mapping in
   let tasks = chain_tasks mapping in
   let n = Array.length tasks in

@@ -51,19 +51,15 @@ val evaluate_subset :
     @raise Invalid_argument if the mapping is not a single-processor chain. *)
 
 val solve_exact :
-  ?max_n:int ->
-  rel:Rel.params ->
-  deadline:(float[@units "time"]) ->
-  Mapping.t ->
-  solution option
-(** Exhaustive minimum over all [2ⁿ] subsets.  @raise Invalid_argument
-    when the chain is longer than [max_n] (default 20). *)
+  rel:Rel.params -> deadline:(float[@units "time"]) -> Mapping.t -> solution option
+(** Exhaustive minimum over all [2ⁿ] subsets ({!Subset_search.exhaustive}).
+    @raise Invalid_argument when the chain is longer than 20 tasks. *)
 
 val solve_greedy :
   rel:Rel.params -> deadline:(float[@units "time"]) -> Mapping.t -> solution option
-(** Greedy subset construction: starting from [S = ∅], repeatedly add
-    (or drop) the task whose toggle decreases energy the most, until a
-    local minimum.  Polynomial ([O(n²)] waterfills) and, in the
+(** Greedy subset construction ({!Subset_search.descent}): starting
+    from [S = ∅], repeatedly add (or drop) the task whose toggle
+    decreases energy the most, until a local minimum.  Polynomial ([O(n²)] waterfills) and, in the
     experiments, within a fraction of a percent of {!solve_exact}.
 
     @raise Invalid_argument if the mapping is not a single-processor chain. *)
@@ -77,7 +73,6 @@ val no_reexecution :
     @raise Invalid_argument if the mapping is not a single-processor chain. *)
 
 val solve_dp :
-  ?buckets:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   Mapping.t ->
@@ -88,7 +83,7 @@ val solve_dp :
     floor, so choosing the re-executed subset is exactly a knapsack:
     item cost [2wᵢ/f_loᵢ − wᵢ/f_rel] (extra chain time), item value
     [wᵢ(f_rel² − 2f_loᵢ²)] (energy saved), budget [D − Σ wᵢ/f_rel].
-    The DP discretises the budget into [buckets] (default 512) slices,
+    The DP discretises the budget into 512 slices,
     rounding item costs {e up} so the selected subset is always
     feasible, and finishes with the exact waterfilling on the selected
     subset.  Outside the loose regime it is a heuristic (the greedy and

@@ -11,41 +11,13 @@ let candidates ~rel dag =
         (* with unlimited time, re-execution pays iff 2·f_lo² < f_rel² *)
         2. *. flo *. flo < frel_floor *. frel_floor)
 
-let solve ?(max_n = 12) ~rel ~deadline mapping =
-  let dag = Mapping.dag mapping in
-  let n = Dag.n dag in
-  let cand = candidates ~rel dag in
-  let cand_ids = List.filter (fun i -> cand.(i)) (List.init n Fun.id) in
-  let k = List.length cand_ids in
+let max_n = 12
+
+let solve ~rel ~deadline mapping =
+  let cand = candidates ~rel (Mapping.dag mapping) in
+  let k = Array.fold_left (fun k c -> if c then k + 1 else k) 0 cand in
   if k > max_n then
     invalid_arg (Printf.sprintf "Tricrit_exact.solve: %d candidates > %d" k max_n);
-  let ids = Array.of_list cand_ids in
-  let subset = Array.make n false in
-  let best = ref None in
-  let consider () =
-    match Heuristics.evaluate_subset ~rel ~deadline mapping ~subset with
-    | None -> ()
-    | Some sol -> (
-      match !best with
-      | Some (b : solution) when b.energy <= sol.Heuristics.energy -> ()
-      | _ -> best := Some sol)
-  in
-  let rec enum j =
-    if j = k then consider ()
-    else begin
-      subset.(ids.(j)) <- false;
-      enum (j + 1);
-      subset.(ids.(j)) <- true;
-      enum (j + 1);
-      subset.(ids.(j)) <- false
-    end
-  in
-  enum 0;
-  !best
-
-let heuristic_gap ?max_n ~rel ~deadline mapping =
-  match
-    (Heuristics.best_of ~rel ~deadline mapping, solve ?max_n ~rel ~deadline mapping)
-  with
-  | Some (h, _), Some e -> Some (h.Heuristics.energy /. e.Heuristics.energy)
-  | _ -> None
+  Subset_search.exhaustive ~menu:[| false; true |] ~vary:cand
+    ~evaluate:(fun subset -> Heuristics.evaluate_subset ~rel ~deadline mapping ~subset)
+    ~energy:(fun (s : solution) -> s.energy)

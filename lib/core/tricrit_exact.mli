@@ -15,28 +15,13 @@
 type solution = Heuristics.solution
 
 val solve :
-  ?max_n:int ->
-  rel:Rel.params ->
-  deadline:(float[@units "time"]) ->
-  Mapping.t ->
-  solution option
-(** Exact optimum.  @raise Invalid_argument when the number of
-    {e candidate} tasks (after the dominance prune) exceeds [max_n]
-    (default 12). *)
+  rel:Rel.params -> deadline:(float[@units "time"]) -> Mapping.t -> solution option
+(** Exact optimum ({!Subset_search.exhaustive} over the candidates).
+    @raise Invalid_argument when the number of {e candidate} tasks
+    (after the dominance prune) exceeds 12. *)
 
 val candidates : rel:Rel.params -> Dag.t -> bool array
 (** The dominance prune: [true] for tasks whose re-execution could ever
     reduce energy.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
-
-val heuristic_gap :
-  ?max_n:int ->
-  rel:Rel.params ->
-  deadline:(float[@units "time"]) ->
-  Mapping.t ->
-  (float[@units "dimensionless"]) option
-(** Convenience for experiment E13: energy(best-of heuristics) /
-    energy(exact), [None] when the instance is infeasible.
-
-    @raise Invalid_argument if the candidate set exceeds the exhaustive-search bound. *)

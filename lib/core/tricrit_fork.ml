@@ -67,7 +67,9 @@ let total_cost ~rel ~deadline dag t0 =
       in
       Some (energy, s, ds))
 
-let solve ?(grid = 512) ~rel ~deadline dag =
+let grid = 512
+
+let solve ~rel ~deadline dag =
   check_fork dag;
   let w0 = Dag.weight dag 0 in
   let t0_min = w0 /. rel.Rel.fmax in
@@ -91,7 +93,7 @@ let solve ?(grid = 512) ~rel ~deadline dag =
       let cell = (t0_max -. t0_min) /. float_of_int grid in
       let lo = Float.max t0_min (!best_t -. cell) in
       let hi = Float.min t0_max (!best_t +. cell) in
-      let t_star = Es_numopt.Scalar.golden_min ?max_iters:None ~tol:1e-12 ~f:cost ~lo ~hi in
+      let t_star = Es_numopt.Scalar.golden_min ~tol:1e-12 ~f:cost ~lo ~hi in
       let t_star = if cost t_star <= !best_e then t_star else !best_t in
       match total_cost ~rel ~deadline dag t_star with
       | None -> None

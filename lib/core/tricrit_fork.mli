@@ -38,13 +38,12 @@ type solution = {
 }
 
 val solve :
-  ?grid:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   Dag.t ->
   solution option
 (** The fork algorithm.  The DAG must be a fork with task 0 as the
     source (as produced by {!Generators.fork}); the mapping used is one
-    task per processor.  [grid] (default 512) is the resolution of the
-    coarse scan over [t₀], refined by golden-section search around the
+    task per processor.  A coarse scan over [t₀] at 512 cells is
+    refined by golden-section search around the
     best cell.  @raise Invalid_argument if the DAG is not a fork. *)

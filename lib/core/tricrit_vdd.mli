@@ -20,9 +20,13 @@
     symmetric choice and an upper-bounding restriction (any feasible
     point of the restricted LP is feasible for the true problem).
 
-    Solvers: exhaustive subset enumeration + LP for small instances,
-    and the paper's adaptation of the CONTINUOUS heuristics (take the
-    best-of-two continuous subset, then let the LP mix speeds). *)
+    That LP is {!Bicrit_vdd}'s, given one failure budget per
+    execution ({!Bicrit_vdd.build}); this module sets the budgets.
+
+    Solvers: exhaustive subset enumeration ({!Subset_search}) + LP for
+    small instances, and the paper's adaptation of the CONTINUOUS
+    heuristics (take the best-of-two continuous subset, then let the
+    LP mix speeds). *)
 
 type solution = {
   schedule : Schedule.t;
@@ -37,7 +41,10 @@ val solve_subset :
   Mapping.t ->
   subset:bool array ->
   solution option
-(** The fixed-subset LP described above.  [None] if infeasible.
+(** The fixed-subset LP described above, solved two-phase (no crash
+    basis: a slowest-level start would violate the reliability rows).
+    [None] if infeasible, without building the LP when even the
+    fastest level misses some execution's budget.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if an argument violates a documented precondition. *)
@@ -49,9 +56,9 @@ val solve_exact :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   solution option
-(** Minimum over all [2ⁿ] subsets (default size guard [max_n = 12]:
-    each subset costs one LP).  @raise Invalid_argument above the
-    guard. *)
+(** Minimum over all [2ⁿ] subsets ({!Subset_search.exhaustive}; default
+    size guard [max_n = 12]: each subset costs one LP).
+    @raise Invalid_argument above the guard. *)
 
 val solve_heuristic :
   rel:Rel.params ->

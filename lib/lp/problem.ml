@@ -1,6 +1,6 @@
 type var = int
 
-type row = { expr : (float * var) list; relation : Simplex.relation; rhs : float }
+type row = { expr : (float * var) list; relation : Sparse.relation; rhs : float }
 
 type t = {
   mutable objs : float list; (* reversed *)
@@ -23,9 +23,9 @@ let add_row t expr relation rhs =
   t.rows <- { expr; relation; rhs } :: t.rows;
   t.nr <- t.nr + 1
 
-let le t expr rhs = add_row t expr Simplex.Le rhs
-let ge t expr rhs = add_row t expr Simplex.Ge rhs
-let eq t expr rhs = add_row t expr Simplex.Eq rhs
+let le t expr rhs = add_row t expr Sparse.Le rhs
+let ge t expr rhs = add_row t expr Sparse.Ge rhs
+let eq t expr rhs = add_row t expr Sparse.Eq rhs
 let upper_bound t v u = le t [ (1., v) ] u
 
 type solution = { objective : float; values : float array; duals : float array }
@@ -41,7 +41,7 @@ let objective_coeffs t = Array.of_list (List.rev t.objs)
 let to_constr t { expr; relation; rhs } =
   let coeffs = Array.make t.nv 0. in
   List.iter (fun (c, v) -> coeffs.(v) <- coeffs.(v) +. c) expr;
-  { Simplex.coeffs; relation; rhs }
+  { Sparse.coeffs; relation; rhs }
 
 let constraints t = List.rev_map (to_constr t) t.rows
 
@@ -95,10 +95,10 @@ let solve_sparse ?basis sp =
   in
   let outcome =
     match outcome with
-    | Simplex.Optimal { objective; solution; duals } ->
+    | Revised.Optimal { objective; solution; duals } ->
       Solution { objective; values = solution; duals }
-    | Simplex.Infeasible -> Infeasible
-    | Simplex.Unbounded -> Unbounded
+    | Revised.Infeasible -> Infeasible
+    | Revised.Unbounded -> Unbounded
   in
   (outcome, next)
 

@@ -93,7 +93,7 @@ val value : solution -> var -> float
 
 val duals : solution -> float array
 (** Dual multipliers, one per constraint in the order the rows were
-    added (see {!Simplex.outcome}).  Used by the sensitivity experiment
+    added (see {!Revised.outcome}).  Used by the sensitivity experiment
     to read the marginal energy cost of the deadline. *)
 
 val values : solution -> float array
@@ -108,7 +108,7 @@ val objective_coeffs : t -> float array
     by {!Es_check.Lp_cert} to re-derive the LP independently of the
     solver. *)
 
-val constraints : t -> Simplex.constr list
+val constraints : t -> Sparse.constr list
 (** The rows in the order they were added, as dense rows of
     {!n_vars} entries.  Together with {!objective_coeffs} this is the
     full LP statement, so a checker can verify a solution without

@@ -28,12 +28,20 @@
     heap and concurrent solves share no state. *)
 
 type outcome =
-  | Optimal of { objective : float; solution : float array; duals : float array }
-  | Infeasible
-  | Unbounded
-      (** Same shape and dual-sign conventions as the dense reference:
-          [duals.(i)] prices row [i] in input order (≤ 0 on [Le] rows,
-          ≥ 0 on [Ge] rows, free on [Eq] rows). *)
+  | Optimal of {
+      objective : float;
+      solution : float array;  (** the structural variables *)
+      duals : float array;
+          (** one dual multiplier per row, in input order: the shadow
+              price [∂objective/∂rhs], [≤ 0] on [Le] rows, [≥ 0] on
+              [Ge] rows, free on [Eq] rows; non-binding rows price at
+              0.  On degenerate optima the value is one valid
+              choice. *)
+    }  (** Minimiser found. *)
+  | Infeasible  (** Phase 1 ended with positive artificial mass. *)
+  | Unbounded  (** Phase 2 found an improving ray. *)
+(** The outcome every LP user shares: {!Problem}, [Es_check.Lp_cert]
+    and the dense reference [Es_check.Dense_simplex]. *)
 
 type basis
 (** A basis: one column per row.  An optimal one is reusable as a

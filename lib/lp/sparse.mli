@@ -16,7 +16,9 @@ type relation = Le | Eq | Ge
 
 type constr = { coeffs : float array; relation : relation; rhs : float }
 (** One row [coeffs · x (≤|=|≥) rhs] with one entry per structural
-    variable, exactly as accepted by {!of_rows}. *)
+    variable, exactly as accepted by {!of_rows}: the dense row type
+    {!Problem.constraints}, [Es_check.Lp_cert] and
+    [Es_check.Dense_simplex] share. *)
 
 type sparse_row = { nonzeros : (int * float) list; relation : relation; rhs : float }
 (** One row [Σ v·x_j (≤|=|≥) rhs] given by its nonzeros [(j, v)]: each

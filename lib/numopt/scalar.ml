@@ -1,4 +1,4 @@
-let bisect ?(tol = 1e-12) ?(max_iters = 200) ~f ~lo ~hi =
+let bisect ?(tol = 1e-12) ~f ~lo ~hi =
   let flo = f lo and fhi = f hi in
   if flo = 0. then lo
   else if fhi = 0. then hi
@@ -15,7 +15,7 @@ let bisect ?(tol = 1e-12) ?(max_iters = 200) ~f ~lo ~hi =
         else loop mid hi fmid (iters - 1)
       end
     in
-    loop lo hi flo max_iters
+    loop lo hi flo 200
   end
 
 let root_monotone ?(tol = 1e-12) ~f ~lo ~hi =
@@ -25,11 +25,11 @@ let root_monotone ?(tol = 1e-12) ~f ~lo ~hi =
   else if flo *. fhi > 0. then
     (* No sign change: the root is outside; clamp to the closer end. *)
     if Float.abs flo < Float.abs fhi then lo else hi
-  else bisect ~tol ?max_iters:None ~f ~lo ~hi
+  else bisect ~tol ~f ~lo ~hi
 
 let c_golden_probes = Es_obs.Obs.counter "golden_probes"
 
-let golden_min ?(tol = 1e-10) ?(max_iters = 200) ~f ~lo ~hi =
+let golden_min ?(tol = 1e-10) ~f ~lo ~hi =
   let f x =
     Es_obs.Obs.incr c_golden_probes;
     f x
@@ -50,9 +50,9 @@ let golden_min ?(tol = 1e-10) ?(max_iters = 200) ~f ~lo ~hi =
     end
   in
   let x1 = hi -. (phi *. (hi -. lo)) and x2 = lo +. (phi *. (hi -. lo)) in
-  loop lo hi x1 x2 (f x1) (f x2) max_iters
+  loop lo hi x1 x2 (f x1) (f x2) 200
 
-let newton_1d ?(tol = 1e-12) ?(max_iters = 100) ~f ~f' ~x0 =
+let newton_1d ?(tol = 1e-12) ~f ~f' ~x0 =
   let rec loop x iters =
     if iters = 0 then x
     else begin
@@ -68,4 +68,4 @@ let newton_1d ?(tol = 1e-12) ?(max_iters = 100) ~f ~f' ~x0 =
       end
     end
   in
-  loop x0 max_iters
+  loop x0 100

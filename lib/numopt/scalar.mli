@@ -5,13 +5,12 @@
     reliability equation), the fork TRI-CRIT window split (unimodal
     minimisation), and waterfilling levels. *)
 
-val bisect :
-  ?tol:float -> ?max_iters:int -> f:(float -> float) -> lo:float -> hi:float -> float
+val bisect : ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> float
 (** [bisect ~f ~lo ~hi] finds [x] with [f x = 0] assuming
     [f lo] and [f hi] have opposite signs (or one of them is zero).
     [tol] (default [1e-12]) bounds the final interval width relative to
-    the initial one.  @raise Invalid_argument if the sign condition
-    fails. *)
+    the initial one; at most 200 halvings.
+    @raise Invalid_argument if the sign condition fails. *)
 
 val root_monotone :
   ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> float
@@ -20,13 +19,12 @@ val root_monotone :
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 
-val golden_min :
-  ?tol:float -> ?max_iters:int -> f:(float -> float) -> lo:float -> hi:float -> float
+val golden_min : ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> float
 (** Golden-section search for the minimiser of a unimodal [f] on
-    [\[lo, hi\]].  Returns the abscissa. *)
+    [\[lo, hi\]], at most 200 steps.  Returns the abscissa. *)
 
 val newton_1d :
-  ?tol:float -> ?max_iters:int -> f:(float -> float) -> f':(float -> float) ->
-  x0:float -> float
-(** Newton iteration for a root of [f], seeded at [x0]; falls back to
-    halving steps when the derivative degenerates. *)
+  ?tol:float -> f:(float -> float) -> f':(float -> float) -> x0:float -> float
+(** Newton iteration for a root of [f], seeded at [x0], at most 100
+    steps; it stops early where [|f| ≤ tol] or the derivative
+    vanishes. *)

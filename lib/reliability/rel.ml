@@ -41,7 +41,7 @@ let min_reexec_speed p ~w =
     (* ε(f)² − target is strictly decreasing in f with a sign change
        on [fmin, fmax]. *)
     let f =
-      Es_numopt.Scalar.bisect ?max_iters:None ~tol:1e-14
+      Es_numopt.Scalar.bisect ~tol:1e-14
         ~f:(fun f -> eps f -. target)
         ~lo:p.fmin ~hi:p.fmax
     in

@@ -156,11 +156,10 @@ let monte_carlo rng ~rel ~trials sched =
   Obs.time t_monte_carlo @@ fun () ->
   report_of_tally sched (run_tally rng ~rel ~trials sched)
 
-let default_replicas = 16
+let replicas = 16
 
-let monte_carlo_par ?pool ?(replicas = default_replicas) rng ~rel ~trials sched =
+let monte_carlo_par ?pool rng ~rel ~trials sched =
   if trials <= 0 then invalid_arg "Sim.monte_carlo_par: trials must be > 0";
-  if replicas < 1 then invalid_arg "Sim.monte_carlo_par: replicas must be >= 1";
   Obs.time t_monte_carlo @@ fun () ->
   let replicas = min replicas trials in
   let base = trials / replicas and rem = trials mod replicas in

@@ -48,22 +48,21 @@ val monte_carlo : Es_util.Rng.t -> rel:Rel.params -> trials:int -> Schedule.t ->
 
 val monte_carlo_par :
   ?pool:Es_par.Pool.t ->
-  ?replicas:int ->
   Es_util.Rng.t ->
   rel:Rel.params ->
   trials:int ->
   Schedule.t ->
   report
-(** Like {!monte_carlo}, but the trials are partitioned over
-    [replicas] independent sub-simulations (default 16, clamped to
-    [trials]), each with its own stream derived from the argument
-    generator by [Rng.split] up front — one pool task per replica.
-    The partial tallies are merged in replica order, so the report
-    depends only on [(rng, replicas, trials)], never on [?pool] or
-    scheduling: passing a pool changes wall-clock time, not results.
-    Note the replica streams differ from the single stream of
-    {!monte_carlo}, so the two functions agree only statistically.
-    @raise Invalid_argument on [trials <= 0] or [replicas < 1]. *)
+(** Like {!monte_carlo}, but the trials are partitioned over 16
+    independent sub-simulations (fewer if [trials < 16]), each with
+    its own stream derived from the argument generator by [Rng.split]
+    up front — one pool task per replica.  The partial tallies are
+    merged in replica order, so the report depends only on
+    [(rng, trials)], never on [?pool] or scheduling: passing a pool
+    changes wall-clock time, not results.  Note the replica streams
+    differ from the single stream of {!monte_carlo}, so the two
+    functions agree only statistically.
+    @raise Invalid_argument on [trials <= 0]. *)
 
 val analytic_task_failure : rel:Rel.params -> Schedule.t -> Dag.task -> float
 (** The failure probability Eq. (1) assigns to the task under this

@@ -56,7 +56,9 @@ let run rng ~rel sched =
   let makespan = Dag.critical_path_length cdag ~durations in
   { events; success = !success; makespan; energy = !energy }
 
-let render ?(width = 72) sched t =
+let width = 72
+
+let render sched t =
   let mapping = Schedule.mapping sched in
   let horizon = Float.max t.makespan 1e-9 in
   let col x = int_of_float (float_of_int width *. x /. horizon) in

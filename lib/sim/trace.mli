@@ -29,7 +29,7 @@ val run : Es_util.Rng.t -> rel:Rel.params -> Schedule.t -> t
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 
-val render : ?width:int -> Schedule.t -> t -> string
-(** ASCII chart of the realised run: one row per processor; attempts
-    that failed are drawn with ['x'], successful second attempts with
-    ['*']. *)
+val render : Schedule.t -> t -> string
+(** ASCII chart of the realised run, 72 columns wide: one row per
+    processor; attempts that failed are drawn with ['x'], successful
+    second attempts with ['*']. *)

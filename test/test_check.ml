@@ -4,7 +4,6 @@
    instances, random raw LPs always carry valid certificates, and the
    fuzz runner shrinks deterministically. *)
 
-module Simplex = Es_lp.Simplex
 module Sparse = Es_lp.Sparse
 module Revised = Es_lp.Revised
 module Lp_cert = Es_check.Lp_cert
@@ -23,14 +22,14 @@ let tiny_obj = [| 1.; 2. |]
 
 let tiny_rows =
   [
-    { Simplex.coeffs = [| 1.; 1. |]; relation = Simplex.Ge; rhs = 1. };
-    { Simplex.coeffs = [| 0.; 1. |]; relation = Simplex.Le; rhs = 5. };
+    { Sparse.coeffs = [| 1.; 1. |]; relation = Sparse.Ge; rhs = 1. };
+    { Sparse.coeffs = [| 0.; 1. |]; relation = Sparse.Le; rhs = 5. };
   ]
 
 let solved_tiny () =
   match fst (Revised.solve (Sparse.of_rows ~obj:tiny_obj tiny_rows)) with
-  | Simplex.Optimal { objective; solution; duals } -> (objective, solution, duals)
-  | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "tiny LP must be optimal"
+  | Revised.Optimal { objective; solution; duals } -> (objective, solution, duals)
+  | Revised.Infeasible | Revised.Unbounded -> Alcotest.fail "tiny LP must be optimal"
 
 let is_certified = function Lp_cert.Certified _ -> true | Lp_cert.Rejected _ -> false
 
@@ -38,14 +37,14 @@ let test_cert_accepts_simplex () =
   let objective, solution, duals = solved_tiny () in
   Alcotest.(check bool) "genuine optimum certified" true
     (is_certified
-       (Lp_cert.certify ~tol:1e-6 ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
+       (Lp_cert.certify ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
 
 let test_cert_rejects_corrupted_objective () =
   (* the acceptance criterion: +1% on the reported energy must fail *)
   let objective, solution, duals = solved_tiny () in
   Alcotest.(check bool) "objective +1% rejected" false
     (is_certified
-       (Lp_cert.certify ~tol:1e-6 ~obj:tiny_obj ~constraints:tiny_rows ~objective:(1.01 *. objective)
+       (Lp_cert.certify ~obj:tiny_obj ~constraints:tiny_rows ~objective:(1.01 *. objective)
           ~solution ~duals))
 
 let test_cert_rejects_corrupted_solution () =
@@ -54,14 +53,14 @@ let test_cert_rejects_corrupted_solution () =
   solution.(1) <- solution.(1) +. 0.05;
   Alcotest.(check bool) "perturbed primal rejected" false
     (is_certified
-       (Lp_cert.certify ~tol:1e-6 ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
+       (Lp_cert.certify ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
 
 let test_cert_rejects_corrupted_duals () =
   let objective, solution, duals = solved_tiny () in
   let duals = Array.map (fun y -> -.y) duals in
   Alcotest.(check bool) "sign-flipped duals rejected" false
     (is_certified
-       (Lp_cert.certify ~tol:1e-6 ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
+       (Lp_cert.certify ~obj:tiny_obj ~constraints:tiny_rows ~objective ~solution ~duals))
 
 let test_cert_vdd_problem () =
   (* end-to-end on the real VDD LP, plus the +1% corruption *)
@@ -76,7 +75,7 @@ let test_cert_vdd_problem () =
     Alcotest.(check bool) "vdd optimum certified" true
       (is_certified (Lp_cert.certify_problem lp s));
     let corrupted =
-      Lp_cert.certify ~tol:1e-6
+      Lp_cert.certify
         ~obj:(Es_lp.Problem.objective_coeffs lp)
         ~constraints:(Es_lp.Problem.constraints lp)
         ~objective:(1.01 *. Es_lp.Problem.objective s)
@@ -97,7 +96,7 @@ let qcheck_random_lp_certificates =
       list_size (return nc)
         (triple
            (array_size (return nv) (float_range (-2.) 2.))
-           (oneofl [ Simplex.Le; Simplex.Ge; Simplex.Eq ])
+           (oneofl [ Sparse.Le; Sparse.Ge; Sparse.Eq ])
            (float_range (-2.) 2.))
       >>= fun rows ->
       (* non-negative objective keeps a decent fraction bounded *)
@@ -106,12 +105,12 @@ let qcheck_random_lp_certificates =
   Test.make ~name:"random LPs: every simplex optimum is certified" ~count:500 gen
     (fun (obj, rows) ->
       let constraints =
-        List.map (fun (coeffs, relation, rhs) -> { Simplex.coeffs; relation; rhs }) rows
+        List.map (fun (coeffs, relation, rhs) -> { Sparse.coeffs; relation; rhs }) rows
       in
       match fst (Revised.solve (Sparse.of_rows ~obj constraints)) with
       | exception Failure _ -> true (* pivot limit: no claim to check *)
-      | Simplex.Infeasible | Simplex.Unbounded -> true
-      | Simplex.Optimal _ as o -> (
+      | Revised.Infeasible | Revised.Unbounded -> true
+      | Revised.Optimal _ as o -> (
         match Lp_cert.certify_outcome ~obj ~constraints o with
         | Some (Lp_cert.Certified _) -> true
         | Some (Lp_cert.Rejected _ as v) -> Test.fail_report (Lp_cert.describe v)
@@ -133,12 +132,12 @@ let test_kkt_chain_certified () =
 let test_kkt_rejects_uncommon_speeds () =
   (* feasible but suboptimal: distinct speeds above the floor *)
   let v =
-    Kkt.check_waterfill ~tol:1e-6 ~eff_weights:[| 1.; 1. |] ~floors:[| 0.; 0. |] ~fmax:10. ~deadline:4.
+    Kkt.check_waterfill ~eff_weights:[| 1.; 1. |] ~floors:[| 0.; 0. |] ~fmax:10. ~deadline:4.
       ~speeds:[| 1.; 1. /. 3. |]
   in
   Alcotest.(check bool) "uncommon speeds rejected" false (Kkt.is_ok v);
   let ok =
-    Kkt.check_waterfill ~tol:1e-6 ~eff_weights:[| 1.; 1. |] ~floors:[| 0.; 0. |] ~fmax:10. ~deadline:4.
+    Kkt.check_waterfill ~eff_weights:[| 1.; 1. |] ~floors:[| 0.; 0. |] ~fmax:10. ~deadline:4.
       ~speeds:[| 0.5; 0.5 |]
   in
   Alcotest.(check bool) "true waterfill accepted" true (Kkt.is_ok ok)

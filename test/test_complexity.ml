@@ -72,7 +72,7 @@ let test_knapsack_matches_chain_exact_loose_regime () =
     (fun deadline ->
       match
         ( Complexity.knapsack_view ~rel ~deadline ~weights,
-          Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m )
+          Tricrit_chain.solve_exact ~rel ~deadline m )
       with
       | Some k, Some sol ->
         let set, best_saving = Complexity.knapsack_optimal k in

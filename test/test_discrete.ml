@@ -48,7 +48,7 @@ let test_exact_matches_brute_force () =
         let bb =
           Option.map
             (fun (r : Bicrit_discrete.exact) -> r.energy)
-            (Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping)
+            (Bicrit_discrete.solve_exact ~deadline ~levels mapping)
         in
         let bf = brute_force_discrete ~deadline ~levels mapping in
         match (bb, bf) with
@@ -62,7 +62,7 @@ let test_exact_matches_brute_force () =
 let test_exact_feasible_schedule () =
   let mapping, dmin = small_instance ~seed:66 in
   let deadline = 1.4 *. dmin in
-  match Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping with
+  match Bicrit_discrete.solve_exact ~deadline ~levels mapping with
   | None -> Alcotest.fail "expected feasible"
   | Some { schedule; _ } ->
     Alcotest.(check bool) "validator accepts" true
@@ -71,13 +71,13 @@ let test_exact_feasible_schedule () =
 let test_exact_infeasible () =
   let mapping, dmin = small_instance ~seed:67 in
   Alcotest.(check bool) "tight deadline" true
-    (Bicrit_discrete.solve_exact ?node_limit:None ~deadline:(0.3 *. dmin) ~levels mapping
+    (Bicrit_discrete.solve_exact ~deadline:(0.3 *. dmin) ~levels mapping
     = None)
 
 let test_exact_at_exact_dmin () =
   (* deadline exactly D_min: everything at fmax is the only choice *)
   let mapping, dmin = small_instance ~seed:68 in
-  match Bicrit_discrete.solve_exact ?node_limit:None ~deadline:dmin ~levels mapping with
+  match Bicrit_discrete.solve_exact ~deadline:dmin ~levels mapping with
   | None -> Alcotest.fail "feasible at dmin"
   | Some { schedule; _ } ->
     let dag = Mapping.dag mapping in
@@ -97,7 +97,7 @@ let test_round_up_feasible_and_bounded () =
       let deadline = 1.6 *. dmin in
       match
         ( Bicrit_discrete.round_up ~deadline ~levels mapping,
-          Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels mapping )
+          Bicrit_discrete.solve_exact ~deadline ~levels mapping )
       with
       | Some approx, Some exact ->
         Alcotest.(check bool) "feasible" true

@@ -21,7 +21,7 @@ let test_exact_below_heuristics () =
         (fun slack ->
           let deadline = slack *. dmin in
           match
-            (Tricrit_exact.solve ?max_n:None ~rel ~deadline m, Heuristics.best_of ~rel ~deadline m)
+            (Tricrit_exact.solve ~rel ~deadline m, Heuristics.best_of ~rel ~deadline m)
           with
           | Some exact, Some (heur, _) ->
             Alcotest.(check bool)
@@ -40,7 +40,7 @@ let test_exact_matches_chain_exact () =
   let m = Mapping.single_processor dag in
   let deadline = 2.5 *. Dag.total_weight dag in
   match
-    (Tricrit_exact.solve ?max_n:None ~rel ~deadline m, Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m)
+    (Tricrit_exact.solve ~rel ~deadline m, Tricrit_chain.solve_exact ~rel ~deadline m)
   with
   | Some g, Some c ->
     (* same combinatorial optimum; the waterfilling and the barrier
@@ -57,7 +57,7 @@ let test_exact_schedule_validates () =
   let m = small_dag_mapping ~seed:504 in
   let dmin = List_sched.makespan_at_speed m ~f:1. in
   let deadline = 2.5 *. dmin in
-  match Tricrit_exact.solve ?max_n:None ~rel ~deadline m with
+  match Tricrit_exact.solve ~rel ~deadline m with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
     Alcotest.(check bool) "validator accepts" true
@@ -82,7 +82,7 @@ let test_max_n_guard () =
   let dag = Generators.chain rng ~n:20 ~wlo:1. ~whi:2. in
   let m = Mapping.single_processor dag in
   Alcotest.(check bool) "guard" true
-    (match Tricrit_exact.solve ?max_n:None ~rel ~deadline:1000. m with
+    (match Tricrit_exact.solve ~rel ~deadline:1000. m with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -101,8 +101,8 @@ let test_dp_between_exact_and_baseline () =
         (fun slack ->
           let deadline = slack *. dmin in
           match
-            ( Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m,
-              Tricrit_chain.solve_dp ?buckets:None ~rel ~deadline m,
+            ( Tricrit_chain.solve_exact ~rel ~deadline m,
+              Tricrit_chain.solve_dp ~rel ~deadline m,
               Tricrit_chain.no_reexecution ~rel ~deadline m )
           with
           | Some e, Some dp, Some base ->
@@ -123,8 +123,8 @@ let test_dp_optimal_in_loose_regime () =
   let m = chain_mapping ~seed:513 ~n:9 in
   let deadline = 12. *. Dag.total_weight (Mapping.dag m) in
   match
-    ( Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m,
-      Tricrit_chain.solve_dp ?buckets:None ~rel ~deadline m )
+    ( Tricrit_chain.solve_exact ~rel ~deadline m,
+      Tricrit_chain.solve_dp ~rel ~deadline m )
   with
   | Some e, Some dp ->
     Alcotest.(check bool)
@@ -137,7 +137,7 @@ let test_dp_optimal_in_loose_regime () =
 let test_dp_schedule_validates () =
   let m = chain_mapping ~seed:514 ~n:10 in
   let deadline = 3. *. Dag.total_weight (Mapping.dag m) in
-  match Tricrit_chain.solve_dp ?buckets:None ~rel ~deadline m with
+  match Tricrit_chain.solve_dp ~rel ~deadline m with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
     Alcotest.(check bool) "validator accepts" true
@@ -170,7 +170,7 @@ let test_ckpt_zero_cost_prefers_fine_segments () =
      solver should find something at least as good as per-task *)
   let deadline = 3. *. dmin in
   match
-    ( Checkpointing.solve ?speed_grid:None ~rel ~checkpoint_work:0. ~deadline ~weights,
+    ( Checkpointing.solve ~rel ~checkpoint_work:0. ~deadline ~weights,
       Checkpointing.reexec_equivalent ~rel ~deadline ~weights )
   with
   | Some best, Some per_task ->
@@ -186,7 +186,7 @@ let test_ckpt_cost_coarsens_segments () =
      chosen, and energy grows with the cost *)
   let deadline = 3. *. dmin in
   let solve c =
-    Checkpointing.solve ?speed_grid:None ~rel ~checkpoint_work:c ~deadline ~weights
+    Checkpointing.solve ~rel ~checkpoint_work:c ~deadline ~weights
   in
   match (solve 0.05, solve 1.5) with
   | Some cheap, Some pricey ->
@@ -202,7 +202,7 @@ let test_ckpt_time_within_deadline () =
     (fun slack ->
       let deadline = slack *. dmin in
       match
-        Checkpointing.solve ?speed_grid:None ~rel ~checkpoint_work:0.2 ~deadline ~weights
+        Checkpointing.solve ~rel ~checkpoint_work:0.2 ~deadline ~weights
       with
       | None -> ()
       | Some sol ->
@@ -213,7 +213,7 @@ let test_ckpt_time_within_deadline () =
 let test_ckpt_infeasible () =
   (* worst case needs at least 2·Σw/fmax *)
   Alcotest.(check bool) "too tight" true
-    (Checkpointing.solve ?speed_grid:None ~rel ~checkpoint_work:0.1
+    (Checkpointing.solve ~rel ~checkpoint_work:0.1
        ~deadline:(1.5 *. dmin) ~weights
     = None)
 

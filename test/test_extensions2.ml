@@ -148,7 +148,7 @@ let test_trace_energy_consistent_with_events () =
 let test_trace_render () =
   let sched = traced_schedule () in
   let t = Trace.run (Es_util.Rng.create ~seed:615) ~rel:hot sched in
-  let s = Trace.render ?width:None sched t in
+  let s = Trace.render sched t in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
 let test_trace_success_agrees_with_sim () =
@@ -291,7 +291,7 @@ let test_sp_heuristic_on_fork_matches_fork_oracle () =
   List.iter
     (fun slack ->
       let deadline = slack *. dmin in
-      match (Tricrit_sp.solve ~rel ~deadline sp, Tricrit_fork.solve ?grid:None ~rel ~deadline dag) with
+      match (Tricrit_sp.solve ~rel ~deadline sp, Tricrit_fork.solve ~rel ~deadline dag) with
       | Some c, Some poly ->
         Alcotest.(check bool)
           (Printf.sprintf "within 5%% of fork optimum (%.4f vs %.4f, slack %.1f)"

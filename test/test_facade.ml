@@ -197,7 +197,7 @@ let qcheck_solver_always_validates =
 let test_lower_bound_below_exact () =
   let m = mapping ~seed:801 in
   let deadline = deadline_of m 2. in
-  match Tricrit_exact.solve ?max_n:None ~rel ~deadline m with
+  match Tricrit_exact.solve ~rel ~deadline m with
   | None -> Alcotest.fail "feasible"
   | Some e ->
     let lb = Lower_bounds.tricrit ~rel ~deadline m in

@@ -86,7 +86,7 @@ let test_parallel_oriented_on_fork_near_optimal () =
   let dag = Generators.fork rng ~n:6 ~wlo:0.5 ~whi:3. in
   let m = Mapping.one_task_per_proc dag in
   let deadline = 2. *. dmin_of m in
-  match (Tricrit_fork.solve ?grid:None ~rel ~deadline dag, Heuristics.parallel_oriented ~rel ~deadline m) with
+  match (Tricrit_fork.solve ~rel ~deadline dag, Heuristics.parallel_oriented ~rel ~deadline m) with
   | Some poly, Some par ->
     Alcotest.(check bool)
       (Printf.sprintf "within 10%% of fork optimum (%.4f vs %.4f)"
@@ -99,7 +99,7 @@ let test_chain_oriented_on_chain_near_exact () =
   let rng = Es_util.Rng.create ~seed:205 in
   let m = Mapping.single_processor (Generators.chain rng ~n:9 ~wlo:0.5 ~whi:3.) in
   let deadline = 3. *. dmin_of m in
-  match (Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m, Heuristics.chain_oriented ~rel ~deadline m) with
+  match (Tricrit_chain.solve_exact ~rel ~deadline m, Heuristics.chain_oriented ~rel ~deadline m) with
   | Some exact, Some heur ->
     Alcotest.(check bool)
       (Printf.sprintf "within 5%% of chain optimum (%.4f vs %.4f)"
@@ -182,7 +182,7 @@ let test_local_search_never_worse () =
       | None -> ()
       | Some (sol, _) ->
         let refined =
-          Heuristics.local_search ?sweeps:None ?max_candidates:None ~rel ~deadline m sol
+          Heuristics.local_search ~rel ~deadline m sol
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s: refined %.4f <= %.4f" name refined.Heuristics.energy

@@ -3,7 +3,6 @@
    must match the best vertex found by enumerating constraint
    intersections. *)
 
-module Simplex = Es_lp.Simplex
 module Sparse = Es_lp.Sparse
 module Revised = Es_lp.Revised
 module Problem = Es_lp.Problem
@@ -13,16 +12,16 @@ let check_float = Alcotest.(check (float 1e-7))
 (* A cold revised-simplex solve of dense rows. *)
 let solve_rows ~obj rows = fst (Revised.solve (Sparse.of_rows ~obj rows))
 
-let constr coeffs relation rhs = { Simplex.coeffs; relation; rhs }
+let constr coeffs relation rhs = { Sparse.coeffs; relation; rhs }
 
 let test_simple_min () =
   (* min x + y  s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0.
      Optimum at intersection: x = 8/5, y = 6/5, value 14/5. *)
   match
     solve_rows ~obj:[| 1.; 1. |]
-      [ constr [| 1.; 2. |] Simplex.Ge 4.; constr [| 3.; 1. |] Simplex.Ge 6. ]
+      [ constr [| 1.; 2. |] Sparse.Ge 4.; constr [| 3.; 1. |] Sparse.Ge 6. ]
   with
-  | Simplex.Optimal { objective; solution } ->
+  | Revised.Optimal { objective; solution } ->
     check_float "objective" 2.8 objective;
     check_float "x" 1.6 solution.(0);
     check_float "y" 1.2 solution.(1)
@@ -32,15 +31,15 @@ let test_le_only () =
   (* min -x - 2y s.t. x + y <= 4, y <= 3 → x=1,y=3, value -7 *)
   match
     solve_rows ~obj:[| -1.; -2. |]
-      [ constr [| 1.; 1. |] Simplex.Le 4.; constr [| 0.; 1. |] Simplex.Le 3. ]
+      [ constr [| 1.; 1. |] Sparse.Le 4.; constr [| 0.; 1. |] Sparse.Le 3. ]
   with
-  | Simplex.Optimal { objective; _ } -> check_float "objective" (-7.) objective
+  | Revised.Optimal { objective; _ } -> check_float "objective" (-7.) objective
   | _ -> Alcotest.fail "expected optimal"
 
 let test_equality () =
   (* min x + 3y s.t. x + y = 2 → x=2, y=0 *)
-  match solve_rows ~obj:[| 1.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 2. ] with
-  | Simplex.Optimal { objective; solution } ->
+  match solve_rows ~obj:[| 1.; 3. |] [ constr [| 1.; 1. |] Sparse.Eq 2. ] with
+  | Revised.Optimal { objective; solution } ->
     check_float "objective" 2. objective;
     check_float "y stays 0" 0. solution.(1)
   | _ -> Alcotest.fail "expected optimal"
@@ -48,20 +47,20 @@ let test_equality () =
 let test_infeasible () =
   match
     solve_rows ~obj:[| 1. |]
-      [ constr [| 1. |] Simplex.Ge 3.; constr [| 1. |] Simplex.Le 1. ]
+      [ constr [| 1. |] Sparse.Ge 3.; constr [| 1. |] Sparse.Le 1. ]
   with
-  | Simplex.Infeasible -> ()
+  | Revised.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_unbounded () =
-  match solve_rows ~obj:[| -1. |] [ constr [| -1. |] Simplex.Le 0. ] with
-  | Simplex.Unbounded -> ()
+  match solve_rows ~obj:[| -1. |] [ constr [| -1. |] Sparse.Le 0. ] with
+  | Revised.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_negative_rhs_normalised () =
   (* x >= 2 written as -x <= -2 *)
-  match solve_rows ~obj:[| 1. |] [ constr [| -1. |] Simplex.Le (-2.) ] with
-  | Simplex.Optimal { objective; _ } -> check_float "objective" 2. objective
+  match solve_rows ~obj:[| 1. |] [ constr [| -1. |] Sparse.Le (-2.) ] with
+  | Revised.Optimal { objective; _ } -> check_float "objective" 2. objective
   | _ -> Alcotest.fail "expected optimal"
 
 let test_degenerate_terminates () =
@@ -69,13 +68,13 @@ let test_degenerate_terminates () =
   match
     solve_rows ~obj:[| -1.; -1. |]
       [
-        constr [| 1.; 0. |] Simplex.Le 1.;
-        constr [| 0.; 1. |] Simplex.Le 1.;
-        constr [| 1.; 1. |] Simplex.Le 2.;
-        constr [| 2.; 2. |] Simplex.Le 4.;
+        constr [| 1.; 0. |] Sparse.Le 1.;
+        constr [| 0.; 1. |] Sparse.Le 1.;
+        constr [| 1.; 1. |] Sparse.Le 2.;
+        constr [| 2.; 2. |] Sparse.Le 4.;
       ]
   with
-  | Simplex.Optimal { objective; _ } -> check_float "objective" (-2.) objective
+  | Revised.Optimal { objective; _ } -> check_float "objective" (-2.) objective
   | _ -> Alcotest.fail "expected optimal"
 
 exception Singular
@@ -122,7 +121,7 @@ let brute_force ~obj rows =
   let n = Array.length obj in
   let planes =
     (* each row as (coeffs, rhs) equality candidate; plus axes x_i = 0 *)
-    List.map (fun (r : Simplex.constr) -> (r.coeffs, r.rhs)) rows
+    List.map (fun (r : Sparse.constr) -> (r.coeffs, r.rhs)) rows
     @ List.init n (fun i -> (Array.init n (fun j -> if i = j then 1. else 0.), 0.))
   in
   let planes = Array.of_list planes in
@@ -131,13 +130,13 @@ let brute_force ~obj rows =
   let feasible x =
     Array.for_all (fun v -> v >= -1e-7) x
     && List.for_all
-         (fun (r : Simplex.constr) ->
+         (fun (r : Sparse.constr) ->
            let lhs = ref 0. in
            Array.iteri (fun i c -> lhs := !lhs +. (c *. x.(i))) r.coeffs;
            match r.relation with
-           | Simplex.Le -> !lhs <= r.rhs +. 1e-7
-           | Simplex.Ge -> !lhs >= r.rhs -. 1e-7
-           | Simplex.Eq -> Float.abs (!lhs -. r.rhs) <= 1e-7)
+           | Sparse.Le -> !lhs <= r.rhs +. 1e-7
+           | Sparse.Ge -> !lhs >= r.rhs -. 1e-7
+           | Sparse.Eq -> Float.abs (!lhs -. r.rhs) <= 1e-7)
          rows
   in
   let rec choose k start acc =
@@ -173,12 +172,12 @@ let qcheck_simplex_matches_brute_force =
       let rows =
         List.init m (fun _ ->
             let coeffs = Array.init n (fun _ -> Es_util.Rng.uniform_in rng 0.1 2.) in
-            constr coeffs Simplex.Ge (Es_util.Rng.uniform_in rng 0.5 4.))
+            constr coeffs Sparse.Ge (Es_util.Rng.uniform_in rng 0.5 4.))
       in
       let obj = Array.init n (fun _ -> Es_util.Rng.uniform_in rng 0.2 2.) in
       match (solve_rows ~obj rows, brute_force ~obj rows) with
-      | Simplex.Optimal { objective; _ }, Some bf -> Float.abs (objective -. bf) < 1e-5
-      | Simplex.Infeasible, None -> true
+      | Revised.Optimal { objective; _ }, Some bf -> Float.abs (objective -. bf) < 1e-5
+      | Revised.Infeasible, None -> true
       | _ -> false)
 
 let test_problem_builder () =
@@ -234,9 +233,9 @@ let test_duals_simple () =
      Duals solve: y1 + 3y2 = 1, 2y1 + y2 = 1 → y1 = 0.4, y2 = 0.2. *)
   match
     solve_rows ~obj:[| 1.; 1. |]
-      [ constr [| 1.; 2. |] Simplex.Ge 4.; constr [| 3.; 1. |] Simplex.Ge 6. ]
+      [ constr [| 1.; 2. |] Sparse.Ge 4.; constr [| 3.; 1. |] Sparse.Ge 6. ]
   with
-  | Simplex.Optimal { duals; _ } ->
+  | Revised.Optimal { duals; _ } ->
     check_float "dual 1" 0.4 duals.(0);
     check_float "dual 2" 0.2 duals.(1)
   | _ -> Alcotest.fail "expected optimal"
@@ -245,17 +244,17 @@ let test_duals_nonbinding_row_zero () =
   (* min x s.t. x >= 2, x <= 100 — the upper bound is slack *)
   match
     solve_rows ~obj:[| 1. |]
-      [ constr [| 1. |] Simplex.Ge 2.; constr [| 1. |] Simplex.Le 100. ]
+      [ constr [| 1. |] Sparse.Ge 2.; constr [| 1. |] Sparse.Le 100. ]
   with
-  | Simplex.Optimal { duals; _ } ->
+  | Revised.Optimal { duals; _ } ->
     check_float "binding" 1. duals.(0);
     check_float "slack row" 0. duals.(1)
   | _ -> Alcotest.fail "expected optimal"
 
 let test_duals_equality () =
   (* min 2x + 3y s.t. x + y = 5 → all mass on x, dual = 2 *)
-  match solve_rows ~obj:[| 2.; 3. |] [ constr [| 1.; 1. |] Simplex.Eq 5. ] with
-  | Simplex.Optimal { duals; _ } -> check_float "eq dual" 2. duals.(0)
+  match solve_rows ~obj:[| 2.; 3. |] [ constr [| 1.; 1. |] Sparse.Eq 5. ] with
+  | Revised.Optimal { duals; _ } -> check_float "eq dual" 2. duals.(0)
   | _ -> Alcotest.fail "expected optimal"
 
 let qcheck_duals_predict_rhs_perturbation =
@@ -275,7 +274,7 @@ let qcheck_duals_predict_rhs_perturbation =
                   let r = Es_util.Rng.create ~seed:((seed * 31) + (k * 7) + j) in
                   Es_util.Rng.uniform_in r 0.2 2.)
             in
-            constr coeffs Simplex.Ge (if k = 0 then b0 else 3.))
+            constr coeffs Sparse.Ge (if k = 0 then b0 else 3.))
       in
       let obj =
         Array.init n (fun j ->
@@ -284,7 +283,7 @@ let qcheck_duals_predict_rhs_perturbation =
       in
       let h = 1e-5 in
       match (solve_rows ~obj (rows 3.), solve_rows ~obj (rows (3. +. h))) with
-      | Simplex.Optimal { objective = o1; duals; _ }, Simplex.Optimal { objective = o2; _ }
+      | Revised.Optimal { objective = o1; duals; _ }, Revised.Optimal { objective = o2; _ }
         ->
         Float.abs (o2 -. o1 -. (duals.(0) *. h)) < 1e-7
       | _ -> false)
@@ -325,11 +324,11 @@ let is_certified ~obj ~constraints outcome =
 
 let outcomes_agree a b =
   match (a, b) with
-  | Simplex.Optimal { objective = oa; _ }, Simplex.Optimal { objective = ob; _ }
+  | Revised.Optimal { objective = oa; _ }, Revised.Optimal { objective = ob; _ }
     ->
     close_rel oa ob
-  | Simplex.Infeasible, Simplex.Infeasible -> true
-  | Simplex.Unbounded, Simplex.Unbounded -> true
+  | Revised.Infeasible, Revised.Infeasible -> true
+  | Revised.Unbounded, Revised.Unbounded -> true
   | _ -> false
 
 (* mixed-sense random LP; mostly positive objectives so a decent
@@ -347,9 +346,9 @@ let random_lp rng =
         in
         let relation =
           match Es_util.Rng.int rng 3 with
-          | 0 -> Simplex.Le
-          | 1 -> Simplex.Ge
-          | _ -> Simplex.Eq
+          | 0 -> Sparse.Le
+          | 1 -> Sparse.Ge
+          | _ -> Sparse.Eq
         in
         constr coeffs relation (Es_util.Rng.uniform_in rng (-2.) 4.))
   in
@@ -383,9 +382,9 @@ let qcheck_differential_warm_random =
       let obj, rows = random_lp rng in
       let sp = Sparse.of_rows ~obj rows in
       match Revised.solve sp with
-      | Simplex.Infeasible, _ | Simplex.Unbounded, _ -> true
-      | Simplex.Optimal _, None -> false (* optimal must return its basis *)
-      | Simplex.Optimal _, Some basis ->
+      | Revised.Infeasible, _ | Revised.Unbounded, _ -> true
+      | Revised.Optimal _, None -> false (* optimal must return its basis *)
+      | Revised.Optimal _, Some basis ->
         (* restate the same columns at a perturbed rhs: warm from the
            old basis must agree with a cold solve, and its duals must
            certify *)
@@ -397,7 +396,7 @@ let qcheck_differential_warm_random =
         let sp' = Sparse.with_rhs sp rhs' in
         let rows' =
           List.mapi
-            (fun i (r : Simplex.constr) -> { r with rhs = rhs'.(i) })
+            (fun i (r : Sparse.constr) -> { r with rhs = rhs'.(i) })
             rows
         in
         let warm, _ = Revised.solve_from basis sp' in
@@ -424,13 +423,13 @@ let qcheck_differential_vdd =
         let outcome, next = Problem.solve_warm ?basis lp in
         let ok =
           match (dense, outcome) with
-          | Simplex.Optimal { objective = od; _ }, Problem.Solution s ->
+          | Revised.Optimal { objective = od; _ }, Problem.Solution s ->
             close_rel od (Problem.objective s)
             && (match Lp_cert.certify_problem lp s with
                | Lp_cert.Certified _ -> true
                | Lp_cert.Rejected _ -> false)
-          | Simplex.Infeasible, Problem.Infeasible -> true
-          | Simplex.Unbounded, Problem.Unbounded -> true
+          | Revised.Infeasible, Problem.Infeasible -> true
+          | Revised.Unbounded, Problem.Unbounded -> true
           | _ -> false
         in
         (ok, next)
@@ -454,14 +453,14 @@ let beale_obj = [| -0.75; 150.; -0.02; 6. |]
 
 let beale_rows =
   [
-    constr [| 0.25; -60.; -0.04; 9. |] Simplex.Le 0.;
-    constr [| 0.5; -90.; -0.02; 3. |] Simplex.Le 0.;
-    constr [| 0.; 0.; 1.; 0. |] Simplex.Le 1.;
+    constr [| 0.25; -60.; -0.04; 9. |] Sparse.Le 0.;
+    constr [| 0.5; -90.; -0.02; 3. |] Sparse.Le 0.;
+    constr [| 0.; 0.; 1.; 0. |] Sparse.Le 1.;
   ]
 
 let test_beale_terminates () =
   match solve_rows ~obj:beale_obj beale_rows with
-  | Simplex.Optimal { objective; solution; _ } ->
+  | Revised.Optimal { objective; solution; _ } ->
     check_float "objective" (-0.05) objective;
     check_float "x3 at bound" 1. solution.(2)
   | _ -> Alcotest.fail "expected optimal"
@@ -469,7 +468,7 @@ let test_beale_terminates () =
 let test_beale_pure_bland () =
   (* bland_after:1 forces Bland's rule from the first pivot *)
   match Revised.solve ~bland_after:1 (Sparse.of_rows ~obj:beale_obj beale_rows) with
-  | Simplex.Optimal { objective; _ }, Some _ -> check_float "objective" (-0.05) objective
+  | Revised.Optimal { objective; _ }, Some _ -> check_float "objective" (-0.05) objective
   | _ -> Alcotest.fail "expected optimal with basis"
 
 let test_duplicate_row_ties () =
@@ -477,19 +476,19 @@ let test_duplicate_row_ties () =
      the Bland tie-break on basis index must still terminate *)
   let rows =
     [
-      constr [| 1.; 1. |] Simplex.Le 2.;
-      constr [| 1.; 1. |] Simplex.Le 2.;
-      constr [| 1.; 1. |] Simplex.Le 2.;
-      constr [| 2.; 2. |] Simplex.Le 4.;
-      constr [| 1.; 0. |] Simplex.Le 1.5;
+      constr [| 1.; 1. |] Sparse.Le 2.;
+      constr [| 1.; 1. |] Sparse.Le 2.;
+      constr [| 1.; 1. |] Sparse.Le 2.;
+      constr [| 2.; 2. |] Sparse.Le 4.;
+      constr [| 1.; 0. |] Sparse.Le 1.5;
     ]
   in
   let obj = [| -1.; -1. |] in
   (match solve_rows ~obj rows with
-  | Simplex.Optimal { objective; _ } -> check_float "revised" (-2.) objective
+  | Revised.Optimal { objective; _ } -> check_float "revised" (-2.) objective
   | _ -> Alcotest.fail "expected optimal");
   match Dense_simplex.solve ~obj rows with
-  | Simplex.Optimal { objective; _ } -> check_float "dense" (-2.) objective
+  | Revised.Optimal { objective; _ } -> check_float "dense" (-2.) objective
   | _ -> Alcotest.fail "expected optimal"
 
 let test_refactor_threshold () =
@@ -509,9 +508,9 @@ let test_refactor_threshold () =
   in
   let lazy_ = Revised.solve ~refactor_every:10_000 sp in
   (match (fst eager, fst lazy_) with
-  | Simplex.Optimal { objective = a; _ }, Simplex.Optimal { objective = b; _ } ->
+  | Revised.Optimal { objective = a; _ }, Revised.Optimal { objective = b; _ } ->
     check_float "same optimum" a b
-  | Simplex.Infeasible, Simplex.Infeasible -> ()
+  | Revised.Infeasible, Revised.Infeasible -> ()
   | _ -> Alcotest.fail "outcome mismatch across refactor thresholds");
   Alcotest.(check bool) "refactorisations counted" true
     (Es_obs.Obs.value c_refactor > before)
@@ -622,21 +621,21 @@ let test_warm_stale_basis_falls_back () =
   (* a basis from one LP handed to a structurally different LP must
      degrade to a cold solve, not crash or mis-certify *)
   let obj = [| 1.; 1. |] in
-  let rows1 = [ constr [| 1.; 2. |] Simplex.Ge 4.; constr [| 3.; 1. |] Simplex.Ge 6. ] in
+  let rows1 = [ constr [| 1.; 2. |] Sparse.Ge 4.; constr [| 3.; 1. |] Sparse.Ge 6. ] in
   let sp1 = Sparse.of_rows ~obj rows1 in
   match Revised.solve sp1 with
   | _, None -> Alcotest.fail "expected a basis"
   | _, Some basis ->
     let rows2 =
       [
-        constr [| 1.; 1. |] Simplex.Le 4.;
-        constr [| 0.; 1. |] Simplex.Le 3.;
-        constr [| 1.; 0. |] Simplex.Le 3.;
+        constr [| 1.; 1. |] Sparse.Le 4.;
+        constr [| 0.; 1. |] Sparse.Le 3.;
+        constr [| 1.; 0. |] Sparse.Le 3.;
       ]
     in
     let sp2 = Sparse.of_rows ~obj:[| -1.; -2. |] rows2 in
     (match Revised.solve_from basis sp2 with
-    | Simplex.Optimal { objective; _ }, Some _ -> check_float "objective" (-7.) objective
+    | Revised.Optimal { objective; _ }, Some _ -> check_float "objective" (-7.) objective
     | _ -> Alcotest.fail "expected optimal via fallback")
 
 let revised_cases =

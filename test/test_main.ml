@@ -20,6 +20,7 @@ let () =
       Test_discrete.suite;
       Test_tricrit.suite;
       Test_tricrit_vdd.suite;
+      Test_search.suite;
       Test_heuristics.suite;
       Test_complexity.suite;
       Test_replication.suite;

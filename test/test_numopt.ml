@@ -10,19 +10,19 @@ module Rng = Es_util.Rng
 let check_float tol = Alcotest.(check (float tol))
 
 let test_bisect_root () =
-  let r = Scalar.bisect ?max_iters:None ~tol:1e-14 ~f:(fun x -> (x *. x) -. 2.) ~lo:0. ~hi:2. in
+  let r = Scalar.bisect ~tol:1e-14 ~f:(fun x -> (x *. x) -. 2.) ~lo:0. ~hi:2. in
   check_float 1e-10 "sqrt 2" (sqrt 2.) r
 
 let test_bisect_endpoint_roots () =
   check_float 1e-12 "root at lo" 1.
-    (Scalar.bisect ?max_iters:None ?tol:None ~f:(fun x -> x -. 1.) ~lo:1. ~hi:5.);
+    (Scalar.bisect ?tol:None ~f:(fun x -> x -. 1.) ~lo:1. ~hi:5.);
   check_float 1e-12 "root at hi" 5.
-    (Scalar.bisect ?max_iters:None ?tol:None ~f:(fun x -> x -. 5.) ~lo:1. ~hi:5.)
+    (Scalar.bisect ?tol:None ~f:(fun x -> x -. 5.) ~lo:1. ~hi:5.)
 
 let test_bisect_sign_check () =
   Alcotest.check_raises "same sign"
     (Invalid_argument "Scalar.bisect: same sign at both endpoints") (fun () ->
-      ignore (Scalar.bisect ?max_iters:None ?tol:None ~f:(fun x -> x +. 10.) ~lo:0. ~hi:1.))
+      ignore (Scalar.bisect ?tol:None ~f:(fun x -> x +. 10.) ~lo:0. ~hi:1.))
 
 let test_root_monotone_clamps () =
   (* root of x - 10 on [0, 1] lies above: clamp to hi *)
@@ -32,16 +32,16 @@ let test_root_monotone_clamps () =
     (Scalar.root_monotone ?tol:None ~f:(fun x -> x +. 10.) ~lo:0. ~hi:1.)
 
 let test_golden_quadratic () =
-  let x = Scalar.golden_min ?max_iters:None ~tol:1e-12 ~f:(fun x -> (x -. 1.7) ** 2.) ~lo:0. ~hi:5. in
+  let x = Scalar.golden_min ~tol:1e-12 ~f:(fun x -> (x -. 1.7) ** 2.) ~lo:0. ~hi:5. in
   check_float 1e-6 "argmin" 1.7 x
 
 let test_golden_asymmetric () =
   (* minimise x + 4/x on [0.5, 10]: argmin = 2 *)
-  let x = Scalar.golden_min ?max_iters:None ~tol:1e-12 ~f:(fun x -> x +. (4. /. x)) ~lo:0.5 ~hi:10. in
+  let x = Scalar.golden_min ~tol:1e-12 ~f:(fun x -> x +. (4. /. x)) ~lo:0.5 ~hi:10. in
   check_float 1e-5 "argmin" 2. x
 
 let test_newton () =
-  let r = Scalar.newton_1d ?max_iters:None ~tol:1e-14 ~f:(fun x -> (x *. x *. x) -. 8.)
+  let r = Scalar.newton_1d ~tol:1e-14 ~f:(fun x -> (x *. x *. x) -. 8.)
       ~f':(fun x -> 3. *. x *. x) ~x0:3. in
   check_float 1e-9 "cbrt 8" 2. r
 

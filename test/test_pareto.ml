@@ -61,7 +61,7 @@ let test_pipeline_all_models () =
       ( "discrete",
         Speed.discrete levels,
         Option.map (fun (r : Bicrit_discrete.exact) -> r.schedule)
-          (Bicrit_discrete.solve_exact ?node_limit:None ~deadline ~levels m) );
+          (Bicrit_discrete.solve_exact ~deadline ~levels m) );
       ( "incremental",
         Speed.incremental ~fmin:0.2 ~fmax:1. ~delta:0.2,
         Bicrit_incremental.approximate ~deadline ~fmin:0.2 ~fmax:1. ~delta:0.2 m );

@@ -38,7 +38,7 @@ let test_replication_dominates_reexecution () =
     (fun slack ->
       let deadline = slack *. dmin in
       match
-        ( Replication.solve_exact ?max_n:None ~rel ~deadline ~weights,
+        ( Replication.solve_exact ~rel ~deadline ~weights,
           Replication.reexec_only ~rel ~deadline ~weights )
       with
       | Some a, Some b ->
@@ -56,7 +56,7 @@ let test_exact_no_worse_than_greedy () =
     (fun slack ->
       let deadline = slack *. dmin in
       match
-        ( Replication.solve_exact ?max_n:None ~rel ~deadline ~weights,
+        ( Replication.solve_exact ~rel ~deadline ~weights,
           Replication.solve_greedy ~rel ~deadline ~weights )
       with
       | Some e, Some g ->
@@ -90,7 +90,7 @@ let test_time_reported_within_deadline () =
   List.iter
     (fun slack ->
       let deadline = slack *. dmin in
-      match Replication.solve_exact ?max_n:None ~rel ~deadline ~weights with
+      match Replication.solve_exact ~rel ~deadline ~weights with
       | None -> ()
       | Some sol ->
         Alcotest.(check bool) "time <= D" true (sol.Replication.time <= deadline *. (1. +. 1e-9)))
@@ -99,7 +99,7 @@ let test_time_reported_within_deadline () =
 let test_max_n_guard () =
   let big = Array.make 15 1. in
   Alcotest.(check bool) "guard" true
-    (match Replication.solve_exact ?max_n:None ~rel ~deadline:100. ~weights:big with
+    (match Replication.solve_exact ~rel ~deadline:100. ~weights:big with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

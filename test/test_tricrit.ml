@@ -53,7 +53,7 @@ let test_waterfill_time_exhausted_or_floors () =
   | None -> Alcotest.fail "feasible"
   | Some speeds ->
     let verdict =
-      Es_check.Kkt.check_waterfill ~tol:1e-6 ~eff_weights ~floors ~fmax:1. ~deadline:9.
+      Es_check.Kkt.check_waterfill ~eff_weights ~floors ~fmax:1. ~deadline:9.
         ~speeds
     in
     Alcotest.(check bool) (Es_check.Kkt.describe verdict) true (Es_check.Kkt.is_ok verdict)
@@ -66,14 +66,14 @@ let count_reexec sol =
 let test_chain_no_reexec_at_tight_deadline () =
   let _, m = chain_instance ~seed:81 ~n:8 in
   let dmin = Dag.total_weight (Mapping.dag m) in
-  match Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline:dmin m with
+  match Tricrit_chain.solve_exact ~rel ~deadline:dmin m with
   | None -> Alcotest.fail "feasible"
   | Some sol -> Alcotest.(check int) "no slack, no re-execution" 0 (count_reexec sol)
 
 let test_chain_reexec_appears_with_slack () =
   let _, m = chain_instance ~seed:82 ~n:8 in
   let dmin = Dag.total_weight (Mapping.dag m) in
-  match Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline:(4. *. dmin) m with
+  match Tricrit_chain.solve_exact ~rel ~deadline:(4. *. dmin) m with
   | None -> Alcotest.fail "feasible"
   | Some sol -> Alcotest.(check bool) "re-executions used" true (count_reexec sol > 0)
 
@@ -82,7 +82,7 @@ let test_chain_exact_beats_baseline () =
   let dmin = Dag.total_weight (Mapping.dag m) in
   let deadline = 3. *. dmin in
   match
-    ( Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m,
+    ( Tricrit_chain.solve_exact ~rel ~deadline m,
       Tricrit_chain.no_reexecution ~rel ~deadline m )
   with
   | Some e, Some b ->
@@ -99,7 +99,7 @@ let test_chain_greedy_close_to_exact () =
         (fun slack ->
           let deadline = slack *. dmin in
           match
-            ( Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m,
+            ( Tricrit_chain.solve_exact ~rel ~deadline m,
               Tricrit_chain.solve_greedy ~rel ~deadline m )
           with
           | Some e, Some g ->
@@ -157,7 +157,7 @@ let test_chain_energy_monotone_in_deadline () =
 let test_chain_respects_max_n () =
   let _, m = chain_instance ~seed:89 ~n:25 in
   Alcotest.(check bool) "guard triggers" true
-    (match Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline:100. m with
+    (match Tricrit_chain.solve_exact ~rel ~deadline:100. m with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -224,7 +224,7 @@ let test_fork_solver_feasible () =
   List.iter
     (fun slack ->
       let deadline = slack *. dmin in
-      match Tricrit_fork.solve ?grid:None ~rel ~deadline dag with
+      match Tricrit_fork.solve ~rel ~deadline dag with
       | None -> Alcotest.failf "feasible at slack %.1f" slack
       | Some sol ->
         Alcotest.(check bool) "validator accepts" true
@@ -239,7 +239,7 @@ let test_fork_beats_or_matches_heuristics () =
   List.iter
     (fun slack ->
       let deadline = slack *. dmin in
-      match (Tricrit_fork.solve ?grid:None ~rel ~deadline dag, Heuristics.best_of ~rel ~deadline mapping) with
+      match (Tricrit_fork.solve ~rel ~deadline dag, Heuristics.best_of ~rel ~deadline mapping) with
       | Some poly, Some (heur, _) ->
         Alcotest.(check bool)
           (Printf.sprintf "poly %.4f <= heuristic %.4f (slack %.1f)"
@@ -253,7 +253,7 @@ let test_fork_beats_or_matches_heuristics () =
 let test_fork_rejects_non_fork () =
   let chain = Sp.to_dag (Sp.chain [| 1.; 2.; 1. |]) in
   Alcotest.(check bool) "not a fork" true
-    (match Tricrit_fork.solve ?grid:None ~rel ~deadline:10. chain with
+    (match Tricrit_fork.solve ~rel ~deadline:10. chain with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -261,7 +261,7 @@ let test_fork_source_window_sane () =
   let rng = Es_util.Rng.create ~seed:92 in
   let dag = Generators.fork rng ~n:4 ~wlo:1. ~whi:2. in
   let deadline = 10. in
-  match Tricrit_fork.solve ?grid:None ~rel ~deadline dag with
+  match Tricrit_fork.solve ~rel ~deadline dag with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
     Alcotest.(check bool) "window inside (0, D)" true

@@ -91,7 +91,7 @@ let test_vdd_tricrit_above_continuous_tricrit () =
   let m, dmin = small_instance ~seed:307 in
   let deadline = 2.5 *. dmin in
   match
-    (Tricrit_vdd.solve_exact ?max_n:None ~rel ~deadline ~levels m, Tricrit_chain.solve_exact ?max_n:None ~rel ~deadline m)
+    (Tricrit_vdd.solve_exact ?max_n:None ~rel ~deadline ~levels m, Tricrit_chain.solve_exact ~rel ~deadline m)
   with
   | Some vdd, Some cont ->
     Alcotest.(check bool)
@@ -142,6 +142,39 @@ let test_refine_splits_cache_saves_lp_solves () =
       true
       (solves_c < solves_u)
 
+(* Energies recorded as hex literals on one two-processor DAG: the
+   fixed-subset LPs and the exhaustive search must keep returning the
+   same bits whatever builds the LP. *)
+let test_pinned_energies () =
+  let rng = Es_util.Rng.create ~seed:311 in
+  let dag = Generators.random_dag rng ~n:6 ~p:0.4 ~wlo:0.5 ~whi:2. in
+  let m = List_sched.schedule dag ~p:2 ~priority:List_sched.Bottom_level in
+  let durations = Array.init 6 (Dag.weight dag) in
+  let deadline = 3. *. Dag.critical_path_length (Mapping.constraint_dag m) ~durations in
+  let energy subset =
+    match Tricrit_vdd.solve_subset ~rel ~deadline ~levels m ~subset with
+    | Some sol -> sol.Tricrit_vdd.energy
+    | None -> Alcotest.fail "feasible"
+  in
+  let bits name expected actual =
+    Alcotest.(check string) name (Printf.sprintf "%h" expected) (Printf.sprintf "%h" actual)
+  in
+  List.iter
+    (fun (name, subset, expected) -> bits name expected (energy subset))
+    [
+      ("none", Array.make 6 false, 0x1.4380700c6afdfp+2);
+      ("task 2", Array.init 6 (fun i -> i = 2), 0x1.1a04c6b88e37dp+2);
+      ("even tasks", Array.init 6 (fun i -> i mod 2 = 0), 0x1.26c409b6cadc2p+2);
+      ("all", Array.make 6 true, 0x1.938014eee0a7fp+2);
+    ];
+  match Tricrit_vdd.solve_exact ~rel ~deadline ~levels m with
+  | None -> Alcotest.fail "feasible"
+  | Some sol ->
+    bits "exact" 0x1.dd46d6b3ea177p+1 sol.Tricrit_vdd.energy;
+    Alcotest.(check (array bool)) "exact subset"
+      [| false; false; true; true; true; false |]
+      sol.Tricrit_vdd.reexecuted
+
 let test_infeasible_detected () =
   let m, dmin = small_instance ~seed:308 in
   Alcotest.(check bool) "too tight" true
@@ -168,6 +201,7 @@ let suite =
       Alcotest.test_case "vdd >= continuous" `Slow test_vdd_tricrit_above_continuous_tricrit;
       Alcotest.test_case "refine cache saves LP solves" `Slow
         test_refine_splits_cache_saves_lp_solves;
+      Alcotest.test_case "pinned subset energies" `Quick test_pinned_energies;
       Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
       Alcotest.test_case "max_n guard" `Quick test_max_n_guard;
     ] )
