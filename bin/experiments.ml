@@ -502,7 +502,7 @@ let e9 ~seed () =
   let t =
     Table.create
       ~columns:
-        [ "D/Dmin"; "E exact (2^n LPs)"; "#re"; "E heuristic"; "E refined"; "E continuous" ]
+        [ "D/Dmin"; "E exact (B&B)"; "#re"; "E heuristic"; "E refined"; "E continuous" ]
   in
   let rows =
     pmap

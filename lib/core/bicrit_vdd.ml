@@ -9,6 +9,9 @@ type built = {
   mapping : Mapping.t;
   alpha : Problem.var array array array; (* task → execution → level *)
   start : Problem.var array;
+  weight_rows : int array; (* per task, the row of λᵢ ≤ hᵢ, or -1 *)
+  first_edge_row : int;
+  upper : float array; (* per column, in registration order *)
   deadline_rows : int list; (* last row first *)
   edges : (Dag.task * Dag.task) list; (* one precedence row each, after the task rows *)
 }
@@ -18,17 +21,26 @@ let build ~deadline ~levels ~reliability mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let lp = Problem.create () in
+  (* each column's implicit upper bound, which no feasible point
+     exceeds: what [dual_bound] needs of a column besides its entries *)
+  let upper = ref [] in
+  let var ?obj u =
+    upper := u :: !upper;
+    Problem.var lp ?obj ()
+  in
   let executions i =
     match reliability with Some r -> Array.length r.budgets.(i) | None -> 1
   in
   (* alpha.(i).(e).(k): time execution e of task i spends at speed
-     levels.(k) *)
+     levels.(k), at most w_i/f_k *)
   let alpha =
     Array.init n (fun i ->
         Array.init (executions i) (fun _ ->
-            Array.map (fun f -> Problem.var lp ~obj:(f *. f *. f) ()) levels))
+            Array.map (fun f -> var ~obj:(f *. f *. f) (Dag.weight cdag i /. f)) levels))
   in
-  let start = Array.init n (fun _ -> Problem.var lp ()) in
+  let start = Array.init n (fun _ -> var deadline) in
+  (* λᵢ, the weight of re-executing a task whose choice is open *)
+  let weight = Array.init n (fun i -> if executions i = 3 then Some (var 1.) else None) in
   let time_expr i =
     Array.fold_right (Array.fold_right (fun v expr -> (1., v) :: expr)) alpha.(i) []
   in
@@ -39,31 +51,70 @@ let build ~deadline ~levels ~reliability mapping =
   for i = 0 to n - 1 do
     Array.iteri
       (fun e a ->
+        (* [Σₖ coeffs.(k)·αₖ (= or ≤) v], where an open choice scales
+           [v] by 1 − λᵢ in its run-once block (e = 0) and by λᵢ in
+           its two re-execution blocks *)
+        let row add coeffs v =
+          match weight.(i) with
+          | None -> add lp (weighted coeffs a) v
+          | Some l when e = 0 -> add lp ((v, l) :: weighted coeffs a) v
+          | Some l -> add lp ((-.v, l) :: weighted coeffs a) 0.
+        in
         (* work conservation, then the failure probability within the
-           execution's budget *)
-        Problem.eq lp (weighted levels a) (Dag.weight cdag i);
-        Option.iter (fun r -> Problem.le lp (weighted r.rates a) r.budgets.(i).(e)) reliability)
+           execution's budget, that row multiplied by the power of two
+           that brings the budget into [0.5, 1): exact, and it keeps
+           rates of 1e-8 from meeting work rows of O(1) in one basis *)
+        row Problem.eq levels (Dag.weight cdag i);
+        Option.iter
+          (fun r ->
+            let budget = r.budgets.(i).(e) in
+            let scale x = Float.ldexp x (-snd (Float.frexp budget)) in
+            row Problem.le (Array.map scale r.rates) (scale budget))
+          reliability)
       alpha.(i);
     (* deadline: s_i + time_i <= D *)
     deadline_rows := Problem.n_constraints lp :: !deadline_rows;
     Problem.le lp ((1., start.(i)) :: time_expr i) deadline
   done;
   let edges = Dag.edges cdag in
+  let first_edge_row = Problem.n_constraints lp in
   List.iter
     (fun (i, j) ->
       (* s_i + time_i - s_j <= 0 *)
       Problem.le lp (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
     edges;
-  { lp; levels; mapping; alpha; start; deadline_rows = !deadline_rows; edges }
+  (* λᵢ ≤ hᵢ then −λᵢ ≤ −ℓᵢ, stated open: h = 1, ℓ = 0 *)
+  let weight_rows =
+    Array.map
+      (function
+        | None -> -1
+        | Some l ->
+          let r = Problem.n_constraints lp in
+          Problem.le lp [ (1., l) ] 1.;
+          Problem.le lp [ (-1., l) ] 0.;
+          r)
+      weight
+  in
+  {
+    lp;
+    levels;
+    mapping;
+    alpha;
+    start;
+    weight_rows;
+    first_edge_row;
+    upper = Array.of_list (List.rev !upper);
+    deadline_rows = !deadline_rows;
+    edges;
+  }
 
 let problem b = b.lp
 
-(* The crash basis (see the .mli) of a one-execution LP without
-   reliability rows: slack-basic rows first, then each constrained
-   start time on the precedence row that sets its ASAP start at fmin,
-   in reverse topological order, then each task's slowest share.  In
-   this order every column meets exactly one unfactored row, so the LU
-   factors are triangular with no fill. *)
+(* The crash basis (see the .mli): slack-basic rows first, then each
+   constrained start time on the precedence row that sets its ASAP
+   start at fmin, in reverse topological order, then each execution's
+   slowest share.  In this order every column meets exactly one
+   unfactored row, so the LU factors are triangular with no fill. *)
 let crash b sp =
   let cdag = Mapping.constraint_dag b.mapping in
   let n = Dag.n cdag in
@@ -85,18 +136,57 @@ let crash b sp =
           end)
         (Dag.preds cdag j))
     order;
-  (* the precedence rows follow the n work and n deadline rows *)
-  let row = ref (2 * n) and slack_rows = ref b.deadline_rows in
-  List.iter
-    (fun (i, j) ->
-      if tight.(j) <> i then slack_rows := !row :: !slack_rows;
-      incr row)
-    b.edges;
+  (* every inequality row is slack-basic, in row order, but the
+     precedence rows that set a start *)
+  let chosen = Array.make (Sparse.m sp) false in
+  List.iteri (fun e (i, j) -> if tight.(j) = i then chosen.(b.first_edge_row + e) <- true) b.edges;
+  let slacks =
+    List.filter (fun r -> Sparse.slack_col sp r >= 0 && not chosen.(r)) (List.init (Sparse.m sp) Fun.id)
+  in
   let tight_starts =
     Array.fold_left (fun acc j -> if tight.(j) >= 0 then b.start.(j) :: acc else acc) [] order
   in
-  let vars = tight_starts @ Array.to_list (Array.map (fun a -> a.(0).(!kmin)) b.alpha) in
-  Problem.basis sp ~slacks:(List.rev !slack_rows) ~vars
+  let shares = Array.fold_right (Array.fold_right (fun a acc -> a.(!kmin) :: acc)) b.alpha [] in
+  Problem.basis sp ~slacks ~vars:(tight_starts @ shares)
+
+let with_choices b sp choice =
+  let rhs = Sparse.rhs sp in
+  Array.iteri
+    (fun i r ->
+      if r >= 0 then begin
+        let lo, hi = match choice i with Some true -> (1., 1.) | Some false -> (0., 0.) | None -> (0., 1.) in
+        rhs.(r) <- hi;
+        rhs.(r + 1) <- -.lo
+      end)
+    b.weight_rows;
+  Sparse.with_rhs sp rhs
+
+(* Weak duality: for x feasible and y of the rows' signs (≤ 0 on ≤
+   rows), c·x ≥ b·y + (c − Aᵀy)·x, and 0 ≤ x ≤ u bounds the last term
+   below by Σⱼ min(0, cⱼ − aⱼᵀy)·uⱼ, whatever y is. *)
+let dual_bound b sp solution =
+  let col_ptr = Sparse.col_ptr sp and row_idx = Sparse.row_idx sp and col_val = Sparse.col_val sp in
+  let y =
+    Array.mapi
+      (fun r v ->
+        match Sparse.row_relation sp r with
+        | Sparse.Le -> Float.min v 0.
+        | Sparse.Ge -> Float.max v 0.
+        | Sparse.Eq -> v)
+      (Problem.duals solution)
+  in
+  let rhs = Sparse.rhs sp in
+  let bound = ref 0. in
+  Array.iteri (fun r v -> bound := !bound +. (rhs.(r) *. v)) y;
+  Array.iteri
+    (fun j u ->
+      let d = ref (Sparse.obj sp j) in
+      for k = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+        d := !d -. (y.(row_idx.(k)) *. col_val.(k))
+      done;
+      if !d < 0. then bound := !bound +. (!d *. u))
+    b.upper;
+  !bound
 
 let schedule b solution =
   let cdag = Mapping.constraint_dag b.mapping in

@@ -149,7 +149,15 @@ val emulate_continuous :
     the LP above plus two things: a second execution, with its own
     shares and work row, for each re-executed task, and one linear
     reliability row per execution.  {!Tricrit_vdd} states its subset
-    LPs with {!build}. *)
+    LPs with {!build}, and the LP relaxation of its subset search too:
+    there a task's choice stays open as a weight [λᵢ ∈ [0, 1]] that
+    mixes running once with running twice.
+
+    Each reliability row is stated multiplied by [2^−e], where its
+    budget is [m·2^e] with [m ∈ [0.5, 1)] ([Float.frexp]).  The
+    scaling is exact, and it keeps failure rates of [1e-8] from
+    meeting work rows of [O(1)] in one basis, where they drove some
+    subset LPs to the simplex's pivot limit or a singular basis. *)
 
 type reliability = {
   rates : (float[@units "prob/time"]) array;
@@ -157,7 +165,8 @@ type reliability = {
           failure probability is [Σₖ rates.(k)·αₖ] *)
   budgets : (float[@units "prob"]) array array;
       (** per task, one failure budget per execution: one entry runs
-          the task once, two re-execute it *)
+          the task once, two re-execute it, and three [[|t; b₁; b₂|]]
+          leave the choice open (below) *)
 }
 
 type built
@@ -172,22 +181,77 @@ val build :
   built
 (** The LP over the mapping's constraint DAG.  Columns: the time
     shares [αᵢₑₖ] by task, then execution, then level, then the start
-    times [sᵢ].  Rows: for each task, each execution's work row
+    times [sᵢ], then the weights [λᵢ] of the open choices in task
+    order.  Rows: for each task, each execution's work row
     [Σₖ fₖ·αᵢₑₖ = wᵢ] followed by its reliability row
-    [Σₖ rates.(k)·αᵢₑₖ ≤ budgets.(i).(e)], then the task's deadline
-    row [sᵢ + Σₑₖ αᵢₑₖ ≤ D]; the precedence rows
-    [sᵢ + Σₑₖ αᵢₑₖ − sⱼ ≤ 0] come last, in edge order.  Without
+    [Σₖ rates.(k)·αᵢₑₖ ≤ budgets.(i).(e)] (scaled as above), then the
+    task's deadline row [sᵢ + Σₑₖ αᵢₑₖ ≤ D]; the precedence rows
+    [sᵢ + Σₑₖ αᵢₑₖ − sⱼ ≤ 0] come next, in edge order.  Without
     [reliability] every task runs once with no reliability row: that
     is {!lp}.
+
+    A task with three budgets [[|t; b₁; b₂|]] has an open choice: its
+    first execution block is the run-once one and does the share
+    [1 − λᵢ] of the task, [Σₖ fₖ·αᵢ₀ₖ = wᵢ(1 − λᵢ)] and
+    [Σₖ rates.(k)·αᵢ₀ₖ ≤ t(1 − λᵢ)], and the other two are the
+    re-execution's, [Σₖ fₖ·αᵢₑₖ = wᵢλᵢ] and
+    [Σₖ rates.(k)·αᵢₑₖ ≤ bₑλᵢ]; all three count in its deadline and
+    precedence rows.  Two rows per open choice close the LP,
+    [λᵢ ≤ hᵢ] then [−λᵢ ≤ −ℓᵢ], stated at [h = 1], [ℓ = 0]
+    ({!with_choices} restates them).  With every λ fixed at 0 or 1 this
+    is the fixed-subset LP of the budgets [[|t|]] and [[|b₁; b₂|]], so
+    its optimum is never above any subset LP's it allows.
 
     @raise Invalid_argument if [levels] is empty. *)
 
 val problem : built -> Es_lp.Problem.t
 (** The LP itself. *)
 
+val crash : built -> Es_lp.Sparse.t -> Es_lp.Revised.basis
+(** The crash basis of any LP {!build} states, for its sparse form
+    [sp] ([Problem.to_sparse (problem b)]): every execution's slowest
+    share, the start times as in {!crash_basis}, and the slack of
+    every other inequality row, reliability rows and the rows of open
+    choices included.  The argument of the module header carries
+    over: those slacks price at [0] and every execution's work row at
+    [fmin²], so a share keeps its reduced cost [f_k(f_k² − fmin²)],
+    and an open choice's weight [λᵢ], nonbasic at 0, gets
+    [wᵢ·fmin²] (its work-row entries are [+wᵢ] in the run-once block
+    and [−wᵢ] in each re-execution block).  Only the deadline rows,
+    the reliability rows the slowest level misses and a choice row
+    with [ℓᵢ > 0] can start violated.
+
+    @raise Invalid_argument if [sp] is not the sparse form of
+    [problem b]. *)
+
+val with_choices : built -> Es_lp.Sparse.t -> (int -> bool option) -> Es_lp.Sparse.t
+(** [with_choices b sp c]: [sp], the sparse form of [problem b]
+    ([Problem.to_sparse]), restated ({!Es_lp.Sparse.with_rhs}) with
+    each open choice's rows set by [c i]: [λᵢ = 1] for [Some true]
+    (re-executed), [λᵢ = 0] for [Some false] (run once), and
+    [0 ≤ λᵢ ≤ 1] for [None].  Tasks without an open choice are not
+    asked.
+
+    @raise Invalid_argument if [sp] has fewer rows than [problem b]. *)
+
+val dual_bound :
+  built -> Es_lp.Sparse.t -> Es_lp.Problem.solution -> (float[@units "energy"])
+(** [dual_bound b sp s]: the weak-duality lower bound
+    [b·y + Σⱼ min(0, cⱼ − aⱼᵀy)·uⱼ] on the optimum of [sp], the
+    sparse form of [problem b] or one of its {!with_choices}
+    restatements, from the duals [y] of a solution [s] of it.  The
+    duals are first clamped to their rows' signs ([≤ 0] on [≤] rows),
+    and [uⱼ] is column [j]'s implicit upper bound: a share [αᵢₑₖ] at
+    most [wᵢ/fₖ], a start time at most the deadline, a weight at most
+    1.  Weak duality makes it a lower bound for any [y]; at optimal
+    duals it is the optimum up to rounding, and inexact duals only
+    lower it. *)
+
 val schedule : built -> Es_lp.Problem.solution -> Schedule.t
 (** The schedule an optimal solution of {!problem} encodes: each
     execution runs its levels' shares, dropping those under [1e-9] of
     its duration, rescaled so that it does exactly the task's work.
+
+    A relaxation's solution, with open choices, encodes no schedule.
 
     @raise Invalid_argument if the solution is not one of {!problem}. *)

@@ -2,7 +2,13 @@ let first_choices menu vary =
   if Array.length menu = 0 then invalid_arg "Subset_search: empty menu";
   Array.make (Array.length vary) menu.(0)
 
-let exhaustive ~menu ~vary ~evaluate ~energy =
+(* A subtree is skipped only when its bound reaches the incumbent by
+   this relative margin, so that a bound a rounding error above the
+   subtree's true minimum cannot cut off an answer the plain
+   enumeration would return. *)
+let prune_margin = 1e-9
+
+let exhaustive ~menu ~vary ~bound ~evaluate ~energy =
   let choice = first_choices menu vary in
   let positions = List.filter (fun i -> vary.(i)) (List.init (Array.length vary) Fun.id) in
   let best = ref None in
@@ -14,17 +20,23 @@ let exhaustive ~menu ~vary ~evaluate ~energy =
       | Some b when energy b <= energy sol -> ()
       | _ -> best := Some sol)
   in
-  (* depth first, the first position outermost, each in menu order *)
-  let rec enum = function
+  let pruned decided =
+    let incumbent = match !best with Some b -> energy b | None -> infinity in
+    bound choice decided >= incumbent +. (prune_margin *. Float.abs incumbent)
+  in
+  (* depth first, the first position outermost, each in menu order;
+     positions below [decided] are fixed in this subtree *)
+  let rec enum decided = function
     | [] -> consider ()
     | i :: rest ->
-      Array.iter
-        (fun c ->
-          choice.(i) <- c;
-          enum rest)
-        menu
+      if not (pruned decided) then
+        Array.iter
+          (fun c ->
+            choice.(i) <- c;
+            enum (i + 1) rest)
+          menu
   in
-  enum positions;
+  enum 0 positions;
   !best
 
 let descent ~menu ~vary ~evaluate ~energy =

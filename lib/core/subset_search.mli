@@ -18,6 +18,7 @@
 val exhaustive :
   menu:'c array ->
   vary:bool array ->
+  bound:('c array -> int -> (float[@units "energy"])) ->
   evaluate:('c array -> 'a option) ->
   energy:('a -> (float[@units "energy"])) ->
   'a option
@@ -25,6 +26,21 @@ val exhaustive :
     positions), [None] if none is feasible.  Vectors are evaluated
     depth first: the lowest varying position is outermost, and each
     position runs through [menu] in order.  The caller bounds [k].
+
+    The search prunes by [bound].  Before it enters a node of the
+    search tree that still has a varying position to decide, it calls
+    [bound v d]: positions below [d] of [v] are decided for the whole
+    subtree (positions from [d] up hold stale values and must be
+    ignored), and the result must be a lower bound on the energy of
+    every feasible vector of that subtree, or [infinity] when none is
+    feasible.  The subtree is skipped when the bound is at least
+    [e + 1e-9·|e|], where [e] is the incumbent's energy ([infinity]
+    while there is none).  A valid bound therefore skips only vectors
+    that cannot beat, or tie with, the incumbent, so the answer is the
+    plain enumeration's, first of ties included; the margin keeps a
+    bound a rounding error too high from cutting off a better vector.
+    Leaves are never bounded.  [fun _ _ -> neg_infinity] prunes
+    nothing: the search is then the plain enumeration.
 
     @raise Invalid_argument if [menu] is empty. *)
 

@@ -8,6 +8,8 @@ type solution = {
 }
 
 let c_subsets = Obs.counter "tricrit_vdd_subsets"
+let c_bounds = Obs.counter "tricrit_vdd_bounds"
+let c_bound_failures = Obs.counter "tricrit_vdd_bound_failures"
 let c_cache_hits = Obs.counter "tricrit_vdd_probe_cache_hits"
 let c_cache_misses = Obs.counter "tricrit_vdd_probe_cache_misses"
 
@@ -102,11 +104,52 @@ let refine_splits ?(rounds = 1) ?(use_cache = true) ~rel ~deadline ~levels mappi
   done;
   !best
 
+(* The bound of [solve_exact]'s search: one LP relaxation per request,
+   every task's choice open, re-solved at each node with the decided
+   tasks' weights fixed — new right-hand sides only, so the dual
+   simplex restarts from the optimal basis of the node's parent, as a
+   deadline sweep chains its deadlines; the root, and a node whose
+   parent has no basis, start from the crash basis.  An infeasible
+   relaxation has no feasible completion; one whose solve raises
+   prunes nothing. *)
+let relaxation_bound ~rel ~deadline ~levels mapping =
+  let cdag = Mapping.constraint_dag mapping in
+  let n = Dag.n cdag in
+  let rates = Array.map (fun f -> Rel.rate rel ~f) levels in
+  let budgets =
+    Array.init n (fun i ->
+        let target = Rel.target_failure rel ~w:(Dag.weight cdag i) in
+        [| target; target ** 0.5; target ** 0.5 |])
+  in
+  let b = Bicrit_vdd.build ~deadline ~levels ~reliability:(Some { Bicrit_vdd.rates; budgets }) mapping in
+  let sp = Problem.to_sparse (Bicrit_vdd.problem b) in
+  let crash = Bicrit_vdd.crash b sp in
+  (* bases.(d): the optimal basis of the node with d tasks decided on
+     the current path *)
+  let bases = Array.make (n + 1) None in
+  fun subset decided ->
+    Obs.incr c_bounds;
+    let node = Bicrit_vdd.with_choices b sp (fun i -> if i < decided then Some subset.(i) else None) in
+    let parent = if decided = 0 then None else bases.(decided - 1) in
+    match Problem.solve_sparse ~basis:(Option.value parent ~default:crash) node with
+    | Problem.Solution s, next ->
+      bases.(decided) <- next;
+      Bicrit_vdd.dual_bound b node s
+    | Problem.Infeasible, _ -> infinity
+    | Problem.Unbounded, _ ->
+      (* energy is bounded below by 0: cannot happen on well-formed input *)
+      assert false
+    | exception Failure _ ->
+      Obs.incr c_bound_failures;
+      bases.(decided) <- None;
+      neg_infinity
+
 let solve_exact ?(max_n = 12) ~rel ~deadline ~levels mapping =
   let n = Dag.n (Mapping.dag mapping) in
   if n > max_n then
     invalid_arg (Printf.sprintf "Tricrit_vdd.solve_exact: n = %d > %d" n max_n);
   Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
+    ~bound:(relaxation_bound ~rel ~deadline ~levels mapping)
     ~evaluate:(fun subset -> solve_subset ~rel ~deadline ~levels mapping ~subset)
     ~energy:(fun s -> s.energy)
 

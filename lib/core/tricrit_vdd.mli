@@ -23,10 +23,11 @@
     That LP is {!Bicrit_vdd}'s, given one failure budget per
     execution ({!Bicrit_vdd.build}); this module sets the budgets.
 
-    Solvers: exhaustive subset enumeration ({!Subset_search}) + LP for
-    small instances, and the paper's adaptation of the CONTINUOUS
-    heuristics (take the best-of-two continuous subset, then let the
-    LP mix speeds). *)
+    Solvers: branch and bound over the subsets ({!Subset_search}), an
+    LP at each leaf and the LP relaxation as the bound, for small
+    instances, and the paper's adaptation of the CONTINUOUS heuristics
+    (take the best-of-two continuous subset, then let the LP mix
+    speeds). *)
 
 type solution = {
   schedule : Schedule.t;
@@ -43,8 +44,11 @@ val solve_subset :
   solution option
 (** The fixed-subset LP described above, solved two-phase (no crash
     basis: a slowest-level start would violate the reliability rows).
-    [None] if infeasible, without building the LP when even the
-    fastest level misses some execution's budget.
+    Its reliability rows are scaled by powers of two
+    ({!Bicrit_vdd.build}), so failure rates of [1e-8] and below solve
+    as reliably as [O(1)] ones.  [None] if infeasible, without
+    building the LP when even the fastest level misses some
+    execution's budget.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if an argument violates a documented precondition. *)
@@ -56,8 +60,34 @@ val solve_exact :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   solution option
-(** Minimum over all [2ⁿ] subsets ({!Subset_search.exhaustive}; default
-    size guard [max_n = 12]: each subset costs one LP).
+(** Minimum over all [2ⁿ] subsets: {!solve_subset}'s answer for the
+    subset the plain enumeration ({!Subset_search.exhaustive} with no
+    bound) would return — the same energy bits, subset and schedule,
+    first of ties included — or [None] when no subset is feasible.
+    Default size guard [max_n = 12].
+
+    The search is branch and bound: {!Subset_search.exhaustive} with
+    a lower bound at every node, so that only the leaves it cannot
+    prune cost a subset LP.  The bound comes from one LP relaxation
+    per request, stated by {!Bicrit_vdd.build} with every task's
+    choice open (a weight [λᵢ ∈ [0, 1]] between running once within
+    [t] and twice within [√t] per attempt).  A node fixes its decided
+    tasks' weights at 0 or 1 through right-hand sides only
+    ({!Bicrit_vdd.with_choices}), so the dual simplex re-solves it
+    from its parent's optimal basis; the root starts from
+    {!Bicrit_vdd.crash}.  With every weight fixed the relaxation is
+    that subset's LP, so its optimum bounds every completion from
+    below.  The bound is {!Bicrit_vdd.dual_bound} of the returned
+    duals, a weak-duality value that an inexact solve can only lower
+    (rounding aside); an infeasible relaxation prunes its subtree, and
+    one whose solve raises prunes nothing (counted under
+    ["tricrit_vdd_bound_failures"], the relaxation solves under
+    ["tricrit_vdd_bounds"], the leaves under ["tricrit_vdd_subsets"]).
+    A subtree is skipped when its bound reaches the incumbent plus
+    [1e-9] of it, which a bound a rounding error high cannot do to a
+    subtree holding a better subset.
+
+    @raise Failure if a leaf's LP exhausts the simplex pivot limit.
     @raise Invalid_argument above the guard. *)
 
 val solve_heuristic :

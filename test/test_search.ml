@@ -26,8 +26,10 @@ let arb =
 
 (* An odometer over the menu indices of the varying positions, the
    last position turning fastest: the same order as a depth-first walk
-   with the first position outermost. *)
-let odometer ~menu ~vary ~evaluate =
+   with the first position outermost.  The other positions keep their
+   values in [start] (all [menu.(0)] unless given). *)
+let odometer ?start ~menu ~vary ~evaluate () =
+  let start = Option.value start ~default:(Array.make (Array.length vary) menu.(0)) in
   let positions = List.filter (fun i -> vary.(i)) (List.init (Array.length vary) Fun.id) in
   let digits = Array.make (List.length positions) 0 in
   let k = Array.length digits and m = Array.length menu in
@@ -45,7 +47,7 @@ let odometer ~menu ~vary ~evaluate =
   in
   let continue = ref true in
   while !continue do
-    let v = Array.make (Array.length vary) menu.(0) in
+    let v = Array.copy start in
     List.iteri (fun j i -> v.(i) <- menu.(digits.(j))) positions;
     (match (evaluate v, !best) with
     | Some s, Some b when energy s < energy b -> best := Some s
@@ -55,12 +57,37 @@ let odometer ~menu ~vary ~evaluate =
   done;
   !best
 
+let no_bound _ _ = neg_infinity
+
+(* Bounds valid by construction: the odometer's minimum over the
+   subtree, [infinity] when the subtree has no feasible vector.  A
+   draw from the decided prefix keeps it exact two times in five, so
+   that subtrees tying with the incumbent are pruned too, lowers it
+   otherwise, and for a third of the seeds sometimes gives no bound. *)
+let oracle_bound ~menu ~vary ~evaluate ~seed v decided =
+  let draw =
+    match synthetic ~seed:(seed + decided) (Array.sub v 0 decided) with
+    | Some (_, e) -> int_of_float e
+    | None -> 4
+  in
+  let subtree = Array.mapi (fun i varies -> varies && i >= decided) vary in
+  if draw = 4 && seed mod 3 = 0 then neg_infinity
+  else
+    match odometer ~start:v ~menu ~vary:subtree ~evaluate () with
+    | None -> infinity
+    | Some s -> energy s -. if draw < 2 then 0. else 0.25 *. float_of_int draw
+
+(* With no bound and with the oracle's bounds alike. *)
 let qcheck_exhaustive_is_odometer =
   QCheck.Test.make ~name:"exhaustive = odometer enumeration" ~count:500 arb
     (fun (menu, vary, seed) ->
       let evaluate = synthetic ~seed in
-      Subset_search.exhaustive ~menu ~vary ~evaluate ~energy
-      = odometer ~menu ~vary ~evaluate)
+      let expected = odometer ~menu ~vary ~evaluate () in
+      Subset_search.exhaustive ~menu ~vary ~bound:no_bound ~evaluate ~energy = expected
+      && Subset_search.exhaustive ~menu ~vary
+           ~bound:(oracle_bound ~menu ~vary ~evaluate ~seed)
+           ~evaluate ~energy
+         = expected)
 
 let qcheck_descent_local_minimum =
   QCheck.Test.make ~name:"descent: no worse than its start, no improving move left"
@@ -92,7 +119,7 @@ let test_menu_order_and_ties () =
   let menu = [| 7; 3; 5 |] and vary = [| true; false; true |] in
   Alcotest.(check (option (pair (array int) (float 0.))))
     "first of equal energies" (Some ([| 7; 7; 7 |], 1.))
-    (Subset_search.exhaustive ~menu ~vary ~evaluate:flat ~energy);
+    (Subset_search.exhaustive ~menu ~vary ~bound:no_bound ~evaluate:flat ~energy);
   Alcotest.(check (option (pair (array int) (float 0.))))
     "descent stays at the start" (Some ([| 7; 7; 7 |], 1.))
     (Subset_search.descent ~menu ~vary ~evaluate:flat ~energy);
@@ -107,18 +134,37 @@ let test_menu_order_and_ties () =
     None
   in
   ignore
-    (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~evaluate:record
-       ~energy);
+    (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~bound:no_bound
+       ~evaluate:record ~energy);
   Alcotest.(check (list (list bool)))
     "depth first, first position outermost"
     [ [ false; false ]; [ false; true ]; [ true; false ]; [ true; true ] ]
     (List.rev !seen)
 
+(* The margin: a bound above the incumbent by less than 1e-9 of it
+   prunes nothing, one above it by more skips the subtree. *)
+let test_prune_margin () =
+  let evaluated bound =
+    let seen = ref 0 in
+    let evaluate v =
+      incr seen;
+      Some (Array.copy v, 1.)
+    in
+    ignore
+      (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~bound ~evaluate
+         ~energy);
+    !seen
+  in
+  let above by _ decided = if decided = 0 then neg_infinity else 1. +. by in
+  Alcotest.(check int) "within the margin: every vector" 4 (evaluated (above 0.5e-9));
+  Alcotest.(check int) "beyond it: the second subtree is skipped" 2 (evaluated (above 2e-9))
+
 let test_empty_menu () =
   let empty = Invalid_argument "Subset_search: empty menu" in
   let evaluate _ = None in
   Alcotest.check_raises "exhaustive" empty (fun () ->
-      ignore (Subset_search.exhaustive ~menu:[||] ~vary:[| true |] ~evaluate ~energy));
+      ignore
+        (Subset_search.exhaustive ~menu:[||] ~vary:[| true |] ~bound:no_bound ~evaluate ~energy));
   Alcotest.check_raises "descent" empty (fun () ->
       ignore (Subset_search.descent ~menu:[||] ~vary:[| true |] ~evaluate ~energy))
 
@@ -127,6 +173,7 @@ let suite =
     [
       Alcotest.test_case "menu order and ties" `Quick test_menu_order_and_ties;
       Alcotest.test_case "empty menu" `Quick test_empty_menu;
+      Alcotest.test_case "prune margin" `Quick test_prune_margin;
       QCheck_alcotest.to_alcotest qcheck_exhaustive_is_odometer;
       QCheck_alcotest.to_alcotest qcheck_descent_local_minimum;
     ] )

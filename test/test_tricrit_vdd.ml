@@ -175,6 +175,150 @@ let test_pinned_energies () =
       [| false; false; true; true; true; false |]
       sol.Tricrit_vdd.reexecuted
 
+(* The fixed-subset LP [Tricrit_vdd.solve_subset] solves, stated again
+   through [Bicrit_vdd.build] with the same budgets, so that the
+   reference solvers can take it. *)
+let subset_lp ~rel ~deadline ~levels m subset =
+  let cdag = Mapping.constraint_dag m in
+  let rates = Array.map (fun f -> Rel.rate rel ~f) levels in
+  let budgets =
+    Array.mapi
+      (fun i reexec ->
+        let t = Rel.target_failure rel ~w:(Dag.weight cdag i) in
+        if reexec then [| t ** 0.5; t ** 0.5 |] else [| t |])
+      subset
+  in
+  Bicrit_vdd.problem
+    (Bicrit_vdd.build ~deadline ~levels ~reliability:(Some { Bicrit_vdd.rates; budgets }) m)
+
+(* An 8-task instance whose reliability coefficients are 1e-8..1e-5
+   against O(1) work rows: stated unscaled, the subset LP below runs
+   into the simplex's pivot limit. *)
+let test_tiny_rates_subset_lp () =
+  let weights =
+    [| 0x1.4d98e3a401c6dp+4; 0x1.01a66c2b0a489p+4; 0x1.088df01b1b2b4p+4; 0x1.892e4a24645c5p+4;
+       0x1.2ec5c1653cc03p+5; 0x1.a48a9b6c24472p+0; 0x1.f2a42ff3c16b1p+3; 0x1.ce9f65988cf71p+4 |]
+  in
+  let dag = Dag.make ?labels:None ~weights ~edges:[ (1, 7); (1, 6); (1, 3); (2, 3) ] in
+  let m = Mapping.make ~p:1 dag ~order:[| [ 1; 2; 4; 7; 3; 0; 6; 5 ] |] in
+  let levels = [| 0x1.4778771bd32fdp+0; 0x1.f8a2b4da0e4f4p+0; 0x1.54e6794c24b75p+1 |] in
+  let rel =
+    Rel.make ~lambda0:0x1.6e7c7ebc7d8dcp-28 ~sensitivity:0x1.ff9b41312d71ap+2 ~fmin:levels.(0)
+      ~fmax:levels.(2) ~frel:0x1.079775599438ap+1 ()
+  in
+  let deadline = 0x1.00d2a6abf6a1ep+7 in
+  let subset = Array.init 8 (fun i -> List.mem i [ 2; 4; 5; 6; 7 ]) in
+  let lp = subset_lp ~rel ~deadline ~levels m subset in
+  let reference =
+    match
+      Es_check.Dense_simplex.solve ~obj:(Es_lp.Problem.objective_coeffs lp)
+        (Es_lp.Problem.constraints lp)
+    with
+    | Es_lp.Revised.Optimal { objective; _ } -> objective
+    | _ -> Alcotest.fail "the dense reference finds the LP feasible"
+  in
+  (match Tricrit_vdd.solve_subset ~rel ~deadline ~levels m ~subset with
+  | None -> Alcotest.fail "feasible"
+  | Some sol ->
+    Alcotest.(check bool)
+      (Printf.sprintf "subset LP %.9g = dense reference %.9g" sol.Tricrit_vdd.energy reference)
+      true
+      (Float.abs (sol.Tricrit_vdd.energy -. reference) <= 1e-9 *. Float.abs reference));
+  match
+    Solver.solve ?exact_threshold:None
+      { Solver.mapping = m; model = Speed.vdd_hopping levels; deadline; rel = Some rel }
+  with
+  | Error e -> Alcotest.fail e
+  | Ok a ->
+    Alcotest.(check bool) "exact answer" true a.Solver.exact;
+    Alcotest.(check bool) "validator accepts" true
+      (Validate.is_feasible ~deadline ~rel ~model:(Speed.vdd_hopping levels) a.Solver.schedule)
+
+(* A random TRI-CRIT VDD-HOPPING instance: 1–8 tasks on 1–3
+   processors, 2–8 levels, slack 0.9–4 over the all-fmax makespan,
+   λ0 from 1e-9 to 1e-1, sensitivity 0–8 and a random frel. *)
+let random_instance rng =
+  let n = 1 + Es_util.Rng.int rng 8 and p = 1 + Es_util.Rng.int rng 3 in
+  let dag = Generators.random_dag rng ~n ~p:0.3 ~wlo:0.2 ~whi:4. in
+  let m = List_sched.schedule dag ~p ~priority:List_sched.Bottom_level in
+  let levels = Array.init (2 + Es_util.Rng.int rng 7) (fun _ -> Es_util.Rng.uniform_in rng 0.1 3.) in
+  Array.sort Float.compare levels;
+  let fmin = levels.(0) and fmax = levels.(Array.length levels - 1) in
+  let rel =
+    Rel.make
+      ~lambda0:(10. ** Es_util.Rng.uniform_in rng (-9.) (-1.))
+      ~sensitivity:(Es_util.Rng.uniform_in rng 0. 8.)
+      ~frel:(Es_util.Rng.uniform_in rng fmin fmax) ~fmin ~fmax ()
+  in
+  let deadline = Es_util.Rng.uniform_in rng 0.9 4. *. List_sched.makespan_at_speed m ~f:fmax in
+  (m, levels, rel, deadline)
+
+(* Branch and bound returns the plain enumeration's answer: the same
+   energy bits and the same subset, or [None] for both. *)
+let test_pruned_search_matches_enumeration () =
+  let rng = Es_util.Rng.create ~seed:2024 in
+  let solved = ref 0 in
+  for _ = 1 to 200 do
+    let m, levels, rel, deadline = random_instance rng in
+    let n = Dag.n (Mapping.dag m) in
+    let plain =
+      Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
+        ~bound:(fun _ _ -> neg_infinity)
+        ~evaluate:(fun subset -> Tricrit_vdd.solve_subset ~rel ~deadline ~levels m ~subset)
+        ~energy:(fun (s : Tricrit_vdd.solution) -> s.energy)
+    in
+    let show = function
+      | None -> "infeasible"
+      | Some (s : Tricrit_vdd.solution) ->
+        Printf.sprintf "%h [%s]" s.energy
+          (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") s.reexecuted)))
+    in
+    if Option.is_some plain then incr solved;
+    Alcotest.(check string) "branch and bound = enumeration" (show plain)
+      (show (Tricrit_vdd.solve_exact ~rel ~deadline ~levels m))
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d of 200 instances feasible" !solved) true (!solved >= 100)
+
+(* The relaxation with every choice open, solved from the crash basis
+   as the search's root is, bounds the optimum from below, and the
+   optimum's own LP is certified. *)
+let test_root_bound_and_certificate () =
+  let rng = Es_util.Rng.create ~seed:2025 in
+  for _ = 1 to 60 do
+    let m, levels, rel, deadline = random_instance rng in
+    match Tricrit_vdd.solve_exact ~rel ~deadline ~levels m with
+    | None -> ()
+    | Some opt ->
+      let cdag = Mapping.constraint_dag m in
+      let rates = Array.map (fun f -> Rel.rate rel ~f) levels in
+      let budgets =
+        Array.init (Dag.n cdag) (fun i ->
+            let t = Rel.target_failure rel ~w:(Dag.weight cdag i) in
+            [| t; t ** 0.5; t ** 0.5 |])
+      in
+      let b =
+        Bicrit_vdd.build ~deadline ~levels ~reliability:(Some { Bicrit_vdd.rates; budgets }) m
+      in
+      let sp = Es_lp.Problem.to_sparse (Bicrit_vdd.problem b) in
+      (match Es_lp.Problem.solve_sparse ~basis:(Bicrit_vdd.crash b sp) sp with
+      | Es_lp.Problem.Solution s, _ ->
+        let bound = Bicrit_vdd.dual_bound b sp s in
+        (* up to rounding: within the margin the search prunes by *)
+        let e = opt.Tricrit_vdd.energy in
+        Alcotest.(check bool)
+          (Printf.sprintf "root bound %h below optimum %h + 1e-9 of it" bound e)
+          true
+          (bound < e +. (1e-9 *. Float.abs e))
+      | _ -> Alcotest.fail "the relaxation of a feasible instance is feasible");
+      let lp = subset_lp ~rel ~deadline ~levels m opt.Tricrit_vdd.reexecuted in
+      match Es_lp.Problem.solve lp with
+      | Es_lp.Problem.Solution s -> (
+        match Es_check.Lp_cert.certify_problem lp s with
+        | Es_check.Lp_cert.Certified _ -> ()
+        | Es_check.Lp_cert.Rejected (_, why) -> Alcotest.failf "winning subset LP rejected: %s" why)
+      | _ -> Alcotest.fail "the winning subset's LP is feasible"
+  done
+
 let test_infeasible_detected () =
   let m, dmin = small_instance ~seed:308 in
   Alcotest.(check bool) "too tight" true
@@ -202,6 +346,10 @@ let suite =
       Alcotest.test_case "refine cache saves LP solves" `Slow
         test_refine_splits_cache_saves_lp_solves;
       Alcotest.test_case "pinned subset energies" `Quick test_pinned_energies;
+      Alcotest.test_case "tiny failure rates" `Quick test_tiny_rates_subset_lp;
+      Alcotest.test_case "branch and bound = enumeration" `Quick
+        test_pruned_search_matches_enumeration;
+      Alcotest.test_case "root bound and certificate" `Quick test_root_bound_and_certificate;
       Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
       Alcotest.test_case "max_n guard" `Quick test_max_n_guard;
     ] )
