@@ -9,28 +9,42 @@
     relations).
 
     Canonical labeling is colour refinement (1-WL) over the task
-    graph {e and} the processor chains — initial colours are the
-    scale-normalized weights plus degrees and processor ranks, refined
-    by the multisets of successor/predecessor colours and the colours
-    of the same-processor neighbours — followed, when symmetry leaves
-    ties, by individualization: branch on each member of the first
-    tied class and keep the lexicographically smallest encoding.  The
-    result is a permutation of task ids that is invariant under
-    relabeling, so the canonical encodings below are too.
+    graph {e and} the processor chains, on int colours.  The initial
+    colour of a task is the rank of (weight class, indegree, outdegree,
+    chain rank), where the weight class ranks the normalized weight
+    [w/W] rounded to 38 significant bits.  Each pass ranks the
+    signatures (own colour, sorted successor colours, sorted
+    predecessor colours, next and previous colour on the chain)
+    lexicographically, until the number of classes stops growing.
+    When symmetry leaves ties, individualization branches on each
+    member of the smallest tied class (the lowest colour among equal
+    sizes) and keeps the lowest leaf: compared by weight class per
+    canonical position, then the sorted canonical edges, the sorted
+    canonical chains and the exact weights.  The result is a
+    permutation of task ids that is invariant under relabeling, so the
+    canonical encodings below are too.
 
-    Keys are the {e full} canonical encodings, not digests: key
-    equality is structural equality (the weights rounded to 12
-    significant digits in the scaled key), never a hash collision.
+    Keys are the {e full} canonical encodings in length-prefixed
+    binary — every int at 64 bits, every float as its 64 bits — not
+    digests: key equality is structural equality, never a hash
+    collision.
 
     - {!exact_key} encodes everything the answer depends on: canonical
-      structure, full-precision weights, processor chains and count,
+      structure, exact weights, total work, processor chains and count,
       speed model parameters, deadline, reliability parameters.
     - {!scaled_key} exists only for CONTINUOUS BI-CRIT requests; it
       encodes the canonical structure with weights {e normalized by
-      the total work} and {e omits} the deadline, the total work and
-      the [fmin]/[fmax] bounds — whether a cached optimum may be
-      rescaled into this instance's bounds is decided at lookup time
-      ({!Cache}), not by the key. *)
+      the total work} and rounded to 38 significant bits, and {e
+      omits} the deadline, the total work and the [fmin]/[fmax]
+      bounds — whether a cached optimum may be rescaled into this
+      instance's bounds is decided at lookup time ({!Cache}), not by
+      the key.  Work scaled by a power of two leaves every normalized
+      weight bit for bit unchanged, so the scaled key always agrees.
+      Under any other factor a normalized weight that sits at a
+      rounding boundary of the grid may round the other way and split
+      the scaled key: about 1 random instance ([Es_check.Gen]) in
+      10,000 under factors drawn from [\[0.5, 3)].  A split costs a
+      cold solve and never gives a wrong hit. *)
 
 type t = {
   perm : int array;  (** [perm.(i)] = canonical position of task [i] *)
@@ -41,8 +55,11 @@ type t = {
 
 val of_instance : order:Dag.task list array -> Protocol.instance -> t
 (** Canonicalize an instance together with its resolved per-processor
-    orders (see {!Protocol.resolve_order}).  Pure and total for any
-    structurally valid instance; the search budget is generous and, if
-    ever exhausted on a pathological symmetric graph, the function
-    falls back to the identity labeling — still sound (keys remain
-    exact encodings), merely blind to relabeled duplicates. *)
+    orders (see {!Protocol.resolve_order}).  Deterministic and total
+    for any structurally valid instance.  The search stops after 1000
+    refinement passes; a pathological symmetric graph (six equal
+    independent tasks on six processors already does) then keeps the
+    lowest leaf found so far, or the identity labeling if none was
+    reached, and bumps the [serve.canon.budget_exhausted] counter.
+    That is still sound (keys remain exact encodings), merely blind to
+    some relabeled duplicates. *)

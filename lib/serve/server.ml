@@ -21,11 +21,15 @@ let default_config =
     exact_threshold = None;
   }
 
+(* A verbatim entry: the request's id, for a shed reply, and its
+   ["cache":"hit"] response line, rendered at the first repeat. *)
+type verbatim = { v_rid : Json.t; v_reply : string Lazy.t }
+
 type t = {
   config : config;
   cache : Cache.t;
-  (* byte-verbatim front table: request line -> deterministic outcome *)
-  verbatim : (string, Protocol.status) Hashtbl.t;
+  (* byte-verbatim front table: request line -> rendered hit response *)
+  verbatim : (string, verbatim) Hashtbl.t;
   verbatim_fifo : string Queue.t;
   mutable rescale_seen : int;
   samples : (string * float) Queue.t;  (* the latest [sample_window] *)
@@ -59,7 +63,10 @@ let push_sample t tag wall =
 
 let samples t = List.of_seq (Queue.to_seq t.samples)
 
-let verbatim_insert t line status =
+let reply ?cache ?self_check rid status =
+  { Protocol.rid; status; cache; self_check }
+
+let verbatim_insert t line rid status =
   match status with
   | Protocol.Solved _ | Protocol.Infeasible _ | Protocol.Rejected _ ->
     if not (Hashtbl.mem t.verbatim line) then begin
@@ -68,7 +75,8 @@ let verbatim_insert t line status =
         | Some old -> Hashtbl.remove t.verbatim old
         | None -> ()
       end;
-      Hashtbl.add t.verbatim line status;
+      Hashtbl.add t.verbatim line
+        { v_rid = rid; v_reply = lazy (Protocol.render (reply ~cache:Protocol.Hit rid status)) };
       Queue.add line t.verbatim_fifo
     end
   | Protocol.Shed _ | Protocol.Over_budget _ -> ()
@@ -123,49 +131,52 @@ let agree (a : Protocol.solved) (b : Protocol.solved) =
 (* ---- one batch window --------------------------------------------- *)
 
 type slot =
-  | Immediate of Protocol.response
+  | Immediate of string  (* the response line *)
   | Cached of { resp : Protocol.response; check : work option }
   | Cold of {
       req : Protocol.request;
-      order : Dag.task list array;
       canon : Canon.t;
       work : work;
       line : string;
       prep : float;
     }
 
-let reply ?cache ?self_check rid status =
-  { Protocol.rid; status; cache; self_check }
+let immediate ?cache rid status = Immediate (Protocol.render (reply ?cache rid status))
+
+let shed rid =
+  Obs.incr c_shed;
+  immediate rid (Protocol.Shed "queue full")
 
 let classify t ~admitted line =
   let t0 = Obs.now () in
-  match Protocol.parse_line line with
-  | Protocol.Malformed msg ->
-    Obs.incr c_malformed;
-    Immediate (reply Json.Null (Protocol.Rejected msg))
-  | Protocol.Request req ->
-    if !admitted >= t.config.queue then begin
-      Obs.incr c_shed;
-      Immediate (reply req.id (Protocol.Shed "queue full"))
-    end
+  match Hashtbl.find_opt t.verbatim line with
+  | Some v ->
+    if !admitted >= t.config.queue then shed v.v_rid
     else begin
       incr admitted;
-      match Hashtbl.find_opt t.verbatim line with
-      | Some status ->
-        Obs.incr c_verbatim;
-        push_sample t "hit" (Obs.now () -. t0);
-        Immediate (reply ~cache:Protocol.Hit req.id status)
-      | None -> (
+      Obs.incr c_verbatim;
+      push_sample t "hit" (Obs.now () -. t0);
+      Immediate (Lazy.force v.v_reply)
+    end
+  | None -> (
+    match Protocol.parse_line line with
+    | Protocol.Malformed msg ->
+      Obs.incr c_malformed;
+      immediate Json.Null (Protocol.Rejected msg)
+    | Protocol.Request req ->
+      if !admitted >= t.config.queue then shed req.id
+      else begin
+        incr admitted;
         match Protocol.resolve_mapping req.inst with
         | exception Invalid_argument msg ->
-          Immediate (reply req.id (Protocol.Rejected ("invalid instance: " ^ msg)))
+          immediate req.id (Protocol.Rejected ("invalid instance: " ^ msg))
         | mapping -> (
           let order = Array.init (Mapping.p mapping) (Mapping.order mapping) in
           let canon = Canon.of_instance ~order req.inst in
           match Cache.lookup t.cache ~inst:req.inst ~order ~canon with
           | Some { status; disposition = Protocol.Hit } ->
             push_sample t "hit" (Obs.now () -. t0);
-            Immediate (reply ~cache:Protocol.Hit req.id status)
+            immediate ~cache:Protocol.Hit req.id status
           | Some { status; disposition = (Protocol.Rescale_hit | Protocol.Cold) as d } ->
             push_sample t "rescale-hit" (Obs.now () -. t0);
             t.rescale_seen <- t.rescale_seen + 1;
@@ -181,13 +192,12 @@ let classify t ~admitted line =
             Cold
               {
                 req;
-                order;
                 canon;
                 work = { w_req = req; w_mapping = mapping };
                 line;
                 prep = Obs.now () -. t0;
-              }))
-    end
+              })
+      end)
 
 let process_batch t ~pool lines =
   Obs.time t_batch @@ fun () ->
@@ -224,28 +234,24 @@ let process_batch t ~pool lines =
       x
   in
   List.map
-    (fun slot ->
-      let resp =
-        match slot with
-        | Immediate r -> r
-        | Cached { resp; check = None } -> resp
-        | Cached { resp; check = Some _ } ->
-          let re_status, _ = next () in
-          let ok =
-            match (resp.Protocol.status, re_status) with
-            | Protocol.Solved a, Protocol.Solved b -> agree a b
-            | _ -> false
-          in
-          Obs.incr (if ok then c_sc_ok else c_sc_fail);
-          { resp with Protocol.self_check = Some ok }
-        | Cold c ->
-          let status, wall = next () in
-          push_sample t "miss" (c.prep +. wall);
-          Cache.insert t.cache ~inst:c.req.inst ~canon:c.canon status;
-          verbatim_insert t c.line status;
-          reply ~cache:Protocol.Cold c.req.id status
-      in
-      Protocol.render resp)
+    (function
+      | Immediate line -> line
+      | Cached { resp; check = None } -> Protocol.render resp
+      | Cached { resp; check = Some _ } ->
+        let re_status, _ = next () in
+        let ok =
+          match (resp.Protocol.status, re_status) with
+          | Protocol.Solved a, Protocol.Solved b -> agree a b
+          | _ -> false
+        in
+        Obs.incr (if ok then c_sc_ok else c_sc_fail);
+        Protocol.render { resp with Protocol.self_check = Some ok }
+      | Cold c ->
+        let status, wall = next () in
+        push_sample t "miss" (c.prep +. wall);
+        Cache.insert t.cache ~inst:c.req.inst ~canon:c.canon status;
+        verbatim_insert t c.line c.req.id status;
+        Protocol.render (reply ~cache:Protocol.Cold c.req.id status))
     slots
 
 (* ---- transport ---------------------------------------------------- *)

@@ -12,15 +12,19 @@
 
     {b Admission control.}  Within a batch window the first [queue]
     well-formed requests are admitted; the rest are answered
-    [status = "shed"] without being looked up or solved.  Malformed
+    [status = "shed"] without being canonicalized or solved.  Malformed
     lines are answered immediately with [status = "error"] and do not
     consume admission slots.  The bound is positional, so a given
     input trace sheds the same requests on every run.
 
     {b Caching.}  Admitted requests are looked up sequentially, in
     request order, against the cache state left by the {e previous}
-    batch (plus a byte-verbatim front table hit first — an identical
-    request line short-circuits canonicalization entirely).  Misses
+    batch.  A byte-verbatim front table is looked up first, before the
+    line is parsed: it maps a request line that was solved, found
+    infeasible or rejected by the solver to its ["cache":"hit"]
+    response line, rendered once at the first repeat, so a repeated
+    line skips parsing, canonicalization and rendering (a shed repeat
+    echoes the stored id).  Misses
     are solved in parallel on the pool ({!Es_par.Par.parallel_map}:
     order-preserving, exception-safe) and inserted back in request
     order after the join.  Consequently the response stream for a

@@ -100,8 +100,9 @@ let test_render_is_compact_json () =
 let qcheck_canon_relabel_invariant =
   let open QCheck2 in
   let gen = Gen.pair (CGen.qgen ()) (Gen.int_bound 1_000_000) in
+  let print (ginst, seed) = Printf.sprintf "%s\nrelabeling seed %d" (CGen.qprint ginst) seed in
   Test.make ~name:"canon: keys invariant under task/processor relabeling"
-    ~count:200 gen (fun (ginst, seed) ->
+    ~count:200 ~print gen (fun (ginst, seed) ->
       let pi = continuous_instance ginst in
       let order = Protocol.resolve_order pi in
       let n = Array.length pi.Protocol.weights in
@@ -114,13 +115,21 @@ let qcheck_canon_relabel_invariant =
       String.equal c.Canon.exact_key c'.Canon.exact_key
       && Option.equal String.equal c.Canon.scaled_key c'.Canon.scaled_key)
 
+(* Work scaled by c = 2^k leaves every normalized weight bit for bit
+   unchanged, so the scaled key must agree.  Under any other factor a
+   normalized weight sitting on a rounding boundary of the key's grid
+   may round the other way (see canon.mli). *)
 let qcheck_canon_scaled_key_agreement =
   let open QCheck2 in
   let gen =
-    Gen.triple (CGen.qgen ()) (Gen.float_range 0.5 3.) (Gen.float_range 0.5 3.)
+    Gen.triple (CGen.qgen ()) (Gen.int_range (-4) 4) (Gen.float_range 0.5 3.)
+  in
+  let print (ginst, k, d) =
+    Printf.sprintf "%s\nc = %g (2^%d), d = %.17g" (CGen.qprint ginst) (Float.ldexp 1. k) k d
   in
   Test.make ~name:"canon: scaled key ignores uniform work/deadline scaling"
-    ~count:200 gen (fun (ginst, c, d) ->
+    ~count:200 ~print gen (fun (ginst, k, d) ->
+      let c = Float.ldexp 1. k in
       let pi = continuous_instance ginst in
       let order = Protocol.resolve_order pi in
       let scaled =
@@ -130,14 +139,107 @@ let qcheck_canon_scaled_key_agreement =
           deadline = pi.Protocol.deadline *. d;
         }
       in
-      let k = Canon.of_instance ~order pi in
-      let k' = Canon.of_instance ~order scaled in
+      let a = Canon.of_instance ~order pi in
+      let b = Canon.of_instance ~order scaled in
       (* same canonical shape -> same scaled key; the exact key must
          split unless the scaling is the identity *)
-      Option.equal String.equal k.Canon.scaled_key k'.Canon.scaled_key
-      && Option.is_some k.Canon.scaled_key
-      && (Float.abs (c -. 1.) < 1e-9 && Float.abs (d -. 1.) < 1e-9
-         || not (String.equal k.Canon.exact_key k'.Canon.exact_key)))
+      Option.equal String.equal a.Canon.scaled_key b.Canon.scaled_key
+      && Option.is_some a.Canon.scaled_key
+      && (k = 0 && Float.abs (d -. 1.) < 1e-9
+         || not (String.equal a.Canon.exact_key b.Canon.exact_key)))
+
+(* A CONTINUOUS instance with a fixed model and deadline, and its
+   list-scheduled order on [procs] processors. *)
+let small_instance ~procs weights edges =
+  let pi =
+    {
+      Protocol.weights;
+      edges;
+      procs;
+      order = None;
+      model = Speed.continuous ~fmin:0.1 ~fmax:5.;
+      deadline = 10.;
+      rel = None;
+    }
+  in
+  (pi, Protocol.resolve_order pi)
+
+(* Small instances with many ties: weights from {1, 2}, forward edges
+   (a < b) each present with probability 1/3. *)
+let gen_small ~n ~procs =
+  let open QCheck2.Gen in
+  let pairs = List.concat (List.init n (fun a -> List.init (n - a - 1) (fun k -> (a, a + k + 1)))) in
+  let* weights = array_repeat n (oneofl [ 1.; 2. ]) in
+  let+ keep = array_repeat (List.length pairs) (int_bound 2) in
+  small_instance ~procs weights (List.filteri (fun i _ -> keep.(i) = 0) pairs)
+
+let cmp_pair (a1, b1) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | xs ->
+    List.concat_map
+      (fun x ->
+        List.map (List.cons x) (permutations (List.filter (fun y -> not (Int.equal x y)) xs)))
+      xs
+
+(* Is there a task bijection sigma carrying (a, order_a) onto
+   (b, order_b)?  Every permutation is tried; for each, the chains must
+   match under some processor bijection, i.e. as multisets. *)
+let isomorphic ((a : Protocol.instance), order_a) ((b : Protocol.instance), order_b) =
+  let n = Array.length a.Protocol.weights in
+  let sorted_chains chains = List.sort (List.compare Int.compare) (Array.to_list chains) in
+  let edges_b = List.sort_uniq cmp_pair b.Protocol.edges in
+  let chains_b = sorted_chains order_b in
+  let carries sigma =
+    let sigma = Array.of_list sigma in
+    Array.for_all Fun.id
+      (Array.mapi (fun i w -> Float.equal w b.Protocol.weights.(sigma.(i))) a.Protocol.weights)
+    && List.equal
+         (fun x y -> cmp_pair x y = 0)
+         (List.sort_uniq cmp_pair (List.map (fun (x, y) -> (sigma.(x), sigma.(y))) a.Protocol.edges))
+         edges_b
+    && List.equal (List.equal Int.equal)
+         (sorted_chains (Array.map (List.map (fun t -> sigma.(t))) order_a))
+         chains_b
+  in
+  n = Array.length b.Protocol.weights
+  && Array.length order_a = Array.length order_b
+  && List.exists carries (permutations (List.init n Fun.id))
+
+let qcheck_canon_exact_key_iff_isomorphic =
+  let open QCheck2 in
+  let gen =
+    let open Gen in
+    let* n = int_range 1 6 in
+    let* procs = int_range 1 3 in
+    let* first = gen_small ~n ~procs in
+    oneof
+      [
+        (let+ seed = int_bound 1_000_000 in
+         let pi, order = first in
+         let rng = Rng.create ~seed in
+         let sigma = permutation rng n in
+         (first, relabel ~sigma ~proc_rot:(Rng.int rng procs) pi order));
+        (let+ second = gen_small ~n ~procs in
+         (first, second));
+      ]
+  in
+  let show ((pi : Protocol.instance), order) =
+    Printf.sprintf "weights [%s] edges [%s] chains [%s]"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%g") pi.Protocol.weights)))
+      (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) pi.Protocol.edges))
+      (String.concat " | "
+         (Array.to_list
+            (Array.map (fun c -> String.concat " " (List.map string_of_int c)) order)))
+  in
+  let print (a, b) = show a ^ "\n" ^ show b in
+  Test.make ~name:"canon: exact keys agree iff the instances are isomorphic" ~count:300 ~print
+    gen (fun (((pa, oa) as a), ((pb, ob) as b)) ->
+      let ka = Canon.of_instance ~order:oa pa and kb = Canon.of_instance ~order:ob pb in
+      Bool.equal (String.equal ka.Canon.exact_key kb.Canon.exact_key) (isomorphic a b))
 
 let test_canon_distinguishes_chains () =
   (* same weight multiset, different precedence order: distinct keys *)
@@ -159,6 +261,84 @@ let test_canon_distinguishes_chains () =
   let a = mk [| 1.; 2.; 3. |] and b = mk [| 2.; 1.; 3. |] in
   Alcotest.(check bool) "chain 1-2-3 <> chain 2-1-3" false
     (String.equal a.Canon.exact_key b.Canon.exact_key)
+
+let test_canon_keys_split () =
+  let key ~order weights edges =
+    let pi, _ = small_instance ~procs:(Array.length order) weights edges in
+    (Canon.of_instance ~order pi).Canon.exact_key
+  in
+  let differ what a b = Alcotest.(check bool) what false (String.equal a b) in
+  let alone = [| [ 0 ]; [ 1 ]; [ 2 ] |] in
+  let w = [| 1.; 2.; 3. |] in
+  differ "one weight one ulp up"
+    (key ~order:alone w [ (0, 1); (1, 2) ])
+    (key ~order:alone [| 1.; 2.; Float.succ 3. |] [ (0, 1); (1, 2) ]);
+  differ "one edge reversed"
+    (key ~order:alone w [ (0, 1); (1, 2) ])
+    (key ~order:alone w [ (0, 1); (2, 1) ]);
+  differ "one chain split across two processors"
+    (key ~order:[| [ 0; 1; 2 ]; [] |] w [])
+    (key ~order:[| [ 0; 1 ]; [ 2 ] |] w [])
+
+(* Equal tasks, one per processor, joined by the edges of bipartite
+   cycles: [cycles [k; ...]] builds, for each k, a cycle of 2k tasks
+   whose source u_i precedes the sinks v_i and v_(i+1 mod k).  Colour
+   refinement alone cannot tell one 8-cycle from two 4-cycles, and in a
+   4-cycle beside an 8-cycle it leaves the sources of both in one
+   class, so only the individualization search, with its leaf order,
+   makes the keys canonical. *)
+let cycles sizes =
+  let n = 2 * List.fold_left ( + ) 0 sizes in
+  let edges, _ =
+    List.fold_left
+      (fun (acc, base) k ->
+        let cyc =
+          List.concat
+            (List.init k (fun i ->
+                 [ (base + i, base + k + i); (base + i, base + k + ((i + 1) mod k)) ]))
+        in
+        (cyc @ acc, base + (2 * k)))
+      ([], 0) sizes
+  in
+  let pi, _ = small_instance ~procs:n (Array.make n 1.) edges in
+  (pi, Array.init n (fun i -> [ i ]))
+
+let test_canon_individualization () =
+  let exhausted = Es_obs.Obs.counter "serve.canon.budget_exhausted" in
+  let before = Es_obs.Obs.value exhausted in
+  Es_obs.Obs.enable ();
+  Fun.protect ~finally:(fun () -> Es_obs.Obs.disable ()) @@ fun () ->
+  let key (pi, order) = (Canon.of_instance ~order pi).Canon.exact_key in
+  Alcotest.(check bool) "one 8-cycle <> two 4-cycles" false
+    (String.equal (key (cycles [ 4 ])) (key (cycles [ 2; 2 ])));
+  let pi, order = cycles [ 2; 4 ] in
+  let base = key (pi, order) in
+  let rng = Rng.create ~seed:5 in
+  for _ = 1 to 20 do
+    let sigma = permutation rng (Array.length pi.Protocol.weights) in
+    let proc_rot = Rng.int rng (Array.length order) in
+    Alcotest.(check bool) "a 4-cycle beside an 8-cycle, relabeled" true
+      (String.equal base (key (relabel ~sigma ~proc_rot pi order)))
+  done;
+  Alcotest.(check int) "no budget fallback" 0 (Es_obs.Obs.value exhausted - before)
+
+(* n equal independent tasks, one per processor: every labeling is an
+   automorphism, so the search tree has n! leaves.  Five tasks take
+   406 refinement passes, six more than the budget of 1000. *)
+let test_canon_budget_counted () =
+  let exhausted = Es_obs.Obs.counter "serve.canon.budget_exhausted" in
+  let fallbacks n =
+    let pi, _ = small_instance ~procs:n (Array.make n 1.) [] in
+    let order = Array.init n (fun i -> [ i ]) in
+    let before = Es_obs.Obs.value exhausted in
+    Es_obs.Obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Es_obs.Obs.disable ())
+      (fun () -> ignore (Canon.of_instance ~order pi));
+    Es_obs.Obs.value exhausted - before
+  in
+  Alcotest.(check int) "five tasks finish the search" 0 (fallbacks 5);
+  Alcotest.(check int) "six tasks exhaust the budget" 1 (fallbacks 6)
 
 (* --- cache ---------------------------------------------------------- *)
 
@@ -292,6 +472,38 @@ let test_server_sheds_beyond_queue () =
       (Astring.String.is_infix ~affix:{|"status":"shed"|} r4)
   | _ -> Alcotest.fail "four responses expected"
 
+(* A repeated line is answered from the verbatim table: the miss's
+   line with its disposition turned into "hit", counted once per
+   repeat, and a repeat beyond the queue bound is shed under the id
+   stored with it. *)
+let test_server_verbatim_repeats () =
+  let srv =
+    Server.create { Server.default_config with Server.batch = 3; queue = 2 }
+  in
+  let verbatim = Es_obs.Obs.counter "serve.cache.verbatim_hit" in
+  match Server.process_batch srv ~pool:None [ chain_line ] with
+  | [ miss ] -> (
+    let before = Es_obs.Obs.value verbatim in
+    Es_obs.Obs.enable ();
+    let out =
+      Fun.protect
+        ~finally:(fun () -> Es_obs.Obs.disable ())
+        (fun () ->
+          Server.process_batch srv ~pool:None [ chain_line; chain_line; chain_line ])
+    in
+    Alcotest.(check int) "two verbatim hits counted" 2 (Es_obs.Obs.value verbatim - before);
+    match out with
+    | [ h1; h2; shed ] ->
+      let hit =
+        Astring.String.cuts ~sep:{|"cache":"miss"|} miss |> String.concat {|"cache":"hit"|}
+      in
+      Alcotest.(check string) "first repeat" hit h1;
+      Alcotest.(check string) "second repeat" hit h2;
+      Alcotest.(check string) "shed under the stored id"
+        {|{"id":7,"status":"shed","error":"queue full"}|} shed
+    | _ -> Alcotest.fail "three responses expected")
+  | _ -> Alcotest.fail "one response expected"
+
 let test_server_samples_bounded () =
   (* one miss, then verbatim hits until the window has overflowed *)
   let srv = Server.create Server.default_config in
@@ -382,8 +594,13 @@ let suite =
         test_render_is_compact_json;
       QCheck_alcotest.to_alcotest qcheck_canon_relabel_invariant;
       QCheck_alcotest.to_alcotest qcheck_canon_scaled_key_agreement;
+      QCheck_alcotest.to_alcotest qcheck_canon_exact_key_iff_isomorphic;
       Alcotest.test_case "canon: weight order matters on a chain" `Quick
         test_canon_distinguishes_chains;
+      Alcotest.test_case "canon: exact keys split on a one-ulp weight, an edge, a chain" `Quick
+        test_canon_keys_split;
+      Alcotest.test_case "canon: budget fallbacks are counted" `Quick test_canon_budget_counted;
+      Alcotest.test_case "canon: ties refinement cannot split" `Quick test_canon_individualization;
       Alcotest.test_case "cache: exact hit permutes speeds" `Quick
         test_cache_exact_hit_permutes;
       Alcotest.test_case "cache: rescale hit follows the scaling laws" `Quick
@@ -394,6 +611,8 @@ let suite =
         test_server_hits_across_batches;
       Alcotest.test_case "server: sheds beyond the queue bound" `Quick
         test_server_sheds_beyond_queue;
+      Alcotest.test_case "server: verbatim repeats answer the stored line" `Quick
+        test_server_verbatim_repeats;
       Alcotest.test_case "server: responses identical across pool sizes" `Quick
         test_server_jobs_determinism;
       Alcotest.test_case "server: latency samples keep a fixed window" `Quick
