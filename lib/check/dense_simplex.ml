@@ -111,12 +111,20 @@ let optimise t c allowed =
     in
     if entering < 0 then `Optimal
     else begin
-      (* ratio test; Bland tie-break on basis index for termination *)
+      (* ratio test; Bland tie-break on basis index for termination.  A
+         pivot must be above [eps] relative to the column's largest
+         entry, and a right-hand side below 0 by rounding counts as 0:
+         a pivot of 1e-9 next to entries of 1e3 would scale rounding
+         errors into an infeasible basis *)
+      let tiny = ref eps in
+      for i = 0 to t.n_rows - 1 do
+        tiny := Float.max !tiny (eps *. t.tab.(i).(entering))
+      done;
       let row = ref (-1) and best_ratio = ref infinity in
       for i = 0 to t.n_rows - 1 do
         let a = t.tab.(i).(entering) in
-        if a > eps then begin
-          let ratio = t.rhs.(i) /. a in
+        if a > !tiny then begin
+          let ratio = Float.max 0. t.rhs.(i) /. a in
           if
             ratio < !best_ratio -. eps
             || (Float.abs (ratio -. !best_ratio) <= eps

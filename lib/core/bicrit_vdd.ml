@@ -13,12 +13,13 @@ type built = {
   first_edge_row : int;
   upper : float array; (* per column, in registration order *)
   deadline_rows : int list; (* last row first *)
-  edges : (Dag.task * Dag.task) list; (* one precedence row each, after the task rows *)
+  reduced : Dag.t; (* the constraint DAG's transitive reduction: a precedence row per edge *)
 }
 
 let build ~deadline ~levels ~reliability mapping =
   if Array.length levels = 0 then invalid_arg "Bicrit_vdd: empty level set";
   let cdag = Mapping.constraint_dag mapping in
+  let reduced = Dag.transitive_reduction cdag in
   let n = Dag.n cdag in
   let lp = Problem.create () in
   (* each column's implicit upper bound, which no feasible point
@@ -72,17 +73,20 @@ let build ~deadline ~levels ~reliability mapping =
             row Problem.le (Array.map scale r.rates) (scale budget))
           reliability)
       alpha.(i);
-    (* deadline: s_i + time_i <= D *)
-    deadline_rows := Problem.n_constraints lp :: !deadline_rows;
-    Problem.le lp ((1., start.(i)) :: time_expr i) deadline
+    (* deadline: s_i + time_i <= D, stated at sinks only: shares and
+       start times are non-negative, so a task's precedence row to a
+       successor implies its deadline row *)
+    if Dag.succs cdag i = [] then begin
+      deadline_rows := Problem.n_constraints lp :: !deadline_rows;
+      Problem.le lp ((1., start.(i)) :: time_expr i) deadline
+    end
   done;
-  let edges = Dag.edges cdag in
   let first_edge_row = Problem.n_constraints lp in
+  (* s_i + time_i - s_j <= 0, on the reduced edges only: the rows
+     along any other path from i to j imply it *)
   List.iter
-    (fun (i, j) ->
-      (* s_i + time_i - s_j <= 0 *)
-      Problem.le lp (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
-    edges;
+    (fun (i, j) -> Problem.le lp (((1., start.(i)) :: time_expr i) @ [ (-1., start.(j)) ]) 0.)
+    (Dag.edges reduced);
   (* λᵢ ≤ hᵢ then −λᵢ ≤ −ℓᵢ, stated open: h = 1, ℓ = 0 *)
   let weight_rows =
     Array.map
@@ -105,7 +109,7 @@ let build ~deadline ~levels ~reliability mapping =
     first_edge_row;
     upper = Array.of_list (List.rev !upper);
     deadline_rows = !deadline_rows;
-    edges;
+    reduced;
   }
 
 let problem b = b.lp
@@ -116,30 +120,31 @@ let problem b = b.lp
    slowest share.  In this order every column meets exactly one
    unfactored row, so the LU factors are triangular with no fill. *)
 let crash b sp =
-  let cdag = Mapping.constraint_dag b.mapping in
-  let n = Dag.n cdag in
+  let dag = b.reduced in
+  let n = Dag.n dag in
   (* ASAP at the slowest level: tight.(j) is the predecessor that sets
-     task j's earliest start (exact argmax, lowest index on ties) *)
+     task j's earliest start (exact argmax, lowest index on ties), over
+     the reduced edges, so that its precedence row exists *)
   let kmin = ref 0 in
   Array.iteri (fun k f -> if f < b.levels.(!kmin) then kmin := k) b.levels;
   let fmin = b.levels.(!kmin) in
-  let order = Dag.topological_order cdag in
+  let order = Dag.topological_order dag in
   let es = Array.make n 0. and tight = Array.make n (-1) in
   Array.iter
     (fun j ->
       List.iter
         (fun i ->
-          let t = es.(i) +. (Dag.weight cdag i /. fmin) in
+          let t = es.(i) +. (Dag.weight dag i /. fmin) in
           if tight.(j) < 0 || t > es.(j) then begin
             es.(j) <- t;
             tight.(j) <- i
           end)
-        (Dag.preds cdag j))
+        (Dag.preds dag j))
     order;
   (* every inequality row is slack-basic, in row order, but the
      precedence rows that set a start *)
   let chosen = Array.make (Sparse.m sp) false in
-  List.iteri (fun e (i, j) -> if tight.(j) = i then chosen.(b.first_edge_row + e) <- true) b.edges;
+  List.iteri (fun e (i, j) -> if tight.(j) = i then chosen.(b.first_edge_row + e) <- true) (Dag.edges dag);
   let slacks =
     List.filter (fun r -> Sparse.slack_col sp r >= 0 && not chosen.(r)) (List.init (Sparse.m sp) Fun.id)
   in

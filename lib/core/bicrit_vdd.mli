@@ -6,8 +6,14 @@
     conservation [Σₖ fₖ·αᵢₖ = wᵢ], precedence and the deadline" is a
     linear program in the per-speed time shares [αᵢₖ] and the start
     times — which is the paper's proof that BI-CRIT ∈ P for
-    VDD-HOPPING.  We build exactly that LP over the mapping's
-    constraint DAG and solve it with our simplex.
+    VDD-HOPPING.  We build that LP over the mapping's constraint DAG
+    and solve it with our simplex, less the rows the others imply:
+    shares and start times are non-negative, so a task's precedence
+    row to a successor implies its deadline row, and the rows along a
+    path from [i] to [j] imply the row of an edge [(i, j)].  The
+    deadline row is stated at sinks only and a precedence row on the
+    edges of the constraint DAG's transitive reduction only; the
+    feasible set, and so the optimum, is the same.
 
     The classical structural result (R4) also holds here: some optimal
     solution uses at most two, consecutive, speeds per task —
@@ -22,9 +28,10 @@
     - for each task [j] with predecessors in the constraint DAG, the
       start time [s_j] on the precedence row [(i, j)] of the
       predecessor that sets its ASAP start — the exact argmax of
-      [es_i + w_i/fmin], lowest index on ties;
-    - the slack of every other [≤] row: all deadline rows and the
-      remaining precedence rows.
+      [es_i + w_i/fmin] over the predecessors of the transitive
+      reduction, whose edges have the rows, lowest index on ties;
+    - the slack of every other [≤] row: the deadline rows of the
+      sinks and the remaining precedence rows.
 
     {i Nonsingular.}  Work row [i] meets no basic column but
     [α_{i,kmin}] (coefficient [fmin > 0]), and each slack is a unit
@@ -184,11 +191,14 @@ val build :
     times [sᵢ], then the weights [λᵢ] of the open choices in task
     order.  Rows: for each task, each execution's work row
     [Σₖ fₖ·αᵢₑₖ = wᵢ] followed by its reliability row
-    [Σₖ rates.(k)·αᵢₑₖ ≤ budgets.(i).(e)] (scaled as above), then the
-    task's deadline row [sᵢ + Σₑₖ αᵢₑₖ ≤ D]; the precedence rows
-    [sᵢ + Σₑₖ αᵢₑₖ − sⱼ ≤ 0] come next, in edge order.  Without
-    [reliability] every task runs once with no reliability row: that
-    is {!lp}.
+    [Σₖ rates.(k)·αᵢₑₖ ≤ budgets.(i).(e)] (scaled as above), then,
+    if the task is a sink of the constraint DAG, its deadline row
+    [sᵢ + Σₑₖ αᵢₑₖ ≤ D]; the precedence rows
+    [sᵢ + Σₑₖ αᵢₑₖ − sⱼ ≤ 0] come next, one per edge of the constraint
+    DAG's transitive reduction ({!Dag.transitive_reduction}), in
+    {!Dag.edges} order.  The rows left out are implied by these (see
+    the module header).  Without [reliability] every task runs once
+    with no reliability row: that is {!lp}.
 
     A task with three budgets [[|t; b₁; b₂|]] has an open choice: its
     first execution block is the run-once one and does the share

@@ -153,15 +153,100 @@ let ancestors t i =
   visit i;
   List.filter (fun j -> seen.(j)) (List.init t.n Fun.id)
 
+(* Edge (i, j) is implied iff j is a descendant of another successor of
+   i.  Only a head with two predecessors or more can be implied: the
+   other path enters j from a task that is not i.  Tails go in reverse
+   topological order.  Each task keeps its descendants among the [w]
+   tasks ranked next after it as a bit set, from its successors' sets
+   (O(1) per edge), and a head within that window of its tail is
+   implied iff it is in the union of the successors' sets.  A head
+   ranked further away is found by a marking DFS from the tail's
+   successors, which need not pass the head's rank since no task
+   ranked later leads back to it. *)
 let transitive_reduction t =
-  (* Edge (i, j) is redundant iff j is reachable from some other
-     successor of i. *)
-  let keep (i, j) =
-    not
-      (List.exists (fun s -> s <> j && List.mem j (descendants t s)) t.succs.(i))
+  let n = t.n in
+  (* rank.(v): v's position in Kahn's queue order, which ranks tasks
+     by depth and keeps windows shorter than the smallest-id order of
+     [topological_order] *)
+  let rank = Array.make n 0 and queue = Array.make n 0 and indeg = Array.make n 0 in
+  Array.iter (List.iter (fun j -> indeg.(j) <- indeg.(j) + 1)) t.succs;
+  let tail = ref 0 in
+  let enqueue j =
+    queue.(!tail) <- j;
+    incr tail
   in
-  let edges = List.filter keep (edges t) in
-  make ~labels:t.labels ~weights:t.weights ~edges
+  Array.iteri (fun i d -> if d = 0 then enqueue i) indeg;
+  for k = 0 to n - 1 do
+    let i = queue.(k) in
+    rank.(i) <- k;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then enqueue j)
+      t.succs.(i)
+  done;
+  (* near.(v): bit k set iff the task ranked rank.(v) + 1 + k descends
+     from v, for k < w *)
+  let w = 62 in
+  let mask = (1 lsl w) - 1 and near = Array.make n 0 in
+  (* reached.(v) = i: the DFS of tail i reached v *)
+  let reached = Array.make n (-1) and stack = Array.make (2 * n) 0 and top = ref 0 in
+  let push v =
+    stack.(!top) <- v;
+    incr top
+  in
+  let dropped = ref false and succs = Array.copy t.succs in
+  for k = n - 1 downto 0 do
+    let i = queue.(k) in
+    let ss = t.succs.(i) in
+    (* [below]: the window set of the successors' descendants; [limit]:
+       the rank of the last candidate head past the window *)
+    let below = ref 0 and heads = ref 0 and limit = ref (-1) in
+    List.iter
+      (fun s ->
+        let d = rank.(s) - k in
+        if d <= w then begin
+          below := !below lor ((near.(s) lsl d) land mask);
+          heads := !heads lor (1 lsl (d - 1))
+        end
+        else
+          match t.preds.(s) with
+          | _ :: _ :: _ -> limit := max !limit rank.(s)
+          | [] | [ _ ] -> ())
+      ss;
+    near.(i) <- !below lor !heads;
+    let below = !below and limit = !limit in
+    let rec expand = function
+      | [] -> ()
+      | c :: rest ->
+        if rank.(c) <= limit && reached.(c) <> i then begin
+          reached.(c) <- i;
+          push c
+        end;
+        expand rest
+    in
+    List.iter (fun s -> if rank.(s) < limit then push s) ss;
+    while !top > 0 do
+      decr top;
+      expand t.succs.(stack.(!top))
+    done;
+    let implied j =
+      let d = rank.(j) - k in
+      if d <= w then (below lsr (d - 1)) land 1 = 1 else reached.(j) = i
+    in
+    if List.exists implied ss then begin
+      dropped := true;
+      succs.(i) <- List.filter (fun j -> not (implied j)) ss
+    end
+  done;
+  if not !dropped then t
+  else begin
+    let preds = Array.make n [] in
+    for i = n - 1 downto 0 do
+      List.iter (fun j -> preds.(j) <- i :: preds.(j)) succs.(i)
+    done;
+    { t with succs; preds }
+  end
 
 let reverse t =
   let edges = List.map (fun (i, j) -> (j, i)) (edges t) in

@@ -36,7 +36,7 @@ val preds : t -> task -> task list
 (** Immediate predecessors, ascending. *)
 
 val edges : t -> (task * task) list
-(** All edges, lexicographically sorted. *)
+(** All edges: tails ascending, and each tail's heads descending. *)
 
 val n_edges : t -> int
 
@@ -86,9 +86,14 @@ val slack : t -> durations:float array -> deadline:float -> float array
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 
 val transitive_reduction : t -> t
-(** Remove every edge implied by a longer path.  Weights preserved.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+(** Remove every edge implied by a longer path: [(i, j)] goes when [j]
+    is a descendant of another successor of [i].  Weights and labels
+    are preserved, the kept edges keep their order, and [t] itself is
+    returned when no edge goes.  A head ranked at most 62 tasks after
+    its tail in a topological order is tested against a bit set of the
+    descendants in that window, built from the successors' sets in
+    O(1) per edge; a head further away by a marking DFS cut at its
+    rank.  O(n + E) memory. *)
 
 val ancestors : t -> task -> task list
 (** All transitive predecessors, ascending. *)

@@ -7,8 +7,10 @@ exception Unstable
    pool: eta [e] replaced position [eta_pos.(e)], has diagonal
    [eta_diag.(e)] = w.(pos), and its off-[pos] nonzeros are
    [eta_idx]/[eta_val] over [eta_start.(e) .. eta_start.(e + 1) − 1].
-   The pool outlives refactorisations, so once it has grown to a
-   solve's working size an update allocates nothing. *)
+   L and U are flat pools of the same shape, one column after another.
+   The pools outlive refactorisations, so once they have grown to a
+   solve's working size neither an update nor a refactorisation
+   allocates. *)
 type t = {
   m : int;
   n_cols : int;
@@ -17,13 +19,17 @@ type t = {
   col_val : float array;
   art_sign : float array;
   (* L: unit lower triangular over pivot positions; column [j] stores
-     (original row, value) pairs with pinv.(row) > j *)
-  l_rows : int array array;
-  l_vals : float array array;
+     (original row, value) pairs with pinv.(row) > j at
+     [l_idx]/[l_val] over [l_start.(j) .. l_start.(j + 1) − 1] *)
+  l_start : int array; (* length m + 1 *)
+  mutable l_idx : int array;
+  mutable l_val : float array;
   (* U: upper triangular in pivot space; column [k] stores (position
-     j < k, value) pairs plus the diagonal *)
-  u_rows : int array array;
-  u_vals : float array array;
+     j < k, value) pairs at [u_idx]/[u_val] over
+     [u_start.(k) .. u_start.(k + 1) − 1], and its diagonal apart *)
+  u_start : int array; (* length m + 1 *)
+  mutable u_idx : int array;
+  mutable u_val : float array;
   u_diag : float array;
   prow : int array; (* pivot position -> original row *)
   pinv : int array; (* original row -> pivot position *)
@@ -42,6 +48,16 @@ type t = {
   pattern : int array;
 }
 
+let grow_int a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_float a n =
+  let b = Array.make n 0. in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let pivot_floor = 1e-12
 
 (* Left-looking (Gilbert–Peierls) sparse LU with partial pivoting.
@@ -54,7 +70,7 @@ let pivot_floor = 1e-12
 let refactor t basis =
   let m = t.m in
   if Array.length basis <> m then invalid_arg "Lu.factor: basis length";
-  let { l_rows; l_vals; u_rows; u_vals; u_diag; prow; pinv; x; stamp; _ } = t in
+  let { l_start; u_start; u_diag; prow; pinv; x; stamp; _ } = t in
   let { node_stack; child_pos; order; pattern; _ } = t in
   Array.fill prow 0 m (-1);
   Array.fill pinv 0 m (-1);
@@ -85,11 +101,10 @@ let refactor t basis =
             decr top
           end
           else begin
-            let rows = l_rows.(j) in
-            let c = child_pos.(!top) in
-            if c < Array.length rows then begin
-              child_pos.(!top) <- c + 1;
-              let r' = rows.(c) in
+            let c = l_start.(j) + child_pos.(!top) in
+            if c < l_start.(j + 1) then begin
+              child_pos.(!top) <- child_pos.(!top) + 1;
+              let r' = t.l_idx.(c) in
               if stamp.(r') <> k then begin
                 stamp.(r') <- k;
                 incr top;
@@ -118,8 +133,8 @@ let refactor t basis =
       let j = order.(o) in
       let xj = x.(prow.(j)) in
       if xj <> 0. then begin
-        let rows = l_rows.(j) and vals = l_vals.(j) in
-        for i = 0 to Array.length rows - 1 do
+        let rows = t.l_idx and vals = t.l_val in
+        for i = l_start.(j) to l_start.(j + 1) - 1 do
           x.(rows.(i)) <- x.(rows.(i)) -. (vals.(i) *. xj)
         done
       end
@@ -145,39 +160,40 @@ let refactor t basis =
     end;
     let piv_row = !prow_k in
     let piv = x.(piv_row) in
-    (* U column k: entries at already-pivoted positions *)
-    let n_u = ref 0 and n_l = ref 0 in
-    for i = 0 to !n_pattern - 1 do
-      let r = pattern.(i) in
-      if pinv.(r) >= 0 then begin
-        if x.(r) <> 0. then incr n_u
-      end
-      else if r <> piv_row && x.(r) <> 0. then incr n_l
-    done;
-    let ur = Array.make !n_u 0 and uv = Array.make !n_u 0. in
-    let lr = Array.make !n_l 0 and lv = Array.make !n_l 0. in
-    let iu = ref 0 and il = ref 0 in
+    (* U column k: entries at already-pivoted positions; L column k:
+       the other nonzeros but the pivot, divided by it.  Each is
+       appended to its pool, grown first to fit the whole pattern *)
+    let u0 = u_start.(k) and l0 = l_start.(k) in
+    if u0 + !n_pattern > Array.length t.u_idx then begin
+      let cap = max (u0 + !n_pattern) (2 * Array.length t.u_idx) in
+      t.u_idx <- grow_int t.u_idx cap;
+      t.u_val <- grow_float t.u_val cap
+    end;
+    if l0 + !n_pattern > Array.length t.l_idx then begin
+      let cap = max (l0 + !n_pattern) (2 * Array.length t.l_idx) in
+      t.l_idx <- grow_int t.l_idx cap;
+      t.l_val <- grow_float t.l_val cap
+    end;
+    let iu = ref u0 and il = ref l0 in
     for i = 0 to !n_pattern - 1 do
       let r = pattern.(i) in
       if pinv.(r) >= 0 then begin
         if x.(r) <> 0. then begin
-          ur.(!iu) <- pinv.(r);
-          uv.(!iu) <- x.(r);
+          t.u_idx.(!iu) <- pinv.(r);
+          t.u_val.(!iu) <- x.(r);
           incr iu
         end
       end
       else if r <> piv_row && x.(r) <> 0. then begin
-        lr.(!il) <- r;
-        lv.(!il) <- x.(r) /. piv;
+        t.l_idx.(!il) <- r;
+        t.l_val.(!il) <- x.(r) /. piv;
         incr il
       end;
       x.(r) <- 0.
     done;
-    u_rows.(k) <- ur;
-    u_vals.(k) <- uv;
+    u_start.(k + 1) <- !iu;
     u_diag.(k) <- piv;
-    l_rows.(k) <- lr;
-    l_vals.(k) <- lv;
+    l_start.(k + 1) <- !il;
     prow.(k) <- piv_row;
     pinv.(piv_row) <- k
   done
@@ -194,10 +210,12 @@ let factor sp ~art_sign basis =
       row_idx = Sparse.row_idx sp;
       col_val = Sparse.col_val sp;
       art_sign;
-      l_rows = Array.make m [||];
-      l_vals = Array.make m [||];
-      u_rows = Array.make m [||];
-      u_vals = Array.make m [||];
+      l_start = Array.make (m + 1) 0;
+      l_idx = Array.make m 0;
+      l_val = Array.make m 0.;
+      u_start = Array.make (m + 1) 0;
+      u_idx = Array.make m 0;
+      u_val = Array.make m 0.;
       u_diag = Array.make m 0.;
       prow = Array.make m (-1);
       pinv = Array.make m (-1);
@@ -225,26 +243,24 @@ let n_updates t = t.n_etas
 let ftran t b z =
   let m = t.m in
   (* L z = P b *)
+  let rows = t.l_idx and vals = t.l_val in
   for j = 0 to m - 1 do
     let zj = b.(t.prow.(j)) in
     z.(j) <- zj;
-    if zj <> 0. then begin
-      let rows = t.l_rows.(j) and vals = t.l_vals.(j) in
-      for i = 0 to Array.length rows - 1 do
+    if zj <> 0. then
+      for i = t.l_start.(j) to t.l_start.(j + 1) - 1 do
         b.(rows.(i)) <- b.(rows.(i)) -. (vals.(i) *. zj)
       done
-    end
   done;
   (* U x = z *)
+  let rows = t.u_idx and vals = t.u_val in
   for k = m - 1 downto 0 do
     let xk = z.(k) /. t.u_diag.(k) in
     z.(k) <- xk;
-    if xk <> 0. then begin
-      let rows = t.u_rows.(k) and vals = t.u_vals.(k) in
-      for i = 0 to Array.length rows - 1 do
+    if xk <> 0. then
+      for i = t.u_start.(k) to t.u_start.(k + 1) - 1 do
         z.(rows.(i)) <- z.(rows.(i)) -. (vals.(i) *. xk)
       done
-    end
   done;
   (* eta file, oldest first *)
   let idx = t.eta_idx and vals = t.eta_val in
@@ -273,19 +289,19 @@ let btran t c y =
     c.(pos) <- !s /. t.eta_diag.(e)
   done;
   (* Uᵀ s = c (forward) *)
+  let rows = t.u_idx and vals = t.u_val in
   for k = 0 to m - 1 do
     let acc = ref c.(k) in
-    let rows = t.u_rows.(k) and vals = t.u_vals.(k) in
-    for i = 0 to Array.length rows - 1 do
+    for i = t.u_start.(k) to t.u_start.(k + 1) - 1 do
       acc := !acc -. (vals.(i) *. c.(rows.(i)))
     done;
     c.(k) <- !acc /. t.u_diag.(k)
   done;
   (* Lᵀ t = s (backward), then y = Pᵀ t *)
+  let rows = t.l_idx and vals = t.l_val in
   for j = m - 1 downto 0 do
     let acc = ref c.(j) in
-    let rows = t.l_rows.(j) and vals = t.l_vals.(j) in
-    for i = 0 to Array.length rows - 1 do
+    for i = t.l_start.(j) to t.l_start.(j + 1) - 1 do
       acc := !acc -. (vals.(i) *. c.(t.pinv.(rows.(i))))
     done;
     c.(j) <- !acc;
@@ -293,16 +309,6 @@ let btran t c y =
   done
 
 let eta_stability = 1e-8
-
-let grow_int a n =
-  let b = Array.make n 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let grow_float a n =
-  let b = Array.make n 0. in
-  Array.blit a 0 b 0 (Array.length a);
-  b
 
 let update t ~pos ~w =
   let m = t.m and e = t.n_etas in

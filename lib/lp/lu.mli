@@ -10,12 +10,14 @@
     scratch once the eta file grows past its threshold or an update
     looks numerically unsafe.
 
-    Buffer contract: a [t] owns every array its kernels need.  The
-    factorisation scratch and the eta file are reused by {!refactor}
-    and {!update}, and {!ftran} and {!btran} write into a result
-    buffer the caller passes, so a pivot allocates nothing once the
-    eta pool has grown to the solve's working size.  A [t] belongs to
-    one solve: nothing is shared between solves or domains. *)
+    Buffer contract: a [t] owns every array its kernels need.  [L] and
+    [U] are stored column after column in flat pools, as the eta file
+    is.  The factorisation scratch and the three pools are reused by
+    {!refactor} and {!update}, and {!ftran} and {!btran} write into a
+    result buffer the caller passes, so neither a pivot nor a
+    refactorisation allocates once the pools have grown to the solve's
+    working size.  A [t] belongs to one solve: nothing is shared
+    between solves or domains. *)
 
 type t
 (** A factorisation [P·B = L·U] plus an ordered eta file and the

@@ -260,11 +260,15 @@ let of_instance ~order (inst : Protocol.instance) =
            if sizes.(c) >= 2 && (!target < 0 || sizes.(c) <= sizes.(!target))
            then target := c
          done;
+         let t = !target in
          for m = 0 to n - 1 do
-           if colors.(m) = !target then begin
-             (* split m off below the rest of its class *)
-             let c' = Array.map (fun x -> (2 * x) + 1) colors in
-             c'.(m) <- 2 * colors.(m);
+           if colors.(m) = t then begin
+             (* split m off below the rest of its class, keeping the
+                colours dense so that [refine]'s class count is exact:
+                m takes t, the rest of its class and every colour
+                above move up one *)
+             let c' = Array.map (fun x -> if x < t then x else x + 1) colors in
+             c'.(m) <- t;
              search c'
            end
          done

@@ -18,7 +18,9 @@
     lexicographically, until the number of classes stops growing.
     When symmetry leaves ties, individualization branches on each
     member of the smallest tied class (the lowest colour among equal
-    sizes) and keeps the lowest leaf: compared by weight class per
+    sizes; the colours stay dense ranks, so a search node that
+    refinement cannot split costs one pass) and keeps the lowest
+    leaf: compared by weight class per
     canonical position, then the sorted canonical edges, the sorted
     canonical chains and the exact weights.  The result is a
     permutation of task ids that is invariant under relabeling, so the

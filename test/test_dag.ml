@@ -80,6 +80,21 @@ let test_transitive_reduction () =
   Alcotest.(check int) "edge dropped" 2 (Dag.n_edges r);
   Alcotest.(check bool) "0->2 gone" false (Dag.is_edge r 0 2)
 
+(* Heads ranked more than 62 tasks after their tail, past the
+   reduction's bit-set window: a 100-task chain with the shortcut
+   0->99, which the chain implies, and a source 100 with edges to 99
+   and to a sink 101, which nothing implies. *)
+let test_transitive_reduction_far () =
+  let chain = List.init 99 (fun i -> (i, i + 1)) in
+  let d =
+    Dag.make ?labels:None ~weights:(Array.make 102 1.)
+      ~edges:((0, 99) :: (100, 99) :: (100, 101) :: chain)
+  in
+  let r = Dag.transitive_reduction d in
+  Alcotest.(check bool) "0->99 implied" false (Dag.is_edge r 0 99);
+  Alcotest.(check bool) "100->99 kept" true (Dag.is_edge r 100 99);
+  Alcotest.(check int) "edges" 101 (Dag.n_edges r)
+
 let test_reverse () =
   let d = diamond () in
   let r = Dag.reverse d in
@@ -177,6 +192,52 @@ let qcheck_slack_nonneg_at_cp =
       let slack = Dag.slack d ~durations ~deadline in
       Array.for_all (fun s -> s >= -1e-9) slack)
 
+(* The reduction's definition, stated directly: edge (i, j) is kept
+   unless j is a descendant of another successor of i. *)
+let oracle_reduction d =
+  let keep (i, j) =
+    not (List.exists (fun s -> s <> j && List.mem j (Dag.descendants d s)) (Dag.succs d i))
+  in
+  List.filter keep (Dag.edges d)
+
+(* A random DAG of 1-100 tasks whose ids are shuffled against its
+   topological order, or the constraint DAG of a list schedule of one
+   on 1-4 processors.  Past 63 tasks some heads lie beyond the
+   reduction's 62-task bit-set window of their tail. *)
+let random_reduction_case seed =
+  let r = Es_util.Rng.create ~seed in
+  let n = 1 + Es_util.Rng.int r 100 in
+  let p = Es_util.Rng.uniform_in r 0.005 (Float.min 0.5 (8. /. float_of_int n)) in
+  let sigma = Array.init n Fun.id in
+  Es_util.Rng.shuffle r sigma;
+  let edges = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Es_util.Rng.float r 1. < p then edges := (sigma.(i), sigma.(j)) :: !edges
+    done
+  done;
+  let d =
+    Dag.make ?labels:None ~weights:(Array.init n (fun _ -> Es_util.Rng.uniform_in r 0.5 3.)) ~edges:!edges
+  in
+  if Es_util.Rng.bool r then d
+  else
+    Mapping.constraint_dag
+      (List_sched.schedule d ~p:(1 + Es_util.Rng.int r 4) ~priority:List_sched.Bottom_level)
+
+let qcheck_transitive_reduction_oracle =
+  QCheck.Test.make ~name:"transitive reduction = oracle, same reachability, no implied edge"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let d = random_reduction_case seed in
+      let r = Dag.transitive_reduction d in
+      let tasks = List.init (Dag.n d) Fun.id in
+      let preds_of_succs j = List.filter (fun i -> List.mem j (Dag.succs r i)) tasks in
+      Dag.edges r = oracle_reduction d
+      && oracle_reduction r = Dag.edges r
+      && List.for_all (fun i -> Dag.descendants r i = Dag.descendants d i) tasks
+      && List.for_all (fun j -> Dag.preds r j = preds_of_succs j) tasks
+      && Dag.weights r = Dag.weights d)
+
 let suite =
   ( "dag",
     [
@@ -214,4 +275,12 @@ let test_gen_pipeline () =
   (* it is series-parallel by construction *)
   Alcotest.(check bool) "recognised as SP" true (Sp.of_dag d <> None)
 
-let suite = (fst suite, snd suite @ [ Alcotest.test_case "gen pipeline" `Quick test_gen_pipeline ])
+let suite =
+  ( fst suite,
+    snd suite
+    @ [
+        Alcotest.test_case "gen pipeline" `Quick test_gen_pipeline;
+        Alcotest.test_case "transitive reduction past the window" `Quick
+          test_transitive_reduction_far;
+        QCheck_alcotest.to_alcotest qcheck_transitive_reduction_oracle;
+      ] )

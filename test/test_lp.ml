@@ -530,7 +530,7 @@ let sparse_of_cols m cols =
         in
         { Sparse.nonzeros; relation = Sparse.Eq; rhs = 0. })
   in
-  Sparse.of_sparse_rows ~obj:(Array.make m 0.) rows
+  Sparse.of_sparse_rows ~obj:(Array.make (Array.length cols) 0.) rows
 
 (* After k product-form updates, the factorisation must still solve
    against the *current* basis matrix: B·ftran(b) ≈ b and
@@ -617,6 +617,45 @@ let test_lu_singular_detected () =
   | _ -> Alcotest.fail "expected Singular"
   | exception Lu.Singular -> ()
 
+(* [Lu.refactor] refills the L and U pools in place.  Whatever an
+   earlier factorisation left in them, and a refactorisation that
+   raised [Singular] half-way, the solves must equal those of a fresh
+   [Lu.factor] of the same basis, bit for bit. *)
+let test_lu_refactor_reuses_pools () =
+  let m = 12 in
+  let rng = Es_util.Rng.create ~seed:5 in
+  (* columns 0..m−1 are the identity (no L or U entries); m..2m−1 are
+     full, diagonally dominant columns, whose factors grow both pools
+     past their initial m entries; 2m repeats column m *)
+  let full k =
+    List.init m (fun r ->
+        let v = if r = k then 4. +. Es_util.Rng.uniform_in rng 0. 1. else Es_util.Rng.uniform_in rng (-0.5) 0.5 in
+        (r, v))
+  in
+  let cols = Array.init (2 * m) (fun c -> if c < m then [ (c, 1.) ] else full (c - m)) in
+  let cols = Array.append cols [| cols.(m) |] in
+  let sp = sparse_of_cols m cols in
+  let identity = Array.init m Fun.id and dense = Array.init m (fun k -> m + k) in
+  let singular = Array.init m (fun k -> if k = m - 1 then 2 * m else m + k) in
+  let solves lu =
+    let rhs = Array.init m (fun i -> float_of_int (i + 1)) in
+    let x = Array.make m 0. and y = Array.make m 0. in
+    Lu.ftran lu (Array.copy rhs) x;
+    Lu.btran lu (Array.copy rhs) y;
+    Array.map Int64.bits_of_float (Array.append x y)
+  in
+  let fresh basis = solves (Lu.factor sp ~art_sign:[||] basis) in
+  let lu = Lu.factor sp ~art_sign:[||] identity in
+  Lu.refactor lu dense;
+  Alcotest.(check (array int64)) "grown from the identity" (fresh dense) (solves lu);
+  (match Lu.refactor lu singular with
+  | () -> Alcotest.fail "expected Singular"
+  | exception Lu.Singular -> ());
+  Lu.refactor lu identity;
+  Alcotest.(check (array int64)) "after Singular" (fresh identity) (solves lu);
+  Lu.refactor lu dense;
+  Alcotest.(check (array int64)) "refilled" (fresh dense) (solves lu)
+
 let test_warm_stale_basis_falls_back () =
   (* a basis from one LP handed to a structurally different LP must
      degrade to a cold solve, not crash or mis-certify *)
@@ -649,6 +688,7 @@ let revised_cases =
     Alcotest.test_case "refactorisation threshold" `Quick test_refactor_threshold;
     QCheck_alcotest.to_alcotest qcheck_lu_reconstruction;
     Alcotest.test_case "lu singular detected" `Quick test_lu_singular_detected;
+    Alcotest.test_case "lu refactor reuses its pools" `Quick test_lu_refactor_reuses_pools;
     Alcotest.test_case "stale warm basis falls back" `Quick test_warm_stale_basis_falls_back;
   ]
 

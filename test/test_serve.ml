@@ -324,7 +324,7 @@ let test_canon_individualization () =
 
 (* n equal independent tasks, one per processor: every labeling is an
    automorphism, so the search tree has n! leaves.  Five tasks take
-   406 refinement passes, six more than the budget of 1000. *)
+   206 refinement passes, six more than the budget of 1000. *)
 let test_canon_budget_counted () =
   let exhausted = Es_obs.Obs.counter "serve.canon.budget_exhausted" in
   let fallbacks n =
@@ -339,6 +339,28 @@ let test_canon_budget_counted () =
   in
   Alcotest.(check int) "five tasks finish the search" 0 (fallbacks 5);
   Alcotest.(check int) "six tasks exhaust the budget" 1 (fallbacks 6)
+
+(* Nine independent tasks, one per processor, in three weight classes
+   of five, two and two: 2·2·120 leaves, 827 refinement passes, one per
+   search node.  A refinement below an individualization that passes
+   once more than it needs to (1,653 passes) runs out of the budget of
+   1000 and may keep a leaf that depends on the labeling. *)
+let test_canon_budget_pass_per_node () =
+  let exhausted = Es_obs.Obs.counter "serve.canon.budget_exhausted" in
+  let weights = [| 1.; 1.; 1.; 1.; 1.; 2.; 2.; 3.; 3. |] in
+  let pi, _ = small_instance ~procs:9 weights [] in
+  let order = Array.init 9 (fun i -> [ i ]) in
+  let before = Es_obs.Obs.value exhausted in
+  Es_obs.Obs.enable ();
+  Fun.protect ~finally:(fun () -> Es_obs.Obs.disable ()) @@ fun () ->
+  let key (pi, order) = (Canon.of_instance ~order pi).Canon.exact_key in
+  let rng = Rng.create ~seed:11 in
+  let relabeled () =
+    key (relabel ~sigma:(permutation rng 9) ~proc_rot:(Rng.int rng 9) pi order)
+  in
+  let a = relabeled () and b = relabeled () in
+  Alcotest.(check int) "no budget fallback" 0 (Es_obs.Obs.value exhausted - before);
+  Alcotest.(check bool) "two relabelings, one exact key" true (String.equal a b)
 
 (* --- cache ---------------------------------------------------------- *)
 
@@ -617,4 +639,6 @@ let suite =
         test_server_jobs_determinism;
       Alcotest.test_case "server: latency samples keep a fixed window" `Quick
         test_server_samples_bounded;
+      Alcotest.test_case "canon: one refinement pass per search node" `Quick
+        test_canon_budget_pass_per_node;
     ] )

@@ -157,7 +157,8 @@ let qcheck_vdd_below_best_single_speed =
 
 (* bench/e2e solve-large's VDD Cholesky instance, unrenamed: 10×10
    tiled Cholesky (220 tasks) on 4 processors, the workload's 6-level
-   menu, D = 1.6 × the fmax makespan.  A 1,150-row LP. *)
+   menu, D = 1.6 × the fmax makespan.  A 573-row LP (1,138 rows with
+   every implied row stated). *)
 let solve_large_menu () =
   let rng = Es_util.Rng.create ~seed:0 in
   let fmax = Es_util.Rng.uniform_in rng 1. 3. in
@@ -172,10 +173,12 @@ let solve_large_menu () =
    1, no fallback to the two-phase solve), and its pivots reuse the
    solve's buffers.  Words allocated straight on the major heap —
    arrays past the minor heap's 256-word limit, such as any m-long
-   float array — are then a per-solve cost: measured 213 per pivot
-   over 713 pivots, against 5,468 over 2,115 two-phase pivots (about
-   4.75 m-long arrays each) when every pivot allocated its FTRAN and
-   BTRAN results.  The bound is half of one m-long array. *)
+   float array — are then a per-solve cost: measured 149 per pivot
+   over 713 pivots (122 when L and U were per-column arrays, on the
+   minor heap; 216 with every implied row stated), against 5,468
+   over 2,115 two-phase pivots on the 1,138-row LP (about 4.75 m-long
+   arrays each) when every pivot allocated its FTRAN and BTRAN
+   results.  The bound is half of one m-long array. *)
 let test_crash_start_allocation () =
   let module Obs = Es_obs.Obs in
   let levels = solve_large_menu () in
@@ -206,6 +209,154 @@ let test_crash_start_allocation () =
     true
     (per_pivot < float_of_int m /. 2.)
 
+(* ---- the reduced LP against the LP with every implied row ---------- *)
+
+module Problem = Es_lp.Problem
+
+(* [Bicrit_vdd.build]'s LP stated in full: a deadline row for every
+   task and a precedence row for every constraint-DAG edge, with the
+   same columns, work rows, (scaled) reliability rows and open-choice
+   rows. *)
+let full_lp ~deadline ~levels ~(reliability : Bicrit_vdd.reliability option) mapping =
+  let cdag = Mapping.constraint_dag mapping in
+  let n = Dag.n cdag in
+  let lp = Problem.create () in
+  let executions i =
+    match reliability with Some r -> Array.length r.budgets.(i) | None -> 1
+  in
+  let alpha =
+    Array.init n (fun i ->
+        Array.init (executions i) (fun _ ->
+            Array.map (fun f -> Problem.var lp ~obj:(f *. f *. f) ()) levels))
+  in
+  let start = Array.init n (fun _ -> Problem.var lp ()) in
+  let weight = Array.init n (fun i -> if executions i = 3 then Some (Problem.var lp ()) else None) in
+  let time i =
+    List.concat_map (fun a -> List.map (fun v -> (1., v)) (Array.to_list a)) (Array.to_list alpha.(i))
+  in
+  for i = 0 to n - 1 do
+    Array.iteri
+      (fun e a ->
+        let terms coeffs = List.combine (Array.to_list coeffs) (Array.to_list a) in
+        let row add coeffs v =
+          match weight.(i) with
+          | None -> add lp (terms coeffs) v
+          | Some l when e = 0 -> add lp ((v, l) :: terms coeffs) v
+          | Some l -> add lp ((-.v, l) :: terms coeffs) 0.
+        in
+        row Problem.eq levels (Dag.weight cdag i);
+        Option.iter
+          (fun (r : Bicrit_vdd.reliability) ->
+            let budget = r.budgets.(i).(e) in
+            let scale x = Float.ldexp x (-snd (Float.frexp budget)) in
+            row Problem.le (Array.map scale r.rates) (scale budget))
+          reliability)
+      alpha.(i);
+    Problem.le lp ((1., start.(i)) :: time i) deadline
+  done;
+  List.iter
+    (fun (i, j) -> Problem.le lp (((1., start.(i)) :: time i) @ [ (-1., start.(j)) ]) 0.)
+    (Dag.edges cdag);
+  Array.iter
+    (Option.iter (fun l ->
+         Problem.le lp [ (1., l) ] 1.;
+         Problem.le lp [ (-1., l) ] 0.))
+    weight;
+  lp
+
+(* An [Es_check.Gen] instance of any shape, list-scheduled on 1-4
+   processors, with no reliability requirement, with a fixed subset
+   (per task one budget to run once or two, at a random split, to
+   re-execute) or with every choice open, as in the TRI-CRIT
+   relaxation. *)
+let reduced_lp_case seed =
+  let rng = Es_util.Rng.create ~seed in
+  let shapes = Array.of_list Es_check.Gen.all_shapes in
+  let shape = shapes.(seed mod Array.length shapes) in
+  let inst = Es_check.Gen.generate ~shapes:[ shape ] rng in
+  let levels = inst.levels in
+  let fmin = levels.(0) and fmax = levels.(Array.length levels - 1) in
+  let mapping =
+    List_sched.schedule (Es_check.Gen.dag inst) ~p:(1 + Es_util.Rng.int rng 4)
+      ~priority:List_sched.Bottom_level
+  in
+  let deadline = inst.slack *. List_sched.makespan_at_speed mapping ~f:fmax in
+  let reliability =
+    match Es_util.Rng.int rng 3 with
+    | 0 -> None
+    | mode ->
+      let rel =
+        Rel.make
+          ~lambda0:(10. ** Es_util.Rng.uniform_in rng (-9.) (-1.))
+          ~sensitivity:(Es_util.Rng.uniform_in rng 0. 8.)
+          ~frel:(Es_util.Rng.uniform_in rng fmin fmax) ~fmin ~fmax ()
+      in
+      let budgets =
+        Array.map
+          (fun w ->
+            let t = Rel.target_failure rel ~w in
+            if mode = 2 then [| t; sqrt t; sqrt t |]
+            else if Es_util.Rng.bool rng then [| t |]
+            else
+              let theta = Es_util.Rng.uniform_in rng 0.15 0.85 in
+              [| t ** theta; t ** (1. -. theta) |])
+          inst.weights
+      in
+      Some { Bicrit_vdd.rates = Array.map (fun f -> Rel.rate rel ~f) levels; budgets }
+  in
+  (mapping, levels, deadline, reliability)
+
+let same_optimum ~what (full : Es_lp.Revised.outcome) (reduced : Problem.outcome) =
+  match (full, reduced) with
+  | Es_lp.Revised.Optimal { objective; _ }, Problem.Solution s ->
+    let e = Problem.objective s in
+    Float.abs (e -. objective) <= 1e-9 *. Float.max (Float.abs e) (Float.abs objective)
+    || QCheck.Test.fail_reportf "%s: reduced LP %.17g, full LP %.17g" what e objective
+  | Es_lp.Revised.Infeasible, Problem.Infeasible | Es_lp.Revised.Unbounded, Problem.Unbounded -> true
+  | _ -> QCheck.Test.fail_reportf "%s: the reduced and the full LP disagree on the outcome" what
+
+let qcheck_reduced_lp =
+  QCheck.Test.make ~name:"reduced LP optimum = LP with every implied row" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let mapping, levels, deadline, reliability = reduced_lp_case seed in
+      let full = full_lp ~deadline ~levels ~reliability mapping in
+      let reference =
+        Es_check.Dense_simplex.solve ~obj:(Problem.objective_coeffs full) (Problem.constraints full)
+      in
+      let b = Bicrit_vdd.build ~deadline ~levels ~reliability mapping in
+      let sp = Problem.to_sparse (Bicrit_vdd.problem b) in
+      (* each LP the way the library solves it: every one from the
+         crash basis, a fixed subset's also two-phase *)
+      let open_choice =
+        match reliability with
+        | Some r -> Array.exists (fun b -> Array.length b = 3) r.budgets
+        | None -> false
+      in
+      same_optimum ~what:"crash start" reference
+        (fst (Problem.solve_sparse ~basis:(Bicrit_vdd.crash b sp) sp))
+      && (open_choice || same_optimum ~what:"two-phase" reference (Problem.solve (Bicrit_vdd.problem b))))
+
+(* Six tasks on two processors, P0 = 0 1 3 5 and P1 = 2 4, over the DAG
+   edges 0→1 0→2 0→3 1→3 2→3 3→4 3→5 4→5.  The constraint DAG adds
+   2→4, whose other path is 2→3→4; 0→3 (via 1) and 3→5 (via 4) are
+   implied too.  Six work rows, one deadline row (task 5, the only
+   sink) and six precedence rows: 13, where every row of the full
+   statement would make 6 + 6 + 9 = 21. *)
+let test_row_count () =
+  let dag =
+    Dag.make ?labels:None ~weights:(Array.make 6 1.)
+      ~edges:[ (0, 1); (0, 2); (0, 3); (1, 3); (2, 3); (3, 4); (3, 5); (4, 5) ]
+  in
+  let mapping = Mapping.make ~p:2 dag ~order:[| [ 0; 1; 3; 5 ]; [ 2; 4 ] |] in
+  let reduced = Dag.transitive_reduction (Mapping.constraint_dag mapping) in
+  Alcotest.(check (list (pair int int)))
+    "reduced edges"
+    [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4); (4, 5) ]
+    (List.sort (fun (a, b) (c, d) -> if a = c then Int.compare b d else Int.compare a c) (Dag.edges reduced));
+  Alcotest.(check int) "rows" 13
+    (Problem.n_constraints (Bicrit_vdd.lp ~deadline:10. ~levels mapping))
+
 let suite =
   ( "bicrit-vdd",
     [
@@ -219,4 +370,6 @@ let suite =
       Alcotest.test_case "emulation energy sandwich" `Quick test_emulation_energy_sandwich;
       Alcotest.test_case "single task analytic mix" `Quick test_single_task_exact_mix;
       QCheck_alcotest.to_alcotest qcheck_vdd_below_best_single_speed;
+      Alcotest.test_case "rows: sinks and reduced edges" `Quick test_row_count;
+      QCheck_alcotest.to_alcotest qcheck_reduced_lp;
     ] )
