@@ -87,8 +87,11 @@ let run_lp_cert t =
    primal-dual certificate against the raw LP statement.  (d)
    [Bicrit_vdd.energy_sweep], which builds the LP once and restates
    only its rhs, must return bit for bit what the chain of rebuilt LPs
-   returns at every deadline; like the sweep, the chain starts every
-   step with no basis to chain from at [Bicrit_vdd.crash_basis]. *)
+   returns at every deadline.  Like the sweep, the chain visits the
+   deadlines loosest first (a stable sort, so equal deadlines keep
+   their order) and starts every step with no basis to chain from at
+   [Bicrit_vdd.crash_basis]; verdicts and energies stay in input
+   order. *)
 let run_lp_warm t =
   let mapping = Gen.mapping t in
   let levels = t.Gen.levels in
@@ -97,7 +100,11 @@ let run_lp_warm t =
   let crash = Bicrit_vdd.crash_basis ~levels mapping in
   let basis = ref None in
   let chained = Array.make (Array.length deadlines) None in
-  let check_at i deadline =
+  let verdicts = Array.make (Array.length deadlines) Pass in
+  let order = Array.init (Array.length deadlines) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare deadlines.(j) deadlines.(i)) order;
+  let check_at i =
+    let deadline = deadlines.(i) in
     let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
     let cold = Problem.solve lp in
     let warm, basis' = Problem.solve_warm ~basis:(Option.value !basis ~default:crash) lp in
@@ -123,7 +130,7 @@ let run_lp_warm t =
     | Problem.Infeasible, Problem.Solution _ ->
       Fail (Printf.sprintf "D=%g: warm-started solve feasible but cold claims infeasible" deadline)
   in
-  let verdicts = Array.mapi check_at deadlines in
+  Array.iter (fun i -> verdicts.(i) <- check_at i) order;
   let swept = Bicrit_vdd.energy_sweep ~warm:true ~deadlines ~levels mapping in
   let show = function None -> "infeasible" | Some e -> Printf.sprintf "%h" e in
   let same_as_chain i deadline =

@@ -248,7 +248,12 @@ let energy ~deadline ~levels mapping =
    [Sparse.with_rhs], and the optimal basis at one deadline is a legal
    warm start at the next.  Chaining bases turns a sweep of solves into
    a chain of few-pivot dual-simplex re-optimisations; a step with no
-   basis to chain from starts from the crash basis. *)
+   basis to chain from starts from the crash basis.
+
+   The chain visits the deadlines loosest first.  The crash basis is
+   optimal for every deadline past the fmin makespan, so the first LP
+   is a few pivots from it, and each later step repairs a slightly
+   tighter deadline.  Infeasible deadlines, the tightest, come last. *)
 let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   (* every solve below overwrites the deadline rows' placeholder rhs *)
   let b = build_lp ~deadline:0. ~levels mapping in
@@ -256,19 +261,25 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   let rhs = Sparse.rhs sp in
   let crash = crash b sp in
   let basis = ref None in
-  Array.map
-    (fun deadline ->
-      List.iter (fun r -> rhs.(r) <- deadline) b.deadline_rows;
+  let energies = Array.make (Array.length deadlines) None in
+  (* stable: equal deadlines keep their input order *)
+  let order = Array.init (Array.length deadlines) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare deadlines.(j) deadlines.(i)) order;
+  Array.iter
+    (fun i ->
+      List.iter (fun r -> rhs.(r) <- deadlines.(i)) b.deadline_rows;
       let start = Option.value !basis ~default:crash in
       let outcome, next = Problem.solve_sparse ~basis:start (Sparse.with_rhs sp rhs) in
       if warm then basis := next;
-      match outcome with
-      | Problem.Solution s -> Some (Problem.objective s)
-      | Problem.Infeasible -> None
-      | Problem.Unbounded ->
-        (* energy is bounded below by 0: cannot happen on well-formed input *)
-        assert false)
-    deadlines
+      energies.(i) <-
+        (match outcome with
+        | Problem.Solution s -> Some (Problem.objective s)
+        | Problem.Infeasible -> None
+        | Problem.Unbounded ->
+          (* energy is bounded below by 0: cannot happen on well-formed input *)
+          assert false))
+    order;
+  energies
 
 let energy_with_deadline_price ~deadline ~levels mapping =
   let b = build_lp ~deadline ~levels mapping in

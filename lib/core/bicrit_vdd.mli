@@ -110,14 +110,20 @@ val energy_sweep :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   (float[@units "energy"]) option array
-(** {!energy} at each deadline, in order, re-optimising each LP from
-    the previous deadline's optimal basis (the LPs differ only in
-    their right-hand side); the first deadline, and any after an
-    infeasible one, start from {!crash_basis}.  [~warm:false] solves
-    every deadline independently from {!crash_basis}, exactly as
-    {!energy} does — same results, no basis reuse; the
-    warm-invariance tests pin the two paths against each other
-    point-for-point.
+(** {!energy} at each deadline, returned in the order of [deadlines],
+    re-optimising each LP from the optimal basis of the deadline
+    solved before it (the LPs differ only in their right-hand side).
+    The deadlines are visited from the loosest to the tightest, equal
+    ones in input order: {!crash_basis} is optimal for any deadline
+    past the fmin makespan, so the loosest deadline, solved first from
+    it, is the nearest to it, and each later step repairs a slightly
+    tighter deadline by the dual simplex.  Feasibility is monotone in
+    the deadline, so the infeasible deadlines form the tight tail of
+    the chain; each of them starts from {!crash_basis} again.
+    [~warm:false] solves every deadline independently from
+    {!crash_basis}, exactly as {!energy} does — same results, no
+    basis reuse; the warm-invariance tests pin the two paths against
+    each other point-for-point.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if [levels] is empty. *)

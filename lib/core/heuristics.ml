@@ -42,16 +42,41 @@ let evaluate_subset ?tol ~rel ~deadline mapping ~subset =
       let schedule = Schedule.make mapping ~executions in
       Some { schedule; energy = Schedule.energy schedule; reexecuted = Array.copy subset })
 
-let baseline ~rel ~deadline mapping =
-  evaluate_subset ~rel ~deadline mapping
-    ~subset:(Array.make (Dag.n (Mapping.dag mapping)) false)
+(* An evaluator answers [evaluate_subset] for a tolerance ([None]: the
+   default) and a subset.  The families take one, so that [best_of]
+   can share one memo among them: within one call the baseline,
+   chain_oriented's probes, refinement and polish and
+   parallel_oriented's fallback ask for the same subsets. *)
+type evaluator = float option -> bool array -> solution option
+
+module Memo = Hashtbl.Make (String)
+
+(* [evaluate_subset] once per (tolerance, subset) *)
+let memo_evaluator ~rel ~deadline mapping : evaluator =
+  let table = Memo.create 16 in
+  fun tol subset ->
+    let key =
+      String.init (Array.length subset) (fun i -> if subset.(i) then '1' else '0')
+      ^ match tol with None -> "" | Some t -> Printf.sprintf "@%h" t
+    in
+    match Memo.find_opt table key with
+    | Some sol -> sol
+    | None ->
+      let sol = evaluate_subset ?tol ~rel ~deadline mapping ~subset in
+      Memo.replace table key sol;
+      sol
+
+let baseline_with (eval : evaluator) mapping =
+  eval None (Array.make (Dag.n (Mapping.dag mapping)) false)
+
+let baseline ~rel ~deadline mapping = baseline_with (memo_evaluator ~rel ~deadline mapping) mapping
 
 (* ---- family A: chain-oriented ------------------------------------ *)
 
-let chain_oriented ~rel ~deadline mapping =
+let chain_oriented_with (eval : evaluator) ~rel mapping =
   let dag = Mapping.dag mapping in
   let n = Dag.n dag in
-  match baseline ~rel ~deadline mapping with
+  match baseline_with eval mapping with
   | None -> None
   | Some base ->
     let base_speed i =
@@ -86,9 +111,7 @@ let chain_oriented ~rel ~deadline mapping =
     in
     (* candidate probes run at a loose duality gap; the winner is
        re-evaluated at full precision below *)
-    let evaluate k =
-      evaluate_subset ~tol:1e-4 ~rel ~deadline mapping ~subset:(subset_of_prefix k)
-    in
+    let evaluate k = eval (Some 1e-4) (subset_of_prefix k) in
     let consider (bk, bsol) k =
       match evaluate k with
       | Some sol when sol.energy < bsol.energy -> (k, sol)
@@ -105,13 +128,16 @@ let chain_oriented ~rel ~deadline mapping =
     let around = List.filter (fun k -> k >= 0 && k <= m) [ bk - 2; bk - 1; bk + 1; bk + 2 ] in
     let bk, best = List.fold_left consider (bk, bsol) around in
     (* polish the winning subset at full precision *)
-    (match evaluate_subset ~rel ~deadline mapping ~subset:(subset_of_prefix bk) with
+    (match eval None (subset_of_prefix bk) with
     | Some polished when polished.energy <= best.energy +. 1e-9 -> Some polished
     | _ -> Some best)
 
+let chain_oriented ~rel ~deadline mapping =
+  chain_oriented_with (memo_evaluator ~rel ~deadline mapping) ~rel mapping
+
 (* ---- family B: parallel-oriented --------------------------------- *)
 
-let parallel_oriented ~rel ~deadline mapping =
+let parallel_oriented_with (eval : evaluator) ~rel ~deadline mapping =
   let dag = Mapping.dag mapping in
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n dag in
@@ -121,7 +147,7 @@ let parallel_oriented ~rel ~deadline mapping =
   then
     (* not even the all-frel single-execution schedule fits: fall back
        to the baseline (which may speed tasks up beyond frel) *)
-    baseline ~rel ~deadline mapping
+    baseline_with eval mapping
   else begin
     let slack0 = Dag.slack cdag ~durations:base_durations ~deadline in
     let floor_of i =
@@ -159,19 +185,23 @@ let parallel_oriented ~rel ~deadline mapping =
             else durations.(i) <- saved
           end)
       candidates;
-    match evaluate_subset ~rel ~deadline mapping ~subset with
+    match eval None subset with
     | Some sol -> Some sol
-    | None -> baseline ~rel ~deadline mapping
+    | None -> baseline_with eval mapping
   end
+
+let parallel_oriented ~rel ~deadline mapping =
+  parallel_oriented_with (memo_evaluator ~rel ~deadline mapping) ~rel ~deadline mapping
 
 type winner = Chain_oriented | Parallel_oriented | Baseline_only
 
 let best_of ~rel ~deadline mapping =
+  let eval = memo_evaluator ~rel ~deadline mapping in
   let cands =
     [
-      (Baseline_only, baseline ~rel ~deadline mapping);
-      (Chain_oriented, chain_oriented ~rel ~deadline mapping);
-      (Parallel_oriented, parallel_oriented ~rel ~deadline mapping);
+      (Baseline_only, baseline_with eval mapping);
+      (Chain_oriented, chain_oriented_with eval ~rel mapping);
+      (Parallel_oriented, parallel_oriented_with eval ~rel ~deadline mapping);
     ]
   in
   List.fold_left

@@ -72,7 +72,9 @@ val best_of :
   Mapping.t ->
   (solution * winner) option
 (** The paper's headline combination: run both families (and the
-    baseline) and keep the cheapest feasible schedule.
+    baseline) and keep the cheapest feasible schedule.  The three
+    share one memo of {!evaluate_subset}: each (tolerance, subset) is
+    solved once per call, the baseline included.
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
 

@@ -19,7 +19,8 @@ let bicrit_front ?pool ~fmin ~fmax ~deadlines mapping =
    so the basis handed to each solve — and therefore every computed
    point — is identical under --jobs 1 and --jobs 4.  Blocks are the
    parallelism grain; within a block each LP re-starts from the
-   previous deadline's optimal basis. *)
+   optimal basis of the next looser deadline
+   ([Bicrit_vdd.energy_sweep] visits them loosest first). *)
 let vdd_block = 25
 
 let bicrit_vdd_front ?pool ?(warm = true) ~levels ~deadlines mapping =

@@ -33,14 +33,15 @@ val bicrit_vdd_front :
   Mapping.t ->
   point list
 (** VDD-HOPPING BI-CRIT optimum (the Section-IV LP) per deadline,
-    re-optimising each LP from the previous deadline's basis via
-    {!Bicrit_vdd.energy_sweep}.  Warm chaining happens inside fixed
-    25-deadline blocks whose partition depends only on [deadlines], so
-    the front is identical point-for-point across pool sizes and under
-    [~warm:false] (independent solves, each from
-    {!Bicrit_vdd.crash_basis}) — the warm-start
-    invariance suite pins exactly that.  [?pool] parallelises over
-    blocks.
+    in the order of [deadlines], re-optimising each LP from another
+    deadline's basis via {!Bicrit_vdd.energy_sweep}.  Warm chaining
+    happens inside fixed 25-deadline blocks; each block is visited
+    from its loosest deadline to its tightest, the first from
+    {!Bicrit_vdd.crash_basis}.  The partition depends only on
+    [deadlines], so the front is identical point-for-point across pool
+    sizes and under [~warm:false] (independent solves, each from
+    {!Bicrit_vdd.crash_basis}) — the warm-start invariance suite pins
+    exactly that.  [?pool] parallelises over blocks.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)

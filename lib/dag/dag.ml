@@ -125,34 +125,6 @@ let slack t ~durations ~deadline =
   let ls = latest_start t ~durations ~deadline in
   Array.init t.n (fun i -> ls.(i) -. es.(i))
 
-let descendants t i =
-  let seen = Array.make t.n false in
-  let rec visit j =
-    List.iter
-      (fun s ->
-        if not seen.(s) then begin
-          seen.(s) <- true;
-          visit s
-        end)
-      t.succs.(j)
-  in
-  visit i;
-  List.filter (fun j -> seen.(j)) (List.init t.n Fun.id)
-
-let ancestors t i =
-  let seen = Array.make t.n false in
-  let rec visit j =
-    List.iter
-      (fun p ->
-        if not seen.(p) then begin
-          seen.(p) <- true;
-          visit p
-        end)
-      t.preds.(j)
-  in
-  visit i;
-  List.filter (fun j -> seen.(j)) (List.init t.n Fun.id)
-
 (* Edge (i, j) is implied iff j is a descendant of another successor of
    i.  Only a head with two predecessors or more can be implied: the
    other path enters j from a task that is not i.  Tails go in reverse

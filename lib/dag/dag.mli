@@ -95,11 +95,6 @@ val transitive_reduction : t -> t
     O(1) per edge; a head further away by a marking DFS cut at its
     rank.  O(n + E) memory. *)
 
-val ancestors : t -> task -> task list
-(** All transitive predecessors, ascending. *)
-
-val descendants : t -> task -> task list
-
 val reverse : t -> t
 (** Flip every edge (used to derive join results from fork results).
 

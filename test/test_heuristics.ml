@@ -57,14 +57,23 @@ let test_best_of_dominates_components () =
       in
       match Heuristics.best_of ~rel ~deadline m with
       | None -> Alcotest.failf "%s: best_of infeasible" name
-      | Some (best, _) ->
+      | Some (best, _) -> (
         List.iter
           (fun e ->
             Alcotest.(check bool)
               (Printf.sprintf "%s: best %.4f <= %.4f" name best.Heuristics.energy e)
               true
               (best.Heuristics.energy <= e +. 1e-9))
-          energies)
+          energies;
+        (* polished: its subset at full precision does no better, so no
+           loose-tolerance probe stands in for a full-precision answer *)
+        match Heuristics.evaluate_subset ~rel ~deadline m ~subset:best.reexecuted with
+        | None -> Alcotest.failf "%s: best_of's subset infeasible" name
+        | Some full ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: best %.12g <= full precision %.12g" name best.energy full.energy)
+            true
+            (best.energy <= full.energy +. 1e-9)))
     (instances ~seed:202)
 
 let test_reexecution_engages_with_slack () =

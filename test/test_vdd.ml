@@ -357,6 +357,110 @@ let test_row_count () =
   Alcotest.(check int) "rows" 13
     (Problem.n_constraints (Bicrit_vdd.lp ~deadline:10. ~levels mapping))
 
+(* ---- the deadline sweep ------------------------------------------- *)
+
+(* [Bicrit_vdd.energy_sweep]'s reference: the LP rebuilt at each
+   deadline and solved from the previous solve's basis, visiting the
+   deadlines in [order]; the first step, and any after an infeasible
+   one, from the crash basis.  Energies in input order. *)
+let chained_energies ~levels mapping deadlines order =
+  let crash = Bicrit_vdd.crash_basis ~levels mapping in
+  let basis = ref None in
+  let energies = Array.make (Array.length deadlines) None in
+  Array.iter
+    (fun i ->
+      let lp = Bicrit_vdd.lp ~deadline:deadlines.(i) ~levels mapping in
+      let outcome, next = Problem.solve_warm ~basis:(Option.value !basis ~default:crash) lp in
+      basis := next;
+      energies.(i) <-
+        (match outcome with
+        | Problem.Solution s -> Some (Problem.objective s)
+        | Problem.Infeasible -> None
+        | Problem.Unbounded -> Alcotest.fail "VDD LP unbounded"))
+    order;
+  energies
+
+(* Loosest first; equal deadlines keep their input order. *)
+let loosest_first deadlines =
+  let order = Array.init (Array.length deadlines) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare deadlines.(j) deadlines.(i)) order;
+  order
+
+(* An [Es_check.Gen] instance and 2-30 deadlines in random order over
+   [0.9·dmin, 1.2·dslow], dmin and dslow the makespans at fmax and
+   fmin: some infeasible, some past the point where the crash basis is
+   optimal, and about one in five a repeat of an earlier one. *)
+let sweep_case seed =
+  let rng = Es_util.Rng.create ~seed in
+  let inst = Es_check.Gen.generate rng in
+  let mapping = Es_check.Gen.mapping inst in
+  let dmin = Es_check.Gen.dmin inst in
+  let dslow = List_sched.makespan_at_speed mapping ~f:(Es_check.Gen.fmin inst) in
+  let deadlines = Array.make (2 + Es_util.Rng.int rng 29) 0. in
+  Array.iteri
+    (fun i _ ->
+      deadlines.(i) <-
+        (if i > 0 && Es_util.Rng.int rng 5 = 0 then deadlines.(Es_util.Rng.int rng i)
+         else Es_util.Rng.uniform_in rng (0.9 *. dmin) (1.2 *. dslow)))
+    deadlines;
+  (inst.levels, mapping, deadlines)
+
+let qcheck_sweep =
+  QCheck.Test.make ~name:"sweep = energy at each deadline = loosest-first chain" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let levels, mapping, deadlines = sweep_case seed in
+      let swept = Bicrit_vdd.energy_sweep ~deadlines ~levels mapping in
+      let chained = chained_energies ~levels mapping deadlines (loosest_first deadlines) in
+      let show = function None -> "infeasible" | Some e -> Printf.sprintf "%.17g" e in
+      let agree i deadline =
+        let single = Bicrit_vdd.energy ~deadline ~levels mapping in
+        (match (swept.(i), single) with
+        | None, None -> true
+        | Some s, Some e -> Float.abs (s -. e) <= 1e-9 *. Float.max (Float.abs s) (Float.abs e)
+        | _ -> false)
+        && (match (swept.(i), chained.(i)) with
+           | None, None -> true
+           | Some s, Some c -> Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float c)
+           | _ -> false)
+        || QCheck.Test.fail_reportf "deadline %d (%.17g): sweep %s, energy %s, chain %s" i deadline
+             (show swept.(i)) (show single) (show chained.(i))
+      in
+      Array.for_all Fun.id (Array.mapi agree deadlines))
+
+(* `esched pareto -w layered -n 60 --seed 7 --vdd`'s front: 60 tasks on
+   four processors, eight deadlines from 1.05 to 6 times the fmax
+   makespan, tightest first.  Chained in that order the LPs take 206
+   dual pivots; loosest first, 114. *)
+let test_sweep_loosest_first () =
+  let module Obs = Es_obs.Obs in
+  let rng = Es_util.Rng.create ~seed:7 in
+  let dag = Generators.random_layered rng ~layers:15 ~width:4 ~density:0.4 ~wlo:0.5 ~whi:3. in
+  let mapping = List_sched.schedule dag ~p:4 ~priority:List_sched.Bottom_level in
+  let dmin = List_sched.makespan_at_speed mapping ~f:1. in
+  let deadlines = Array.map (fun s -> s *. dmin) [| 1.05; 1.2; 1.5; 2.; 2.5; 3.; 4.; 6. |] in
+  let dual = Obs.counter "simplex_dual_pivots" in
+  let counted f =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+    let r = f () in
+    (r, Obs.value dual)
+  in
+  let swept, sweep_pivots = counted (fun () -> Bicrit_vdd.energy_sweep ~deadlines ~levels mapping) in
+  let in_order, in_order_pivots =
+    counted (fun () -> chained_energies ~levels mapping deadlines (Array.init 8 Fun.id))
+  in
+  Array.iteri
+    (fun i e ->
+      match (e, in_order.(i)) with
+      | Some s, Some c -> Alcotest.(check (float (1e-12 *. c))) "energy" c s
+      | _ -> Alcotest.fail "every deadline of the front is feasible")
+    swept;
+  Alcotest.(check bool)
+    (Printf.sprintf "sweep %d < input-order chain %d dual pivots" sweep_pivots in_order_pivots)
+    true (sweep_pivots < in_order_pivots)
+
 let suite =
   ( "bicrit-vdd",
     [
@@ -372,4 +476,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_vdd_below_best_single_speed;
       Alcotest.test_case "rows: sinks and reduced edges" `Quick test_row_count;
       QCheck_alcotest.to_alcotest qcheck_reduced_lp;
+      QCheck_alcotest.to_alcotest qcheck_sweep;
+      Alcotest.test_case "sweep: fewer pivots loosest first" `Quick test_sweep_loosest_first;
     ] )
