@@ -30,7 +30,7 @@
       the full grid and DISCRETE a coarser subset; the round-up
       approximation can never beat the exact DISCRETE optimum.
     - ["closed-form-vs-barrier"]: the paper's chain/fork/SP closed
-      forms agree with the log-barrier convex solver.
+      forms agree with the interior-point convex solver.
     - ["simplex-vs-brute"]: on one processor the VDD-HOPPING LP
       optimum equals the hull closed form [W·H(D/W)] of {!Brute}.
     - ["discrete-vs-brute"]: branch-and-bound DISCRETE optima equal

@@ -78,7 +78,7 @@ let sp_speeds sp ~deadline =
   let energy = Futil.sum (Array.map2 (fun w f -> w *. f *. f) weights speeds) in
   { speeds; energy }
 
-(* ---- general DAG: convex program via the log-barrier method ------- *)
+(* ---- general DAG: convex program via the interior-point method --- *)
 
 (* Longest path measured in hop count, for spreading the strictly
    feasible starting point. *)
@@ -130,22 +130,29 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
       let lv = levels cdag in
       let alpha = (deadline -. m0) /. float_of_int (n + 2) in
       let s0 = Array.init n (fun i -> es0.(i) +. (alpha *. (float_of_int lv.(i) +. 0.5))) in
-      (* variables x = [d; s]; rows of A in CSR, columns ascending *)
-      let edges = Dag.edges cdag in
-      let n_lo = Array.fold_left (fun c l -> if l > 0. then c + 1 else c) 0 lo in
-      let m = List.length edges + (3 * n) + n_lo in
-      let nnz = (3 * List.length edges) + (4 * n) + n_lo in
+      (* variables x = [d; s]; rows of A in CSR, columns ascending.
+         Only the rows the others do not imply: a precedence row per
+         edge of the transitive reduction (the rows along a longer
+         path imply the rest), a deadline row per sink and [−s_i ≤ 0]
+         per source (durations are nonnegative, so a precedence row
+         carries both along an edge). *)
+      let edges = Dag.edges (Dag.transitive_reduction cdag) in
+      let sink i = Dag.succs cdag i = [] and source i = Dag.preds cdag i = [] in
+      let count p = Array.fold_left (fun c x -> if p x then c + 1 else c) 0 in
+      let tasks = Array.init n Fun.id in
+      let n_sink = count sink tasks and n_source = count source tasks in
+      let n_lo = count (fun l -> l > 0.) lo in
+      let m = List.length edges + n_sink + n_source + n + n_lo in
+      let nnz = (3 * List.length edges) + (2 * n_sink) + n_source + n + n_lo in
       let row_ptr = Array.make (m + 1) 0 and col_idx = Array.make nnz 0 in
       let value = Array.make nnz 0. and b = Array.make m 0. in
-      let r = ref 0 in
-      let add_row entries rhs =
-        let p = ref row_ptr.(!r) in
-        List.iter
-          (fun (j, v) ->
-            col_idx.(!p) <- j;
-            value.(!p) <- v;
-            incr p)
-          entries;
+      let r = ref 0 and p = ref 0 in
+      let entry j v =
+        col_idx.(!p) <- j;
+        value.(!p) <- v;
+        incr p
+      in
+      let close rhs =
         b.(!r) <- rhs;
         incr r;
         row_ptr.(!r) <- !p
@@ -153,42 +160,63 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
       List.iter
         (fun (i, j) ->
           (* s_i + d_i - s_j <= 0 *)
-          let s_i = (n + i, 1.) and s_j = (n + j, -1.) in
-          add_row ((i, 1.) :: (if i < j then [ s_i; s_j ] else [ s_j; s_i ])) 0.)
+          entry i 1.;
+          if i < j then begin
+            entry (n + i) 1.;
+            entry (n + j) (-1.)
+          end
+          else begin
+            entry (n + j) (-1.);
+            entry (n + i) 1.
+          end;
+          close 0.)
         edges;
       for i = 0 to n - 1 do
         (* s_i + d_i <= D *)
-        add_row [ (i, 1.); (n + i, 1.) ] deadline;
+        if sink i then begin
+          entry i 1.;
+          entry (n + i) 1.;
+          close deadline
+        end;
         (* -s_i <= 0 *)
-        add_row [ (n + i, -1.) ] 0.;
+        if source i then begin
+          entry (n + i) (-1.);
+          close 0.
+        end;
         (* -d_i <= -w_i/hi_i  (speed at most hi) *)
-        add_row [ (i, -1.) ] (-.d_min.(i));
+        entry i (-1.);
+        close (-.d_min.(i));
         (* d_i <= w_i/lo_i (speed at least lo), only when lo > 0 *)
-        if lo.(i) > 0. then add_row [ (i, 1.) ] (w.(i) /. lo.(i))
+        if lo.(i) > 0. then begin
+          entry i 1.;
+          close (w.(i) /. lo.(i))
+        end
       done;
       let a = { Barrier.row_ptr; col_idx; value } in
       let x0 = Array.append d0 s0 in
+      let w3 = Array.map Futil.cube w in
       let objective =
         {
           Barrier.f =
             (fun x ->
               let acc = ref 0. in
               for i = 0 to n - 1 do
-                acc := !acc +. (Futil.cube w.(i) /. (x.(i) *. x.(i)))
+                acc := !acc +. (w3.(i) /. (x.(i) *. x.(i)))
               done;
               !acc);
           grad =
             (fun x ->
               let g = Array.make (2 * n) 0. in
               for i = 0 to n - 1 do
-                g.(i) <- -2. *. Futil.cube w.(i) /. Futil.cube x.(i)
+                g.(i) <- -2. *. w3.(i) /. (x.(i) *. x.(i) *. x.(i))
               done;
               g);
           hess =
             (fun x ->
               let h = Array.make (2 * n) 0. in
               for i = 0 to n - 1 do
-                h.(i) <- 6. *. Futil.cube w.(i) /. (Futil.square x.(i) *. Futil.square x.(i))
+                let x2 = x.(i) *. x.(i) in
+                h.(i) <- 6. *. w3.(i) /. (x2 *. x2)
               done;
               h);
         }

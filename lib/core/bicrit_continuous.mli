@@ -5,8 +5,8 @@
     for special structures — chains, forks (the theorem quoted in
     Section III) and series-parallel graphs — and reduces general DAGs
     to a geometric program; here the geometric program is solved by the
-    log-barrier method of {!Es_numopt.Barrier} on the equivalent convex
-    program over start times and durations.
+    primal-dual interior-point method of {!Es_numopt.Barrier} on the
+    equivalent convex program over start times and durations.
 
     {!solve_general} is the workhorse shared with the TRI-CRIT
     heuristics: it accepts per-task {e effective} weights and speed
@@ -70,19 +70,28 @@ val solve_general :
   deadline:(float[@units "time"]) ->
   Mapping.t ->
   result option
-(** Barrier solve of the convex program over the mapping's constraint
-    DAG: variables are durations [dᵢ] and start times [sᵢ], objective
-    [Σ Wᵢ³/dᵢ²] with [Wᵢ] the effective weight (default: the task
-    weight; pass [2wᵢ] to model an equal-speed re-execution), subject
-    to precedence, deadline and per-task speed bounds [lo/hi]
+(** Interior-point solve of the convex program over the mapping's
+    constraint DAG: variables are durations [dᵢ] and start times [sᵢ],
+    objective [Σ Wᵢ³/dᵢ²] with [Wᵢ] the effective weight (default: the
+    task weight; pass [2wᵢ] to model an equal-speed re-execution),
+    subject to precedence, deadline and per-task speed bounds [lo/hi]
     (defaults: none / ∞ — pass the model's [fmin]/[fmax]).
+
+    Only the rows the others do not imply are stated: a precedence row
+    [sᵢ + dᵢ ≤ sⱼ] per edge of the constraint DAG's transitive
+    reduction, a deadline row [sᵢ + dᵢ ≤ D] per sink, [sᵢ ≥ 0] per
+    source, and the duration bounds [Wᵢ/hiᵢ ≤ dᵢ] and, where
+    [loᵢ > 0], [dᵢ ≤ Wᵢ/loᵢ].
 
     Returns the optimal speed of each {e effective} task and the
     energy [Σ Wᵢ·fᵢ²], or [None] when running everything at [hi]
-    already misses the deadline.  Accuracy is that of the barrier
-    method: duality gap ≤ [tol] (default [1e-8]; the TRI-CRIT
-    heuristics probe candidate subsets at a looser tolerance and only
-    polish the winner at full precision).
+    already misses the deadline.  Accuracy is that of
+    {!Es_numopt.Barrier.minimize}: the duality gap [sᵀλ] ends at most
+    [tol] (default [1e-8], an energy) and at most [10⁻¹²] of the
+    energy, or at the rounding floor where those are out of reach of
+    double precision.  The TRI-CRIT heuristics probe candidate subsets
+    at [tol = 1e-4], which the relative target overrides below an
+    energy of [10⁸].
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 

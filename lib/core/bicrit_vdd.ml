@@ -265,19 +265,23 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   (* stable: equal deadlines keep their input order *)
   let order = Array.init (Array.length deadlines) Fun.id in
   Array.stable_sort (fun i j -> Float.compare deadlines.(j) deadlines.(i)) order;
+  (* feasibility is monotone in the deadline: once one is infeasible,
+     every later (no looser) one is too, and stays [None] unsolved *)
+  let feasible = ref true in
   Array.iter
     (fun i ->
-      List.iter (fun r -> rhs.(r) <- deadlines.(i)) b.deadline_rows;
-      let start = Option.value !basis ~default:crash in
-      let outcome, next = Problem.solve_sparse ~basis:start (Sparse.with_rhs sp rhs) in
-      if warm then basis := next;
-      energies.(i) <-
-        (match outcome with
-        | Problem.Solution s -> Some (Problem.objective s)
-        | Problem.Infeasible -> None
+      if !feasible then begin
+        List.iter (fun r -> rhs.(r) <- deadlines.(i)) b.deadline_rows;
+        let start = Option.value !basis ~default:crash in
+        let outcome, next = Problem.solve_sparse ~basis:start (Sparse.with_rhs sp rhs) in
+        if warm then basis := next;
+        match outcome with
+        | Problem.Solution s -> energies.(i) <- Some (Problem.objective s)
+        | Problem.Infeasible -> feasible := false
         | Problem.Unbounded ->
           (* energy is bounded below by 0: cannot happen on well-formed input *)
-          assert false))
+          assert false
+      end)
     order;
   energies
 

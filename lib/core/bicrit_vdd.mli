@@ -119,11 +119,11 @@ val energy_sweep :
     it, is the nearest to it, and each later step repairs a slightly
     tighter deadline by the dual simplex.  Feasibility is monotone in
     the deadline, so the infeasible deadlines form the tight tail of
-    the chain; each of them starts from {!crash_basis} again.
-    [~warm:false] solves every deadline independently from
-    {!crash_basis}, exactly as {!energy} does — same results, no
-    basis reuse; the warm-invariance tests pin the two paths against
-    each other point-for-point.
+    the chain: the first of them is solved, and every later one is
+    [None] without a solve.  [~warm:false] solves every deadline up
+    to that one independently from {!crash_basis}, exactly as
+    {!energy} does — same results, no basis reuse; the warm-invariance
+    tests pin the two paths against each other point-for-point.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if [levels] is empty. *)

@@ -96,10 +96,15 @@ let chain_oriented_with (eval : evaluator) ~rel mapping =
             let f = base_speed i in
             (i, (w *. f *. f) -. (2. *. w *. flo *. flo)))
     in
+    (* rank by the gain rounded to 1e-9 of the largest one, ties in
+       task order: tasks of equal weight tie in exact arithmetic, and
+       their order must not follow the solver's last bits *)
+    let positive = gains |> Array.to_list |> List.filter (fun (_, g) -> g > 0.) in
+    let quantum = 1e-9 *. List.fold_left (fun acc (_, g) -> Float.max acc g) 0. positive in
     let ranked =
-      gains |> Array.to_list
-      |> List.filter (fun (_, g) -> g > 0.)
-      |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+      positive
+      |> List.map (fun (i, g) -> (i, Float.round (g /. quantum)))
+      |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
       |> List.map fst |> Array.of_list
     in
     let subset_of_prefix k =

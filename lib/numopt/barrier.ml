@@ -27,14 +27,7 @@ let dot x y =
   done;
   !acc
 
-(* y <- a x + y *)
-let axpy a x y =
-  assert (Array.length x = Array.length y);
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
-  done
-
-let scale a x = Array.map (fun v -> a *. v) x
+let norm x = sqrt (dot x x)
 
 (* s = b - A x into [s], row by row; stops at the first slack that is
    not positive and says whether none was. *)
@@ -54,213 +47,408 @@ let fill_slacks a b x s =
 
 let feasible_start ~a ~b ~x0 = fill_slacks a b x0 (Array.make (n_rows a) 0.)
 
-(* The barrier problem at weight t, for s = b - A x > 0:
-   phi(x) = t f(x) - sum_r log s_r
-   grad   = t grad_f + A^T (1/s)
-   hess   = t diag(hess_f) + A^T diag(1/s^2) A *)
-let barrier_value obj ~t x s =
-  let logsum = ref 0. in
-  for r = 0 to Array.length s - 1 do
-    logsum := !logsum +. log s.(r)
-  done;
-  (t *. obj.f x) -. !logsum
-
-let barrier_grad obj ~t a x s =
-  let g = Array.make (Array.length x) 0. in
+(* y <- A^T v *)
+let mul_transpose a v y =
+  Array.fill y 0 (Array.length y) 0.;
   for r = 0 to n_rows a - 1 do
-    let inv = 1. /. s.(r) in
+    let vr = v.(r) in
     for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
       let j = a.col_idx.(p) in
-      g.(j) <- g.(j) +. (inv *. a.value.(p))
+      y.(j) <- y.(j) +. (a.value.(p) *. vr)
     done
-  done;
-  let gf = obj.grad x in
-  for j = 0 to Array.length x - 1 do
-    g.(j) <- (t *. gf.(j)) +. g.(j)
-  done;
-  g
+  done
 
-(* Once per [minimize]: the lower pattern of the Hessian (the diagonal
-   plus every pair of columns that share a row of A), where each
-   row-pair product lands in it, and the Cholesky analysis. *)
+(* y <- -A x *)
+let neg_mul a x y =
+  for r = 0 to n_rows a - 1 do
+    let acc = ref 0. in
+    for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      acc := !acc +. (a.value.(p) *. x.(a.col_idx.(p)))
+    done;
+    y.(r) <- -. !acc
+  done
+
+(* Once per [minimize]: the lower pattern of the Newton matrix (the
+   diagonal plus every pair of columns that share a row of A), where
+   each row-pair product lands in it, and the Cholesky analysis.  Only
+   flat arrays: A's rows by column, then each column k hands itself to
+   the later columns of its rows, so every row of the pattern receives
+   its columns in ascending order and its diagonal last. *)
 type plan = {
   chol : Chol.t;
-  hval : float array; (* lower-triangle values, aligned with [chol]'s pattern *)
+  kval : float array; (* lower-triangle values, aligned with [chol]'s pattern *)
   diag_pos : int array;
   pair_pos : int array; (* per row of A, per entry pair (pa, pb <= pa), in loop order *)
 }
 
 let plan a n =
-  let below = Array.make n [] in
-  for r = 0 to n_rows a - 1 do
-    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-      for pb = a.row_ptr.(r) to pa - 1 do
-        let j = a.col_idx.(pa) in
-        below.(j) <- a.col_idx.(pb) :: below.(j)
-      done
+  let m = n_rows a in
+  let col_ptr = Array.make (n + 1) 0 in
+  for p = 0 to a.row_ptr.(m) - 1 do
+    let j = a.col_idx.(p) in
+    col_ptr.(j + 1) <- col_ptr.(j + 1) + 1
+  done;
+  for j = 0 to n - 1 do
+    col_ptr.(j + 1) <- col_ptr.(j + 1) + col_ptr.(j)
+  done;
+  let col_row = Array.make col_ptr.(n) 0 and next = Array.sub col_ptr 0 n in
+  for r = 0 to m - 1 do
+    for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      let j = a.col_idx.(p) in
+      col_row.(next.(j)) <- r;
+      next.(j) <- next.(j) + 1
     done
   done;
-  let rows = Array.mapi (fun j ks -> Array.of_list (List.sort_uniq Int.compare (j :: ks))) below in
-  let row_ptr = Array.make (n + 1) 0 in
-  Array.iteri (fun j row -> row_ptr.(j + 1) <- row_ptr.(j) + Array.length row) rows;
-  let col_idx = Array.concat (Array.to_list rows) in
+  (* [later k visit]: [visit j] once for each column j > k sharing a
+     row with k *)
+  let mark = Array.make n (-1) in
+  let later k visit =
+    for q = col_ptr.(k) to col_ptr.(k + 1) - 1 do
+      let r = col_row.(q) in
+      for p = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+        let j = a.col_idx.(p) in
+        if j > k && mark.(j) <> k then begin
+          mark.(j) <- k;
+          visit j
+        end
+      done
+    done
+  in
+  let k_ptr = Array.make (n + 1) 0 in
+  let count j = k_ptr.(j + 1) <- k_ptr.(j + 1) + 1 in
+  for k = 0 to n - 1 do
+    later k count
+  done;
+  for j = 0 to n - 1 do
+    k_ptr.(j + 1) <- k_ptr.(j + 1) + k_ptr.(j) + 1
+  done;
+  Array.fill mark 0 n (-1);
+  let k_col = Array.make k_ptr.(n) 0 and fill = Array.sub k_ptr 0 n in
+  let column = ref 0 in
+  let place j =
+    k_col.(fill.(j)) <- !column;
+    fill.(j) <- fill.(j) + 1
+  in
+  for k = 0 to n - 1 do
+    column := k;
+    place k;
+    later k place
+  done;
   (* binary search for column k in row j of the pattern *)
   let position j k =
     let rec go lo hi =
       let mid = (lo + hi) / 2 in
-      if col_idx.(mid) < k then go (mid + 1) hi else if col_idx.(mid) > k then go lo mid else mid
+      if k_col.(mid) < k then go (mid + 1) hi else if k_col.(mid) > k then go lo mid else mid
     in
-    go row_ptr.(j) row_ptr.(j + 1)
+    go k_ptr.(j) k_ptr.(j + 1)
   in
-  let pairs = ref [] in
-  for r = 0 to n_rows a - 1 do
-    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-      for pb = a.row_ptr.(r) to pa do
-        pairs := position a.col_idx.(pa) a.col_idx.(pb) :: !pairs
-      done
-    done
+  let pairs = ref 0 in
+  for r = 0 to m - 1 do
+    let len = a.row_ptr.(r + 1) - a.row_ptr.(r) in
+    pairs := !pairs + (len * (len + 1) / 2)
   done;
-  {
-    chol = Chol.analyze ~n ~row_ptr ~col_idx;
-    hval = Array.make (Array.length col_idx) 0.;
-    diag_pos = Array.init n (fun j -> row_ptr.(j + 1) - 1);
-    pair_pos = Array.of_list (List.rev !pairs);
-  }
-
-(* Lower triangle of the regularised Hessian into [plan.hval].  Entry
-   (j, k), k <= j, sums (w_r a_rj) a_rk over the rows r in order, as
-   the dense accumulation did; the 1e-12 keeps the factor positive
-   definite when f is flat along some direction inside the polytope. *)
-let assemble plan ~t a hd s =
-  let h = plan.hval in
-  Array.fill h 0 (Array.length h) 0.;
-  Array.iteri (fun j p -> h.(p) <- t *. hd.(j)) plan.diag_pos;
-  let q = ref 0 in
-  for r = 0 to n_rows a - 1 do
-    let w = 1. /. (s.(r) *. s.(r)) in
+  let pair_pos = Array.make !pairs 0 and q = ref 0 in
+  for r = 0 to m - 1 do
     for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-      let wa = w *. a.value.(pa) in
       for pb = a.row_ptr.(r) to pa do
-        let p = plan.pair_pos.(!q) in
-        h.(p) <- h.(p) +. (wa *. a.value.(pb));
+        pair_pos.(!q) <- position a.col_idx.(pa) a.col_idx.(pb);
         incr q
       done
     done
   done;
-  Array.iter (fun p -> h.(p) <- h.(p) +. 1e-12) plan.diag_pos
+  {
+    chol = Chol.analyze ~n ~row_ptr:k_ptr ~col_idx:k_col;
+    kval = Array.make k_ptr.(n) 0.;
+    diag_pos = Array.init n (fun j -> k_ptr.(j + 1) - 1);
+    pair_pos;
+  }
 
-(* The same Hessian as a dense matrix, both triangles, for the LU
-   fallback.  Its upper triangle is not the exact mirror of the lower
-   one: each entry keeps its own rounding. *)
-let dense_hessian ~t a hd s =
-  let n = Array.length hd in
-  let h = Array.make_matrix n n 0. in
-  Array.iteri (fun j hj -> hj.(j) <- t *. hd.(j)) h;
+(* Lower triangle of [diag(hd) + Aᵀ diag(w) A + 10⁻¹² I] into
+   [plan.kval].  Entry (j, k), k <= j, sums (w_r a_rj) a_rk over the
+   rows r in order; the 1e-12 keeps the factor positive definite when
+   f is flat along some direction inside the polytope. *)
+let assemble plan a hd w =
+  let k = plan.kval in
+  Array.fill k 0 (Array.length k) 0.;
+  Array.iteri (fun j p -> k.(p) <- hd.(j)) plan.diag_pos;
+  let q = ref 0 in
   for r = 0 to n_rows a - 1 do
-    let w = 1. /. (s.(r) *. s.(r)) in
+    let wr = w.(r) in
     for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-      let hj = h.(a.col_idx.(pa)) and wa = w *. a.value.(pa) in
-      for pb = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-        let k = a.col_idx.(pb) in
-        hj.(k) <- hj.(k) +. (wa *. a.value.(pb))
+      let wa = wr *. a.value.(pa) in
+      for pb = a.row_ptr.(r) to pa do
+        let p = plan.pair_pos.(!q) in
+        k.(p) <- k.(p) +. (wa *. a.value.(pb));
+        incr q
       done
     done
   done;
-  Array.iteri (fun j hj -> hj.(j) <- hj.(j) +. 1e-12) h;
-  h
+  Array.iter (fun p -> k.(p) <- k.(p) +. 1e-12) plan.diag_pos
 
-(* Newton direction: sparse Cholesky; an indefinite (to working
-   precision) system goes to the dense pivoting LU, and a singular one
-   to a short gradient step. *)
-let newton_step obj plan ~t a x s g =
-  let hd = obj.hess x in
-  assemble plan ~t a hd s;
-  let rhs = Array.make (Array.length g) 0. in
-  for j = 0 to Array.length g - 1 do
-    rhs.(j) <- -1. *. g.(j)
+(* The same matrix as a dense one, both triangles, for the LU
+   fallback.  Its upper triangle is not the exact mirror of the lower
+   one: each entry keeps its own rounding. *)
+let dense_matrix a hd w =
+  let n = Array.length hd in
+  let k = Array.make_matrix n n 0. in
+  Array.iteri (fun j kj -> kj.(j) <- hd.(j)) k;
+  for r = 0 to n_rows a - 1 do
+    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+      let kj = k.(a.col_idx.(pa)) and wa = w.(r) *. a.value.(pa) in
+      for pb = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
+        let c = a.col_idx.(pb) in
+        kj.(c) <- kj.(c) +. (wa *. a.value.(pb))
+      done
+    done
   done;
-  match Chol.factor plan.chol plan.hval with
-  | () -> Chol.solve plan.chol rhs
+  Array.iteri (fun j kj -> kj.(j) <- kj.(j) +. 1e-12) k;
+  k
+
+(* Factor the iteration's Newton matrix once and return its solver:
+   the sparse Cholesky, or, when that meets a non-positive pivot (the
+   matrix is indefinite to working precision), the dense pivoting LU.
+   When that is singular too, the 10⁻¹² shift was lost to rounding
+   against the largest diagonal entry: the LU then solves with the
+   diagonal shifted by that entry's rounding unit, and a matrix still
+   singular gives no step. *)
+let factor plan a hd w =
+  assemble plan a hd w;
+  match Chol.factor plan.chol plan.kval with
+  | () -> Chol.solve plan.chol
   | exception Chol.Not_positive_definite -> (
     Obs.incr c_dense_fallback;
-    match Dense_lu.solve (dense_hessian ~t a hd s) rhs with
-    | step -> step
-    | exception Dense_lu.Singular -> scale (-1e-6) g)
+    let k = dense_matrix a hd w in
+    let shifted =
+      lazy
+        (let big = ref 0. in
+         Array.iteri (fun j kj -> if Float.abs kj.(j) > !big then big := Float.abs kj.(j)) k;
+         Array.mapi
+           (fun j kj ->
+             let kj = Array.copy kj in
+             kj.(j) <- kj.(j) +. (epsilon_float *. !big);
+             kj)
+           k)
+    in
+    fun rhs ->
+      match Dense_lu.solve k rhs with
+      | step -> step
+      | exception Dense_lu.Singular -> (
+        match Dense_lu.solve (Lazy.force shifted) rhs with
+        | step -> step
+        | exception Dense_lu.Singular -> Array.make (Array.length rhs) 0.))
 
-(* The iterate, its slacks, and spare buffers for line-search trial
-   points; an accepted trial swaps in with the slacks it computed. *)
-type iterate = {
-  mutable x : float array;
-  mutable s : float array;
-  mutable x' : float array;
-  mutable s' : float array;
+(* A primal-dual point: x strictly feasible, its slacks s = b − A x,
+   one multiplier per row, ∇f(x) and the dual residual
+   r_d = ∇f(x) + Aᵀλ. *)
+type point = {
+  x : float array;
+  s : float array;
+  lam : float array;
+  mutable g : float array;
+  rd : float array;
+  mutable gap : float; (* sᵀλ *)
+  mutable rd_norm : float;
+  mutable min_product : float; (* min over rows of s_r λ_r *)
 }
 
-let accept it =
-  let x = it.x and s = it.s in
-  it.x <- it.x';
-  it.s <- it.s';
-  it.x' <- x;
-  it.s' <- s
+let new_point n m =
+  {
+    x = Array.make n 0.;
+    s = Array.make m 0.;
+    lam = Array.make m 0.;
+    g = [||];
+    rd = Array.make n 0.;
+    gap = 0.;
+    rd_norm = 0.;
+    min_product = 0.;
+  }
 
-(* The inner loop's stop rule and the outer loop's schedule. *)
-let t0 = 1.
-let mu = 15.
-let newton_tol = 1e-10
-let max_newton = 80
+(* Fill in everything that follows from [p.x] and [p.lam]; false when
+   some slack is not positive (then the rest is not computed). *)
+let evaluate obj a b p =
+  fill_slacks a b p.x p.s
+  && begin
+    p.g <- obj.grad p.x;
+    mul_transpose a p.lam p.rd;
+    for j = 0 to Array.length p.rd - 1 do
+      p.rd.(j) <- p.g.(j) +. p.rd.(j)
+    done;
+    p.rd_norm <- norm p.rd;
+    let gap = ref 0. and lowest = ref infinity in
+    for r = 0 to Array.length p.s - 1 do
+      let v = p.s.(r) *. p.lam.(r) in
+      gap := !gap +. v;
+      if v < !lowest then lowest := v
+    done;
+    p.gap <- !gap;
+    p.min_product <- !lowest;
+    true
+  end
 
-(* Damped Newton with backtracking on the barrier function.  A
-   centering ends when the Newton decrement is small, when the Armijo
-   decrease a full step must show is below phi's rounding unit, when
-   the point the line search settles on does not lower phi in double
-   precision (that step is not taken), or at [max_newton] steps. *)
-let newton obj plan ~t ~a ~b it =
-  let continue = ref true in
-  let iters = ref 0 in
-  while !continue && !iters < max_newton do
-    incr iters;
-    Obs.incr c_newton;
-    let g = barrier_grad obj ~t a it.x it.s in
-    let step = newton_step obj plan ~t a it.x it.s g in
-    let decrement = -.dot g step in
-    let phi0 = barrier_value obj ~t it.x it.s in
-    if decrement /. 2. <= newton_tol || 0.25 *. decrement <= epsilon_float *. Float.abs phi0 then
-      continue := false
-    else begin
-      (* backtracking line search, alpha=0.25, beta=0.5; a trial point
-         with a non-positive slack has phi = +inf *)
-      let rec search stepsize k =
-        if k > 60 then infinity
-        else begin
-          let cand = it.x' in
-          Array.blit it.x 0 cand 0 (Array.length cand);
-          axpy stepsize step cand;
-          Obs.incr c_line_search;
-          let phi = if fill_slacks a b cand it.s' then barrier_value obj ~t cand it.s' else infinity in
-          if phi <= phi0 -. (0.25 *. stepsize *. decrement) then phi
-          else search (stepsize *. 0.5) (k + 1)
-        end
-      in
-      if search 1. 0 < phi0 then accept it else continue := false
-    end
-  done;
-  if !continue then Obs.incr c_cap_hit
+(* The method's constants: the fraction of the way to the boundary a
+   step may go while the complementarity is large (it goes as 1 − μ/μ⁰
+   beyond that), the backtracking factor, the line search's sufficient
+   decrease, the neighbourhood of the central path every iterate stays
+   in, the shortest step a direction may take before the next one is
+   tried, the relative gap the stop demands besides [tol] (so that the
+   accuracy does not depend on the instance's units), and the
+   iteration cap. *)
+let to_boundary = 0.99
+let backtrack = 0.8
+let armijo = 0.01
+let centrality = 1e-3
+let dual_lag = 100.
+let short_step = 0.1
+let rtol = 1e-12
+let max_iter = 100
 
 let minimize ?(tol = 1e-8) obj ~a ~b ~x0 =
   let m = n_rows a and n = Array.length x0 in
   assert (Array.length b = m);
-  let s0 = Array.make m 0. in
-  if not (fill_slacks a b x0 s0) then raise Not_strictly_feasible;
+  let p = new_point n m in
+  if not (fill_slacks a b x0 p.s) then raise Not_strictly_feasible;
   Obs.time t_minimize @@ fun () ->
   let plan = plan a n in
-  let it = { x = Array.copy x0; s = s0; x' = Array.make n 0.; s' = Array.make m 0. } in
-  let t = ref t0 in
-  let gap () = float_of_int m /. !t in
-  while gap () > tol do
-    Obs.incr c_centering;
-    newton obj plan ~t:!t ~a ~b it;
-    t := !t *. mu
+  let fm = float_of_int (max m 1) in
+  let cur = ref p and trial = ref (new_point n m) in
+  Array.blit x0 0 p.x 0 n;
+  (* λ⁰_r s⁰_r = |f(x⁰)|/m: the start has the objective's units, so
+     scaling f or x scales the whole path *)
+  let scale =
+    let f0 = Float.abs (obj.f p.x) in
+    if f0 > 0. && Float.is_finite f0 then f0 else 1.
+  in
+  Array.iteri (fun r sr -> p.lam.(r) <- scale /. (fm *. sr)) p.s;
+  ignore (evaluate obj a b p);
+  let mu0 = p.gap /. fm and rd0 = if p.rd_norm > 0. then p.rd_norm else 1. in
+  let sqrt_m = sqrt fm in
+  (* per-iteration buffers *)
+  let w = Array.make m 0. and tau = Array.make m 0. and rhs = Array.make n 0. in
+  let ds = Array.make m 0. and dlam = Array.make m 0. in
+  let ds_aff = Array.make m 0. and dlam_aff = Array.make m 0. in
+  (* the line search's merit at target products σμ: the dual residual
+     and the distance of the products s_r λ_r from the target, each
+     relative to the start *)
+  let merit q target =
+    let acc = ref 0. in
+    for r = 0 to m - 1 do
+      let d = (q.s.(r) *. q.lam.(r)) -. target in
+      acc := !acc +. (d *. d)
+    done;
+    (q.rd_norm /. rd0) +. (sqrt !acc /. (sqrt_m *. mu0))
+  in
+  (* the Newton direction towards products [tau]:
+     K dx = −∇f − Aᵀ(τ/s), ds = −A dx, dλ_r = (τ_r − λ_r s_r − λ_r ds_r)/s_r *)
+  let direction solve q ds dlam =
+    for r = 0 to m - 1 do
+      w.(r) <- tau.(r) /. q.s.(r)
+    done;
+    mul_transpose a w rhs;
+    for j = 0 to n - 1 do
+      rhs.(j) <- -.(q.g.(j) +. rhs.(j))
+    done;
+    let dx = solve rhs in
+    neg_mul a dx ds;
+    for r = 0 to m - 1 do
+      dlam.(r) <- (tau.(r) -. (q.lam.(r) *. q.s.(r)) -. (q.lam.(r) *. ds.(r))) /. q.s.(r)
+    done;
+    dx
+  in
+  (* the longest step that keeps s and λ nonnegative *)
+  let step_to_boundary q ds dlam =
+    let alpha = ref infinity in
+    for r = 0 to m - 1 do
+      if ds.(r) < 0. && -.q.s.(r) /. ds.(r) < !alpha then alpha := -.q.s.(r) /. ds.(r);
+      if dlam.(r) < 0. && -.q.lam.(r) /. dlam.(r) < !alpha then alpha := -.q.lam.(r) /. dlam.(r)
+    done;
+    !alpha
+  in
+  (* Backtracking along (dx, ds, dlam).  A trial point must be strictly
+     feasible (its slacks recomputed from x), keep every product at
+     least [centrality] times their mean, keep the dual residual's
+     progress within [dual_lag] of the complementarity's, and lower
+     the merit.  False once the step falls under [short_step] of the
+     longest one; true with the accepted point in [!trial]. *)
+  let line_search q dx target =
+    let alpha_max = step_to_boundary q ds dlam in
+    let longest = Float.min 1. alpha_max in
+    let eta = Float.max to_boundary (1. -. (q.gap /. fm /. mu0)) in
+    let m0 = merit q target in
+    let rec go alpha =
+      if alpha < short_step *. longest then false
+      else begin
+        Obs.incr c_line_search;
+        let t = !trial in
+        for j = 0 to n - 1 do
+          t.x.(j) <- q.x.(j) +. (alpha *. dx.(j))
+        done;
+        for r = 0 to m - 1 do
+          t.lam.(r) <- q.lam.(r) +. (alpha *. dlam.(r))
+        done;
+        (evaluate obj a b t
+        &&
+        let mu = t.gap /. fm in
+        t.min_product >= centrality *. mu
+        && t.rd_norm /. rd0 <= dual_lag *. mu /. mu0
+        && merit t target <= (1. -. (armijo *. alpha)) *. m0)
+        || go (alpha *. backtrack)
+      end
+    in
+    go (Float.min 1. (eta *. alpha_max))
+  in
+  (* Stop at the gap target, at the rounding floor (no direction lowers
+     the merit any more) or at the cap. *)
+  let converged q = q.gap <= Float.min tol (rtol *. Float.abs (obj.f q.x)) in
+  let iter = ref 0 and stopped = ref false in
+  while not (!stopped || converged !cur) do
+    if !iter = max_iter then begin
+      Obs.incr c_cap_hit;
+      stopped := true
+    end
+    else begin
+      incr iter;
+      Obs.incr c_newton;
+      let q = !cur in
+      for r = 0 to m - 1 do
+        w.(r) <- q.lam.(r) /. q.s.(r)
+      done;
+      let solve = factor plan a (obj.hess q.x) w in
+      let mu = q.gap /. fm in
+      (* predictor: target products 0 *)
+      Array.fill tau 0 m 0.;
+      ignore (direction solve q ds_aff dlam_aff);
+      let alpha_aff = Float.min 1. (step_to_boundary q ds_aff dlam_aff) in
+      let mu_aff = ref 0. in
+      for r = 0 to m - 1 do
+        mu_aff :=
+          !mu_aff
+          +. ((q.s.(r) +. (alpha_aff *. ds_aff.(r))) *. (q.lam.(r) +. (alpha_aff *. dlam_aff.(r))))
+      done;
+      let sigma = Float.min 1. (Float.pow (!mu_aff /. fm /. mu) 3.) in
+      (* Mehrotra's corrector first; when its step is short, the pure
+         Newton direction at the same σ, then the centering directions
+         σ ≥ 0.5 and σ = 1 (counted) *)
+      let attempts =
+        [ (sigma, true, false); (sigma, false, false) ]
+        @ (if sigma < 0.5 then [ (0.5, false, true) ] else [])
+        @ if sigma < 1. then [ (1., false, true) ] else []
+      in
+      let rec attempt = function
+        | [] -> stopped := true
+        | (sg, corrected, centering) :: rest ->
+          let target = sg *. mu in
+          for r = 0 to m - 1 do
+            tau.(r) <- (if corrected then target -. (ds_aff.(r) *. dlam_aff.(r)) else target)
+          done;
+          let dx = direction solve q ds dlam in
+          if line_search q dx target then begin
+            if centering then Obs.incr c_centering;
+            cur := !trial;
+            trial := q
+          end
+          else attempt rest
+      in
+      attempt attempts
+    end
   done;
-  Obs.incr c_centering;
-  newton obj plan ~t:!t ~a ~b it;
-  it.x
+  Array.copy !cur.x

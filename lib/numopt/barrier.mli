@@ -1,53 +1,67 @@
-(** Log-barrier interior-point method for linearly constrained convex
+(** Primal-dual interior-point method for linearly constrained convex
     programs.
 
     Solves [minimise f(x) subject to A x ≤ b] for smooth convex
     separable [f] with user-supplied gradient and Hessian diagonal.
-    This is the "geometric programming" engine the paper invokes
-    (Section III, citing Boyd & Vandenberghe §4.5) for BI-CRIT
+    This is the engine behind the paper's "geometric programming"
+    step (Section III, citing Boyd & Vandenberghe §4.5) for BI-CRIT
     CONTINUOUS on general DAGs: the energy objective [Σ wᵢ³/dᵢ²] is
     convex and separable in the durations, and every
     precedence/deadline constraint is linear in the start times and
     durations, with one to three nonzeros per row.
 
-    The method is the standard path-following scheme: minimise
-    [φ = t·f(x) − Σ log(bᵢ − aᵢx)] by damped Newton (a centering) for
-    [t = 1, 15, 15², …] until [m/t] (the duality-gap bound of an
-    exactly centered point) drops below [tol].
+    {b The method} (Boyd & Vandenberghe §11.7, with Mehrotra's
+    predictor–corrector).  The iterate is a strictly feasible [x], its
+    slacks [s = b − A x > 0] and a multiplier [λ_r > 0] per row; it
+    drives the dual residual [r_d = ∇f(x) + Aᵀλ] and the products
+    [s_r λ_r] to zero.  The start is [x0] with [λ_r s_r = |f(x0)|/m],
+    so scaling the objective or the variables scales the whole path.
+    Each iteration factors [K = diag(h) + Aᵀ diag(λ/s) A + 10⁻¹² I]
+    once and solves it twice: the predictor (target products 0) gives
+    the centering weight [σ = (μ_aff/μ)³], with [μ = sᵀλ/m]; the
+    corrector targets [σμ − Δs_aff·Δλ_aff] per row.  The first trial
+    step goes [max(0.99, 1 − μ/μ⁰)] of the way to the boundary of
+    [s, λ ≥ 0] (at most 1), and the line search backtracks by 0.8.  A trial point must be strictly feasible
+    (its slacks recomputed from [x]), keep every product at least
+    [10⁻³·μ], keep [‖r_d‖/‖r_d⁰‖ ≤ 100·μ/μ⁰], and lower the merit
+    [‖r_d‖/‖r_d⁰‖ + ‖s∘λ − σμ‖/(√m·μ⁰)] by 1% of the step.  When the
+    step falls under 0.1 of the longest one, the iteration retries
+    the same factor with the pure Newton direction (no corrector),
+    then with [σ ≥ 0.5], then with [σ = 1].
 
-    {b Stops.}  [m/t ≤ tol] is only the outer stop: it ends the
-    sequence of centerings.  A centering ends at the first of four
-    events: the Newton decrement [λ²] is at most [2·10⁻¹⁰]; the
-    Armijo decrease a full step must show, [λ²/4], is at most
-    [ε·|φ|] (ε the double-precision machine epsilon), so it is below
-    φ's rounding unit; the point the backtracking line search settles
-    on does not lower φ strictly in double precision, and that step
-    is not taken; or 80 Newton steps.  The two middle stops end the
-    centerings that large [t·f] would stall at the rounding floor.
-    The counter [barrier_newton_cap_hits] counts the centerings that
-    end at the cap.
+    {b Stops.}  [minimize] returns the first iterate with
+    [sᵀλ ≤ min(tol, 10⁻¹²·|f(x)|)]: [tol] is the duality-gap target,
+    and the relative one keeps the accuracy of an answer independent
+    of the instance's units.  It also stops at the rounding floor,
+    when no direction of an iteration passes the line search (the
+    failed iteration takes no step), and after 100 iterations.
 
-    {b Sparse Newton steps.}  The slacks [s = b − A x] are computed
-    once per Newton step and shared by the barrier value, its gradient
-    and its Hessian [t·diag(h) + Aᵀ diag(1/s²) A + 10⁻¹² I].  Once per
-    {!minimize} call the Hessian's lower pattern (the diagonal plus
-    each pair of columns sharing a row) and its Cholesky analysis are
-    built ({!Chol.analyze}); each step then assembles the values in
-    O(nnz) and factors and solves in O(nnz(L)), in the natural
-    variable order.  A line-search trial point computes its slacks in
-    O(nnz) and stops at the first non-positive one.
+    {b Counters.}  [barrier_newton_iters] counts iterations, each one
+    factored Newton system; [barrier_line_search_evals] the trial
+    points; [barrier_centering_steps] the iterations that fell back to
+    a centering direction ([σ ≥ 0.5] or [σ = 1]);
+    [barrier_newton_cap_hits] the solves that ended at the iteration
+    cap; [barrier_dense_fallbacks] the iterations whose factor took the
+    dense fallback.  The [barrier_minimize] timer covers each whole
+    solve.
 
-    {b Bit-identical to the dense method.}  Every sum keeps the order
-    of the dense formulation (rows of [A] in order, columns ascending)
-    and skips only exact zeros, so iterates, Newton counts and answers
-    are bit-for-bit those of dense assembly plus a dense Cholesky.
+    {b Sparse Newton systems.}  Once per {!minimize} call the lower
+    pattern of [K] (the diagonal plus each pair of columns sharing a
+    row) and its Cholesky analysis are built ({!Chol.analyze}), in
+    flat arrays; each iteration assembles the values in O(nnz) and
+    factors and solves in O(nnz(L)), in the natural variable order.
+    A trial point computes its slacks in O(nnz) and stops at the first
+    non-positive one.  Every sum keeps the order of the dense
+    formulation (rows of [A] in order, columns ascending), so factor
+    and solves are bit-for-bit those of a dense Cholesky of the same
+    matrix.
 
     {b Dense fallback.}  When the sparse factor meets a non-positive
-    pivot, the step builds the dense Hessian (both triangles, each
+    pivot, the iteration builds the dense [K] (both triangles, each
     entry with its own rounding) and solves it with the pivoting
-    {!Dense_lu}; if that is singular too, it takes the gradient step
-    [−10⁻⁶·g].  The counter [barrier_dense_fallbacks] counts these
-    steps, [barrier_line_search_evals] the trial points. *)
+    {!Dense_lu}; if that is singular, with its diagonal shifted by the
+    rounding unit of the largest diagonal entry; a matrix singular
+    even then gives no step. *)
 
 type rows = {
   row_ptr : int array;  (** length [m + 1]: row [r] is entries [row_ptr.(r) .. row_ptr.(r + 1) − 1] *)
@@ -68,8 +82,10 @@ exception Not_strictly_feasible
 
 val minimize : ?tol:float -> objective -> a:rows -> b:float array -> x0:float array -> float array
 (** [minimize obj ~a ~b ~x0] returns an approximate minimiser.  [x0]
-    must satisfy [a x0 < b] strictly.  [tol] is the outer stop's
-    target duality-gap bound [m/t] (default [1e-8]).
+    must satisfy [a x0 < b] strictly.  [tol] is the target duality
+    gap [sᵀλ] (default [1e-8]); the gap also ends at most
+    [10⁻¹²·|f(x)|] unless the rounding floor or the iteration cap
+    comes first.
 
     @raise Not_strictly_feasible if [x0] is on or outside the
     boundary. *)

@@ -27,31 +27,35 @@ let analyze ~n ~row_ptr ~col_idx =
       done
     done
   done;
-  (* row i of L: every etree path from a column of H's row i up to i *)
+  (* Row i of L is the etree reach of H's row i: every path from one
+     of its columns up to i.  Count each row and column of L, then hand
+     out each column's slots to the rows in ascending order, then each
+     row's slots to the columns in ascending order: flat arrays only,
+     and no sort. *)
   let mark = Array.make n (-1) in
-  let rows =
-    Array.init n (fun i ->
-        mark.(i) <- i;
-        let pattern = ref [] in
-        for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-          let k = ref col_idx.(p) in
-          while mark.(!k) <> i do
-            pattern := !k :: !pattern;
-            mark.(!k) <- i;
-            k := parent.(!k)
-          done
-        done;
-        let pattern = Array.of_list !pattern in
-        Array.sort Int.compare pattern;
-        pattern)
+  let reach i visit =
+    mark.(i) <- i;
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let k = ref col_idx.(p) in
+      while mark.(!k) <> i do
+        visit !k;
+        mark.(!k) <- i;
+        k := parent.(!k)
+      done
+    done
   in
   let l_ptr = Array.make (n + 1) 0 and r_ptr = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i row ->
-      r_ptr.(i + 1) <- r_ptr.(i) + Array.length row;
-      Array.iter (fun j -> l_ptr.(j + 1) <- l_ptr.(j + 1) + 1) row)
-    rows;
+  let row = ref 0 in
+  let count j =
+    r_ptr.(!row + 1) <- r_ptr.(!row + 1) + 1;
+    l_ptr.(j + 1) <- l_ptr.(j + 1) + 1
+  in
+  for i = 0 to n - 1 do
+    row := i;
+    reach i count
+  done;
   for j = 0 to n - 1 do
+    r_ptr.(j + 1) <- r_ptr.(j + 1) + r_ptr.(j);
     l_ptr.(j + 1) <- l_ptr.(j + 1) + l_ptr.(j) + 1
   done;
   let l_row = Array.make l_ptr.(n) 0 in
@@ -61,18 +65,27 @@ let analyze ~n ~row_ptr ~col_idx =
   (* rows in ascending order hand out each column's slots in ascending
      row order *)
   let next = Array.init n (fun j -> l_ptr.(j) + 1) in
+  let place j =
+    l_row.(next.(j)) <- !row;
+    next.(j) <- next.(j) + 1
+  in
+  Array.fill mark 0 n (-1);
+  for i = 0 to n - 1 do
+    row := i;
+    reach i place
+  done;
+  (* columns in ascending order hand out each row's slots in ascending
+     column order *)
   let r_col = Array.make r_ptr.(n) 0 and r_pos = Array.make r_ptr.(n) 0 in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun q j ->
-          let p = next.(j) in
-          next.(j) <- p + 1;
-          l_row.(p) <- i;
-          r_col.(r_ptr.(i) + q) <- j;
-          r_pos.(r_ptr.(i) + q) <- p)
-        row)
-    rows;
+  let fill = Array.sub r_ptr 0 n in
+  for j = 0 to n - 1 do
+    for p = l_ptr.(j) + 1 to l_ptr.(j + 1) - 1 do
+      let i = l_row.(p) in
+      r_col.(fill.(i)) <- j;
+      r_pos.(fill.(i)) <- p;
+      fill.(i) <- fill.(i) + 1
+    done
+  done;
   {
     n;
     h_ptr = row_ptr;

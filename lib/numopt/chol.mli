@@ -1,11 +1,12 @@
-(** Sparse Cholesky factorisation [H = L·Lᵀ] for the barrier's Newton
-    systems ({!Barrier}).
+(** Sparse Cholesky factorisation [H = L·Lᵀ] for the Newton systems of
+    {!Barrier}'s primal-dual method.
 
     Up-looking: row [i] of [L] is computed from the rows above it, in
     the natural variable order (no fill-reducing permutation).  The
     symbolic analysis — elimination tree, the row and column patterns
-    of [L] — runs once per pattern ({!analyze}); each {!factor} then
-    only fills in values, in time proportional to the arithmetic.
+    of [L] — runs once per pattern ({!analyze}), in flat arrays and
+    without sorting; each {!factor} then only fills in values, in time
+    proportional to the arithmetic.
 
     Every sum runs in the order of the textbook dense factorisation
     ([l_ij = (h_ij − Σ_{k<j} l_ik·l_jk) / l_jj], [k] ascending) and of

@@ -234,11 +234,11 @@ let with_telemetry f =
   Obs.enable ();
   Fun.protect ~finally:(fun () -> Obs.disable ()) f
 
-(* Run [solve_general] on a 300-task chain with telemetry on: the
-   result, its Newton steps, its dense-fallback steps and the bytes it
-   allocated. *)
-let solve_chain_300 ~p ~fmin ~fmax ~slack =
-  let dag = Generators.chain (Es_util.Rng.create ~seed:1) ~n:300 ~wlo:0.5 ~whi:3. in
+(* Run [solve_general] on a chain of [n] tasks drawn with seed 1, mapped
+   round-robin on [p] processors, with telemetry on: the result, its
+   Newton steps, its dense-fallback steps and the bytes it allocated. *)
+let solve_chain ?(n = 300) ~p ~fmin ~fmax ~slack () =
+  let dag = Generators.chain (Es_util.Rng.create ~seed:1) ~n ~wlo:0.5 ~whi:3. in
   let n = Dag.n dag in
   let mapping = Mapping.of_assignment ~p dag ~proc:(Array.init n (fun i -> i mod p)) in
   let deadline = slack *. List_sched.makespan_at_speed mapping ~f:fmax in
@@ -252,9 +252,10 @@ let solve_chain_300 ~p ~fmin ~fmax ~slack =
   (result, Obs.value newton, Obs.value fallbacks, Gc.allocated_bytes () -. before)
 
 (* 600 barrier variables: every Newton step stays on the sparse
-   Cholesky, and allocates far less than one dense 2n×2n Hessian. *)
+   Cholesky, and allocates far less than one dense 2n×2n Hessian; the
+   set-up (rows, symbolic analysis) counts against the steps too. *)
 let test_sparse_newton_steps_at_scale () =
-  let result, newton, fallbacks, allocated = solve_chain_300 ~p:4 ~fmin:0.2 ~fmax:1. ~slack:1.5 in
+  let result, newton, fallbacks, allocated = solve_chain ~p:4 ~fmin:0.2 ~fmax:1. ~slack:1.5 () in
   Alcotest.(check bool) "feasible" true (result <> None);
   Alcotest.(check int) "no dense fallback" 0 fallbacks;
   let per_step = allocated /. float_of_int newton in
@@ -265,27 +266,32 @@ let test_sparse_newton_steps_at_scale () =
     true
     (per_step < dense /. 8.)
 
-(* One processor and fmax/fmin = 100: one of the 58 Newton systems is
+(* A 600-task chain on one processor with fmax/fmin = 10⁴ and a
+   deadline 1% above the fmax makespan: one of the 11 Newton systems is
    indefinite to working precision and takes the dense LU fallback.
-   The centering stops at the rounding floor move the answer by
-   rounding only: it stays within 1e-14 of 0x1.1de9c2e35029bp+15, the
-   energy when six centerings ran on to the 80-step cap (512 steps,
-   77 of them dense). *)
+   The answer stays within 1e-12 of the closed form. *)
 let test_dense_fallback_keeps_the_answer () =
-  let result, newton, fallbacks, _ = solve_chain_300 ~p:1 ~fmin:0.1 ~fmax:10. ~slack:1.2 in
+  let result, newton, fallbacks, _ =
+    solve_chain ~n:600 ~p:1 ~fmin:1e-3 ~fmax:10. ~slack:1.01 ()
+  in
   Alcotest.(check int) "dense fallbacks" 1 fallbacks;
-  Alcotest.(check int) "Newton steps" 58 newton;
-  match result with
-  | None -> Alcotest.fail "feasible"
-  | Some { energy; _ } ->
-    Alcotest.(check string) "energy bits" "0x1.1de9c2e350293p+15" (Printf.sprintf "%h" energy);
-    check_float (1e-14 *. energy) "energy with capped centerings" 0x1.1de9c2e35029bp+15 energy
+  Alcotest.(check int) "Newton steps" 11 newton;
+  let dag = Generators.chain (Es_util.Rng.create ~seed:1) ~n:600 ~wlo:0.5 ~whi:3. in
+  let deadline = 1.01 *. Dag.total_weight dag /. 10. in
+  match (result, Bicrit_continuous.chain ~weights:(Dag.weights dag) ~deadline ~fmin:1e-3 ~fmax:10.) with
+  | Some { energy; _ }, Some { energy = exact; _ } ->
+    Alcotest.(check string) "energy bits" "0x1.93a820fb32e5dp+16" (Printf.sprintf "%h" energy);
+    check_float (1e-12 *. exact) "energy against the closed form" exact energy
+  | _ -> Alcotest.fail "feasible"
 
 (* A 40-task chain on one processor, every weight and the deadline
-   scaled by c.  Centerings that ran to the 80-step Newton cap once
-   took 128, 356 and 514 steps here, at energies [before]; now none
-   reaches the cap, and each answer is at least as close to the closed
-   form. *)
+   scaled by c.  The method takes the same path at every c and stops
+   once the gap is below both [tol] and 10⁻¹² of the energy; at
+   c = 10⁴ [tol] is below double precision and it stops at the
+   rounding floor.  No solve reaches the iteration cap, every answer is
+   within 1e-9 of the closed form, and each is at least as close as
+   the pinned energy [before] of an earlier solver, where one is
+   pinned. *)
 let test_scale_sweep_no_newton_cap () =
   let base = Generators.chain (Es_util.Rng.create ~seed:3) ~n:40 ~wlo:0.5 ~whi:3. in
   let fmin = 0.1 and fmax = 5. in
@@ -301,18 +307,62 @@ let test_scale_sweep_no_newton_cap () =
           (Mapping.single_processor dag)
       in
       let label what = Printf.sprintf "c = %g: %s" c what in
-      Alcotest.(check int) (label "centerings at the cap") 0 (Obs.value cap_hits);
+      Alcotest.(check int) (label "solves at the cap") 0 (Obs.value cap_hits);
       Alcotest.(check int) (label "Newton steps") steps (Obs.value newton);
       match (result, Bicrit_continuous.chain ~weights:(Dag.weights dag) ~deadline ~fmin ~fmax) with
       | Some { energy; _ }, Some { energy = exact; _ } ->
-        Alcotest.(check bool) (label "error no worse") true
-          (Float.abs (energy -. exact) <= Float.abs (before -. exact))
+        let error = Float.abs (energy -. exact) in
+        Alcotest.(check bool) (label "relative error <= 1e-9") true (error <= 1e-9 *. exact);
+        Option.iter
+          (fun before ->
+            Alcotest.(check bool) (label "error no worse") true
+              (error <= Float.abs (before -. exact)))
+          before
       | _ -> Alcotest.fail (label "feasible"))
     [
-      (1e-6, 53, 0x1.afca950221b1bp-11);
-      (1., 52, 0x1.9bc9ab9090425p+9);
-      (1e4, 52, 0x1.f6abadedf5559p+22);
+      (1e-9, 5, None);
+      (1e-8, 5, None);
+      (1e-6, 5, Some 0x1.afca950221b1bp-11);
+      (1., 5, Some 0x1.9bc9ab9090425p+9);
+      (1e4, 9, Some 0x1.f6abadedf5559p+22);
     ]
+
+(* Two instances the method's safeguards must carry through: base 18
+   of the serve-hot benchmark's seed 1 (15 tasks on 6 processors,
+   continuous) and escheck's deadline-scaling trial 0 under seed 1, at
+   its deadline and at twice it.  Every answer passes the KKT
+   certificate. *)
+let serve_hot_base_18 =
+  {|{"id":18,"tasks":[0.5789995639190777,3.4805770872048822,1.3003352583786862,0.50844747392880363,3.4177806550459966,3.3156917594673865,1.7712308148162204,3.2376684293253559,1.6369623162425213,2.5136376215305627,3.9229987803912052,2.8177334418975297,3.4453658980554231,3.484332194212072,1.134200602362003],"edges":[[0,7],[0,6],[1,12],[1,2],[2,11],[2,7],[2,5],[3,13],[3,12],[3,7],[5,12],[5,9],[5,6],[6,14],[6,12],[6,7],[7,8],[8,13],[8,12],[8,11],[9,13],[10,14],[10,12],[11,14]],"procs":6,"mapping":[[1,9,4],[2,11],[5,13],[0,10,8],[6,12],[3,7,14]],"model":{"kind":"continuous","fmin":0.037453396797464449,"fmax":7.4906793594928898},"deadline":13.644848763443033}|}
+
+let check_kkt ~label ~deadline ~lo ~hi mapping =
+  match Bicrit_continuous.solve_general ~lo ~hi ~deadline mapping with
+  | None -> Alcotest.fail (label ^ ": feasible")
+  | Some r ->
+    let verdict = Es_check.Kkt.check_general ~deadline ~lo ~hi mapping r in
+    Alcotest.(check string) (label ^ ": KKT") "ok"
+      (if Es_check.Kkt.is_ok verdict then "ok" else Es_check.Kkt.describe verdict)
+
+let test_stall_instances () =
+  (match Es_serve.Protocol.parse_line serve_hot_base_18 with
+  | Es_serve.Protocol.Malformed msg -> Alcotest.fail msg
+  | Es_serve.Protocol.Request { inst; _ } ->
+    let mapping = Es_serve.Protocol.resolve_mapping inst in
+    let n = Array.length inst.weights in
+    let lo = Array.make n (Speed.fmin inst.model) and hi = Array.make n (Speed.fmax inst.model) in
+    check_kkt ~label:"serve-hot base 18" ~deadline:inst.deadline ~lo ~hi mapping);
+  let inst = Es_check.Gen.generate (Es_util.Rng.create ~seed:1) in
+  let mapping = Es_check.Gen.mapping inst and d = Es_check.Gen.deadline inst in
+  let n = Dag.n (Mapping.dag mapping) in
+  (* the relation's speed cap: far above every optimal speed *)
+  let hi = Array.make n (100. *. List_sched.makespan_at_speed mapping ~f:1. /. d) in
+  let lo = Array.make n 0. in
+  List.iter
+    (fun deadline -> check_kkt ~label:(Printf.sprintf "deadline-scaling at %g" deadline) ~deadline ~lo ~hi mapping)
+    [ d; 2. *. d ];
+  match Es_check.Relation.find "deadline-scaling" with
+  | None -> Alcotest.fail "deadline-scaling registered"
+  | Some relation -> check_relation_passes relation inst
 
 let suite =
   ( "bicrit-continuous",
@@ -336,6 +386,7 @@ let suite =
       Alcotest.test_case "sparse newton steps at scale" `Quick test_sparse_newton_steps_at_scale;
       Alcotest.test_case "dense fallback keeps the answer" `Slow test_dense_fallback_keeps_the_answer;
       Alcotest.test_case "scale sweep reaches no Newton cap" `Quick test_scale_sweep_no_newton_cap;
+      Alcotest.test_case "stalled instances pass KKT" `Quick test_stall_instances;
       QCheck_alcotest.to_alcotest qcheck_chain_energy_formula;
     ] )
 

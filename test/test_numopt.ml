@@ -1,6 +1,6 @@
-(* Tests for scalar search and the log-barrier solver, cross-checked
-   against analytic optima of small convex programs, and for the
-   barrier's sparse Cholesky against the dense one it replaced. *)
+(* Tests for scalar search and the interior-point solver, cross-checked
+   against analytic optima of small convex programs, and for its
+   sparse Cholesky against the dense one it replaced. *)
 
 module Scalar = Es_numopt.Scalar
 module Barrier = Es_numopt.Barrier
@@ -130,6 +130,44 @@ let test_barrier_energy_chain () =
     check_float 1e-4 "duration proportional to weight" (2. *. w.(i)) d.(i)
   done
 
+(* min (x0 − 5)² s.t. x0 ≤ x1 + x2 ≤ 1, |x1|, |x2| ≤ 10: the optimum
+   is x0 = 1 on a face where only x1 + x2 is determined, so near it the
+   Newton matrix is singular along (0, 1, −1) but for its 10⁻¹² shift,
+   which the active rows' weights round away.  One iteration meets a
+   non-positive pivot, and its dense LU a singular matrix; the shifted
+   solve still lands on the optimum. *)
+let test_barrier_degenerate_face () =
+  let module Obs = Es_obs.Obs in
+  let obj =
+    {
+      Barrier.f = (fun x -> (x.(0) -. 5.) ** 2.);
+      grad = (fun x -> [| 2. *. (x.(0) -. 5.); 0.; 0. |]);
+      hess = (fun _ -> [| 2.; 0.; 0. |]);
+    }
+  in
+  let a =
+    csr
+      [|
+        [| 1.; -1.; -1. |];
+        [| 0.; 1.; 1. |];
+        [| 0.; -1.; 0. |];
+        [| 0.; 0.; -1. |];
+        [| 0.; 1.; 0. |];
+        [| 0.; 0.; 1. |];
+      |]
+  in
+  let b = [| 0.; 1.; 10.; 10.; 10.; 10. |] in
+  let fallbacks = Obs.counter "barrier_dense_fallbacks" in
+  Obs.reset ();
+  Obs.enable ();
+  let x =
+    Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+    Barrier.minimize obj ~a ~b ~x0:[| 0.; 0.2; 0.3 |]
+  in
+  Alcotest.(check int) "dense fallbacks" 1 (Obs.value fallbacks);
+  check_float 1e-12 "x0" 1. x.(0);
+  check_float 1e-12 "x1 + x2" 1. (x.(1) +. x.(2))
+
 (* The dense Cholesky and triangular solves the barrier's Newton steps
    used before they went sparse: the reference for the sparse factor. *)
 exception Not_positive_definite
@@ -249,5 +287,6 @@ let suite =
       Alcotest.test_case "barrier rejects bad start" `Quick test_barrier_rejects_infeasible_start;
       Alcotest.test_case "feasible_start predicate" `Quick test_feasible_start_predicate;
       Alcotest.test_case "barrier energy chain" `Quick test_barrier_energy_chain;
+      Alcotest.test_case "barrier degenerate face" `Quick test_barrier_degenerate_face;
       QCheck_alcotest.to_alcotest qcheck_sparse_cholesky_bitwise;
     ] )

@@ -461,6 +461,32 @@ let test_sweep_loosest_first () =
     (Printf.sprintf "sweep %d < input-order chain %d dual pivots" sweep_pivots in_order_pivots)
     true (sweep_pivots < in_order_pivots)
 
+(* The same front with three deadlines below the fmax makespan among
+   four feasible ones: the sweep solves the four, then the loosest
+   infeasible deadline, and answers the other two without a solve. *)
+let test_sweep_stops_at_infeasible () =
+  let module Obs = Es_obs.Obs in
+  let rng = Es_util.Rng.create ~seed:7 in
+  let dag = Generators.random_layered rng ~layers:15 ~width:4 ~density:0.4 ~wlo:0.5 ~whi:3. in
+  let mapping = List_sched.schedule dag ~p:4 ~priority:List_sched.Bottom_level in
+  let dmin = List_sched.makespan_at_speed mapping ~f:1. in
+  let deadlines = Array.map (fun s -> s *. dmin) [| 0.7; 2.; 0.95; 1.05; 3.; 0.5; 1.5 |] in
+  let solves = Obs.counter "lp_solves" in
+  Obs.reset ();
+  Obs.enable ();
+  let swept =
+    Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+    Bicrit_vdd.energy_sweep ~deadlines ~levels mapping
+  in
+  Alcotest.(check int) "LP solves: 4 feasible + 1" 5 (Obs.value solves);
+  Array.iteri
+    (fun i deadline ->
+      match (swept.(i), Bicrit_vdd.energy ~deadline ~levels mapping) with
+      | None, None -> ()
+      | Some s, Some e -> Alcotest.(check (float (1e-9 *. e))) "energy" e s
+      | _ -> Alcotest.fail (Printf.sprintf "deadline %d: feasibility differs" i))
+    deadlines
+
 let suite =
   ( "bicrit-vdd",
     [
@@ -478,4 +504,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_reduced_lp;
       QCheck_alcotest.to_alcotest qcheck_sweep;
       Alcotest.test_case "sweep: fewer pivots loosest first" `Quick test_sweep_loosest_first;
+      Alcotest.test_case "sweep: none solved past an infeasible deadline" `Quick
+        test_sweep_stops_at_infeasible;
     ] )
