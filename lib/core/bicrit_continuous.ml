@@ -92,7 +92,7 @@ let levels cdag =
     order;
   lv
 
-let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
+let solve_general ?eff_weights ?lo ?hi ~deadline mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let w = match eff_weights with Some a -> Array.copy a | None -> Dag.weights cdag in
@@ -222,9 +222,9 @@ let solve_general ?eff_weights ?lo ?hi ?(tol = 1e-8) ~deadline mapping =
         }
       in
       let x =
-        if Barrier.feasible_start ~a ~b ~x0 then
-          Barrier.minimize ~tol objective ~a ~b ~x0
-        else x0
+        match Barrier.minimize objective ~a ~b ~x0 with
+        | x -> x
+        | exception Barrier.Not_strictly_feasible -> x0
       in
       let speeds =
         Array.init n (fun i ->

@@ -66,7 +66,6 @@ val solve_general :
   ?eff_weights:(float[@units "work"]) array ->
   ?lo:(float[@units "freq"]) array ->
   ?hi:(float[@units "freq"]) array ->
-  ?tol:(float[@units "energy"]) ->
   deadline:(float[@units "time"]) ->
   Mapping.t ->
   result option
@@ -87,11 +86,8 @@ val solve_general :
     energy [Σ Wᵢ·fᵢ²], or [None] when running everything at [hi]
     already misses the deadline.  Accuracy is that of
     {!Es_numopt.Barrier.minimize}: the duality gap [sᵀλ] ends at most
-    [tol] (default [1e-8], an energy) and at most [10⁻¹²] of the
-    energy, or at the rounding floor where those are out of reach of
-    double precision.  The TRI-CRIT heuristics probe candidate subsets
-    at [tol = 1e-4], which the relative target overrides below an
-    energy of [10⁸].
+    [10⁻⁸] (an energy) and at most [10⁻¹²] of the energy, or at the
+    rounding floor where those are out of reach of double precision.
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 

@@ -10,21 +10,4 @@ let bound ~fmin ~delta ~k =
   | Some kk -> base *. Es_util.Futil.square (1. +. (1. /. float_of_int kk))
 
 let approximate ~deadline ~fmin ~fmax ~delta mapping =
-  let levels = grid ~fmin ~fmax ~delta in
-  let top = levels.(Array.length levels - 1) in
-  let n = Dag.n (Mapping.dag mapping) in
-  (* Relax against the grid's own top speed so that round-up always
-     lands on an admissible level. *)
-  let lo = Array.make n fmin and hi = Array.make n top in
-  match Bicrit_continuous.solve_general ~lo ~hi ~deadline mapping with
-  | None -> None
-  | Some { speeds; _ } ->
-    let round f =
-      let rec find k =
-        if k >= Array.length levels then top
-        else if levels.(k) >= f *. (1. -. 1e-12) then levels.(k)
-        else find (k + 1)
-      in
-      find 0
-    in
-    Some (Schedule.of_speeds mapping ~speeds:(Array.map round speeds))
+  Bicrit_discrete.round_up ~deadline ~levels:(grid ~fmin ~fmax ~delta) mapping

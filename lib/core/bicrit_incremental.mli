@@ -22,7 +22,9 @@ val approximate :
   delta:(float[@units "freq"]) ->
   Mapping.t ->
   Schedule.t option
-(** Continuous solve + grid round-up.  [None] when the continuous
+(** {!Bicrit_discrete.round_up} on the model's {!grid}: the
+    CONTINUOUS relaxation between [fmin] and the grid's top speed, and
+    every speed rounded up to the next grid point.  [None] when the
     relaxation is infeasible (then the INCREMENTAL instance is too).
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)

@@ -23,14 +23,14 @@ let profile ~rel dag subset =
   | profile -> Some profile
   | exception Cannot -> None
 
-let evaluate_subset ?tol ~rel ~deadline mapping ~subset =
+let evaluate_subset ~rel ~deadline mapping ~subset =
   let dag = Mapping.dag mapping in
   match profile ~rel dag subset with
   | None -> None
   | Some prof ->
     let eff = Array.map fst prof and lo = Array.map snd prof in
     let hi = Array.make (Dag.n dag) rel.Rel.fmax in
-    (match Bicrit_continuous.solve_general ~eff_weights:eff ~lo ~hi ?tol ~deadline mapping with
+    (match Bicrit_continuous.solve_general ~eff_weights:eff ~lo ~hi ~deadline mapping with
     | None -> None
     | Some { speeds; _ } ->
       let executions =
@@ -42,32 +42,28 @@ let evaluate_subset ?tol ~rel ~deadline mapping ~subset =
       let schedule = Schedule.make mapping ~executions in
       Some { schedule; energy = Schedule.energy schedule; reexecuted = Array.copy subset })
 
-(* An evaluator answers [evaluate_subset] for a tolerance ([None]: the
-   default) and a subset.  The families take one, so that [best_of]
-   can share one memo among them: within one call the baseline,
-   chain_oriented's probes, refinement and polish and
+(* An evaluator answers [evaluate_subset] for a subset.  The families
+   take one, so that [best_of] can share one memo among them: within
+   one call the baseline, chain_oriented's probes and refinement and
    parallel_oriented's fallback ask for the same subsets. *)
-type evaluator = float option -> bool array -> solution option
+type evaluator = bool array -> solution option
 
 module Memo = Hashtbl.Make (String)
 
-(* [evaluate_subset] once per (tolerance, subset) *)
+(* [evaluate_subset] once per subset *)
 let memo_evaluator ~rel ~deadline mapping : evaluator =
   let table = Memo.create 16 in
-  fun tol subset ->
-    let key =
-      String.init (Array.length subset) (fun i -> if subset.(i) then '1' else '0')
-      ^ match tol with None -> "" | Some t -> Printf.sprintf "@%h" t
-    in
+  fun subset ->
+    let key = String.init (Array.length subset) (fun i -> if subset.(i) then '1' else '0') in
     match Memo.find_opt table key with
     | Some sol -> sol
     | None ->
-      let sol = evaluate_subset ?tol ~rel ~deadline mapping ~subset in
+      let sol = evaluate_subset ~rel ~deadline mapping ~subset in
       Memo.replace table key sol;
       sol
 
 let baseline_with (eval : evaluator) mapping =
-  eval None (Array.make (Dag.n (Mapping.dag mapping)) false)
+  eval (Array.make (Dag.n (Mapping.dag mapping)) false)
 
 let baseline ~rel ~deadline mapping = baseline_with (memo_evaluator ~rel ~deadline mapping) mapping
 
@@ -114,11 +110,8 @@ let chain_oriented_with (eval : evaluator) ~rel mapping =
       done;
       s
     in
-    (* candidate probes run at a loose duality gap; the winner is
-       re-evaluated at full precision below *)
-    let evaluate k = eval (Some 1e-4) (subset_of_prefix k) in
     let consider (bk, bsol) k =
-      match evaluate k with
+      match eval (subset_of_prefix k) with
       | Some sol when sol.energy < bsol.energy -> (k, sol)
       | _ -> (bk, bsol)
     in
@@ -131,11 +124,7 @@ let chain_oriented_with (eval : evaluator) ~rel mapping =
     let bk, bsol = List.fold_left consider (0, base) probes in
     (* local refinement around the best prefix *)
     let around = List.filter (fun k -> k >= 0 && k <= m) [ bk - 2; bk - 1; bk + 1; bk + 2 ] in
-    let bk, best = List.fold_left consider (bk, bsol) around in
-    (* polish the winning subset at full precision *)
-    (match eval None (subset_of_prefix bk) with
-    | Some polished when polished.energy <= best.energy +. 1e-9 -> Some polished
-    | _ -> Some best)
+    Some (snd (List.fold_left consider (bk, bsol) around))
 
 let chain_oriented ~rel ~deadline mapping =
   chain_oriented_with (memo_evaluator ~rel ~deadline mapping) ~rel mapping
@@ -190,7 +179,7 @@ let parallel_oriented_with (eval : evaluator) ~rel ~deadline mapping =
             else durations.(i) <- saved
           end)
       candidates;
-    match eval None subset with
+    match eval subset with
     | Some sol -> Some sol
     | None -> baseline_with eval mapping
   end
@@ -258,24 +247,19 @@ let local_search ~rel ~deadline mapping start =
     List.iter
       (fun i ->
         subset.(i) <- not subset.(i);
-        (match evaluate_subset ~tol:1e-4 ~rel ~deadline mapping ~subset with
+        (match evaluate_subset ~rel ~deadline mapping ~subset with
         | Some cand when cand.energy < !current.energy -. 1e-9 -> (
           match !best_toggle with
-          | Some (_, e) when e <= cand.energy -> ()
-          | _ -> best_toggle := Some (i, cand.energy))
+          | Some best when best.energy <= cand.energy -> ()
+          | _ -> best_toggle := Some cand)
         | _ -> ());
         subset.(i) <- not subset.(i))
       candidates;
-    match !best_toggle with
-    | None -> ()
-    | Some (i, _) -> (
-      subset.(i) <- not subset.(i);
-      (* accept at full precision *)
-      match evaluate_subset ~rel ~deadline mapping ~subset with
-      | Some sol when sol.energy < !current.energy -. 1e-12 ->
-        current := sol;
-        continue := true
-      | _ -> subset.(i) <- not subset.(i))
+    Option.iter
+      (fun best ->
+        current := best;
+        continue := true)
+      !best_toggle
   done;
   !current
 

@@ -24,15 +24,15 @@ type solution = {
 }
 
 val evaluate_subset :
-  ?tol:(float[@units "energy"]) ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   Mapping.t ->
   subset:bool array ->
   solution option
-(** Optimal speeds for a fixed re-execution subset (one barrier solve
-    at duality gap [tol], default [1e-8]).  [None] when the subset does
-    not fit the deadline or a task cannot meet reliability.
+(** Optimal speeds for a fixed re-execution subset (one
+    {!Bicrit_continuous.solve_general}, at the barrier's one stopping
+    rule).  [None] when the subset does not fit the deadline or a task
+    cannot meet reliability.
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
 
@@ -73,8 +73,8 @@ val best_of :
   (solution * winner) option
 (** The paper's headline combination: run both families (and the
     baseline) and keep the cheapest feasible schedule.  The three
-    share one memo of {!evaluate_subset}: each (tolerance, subset) is
-    solved once per call, the baseline included.
+    share one memo of {!evaluate_subset}: each subset is solved once
+    per call, the baseline included.
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
 
@@ -90,10 +90,10 @@ val local_search :
   solution
 (** Single-task toggle descent seeded from an existing solution: in
     each of up to two sweeps, try flipping the re-execution bit of up
-    to 20 tasks (ranked by optimistic gain) and
-    keep the best improvement; candidate probes run at a loose barrier
-    tolerance and the final winner is re-evaluated at full precision.
-    Never returns a worse solution.  Closes most of the gap the prefix
+    to 20 tasks (ranked by optimistic gain) and keep the best
+    improvement; the winning probe's solution is kept as it is, so
+    each subset is solved once per sweep.  Never returns a worse
+    solution.  Closes most of the gap the prefix
     structure of family A leaves on irregular DAGs (experiment E13).
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)

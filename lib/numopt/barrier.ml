@@ -13,7 +13,7 @@ module Obs = Es_obs.Obs
 let c_centering = Obs.counter "barrier_centering_steps"
 let c_newton = Obs.counter "barrier_newton_iters"
 let c_line_search = Obs.counter "barrier_line_search_evals"
-let c_dense_fallback = Obs.counter "barrier_dense_fallbacks"
+let c_shifted = Obs.counter "barrier_shifted_factors"
 let c_cap_hit = Obs.counter "barrier_newton_cap_hits"
 let t_minimize = Obs.timer "barrier_minimize"
 
@@ -44,8 +44,6 @@ let fill_slacks a b x s =
     incr r
   done;
   !positive
-
-let feasible_start ~a ~b ~x0 = fill_slacks a b x0 (Array.make (n_rows a) 0.)
 
 (* y <- A^T v *)
 let mul_transpose a v y =
@@ -185,57 +183,33 @@ let assemble plan a hd w =
   done;
   Array.iter (fun p -> k.(p) <- k.(p) +. 1e-12) plan.diag_pos
 
-(* The same matrix as a dense one, both triangles, for the LU
-   fallback.  Its upper triangle is not the exact mirror of the lower
-   one: each entry keeps its own rounding. *)
-let dense_matrix a hd w =
-  let n = Array.length hd in
-  let k = Array.make_matrix n n 0. in
-  Array.iteri (fun j kj -> kj.(j) <- hd.(j)) k;
-  for r = 0 to n_rows a - 1 do
-    for pa = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-      let kj = k.(a.col_idx.(pa)) and wa = w.(r) *. a.value.(pa) in
-      for pb = a.row_ptr.(r) to a.row_ptr.(r + 1) - 1 do
-        let c = a.col_idx.(pb) in
-        kj.(c) <- kj.(c) +. (wa *. a.value.(pb))
-      done
-    done
-  done;
-  Array.iteri (fun j kj -> kj.(j) <- kj.(j) +. 1e-12) k;
-  k
+(* Factor the iteration's Newton matrix once and return its solver.
+   When the sparse Cholesky meets a non-positive pivot, the 10⁻¹² shift
+   was lost to rounding against the largest diagonal entry: the same
+   pattern is factored again with every diagonal entry shifted by δ,
+   from that entry's rounding unit up tenfold per retry.  A matrix
+   still indefinite after [shift_retries] of them gives no step. *)
+let shift_retries = 8
 
-(* Factor the iteration's Newton matrix once and return its solver:
-   the sparse Cholesky, or, when that meets a non-positive pivot (the
-   matrix is indefinite to working precision), the dense pivoting LU.
-   When that is singular too, the 10⁻¹² shift was lost to rounding
-   against the largest diagonal entry: the LU then solves with the
-   diagonal shifted by that entry's rounding unit, and a matrix still
-   singular gives no step. *)
 let factor plan a hd w =
   assemble plan a hd w;
-  match Chol.factor plan.chol plan.kval with
+  let k = plan.kval in
+  match Chol.factor plan.chol k with
   | () -> Chol.solve plan.chol
-  | exception Chol.Not_positive_definite -> (
-    Obs.incr c_dense_fallback;
-    let k = dense_matrix a hd w in
-    let shifted =
-      lazy
-        (let big = ref 0. in
-         Array.iteri (fun j kj -> if Float.abs kj.(j) > !big then big := Float.abs kj.(j)) k;
-         Array.mapi
-           (fun j kj ->
-             let kj = Array.copy kj in
-             kj.(j) <- kj.(j) +. (epsilon_float *. !big);
-             kj)
-           k)
+  | exception Chol.Not_positive_definite ->
+    Obs.incr c_shifted;
+    let diag = Array.map (fun p -> k.(p)) plan.diag_pos in
+    let rec retry delta left =
+      if left = 0 then fun rhs -> Array.make (Array.length rhs) 0.
+      else begin
+        Array.iteri (fun j p -> k.(p) <- diag.(j) +. delta) plan.diag_pos;
+        match Chol.factor plan.chol k with
+        | () -> Chol.solve plan.chol
+        | exception Chol.Not_positive_definite -> retry (10. *. delta) (left - 1)
+      end
     in
-    fun rhs ->
-      match Dense_lu.solve k rhs with
-      | step -> step
-      | exception Dense_lu.Singular -> (
-        match Dense_lu.solve (Lazy.force shifted) rhs with
-        | step -> step
-        | exception Dense_lu.Singular -> Array.make (Array.length rhs) 0.))
+    let big = Array.fold_left (fun acc d -> Float.max acc (Float.abs d)) 0. diag in
+    retry (epsilon_float *. big) shift_retries
 
 (* A primal-dual point: x strictly feasible, its slacks s = b − A x,
    one multiplier per row, ∇f(x) and the dual residual
@@ -290,19 +264,20 @@ let evaluate obj a b p =
    beyond that), the backtracking factor, the line search's sufficient
    decrease, the neighbourhood of the central path every iterate stays
    in, the shortest step a direction may take before the next one is
-   tried, the relative gap the stop demands besides [tol] (so that the
-   accuracy does not depend on the instance's units), and the
-   iteration cap. *)
+   tried, the duality-gap target, the relative gap the stop demands
+   besides it (so that the accuracy does not depend on the instance's
+   units), and the iteration cap. *)
 let to_boundary = 0.99
 let backtrack = 0.8
 let armijo = 0.01
 let centrality = 1e-3
 let dual_lag = 100.
 let short_step = 0.1
+let tol = 1e-8
 let rtol = 1e-12
 let max_iter = 100
 
-let minimize ?(tol = 1e-8) obj ~a ~b ~x0 =
+let minimize obj ~a ~b ~x0 =
   let m = n_rows a and n = Array.length x0 in
   assert (Array.length b = m);
   let p = new_point n m in

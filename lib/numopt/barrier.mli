@@ -30,19 +30,20 @@
     then with [σ ≥ 0.5], then with [σ = 1].
 
     {b Stops.}  [minimize] returns the first iterate with
-    [sᵀλ ≤ min(tol, 10⁻¹²·|f(x)|)]: [tol] is the duality-gap target,
-    and the relative one keeps the accuracy of an answer independent
-    of the instance's units.  It also stops at the rounding floor,
-    when no direction of an iteration passes the line search (the
-    failed iteration takes no step), and after 100 iterations.
+    [sᵀλ ≤ min(10⁻⁸, 10⁻¹²·|f(x)|)]: [10⁻⁸] is the duality-gap target,
+    a constant of the method, and the relative one keeps the accuracy
+    of an answer independent of the instance's units.  It also stops
+    at the rounding floor, when no direction of an iteration passes
+    the line search (the failed iteration takes no step), and after
+    100 iterations.
 
     {b Counters.}  [barrier_newton_iters] counts iterations, each one
     factored Newton system; [barrier_line_search_evals] the trial
     points; [barrier_centering_steps] the iterations that fell back to
     a centering direction ([σ ≥ 0.5] or [σ = 1]);
     [barrier_newton_cap_hits] the solves that ended at the iteration
-    cap; [barrier_dense_fallbacks] the iterations whose factor took the
-    dense fallback.  The [barrier_minimize] timer covers each whole
+    cap; [barrier_shifted_factors] the iterations whose factor needed
+    a shifted diagonal.  The [barrier_minimize] timer covers each whole
     solve.
 
     {b Sparse Newton systems.}  Once per {!minimize} call the lower
@@ -56,12 +57,14 @@
     and solves are bit-for-bit those of a dense Cholesky of the same
     matrix.
 
-    {b Dense fallback.}  When the sparse factor meets a non-positive
-    pivot, the iteration builds the dense [K] (both triangles, each
-    entry with its own rounding) and solves it with the pivoting
-    {!Dense_lu}; if that is singular, with its diagonal shifted by the
-    rounding unit of the largest diagonal entry; a matrix singular
-    even then gives no step. *)
+    {b Shifted factor.}  When the sparse factor meets a non-positive
+    pivot (the [10⁻¹²] shift was lost to rounding against the largest
+    diagonal entry), the iteration factors the same pattern again with
+    [δ] added to every diagonal entry: [δ] starts at that entry's
+    rounding unit ([epsilon_float] times it) and grows tenfold per
+    retry.  A matrix still indefinite after eight retries gives no
+    step.  The Newton systems never leave the sparse pattern, so no
+    iteration needs memory beyond [O(nnz(L))]. *)
 
 type rows = {
   row_ptr : int array;  (** length [m + 1]: row [r] is entries [row_ptr.(r) .. row_ptr.(r + 1) − 1] *)
@@ -80,16 +83,11 @@ type objective = {
 exception Not_strictly_feasible
 (** Raised when the supplied starting point violates [A x < b]. *)
 
-val minimize : ?tol:float -> objective -> a:rows -> b:float array -> x0:float array -> float array
+val minimize : objective -> a:rows -> b:float array -> x0:float array -> float array
 (** [minimize obj ~a ~b ~x0] returns an approximate minimiser.  [x0]
-    must satisfy [a x0 < b] strictly.  [tol] is the target duality
-    gap [sᵀλ] (default [1e-8]); the gap also ends at most
-    [10⁻¹²·|f(x)|] unless the rounding floor or the iteration cap
-    comes first.
+    must satisfy [a x0 < b] strictly.  The duality gap [sᵀλ] ends at
+    most [min(10⁻⁸, 10⁻¹²·|f(x)|)] unless the rounding floor or the
+    iteration cap comes first.
 
     @raise Not_strictly_feasible if [x0] is on or outside the
-    boundary. *)
-
-val feasible_start : a:rows -> b:float array -> x0:float array -> bool
-(** [feasible_start ~a ~b ~x0] checks strict feasibility, as required
-    by {!minimize}. *)
+    boundary; it is checked before any other work. *)

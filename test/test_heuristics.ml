@@ -65,13 +65,13 @@ let test_best_of_dominates_components () =
               true
               (best.Heuristics.energy <= e +. 1e-9))
           energies;
-        (* polished: its subset at full precision does no better, so no
-           loose-tolerance probe stands in for a full-precision answer *)
+        (* the answer is its subset's solve: solving that subset again
+           does no better *)
         match Heuristics.evaluate_subset ~rel ~deadline m ~subset:best.reexecuted with
         | None -> Alcotest.failf "%s: best_of's subset infeasible" name
         | Some full ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: best %.12g <= full precision %.12g" name best.energy full.energy)
+            (Printf.sprintf "%s: best %.12g <= its subset solved again %.12g" name best.energy full.energy)
             true
             (best.energy <= full.energy +. 1e-9)))
     (instances ~seed:202)

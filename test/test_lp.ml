@@ -767,7 +767,8 @@ let qcheck_to_sparse_matches_dense =
 (* A 1000-row × 1500-variable LP whose all-slack basis is already
    optimal (≤ rows with rhs ≥ 0, costs ≥ 0): solving it must not
    allocate anything near the m·n dense rows a densifying build
-   would. *)
+   would.  A minor collection before each reading of the allocation
+   counter makes it count the minor heap's words too. *)
 let test_solve_allocates_no_dense_rows () =
   let m = 1000 and n = 1500 in
   let lp = Problem.create () in
@@ -778,8 +779,10 @@ let test_solve_allocates_no_dense_rows () =
     in
     Problem.le lp terms (float_of_int (i mod 5))
   done;
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let outcome = Problem.solve lp in
+  Gc.minor ();
   let allocated = Gc.allocated_bytes () -. before in
   (match outcome with
   | Problem.Solution s -> check_float "objective" 0. (Problem.objective s)
