@@ -128,7 +128,7 @@ let solve kind n seed p slack model_kind reliability gantt stats =
          else None);
     }
   in
-  match Obs.with_span "solve" (fun () -> Solver.solve ?exact_threshold:None request) with
+  match Obs.with_span "solve" (fun () -> Solver.solve request) with
   | Error msg ->
     print_endline msg;
     1

@@ -88,8 +88,7 @@ let client path =
        with End_of_file -> ());
       0)
 
-let main socket_path connect_to once batch queue jobs cache selfcheck
-    exact_threshold stats =
+let main socket_path connect_to once batch queue jobs cache selfcheck stats =
   match connect_to with
   | Some path -> client path
   | None ->
@@ -100,7 +99,6 @@ let main socket_path connect_to once batch queue jobs cache selfcheck
         queue = max 0 queue;
         cache_capacity = max 1 cache;
         selfcheck = max 0 selfcheck;
-        exact_threshold;
       }
     in
     if stats then Obs.enable ();
@@ -176,13 +174,6 @@ let selfcheck_arg =
           "Re-solve every $(docv)-th rescale-hit and report agreement \
            (0 = off).")
 
-let exact_threshold_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "exact-threshold" ] ~docv:"N"
-        ~doc:"Instance-size bound for the exponential exact engines.")
-
 let stats_arg =
   Arg.(
     value & flag
@@ -201,6 +192,6 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ socket_arg $ connect_arg $ once_arg $ batch_arg $ queue_arg
-      $ jobs_arg $ cache_arg $ selfcheck_arg $ exact_threshold_arg $ stats_arg)
+      $ jobs_arg $ cache_arg $ selfcheck_arg $ stats_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -62,7 +62,7 @@ let () =
         |> List.for_all (function Validate.Reliability_violated _ -> false | _ -> true)
       in
       let report =
-        Sim.monte_carlo (Es_util.Rng.create ~seed:99) ~rel ~trials:20_000 sched
+        Sim.monte_carlo_par (Es_util.Rng.create ~seed:99) ~rel ~trials:20_000 sched
       in
       Es_util.Table.add_row table
         [

@@ -38,7 +38,7 @@ let () =
     done;
     (* and the aggregate view *)
     let report =
-      Sim.monte_carlo (Es_util.Rng.create ~seed:23) ~rel ~trials:20_000
+      Sim.monte_carlo_par (Es_util.Rng.create ~seed:23) ~rel ~trials:20_000
         sol.Tricrit_chain.schedule
     in
     Printf.printf

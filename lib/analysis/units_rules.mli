@@ -38,7 +38,7 @@
 
 type env
 (** Mutable interprocedural knowledge: value signatures and record
-    field units, keyed by module ([Speed.exec_time]) and field name. *)
+    field units, keyed by module ([Speed.fmin]) and field name. *)
 
 val empty_env : unit -> env
 

@@ -34,7 +34,12 @@ let check_rel_consistency model rel =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let solve ?(exact_threshold = 14) { mapping; model; deadline; rel } =
+(* Instance-size bound for the exponential exact engines in the
+   NP-complete cells: DISCRETE branch and bound up to this many tasks,
+   TRI-CRIT VDD-HOPPING subset search up to four fewer. *)
+let exact_threshold = 14
+
+let solve { mapping; model; deadline; rel } =
   let n = Dag.n (Mapping.dag mapping) in
   match (model, rel) with
   | Speed.Continuous { fmin; fmax }, None ->

@@ -34,12 +34,13 @@ type answer = {
   engine : string;  (** human-readable engine name, for reports *)
 }
 
-val solve : ?exact_threshold:int -> request -> (answer, string) result
-(** [exact_threshold] (default 14) bounds the instance size for which
-    the exponential exact engines are used in NP-complete cells.
-    Errors are human-readable: infeasible deadline, unsupported
-    model/reliability combination, or inconsistent parameters (e.g.
-    [rel] bounds disagreeing with the model's).
+val solve : request -> (answer, string) result
+(** The exponential exact engines run in NP-complete cells up to 14
+    tasks (DISCRETE) or 10 tasks (TRI-CRIT VDD-HOPPING); larger
+    instances get the approximation or heuristic.  Errors are
+    human-readable: infeasible deadline, unsupported model/reliability
+    combination, or inconsistent parameters (e.g. [rel] bounds
+    disagreeing with the model's).
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if an argument violates a documented precondition. *)

@@ -51,8 +51,7 @@ let solve_subset ~rel ~deadline ~levels mapping ~subset =
   let n = Array.length subset in
   solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits:(Array.make n 0.5)
 
-let refine_splits ?(rounds = 1) ?(use_cache = true) ~rel ~deadline ~levels mapping
-    solution =
+let refine_splits ?(rounds = 1) ~rel ~deadline ~levels mapping solution =
   let subset = solution.reexecuted in
   let n = Array.length subset in
   let splits = Array.make n 0.5 in
@@ -65,7 +64,7 @@ let refine_splits ?(rounds = 1) ?(use_cache = true) ~rel ~deadline ~levels mappi
      of re-solving the whole golden-section trajectory. *)
   let cache : (int * float, solution option) Hashtbl.t = Hashtbl.create 64 in
   let solve_at i theta =
-    match if use_cache then Hashtbl.find_opt cache (i, theta) else None with
+    match Hashtbl.find_opt cache (i, theta) with
     | Some res ->
       Obs.incr c_cache_hits;
       res
@@ -75,7 +74,7 @@ let refine_splits ?(rounds = 1) ?(use_cache = true) ~rel ~deadline ~levels mappi
       splits.(i) <- theta;
       let res = solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits in
       splits.(i) <- saved;
-      if use_cache then Hashtbl.replace cache (i, theta) res;
+      Hashtbl.replace cache (i, theta) res;
       res
   in
   let best = ref solution in
@@ -89,8 +88,8 @@ let refine_splits ?(rounds = 1) ?(use_cache = true) ~rel ~deadline ~levels mappi
           Es_numopt.Scalar.golden_min ~tol:1e-3 ~f:cost ~lo:0.15 ~hi:0.85
         in
         if cost theta < !best.energy -. 1e-12 then begin
-          (* the accepted probe was just solved by [cost]: with the
-             cache this lookup is free, uncached it re-solves the LP *)
+          (* the accepted probe was just solved by [cost]: this
+             lookup is a cache hit *)
           match solve_at i theta with
           | Some s ->
             splits.(i) <- theta;

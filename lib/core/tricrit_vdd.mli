@@ -107,7 +107,6 @@ val solve_heuristic :
 
 val refine_splits :
   ?rounds:int ->
-  ?use_cache:bool ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   levels:(float[@units "freq"]) array ->
@@ -124,9 +123,7 @@ val refine_splits :
 
     Probe solutions are memoised by [(task, θ)] while the committed
     splits are unchanged, so accepting a probe costs no extra LP solve
-    and repeated sweeps replay cached trajectories ([use_cache = false]
-    restores the uncached seed behaviour — same results, strictly more
-    [lp_solves]; it exists for A/B measurement).
+    and repeated sweeps replay cached trajectories.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if an argument violates a documented precondition. *)

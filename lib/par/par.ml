@@ -15,17 +15,13 @@ let protected f x =
   | y -> Ok y
   | exception exn -> Error (exn, Printexc.get_backtrace ())
 
-(* Result slots are strided 8 words apart so two workers completing
-   adjacent items never write the same cache line. *)
-let slot_stride = 8
-
 (* Thunks must not raise.  Each completion is one plain slot write plus
    one atomic decrement; only the final task touches the mutex, to hand
    the join condition to the caller.  There is no polling and no
    per-completion lock. *)
 let run_thunks pool (thunks : (unit -> 'r) array) : 'r list =
   let n = Array.length thunks in
-  let slots : 'r option array = Array.make (n * slot_stride) None in
+  let slots : 'r option array = Array.make n None in
   let remaining = Atomic.make n in
   let m = Mutex.create () in
   let all_done = Condition.create () in
@@ -33,7 +29,7 @@ let run_thunks pool (thunks : (unit -> 'r) array) : 'r list =
     Array.mapi
       (fun i thunk () ->
         let r = thunk () in
-        slots.(i * slot_stride) <- Some r;
+        slots.(i) <- Some r;
         (* the decrement publishes the slot write; the last task
            signals the joiner under the lock it waits on *)
         if Atomic.fetch_and_add remaining (-1) = 1 then begin
@@ -50,7 +46,7 @@ let run_thunks pool (thunks : (unit -> 'r) array) : 'r list =
   done;
   Mutex.unlock m;
   List.init n (fun i ->
-      match slots.(i * slot_stride) with
+      match slots.(i) with
       | Some r -> r
       | None -> assert false (* every slot resolved before the join *))
 

@@ -1,36 +1,21 @@
-(* Fixed-size domain pool over per-worker sharded deques with work
-   stealing.  Each worker owns one mutex-guarded deque and drains it
-   FIFO; when it runs dry it scans the other shards (try_lock, so a
-   busy shard is skipped rather than convoyed on) and steals from the
-   front.  Submission distributes tasks round-robin across the shards
-   — batched submission takes each shard lock once per batch — and
-   wakes only as many parked workers as there are new tasks.
-   [Condition.broadcast] happens exactly once, at shutdown.
-
-   Liveness hinges on [pending], an atomic over-approximation of the
-   number of queued tasks: it is incremented before the push and
-   decremented after the pop, so [pending = 0] implies every shard is
-   empty.  A worker only blocks on the condition while [pending = 0]
-   and the pool is not stopping; the windows where [pending] is ahead
-   of the queues are a few instructions wide, costing at worst one
-   extra scan.  Shutdown flips [stopping] and broadcasts; workers keep
-   scanning until the shards are drained, so submitted work is never
-   dropped. *)
+(* Fixed-size domain pool over one FIFO queue.  Every worker takes the
+   next task from the same mutex-guarded queue and, when it is empty,
+   waits on one condition.  Submission pushes under the lock and
+   signals at most one waiting worker per new task, so no task can be
+   stranded behind a parked worker: the emptiness test and the push
+   happen under the same lock.  [Condition.broadcast] happens exactly
+   once, at shutdown; workers keep taking tasks until the queue is
+   empty, so submitted work is never dropped. *)
 
 module Obs = Es_obs.Obs
 
-type shard = { lock : Mutex.t; q : (unit -> unit) Queue.t }
-
 type t = {
-  shards : shard array;  (* one per worker; worker [i] owns [shards.(i)] *)
-  pending : int Atomic.t;  (* >= total queued tasks, see above *)
-  next : int Atomic.t;  (* round-robin submission cursor *)
-  park_mutex : Mutex.t;
-  wakeup : Condition.t;  (* signalled per new task; broadcast on shutdown *)
-  n_idle : int Atomic.t;  (* workers blocked on [wakeup] *)
-  stopping : bool Atomic.t;
+  lock : Mutex.t;  (* guards every mutable field below *)
+  nonempty : Condition.t;  (* signalled per new task; broadcast on shutdown *)
+  queue : (unit -> unit) Queue.t;
+  mutable stopping : bool;
+  mutable uncaught : exn option;  (* first raise from a raw submit task *)
   mutable workers : unit Domain.t list;  (* [] once joined *)
-  uncaught : exn option Atomic.t;  (* first raise from a raw submit task *)
   n : int;
 }
 
@@ -40,157 +25,79 @@ let c_batches = Obs.counter "par.pool.submit_batches"
 let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let in_worker () = Domain.DLS.get in_worker_key
 
-let pop_shard shard =
-  Mutex.lock shard.lock;
-  let r = Queue.take_opt shard.q in
-  Mutex.unlock shard.lock;
-  r
+(* The next task, or [None] once the pool is stopping and drained. *)
+let next_task pool =
+  Mutex.protect pool.lock (fun () ->
+      while Queue.is_empty pool.queue && not pool.stopping do
+        Obs.incr c_parks;
+        Condition.wait pool.nonempty pool.lock
+      done;
+      Queue.take_opt pool.queue)
 
-let try_pop_shard shard =
-  if Mutex.try_lock shard.lock then begin
-    let r = Queue.take_opt shard.q in
-    Mutex.unlock shard.lock;
-    r
-  end
-  else None
-
-(* Own shard first (blocking lock: the owner never convoys for long),
-   then one try_lock sweep over the victims. *)
-let find_task pool id c_steals =
-  match pop_shard pool.shards.(id) with
+let rec worker_loop pool =
+  match next_task pool with
+  | None -> ()
   | Some task ->
-    Atomic.decr pool.pending;
-    Some task
-  | None ->
-    let rec steal k =
-      if k >= pool.n then None
-      else
-        match try_pop_shard pool.shards.((id + k) mod pool.n) with
-        | Some task ->
-          Atomic.decr pool.pending;
-          Obs.incr c_steals;
-          Some task
-        | None -> steal (k + 1)
-    in
-    steal 1
-
-let rec worker_loop pool id c_tasks c_steals =
-  match find_task pool id c_steals with
-  | Some task ->
-    Obs.incr c_tasks;
     (try task ()
      with exn ->
        (* tasks from Par combinators never raise; a raw submit that
           does must not kill the worker silently — keep the first *)
-       ignore (Atomic.compare_and_set pool.uncaught None (Some exn)));
-    worker_loop pool id c_tasks c_steals
-  | None ->
-    if Atomic.get pool.stopping && Atomic.get pool.pending = 0 then
-      () (* drained and stopping: exit *)
-    else begin
-      (* Park until new work or shutdown.  When [pending > 0] the scan
-         simply raced a push or a locked victim: don't wait, rescan. *)
-      Mutex.lock pool.park_mutex;
-      Atomic.incr pool.n_idle;
-      while Atomic.get pool.pending = 0 && not (Atomic.get pool.stopping) do
-        Obs.incr c_parks;
-        Condition.wait pool.wakeup pool.park_mutex
-      done;
-      Atomic.decr pool.n_idle;
-      Mutex.unlock pool.park_mutex;
-      Domain.cpu_relax ();
-      worker_loop pool id c_tasks c_steals
-    end
+       Mutex.protect pool.lock (fun () ->
+           if Option.is_none pool.uncaught then pool.uncaught <- Some exn));
+    worker_loop pool
 
 let create ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   let pool =
     {
-      shards =
-        Array.init domains (fun _ ->
-            { lock = Mutex.create (); q = Queue.create () });
-      pending = Atomic.make 0;
-      next = Atomic.make 0;
-      park_mutex = Mutex.create ();
-      wakeup = Condition.create ();
-      n_idle = Atomic.make 0;
-      stopping = Atomic.make false;
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      queue = Queue.create ();
+      stopping = false;
+      uncaught = None;
       workers = [];
-      uncaught = Atomic.make None;
       n = domains;
     }
   in
   pool.workers <-
-    List.init domains (fun id ->
+    List.init domains (fun _ ->
         Domain.spawn (fun () ->
             Domain.DLS.set in_worker_key true;
-            (* per-worker handles, created once on the cold spawn path *)
-            let c_tasks = Obs.counter (Printf.sprintf "par.pool.w%d.tasks" id) in
-            let c_steals = Obs.counter (Printf.sprintf "par.pool.w%d.steals" id) in
-            worker_loop pool id c_tasks c_steals));
+            worker_loop pool));
   pool
 
 let size pool = pool.n
 
-(* Wake at most [k] parked workers, one signal each; no-op when nobody
-   is parked, which is the common case mid-sweep. *)
-let wake pool k =
-  if Atomic.get pool.n_idle > 0 then begin
-    Mutex.lock pool.park_mutex;
-    let idle = Atomic.get pool.n_idle in
-    let wakes = if k < idle then k else idle in
-    for _ = 1 to wakes do
-      Condition.signal pool.wakeup
-    done;
-    Mutex.unlock pool.park_mutex
-  end
+(* Push [tasks] under one lock acquisition, then signal once per task
+   but at most once per worker: a further signal could wake nobody. *)
+let enqueue pool ~caller tasks =
+  Mutex.protect pool.lock (fun () ->
+      if pool.stopping then invalid_arg (caller ^ ": pool is shut down");
+      Array.iter (fun task -> Queue.push task pool.queue) tasks;
+      for _ = 1 to min (Array.length tasks) pool.n do
+        Condition.signal pool.nonempty
+      done)
 
-let submit pool task =
-  if Atomic.get pool.stopping then
-    invalid_arg "Pool.submit: pool is shut down";
-  let shard = pool.shards.(Atomic.fetch_and_add pool.next 1 mod pool.n) in
-  Atomic.incr pool.pending;
-  Mutex.lock shard.lock;
-  Queue.push task shard.q;
-  Mutex.unlock shard.lock;
-  wake pool 1
+let submit pool task = enqueue pool ~caller:"Pool.submit" [| task |]
 
 let submit_batch pool tasks =
-  let k = Array.length tasks in
-  if k > 0 then begin
-    if Atomic.get pool.stopping then
-      invalid_arg "Pool.submit_batch: pool is shut down";
-    Obs.incr c_batches;
-    ignore (Atomic.fetch_and_add pool.pending k);
-    (* Shard [start + j] takes tasks j, j + n, j + 2n, ...: the head of
-       the batch is spread across all workers, one lock per shard. *)
-    let start = Atomic.fetch_and_add pool.next 1 in
-    for j = 0 to min (pool.n - 1) (k - 1) do
-      let shard = pool.shards.((start + j) mod pool.n) in
-      Mutex.lock shard.lock;
-      let i = ref j in
-      while !i < k do
-        Queue.push tasks.(!i) shard.q;
-        i := !i + pool.n
-      done;
-      Mutex.unlock shard.lock
-    done;
-    wake pool k
+  if Array.length tasks > 0 then begin
+    enqueue pool ~caller:"Pool.submit_batch" tasks;
+    Obs.incr c_batches
   end
 
 let shutdown pool =
-  let workers = pool.workers in
-  pool.workers <- [];
-  Atomic.set pool.stopping true;
-  Mutex.lock pool.park_mutex;
-  Condition.broadcast pool.wakeup;
-  Mutex.unlock pool.park_mutex;
+  let workers =
+    Mutex.protect pool.lock (fun () ->
+        let workers = pool.workers in
+        pool.workers <- [];
+        pool.stopping <- true;
+        Condition.broadcast pool.nonempty;
+        workers)
+  in
   List.iter Domain.join workers;
-  match (Atomic.get pool.uncaught, workers) with
-  | Some exn, _ :: _ ->
-    Atomic.set pool.uncaught None;
-    raise exn
-  | _ -> ()
+  (* only the call that joined the workers re-raises *)
+  match (pool.uncaught, workers) with Some exn, _ :: _ -> raise exn | _ -> ()
 
 let with_pool ~domains f =
   let pool = create ~domains () in

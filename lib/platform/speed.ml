@@ -50,8 +50,6 @@ let levels = function
   | Discrete l | Vdd_hopping l -> Some (Array.copy l)
   | Incremental { fmin; fmax; delta } -> Some (incremental_grid ~fmin ~fmax ~delta)
 
-let n_levels t = Option.map Array.length (levels t)
-
 let admissible ?(tol = 1e-9) t f =
   match t with
   | Continuous _ | Vdd_hopping _ -> f >= fmin t -. tol && f <= fmax t +. tol
@@ -62,58 +60,6 @@ let admissible ?(tol = 1e-9) t f =
       let k = Float.round ((f -. fmin) /. delta) in
       Float.abs (f -. (fmin +. (k *. delta))) <= tol
     end
-
-let round_up t f =
-  match t with
-  | Continuous { fmin; fmax } ->
-    if f > fmax then None else Some (Float.max fmin f)
-  | Vdd_hopping l ->
-    let hi = l.(Array.length l - 1) in
-    if f > hi then None else Some (Float.max l.(0) f)
-  | Discrete l ->
-    let n = Array.length l in
-    let rec find i = if i >= n then None else if l.(i) >= f then Some l.(i) else find (i + 1) in
-    find 0
-  | Incremental { fmin; fmax; delta } ->
-    if f > fmax then None
-    else if f <= fmin then Some fmin
-    else begin
-      let k = Float.ceil (((f -. fmin) /. delta) -. 1e-12) in
-      let v = fmin +. (k *. delta) in
-      if v > fmax +. 1e-12 then None else Some (Float.min v fmax)
-    end
-
-let round_down t f =
-  match t with
-  | Continuous { fmin; fmax } -> if f < fmin then None else Some (Float.min fmax f)
-  | Vdd_hopping l ->
-    if f < l.(0) then None else Some (Float.min l.(Array.length l - 1) f)
-  | Discrete l ->
-    let rec find i acc =
-      if i >= Array.length l then acc
-      else if l.(i) <= f then find (i + 1) (Some l.(i))
-      else acc
-    in
-    find 0 None
-  | Incremental { fmin; fmax; delta } ->
-    if f < fmin then None
-    else begin
-      let k = Float.floor (((f -. fmin) /. delta) +. 1e-12) in
-      let v = Float.min (fmin +. (k *. delta)) fmax in
-      Some v
-    end
-
-let bracket t f =
-  match t with
-  | Continuous { fmin; fmax } ->
-    if f < fmin || f > fmax then None else Some (f, f)
-  | Discrete _ | Vdd_hopping _ | Incremental _ -> (
-    match (round_down t f, round_up t f) with
-    | Some lo, Some hi -> Some (lo, hi)
-    | _ -> None)
-
-let exec_time ~w ~f = w /. f
-let energy ~w ~f = w *. f *. f
 
 let pp ppf = function
   | Continuous { fmin; fmax } ->

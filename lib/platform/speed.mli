@@ -57,36 +57,10 @@ val levels : t -> (float[@units "freq"]) array option
 (** The admissible speed set for the three discrete models (for
     INCREMENTAL, the expanded grid), [None] for CONTINUOUS. *)
 
-val n_levels : t -> int option
-
 val admissible :
   ?tol:(float[@units "freq"]) -> t -> (float[@units "freq"]) -> bool
 (** Whether a single-execution speed value is allowed by the model.
     Under VDD-HOPPING any value between [fmin] and [fmax] is reachable
     as a mix, so the check is the interval test. *)
-
-val round_up : t -> (float[@units "freq"]) -> (float[@units "freq"]) option
-(** Smallest admissible speed [≥ f]; [None] above [fmax].  For
-    CONTINUOUS (and VDD-HOPPING mixes) this clamps into the interval.
-    This is the rounding step of the paper's INCREMENTAL approximation
-    algorithm. *)
-
-val round_down : t -> (float[@units "freq"]) -> (float[@units "freq"]) option
-(** Largest admissible speed [≤ f]; [None] below [fmin]. *)
-
-val bracket :
-  t -> (float[@units "freq"]) -> ((float[@units "freq"]) * (float[@units "freq"])) option
-(** [bracket m f] returns consecutive levels [(f₋, f₊)] with
-    [f₋ ≤ f ≤ f₊] for discrete models — the two speeds used to emulate
-    a continuous speed under VDD-HOPPING.  Returns [(f, f)] when [f] is
-    itself a level, [None] outside the range, and [(f, f)] for
-    CONTINUOUS. *)
-
-val exec_time : w:(float[@units "work"]) -> f:(float[@units "freq"]) -> (float[@units "time"])
-(** [w / f]: duration of a task of weight [w] at speed [f]. *)
-
-val energy : w:(float[@units "work"]) -> f:(float[@units "freq"]) -> (float[@units "energy"])
-(** [w·f²]: dynamic energy of executing weight [w] at speed [f]
-    (power [f³] during [w/f] time units). *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type config = {
   queue : int;
   cache_capacity : int;
   selfcheck : int;
-  exact_threshold : int option;
 }
 
 let default_config =
@@ -18,7 +17,6 @@ let default_config =
     queue = 64;
     cache_capacity = 4096;
     selfcheck = 0;
-    exact_threshold = None;
   }
 
 (* A verbatim entry: the request's id, for a shed reply, and its
@@ -89,12 +87,12 @@ type work = { w_req : Protocol.request; w_mapping : Mapping.t }
    engine failure into a response) and must not touch shared state —
    walls come from [Obs.now], results travel back through the
    order-preserving join of [Par.parallel_map]. *)
-let solve_one exact_threshold (w : work) =
+let solve_one (w : work) =
   let t0 = Obs.now () in
   let status =
     try
       match
-        Solver.solve ?exact_threshold
+        Solver.solve
           {
             Solver.mapping = w.w_mapping;
             model = w.w_req.inst.model;
@@ -223,7 +221,7 @@ let process_batch t ~pool lines =
   in
   let solved =
     Obs.time t_solve (fun () ->
-        Par.parallel_map ?pool (solve_one t.config.exact_threshold) works)
+        Par.parallel_map ?pool solve_one works)
   in
   let remaining = ref solved in
   let next () =

@@ -52,7 +52,6 @@ type config = {
   queue : int;  (** admission bound per batch window *)
   cache_capacity : int;
   selfcheck : int;  (** re-solve every k-th rescale hit; 0 = off *)
-  exact_threshold : int option;  (** forwarded to {!Solver.solve} *)
 }
 
 val default_config : config

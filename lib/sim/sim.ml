@@ -151,11 +151,6 @@ let report_of_tally sched t =
     worst_case_energy = Schedule.energy sched;
   }
 
-let monte_carlo rng ~rel ~trials sched =
-  assert (trials > 0);
-  Obs.time t_monte_carlo @@ fun () ->
-  report_of_tally sched (run_tally rng ~rel ~trials sched)
-
 let replicas = 16
 
 let monte_carlo_par ?pool rng ~rel ~trials sched =
@@ -163,21 +158,11 @@ let monte_carlo_par ?pool rng ~rel ~trials sched =
   Obs.time t_monte_carlo @@ fun () ->
   let replicas = min replicas trials in
   let base = trials / replicas and rem = trials mod replicas in
-  (* split the replica streams in an explicit left-to-right loop: the
-     split order is part of the determinism contract *)
-  let plan =
-    let rec go i acc =
-      if i = replicas then List.rev acc
-      else
-        go (i + 1)
-          ((Rng.split rng, base + (if i < rem then 1 else 0)) :: acc)
-    in
-    go 0 []
-  in
+  let sizes = List.init replicas (fun i -> base + if i < rem then 1 else 0) in
   let tallies =
-    Es_par.Par.parallel_map ?pool
-      (fun (rng, trials) -> run_tally rng ~rel ~trials sched)
-      plan
+    Es_par.Par.map_seeded ?pool ~rng
+      (fun rng trials -> run_tally rng ~rel ~trials sched)
+      sizes
   in
   match tallies with
   | [] -> assert false (* replicas >= 1 *)

@@ -42,10 +42,6 @@ type report = {
   worst_case_energy : float;  (** analytic, from {!Schedule.energy} *)
 }
 
-val monte_carlo : Es_util.Rng.t -> rel:Rel.params -> trials:int -> Schedule.t -> report
-(** [trials] independent runs.
-    @raise Invalid_argument if some task has no execution attempts. *)
-
 val monte_carlo_par :
   ?pool:Es_par.Pool.t ->
   Es_util.Rng.t ->
@@ -53,15 +49,13 @@ val monte_carlo_par :
   trials:int ->
   Schedule.t ->
   report
-(** Like {!monte_carlo}, but the trials are partitioned over 16
-    independent sub-simulations (fewer if [trials < 16]), each with
-    its own stream derived from the argument generator by [Rng.split]
-    up front — one pool task per replica.  The partial tallies are
-    merged in replica order, so the report depends only on
-    [(rng, trials)], never on [?pool] or scheduling: passing a pool
-    changes wall-clock time, not results.  Note the replica streams
-    differ from the single stream of {!monte_carlo}, so the two
-    functions agree only statistically.
+(** [trials] independent runs, partitioned over 16 sub-simulations
+    (fewer if [trials < 16]), each with its own stream derived from
+    the argument generator by {!Es_par.Par.map_seeded} — split up
+    front, left to right — and run as one pool task per replica.  The
+    partial tallies are merged in replica order, so the report depends
+    only on [(rng, trials)], never on [?pool] or scheduling: passing a
+    pool changes wall-clock time, not results.
     @raise Invalid_argument on [trials <= 0]. *)
 
 val analytic_task_failure : rel:Rel.params -> Schedule.t -> Dag.task -> float

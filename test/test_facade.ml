@@ -19,7 +19,7 @@ let test_solver_all_models_bicrit () =
   let deadline = deadline_of m 1.6 in
   List.iter
     (fun (model, want_exact) ->
-      match Solver.solve ?exact_threshold:None { Solver.mapping = m; model; deadline; rel = None } with
+      match Solver.solve { Solver.mapping = m; model; deadline; rel = None } with
       | Error msg -> Alcotest.failf "unexpected error: %s" msg
       | Ok a ->
         Alcotest.(check bool) "exactness as designed" want_exact a.Solver.exact;
@@ -36,7 +36,7 @@ let test_solver_tricrit_continuous () =
   let m = mapping ~seed:702 in
   let deadline = deadline_of m 2. in
   match
-    Solver.solve ?exact_threshold:None
+    Solver.solve
       { Solver.mapping = m; model = Speed.continuous ~fmin ~fmax; deadline; rel = Some rel }
   with
   | Error msg -> Alcotest.failf "unexpected error: %s" msg
@@ -49,7 +49,7 @@ let test_solver_tricrit_continuous () =
 let test_solver_rejects_discrete_tricrit () =
   let m = mapping ~seed:703 in
   match
-    Solver.solve ?exact_threshold:None
+    Solver.solve
       { Solver.mapping = m; model = Speed.discrete levels; deadline = 100.; rel = Some rel }
   with
   | Error msg -> Alcotest.(check bool) "says unsupported" true
@@ -60,7 +60,7 @@ let test_solver_rejects_inconsistent_rel () =
   let m = mapping ~seed:704 in
   let bad_rel = Rel.make ~fmin:0.1 ~fmax:2.0 () in
   match
-    Solver.solve ?exact_threshold:None
+    Solver.solve
       { Solver.mapping = m; model = Speed.continuous ~fmin ~fmax; deadline = 100.;
         rel = Some bad_rel }
   with
@@ -71,7 +71,7 @@ let test_solver_rejects_inconsistent_rel () =
 let test_solver_infeasible_message () =
   let m = mapping ~seed:705 in
   match
-    Solver.solve ?exact_threshold:None
+    Solver.solve
       { Solver.mapping = m; model = Speed.continuous ~fmin ~fmax;
         deadline = 0.1; rel = None }
   with
@@ -84,8 +84,10 @@ let test_solver_discrete_large_uses_roundup () =
   let dag = Generators.random_layered rng ~layers:6 ~width:6 ~density:0.4 ~wlo:1. ~whi:3. in
   let m = List_sched.schedule dag ~p:4 ~priority:List_sched.Bottom_level in
   let deadline = deadline_of m 1.8 in
+  (* above the solver's exact threshold of 14 tasks *)
+  Alcotest.(check bool) "more than 14 tasks" true (Dag.n dag > 14);
   match
-    Solver.solve ~exact_threshold:10
+    Solver.solve
       { Solver.mapping = m; model = Speed.discrete levels; deadline; rel = None }
   with
   | Error msg -> Alcotest.failf "unexpected error: %s" msg
@@ -133,7 +135,7 @@ let test_single_task_instance () =
   List.iter
     (fun model ->
       match
-        Solver.solve ?exact_threshold:None
+        Solver.solve
           { Solver.mapping = m; model; deadline = 4.; rel = None }
       with
       | Error msg -> Alcotest.failf "single task failed: %s" msg
@@ -190,7 +192,7 @@ let qcheck_solver_always_validates =
       in
       let deadline = deadline_of m 1.8 in
       let rel = if reliability then Some rel else None in
-      match Solver.solve ?exact_threshold:None { Solver.mapping = m; model; deadline; rel } with
+      match Solver.solve { Solver.mapping = m; model; deadline; rel } with
       | Error _ -> true (* unsupported combinations / infeasible are fine *)
       | Ok a -> Validate.is_feasible ~deadline ?rel ~model a.Solver.schedule)
 

@@ -48,7 +48,7 @@ let test_exception_index () =
     Alcotest.(check int) (name ^ ": every item ran") 50 (Atomic.get ran)
   in
   check_raises "sequential" (fun () -> Par.parallel_map f xs);
-  (* items land on different shards and get stolen *)
+  (* items finish out of order on different workers *)
   with_pool4 (fun pool -> check_raises "parallel" (fun () -> Par.parallel_map ~pool f xs))
 
 let test_empty_input () =
@@ -78,6 +78,33 @@ let test_shutdown_rejects_submit () =
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       Pool.submit pool (fun () -> ()))
+
+let test_shutdown_reraises_raw_task () =
+  let ran = Atomic.make 0 in
+  let task i () = if i = 4 then raise (Boom i) else Atomic.incr ran in
+  let pool = Pool.create ~domains:2 () in
+  for i = 0 to 9 do
+    Pool.submit pool (task i)
+  done;
+  (match Pool.shutdown pool with
+  | () -> Alcotest.fail "first shutdown must re-raise"
+  | exception Boom i -> Alcotest.(check int) "first shutdown re-raises" 4 i);
+  Alcotest.(check int) "every other task ran" 9 (Atomic.get ran);
+  (* the exception is reported once: a second shutdown is a no-op *)
+  Pool.shutdown pool
+
+let test_with_pool_shuts_down_on_raise () =
+  let escaped = ref None in
+  Alcotest.check_raises "body's exception propagates" (Boom 7) (fun () ->
+      Pool.with_pool ~domains:2 (fun pool ->
+          escaped := Some pool;
+          raise (Boom 7)));
+  match !escaped with
+  | None -> Alcotest.fail "body ran"
+  | Some pool ->
+    Alcotest.check_raises "submit on the escaped pool"
+      (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+        Pool.submit pool (fun () -> ()))
 
 let test_nested_map_runs_inline () =
   with_pool4 (fun pool ->
@@ -178,6 +205,10 @@ let suite =
         test_map_seeded_across_jobs;
       Alcotest.test_case "shutdown rejects submit" `Quick
         test_shutdown_rejects_submit;
+      Alcotest.test_case "shutdown re-raises a raw task once" `Quick
+        test_shutdown_reraises_raw_task;
+      Alcotest.test_case "with_pool shuts down on raise" `Quick
+        test_with_pool_shuts_down_on_raise;
       Alcotest.test_case "nested map runs inline" `Quick
         test_nested_map_runs_inline;
       Alcotest.test_case "map_seeded deterministic" `Quick

@@ -77,7 +77,7 @@ let test_pipeline_all_models () =
           (Validate.is_feasible ~deadline ~model s);
         (* simulate: without reliability constraints enforced, just
            check the simulator runs and reports sane numbers *)
-        let report = Sim.monte_carlo (Es_util.Rng.create ~seed:404) ~rel ~trials:200 s in
+        let report = Sim.monte_carlo_par (Es_util.Rng.create ~seed:404) ~rel ~trials:200 s in
         Alcotest.(check bool) (name ^ " sim sane") true
           (report.Sim.success_rate >= 0. && report.Sim.success_rate <= 1.))
     schedules
@@ -149,7 +149,7 @@ let test_pipeline_tricrit_with_simulation () =
   | None -> Alcotest.fail "feasible"
   | Some (sol, _) ->
     let report =
-      Sim.monte_carlo (Es_util.Rng.create ~seed:406) ~rel:hot ~trials:20_000
+      Sim.monte_carlo_par (Es_util.Rng.create ~seed:406) ~rel:hot ~trials:20_000
         sol.Heuristics.schedule
     in
     (* every task satisfies the reliability threshold, so the empirical

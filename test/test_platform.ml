@@ -1,5 +1,5 @@
-(* Tests for the speed models: validation, rounding, bracketing,
-   energy/time accounting. *)
+(* Tests for the speed models: validation, level sets, bounds and
+   admissibility. *)
 
 let check_float tol = Alcotest.(check (float tol))
 
@@ -43,63 +43,6 @@ let test_admissible () =
   Alcotest.(check bool) "incr grid point" true (Speed.admissible ?tol:None incr 0.6);
   Alcotest.(check bool) "incr off grid" false (Speed.admissible ?tol:None incr 0.5)
 
-let test_round_up () =
-  Alcotest.(check (option (float 1e-9))) "disc up" (Some 0.6) (Speed.round_up disc 0.3);
-  Alcotest.(check (option (float 1e-9))) "disc exact" (Some 0.6) (Speed.round_up disc 0.6);
-  Alcotest.(check (option (float 1e-9))) "disc above" None (Speed.round_up disc 1.2);
-  Alcotest.(check (option (float 1e-9))) "incr up" (Some 0.6) (Speed.round_up incr 0.45);
-  Alcotest.(check (option (float 1e-9))) "cont clamps" (Some 0.2) (Speed.round_up cont 0.1)
-
-let test_round_down () =
-  Alcotest.(check (option (float 1e-9))) "disc down" (Some 0.2) (Speed.round_down disc 0.5);
-  Alcotest.(check (option (float 1e-9))) "disc below" None (Speed.round_down disc 0.1);
-  Alcotest.(check (option (float 1e-9))) "incr down" (Some 0.4) (Speed.round_down incr 0.45)
-
-let test_bracket () =
-  (match Speed.bracket disc 0.7 with
-  | Some (lo, hi) ->
-    check_float 1e-9 "lo" 0.6 lo;
-    check_float 1e-9 "hi" 1.0 hi
-  | None -> Alcotest.fail "bracket expected");
-  (match Speed.bracket disc 0.6 with
-  | Some (lo, hi) ->
-    check_float 1e-9 "exact lo" 0.6 lo;
-    check_float 1e-9 "exact hi" 0.6 hi
-  | None -> Alcotest.fail "bracket expected");
-  Alcotest.(check bool) "out of range" true (Speed.bracket disc 1.5 = None)
-
-let test_energy_time () =
-  check_float 1e-12 "time" 4. (Speed.exec_time ~w:2. ~f:0.5);
-  check_float 1e-12 "energy" 0.5 (Speed.energy ~w:2. ~f:0.5)
-
-let test_platform () =
-  let p = Platform.make ~p:4 ~model:cont in
-  Alcotest.(check int) "p" 4 (Platform.p p);
-  Alcotest.check_raises "p >= 1" (Invalid_argument "Platform.make: need p >= 1") (fun () ->
-      ignore (Platform.make ~p:0 ~model:cont))
-
-let qcheck_round_up_is_admissible =
-  QCheck.Test.make ~name:"round_up lands on admissible speeds" ~count:300
-    QCheck.(float_range 0.01 1.2)
-    (fun f ->
-      List.for_all
-        (fun m ->
-          match Speed.round_up m f with
-          | None -> true
-          | Some g -> Speed.admissible ~tol:1e-6 m g && g >= f -. 1e-9)
-        [ cont; disc; incr ])
-
-let qcheck_bracket_orders =
-  QCheck.Test.make ~name:"bracket brackets" ~count:300
-    QCheck.(float_range 0.2 1.0)
-    (fun f ->
-      List.for_all
-        (fun m ->
-          match Speed.bracket m f with
-          | None -> false (* inside the range a bracket must exist *)
-          | Some (lo, hi) -> lo <= f +. 1e-9 && f <= hi +. 1e-9 && lo <= hi)
-        [ cont; disc; incr ])
-
 let suite =
   ( "platform",
     [
@@ -108,11 +51,4 @@ let suite =
       Alcotest.test_case "bounds" `Quick test_bounds;
       Alcotest.test_case "incremental grid" `Quick test_incremental_grid;
       Alcotest.test_case "admissible" `Quick test_admissible;
-      Alcotest.test_case "round up" `Quick test_round_up;
-      Alcotest.test_case "round down" `Quick test_round_down;
-      Alcotest.test_case "bracket" `Quick test_bracket;
-      Alcotest.test_case "energy/time" `Quick test_energy_time;
-      Alcotest.test_case "platform" `Quick test_platform;
-      QCheck_alcotest.to_alcotest qcheck_round_up_is_admissible;
-      QCheck_alcotest.to_alcotest qcheck_bracket_orders;
     ] )

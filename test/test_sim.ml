@@ -25,7 +25,7 @@ let test_analytic_failure_matches_formula () =
 let test_empirical_matches_analytic () =
   let s = chain_schedule ~speed:0.5 in
   let rng = Es_util.Rng.create ~seed:102 in
-  let report = Sim.monte_carlo rng ~rel ~trials:40_000 s in
+  let report = Sim.monte_carlo_par rng ~rel ~trials:40_000 s in
   let d = Schedule.dag s in
   for i = 0 to Dag.n d - 1 do
     let analytic = Sim.analytic_task_failure ~rel s i in
@@ -50,8 +50,8 @@ let test_reexecution_absorbs_faults () =
       (List.init (Dag.n d) Fun.id)
   in
   let rng = Es_util.Rng.create ~seed:103 in
-  let r1 = Sim.monte_carlo rng ~rel ~trials:20_000 s in
-  let r2 = Sim.monte_carlo rng ~rel ~trials:20_000 s2 in
+  let r1 = Sim.monte_carlo_par rng ~rel ~trials:20_000 s in
+  let r2 = Sim.monte_carlo_par rng ~rel ~trials:20_000 s2 in
   Alcotest.(check bool) "re-execution helps" true
     (r2.Sim.success_rate > r1.Sim.success_rate);
   (* each task failure should drop roughly to eps² *)
@@ -73,7 +73,7 @@ let test_realised_never_exceeds_worst_case () =
       (List.init (Dag.n d) Fun.id)
   in
   let rng = Es_util.Rng.create ~seed:104 in
-  let report = Sim.monte_carlo rng ~rel ~trials:5_000 s2 in
+  let report = Sim.monte_carlo_par rng ~rel ~trials:5_000 s2 in
   Alcotest.(check bool) "makespan bounded" true
     (report.Sim.max_realised_makespan <= report.Sim.worst_case_makespan +. 1e-9);
   Alcotest.(check bool) "energy bounded" true
@@ -83,8 +83,8 @@ let test_faster_is_more_reliable () =
   let slow = chain_schedule ~speed:0.3 in
   let fast = chain_schedule ~speed:1.0 in
   let rng = Es_util.Rng.create ~seed:105 in
-  let rs = Sim.monte_carlo rng ~rel ~trials:20_000 slow in
-  let rf = Sim.monte_carlo rng ~rel ~trials:20_000 fast in
+  let rs = Sim.monte_carlo_par rng ~rel ~trials:20_000 slow in
+  let rf = Sim.monte_carlo_par rng ~rel ~trials:20_000 fast in
   Alcotest.(check bool) "DVFS hurts reliability" true
     (rf.Sim.success_rate > rs.Sim.success_rate)
 
@@ -101,14 +101,14 @@ let test_zero_fault_rate () =
   let safe = Rel.make ~lambda0:0. ~sensitivity:3. ~fmin:0.2 ~fmax:1.0 () in
   let s = chain_schedule ~speed:0.5 in
   let rng = Es_util.Rng.create ~seed:107 in
-  let report = Sim.monte_carlo rng ~rel:safe ~trials:1_000 s in
+  let report = Sim.monte_carlo_par rng ~rel:safe ~trials:1_000 s in
   Alcotest.(check (float 1e-12)) "always succeeds" 1. report.Sim.success_rate;
   Alcotest.(check (float 1e-12)) "no faults" 0. report.Sim.mean_faults
 
 let test_deterministic_given_seed () =
   let s = chain_schedule ~speed:0.5 in
-  let r1 = Sim.monte_carlo (Es_util.Rng.create ~seed:1) ~rel ~trials:2_000 s in
-  let r2 = Sim.monte_carlo (Es_util.Rng.create ~seed:1) ~rel ~trials:2_000 s in
+  let r1 = Sim.monte_carlo_par (Es_util.Rng.create ~seed:1) ~rel ~trials:2_000 s in
+  let r2 = Sim.monte_carlo_par (Es_util.Rng.create ~seed:1) ~rel ~trials:2_000 s in
   Alcotest.(check (float 0.)) "same success rate" r1.Sim.success_rate r2.Sim.success_rate;
   Alcotest.(check (float 0.)) "same mean energy" r1.Sim.mean_realised_energy
     r2.Sim.mean_realised_energy

@@ -104,43 +104,30 @@ let test_vdd_tricrit_above_continuous_tricrit () =
   | _ -> Alcotest.fail "both feasible"
 
 let test_refine_splits_cache_saves_lp_solves () =
-  (* A/B over the probe cache: cached and uncached refinement must
-     agree on the result, and the cache must pay strictly fewer LP
-     solves — uncached, the accepted θ is re-solved and a second round
-     replays every golden-section probe from scratch. *)
+  (* Two rounds of refinement: the accepted θ and the second round's
+     golden-section probes are answered from the probe cache, so some
+     probes cost no LP solve, and the result never regresses. *)
   let module Obs = Es_obs.Obs in
   let m, dmin = small_instance ~seed:304 in
   let deadline = 4. *. dmin in
   match Tricrit_vdd.solve_heuristic ~rel ~deadline ~levels m with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
-    let lp_solves = Obs.counter "lp_solves" in
     let cache_hits = Obs.counter "tricrit_vdd_probe_cache_hits" in
-    let run ~use_cache =
-      Obs.reset ();
-      Obs.enable ();
+    Obs.reset ();
+    Obs.enable ();
+    let refined, hits =
       Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
-      let refined =
-        Tricrit_vdd.refine_splits ~rounds:2 ~use_cache ~rel ~deadline ~levels m sol
-      in
-      (refined, Obs.value lp_solves, Obs.value cache_hits)
+      let refined = Tricrit_vdd.refine_splits ~rounds:2 ~rel ~deadline ~levels m sol in
+      (refined, Obs.value cache_hits)
     in
-    let refined_c, solves_c, hits_c = run ~use_cache:true in
-    let refined_u, solves_u, hits_u = run ~use_cache:false in
     Alcotest.(check bool) "instance exercises re-execution" true
       (Array.exists Fun.id sol.Tricrit_vdd.reexecuted);
-    Alcotest.(check (float 1e-9)) "same energy either way"
-      refined_u.Tricrit_vdd.energy refined_c.Tricrit_vdd.energy;
     Alcotest.(check bool) "refinement does not regress" true
-      (refined_c.Tricrit_vdd.energy <= sol.Tricrit_vdd.energy +. 1e-9);
-    Alcotest.(check int) "uncached path never hits" 0 hits_u;
+      (refined.Tricrit_vdd.energy <= sol.Tricrit_vdd.energy +. 1e-9);
     Alcotest.(check bool)
-      (Printf.sprintf "cache hits (%d) observed" hits_c)
-      true (hits_c > 0);
-    Alcotest.(check bool)
-      (Printf.sprintf "fewer LP solves cached (%d < %d)" solves_c solves_u)
-      true
-      (solves_c < solves_u)
+      (Printf.sprintf "cache hits (%d) observed" hits)
+      true (hits > 0)
 
 (* Energies recorded as hex literals on one two-processor DAG: the
    fixed-subset LPs and the exhaustive search must keep returning the
@@ -225,7 +212,7 @@ let test_tiny_rates_subset_lp () =
       true
       (Float.abs (sol.Tricrit_vdd.energy -. reference) <= 1e-9 *. Float.abs reference));
   match
-    Solver.solve ?exact_threshold:None
+    Solver.solve
       { Solver.mapping = m; model = Speed.vdd_hopping levels; deadline; rel = Some rel }
   with
   | Error e -> Alcotest.fail e
