@@ -29,25 +29,51 @@ let sources t =
 
 let sinks t = List.filter (fun i -> t.succs.(i) = []) (List.init t.n Fun.id)
 
+(* Kahn's algorithm, the smallest ready task first.  The ready tasks
+   are a binary min-heap of ids in [heap.(0 .. !size - 1)]; no step
+   allocates. *)
 let topological_order t =
+  let n = t.n in
   let indeg = Array.map List.length t.preds in
-  let module Q = Set.Make (Int) in
-  let ready = ref Q.empty in
-  Array.iteri (fun i d -> if d = 0 then ready := Q.add i !ready) indeg;
-  let order = Array.make t.n 0 in
-  let k = ref 0 in
-  while not (Q.is_empty !ready) do
-    let i = Q.min_elt !ready in
-    ready := Q.remove i !ready;
+  let heap = Array.make n 0 and size = ref 0 in
+  let push v =
+    let k = ref !size in
+    incr size;
+    while !k > 0 && heap.((!k - 1) / 2) > v do
+      heap.(!k) <- heap.((!k - 1) / 2);
+      k := (!k - 1) / 2
+    done;
+    heap.(!k) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) and k = ref 0 and sifting = ref true in
+    while !sifting do
+      let c = (2 * !k) + 1 in
+      let c = if c + 1 < !size && heap.(c + 1) < heap.(c) then c + 1 else c in
+      if c < !size && heap.(c) < last then begin
+        heap.(!k) <- heap.(c);
+        k := c
+      end
+      else sifting := false
+    done;
+    heap.(!k) <- last;
+    top
+  in
+  let release j =
+    indeg.(j) <- indeg.(j) - 1;
+    if indeg.(j) = 0 then push j
+  in
+  Array.iteri (fun i d -> if d = 0 then push i) indeg;
+  let order = Array.make n 0 and k = ref 0 in
+  while !size > 0 do
+    let i = pop () in
     order.(!k) <- i;
     incr k;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then ready := Q.add j !ready)
-      t.succs.(i)
+    List.iter release t.succs.(i)
   done;
-  if !k <> t.n then invalid_arg "Dag: cycle detected";
+  if !k <> n then invalid_arg "Dag: cycle detected";
   order
 
 let make ?labels ~weights ~edges =
@@ -86,17 +112,28 @@ let is_edge t i j = List.mem j t.succs.(i)
 let map_weights t f =
   { t with weights = Array.mapi (fun i w -> f i w) t.weights }
 
+(* The start and finish bounds fold over each task's predecessors (or
+   successors) in list order, in float refs, so no step boxes a
+   float. *)
 let earliest_start t ~durations =
   assert (Array.length durations = t.n);
   let order = topological_order t in
   let es = Array.make t.n 0. in
-  Array.iter
-    (fun i ->
-      let start =
-        List.fold_left (fun acc p -> Float.max acc (es.(p) +. durations.(p))) 0. t.preds.(i)
-      in
-      es.(i) <- start)
-    order;
+  for k = 0 to t.n - 1 do
+    let i = order.(k) in
+    let start = ref 0. and preds = ref t.preds.(i) in
+    while
+      match !preds with
+      | [] -> false
+      | p :: rest ->
+        start := Float.max !start (es.(p) +. durations.(p));
+        preds := rest;
+        true
+    do
+      ()
+    done;
+    es.(i) <- !start
+  done;
   es
 
 let critical_path_length t ~durations =
@@ -113,10 +150,18 @@ let latest_start t ~durations ~deadline =
   let ls = Array.make t.n 0. in
   for k = t.n - 1 downto 0 do
     let i = order.(k) in
-    let latest_finish =
-      List.fold_left (fun acc s -> Float.min acc ls.(s)) deadline t.succs.(i)
-    in
-    ls.(i) <- latest_finish -. durations.(i)
+    let latest_finish = ref deadline and succs = ref t.succs.(i) in
+    while
+      match !succs with
+      | [] -> false
+      | s :: rest ->
+        latest_finish := Float.min !latest_finish ls.(s);
+        succs := rest;
+        true
+    do
+      ()
+    done;
+    ls.(i) <- !latest_finish -. durations.(i)
   done;
   ls
 

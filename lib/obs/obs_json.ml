@@ -2,6 +2,7 @@ type t =
   | Null
   | Bool of bool
   | Num of float
+  | Lit of string
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -26,24 +27,27 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-let number_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
+(* The primitive behind Printf's %f/%g conversions: one call per format
+   instead of Printf's format interpretation and buffer. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* JSON has no representation for non-finite numbers.  Integers below
+   1e15 print without a point; any other number takes %.12g when that
+   reads back to the same double, else the round-trip width %.17g. *)
+let number_literal x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
   else
-    (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.17g" x in
-    let shorter = Printf.sprintf "%.12g" x in
-    if float_of_string shorter = x then shorter else s
+    let short = format_float "%.12g" x in
+    if float_of_string short = x then short else format_float "%.17g" x
 
 let rec write ?(indent = 0) buf j =
   let pad n = Buffer.add_string buf (String.make n ' ') in
   match j with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num x ->
-    (* JSON has no representation for non-finite numbers *)
-    if Float.is_nan x || Float.abs x = infinity then Buffer.add_string buf "null"
-    else Buffer.add_string buf (number_to_string x)
+  | Num x -> Buffer.add_string buf (number_literal x)
+  | Lit s -> Buffer.add_string buf s
   | Str s -> escape buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -83,9 +87,8 @@ let rec write_compact buf j =
   match j with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num x ->
-    if Float.is_nan x || Float.abs x = infinity then Buffer.add_string buf "null"
-    else Buffer.add_string buf (number_to_string x)
+  | Num x -> Buffer.add_string buf (number_literal x)
+  | Lit s -> Buffer.add_string buf s
   | Str s -> escape buf s
   | List items ->
     Buffer.add_char buf '[';

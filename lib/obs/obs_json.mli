@@ -7,9 +7,17 @@ type t =
   | Null
   | Bool of bool
   | Num of float
+  | Lit of string
+      (** a number already rendered by {!number_literal}, written as
+          is; the parser never produces it *)
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+val number_literal : float -> string
+(** The text the printers write for [Num x]: [null] when [x] is not
+    finite, an integer below 10{^15} in magnitude without a point,
+    otherwise [%.12g] when it reads back as [x], else [%.17g]. *)
 
 val to_string : t -> string
 (** Pretty-printed JSON text. *)

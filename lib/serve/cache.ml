@@ -1,4 +1,5 @@
 module Obs = Es_obs.Obs
+module Json = Es_obs.Obs_json
 
 (* Outcomes are stored in canonical task order; a hit permutes them
    back into the request's labeling.  Scalars (energy, makespan) are
@@ -10,6 +11,9 @@ type exact_payload = {
   c_engine : string;
   c_exact : bool;
   c_reexec : int list; (* canonical positions, sorted *)
+  mutable c_literals : Protocol.literals option;
+      (* the numbers rendered, speeds in canonical order: set at the
+         entry's first exact hit, so an entry never hit renders none *)
 }
 
 type exact_entry =
@@ -96,6 +100,7 @@ let insert t ~(inst : Protocol.instance) ~(canon : Canon.t)
            c_engine = s.engine;
            c_exact = s.exact;
            c_reexec;
+           c_literals = None;
          });
     (match (canon.scaled_key, inst.model, s.reexecuted) with
     | Some key, Speed.Continuous { fmin; fmax }, []
@@ -142,6 +147,20 @@ let try_rescale ~(inst : Protocol.instance) ~order ~(canon : Canon.t)
       Some { status = Protocol.Solved solved; disposition = Protocol.Rescale_hit }
   end
 
+let literals p =
+  match p.c_literals with
+  | Some l -> l
+  | None ->
+    let l =
+      {
+        Protocol.energy_lit = Json.number_literal p.c_energy;
+        makespan_lit = Json.number_literal p.c_makespan;
+        speed_lits = Array.map Json.number_literal p.c_speeds;
+      }
+    in
+    p.c_literals <- Some l;
+    l
+
 let lookup t ~(inst : Protocol.instance) ~order ~(canon : Canon.t) =
   match Hashtbl.find_opt t.exact canon.exact_key with
   | Some (E_solved p) ->
@@ -153,6 +172,7 @@ let lookup t ~(inst : Protocol.instance) ~order ~(canon : Canon.t) =
         (fun i -> List.exists (Int.equal canon.perm.(i)) p.c_reexec)
         (List.init n (fun i -> i))
     in
+    let l = literals p in
     Some
       {
         status =
@@ -164,6 +184,13 @@ let lookup t ~(inst : Protocol.instance) ~order ~(canon : Canon.t) =
               engine = p.c_engine;
               exact = p.c_exact;
               reexecuted;
+              literals =
+                Some
+                  {
+                    l with
+                    Protocol.speed_lits =
+                      Array.init n (fun i -> l.speed_lits.(canon.perm.(i)));
+                  };
             };
         disposition = Protocol.Hit;
       }

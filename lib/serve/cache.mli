@@ -8,7 +8,10 @@
       rejected verdict).  A hit is answered by permuting the cached
       arrays into the request's labeling — energy and makespan are
       label-invariant scalars, so no re-solve and no schedule
-      reconstruction happens.
+      reconstruction happens.  An entry renders its numbers once, at
+      its first hit, and keeps the literals; every hit's answer carries
+      them permuted the same way ({!Protocol.solved}'s [literals]), so
+      no hit formats a number.
     - {b scaled}: keyed by [scaled_key] (CONTINUOUS, no reliability);
       stores the canonical-order optimal speeds together with the
       cached instance's total work [W₀] and deadline [D₀].  An entry

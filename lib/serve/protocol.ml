@@ -164,6 +164,12 @@ let disposition_name = function
   | Hit -> "hit"
   | Rescale_hit -> "rescale-hit"
 
+type literals = {
+  energy_lit : string;
+  makespan_lit : string;
+  speed_lits : string array;
+}
+
 type solved = {
   energy : float;
   speeds : float array;
@@ -171,6 +177,7 @@ type solved = {
   engine : string;
   exact : bool;
   reexecuted : Dag.task list;
+  literals : literals option;
 }
 
 type status =
@@ -206,11 +213,12 @@ let solved_of_schedule ~engine ~exact sched =
     engine;
     exact;
     reexecuted;
+    literals = None;
   }
 
 let render r =
   let open Json in
-  let nums xs = List (Array.to_list (Array.map (fun x -> Num x) xs)) in
+  let list f xs = List (Array.to_list (Array.map f xs)) in
   let ints xs = List (List.map (fun i -> Num (float_of_int i)) xs) in
   let cache_field =
     match r.cache with
@@ -225,14 +233,19 @@ let render r =
   let fields =
     match r.status with
     | Solved s ->
+      let energy, makespan, speeds =
+        match s.literals with
+        | Some l -> (Lit l.energy_lit, Lit l.makespan_lit, list (fun x -> Lit x) l.speed_lits)
+        | None -> (Num s.energy, Num s.makespan, list (fun x -> Num x) s.speeds)
+      in
       [ ("id", r.rid); ("status", Str "ok") ]
       @ cache_field
       @ [
           ("engine", Str s.engine);
           ("exact", Bool s.exact);
-          ("energy", Num s.energy);
-          ("makespan", Num s.makespan);
-          ("speeds", nums s.speeds);
+          ("energy", energy);
+          ("makespan", makespan);
+          ("speeds", speeds);
         ]
       @ (if s.reexecuted = [] then [] else [ ("reexecuted", ints s.reexecuted) ])
       @ self_check_field

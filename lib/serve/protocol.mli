@@ -83,6 +83,14 @@ type disposition = Cold | Hit | Rescale_hit
 val disposition_name : disposition -> string
 (** ["miss"], ["hit"], ["rescale-hit"]. *)
 
+type literals = {
+  energy_lit : string;
+  makespan_lit : string;
+  speed_lits : string array;  (** in task order, as [speeds] *)
+}
+(** The numbers of an answer as {!Es_obs.Obs_json.number_literal}
+    renders them. *)
+
 type solved = {
   energy : (float[@units "energy"]);
   speeds : (float[@units "freq"]) array;
@@ -91,6 +99,10 @@ type solved = {
   engine : string;
   exact : bool;
   reexecuted : Dag.task list;
+  literals : literals option;
+      (** [energy], [makespan] and [speeds] already rendered, which
+          {!render} writes as they are; only an exact cache hit
+          carries them ({!Cache}), [None] renders the floats *)
 }
 
 type status =
@@ -109,11 +121,14 @@ type response = {
 }
 
 val render : response -> string
-(** One compact JSON line (no trailing newline). *)
+(** One compact JSON line (no trailing newline).  A solved answer's
+    [literals], when present, stand in for its numbers: the line is
+    the same bytes as with [literals = None]. *)
 
 val solved_of_schedule :
   engine:string -> exact:bool -> Schedule.t -> solved
-(** Extract the response payload from a solver schedule.
+(** Extract the response payload from a solver schedule, without
+    [literals].
 
     @raise Invalid_argument on a malformed task graph (nonpositive
     weight, out-of-range or self-loop edge, or cycle). *)

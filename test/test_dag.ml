@@ -201,6 +201,9 @@ let descendants d i =
   visit i;
   List.filter (fun j -> seen.(j)) (List.init (Dag.n d) Fun.id)
 
+let cmp_edge (a, b) (c, d) =
+  match Int.compare a c with 0 -> Int.compare b d | k -> k
+
 (* The reduction's definition, stated directly: edge (i, j) is kept
    unless j is a descendant of another successor of i. *)
 let oracle_reduction d =
@@ -283,6 +286,88 @@ let test_gen_pipeline () =
   (* it is series-parallel by construction *)
   Alcotest.(check bool) "recognised as SP" true (Sp.of_dag d <> None)
 
+(* The Kahn pass the heap replaced: a [Set] of ready ids, the smallest
+   popped first; [None] on a cycle.  [edges] may repeat. *)
+let reference_order n edges =
+  let module Q = Set.Make (Int) in
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  List.iter
+    (fun (i, j) ->
+      succs.(i) <- j :: succs.(i);
+      indeg.(j) <- indeg.(j) + 1)
+    (List.sort_uniq cmp_edge edges);
+  let ready = ref Q.empty and order = ref [] in
+  Array.iteri (fun i d -> if d = 0 then ready := Q.add i !ready) indeg;
+  while not (Q.is_empty !ready) do
+    let i = Q.min_elt !ready in
+    ready := Q.remove i !ready;
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then ready := Q.add j !ready)
+      succs.(i)
+  done;
+  if List.length !order = n then Some (Array.of_list (List.rev !order)) else None
+
+(* Random DAGs of 1-40 tasks with ids shuffled against their
+   topological order, and half the time one edge from a later task back
+   to an earlier one, which closes a cycle when a path joins them. *)
+let qcheck_topological_order_reference =
+  QCheck.Test.make ~name:"topological order = Set-based Kahn reference, cycles rejected"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Es_util.Rng.create ~seed in
+      let n = 1 + Es_util.Rng.int r 40 in
+      let sigma = Array.init n Fun.id in
+      Es_util.Rng.shuffle r sigma;
+      let edges = ref [] in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Es_util.Rng.float r 1. < 0.15 then edges := (sigma.(i), sigma.(j)) :: !edges
+        done
+      done;
+      let edges =
+        if n >= 2 && Es_util.Rng.bool r then begin
+          let i = Es_util.Rng.int r (n - 1) in
+          let j = i + 1 + Es_util.Rng.int r (n - 1 - i) in
+          (sigma.(j), sigma.(i)) :: !edges
+        end
+        else !edges
+      in
+      let weights = Array.make n 1. in
+      match (reference_order n edges, Dag.make ?labels:None ~weights ~edges) with
+      | Some expected, d -> Dag.topological_order d = expected
+      | None, _ -> false
+      | exception Invalid_argument msg ->
+        String.equal msg "Dag: cycle detected" && reference_order n edges = None)
+
+let test_cycle_reference () =
+  let edges = [ (0, 1); (1, 2); (2, 0); (3, 0) ] in
+  Alcotest.(check bool) "reference sees the cycle" true (reference_order 4 edges = None);
+  Alcotest.check_raises "3-cycle" (Invalid_argument "Dag: cycle detected") (fun () ->
+      ignore (Dag.make ?labels:None ~weights:(Array.make 4 1.) ~edges))
+
+(* The Kahn pass and the start-time fold allocate their arrays and
+   nothing per task.  On a 300-task chain, topological order plus
+   critical path take seven 301-word arrays (indegrees, heap and order,
+   twice, and the start times) and 48 words more: 2,155 words, against
+   11,085 for a Set of ready ids and boxed-float folds.  A minor
+   collection before each reading of the allocation counter makes it
+   count the minor heap's words too. *)
+let test_kahn_allocation () =
+  let d = Generators.chain (Es_util.Rng.create ~seed:1) ~n:300 ~wlo:0.5 ~whi:3. in
+  let durations = Dag.weights d in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Dag.topological_order d));
+  ignore (Sys.opaque_identity (Dag.critical_path_length d ~durations));
+  Gc.minor ();
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 300 tasks < 8 per task" words)
+    true (words < 8. *. 300.)
+
 let suite =
   ( fst suite,
     snd suite
@@ -291,4 +376,8 @@ let suite =
         Alcotest.test_case "transitive reduction past the window" `Quick
           test_transitive_reduction_far;
         QCheck_alcotest.to_alcotest qcheck_transitive_reduction_oracle;
+        QCheck_alcotest.to_alcotest qcheck_topological_order_reference;
+        Alcotest.test_case "topological order rejects a 3-cycle" `Quick test_cycle_reference;
+        Alcotest.test_case "topological order and critical path allocate only their arrays" `Quick
+          test_kahn_allocation;
       ] )

@@ -278,6 +278,55 @@ let test_json_printer_round_trips_floats () =
   Alcotest.(check bool) "inf -> null" true
     (of_string (to_string (Num Float.infinity)) = Null)
 
+(* The number rule as two Printf conversions and a read-back, the
+   way the printers stated it before they called the formatting
+   primitive directly: the literals must not change by one byte. *)
+let printf_literal x =
+  if Float.is_nan x || Float.abs x = infinity then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else
+    let long = Printf.sprintf "%.17g" x in
+    let short = Printf.sprintf "%.12g" x in
+    if float_of_string short = x then short else long
+
+(* Any bit pattern (every exponent, subnormals, NaN and infinities),
+   integers on both sides of the 1e15 cut, short decimals, and the
+   edge values. *)
+let gen_double =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Int64.float_of_bits int64;
+      map float_of_int (int_range (-2_000_000_000_000_000) 2_000_000_000_000_000);
+      map float_of_int (int_range (-1000) 1000);
+      map2 (fun k e -> float_of_int k *. (10. ** float_of_int e)) (int_range (-99999) 99999)
+        (int_range (-320) 308);
+      map2 Float.ldexp (float_range 0.5 1.) (int_range (-1074) 1024);
+      oneofl
+        [
+          0.; -0.; Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+          4.9e-324; -4.9e-324; Float.epsilon; 1e15; 1e15 -. 1.; -1e15; 1e15 +. 0.5;
+          0.1; 1. /. 3.; Float.nan; Float.infinity; Float.neg_infinity;
+        ];
+    ]
+
+let qcheck_number_literal_is_printf =
+  QCheck2.Test.make ~name:"number literals = the Printf rule, byte for byte" ~count:2000
+    ~print:(Printf.sprintf "%h") gen_double (fun x ->
+      let expected = printf_literal x in
+      String.equal (Json.number_literal x) expected
+      && String.equal (Json.to_compact_string (Json.Num x)) expected
+      && String.equal (Json.to_string (Json.List [ Json.Num x ])) ("[\n  " ^ expected ^ "\n]"))
+
+(* A [Lit] node is written as it is, in both printers. *)
+let test_json_lit_written_as_is () =
+  let x = 0.96086956521739086 in
+  let lit = Json.Lit (Json.number_literal x) in
+  Alcotest.(check string) "compact" (Json.to_compact_string (Json.Num x)) (Json.to_compact_string lit);
+  Alcotest.(check string) "pretty"
+    (Json.to_string (Json.Obj [ ("x", Json.Num x) ]))
+    (Json.to_string (Json.Obj [ ("x", lit) ]))
+
 let suite =
   ( "obs",
     [
@@ -305,4 +354,6 @@ let suite =
         test_json_parser_rejects_garbage;
       Alcotest.test_case "JSON float round-trip" `Quick
         test_json_printer_round_trips_floats;
+      QCheck_alcotest.to_alcotest qcheck_number_literal_is_printf;
+      Alcotest.test_case "JSON literal nodes written as is" `Quick test_json_lit_written_as_is;
     ] )

@@ -95,6 +95,94 @@ let test_render_is_compact_json () =
   | Some (Es_obs.Obs_json.Str s) -> Alcotest.(check string) "status" "ok" s
   | _ -> Alcotest.fail "status missing"
 
+(* The renderer before solved answers could carry literals: one Json
+   tree of [Num] nodes per response, written compact. *)
+let reference_render (r : Protocol.response) =
+  let open Es_obs.Obs_json in
+  let nums xs = List (Array.to_list (Array.map (fun x -> Num x) xs)) in
+  let ints xs = List (List.map (fun i -> Num (float_of_int i)) xs) in
+  let cache_field =
+    match r.Protocol.cache with
+    | None -> []
+    | Some d -> [ ("cache", Str (Protocol.disposition_name d)) ]
+  in
+  let self_check_field =
+    match r.Protocol.self_check with
+    | None -> []
+    | Some ok -> [ ("self_check", Str (if ok then "ok" else "fail")) ]
+  in
+  let fields =
+    match r.Protocol.status with
+    | Protocol.Solved s ->
+      [ ("id", r.Protocol.rid); ("status", Str "ok") ]
+      @ cache_field
+      @ [
+          ("engine", Str s.Protocol.engine);
+          ("exact", Bool s.Protocol.exact);
+          ("energy", Num s.Protocol.energy);
+          ("makespan", Num s.Protocol.makespan);
+          ("speeds", nums s.Protocol.speeds);
+        ]
+      @ (if s.Protocol.reexecuted = [] then [] else [ ("reexecuted", ints s.Protocol.reexecuted) ])
+      @ self_check_field
+    | Protocol.Infeasible msg ->
+      [ ("id", r.Protocol.rid); ("status", Str "infeasible") ] @ cache_field @ [ ("error", Str msg) ]
+    | Protocol.Rejected msg -> [ ("id", r.Protocol.rid); ("status", Str "error"); ("error", Str msg) ]
+    | Protocol.Shed msg -> [ ("id", r.Protocol.rid); ("status", Str "shed"); ("error", Str msg) ]
+    | Protocol.Over_budget { budget_s } ->
+      [ ("id", r.Protocol.rid); ("status", Str "over-budget"); ("budget_s", Num budget_s) ]
+  in
+  to_compact_string (Obj fields)
+
+(* Responses of every status, with doubles of any bit pattern, ids of
+   every JSON kind and messages that need escaping; a solved answer
+   carries literals half the time. *)
+let gen_response =
+  let open QCheck2.Gen in
+  let module J = Es_obs.Obs_json in
+  let double = oneof [ map Int64.float_of_bits int64; float; map float_of_int small_signed_int ] in
+  let text = oneofl [ "queue full"; "infeasible: the deadline cannot be met"; "a \"quoted\"\n\\ line\t\001" ] in
+  let rid =
+    oneof
+      [ pure J.Null; map (fun i -> J.Num (float_of_int i)) small_signed_int; map (fun s -> J.Str s) text ]
+  in
+  let solved =
+    let* n = int_range 1 6 in
+    let* energy = double and* makespan = double and* speeds = array_repeat n double in
+    let* engine = oneofl [ "vdd-hopping LP"; "continuous convex solve" ] and* exact = bool in
+    let* reexecuted = list_size (int_bound 3) (int_bound (n - 1)) and* literals = bool in
+    let literals =
+      if literals then
+        Some
+          {
+            Protocol.energy_lit = J.number_literal energy;
+            makespan_lit = J.number_literal makespan;
+            speed_lits = Array.map J.number_literal speeds;
+          }
+      else None
+    in
+    pure (Protocol.Solved { Protocol.energy; speeds; makespan; engine; exact; reexecuted; literals })
+  in
+  let status =
+    oneof
+      [
+        solved;
+        map (fun m -> Protocol.Infeasible m) text;
+        map (fun m -> Protocol.Rejected m) text;
+        map (fun m -> Protocol.Shed m) text;
+        map (fun b -> Protocol.Over_budget { budget_s = b }) double;
+      ]
+  in
+  let* rid = rid and* status = status in
+  let* cache = opt (oneofl [ Protocol.Cold; Protocol.Hit; Protocol.Rescale_hit ]) in
+  let+ self_check = opt bool in
+  { Protocol.rid; status; cache; self_check }
+
+let qcheck_render_matches_reference =
+  QCheck2.Test.make ~name:"protocol: render = the Json-tree reference, every status" ~count:500
+    ~print:reference_render gen_response (fun r ->
+      String.equal (Protocol.render r) (reference_render r))
+
 (* --- canon: qcheck properties --------------------------------------- *)
 
 let qcheck_canon_relabel_invariant =
@@ -411,6 +499,30 @@ let test_cache_exact_hit_permutes () =
     | _ -> Alcotest.fail "fresh solve failed")
   | _ -> Alcotest.fail "expected an exact hit"
 
+(* Every exact hit of an entry, under any labelling, renders the same
+   line as its floats would: the stored literals are those floats'
+   own, permuted with them. *)
+let test_cache_exact_hit_literals () =
+  let cache = Cache.create () in
+  let order = Protocol.resolve_order diamond in
+  let canon = Canon.of_instance ~order diamond in
+  Cache.insert cache ~inst:diamond ~canon (solved_of diamond);
+  List.iter
+    (fun sigma ->
+      let pi', order' = relabel ~sigma ~proc_rot:1 diamond order in
+      let canon' = Canon.of_instance ~order:order' pi' in
+      match Cache.lookup cache ~inst:pi' ~order:order' ~canon:canon' with
+      | Some { Cache.status = Protocol.Solved s; disposition = Protocol.Hit } ->
+        Alcotest.(check bool) "carries literals" true (Option.is_some s.Protocol.literals);
+        let line status =
+          Protocol.render { Protocol.rid = Es_obs.Obs_json.Null; status; cache = Some Protocol.Hit; self_check = None }
+        in
+        Alcotest.(check string) "hit line = fresh render of its floats"
+          (line (Protocol.Solved { s with Protocol.literals = None }))
+          (line (Protocol.Solved s))
+      | _ -> Alcotest.fail "expected an exact hit")
+    [ [| 3; 2; 1; 0 |]; [| 0; 1; 2; 3 |]; [| 1; 3; 0; 2 |] ]
+
 let test_cache_rescale_hit_law () =
   let cache = Cache.create () in
   let order = Protocol.resolve_order diamond in
@@ -625,6 +737,9 @@ let suite =
       Alcotest.test_case "canon: ties refinement cannot split" `Quick test_canon_individualization;
       Alcotest.test_case "cache: exact hit permutes speeds" `Quick
         test_cache_exact_hit_permutes;
+      Alcotest.test_case "cache: exact hits render their floats' literals" `Quick
+        test_cache_exact_hit_literals;
+      QCheck_alcotest.to_alcotest qcheck_render_matches_reference;
       Alcotest.test_case "cache: rescale hit follows the scaling laws" `Quick
         test_cache_rescale_hit_law;
       Alcotest.test_case "cache: boundary optima are not rescaled" `Quick
