@@ -513,7 +513,7 @@ let e9 ~seed () =
           | Some (s : Tricrit_vdd.solution) ->
             (Printf.sprintf "%.5f" s.energy, string_of_int (count_true s.reexecuted))
         in
-        let e, en = fmt (Tricrit_vdd.solve_exact ?max_n:None ~rel ~deadline ~levels m) in
+        let e, en = fmt (Tricrit_vdd.solve_exact ~rel ~deadline ~levels m) in
         let heuristic = Tricrit_vdd.solve_heuristic ~rel ~deadline ~levels m in
         let h, _ = fmt heuristic in
         let r =
@@ -521,7 +521,7 @@ let e9 ~seed () =
           | None -> "-"
           | Some sol ->
             Printf.sprintf "%.5f"
-              (Tricrit_vdd.refine_splits ?rounds:None ~rel ~deadline ~levels m sol)
+              (Tricrit_vdd.refine_splits ~rel ~deadline ~levels m sol)
                 .Tricrit_vdd.energy
         in
         let c =

@@ -30,10 +30,10 @@ let () =
       deadline sol.Tricrit_chain.energy;
     let sim_rng = Es_util.Rng.create ~seed:22 in
     for run = 1 to 4 do
-      let t = Trace.run (Es_util.Rng.split sim_rng) ~rel sol.Tricrit_chain.schedule in
+      let t = Sim.trace (Es_util.Rng.split sim_rng) ~rel sol.Tricrit_chain.schedule in
       Printf.printf "run %d: realised makespan %.3f, realised energy %.4f, %d attempts\n"
-        run t.Trace.makespan t.Trace.energy (List.length t.Trace.events);
-      print_string (Trace.render sol.Tricrit_chain.schedule t);
+        run t.Sim.makespan t.Sim.energy (List.length t.Sim.events);
+      print_string (Sim.render_trace sol.Tricrit_chain.schedule t);
       print_newline ()
     done;
     (* and the aggregate view *)

@@ -12,9 +12,7 @@
     {!shrink} enumerates simplified candidates (bisected task sets,
     single-task removals, unit weights, collapsed level grids, round
     slack) — the fuzz runner in {!Runner} greedily re-runs a failing
-    relation on them to deliver a minimal counterexample.  The same
-    instances are exposed as QCheck2 generators ({!qgen}) whose
-    integrated shrinking bisects the raw components. *)
+    relation on them to deliver a minimal counterexample. *)
 
 type shape = Chain | Fork | Join | Sp | Layered | General
 
@@ -87,12 +85,3 @@ val describe : inst -> string
 
 val to_json : inst -> Es_obs.Obs_json.t
 (** @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
-
-val qgen : ?shapes:shape list -> unit -> inst QCheck2.Gen.t
-(** QCheck2 generator with integrated shrinking over the instance
-    components. *)
-
-val qprint : inst -> string
-(** Printer for QCheck2 counterexample reporting.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)

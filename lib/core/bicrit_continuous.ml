@@ -80,18 +80,6 @@ let sp_speeds sp ~deadline =
 
 (* ---- general DAG: convex program via the interior-point method --- *)
 
-(* Longest path measured in hop count, for spreading the strictly
-   feasible starting point. *)
-let levels cdag =
-  let order = Dag.topological_order cdag in
-  let lv = Array.make (Dag.n cdag) 0 in
-  Array.iter
-    (fun i ->
-      let m = List.fold_left (fun acc p -> max acc (lv.(p) + 1)) 0 (Dag.preds cdag i) in
-      lv.(i) <- m)
-    order;
-  lv
-
 let solve_general ?eff_weights ?lo ?hi ~deadline mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
@@ -127,9 +115,11 @@ let solve_general ?eff_weights ?lo ?hi ~deadline mapping =
       in
       let es0 = Dag.earliest_start cdag ~durations:d0 in
       let m0 = makespan_of d0 in
-      let lv = levels cdag in
+      (* the longest path in hops before each task (exact in floats)
+         spreads the start times *)
+      let hops = Dag.earliest_start cdag ~durations:(Array.make n 1.) in
       let alpha = (deadline -. m0) /. float_of_int (n + 2) in
-      let s0 = Array.init n (fun i -> es0.(i) +. (alpha *. (float_of_int lv.(i) +. 0.5))) in
+      let s0 = Array.init n (fun i -> es0.(i) +. (alpha *. (hops.(i) +. 0.5))) in
       (* variables x = [d; s]; rows of A in CSR, columns ascending.
          Only the rows the others do not imply: a precedence row per
          edge of the transitive reduction (the rows along a longer

@@ -262,8 +262,3 @@ let local_search ~rel ~deadline mapping start =
       !best_toggle
   done;
   !current
-
-let best_of_refined ~rel ~deadline mapping =
-  match best_of ~rel ~deadline mapping with
-  | None -> None
-  | Some (sol, who) -> Some (local_search ~rel ~deadline mapping sol, who)

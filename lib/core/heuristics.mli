@@ -97,12 +97,3 @@ val local_search :
     structure of family A leaves on irregular DAGs (experiment E13).
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
-
-val best_of_refined :
-  rel:Rel.params ->
-  deadline:(float[@units "time"]) ->
-  Mapping.t ->
-  (solution * winner) option
-(** {!best_of} followed by {!local_search} on the winner.
-
-    @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)

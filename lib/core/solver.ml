@@ -57,7 +57,7 @@ let solve { mapping; model; deadline; rel } =
   | Speed.Vdd_hopping levels, Some rel -> (
     let* () = check_rel_consistency model rel in
     if n <= exact_threshold - 4 then begin
-      match Tricrit_vdd.solve_exact ~max_n:(exact_threshold - 4) ~rel ~deadline ~levels mapping with
+      match Tricrit_vdd.solve_exact ~rel ~deadline ~levels mapping with
       | Some sol ->
         answer ~exact:true ~engine:"tri-crit vdd exact (subset x LP)"
           sol.Tricrit_vdd.schedule

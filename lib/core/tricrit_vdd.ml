@@ -10,8 +10,6 @@ type solution = {
 let c_subsets = Obs.counter "tricrit_vdd_subsets"
 let c_bounds = Obs.counter "tricrit_vdd_bounds"
 let c_bound_failures = Obs.counter "tricrit_vdd_bound_failures"
-let c_cache_hits = Obs.counter "tricrit_vdd_probe_cache_hits"
-let c_cache_misses = Obs.counter "tricrit_vdd_probe_cache_misses"
 
 let solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits =
   Obs.incr c_subsets;
@@ -51,55 +49,31 @@ let solve_subset ~rel ~deadline ~levels mapping ~subset =
   let n = Array.length subset in
   solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits:(Array.make n 0.5)
 
-let refine_splits ?(rounds = 1) ~rel ~deadline ~levels mapping solution =
+let refine_splits ~rel ~deadline ~levels mapping solution =
   let subset = solution.reexecuted in
   let n = Array.length subset in
   let splits = Array.make n 0.5 in
-  (* Probe memo: the subset LP as a function of (i, θ), valid for the
-     current committed splits of every other task.  A committed change
-     alters the LP for all tasks, so commits clear the table.  This
-     removes the re-solves the seed code paid for the accepted θ
-     ([cost theta] followed by [energy_at ()] on the same LP) and lets
-     any later sweep over an unchanged task replay from cache instead
-     of re-solving the whole golden-section trajectory. *)
-  let cache : (int * float, solution option) Hashtbl.t = Hashtbl.create 64 in
+  (* the subset LP with task i's split at θ, every other split as
+     committed *)
   let solve_at i theta =
-    match Hashtbl.find_opt cache (i, theta) with
-    | Some res ->
-      Obs.incr c_cache_hits;
-      res
-    | None ->
-      Obs.incr c_cache_misses;
-      let saved = splits.(i) in
-      splits.(i) <- theta;
-      let res = solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits in
-      splits.(i) <- saved;
-      Hashtbl.replace cache (i, theta) res;
-      res
+    let saved = splits.(i) in
+    splits.(i) <- theta;
+    let res = solve_subset_split ~rel ~deadline ~levels mapping ~subset ~splits in
+    splits.(i) <- saved;
+    res
   in
   let best = ref solution in
-  for _ = 1 to rounds do
-    for i = 0 to n - 1 do
-      if subset.(i) then begin
-        let cost theta =
-          match solve_at i theta with Some s -> s.energy | None -> infinity
-        in
-        let theta =
-          Es_numopt.Scalar.golden_min ~tol:1e-3 ~f:cost ~lo:0.15 ~hi:0.85
-        in
-        if cost theta < !best.energy -. 1e-12 then begin
-          (* the accepted probe was just solved by [cost]: this
-             lookup is a cache hit *)
-          match solve_at i theta with
-          | Some s ->
-            splits.(i) <- theta;
-            (* committing θᵢ changes the LP seen by every other task *)
-            Hashtbl.reset cache;
-            best := s
-          | None -> ()
-        end
-      end
-    done
+  for i = 0 to n - 1 do
+    if subset.(i) then begin
+      let cost theta = match solve_at i theta with Some s -> s.energy | None -> infinity in
+      let theta = Es_numopt.Scalar.golden_min ~tol:1e-3 ~f:cost ~lo:0.15 ~hi:0.85 in
+      (* the solve at the golden-section abscissa is the candidate *)
+      match solve_at i theta with
+      | Some s when s.energy < !best.energy -. 1e-12 ->
+        splits.(i) <- theta;
+        best := s
+      | Some _ | None -> ()
+    end
   done;
   !best
 
@@ -143,7 +117,9 @@ let relaxation_bound ~rel ~deadline ~levels mapping =
       bases.(decided) <- None;
       neg_infinity
 
-let solve_exact ?(max_n = 12) ~rel ~deadline ~levels mapping =
+let max_n = 12
+
+let solve_exact ~rel ~deadline ~levels mapping =
   let n = Dag.n (Mapping.dag mapping) in
   if n > max_n then
     invalid_arg (Printf.sprintf "Tricrit_vdd.solve_exact: n = %d > %d" n max_n);

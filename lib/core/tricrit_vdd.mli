@@ -54,7 +54,6 @@ val solve_subset :
     @raise Invalid_argument if an argument violates a documented precondition. *)
 
 val solve_exact :
-  ?max_n:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   levels:(float[@units "freq"]) array ->
@@ -64,7 +63,7 @@ val solve_exact :
     subset the plain enumeration ({!Subset_search.exhaustive} with no
     bound) would return — the same energy bits, subset and schedule,
     first of ties included — or [None] when no subset is feasible.
-    Default size guard [max_n = 12].
+    Size guard: [n <= 12].
 
     The search is branch and bound: {!Subset_search.exhaustive} with
     a lower bound at every node, so that only the leaves it cannot
@@ -106,7 +105,6 @@ val solve_heuristic :
     @raise Invalid_argument if an argument violates a documented precondition. *)
 
 val refine_splits :
-  ?rounds:int ->
   rel:Rel.params ->
   deadline:(float[@units "time"]) ->
   levels:(float[@units "freq"]) array ->
@@ -116,14 +114,12 @@ val refine_splits :
 (** Coordinate descent over the per-task budget split: instead of the
     symmetric [√ε_target] per attempt, attempt budgets
     [ε_target^θᵢ / ε_target^{1−θᵢ}] with [θᵢ] optimised one task at a
-    time by golden search ([rounds] sweeps, default 1; each probe is
-    one LP).  Never returns a worse solution than its input.  This
+    time by golden search, in one sweep over the re-executed tasks.
+    Each golden-section probe is one LP, and so is the solve at the
+    abscissa the search returns, which is committed when it lowers the
+    energy.  Never returns a worse solution than its input.  This
     closes part of the gap the symmetric linearisation leaves against
     the true product constraint.
-
-    Probe solutions are memoised by [(task, θ)] while the committed
-    splits are unchanged, so accepting a probe costs no extra LP solve
-    and repeated sweeps replay cached trajectories.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if an argument violates a documented precondition. *)

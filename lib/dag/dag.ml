@@ -6,6 +6,7 @@ type t = {
   labels : string array;
   succs : task list array; (* ascending *)
   preds : task list array; (* ascending *)
+  order : task array; (* Kahn's order, computed once by [make] *)
 }
 
 let n t = t.n
@@ -31,10 +32,10 @@ let sinks t = List.filter (fun i -> t.succs.(i) = []) (List.init t.n Fun.id)
 
 (* Kahn's algorithm, the smallest ready task first.  The ready tasks
    are a binary min-heap of ids in [heap.(0 .. !size - 1)]; no step
-   allocates. *)
-let topological_order t =
-  let n = t.n in
-  let indeg = Array.map List.length t.preds in
+   allocates.  Only [make] runs it: every DAG keeps the order. *)
+let kahn ~preds ~succs =
+  let n = Array.length preds in
+  let indeg = Array.map List.length preds in
   let heap = Array.make n 0 and size = ref 0 in
   let push v =
     let k = ref !size in
@@ -71,7 +72,7 @@ let topological_order t =
     let i = pop () in
     order.(!k) <- i;
     incr k;
-    List.iter release t.succs.(i)
+    List.iter release succs.(i)
   done;
   if !k <> n then invalid_arg "Dag: cycle detected";
   order
@@ -102,9 +103,9 @@ let make ?labels ~weights ~edges =
     edges;
   Array.iteri (fun i l -> succs.(i) <- List.sort Int.compare l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.sort Int.compare l) preds;
-  let t = { n; weights = Array.copy weights; labels; succs; preds } in
-  ignore (topological_order t);
-  t
+  { n; weights = Array.copy weights; labels; succs; preds; order = kahn ~preds ~succs }
+
+let topological_order t = Array.copy t.order
 
 let total_weight t = Es_util.Futil.sum t.weights
 let is_edge t i j = List.mem j t.succs.(i)
@@ -112,15 +113,14 @@ let is_edge t i j = List.mem j t.succs.(i)
 let map_weights t f =
   { t with weights = Array.mapi (fun i w -> f i w) t.weights }
 
-(* The start and finish bounds fold over each task's predecessors (or
-   successors) in list order, in float refs, so no step boxes a
-   float. *)
+(* The start and finish bounds fold over the stored order and over each
+   task's predecessors (or successors) in list order, in float refs, so
+   no step boxes a float. *)
 let earliest_start t ~durations =
   assert (Array.length durations = t.n);
-  let order = topological_order t in
   let es = Array.make t.n 0. in
   for k = 0 to t.n - 1 do
-    let i = order.(k) in
+    let i = t.order.(k) in
     let start = ref 0. and preds = ref t.preds.(i) in
     while
       match !preds with
@@ -146,10 +146,9 @@ let critical_path_length t ~durations =
 
 let latest_start t ~durations ~deadline =
   assert (Array.length durations = t.n);
-  let order = topological_order t in
   let ls = Array.make t.n 0. in
   for k = t.n - 1 downto 0 do
-    let i = order.(k) in
+    let i = t.order.(k) in
     let latest_finish = ref deadline and succs = ref t.succs.(i) in
     while
       match !succs with
@@ -183,8 +182,8 @@ let slack t ~durations ~deadline =
 let transitive_reduction t =
   let n = t.n in
   (* rank.(v): v's position in Kahn's queue order, which ranks tasks
-     by depth and keeps windows shorter than the smallest-id order of
-     [topological_order] *)
+     by depth and keeps windows shorter than the smallest-id order
+     stored in [t] *)
   let rank = Array.make n 0 and queue = Array.make n 0 and indeg = Array.make n 0 in
   Array.iter (List.iter (fun j -> indeg.(j) <- indeg.(j) + 1)) t.succs;
   let tail = ref 0 in
@@ -262,6 +261,9 @@ let transitive_reduction t =
     for i = n - 1 downto 0 do
       List.iter (fun j -> preds.(j) <- i :: preds.(j)) succs.(i)
     done;
+    (* The order carries over: every dropped predecessor of a task is
+       an ancestor of a kept one, so Kahn's pass makes each task ready
+       at the same step on both graphs. *)
     { t with succs; preds }
   end
 

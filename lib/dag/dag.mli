@@ -14,7 +14,8 @@ val make : ?labels:string array -> weights:float array -> edges:(task * task) li
 (** [make ~weights ~edges] builds a DAG with [Array.length weights]
     tasks.  Weights must be strictly positive.  Duplicate edges are
     collapsed; self-loops or cycles raise [Invalid_argument].
-    [labels] (default ["T<i>"]) are used by exports only.
+    [labels] (default ["T<i>"]) are used by exports only.  The
+    topological order is computed here, once, and kept.
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 
@@ -48,9 +49,8 @@ val sinks : t -> task list
 
 val topological_order : t -> task array
 (** A topological order (Kahn's algorithm, smallest-id-first, so the
-    order is deterministic).
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+    order is deterministic): a fresh copy of the order {!make}
+    computed, which every DAG keeps. *)
 
 val total_weight : t -> float
 (** [Σ wᵢ]. *)
@@ -58,38 +58,33 @@ val total_weight : t -> float
 val is_edge : t -> task -> task -> bool
 
 val map_weights : t -> (task -> float -> float) -> t
-(** Same structure with transformed weights. *)
+(** Same structure, and same topological order, with transformed
+    weights. *)
 
 val critical_path_length : t -> durations:float array -> float
 (** Longest path through the DAG where task [i] contributes
     [durations.(i)]; the makespan lower bound on unbounded
-    processors.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+    processors.  Folds over the stored order. *)
 
 val earliest_start : t -> durations:float array -> float array
-(** Earliest start time of every task under unlimited processors.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+(** Earliest start time of every task under unlimited processors:
+    one fold over the stored order, in each task's predecessor order. *)
 
 val latest_start : t -> durations:float array -> deadline:float -> float array
 (** Latest start times meeting [deadline]; may be negative when the
-    deadline is infeasible even with unlimited processors.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+    deadline is infeasible even with unlimited processors. *)
 
 val slack : t -> durations:float array -> deadline:float -> float array
 (** Per-task float: [latest_start − earliest_start].  Tasks with zero
     slack are critical.  The parallel-oriented TRI-CRIT heuristic
-    allocates re-executions by decreasing slack.
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+    allocates re-executions by decreasing slack. *)
 
 val transitive_reduction : t -> t
 (** Remove every edge implied by a longer path: [(i, j)] goes when [j]
-    is a descendant of another successor of [i].  Weights and labels
-    are preserved, the kept edges keep their order, and [t] itself is
-    returned when no edge goes.  A head ranked at most 62 tasks after
+    is a descendant of another successor of [i].  Weights, labels and
+    the topological order are preserved (on the reduced graph Kahn's
+    pass makes every task ready at the same step), the kept edges keep
+    their order, and [t] itself is returned when no edge goes.  A head ranked at most 62 tasks after
     its tail in a topological order is tested against a bit set of the
     descendants in that window, built from the successors' sets in
     O(1) per edge; a head further away by a marking DFS cut at its

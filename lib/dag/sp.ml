@@ -10,10 +10,6 @@ let series l = fold1 (fun a b -> Series (a, b)) l
 let parallel l = fold1 (fun a b -> Parallel (a, b)) l
 let chain ws = series (List.map leaf (Array.to_list ws))
 let fork ~root ws = Series (leaf root, parallel (List.map leaf (Array.to_list ws)))
-let join ws ~sink = Series (parallel (List.map leaf (Array.to_list ws)), leaf sink)
-
-let fork_join ~root ws ~sink =
-  Series (leaf root, Series (parallel (List.map leaf (Array.to_list ws)), leaf sink))
 
 let rec n_tasks = function
   | Leaf _ -> 1
@@ -89,26 +85,12 @@ let of_dag dag =
     done;
     List.rev !comps
   in
-  let topo_of set =
-    (* induced subgraph topological order, smallest id first *)
-    let indeg = Hashtbl.create 16 in
-    let indeg_of i = Option.value ~default:0 (Hashtbl.find_opt indeg i) in
-    ISet.iter (fun i -> Hashtbl.replace indeg i (List.length (preds_in set i))) set;
-    let ready = ref (ISet.filter (fun i -> indeg_of i = 0) set) in
-    let order = ref [] in
-    while not (ISet.is_empty !ready) do
-      let i = ISet.min_elt !ready in
-      ready := ISet.remove i !ready;
-      order := i :: !order;
-      List.iter
-        (fun j ->
-          let d = indeg_of j - 1 in
-          Hashtbl.replace indeg j d;
-          if d = 0 then ready := ISet.add j !ready)
-        (succs_in set i)
-    done;
-    Array.of_list (List.rev !order)
-  in
+  (* The DAG's order restricted to a subset orders the induced
+     subgraph.  Any order finds the same cuts: a series cut A ; B joins
+     every sink of A to every source of B, so every task of A precedes
+     every task of B in every topological order. *)
+  let order = Dag.topological_order dag in
+  let topo_of set = Array.of_seq (Seq.filter (fun i -> ISet.mem i set) (Array.to_seq order)) in
   let rec decompose set =
     if ISet.cardinal set = 1 then Leaf (Dag.weight dag (ISet.min_elt set))
     else begin

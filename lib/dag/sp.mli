@@ -39,14 +39,6 @@ val fork : root:float -> float array -> t
 
     @raise Invalid_argument on an empty series or parallel composition. *)
 
-val join : float array -> sink:float -> t
-(** Parallel children followed by a sink.
-
-    @raise Invalid_argument on an empty series or parallel composition. *)
-
-val fork_join : root:float -> float array -> sink:float -> t
-(** @raise Invalid_argument on an empty series or parallel composition. *)
-
 val n_tasks : t -> int
 val total_weight : t -> float
 

@@ -41,7 +41,7 @@ type outcome =
   | Infeasible  (** Phase 1 ended with positive artificial mass. *)
   | Unbounded  (** Phase 2 found an improving ray. *)
 (** The outcome every LP user shares: {!Problem}, [Es_check.Lp_cert]
-    and the dense reference [Es_check.Dense_simplex]. *)
+    and the tests' dense reference [Dense_simplex]. *)
 
 type basis
 (** A basis: one column per row.  An optimal one is reusable as a

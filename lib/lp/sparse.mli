@@ -9,16 +9,16 @@
     warm-start path the Pareto deadline sweeps use.
 
     This module is pure data: {!Revised} does the pivoting, and the
-    dense reference implementation, [Es_check.Dense_simplex], ignores
-    it. *)
+    dense reference implementation of the tests, [Dense_simplex],
+    ignores it. *)
 
 type relation = Le | Eq | Ge
 
 type constr = { coeffs : float array; relation : relation; rhs : float }
 (** One row [coeffs · x (≤|=|≥) rhs] with one entry per structural
     variable, exactly as accepted by {!of_rows}: the dense row type
-    {!Problem.constraints}, [Es_check.Lp_cert] and
-    [Es_check.Dense_simplex] share. *)
+    {!Problem.constraints}, [Es_check.Lp_cert] and the tests' dense
+    reference [Dense_simplex] share. *)
 
 type sparse_row = { nonzeros : (int * float) list; relation : relation; rhs : float }
 (** One row [Σ v·x_j (≤|=|≥) rhs] given by its nonzeros [(j, v)]: each

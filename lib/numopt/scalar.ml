@@ -51,21 +51,3 @@ let golden_min ?(tol = 1e-10) ~f ~lo ~hi =
   in
   let x1 = hi -. (phi *. (hi -. lo)) and x2 = lo +. (phi *. (hi -. lo)) in
   loop lo hi x1 x2 (f x1) (f x2) 200
-
-let newton_1d ?(tol = 1e-12) ~f ~f' ~x0 =
-  let rec loop x iters =
-    if iters = 0 then x
-    else begin
-      let fx = f x in
-      if Float.abs fx <= tol then x
-      else begin
-        let d = f' x in
-        if Float.abs d < 1e-300 then x
-        else begin
-          let step = fx /. d in
-          loop (x -. step) (iters - 1)
-        end
-      end
-    end
-  in
-  loop x0 100

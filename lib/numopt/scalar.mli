@@ -22,9 +22,3 @@ val root_monotone :
 val golden_min : ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> float
 (** Golden-section search for the minimiser of a unimodal [f] on
     [\[lo, hi\]], at most 200 steps.  Returns the abscissa. *)
-
-val newton_1d :
-  ?tol:float -> f:(float -> float) -> f':(float -> float) -> x0:float -> float
-(** Newton iteration for a root of [f], seeded at [x0], at most 100
-    steps; it stops early where [|f| ≤ tol] or the derivative
-    vanishes. *)

@@ -16,7 +16,6 @@
 
 let on = Atomic.make false
 
-let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 

@@ -30,7 +30,6 @@
 
 (** {1 Toggle} *)
 
-val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 

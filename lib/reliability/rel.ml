@@ -50,7 +50,3 @@ let min_reexec_speed p ~w =
 
 let vdd_failure p ~parts =
   Es_util.Futil.sum_by (fun (f, t) -> rate p ~f *. t) parts
-
-let pp ppf p =
-  Format.fprintf ppf "lambda0=%g d=%g f in [%g, %g] frel=%g" p.lambda0 p.sensitivity
-    p.fmin p.fmax p.frel

@@ -82,5 +82,3 @@ val vdd_failure : params -> parts:(float * float) list -> float
     list of [(speed, time)] intervals covering the task:
     [Σ rate(fₖ)·tₖ].  Reduces to {!failure_prob} for a single part
     executing the whole task. *)
-
-val pp : Format.formatter -> params -> unit

@@ -15,19 +15,7 @@ let bottom_levels dag =
   done;
   bl
 
-let top_levels dag =
-  let order = Dag.topological_order dag in
-  let tl = Array.make (Dag.n dag) 0. in
-  Array.iter
-    (fun i ->
-      let above =
-        List.fold_left
-          (fun acc p -> Float.max acc (tl.(p) +. Dag.weight dag p))
-          0. (Dag.preds dag i)
-      in
-      tl.(i) <- above)
-    order;
-  tl
+let top_levels dag = Dag.earliest_start dag ~durations:(Dag.weights dag)
 
 let rank dag priority =
   match priority with

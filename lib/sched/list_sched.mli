@@ -19,14 +19,11 @@ type priority =
   | Max_out_degree  (** most successors first *)
 
 val bottom_levels : Dag.t -> float array
-(** Longest weight-path from each task to a sink (inclusive).
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+(** Longest weight-path from each task to a sink (inclusive). *)
 
 val top_levels : Dag.t -> float array
-(** Longest weight-path from a source to each task (exclusive).
-
-    @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
+(** Longest weight-path from a source to each task (exclusive):
+    {!Dag.earliest_start} at the weights. *)
 
 val schedule : Dag.t -> p:int -> priority:priority -> Mapping.t
 (** Greedy list scheduling: repeatedly start the highest-priority ready

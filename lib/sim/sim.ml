@@ -1,13 +1,6 @@
 module Rng = Es_util.Rng
 module Obs = Es_obs.Obs
 
-type run = {
-  success : bool;
-  faults : int;
-  realised_makespan : float;
-  realised_energy : float;
-}
-
 let c_trials = Obs.counter "sim_trials"
 let t_monte_carlo = Obs.timer "sim_monte_carlo"
 
@@ -20,43 +13,120 @@ let analytic_task_failure ~rel sched i =
     (fun acc e -> acc *. attempt_failure ~rel e)
     1. (Schedule.executions sched i)
 
-(* Replay one task: walk its attempts until one succeeds, accumulating
-   the realised duration/energy of every attempt that ran.  Returns
-   [true] iff some attempt succeeded.  A task without executions is a
-   malformed schedule, not a failed one. *)
-let replay_task rng ~rel ~durations ~energy ~faults i = function
-  | [] -> invalid_arg "Sim: task has no executions"
-  | executions ->
-    let rec attempts = function
-      | [] -> false
-      | e :: rest ->
-        durations.(i) <- durations.(i) +. Schedule.exec_time e;
-        energy := !energy +. Schedule.exec_energy e;
-        if Rng.bernoulli rng (attempt_failure ~rel e) then begin
-          incr faults;
-          attempts rest
-        end
-        else true
-    in
-    attempts executions
+(* The attempt table of one schedule: task i's attempts are the
+   entries first.(i) .. first.(i + 1) - 1, each with its duration, its
+   energy and its Eq. (1) failure probability.  Built once per
+   schedule and only read afterwards, so replicas share it. *)
+type table = {
+  cdag : Dag.t;
+  first : int array;
+  time : float array;
+  energy : float array;
+  fail : float array;
+}
 
-let run rng ~rel sched =
-  let dag = Schedule.dag sched in
-  let cdag = Mapping.constraint_dag (Schedule.mapping sched) in
-  let n = Dag.n dag in
-  let faults = ref 0 in
-  let all_ok = ref true in
-  (* realised duration and energy of every task in this run *)
-  let durations = Array.make n 0. in
+let table ~rel sched =
+  let n = Dag.n (Schedule.dag sched) in
+  let attempts = Array.init n (fun i -> Array.of_list (Schedule.executions sched i)) in
+  let first = Array.make (n + 1) 0 in
+  Array.iteri (fun i a -> first.(i + 1) <- first.(i) + Array.length a) attempts;
+  let all = Array.concat (Array.to_list attempts) in
+  {
+    cdag = Mapping.constraint_dag (Schedule.mapping sched);
+    first;
+    time = Array.map Schedule.exec_time all;
+    energy = Array.map Schedule.exec_energy all;
+    fail = Array.map (attempt_failure ~rel) all;
+  }
+
+(* One run: each task's attempts run in order until one succeeds, one
+   Bernoulli draw per attempt that runs.  Writes each task's realised
+   duration to [durations] and the number of its attempts that failed
+   to [faults] (those ran first, and the next one, if any, succeeded);
+   returns the realised energy.  Allocates nothing but the draws'
+   generator state. *)
+let replay t rng ~durations ~faults =
   let energy = ref 0. in
-  for i = 0 to n - 1 do
-    let ok =
-      replay_task rng ~rel ~durations ~energy ~faults i (Schedule.executions sched i)
-    in
-    if not ok then all_ok := false
+  for i = 0 to Array.length durations - 1 do
+    let k = ref t.first.(i) and ok = ref false and d = ref 0. in
+    while (not !ok) && !k < t.first.(i + 1) do
+      d := !d +. t.time.(!k);
+      energy := !energy +. t.energy.(!k);
+      ok := not (Rng.bernoulli rng t.fail.(!k));
+      incr k
+    done;
+    durations.(i) <- !d;
+    faults.(i) <- !k - t.first.(i) - Bool.to_int !ok
   done;
-  let realised_makespan = Dag.critical_path_length cdag ~durations in
-  { success = !all_ok; faults = !faults; realised_makespan; realised_energy = !energy }
+  !energy
+
+let attempts t i = t.first.(i + 1) - t.first.(i)
+
+type event = {
+  task : Dag.task;
+  attempt : int;
+  start : float;
+  finish : float;
+  failed : bool;
+}
+
+type trace = { events : event list; success : bool; makespan : float; energy : float }
+
+let trace rng ~rel sched =
+  let t = table ~rel sched in
+  let n = Dag.n t.cdag in
+  let durations = Array.make n 0. and faults = Array.make n 0 in
+  let energy = replay t rng ~durations ~faults in
+  (* start times from the realised durations; a task's attempts run
+     back to back *)
+  let starts = Dag.earliest_start t.cdag ~durations in
+  let events = ref [] and success = ref true in
+  (* tasks in ascending order before the stable sort, so that events
+     starting together keep task order *)
+  for i = n - 1 downto 0 do
+    if faults.(i) = attempts t i then success := false;
+    let start = ref starts.(i) in
+    for a = 1 to min (faults.(i) + 1) (attempts t i) do
+      let finish = !start +. t.time.(t.first.(i) + a - 1) in
+      let failed = a <= faults.(i) in
+      events := { task = i; attempt = a; start = !start; finish; failed } :: !events;
+      start := finish
+    done
+  done;
+  let events = List.sort (fun a b -> Float.compare a.start b.start) !events in
+  let makespan = Dag.critical_path_length t.cdag ~durations in
+  { events; success = !success; makespan; energy }
+
+let width = 72
+
+let render_trace sched t =
+  let mapping = Schedule.mapping sched in
+  let horizon = Float.max t.makespan 1e-9 in
+  let col x = int_of_float (float_of_int width *. x /. horizon) in
+  let buf = Buffer.create 512 in
+  for k = 0 to Mapping.p mapping - 1 do
+    let row = Bytes.make (width + 1) '.' in
+    List.iter
+      (fun ev ->
+        if Mapping.proc_of mapping ev.task = k then begin
+          let letter =
+            if ev.failed then 'x'
+            else if ev.attempt = 2 then '*'
+            else Char.chr (Char.code 'A' + (ev.task mod 26))
+          in
+          for x = max 0 (col ev.start) to min width (col ev.finish - 1) do
+            Bytes.set row x letter
+          done
+        end)
+      t.events;
+    Buffer.add_string buf (Printf.sprintf "P%-2d %s\n" k (Bytes.to_string row))
+  done;
+  Buffer.add_string buf
+    (Printf.sprintf "    0%s%.3g  %s\n"
+       (String.make (max 0 (width - 8)) ' ')
+       horizon
+       (if t.success then "(success)" else "(FAILED)"));
+  Buffer.contents buf
 
 type report = {
   trials : int;
@@ -84,36 +154,31 @@ type tally = {
   t_max_ms : float;
 }
 
-let run_tally rng ~rel ~trials sched =
-  let dag = Schedule.dag sched in
-  let cdag = Mapping.constraint_dag (Schedule.mapping sched) in
-  let n = Dag.n dag in
+let run_tally t rng ~trials =
+  let n = Dag.n t.cdag in
   let task_failures = Array.make n 0 in
   let successes = ref 0 in
   let total_faults = ref 0 in
   let sum_ms = ref 0. in
   let sum_en = ref 0. in
   let max_ms = ref 0. in
-  let durations = Array.make n 0. in
+  let durations = Array.make n 0. and faults = Array.make n 0 in
   for _ = 1 to trials do
     Obs.incr c_trials;
-    Array.fill durations 0 n 0.;
-    let energy = ref 0. and all_ok = ref true in
+    let energy = replay t rng ~durations ~faults in
+    let all_ok = ref true in
     for i = 0 to n - 1 do
-      if
-        not
-          (replay_task rng ~rel ~durations ~energy ~faults:total_faults i
-             (Schedule.executions sched i))
-      then begin
+      total_faults := !total_faults + faults.(i);
+      if faults.(i) = attempts t i then begin
         all_ok := false;
         task_failures.(i) <- task_failures.(i) + 1
       end
     done;
     if !all_ok then incr successes;
-    let m = Dag.critical_path_length cdag ~durations in
+    let m = Dag.critical_path_length t.cdag ~durations in
     if m > !max_ms then max_ms := m;
     sum_ms := !sum_ms +. m;
-    sum_en := !sum_en +. !energy
+    sum_en := !sum_en +. energy
   done;
   {
     t_trials = trials;
@@ -156,13 +221,12 @@ let replicas = 16
 let monte_carlo_par ?pool rng ~rel ~trials sched =
   if trials <= 0 then invalid_arg "Sim.monte_carlo_par: trials must be > 0";
   Obs.time t_monte_carlo @@ fun () ->
+  let t = table ~rel sched in
   let replicas = min replicas trials in
   let base = trials / replicas and rem = trials mod replicas in
   let sizes = List.init replicas (fun i -> base + if i < rem then 1 else 0) in
   let tallies =
-    Es_par.Par.map_seeded ?pool ~rng
-      (fun rng trials -> run_tally rng ~rel ~trials sched)
-      sizes
+    Es_par.Par.map_seeded ?pool ~rng (fun rng trials -> run_tally t rng ~trials) sizes
   in
   match tallies with
   | [] -> assert false (* replicas >= 1 *)

@@ -22,5 +22,3 @@ let sum xs =
   !acc
 
 let sum_by f xs = sum (Array.of_list (List.map f xs))
-let is_finite x = Float.is_finite x
-let fmt_g x = Printf.sprintf "%.6g" x

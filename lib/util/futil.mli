@@ -22,9 +22,3 @@ val sum : float array -> float
 
 val sum_by : ('a -> float) -> 'a list -> float
 (** Compensated sum of [f x] over the list. *)
-
-val is_finite : float -> bool
-(** Neither NaN nor infinite. *)
-
-val fmt_g : float -> string
-(** Short ["%.6g"] rendering used in tables. *)

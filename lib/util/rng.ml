@@ -19,8 +19,6 @@ let create ~seed =
   let s3 = splitmix64_next state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =

@@ -14,10 +14,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting at the current state
-    of [t]. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  The two
     streams are statistically independent; use this to give each

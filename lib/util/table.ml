@@ -7,9 +7,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let add_float_row t ?(fmt = Futil.fmt_g) label xs =
-  add_row t (label :: List.map fmt xs)
-
 (* A cell is "numeric-looking" when it parses as a float; those are
    right-aligned, labels are left-aligned. *)
 let numericp s = match float_of_string_opt s with Some _ -> true | None -> false

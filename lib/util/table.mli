@@ -18,12 +18,6 @@ val add_row : t -> string list -> unit
 
     @raise Invalid_argument on a row arity mismatch with the header. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> unit
-(** [add_float_row t label xs] appends [label :: map fmt xs].  The
-    default [fmt] is {!Es_util.Futil.fmt_g}.
-
-    @raise Invalid_argument on a row arity mismatch with the header. *)
-
 val render : ?caption:string -> t -> string
 (** Render with padded, right-aligned numeric-looking cells and a rule
     under the header. *)

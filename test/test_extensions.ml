@@ -275,7 +275,7 @@ let test_refine_never_worse () =
   match Tricrit_vdd.solve_heuristic ~rel ~deadline ~levels m with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
-    let refined = Tricrit_vdd.refine_splits ?rounds:None ~rel ~deadline ~levels m sol in
+    let refined = Tricrit_vdd.refine_splits ~rel ~deadline ~levels m sol in
     Alcotest.(check bool)
       (Printf.sprintf "refined %.5f <= %.5f" refined.Tricrit_vdd.energy
          sol.Tricrit_vdd.energy)

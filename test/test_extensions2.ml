@@ -85,7 +85,7 @@ let test_hull_bracket_consecutive () =
     Alcotest.(check (float 1e-9)) "hi" 0.8 hi
   | None -> Alcotest.fail "bracket exists"
 
-(* --- Trace ---------------------------------------------------------- *)
+(* --- traced runs ---------------------------------------------------- *)
 
 let traced_schedule () =
   let rng = Es_util.Rng.create ~seed:611 in
@@ -105,59 +105,72 @@ let hot = Rel.make ~lambda0:0.05 ~sensitivity:3. ~fmin:0.2 ~fmax:1.0 ~frel:0.8 (
 
 let test_trace_events_ordered_and_within_makespan () =
   let sched = traced_schedule () in
-  let t = Trace.run (Es_util.Rng.create ~seed:612) ~rel:hot sched in
+  let t = Sim.trace (Es_util.Rng.create ~seed:612) ~rel:hot sched in
   List.iter
-    (fun (ev : Trace.event) ->
+    (fun (ev : Sim.event) ->
       Alcotest.(check bool) "start < finish" true (ev.start < ev.finish);
-      Alcotest.(check bool) "within makespan" true (ev.finish <= t.Trace.makespan +. 1e-9))
-    t.Trace.events;
+      Alcotest.(check bool) "within makespan" true (ev.finish <= t.Sim.makespan +. 1e-9))
+    t.Sim.events;
   let rec sorted = function
-    | (a : Trace.event) :: (b :: _ as rest) -> a.start <= b.start && sorted rest
+    | (a : Sim.event) :: (b :: _ as rest) -> a.start <= b.start && sorted rest
     | _ -> true
   in
-  Alcotest.(check bool) "sorted by start" true (sorted t.Trace.events)
+  Alcotest.(check bool) "sorted by start" true (sorted t.Sim.events)
 
 let test_trace_second_attempt_iff_failure () =
   let sched = traced_schedule () in
-  let t = Trace.run (Es_util.Rng.create ~seed:613) ~rel:hot sched in
+  let t = Sim.trace (Es_util.Rng.create ~seed:613) ~rel:hot sched in
   (* a second attempt of task i exists iff its first attempt failed *)
   List.iter
-    (fun (ev : Trace.event) ->
+    (fun (ev : Sim.event) ->
       if ev.attempt = 2 then begin
         match
           List.find_opt
-            (fun (e : Trace.event) -> e.task = ev.task && e.attempt = 1)
-            t.Trace.events
+            (fun (e : Sim.event) -> e.task = ev.task && e.attempt = 1)
+            t.Sim.events
         with
         | None -> Alcotest.fail "second attempt without a first attempt"
         | Some first ->
           Alcotest.(check bool) "first failed" true first.failed;
           Alcotest.(check (float 1e-9)) "back to back" first.finish ev.start
       end)
-    t.Trace.events
+    t.Sim.events
 
 let test_trace_energy_consistent_with_events () =
   let sched = traced_schedule () in
-  let t = Trace.run (Es_util.Rng.create ~seed:614) ~rel:hot sched in
+  let t = Sim.trace (Es_util.Rng.create ~seed:614) ~rel:hot sched in
   (* realised energy at constant speed 0.5: 0.5³ × total event time *)
   let event_time =
-    List.fold_left (fun acc (e : Trace.event) -> acc +. (e.finish -. e.start)) 0. t.Trace.events
+    List.fold_left (fun acc (e : Sim.event) -> acc +. (e.finish -. e.start)) 0. t.Sim.events
   in
-  Alcotest.(check (float 1e-6)) "energy = f³·time" (0.125 *. event_time) t.Trace.energy
+  Alcotest.(check (float 1e-6)) "energy = f³·time" (0.125 *. event_time) t.Sim.energy
 
 let test_trace_render () =
   let sched = traced_schedule () in
-  let t = Trace.run (Es_util.Rng.create ~seed:615) ~rel:hot sched in
-  let s = Trace.render sched t in
+  let t = Sim.trace (Es_util.Rng.create ~seed:615) ~rel:hot sched in
+  let s = Sim.render_trace sched t in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
 let test_trace_success_agrees_with_sim () =
+  (* [monte_carlo_par] hands its only replica [Rng.split] of its
+     generator, so one trial replays the draws of a traced run on that
+     stream *)
   let sched = traced_schedule () in
-  (* identical seeds must produce identical verdicts in Sim.run *)
-  let t = Trace.run (Es_util.Rng.create ~seed:616) ~rel:hot sched in
-  let r = Sim.run (Es_util.Rng.create ~seed:616) ~rel:hot sched in
-  Alcotest.(check bool) "same success" r.Sim.success t.Trace.success;
-  Alcotest.(check (float 1e-9)) "same makespan" r.Sim.realised_makespan t.Trace.makespan
+  let bits name expected actual =
+    Alcotest.(check string) name (Printf.sprintf "%h" expected) (Printf.sprintf "%h" actual)
+  in
+  let seen_faults = ref 0 in
+  for seed = 616 to 665 do
+    let t = Sim.trace (Es_util.Rng.split (Es_util.Rng.create ~seed)) ~rel:hot sched in
+    let r = Sim.monte_carlo_par (Es_util.Rng.create ~seed) ~rel:hot ~trials:1 sched in
+    let faults = List.length (List.filter (fun (e : Sim.event) -> e.failed) t.Sim.events) in
+    seen_faults := !seen_faults + faults;
+    bits "success" (if t.Sim.success then 1. else 0.) r.Sim.success_rate;
+    bits "faults" (float_of_int faults) r.Sim.mean_faults;
+    bits "energy" t.Sim.energy r.Sim.mean_realised_energy;
+    bits "makespan" t.Sim.makespan r.Sim.mean_realised_makespan
+  done;
+  Alcotest.(check bool) "some runs saw faults" true (!seen_faults > 0)
 
 (* --- cholesky generator --------------------------------------------- *)
 

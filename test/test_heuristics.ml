@@ -202,25 +202,9 @@ let test_local_search_never_worse () =
           (Validate.is_feasible ~deadline ~rel ~model refined.Heuristics.schedule))
     (instances ~seed:210)
 
-let test_best_of_refined_consistent () =
-  let rng = Es_util.Rng.create ~seed:211 in
-  let m =
-    List_sched.schedule
-      (Generators.random_layered rng ~layers:4 ~width:3 ~density:0.5 ~wlo:1. ~whi:3.)
-      ~p:3 ~priority:List_sched.Bottom_level
-  in
-  let deadline = 2.5 *. dmin_of m in
-  match (Heuristics.best_of ~rel ~deadline m, Heuristics.best_of_refined ~rel ~deadline m) with
-  | Some (plain, _), Some (refined, _) ->
-    Alcotest.(check bool) "refined <= plain" true
-      (refined.Heuristics.energy <= plain.Heuristics.energy +. 1e-9)
-  | None, None -> ()
-  | _ -> Alcotest.fail "feasibility disagreement"
-
 let suite =
   ( fst suite,
     snd suite
     @ [
         Alcotest.test_case "local search never worse" `Slow test_local_search_never_worse;
-        Alcotest.test_case "best_of_refined consistent" `Slow test_best_of_refined_consistent;
       ] )

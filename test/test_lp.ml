@@ -308,7 +308,6 @@ let suite = (fst suite, snd suite @ duals_cases)
    restated problem. *)
 
 module Lu = Es_lp.Lu
-module Dense_simplex = Es_check.Dense_simplex
 module Lp_cert = Es_check.Lp_cert
 module CGen = Es_check.Gen
 
@@ -410,7 +409,7 @@ let qcheck_differential_warm_random =
 let qcheck_differential_vdd =
   QCheck2.Test.make
     ~name:"differential: vdd LP dense vs revised, cold and warm" ~count:250
-    ~print:CGen.qprint (CGen.qgen ())
+    ~print:Qgen.qprint (Qgen.qgen ())
     (fun inst ->
       let mapping = CGen.mapping inst in
       let levels = inst.CGen.levels in

@@ -40,11 +40,6 @@ let test_golden_asymmetric () =
   let x = Scalar.golden_min ~tol:1e-12 ~f:(fun x -> x +. (4. /. x)) ~lo:0.5 ~hi:10. in
   check_float 1e-5 "argmin" 2. x
 
-let test_newton () =
-  let r = Scalar.newton_1d ~tol:1e-14 ~f:(fun x -> (x *. x *. x) -. 8.)
-      ~f':(fun x -> 3. *. x *. x) ~x0:3. in
-  check_float 1e-9 "cbrt 8" 2. r
-
 (* Barrier: min (x-2)² + (y-3)² s.t. x + y <= 3, x,y >= 0.
    Unconstrained optimum (2,3) is cut by the line; the projection onto
    x + y = 3 is (1, 2). *)
@@ -278,7 +273,6 @@ let suite =
       Alcotest.test_case "root_monotone clamps" `Quick test_root_monotone_clamps;
       Alcotest.test_case "golden quadratic" `Quick test_golden_quadratic;
       Alcotest.test_case "golden asymmetric" `Quick test_golden_asymmetric;
-      Alcotest.test_case "newton cube root" `Quick test_newton;
       Alcotest.test_case "barrier projection" `Quick test_barrier_projection;
       Alcotest.test_case "barrier interior optimum" `Quick test_barrier_interior_optimum;
       Alcotest.test_case "barrier rejects bad start" `Quick test_barrier_rejects_infeasible_start;

@@ -263,4 +263,41 @@ let test_of_assignment () =
     (Invalid_argument "Mapping.of_assignment: processor out of range") (fun () ->
       ignore (Mapping.of_assignment ~p:2 d ~proc:[| 0; 1; 2; 0 |]))
 
-let suite = (fst suite, snd suite @ [ Alcotest.test_case "of_assignment" `Quick test_of_assignment ])
+(* The top-level fold [List_sched] kept before it called
+   [Dag.earliest_start] at the weights. *)
+let reference_top_levels dag =
+  let tl = Array.make (Dag.n dag) 0. in
+  Array.iter
+    (fun i ->
+      tl.(i) <-
+        List.fold_left
+          (fun acc p -> Float.max acc (tl.(p) +. Dag.weight dag p))
+          0. (Dag.preds dag i))
+    (Dag.topological_order dag);
+  tl
+
+let qcheck_top_levels_reference =
+  QCheck.Test.make ~name:"top levels = the reference fold, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Es_util.Rng.create ~seed in
+      let n = 1 + Es_util.Rng.int r 40 in
+      let dag =
+        match seed mod 3 with
+        | 0 -> Generators.random_dag r ~n ~p:(Es_util.Rng.float r 0.5) ~wlo:1e-3 ~whi:1e3
+        | 1 ->
+          Generators.random_layered r ~layers:(1 + Es_util.Rng.int r 6)
+            ~width:(1 + Es_util.Rng.int r 6) ~density:(Es_util.Rng.float r 1.) ~wlo:1e-3
+            ~whi:1e3
+        | _ -> Generators.out_tree r ~n ~max_children:(1 + Es_util.Rng.int r 4) ~wlo:1e-3 ~whi:1e3
+      in
+      let bits a = Array.map Int64.bits_of_float a in
+      bits (List_sched.top_levels dag) = bits (reference_top_levels dag))
+
+let suite =
+  ( fst suite,
+    snd suite
+    @ [
+        Alcotest.test_case "of_assignment" `Quick test_of_assignment;
+        QCheck_alcotest.to_alcotest qcheck_top_levels_reference;
+      ] )

@@ -187,8 +187,8 @@ let qcheck_render_matches_reference =
 
 let qcheck_canon_relabel_invariant =
   let open QCheck2 in
-  let gen = Gen.pair (CGen.qgen ()) (Gen.int_bound 1_000_000) in
-  let print (ginst, seed) = Printf.sprintf "%s\nrelabeling seed %d" (CGen.qprint ginst) seed in
+  let gen = Gen.pair (Qgen.qgen ()) (Gen.int_bound 1_000_000) in
+  let print (ginst, seed) = Printf.sprintf "%s\nrelabeling seed %d" (Qgen.qprint ginst) seed in
   Test.make ~name:"canon: keys invariant under task/processor relabeling"
     ~count:200 ~print gen (fun (ginst, seed) ->
       let pi = continuous_instance ginst in
@@ -210,10 +210,10 @@ let qcheck_canon_relabel_invariant =
 let qcheck_canon_scaled_key_agreement =
   let open QCheck2 in
   let gen =
-    Gen.triple (CGen.qgen ()) (Gen.int_range (-4) 4) (Gen.float_range 0.5 3.)
+    Gen.triple (Qgen.qgen ()) (Gen.int_range (-4) 4) (Gen.float_range 0.5 3.)
   in
   let print (ginst, k, d) =
-    Printf.sprintf "%s\nc = %g (2^%d), d = %.17g" (CGen.qprint ginst) (Float.ldexp 1. k) k d
+    Printf.sprintf "%s\nc = %g (2^%d), d = %.17g" (Qgen.qprint ginst) (Float.ldexp 1. k) k d
   in
   Test.make ~name:"canon: scaled key ignores uniform work/deadline scaling"
     ~count:200 ~print gen (fun (ginst, k, d) ->

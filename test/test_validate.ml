@@ -80,7 +80,7 @@ let qcheck_check_iff_is_feasible =
   let open QCheck2 in
   let gen =
     Gen.(
-      CGen.qgen () >>= fun inst ->
+      Qgen.qgen () >>= fun inst ->
       float_range 0.1 1.3 >>= fun speed ->
       float_range 0.5 2. >|= fun dscale -> (inst, speed, dscale))
   in

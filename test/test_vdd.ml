@@ -322,7 +322,7 @@ let qcheck_reduced_lp =
       let mapping, levels, deadline, reliability = reduced_lp_case seed in
       let full = full_lp ~deadline ~levels ~reliability mapping in
       let reference =
-        Es_check.Dense_simplex.solve ~obj:(Problem.objective_coeffs full) (Problem.constraints full)
+        Dense_simplex.solve ~obj:(Problem.objective_coeffs full) (Problem.constraints full)
       in
       let b = Bicrit_vdd.build ~deadline ~levels ~reliability mapping in
       let sp = Problem.to_sparse (Bicrit_vdd.problem b) in
