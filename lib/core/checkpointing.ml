@@ -7,8 +7,6 @@ type solution = {
   time : float;
 }
 
-let segment_floor ~rel ~work = Rel.min_reexec_speed rel ~w:work
-
 let segment_works ~checkpoint_work ~weights segmentation =
   let n = Array.length weights in
   if List.fold_left ( + ) 0 segmentation <> n || List.exists (fun l -> l <= 0) segmentation
@@ -30,33 +28,21 @@ let segment_works ~checkpoint_work ~weights segmentation =
   end
 
 let evaluate ~rel ~checkpoint_work ~deadline ~weights segmentation =
-  match segment_works ~checkpoint_work ~weights segmentation with
+  let twice works = Rel.choices rel ~weights:works ~subset:(Array.map (fun _ -> true) works) in
+  match Option.bind (segment_works ~checkpoint_work ~weights segmentation) twice with
   | None -> None
-  | Some works ->
-    let exception Cannot in
-    (match
-       Array.map
-         (fun v ->
-           match segment_floor ~rel ~work:v with
-           | None -> raise Cannot
-           | Some flo -> Float.max rel.Rel.fmin flo)
-         works
-     with
-    | exception Cannot -> None
-    | floors ->
-      let eff_weights = Array.map (fun v -> 2. *. v) works in
-      (match
-         Tricrit_chain.waterfill ~eff_weights ~floors ~fmax:rel.Rel.fmax ~deadline
-       with
-      | None -> None
-      | Some speeds ->
-        let energy = ref 0. and time = ref 0. in
-        Array.iteri
-          (fun s f ->
-            energy := !energy +. (eff_weights.(s) *. f *. f);
-            time := !time +. (eff_weights.(s) /. f))
-          speeds;
-        Some { segments = segmentation; speeds; energy = !energy; time = !time }))
+  | Some choices ->
+    (match Tricrit_chain.waterfill choices ~fmax:rel.Rel.fmax ~deadline with
+    | None -> None
+    | Some speeds ->
+      let energy = ref 0. and time = ref 0. in
+      Array.iteri
+        (fun s (c : Rel.choice) ->
+          let f = speeds.(s) in
+          energy := !energy +. (c.energy *. f *. f);
+          time := !time +. (c.time /. f))
+        choices;
+      Some { segments = segmentation; speeds; energy = !energy; time = !time })
 
 let speed_grid = 64
 
@@ -69,13 +55,11 @@ let solve ~rel ~checkpoint_work ~deadline ~weights =
       prefix.(i + 1) <- prefix.(i) +. weights.(i)
     done;
     let interval_work i j = prefix.(j) -. prefix.(i) +. checkpoint_work in
-    (* precompute per-interval reliability floors *)
-    let floor_tbl = Array.make_matrix (n + 1) (n + 1) None in
+    (* precompute per-interval re-execution choices *)
+    let twice_tbl = Array.make_matrix (n + 1) (n + 1) None in
     for i = 0 to n - 1 do
       for j = i + 1 to n do
-        floor_tbl.(i).(j) <-
-          Option.map (Float.max rel.Rel.fmin)
-            (segment_floor ~rel ~work:(interval_work i j))
+        twice_tbl.(i).(j) <- Rel.twice rel ~w:(interval_work i j)
       done
     done;
     let best = ref None in
@@ -86,17 +70,14 @@ let solve ~rel ~checkpoint_work ~deadline ~weights =
       dp.(0) <- 0.;
       for j = 1 to n do
         for i = 0 to j - 1 do
-          match floor_tbl.(i).(j) with
+          match twice_tbl.(i).(j) with
           | None -> ()
-          | Some flo ->
-            if flo <= rel.Rel.fmax *. (1. +. 1e-12) then begin
-              let f = Es_util.Futil.clamp ~lo:flo ~hi:rel.Rel.fmax (Float.max fc flo) in
-              let v = interval_work i j in
-              let cost = dp.(i) +. (2. *. v *. f *. f) in
-              if cost < dp.(j) then begin
-                dp.(j) <- cost;
-                back.(j) <- i
-              end
+          | Some (c : Rel.choice) ->
+            let f = Es_util.Futil.clamp ~lo:c.floor ~hi:rel.Rel.fmax fc in
+            let cost = dp.(i) +. (c.energy *. f *. f) in
+            if cost < dp.(j) then begin
+              dp.(j) <- cost;
+              back.(j) <- i
             end
         done
       done;

@@ -39,13 +39,6 @@ type solution = {
   time : (float[@units "time"]);  (** worst-case chain time *)
 }
 
-val segment_floor :
-  rel:Rel.params -> work:(float[@units "work"]) -> (float[@units "freq"]) option
-(** Minimum speed at which two attempts of a segment with total work
-    [work] satisfy the segment reliability constraint.
-
-    @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
-
 val evaluate :
   rel:Rel.params ->
   checkpoint_work:(float[@units "work"]) ->
@@ -53,9 +46,10 @@ val evaluate :
   weights:(float[@units "work"]) array ->
   segmentation ->
   solution option
-(** Optimal speeds (waterfilling with per-segment floors) for a given
-    segmentation; [None] when infeasible or when the lengths do not
-    partition the chain.
+(** Optimal speeds for a given segmentation: {!Tricrit_chain.waterfill}
+    of each segment's {!Rel.twice} (work [W_s + c_w], floor
+    {!Rel.min_reexec_speed} of that work); [None] when infeasible or
+    when the lengths do not partition the chain.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 

@@ -44,29 +44,21 @@ let two_partition_brute_force items =
 type knapsack = { savings : float array; costs : float array; budget : float }
 
 let knapsack_view ~rel ~deadline ~weights =
-  let frel = Float.max rel.Rel.fmin rel.Rel.frel in
   let exception Cannot in
   match
     Array.map
-      (fun w ->
-        match Rel.min_reexec_speed rel ~w with
-        | None -> raise Cannot
-        | Some flo ->
-          let flo = Float.max flo rel.Rel.fmin in
-          let saving = w *. ((frel *. frel) -. (2. *. flo *. flo)) in
-          let cost = (2. *. w /. flo) -. (w /. frel) in
-          (saving, cost))
+      (fun w -> match Rel.knapsack_item rel ~w with Some k -> k | None -> raise Cannot)
       weights
   with
   | exception Cannot -> None
-  | pairs ->
+  | items ->
     let budget =
-      deadline -. Es_util.Futil.sum (Array.map (fun w -> w /. frel) weights)
+      deadline -. Es_util.Futil.sum (Array.map (fun w -> w /. rel.Rel.frel) weights)
     in
     Some
       {
-        savings = Array.map fst pairs;
-        costs = Array.map snd pairs;
+        savings = Array.map (fun (k : Rel.item) -> k.saving) items;
+        costs = Array.map (fun (k : Rel.item) -> k.extra_time) items;
         budget;
       }
 

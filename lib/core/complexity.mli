@@ -20,8 +20,8 @@
     re-executing task [i] saves energy [sᵢ = wᵢ·(f_rel² − 2f_loᵢ²)]
     and costs extra time [cᵢ = 2wᵢ/f_loᵢ − wᵢ/f_rel] against the slack
     budget [B = D − Σ wᵢ/f_rel].  {!knapsack_view} extracts
-    [(s, c, B)] and {!knapsack_optimal} solves it by enumeration so
-    tests can confirm the equivalence with
+    [(s, c, B)] from {!Rel.knapsack_item} and {!knapsack_optimal}
+    solves it by enumeration so tests can confirm the equivalence with
     {!Tricrit_chain.solve_exact}. *)
 
 type two_partition = {

@@ -4,42 +4,18 @@ type solution = {
   reexecuted : bool array;
 }
 
-(* Effective weight and reliability floor of each task for a given
-   re-execution subset; None if some re-executed task cannot meet the
-   constraint at any speed. *)
-let profile ~rel dag subset =
-  let n = Dag.n dag in
-  let exception Cannot in
-  match
-    Array.init n (fun i ->
-        let w = Dag.weight dag i in
-        if subset.(i) then begin
-          match Rel.min_reexec_speed rel ~w with
-          | None -> raise Cannot
-          | Some flo -> (2. *. w, Float.max rel.Rel.fmin flo)
-        end
-        else (w, Float.max rel.Rel.fmin rel.Rel.frel))
-  with
-  | profile -> Some profile
-  | exception Cannot -> None
-
 let evaluate_subset ~rel ~deadline mapping ~subset =
   let dag = Mapping.dag mapping in
-  match profile ~rel dag subset with
+  match Rel.choices rel ~weights:(Dag.weights dag) ~subset with
   | None -> None
-  | Some prof ->
-    let eff = Array.map fst prof and lo = Array.map snd prof in
+  | Some choices ->
+    let eff = Array.map (fun (c : Rel.choice) -> c.time) choices in
+    let lo = Array.map (fun (c : Rel.choice) -> c.floor) choices in
     let hi = Array.make (Dag.n dag) rel.Rel.fmax in
     (match Bicrit_continuous.solve_general ~eff_weights:eff ~lo ~hi ~deadline mapping with
     | None -> None
     | Some { speeds; _ } ->
-      let executions =
-        Array.init (Dag.n dag) (fun i ->
-            let w = Dag.weight dag i in
-            let part = { Schedule.speed = speeds.(i); time = w /. speeds.(i) } in
-            if subset.(i) then [ [ part ]; [ part ] ] else [ [ part ] ])
-      in
-      let schedule = Schedule.make mapping ~executions in
+      let schedule = Schedule.of_speeds ~reexecuted:subset mapping ~speeds in
       Some { schedule; energy = Schedule.energy schedule; reexecuted = Array.copy subset })
 
 (* An evaluator answers [evaluate_subset] for a subset.  The families
@@ -85,12 +61,11 @@ let chain_oriented_with (eval : evaluator) ~rel mapping =
     let gains =
       Array.init n (fun i ->
           let w = Dag.weight dag i in
-          match Rel.min_reexec_speed rel ~w with
+          match Rel.twice rel ~w with
           | None -> (i, neg_infinity)
-          | Some flo ->
-            let flo = Float.max flo rel.Rel.fmin in
+          | Some (t : Rel.choice) ->
             let f = base_speed i in
-            (i, (w *. f *. f) -. (2. *. w *. flo *. flo)))
+            (i, (w *. f *. f) -. (t.energy *. t.floor *. t.floor)))
     in
     (* rank by the gain rounded to 1e-9 of the largest one, ties in
        task order: tasks of equal weight tie in exact arithmetic, and
@@ -135,8 +110,8 @@ let parallel_oriented_with (eval : evaluator) ~rel ~deadline mapping =
   let dag = Mapping.dag mapping in
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n dag in
-  let frel_floor = Float.max rel.Rel.frel rel.Rel.fmin in
-  let base_durations = Array.init n (fun i -> Dag.weight dag i /. frel_floor) in
+  let frel = rel.Rel.frel in
+  let base_durations = Array.init n (fun i -> Dag.weight dag i /. frel) in
   if Dag.critical_path_length cdag ~durations:base_durations > deadline *. (1. +. 1e-9)
   then
     (* not even the all-frel single-execution schedule fits: fall back
@@ -144,22 +119,19 @@ let parallel_oriented_with (eval : evaluator) ~rel ~deadline mapping =
     baseline_with eval mapping
   else begin
     let slack0 = Dag.slack cdag ~durations:base_durations ~deadline in
-    let floor_of i =
-      Option.map (Float.max rel.Rel.fmin) (Rel.min_reexec_speed rel ~w:(Dag.weight dag i))
-    in
+    let twice = Array.init n (fun i -> Rel.twice rel ~w:(Dag.weight dag i)) in
     let candidates =
       List.init n Fun.id
-      |> List.filter (fun i -> floor_of i <> None)
+      |> List.filter (fun i -> twice.(i) <> None)
       |> List.sort (fun a b -> Float.compare slack0.(b) slack0.(a))
     in
     let durations = Array.copy base_durations in
     let subset = Array.make n false in
     List.iter
       (fun i ->
-        let w = Dag.weight dag i in
-        match floor_of i with
+        match twice.(i) with
         | None -> ()
-        | Some flo ->
+        | Some (t : Rel.choice) ->
           (* Re-execute within the float currently available to the
              task: the speed is the slowest that both fits the float
              and respects the reliability floor.  Accept only when it
@@ -167,13 +139,10 @@ let parallel_oriented_with (eval : evaluator) ~rel ~deadline mapping =
              critical path indeed stays within the deadline. *)
           let slack = Dag.slack cdag ~durations ~deadline in
           let avail = durations.(i) +. Float.max 0. slack.(i) in
-          let f = Float.max flo (2. *. w /. avail) in
-          if
-            f <= rel.Rel.fmax
-            && 2. *. f *. f < frel_floor *. frel_floor
-          then begin
+          let f = Float.max t.floor (t.time /. avail) in
+          if f <= rel.Rel.fmax && 2. *. f *. f < frel *. frel then begin
             let saved = durations.(i) in
-            durations.(i) <- 2. *. w /. f;
+            durations.(i) <- t.time /. f;
             if Dag.critical_path_length cdag ~durations <= deadline *. (1. +. 1e-12)
             then subset.(i) <- true
             else durations.(i) <- saved
@@ -217,16 +186,18 @@ let max_candidates = 20
 let local_search ~rel ~deadline mapping start =
   let dag = Mapping.dag mapping in
   let n = Dag.n dag in
-  let frel_floor = Float.max rel.Rel.fmin rel.Rel.frel in
-  (* rank toggle candidates by the optimistic gain of flipping them *)
-  let gain i currently_reexec =
-    let w = Dag.weight dag i in
-    match Rel.min_reexec_speed rel ~w with
-    | None -> neg_infinity
-    | Some flo ->
-      let flo = Float.max flo rel.Rel.fmin in
-      let g = (w *. frel_floor *. frel_floor) -. (2. *. w *. flo *. flo) in
-      if currently_reexec then -.g else g
+  (* toggle candidates, ranked by the optimistic gain of flipping them:
+     the knapsack item's saving, in either direction *)
+  let candidates =
+    List.init n Fun.id
+    |> List.filter_map (fun i ->
+           Option.map
+             (fun (k : Rel.item) -> (i, Float.abs k.saving))
+             (Rel.knapsack_item rel ~w:(Dag.weight dag i)))
+    |> List.filter (fun (_, g) -> Float.is_finite g)
+    |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+    |> List.filteri (fun k _ -> k < max_candidates)
+    |> List.map fst
   in
   let current = ref start in
   let continue = ref true in
@@ -235,14 +206,6 @@ let local_search ~rel ~deadline mapping start =
     incr sweep;
     continue := false;
     let subset = Array.copy !current.reexecuted in
-    let candidates =
-      List.init n Fun.id
-      |> List.map (fun i -> (i, Float.abs (gain i subset.(i))))
-      |> List.filter (fun (_, g) -> Float.is_finite g)
-      |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-      |> List.filteri (fun k _ -> k < max_candidates)
-      |> List.map fst
-    in
     let best_toggle = ref None in
     List.iter
       (fun i ->

@@ -12,10 +12,10 @@
 
     Both families share the same evaluation primitive: once the
     re-executed subset [S] is fixed, the optimal continuous speeds
-    solve the convex program of {!Bicrit_continuous.solve_general} with
-    effective weight [2wᵢ] and reliability floor
-    {!Rel.min_reexec_speed} for tasks in [S], and weight [wᵢ] with
-    floor [f_rel] otherwise. *)
+    solve the convex program of {!Bicrit_continuous.solve_general} over
+    the subset's {!Rel.choices}: effective weight [2wᵢ] and reliability
+    floor {!Rel.min_reexec_speed} for tasks in [S], and weight [wᵢ]
+    with floor [f_rel] otherwise. *)
 
 type solution = {
   schedule : Schedule.t;
@@ -90,10 +90,10 @@ val local_search :
   solution
 (** Single-task toggle descent seeded from an existing solution: in
     each of up to two sweeps, try flipping the re-execution bit of up
-    to 20 tasks (ranked by optimistic gain) and keep the best
-    improvement; the winning probe's solution is kept as it is, so
-    each subset is solved once per sweep.  Never returns a worse
-    solution.  Closes most of the gap the prefix
-    structure of family A leaves on irregular DAGs (experiment E13).
+    to 20 tasks (ranked by the saving of their {!Rel.knapsack_item})
+    and keep the best improvement; the winning probe's solution is kept
+    as it is, so each subset is solved once per sweep.  Never returns a
+    worse solution.  Closes most of the gap the prefix structure of
+    family A leaves on irregular DAGs (experiment E13).
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)

@@ -4,17 +4,13 @@ let relaxation ~rel ~deadline mapping =
 
 let per_task ~rel mapping =
   let dag = Mapping.dag mapping in
+  let at_floor (c : Rel.choice) = c.energy *. c.floor *. c.floor in
   let task_bound i =
     let w = Dag.weight dag i in
-    let single =
-      let f = Float.max rel.Rel.fmin rel.Rel.frel in
-      w *. f *. f
-    in
-    match Rel.min_reexec_speed rel ~w with
+    let single = at_floor (Rel.once rel ~w) in
+    match Rel.twice rel ~w with
     | None -> single
-    | Some flo ->
-      let f = Float.max rel.Rel.fmin flo in
-      Float.min single (2. *. w *. f *. f)
+    | Some t -> Float.min single (at_floor t)
   in
   Es_util.Futil.sum (Array.init (Dag.n dag) task_bound)
 

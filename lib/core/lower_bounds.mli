@@ -22,7 +22,8 @@ val relaxation :
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 
 val per_task : rel:Rel.params -> Mapping.t -> (float[@units "energy"])
-(** [Σᵢ min(wᵢ·max(fmin,f_rel)², 2wᵢ·max(fmin,f_loᵢ)²)].
+(** [Σᵢ min(wᵢ·f_rel², 2wᵢ·f_loᵢ²)]: the cheaper of {!Rel.once} and
+    {!Rel.twice}, each at its floor.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 

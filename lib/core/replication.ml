@@ -12,68 +12,31 @@ let kind_name = function
   | Reexecute -> "re-execute"
   | Replicate -> "replicate"
 
-(* Per-task coefficients: time = tc/f, energy = ec·f², floor on f. *)
-let coeffs ~rel w = function
-  | Single -> Some (w, w, Float.max rel.Rel.fmin rel.Rel.frel)
-  | Reexecute -> (
-    match Rel.min_reexec_speed rel ~w with
-    | None -> None
-    | Some flo -> Some (2. *. w, 2. *. w, Float.max rel.Rel.fmin flo))
-  | Replicate -> (
-    match Rel.min_reexec_speed rel ~w with
-    | None -> None
-    | Some flo -> Some (w, 2. *. w, Float.max rel.Rel.fmin flo))
+let choice ~rel w = function
+  | Single -> Some (Rel.once rel ~w)
+  | Reexecute -> Rel.twice rel ~w
+  | Replicate -> Rel.replicated rel ~w
 
 let evaluate ~rel ~deadline ~weights ~kinds =
   let n = Array.length weights in
   assert (Array.length kinds = n);
   let exception Cannot in
-  match Array.init n (fun i ->
-      match coeffs ~rel weights.(i) kinds.(i) with
-      | Some c -> c
-      | None -> raise Cannot)
+  match
+    Array.init n (fun i ->
+        match choice ~rel weights.(i) kinds.(i) with Some c -> c | None -> raise Cannot)
   with
   | exception Cannot -> None
-  | profile ->
-    let fmax = rel.Rel.fmax in
-    (* KKT: f_i = kappa_i · fc clamped into [floor_i, fmax], with
-       kappa_i = (T_i/E_i)^{1/3}. *)
-    let kappa = Array.map (fun (tc, ec, _) -> Es_util.Futil.cbrt (tc /. ec)) profile in
-    let speed_at fc i =
-      let _, _, floor = profile.(i) in
-      Es_util.Futil.clamp ~lo:floor ~hi:fmax (kappa.(i) *. fc)
-    in
-    let time_at fc =
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        let tc, _, _ = profile.(i) in
-        acc := !acc +. (tc /. speed_at fc i)
-      done;
-      !acc
-    in
-    let floors_ok = Array.for_all (fun (_, _, fl) -> fl <= fmax *. (1. +. 1e-12)) profile in
-    if not floors_ok then None
-    else begin
-      let fc_hi = fmax /. Array.fold_left (fun a k -> Float.min a k) 1. kappa in
-      if time_at fc_hi > deadline *. (1. +. 1e-9) then None
-      else begin
-        let fc =
-          if time_at 0. <= deadline then 0.
-          else
-            Es_numopt.Scalar.root_monotone ~tol:1e-14
-              ~f:(fun fc -> time_at fc -. deadline)
-              ~lo:0. ~hi:fc_hi
-        in
-        let speeds = Array.init n (speed_at fc) in
-        let energy = ref 0. and time = ref 0. in
-        for i = 0 to n - 1 do
-          let tc, ec, _ = profile.(i) in
-          energy := !energy +. (ec *. speeds.(i) *. speeds.(i));
-          time := !time +. (tc /. speeds.(i))
-        done;
-        Some { kinds = Array.copy kinds; speeds; energy = !energy; time = !time }
-      end
-    end
+  | choices ->
+    (match Tricrit_chain.waterfill choices ~fmax:rel.Rel.fmax ~deadline with
+    | None -> None
+    | Some speeds ->
+      let energy = ref 0. and time = ref 0. in
+      Array.iteri
+        (fun i (c : Rel.choice) ->
+          energy := !energy +. (c.energy *. speeds.(i) *. speeds.(i));
+          time := !time +. (c.time /. speeds.(i)))
+        choices;
+      Some { kinds = Array.copy kinds; speeds; energy = !energy; time = !time })
 
 let all_kinds = [| Single; Reexecute; Replicate |]
 

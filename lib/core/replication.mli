@@ -8,19 +8,21 @@
     exhibiting the trade-off — a linear chain on one processor with one
     idle mirror processor — which experiment E12 sweeps.
 
-    Per task the three options are:
+    Per task the three options are {!Rel}'s three choices:
 
-    - [Single]:     time [w/f],  energy [w·f²],  needs [f ≥ f_rel];
-    - [Reexecute]:  time [2w/f], energy [2w·f²], needs [f ≥ f_lo];
-    - [Replicate]:  time [w/f],  energy [2w·f²], needs [f ≥ f_lo]
-      (the replica occupies the mirror exactly while the primary runs,
-      so chain tasks never contend for it).
+    - [Single] is {!Rel.once}: time [w/f], energy [w·f²], needs
+      [f ≥ f_rel];
+    - [Reexecute] is {!Rel.twice}: time [2w/f], energy [2w·f²], needs
+      [f ≥ f_lo];
+    - [Replicate] is {!Rel.replicated}: time [w/f], energy [2w·f²],
+      needs [f ≥ f_lo] (the replica occupies the mirror exactly while
+      the primary runs, so chain tasks never contend for it).
 
-    Given the per-task choices, optimal speeds again come from a
-    waterfilling, now with option-dependent time/energy coefficients:
-    the KKT condition gives [fᵢ = κᵢ·f_c] with [κᵢ = (Tᵢ/Eᵢ)^{1/3}] —
-    replicated tasks run a factor [2^{-1/3}] slower than the common
-    level, which is where their extra energy is clawed back. *)
+    Given the per-task choices, optimal speeds come from the chain's
+    one waterfilling, {!Tricrit_chain.waterfill}, whose KKT rule
+    [fᵢ = κᵢ·f_c] with [κᵢ = (timeᵢ/energyᵢ)^{1/3}] makes replicated
+    tasks run a factor [2^{-1/3}] slower than the common level, which
+    is where their extra energy is clawed back. *)
 
 type kind = Single | Reexecute | Replicate
 
@@ -38,8 +40,8 @@ val evaluate :
   weights:(float[@units "work"]) array ->
   kinds:kind array ->
   solution option
-(** Optimal speeds for fixed per-task choices via the generalised
-    waterfilling; [None] when infeasible.
+(** Optimal speeds for fixed per-task choices via
+    {!Tricrit_chain.waterfill}; [None] when infeasible.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 

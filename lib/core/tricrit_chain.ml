@@ -4,30 +4,35 @@ type solution = {
   reexecuted : bool array;
 }
 
-let waterfill ~eff_weights ~floors ~fmax ~deadline =
-  let n = Array.length eff_weights in
-  assert (Array.length floors = n);
+(* KKT: fᵢ = κᵢ·f_c clamped into [floorᵢ, fmax], κᵢ = (timeᵢ/energyᵢ)^{1/3};
+   f_c solves Σ timeᵢ/fᵢ = D.  κ = 1 for once and twice, so there all
+   unclamped tasks share the level f_c. *)
+let waterfill (choices : Rel.choice array) ~fmax ~deadline =
+  let n = Array.length choices in
+  let kappa = Array.map (fun (c : Rel.choice) -> Es_util.Futil.cbrt (c.time /. c.energy)) choices in
+  let speed_at fc i = Float.min fmax (Float.max choices.(i).floor (kappa.(i) *. fc)) in
   let time_at fc =
     let acc = ref 0. in
     for i = 0 to n - 1 do
-      acc := !acc +. (eff_weights.(i) /. Float.max fc floors.(i))
+      acc := !acc +. (choices.(i).time /. speed_at fc i)
     done;
     !acc
   in
-  if Array.exists (fun fl -> fl > fmax *. (1. +. 1e-12)) floors then None
-  else if time_at fmax > deadline *. (1. +. 1e-9) then None
+  if Array.exists (fun (c : Rel.choice) -> c.floor > fmax *. (1. +. 1e-12)) choices then None
   else begin
-    let speeds_of fc = Array.init n (fun i -> Float.min fmax (Float.max fc floors.(i))) in
-    if time_at 0. <= deadline then Some (speeds_of 0.)
+    let fc_hi = fmax /. Array.fold_left Float.min 1. kappa in
+    if time_at fc_hi > deadline *. (1. +. 1e-9) then None
     else begin
-      (* time_at is continuous, strictly decreasing where active;
-         bracket [0, fmax] contains the crossing. *)
+      (* time_at is continuous and decreasing; [0, fc_hi] brackets the
+         crossing *)
       let fc =
-        Es_numopt.Scalar.root_monotone ~tol:1e-14
-          ~f:(fun fc -> time_at fc -. deadline)
-          ~lo:0. ~hi:fmax
+        if time_at 0. <= deadline then 0.
+        else
+          Es_numopt.Scalar.root_monotone ~tol:1e-14
+            ~f:(fun fc -> time_at fc -. deadline)
+            ~lo:0. ~hi:fc_hi
       in
-      Some (speeds_of fc)
+      Some (Array.init n (speed_at fc))
     end
   end
 
@@ -42,36 +47,19 @@ let evaluate_subset ~rel ~deadline mapping ~subset =
   Es_obs.Obs.incr c_subsets;
   let dag = Mapping.dag mapping in
   let tasks = chain_tasks mapping in
-  let n = Array.length tasks in
   assert (Array.length subset = Dag.n dag);
-  let exception Cannot in
+  let along a = Array.map (Array.get a) tasks in
   match
-    Array.init n (fun pos ->
-        let i = tasks.(pos) in
-        let w = Dag.weight dag i in
-        if subset.(i) then begin
-          match Rel.min_reexec_speed rel ~w with
-          | None -> raise Cannot
-          | Some flo -> (2. *. w, Float.max rel.Rel.fmin flo)
-        end
-        else (w, Float.max rel.Rel.fmin rel.Rel.frel))
+    Option.bind
+      (Rel.choices rel ~weights:(along (Dag.weights dag)) ~subset:(along subset))
+      (waterfill ~fmax:rel.Rel.fmax ~deadline)
   with
-  | exception Cannot -> None
-  | profile ->
-    let eff_weights = Array.map fst profile and floors = Array.map snd profile in
-    (match waterfill ~eff_weights ~floors ~fmax:rel.Rel.fmax ~deadline with
-    | None -> None
-    | Some speeds ->
-      let executions = Array.make (Dag.n dag) [] in
-      Array.iteri
-        (fun pos i ->
-          let w = Dag.weight dag i in
-          let f = speeds.(pos) in
-          let part = { Schedule.speed = f; time = w /. f } in
-          executions.(i) <- (if subset.(i) then [ [ part ]; [ part ] ] else [ [ part ] ]))
-        tasks;
-      let schedule = Schedule.make mapping ~executions in
-      Some { schedule; energy = Schedule.energy schedule; reexecuted = Array.copy subset })
+  | None -> None
+  | Some at ->
+    let speeds = Array.make (Dag.n dag) 0. in
+    Array.iteri (fun pos i -> speeds.(i) <- at.(pos)) tasks;
+    let schedule = Schedule.of_speeds ~reexecuted:subset mapping ~speeds in
+    Some { schedule; energy = Schedule.energy schedule; reexecuted = Array.copy subset }
 
 let no_reexecution ~rel ~deadline mapping =
   let subset = Array.make (Dag.n (Mapping.dag mapping)) false in
@@ -95,63 +83,3 @@ let solve_greedy ~rel ~deadline mapping =
   Subset_search.descent ~menu:[| false; true |] ~vary:(Array.make n true)
     ~evaluate:(fun subset -> evaluate_subset ~rel ~deadline mapping ~subset)
     ~energy:(fun s -> s.energy)
-
-let buckets = 512
-
-let solve_dp ~rel ~deadline mapping =
-  let dag = Mapping.dag mapping in
-  let tasks = chain_tasks mapping in
-  let n = Array.length tasks in
-  let frel_floor = Float.max rel.Rel.fmin rel.Rel.frel in
-  let base_time =
-    Es_util.Futil.sum (Array.map (fun i -> Dag.weight dag i /. frel_floor) tasks)
-  in
-  let budget = deadline -. base_time in
-  if budget <= 0. then
-    (* no loose slack: the knapsack view is void, defer to greedy *)
-    solve_greedy ~rel ~deadline mapping
-  else begin
-    (* knapsack items: only tasks whose floor-level re-execution saves
-       energy *)
-    let items =
-      Array.to_list tasks
-      |> List.filter_map (fun i ->
-             let w = Dag.weight dag i in
-             match Rel.min_reexec_speed rel ~w with
-             | None -> None
-             | Some flo ->
-               let flo = Float.max flo rel.Rel.fmin in
-               let saving = w *. ((frel_floor *. frel_floor) -. (2. *. flo *. flo)) in
-               let cost = (2. *. w /. flo) -. (w /. frel_floor) in
-               if saving > 0. && cost > 0. then Some (i, cost, saving) else None)
-    in
-    let unit = budget /. float_of_int buckets in
-    (* cost in slices, rounded up: the chosen set never overruns the
-       true budget *)
-    let slice c = int_of_float (Float.ceil (c /. unit -. 1e-12)) in
-    let value = Array.make (buckets + 1) 0. in
-    let chosen = Array.make (buckets + 1) [] in
-    List.iter
-      (fun (i, cost, saving) ->
-        let k = slice cost in
-        if k <= buckets then
-          for b = buckets downto k do
-            let cand = value.(b - k) +. saving in
-            if cand > value.(b) then begin
-              value.(b) <- cand;
-              chosen.(b) <- i :: chosen.(b - k)
-            end
-          done)
-      items;
-    let best_b = ref 0 in
-    for b = 1 to buckets do
-      if value.(b) > value.(!best_b) then best_b := b
-    done;
-    let subset = Array.make n false in
-    List.iter (fun i -> subset.(i) <- true) chosen.(!best_b);
-    match evaluate_subset ~rel ~deadline mapping ~subset with
-    | Some sol -> Some sol
-    | None ->
-      (* can only happen through discretisation corner cases *)
-      no_reexecution ~rel ~deadline mapping
-  end

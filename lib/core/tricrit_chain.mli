@@ -9,11 +9,12 @@
     Concretely: once the re-executed subset [S] is fixed, the optimal
     speeds are a waterfilling — every execution of every task runs at a
     common speed [f_c], clamped from below by the per-task reliability
-    floor ([f_rel] for single execution, the equal-speed re-execution
+    floor ([f_rel] for a task run once, the equal-speed re-execution
     floor {!Rel.min_reexec_speed} for tasks in [S]).  This module
     implements that characterisation, an exact exponential search over
     [S] for small chains, and the greedy subset selection used on long
-    chains. *)
+    chains.  Its {!waterfill} is the one waterfilling of the library:
+    {!Replication} and {!Checkpointing} call it too. *)
 
 type solution = {
   schedule : Schedule.t;
@@ -22,18 +23,21 @@ type solution = {
 }
 
 val waterfill :
-  eff_weights:(float[@units "work"]) array ->
-  floors:(float[@units "freq"]) array ->
+  Rel.choice array ->
   fmax:(float[@units "freq"]) ->
   deadline:(float[@units "time"]) ->
   (float[@units "freq"]) array option
-(** The "slow everything equally" step: minimise [Σ Wᵢ·fᵢ²] subject to
-    [Σ Wᵢ/fᵢ ≤ D] and [floorᵢ ≤ fᵢ ≤ fmax].  The optimum sets
-    [fᵢ = max(f_c, floorᵢ)] for a common level [f_c] (KKT); [f_c] is
-    found by bisection on the total-time curve.  [None] when even
-    all-[fmax] misses [D].
+(** Optimal speeds for fixed per-task choices ({!Rel.choice}): minimise
+    [Σ energyᵢ·fᵢ²] subject to [Σ timeᵢ/fᵢ ≤ D] and
+    [floorᵢ ≤ fᵢ ≤ fmax].  The KKT conditions give
+    [fᵢ = clamp(κᵢ·f_c, floorᵢ, fmax)] with [κᵢ = (timeᵢ/energyᵢ)^{1/3}]
+    for one level [f_c], found by bisection on the total-time curve.
+    With {!Rel.once} and {!Rel.twice} only, [κ = 1]: the "slow
+    everything equally" step, [fᵢ = max(f_c, floorᵢ)].  A
+    {!Rel.replicated} task runs a factor [2^{-1/3}] below the level.
+    [None] when a floor exceeds [fmax] or even all-[fmax] misses [D].
 
-    @raise Invalid_argument if an argument violates a documented precondition. *)
+    @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 
 val evaluate_subset :
   rel:Rel.params ->
@@ -41,10 +45,8 @@ val evaluate_subset :
   Mapping.t ->
   subset:bool array ->
   solution option
-(** Optimal schedule given the re-execution subset: effective weight
-    [2wᵢ] and floor [max(fmin, min_reexec_speed)] for tasks in the
-    subset, weight [wᵢ] and floor [max(fmin, f_rel)] otherwise, then
-    {!waterfill}.  [None] if infeasible (deadline too tight for this
+(** Optimal schedule given the re-execution subset: {!waterfill} of
+    {!Rel.choices}.  [None] if infeasible (deadline too tight for this
     subset, or a task in the subset cannot meet the reliability
     constraint even at [fmax]).
 
@@ -69,24 +71,5 @@ val no_reexecution :
 (** The BI-CRIT-with-floor baseline ([S = ∅]): every task once, at
     least at [f_rel].  The gap to {!solve_greedy} is the energy that
     re-execution reclaims (experiment E6).
-
-    @raise Invalid_argument if the mapping is not a single-processor chain. *)
-
-val solve_dp :
-  rel:Rel.params ->
-  deadline:(float[@units "time"]) ->
-  Mapping.t ->
-  solution option
-(** Pseudo-polynomial knapsack DP over the chain's slack budget — the
-    algorithmic counterpart of the NP-hardness proof's structure.  In
-    the loose-deadline regime every execution sits on its reliability
-    floor, so choosing the re-executed subset is exactly a knapsack:
-    item cost [2wᵢ/f_loᵢ − wᵢ/f_rel] (extra chain time), item value
-    [wᵢ(f_rel² − 2f_loᵢ²)] (energy saved), budget [D − Σ wᵢ/f_rel].
-    The DP discretises the budget into 512 slices,
-    rounding item costs {e up} so the selected subset is always
-    feasible, and finishes with the exact waterfilling on the selected
-    subset.  Outside the loose regime it is a heuristic (the greedy and
-    exact solvers remain the references).
 
     @raise Invalid_argument if the mapping is not a single-processor chain. *)

@@ -1,15 +1,12 @@
 type solution = Heuristics.solution
 
+(* with unlimited time, re-execution pays iff its knapsack item saves
+   energy: 2·f_lo² < f_rel² *)
 let candidates ~rel dag =
-  let frel_floor = Float.max rel.Rel.fmin rel.Rel.frel in
   Array.init (Dag.n dag) (fun i ->
-      let w = Dag.weight dag i in
-      match Rel.min_reexec_speed rel ~w with
+      match Rel.knapsack_item rel ~w:(Dag.weight dag i) with
       | None -> false
-      | Some flo ->
-        let flo = Float.max flo rel.Rel.fmin in
-        (* with unlimited time, re-execution pays iff 2·f_lo² < f_rel² *)
-        2. *. flo *. flo < frel_floor *. frel_floor)
+      | Some k -> k.saving > 0.)
 
 let max_n = 12
 

@@ -22,6 +22,6 @@ val solve :
 
 val candidates : rel:Rel.params -> Dag.t -> bool array
 (** The dominance prune: [true] for tasks whose re-execution could ever
-    reduce energy.
+    reduce energy, that is whose {!Rel.knapsack_item} saves energy.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)

@@ -3,27 +3,17 @@ type decision = { reexec : bool; speed : float; energy : float }
 let best_in_window ~rel ~w ~window =
   if window <= 0. then None
   else begin
-    let fmax = rel.Rel.fmax and fmin = rel.Rel.fmin in
-    let single =
-      let f = Float.max (Float.max rel.Rel.frel fmin) (w /. window) in
+    let fmax = rel.Rel.fmax in
+    (* the slowest speed at which a choice fits the window *)
+    let price reexec (c : Rel.choice) =
+      let f = Float.max c.floor (c.time /. window) in
       if f <= fmax *. (1. +. 1e-12) then begin
         let f = Float.min f fmax in
-        Some { reexec = false; speed = f; energy = w *. f *. f }
+        Some { reexec; speed = f; energy = c.energy *. f *. f }
       end
       else None
     in
-    let double =
-      match Rel.min_reexec_speed rel ~w with
-      | None -> None
-      | Some flo ->
-        let f = Float.max (Float.max flo fmin) (2. *. w /. window) in
-        if f <= fmax *. (1. +. 1e-12) then begin
-          let f = Float.min f fmax in
-          Some { reexec = true; speed = f; energy = 2. *. w *. f *. f }
-        end
-        else None
-    in
-    match (single, double) with
+    match (price false (Rel.once rel ~w), Option.bind (Rel.twice rel ~w) (price true)) with
     | None, d -> d
     | s, None -> s
     | Some s, Some d -> Some (if d.energy < s.energy then d else s)
@@ -98,22 +88,12 @@ let solve ~rel ~deadline dag =
       match total_cost ~rel ~deadline dag t_star with
       | None -> None
       | Some (energy, s, ds) ->
-        let mapping = Mapping.one_task_per_proc dag in
         let decisions = Array.of_list (s :: ds) in
-        let executions =
-          Array.init (Dag.n dag) (fun i ->
-              let w = Dag.weight dag i in
-              let d = decisions.(i) in
-              let part = { Schedule.speed = d.speed; time = w /. d.speed } in
-              if d.reexec then [ [ part ]; [ part ] ] else [ [ part ] ])
+        let reexecuted = Array.map (fun d -> d.reexec) decisions in
+        let schedule =
+          Schedule.of_speeds ~reexecuted (Mapping.one_task_per_proc dag)
+            ~speeds:(Array.map (fun d -> d.speed) decisions)
         in
-        let schedule = Schedule.make mapping ~executions in
-        Some
-          {
-            schedule;
-            energy;
-            reexecuted = Array.map (fun d -> d.reexec) decisions;
-            source_window = t_star;
-          }
+        Some { schedule; energy; reexecuted; source_window = t_star }
     end
   end

@@ -24,7 +24,7 @@ val best_in_window :
   window:(float[@units "time"]) ->
   decision option
 (** Cheapest feasible way to run a task of weight [w] inside a time
-    window: once at [max(f_rel, w/window)] or twice at
+    window: {!Rel.once} at [max(f_rel, w/window)] or {!Rel.twice} at
     [max(f_lo, 2w/window)], whichever is cheaper; [None] when neither
     fits below [fmax].  This is the per-child oracle.
 

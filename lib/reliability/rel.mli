@@ -17,9 +17,28 @@
     [ε(f⁽¹⁾)·ε(f⁽²⁾) ≤ ε(f_rel)] on failure probabilities — which is
     what lets a re-executed task run {e slower} than [f_rel] while
     still meeting the threshold, the central trade-off of the
-    TRI-CRIT problem. *)
+    TRI-CRIT problem.
 
-type params = {
+    {b The per-task choices.}  Every TRI-CRIT solver prices the same
+    options for a task of weight [w], each a {!choice}: at speed [f] it
+    takes [time/f] and costs [energy·f²], and [f] may not drop below
+    its [floor].
+
+    - {!once}: [{w; w; f_rel}], one execution at least at [f_rel];
+    - {!twice}: [{2w; 2w; f_lo}], re-execution, two executions at one
+      equal speed at least at [f_lo(w)] ({!min_reexec_speed});
+    - {!replicated}: [{w; 2w; f_lo}], a replica on a mirror processor
+      runs alongside the task, so only one execution's time counts.
+
+    {!knapsack_item} is the trade of R7's knapsack: re-executing at the
+    floors saves [w·(f_rel² − 2f_lo²)] of energy for [2w/f_lo − w/f_rel]
+    of extra time.
+
+    {b Invariant.}  {!params} is [private]: {!make} is its only
+    constructor, so [fmin ≤ f_rel ≤ fmax] holds for every value, and
+    every [floor] above lies in [\[fmin, fmax\]]. *)
+
+type params = private {
   lambda0 : float;  (** average fault rate at [fmax] (per time unit) *)
   sensitivity : float;  (** the exponent [d ≥ 0] of Eq. (1) *)
   fmin : float;
@@ -38,7 +57,9 @@ val make :
   ?lambda0:float -> ?sensitivity:float -> ?frel:float -> fmin:float -> fmax:float ->
   unit -> params
 (** Build parameters; defaults as in {!default} with [frel = fmax].
-    @raise Invalid_argument if [frel] is outside [\[fmin, fmax\]]. *)
+    @raise Invalid_argument unless [0 < fmin <= fmax],
+    [fmin <= frel <= fmax], [lambda0 >= 0] and [sensitivity >= 0]
+    (a NaN fails each of these). *)
 
 val rate : params -> f:float -> float
 (** Fault rate [λ₀·exp(d·(fmax−f)/(fmax−fmin))] at speed [f] (per time
@@ -57,14 +78,6 @@ val target_failure : params -> w:float -> float
 val reexec_failure : params -> f1:float -> f2:float -> w:float -> float
 (** Combined failure probability of two attempts, [ε(f1)·ε(f2)]. *)
 
-val meets_single : ?tol:float -> params -> f:float -> w:float -> bool
-(** Single execution meets the constraint iff [f ≥ f_rel] (reliability
-    increases with speed).  The check is numerical on [ε]. *)
-
-val meets_reexec : ?tol:float -> params -> f1:float -> f2:float -> w:float -> bool
-(** Two executions meet the constraint iff
-    [ε(f1)·ε(f2) ≤ ε(f_rel)]. *)
-
 val min_reexec_speed : params -> w:float -> float option
 (** Smallest equal speed [f] such that re-executing at [(f, f)]
     satisfies the constraint: the root of [ε(f)² = ε(f_rel)] in
@@ -82,3 +95,44 @@ val vdd_failure : params -> parts:(float * float) list -> float
     list of [(speed, time)] intervals covering the task:
     [Σ rate(fₖ)·tₖ].  Reduces to {!failure_prob} for a single part
     executing the whole task. *)
+
+type choice = {
+  time : (float[@units "work"]);  (** at speed [f] the task takes [time/f] *)
+  energy : (float[@units "work"]);  (** at speed [f] it costs [energy·f²] *)
+  floor : (float[@units "freq"]);  (** slowest speed that meets the constraint *)
+}
+(** One way to run a task: see the header. *)
+
+val once : params -> w:(float[@units "work"]) -> choice
+(** [{w; w; f_rel}]. *)
+
+val twice : params -> w:(float[@units "work"]) -> choice option
+(** [{2w; 2w; f_lo}], [None] when re-execution cannot meet the
+    constraint even at [fmax].
+
+    @raise Invalid_argument as {!min_reexec_speed}. *)
+
+val replicated : params -> w:(float[@units "work"]) -> choice option
+(** [{w; 2w; f_lo}], [None] as for {!twice}.
+
+    @raise Invalid_argument as {!min_reexec_speed}. *)
+
+val choices :
+  params -> weights:(float[@units "work"]) array -> subset:bool array -> choice array option
+(** The choice vector of a re-execution subset: {!twice} of
+    [weights.(i)] where [subset.(i)], {!once} elsewhere.  [None] when a
+    re-executed task cannot meet the constraint at [fmax].
+
+    @raise Invalid_argument as {!min_reexec_speed}. *)
+
+type item = {
+  saving : (float[@units "energy"]);  (** [w·(f_rel² − 2f_lo²)] *)
+  extra_time : (float[@units "time"]);  (** [2w/f_lo − w/f_rel] *)
+}
+
+val knapsack_item : params -> w:(float[@units "work"]) -> item option
+(** R7's knapsack item of a task: what re-executing it at the floors
+    saves and costs against running it once at [f_rel].  [None] as for
+    {!twice}.
+
+    @raise Invalid_argument as {!min_reexec_speed}. *)

@@ -42,13 +42,22 @@ let uniform mapping ~speed =
   in
   make mapping ~executions
 
-let of_speeds mapping ~speeds =
+let of_speeds ?reexecuted mapping ~speeds =
   let dag = Mapping.dag mapping in
   if Array.length speeds <> Dag.n dag then
     invalid_arg "Schedule.of_speeds: speeds length mismatch";
+  let twice =
+    match reexecuted with
+    | None -> fun _ -> false
+    | Some r ->
+      if Array.length r <> Dag.n dag then
+        invalid_arg "Schedule.of_speeds: reexecuted length mismatch";
+      Array.get r
+  in
   let executions =
     Array.init (Dag.n dag) (fun i ->
-        [ [ { speed = speeds.(i); time = Dag.weight dag i /. speeds.(i) } ] ])
+        let e = [ { speed = speeds.(i); time = Dag.weight dag i /. speeds.(i) } ] in
+        if twice i then [ e; e ] else [ e ])
   in
   make mapping ~executions
 

@@ -29,10 +29,13 @@ val uniform : Mapping.t -> speed:float -> t
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
 
-val of_speeds : Mapping.t -> speeds:float array -> t
-(** Task [i] executed once at [speeds.(i)].
+val of_speeds : ?reexecuted:bool array -> Mapping.t -> speeds:float array -> t
+(** Task [i] executed at [speeds.(i)]: twice, both attempts at that
+    speed, where [reexecuted.(i)], once elsewhere (everywhere when
+    [reexecuted] is absent).
 
-    @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
+    @raise Invalid_argument when [speeds] or [reexecuted] does not have
+    one entry per task, or on a non-positive speed. *)
 
 val mapping : t -> Mapping.t
 val dag : t -> Dag.t

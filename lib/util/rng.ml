@@ -1,7 +1,9 @@
 (* xoshiro256** with splitmix64 seeding.  Reference: Blackman &
    Vigna, "Scrambled linear pseudorandom number generators", 2018. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words s0..s3 at byte offsets 0, 8, 16 and 24.  A
+   record of mutable int64 fields would box every store. *)
+type t = Bytes.t
 
 let splitmix64_next state =
   let open Int64 in
@@ -13,24 +15,28 @@ let splitmix64_next state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for k = 0 to 3 do
+    Bytes.set_int64_ne t (8 * k) (splitmix64_next state)
+  done;
+  t
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t =

@@ -86,63 +86,6 @@ let test_max_n_guard () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- chain DP ------------------------------------------------------- *)
-
-let chain_mapping ~seed ~n =
-  let rng = Es_util.Rng.create ~seed in
-  Mapping.single_processor (Generators.chain rng ~n ~wlo:0.5 ~whi:3.)
-
-let test_dp_between_exact_and_baseline () =
-  List.iter
-    (fun seed ->
-      let m = chain_mapping ~seed ~n:9 in
-      let dmin = Dag.total_weight (Mapping.dag m) in
-      List.iter
-        (fun slack ->
-          let deadline = slack *. dmin in
-          match
-            ( Tricrit_chain.solve_exact ~rel ~deadline m,
-              Tricrit_chain.solve_dp ~rel ~deadline m,
-              Tricrit_chain.no_reexecution ~rel ~deadline m )
-          with
-          | Some e, Some dp, Some base ->
-            Alcotest.(check bool) "dp >= exact" true
-              (dp.Tricrit_chain.energy >= e.Tricrit_chain.energy -. 1e-9);
-            Alcotest.(check bool) "dp <= baseline" true
-              (dp.Tricrit_chain.energy <= base.Tricrit_chain.energy +. 1e-9)
-          | None, None, None -> ()
-          | _ -> Alcotest.fail "feasibility disagreement")
-        [ 1.5; 2.5; 4. ])
-    [ 511; 512 ]
-
-let test_dp_optimal_in_loose_regime () =
-  (* with lots of slack the DP regime assumptions hold and it should
-     essentially match the exact optimum *)
-  (* the floors sit at fmin = 0.2, so re-executing everything takes
-     2Σw/0.2 = 10·Dmin: slack 12 makes the knapsack regime exact *)
-  let m = chain_mapping ~seed:513 ~n:9 in
-  let deadline = 12. *. Dag.total_weight (Mapping.dag m) in
-  match
-    ( Tricrit_chain.solve_exact ~rel ~deadline m,
-      Tricrit_chain.solve_dp ~rel ~deadline m )
-  with
-  | Some e, Some dp ->
-    Alcotest.(check bool)
-      (Printf.sprintf "dp %.5f within 1%% of exact %.5f" dp.Tricrit_chain.energy
-         e.Tricrit_chain.energy)
-      true
-      (dp.Tricrit_chain.energy <= e.Tricrit_chain.energy *. 1.01)
-  | _ -> Alcotest.fail "both feasible"
-
-let test_dp_schedule_validates () =
-  let m = chain_mapping ~seed:514 ~n:10 in
-  let deadline = 3. *. Dag.total_weight (Mapping.dag m) in
-  match Tricrit_chain.solve_dp ~rel ~deadline m with
-  | None -> Alcotest.fail "feasible"
-  | Some sol ->
-    Alcotest.(check bool) "validator accepts" true
-      (Validate.is_feasible ~deadline ~rel ~model sol.Tricrit_chain.schedule)
-
 (* --- checkpointing -------------------------------------------------- *)
 
 let weights = [| 1.; 2.; 1.5; 2.5; 1. |]
@@ -159,11 +102,9 @@ let test_ckpt_single_segment_floor () =
   | None -> Alcotest.fail "feasible"
   | Some sol ->
     Alcotest.(check int) "one speed" 1 (Array.length sol.Checkpointing.speeds);
-    (match Checkpointing.segment_floor ~rel ~work:dmin with
+    (match Rel.min_reexec_speed rel ~w:dmin with
     | None -> Alcotest.fail "segment floor exists"
-    | Some flo ->
-      Alcotest.(check (float 1e-9)) "at its floor"
-        (Float.max 0.2 flo) sol.Checkpointing.speeds.(0))
+    | Some flo -> Alcotest.(check (float 1e-9)) "at its floor" flo sol.Checkpointing.speeds.(0))
 
 let test_ckpt_zero_cost_prefers_fine_segments () =
   (* without checkpoint cost, finer segmentation is never worse: the
@@ -293,10 +234,6 @@ let suite =
       Alcotest.test_case "exact validates" `Slow test_exact_schedule_validates;
       Alcotest.test_case "candidate prune" `Quick test_candidates_prune;
       Alcotest.test_case "exact max_n guard" `Quick test_max_n_guard;
-      Alcotest.test_case "dp between exact and baseline" `Slow
-        test_dp_between_exact_and_baseline;
-      Alcotest.test_case "dp optimal when loose" `Quick test_dp_optimal_in_loose_regime;
-      Alcotest.test_case "dp validates" `Quick test_dp_schedule_validates;
       Alcotest.test_case "ckpt partition checked" `Quick test_ckpt_evaluate_partition_checked;
       Alcotest.test_case "ckpt single segment floor" `Quick test_ckpt_single_segment_floor;
       Alcotest.test_case "ckpt zero cost fine segments" `Quick

@@ -10,6 +10,15 @@ let test_make_validates () =
   Alcotest.check_raises "frel range" (Invalid_argument "Rel.make: frel outside [fmin, fmax]")
     (fun () -> ignore (Rel.make ~frel:2. ~fmin:0.2 ~fmax:1. ()))
 
+let test_make_rejects_nan () =
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejects "NaN frel" (fun () -> Rel.make ~frel:Float.nan ~fmin:0.2 ~fmax:1. ());
+  rejects "NaN lambda0" (fun () -> Rel.make ~lambda0:Float.nan ~fmin:0.2 ~fmax:1. ());
+  rejects "NaN sensitivity" (fun () -> Rel.make ~sensitivity:Float.nan ~fmin:0.2 ~fmax:1. ())
+
 let test_rate_at_fmax () =
   (* at f = fmax the exponent vanishes: rate = lambda0 *)
   check_float 1e-15 "rate fmax" 1e-4 (Rel.rate rel ~f:1.0)
@@ -37,11 +46,19 @@ let test_reliability_complement () =
   check_float 1e-12 "R = 1 - eps" (1. -. Rel.failure_prob rel ~f ~w)
     (Rel.reliability rel ~f ~w)
 
+(* A single execution meets the constraint iff ε(f) ≤ ε(f_rel), that is
+   iff f ≥ f_rel. *)
 let test_single_meets_iff_at_least_frel () =
   let w = 3. in
-  Alcotest.(check bool) "at frel" true (Rel.meets_single ?tol:None rel ~f:0.8 ~w);
-  Alcotest.(check bool) "above frel" true (Rel.meets_single ?tol:None rel ~f:0.95 ~w);
-  Alcotest.(check bool) "below frel" false (Rel.meets_single ?tol:None rel ~f:0.5 ~w)
+  let meets f = Rel.failure_prob rel ~f ~w <= Rel.target_failure rel ~w in
+  Alcotest.(check bool) "at frel" true (meets 0.8);
+  Alcotest.(check bool) "above frel" true (meets 0.95);
+  Alcotest.(check bool) "below frel" false (meets 0.5)
+
+(* Two executions meet it iff ε(f1)·ε(f2) ≤ ε(f_rel), up to the root
+   finder's relative slack. *)
+let meets_reexec r ~f ~w =
+  Rel.reexec_failure r ~f1:f ~f2:f ~w <= Rel.target_failure r ~w *. (1. +. 1e-9)
 
 let test_reexec_product () =
   let w = 2. in
@@ -56,11 +73,11 @@ let test_reexec_much_slower_ok () =
   | None -> Alcotest.fail "must exist"
   | Some flo ->
     Alcotest.(check bool) "far below frel" true (flo < 0.8);
-    Alcotest.(check bool) "meets at flo" true (Rel.meets_reexec ?tol:None rel ~f1:flo ~f2:flo ~w);
+    Alcotest.(check bool) "meets at flo" true (meets_reexec rel ~f:flo ~w);
     (* and is tight: 2% below flo must violate (unless clamped at fmin) *)
     if flo > rel.Rel.fmin +. 1e-9 then
       Alcotest.(check bool) "tight" false
-        (Rel.meets_reexec ?tol:None rel ~f1:(flo *. 0.98) ~f2:(flo *. 0.98) ~w)
+        (meets_reexec rel ~f:(flo *. 0.98) ~w)
 
 let test_min_reexec_speed_root_property () =
   let w = 5. in
@@ -108,12 +125,13 @@ let qcheck_reexec_floor_feasible =
       let r = Rel.make ~lambda0:1e-4 ~sensitivity:3. ~fmin:0.2 ~fmax:1.0 ~frel () in
       match Rel.min_reexec_speed r ~w with
       | None -> true
-      | Some flo -> Rel.meets_reexec ~tol:1e-9 r ~f1:flo ~f2:flo ~w)
+      | Some flo -> meets_reexec r ~f:flo ~w)
 
 let suite =
   ( "reliability",
     [
       Alcotest.test_case "make validates" `Quick test_make_validates;
+      Alcotest.test_case "make rejects NaN" `Quick test_make_rejects_nan;
       Alcotest.test_case "rate at fmax" `Quick test_rate_at_fmax;
       Alcotest.test_case "rate at fmin" `Quick test_rate_at_fmin;
       Alcotest.test_case "rate decreasing in speed" `Quick test_rate_decreasing_in_speed;

@@ -104,6 +104,32 @@ let test_with_execs () =
   Alcotest.(check bool) "updated" true (Schedule.reexecuted s2 0);
   Alcotest.(check bool) "original untouched" false (Schedule.reexecuted s 0)
 
+(* of_speeds ~reexecuted builds what the TRI-CRIT solvers used to
+   write by hand: every task at its speed, twice where re-executed. *)
+let test_of_speeds_reexecuted () =
+  let d = diamond () in
+  let m = Mapping.make ~p:2 d ~order:[| [ 0; 1; 3 ]; [ 2 ] |] in
+  let speeds = [| 0.5; 0.7; 0.9; 0.3 |] and reexecuted = [| true; false; true; false |] in
+  let part i = { Schedule.speed = speeds.(i); time = Dag.weight d i /. speeds.(i) } in
+  let executions =
+    Array.init 4 (fun i -> if reexecuted.(i) then [ [ part i ]; [ part i ] ] else [ [ part i ] ])
+  in
+  let by_hand = Schedule.make m ~executions in
+  let built = Schedule.of_speeds ~reexecuted m ~speeds in
+  for i = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "task %d executions" i)
+      true
+      (Schedule.executions built i = Schedule.executions by_hand i)
+  done;
+  Alcotest.(check bool) "energy" true (Schedule.energy built = Schedule.energy by_hand);
+  Alcotest.(check bool) "makespan" true (Schedule.makespan built = Schedule.makespan by_hand);
+  Alcotest.(check bool) "absent = all once" true
+    (Schedule.executions (Schedule.of_speeds m ~speeds) 0 = [ [ part 0 ] ]);
+  Alcotest.check_raises "length checked"
+    (Invalid_argument "Schedule.of_speeds: reexecuted length mismatch") (fun () ->
+      ignore (Schedule.of_speeds ~reexecuted:[| true |] m ~speeds))
+
 (* list scheduling *)
 
 let test_bottom_levels () =
@@ -240,6 +266,7 @@ let suite =
       Alcotest.test_case "re-execution accounting" `Quick test_schedule_reexecution_accounting;
       Alcotest.test_case "vdd parts accounting" `Quick test_schedule_vdd_parts;
       Alcotest.test_case "with_execs functional update" `Quick test_with_execs;
+      Alcotest.test_case "of_speeds ~reexecuted = hand-built" `Quick test_of_speeds_reexecuted;
       Alcotest.test_case "bottom levels" `Quick test_bottom_levels;
       Alcotest.test_case "top levels" `Quick test_top_levels;
       Alcotest.test_case "list sched valid mappings" `Quick test_list_sched_valid_mapping;

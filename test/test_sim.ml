@@ -164,8 +164,9 @@ let test_monte_carlo_pinned () =
     [| b; a; 0x1.0624dd2f1a9fcp-12; 0x1.6f0068db8bac7p-12; b; c; b; d; b; c; d; a |]
 
 (* A trial replays the schedule's attempt table: it allocates its
-   draws' generator state and the critical path's start times, never
-   an attempt's time, energy or failure probability. *)
+   draws' boxed results and the critical path's start times, never an
+   attempt's time, energy or failure probability, nor the generator's
+   state. *)
 let test_trial_allocation () =
   ignore (bench_report ());
   Gc.minor ();
@@ -175,8 +176,8 @@ let test_trial_allocation () =
   let words = (Gc.quick_stat ()).Gc.minor_words -. before in
   let per_task = words /. 20_000. /. 12. in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per task per trial <= 40" per_task)
-    true (per_task <= 40.)
+    (Printf.sprintf "%.1f minor words per task per trial <= 12" per_task)
+    true (per_task <= 12.)
 
 (* Random schedules over Es_check.Gen instances: each task runs at
    levels of the instance's grid, about half of them twice, and an
@@ -267,6 +268,6 @@ let suite =
       Alcotest.test_case "executionless task rejected" `Quick
         test_executionless_task_rejected;
       Alcotest.test_case "Monte-Carlo report pinned bit for bit" `Quick test_monte_carlo_pinned;
-      Alcotest.test_case "a trial allocates <= 40 words per task" `Quick test_trial_allocation;
+      Alcotest.test_case "a trial allocates <= 12 words per task" `Quick test_trial_allocation;
       QCheck_alcotest.to_alcotest qcheck_traced_runs;
     ] )

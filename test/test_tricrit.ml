@@ -11,10 +11,14 @@ let chain_instance ~seed ~n =
 
 (* waterfill *)
 
+(* run-once choices: time = energy = the effective weight *)
+let once_choices eff_weights floors =
+  Array.map2 (fun w floor -> { Rel.time = w; energy = w; floor }) eff_weights floors
+
 let test_waterfill_uniform_no_floors () =
   match
-    Tricrit_chain.waterfill ~eff_weights:[| 1.; 2.; 3. |] ~floors:[| 0.; 0.; 0. |]
-      ~fmax:1. ~deadline:12.
+    Tricrit_chain.waterfill (once_choices [| 1.; 2.; 3. |] [| 0.; 0.; 0. |]) ~fmax:1.
+      ~deadline:12.
   with
   | None -> Alcotest.fail "feasible"
   | Some speeds ->
@@ -22,8 +26,7 @@ let test_waterfill_uniform_no_floors () =
 
 let test_waterfill_floor_clamps () =
   match
-    Tricrit_chain.waterfill ~eff_weights:[| 1.; 1. |] ~floors:[| 0.9; 0. |] ~fmax:1.
-      ~deadline:20.
+    Tricrit_chain.waterfill (once_choices [| 1.; 1. |] [| 0.9; 0. |]) ~fmax:1. ~deadline:20.
   with
   | None -> Alcotest.fail "feasible"
   | Some speeds ->
@@ -32,16 +35,14 @@ let test_waterfill_floor_clamps () =
 
 let test_waterfill_deadline_tight () =
   match
-    Tricrit_chain.waterfill ~eff_weights:[| 2.; 2. |] ~floors:[| 0.; 0. |] ~fmax:1.
-      ~deadline:4.
+    Tricrit_chain.waterfill (once_choices [| 2.; 2. |] [| 0.; 0. |]) ~fmax:1. ~deadline:4.
   with
   | None -> Alcotest.fail "feasible exactly at fmax"
   | Some speeds -> Array.iter (fun f -> Alcotest.(check (float 1e-6)) "at fmax" 1. f) speeds
 
 let test_waterfill_infeasible () =
   Alcotest.(check bool) "over capacity" true
-    (Tricrit_chain.waterfill ~eff_weights:[| 2.; 2. |] ~floors:[| 0.; 0. |] ~fmax:1.
-       ~deadline:3.9
+    (Tricrit_chain.waterfill (once_choices [| 2.; 2. |] [| 0.; 0. |]) ~fmax:1. ~deadline:3.9
     = None)
 
 let test_waterfill_time_exhausted_or_floors () =
@@ -49,7 +50,7 @@ let test_waterfill_time_exhausted_or_floors () =
      full KKT structure: bounds, common water level above the floors,
      and deadline saturation unless every task is floor-clamped *)
   let eff_weights = [| 1.; 2.; 1.5 |] and floors = [| 0.4; 0.3; 0.5 |] in
-  match Tricrit_chain.waterfill ~eff_weights ~floors ~fmax:1. ~deadline:9. with
+  match Tricrit_chain.waterfill (once_choices eff_weights floors) ~fmax:1. ~deadline:9. with
   | None -> Alcotest.fail "feasible"
   | Some speeds ->
     let verdict =
@@ -57,6 +58,124 @@ let test_waterfill_time_exhausted_or_floors () =
         ~speeds
     in
     Alcotest.(check bool) (Es_check.Kkt.describe verdict) true (Es_check.Kkt.is_ok verdict)
+
+(* Two reference waterfills, kept apart from the library: the chain's
+   "slow everything equally" rule (floors and one common level) and
+   replication's κ-scaled rule.  [Tricrit_chain.waterfill] must equal
+   the second on every choice vector, and the first where every task
+   runs once or twice. *)
+
+let reference_chain_waterfill ~eff_weights ~floors ~fmax ~deadline =
+  let n = Array.length eff_weights in
+  let time_at fc =
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (eff_weights.(i) /. Float.max fc floors.(i))
+    done;
+    !acc
+  in
+  if Array.exists (fun fl -> fl > fmax *. (1. +. 1e-12)) floors then None
+  else if time_at fmax > deadline *. (1. +. 1e-9) then None
+  else begin
+    let speeds_of fc = Array.init n (fun i -> Float.min fmax (Float.max fc floors.(i))) in
+    if time_at 0. <= deadline then Some (speeds_of 0.)
+    else
+      Some
+        (speeds_of
+           (Es_numopt.Scalar.root_monotone ~tol:1e-14
+              ~f:(fun fc -> time_at fc -. deadline)
+              ~lo:0. ~hi:fmax))
+  end
+
+let reference_replication_waterfill (profile : (float * float * float) array) ~fmax ~deadline =
+  let n = Array.length profile in
+  let kappa = Array.map (fun (tc, ec, _) -> Es_util.Futil.cbrt (tc /. ec)) profile in
+  let speed_at fc i =
+    let _, _, floor = profile.(i) in
+    Es_util.Futil.clamp ~lo:floor ~hi:fmax (kappa.(i) *. fc)
+  in
+  let time_at fc =
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      let tc, _, _ = profile.(i) in
+      acc := !acc +. (tc /. speed_at fc i)
+    done;
+    !acc
+  in
+  if not (Array.for_all (fun (_, _, fl) -> fl <= fmax *. (1. +. 1e-12)) profile) then None
+  else begin
+    let fc_hi = fmax /. Array.fold_left (fun a k -> Float.min a k) 1. kappa in
+    if time_at fc_hi > deadline *. (1. +. 1e-9) then None
+    else begin
+      let fc =
+        if time_at 0. <= deadline then 0.
+        else
+          Es_numopt.Scalar.root_monotone ~tol:1e-14
+            ~f:(fun fc -> time_at fc -. deadline)
+            ~lo:0. ~hi:fc_hi
+      in
+      Some (Array.init n (speed_at fc))
+    end
+  end
+
+(* 1-30 tasks mixing the three choices, floors in [0, fmax] (the ends
+   included), deadlines from below the all-fmax time to 30 times it. *)
+let waterfill_case_gen =
+  let open QCheck2.Gen in
+  let* fmax = float_range 0.5 5. in
+  let* n = int_range 1 30 in
+  let choice =
+    let* w = float_range 0.1 10. in
+    let* floor = frequency [ (1, return 0.); (1, return fmax); (6, float_range 0. fmax) ] in
+    oneofl
+      [
+        { Rel.time = w; energy = w; floor };
+        { Rel.time = 2. *. w; energy = 2. *. w; floor };
+        { Rel.time = w; energy = 2. *. w; floor };
+      ]
+  in
+  let* choices = array_size (return n) choice in
+  let* factor = oneof [ float_range 0.8 1.; float_range 1. 2.; float_range 2. 30. ] in
+  let at_fmax = Array.fold_left (fun acc (c : Rel.choice) -> acc +. (c.time /. fmax)) 0. choices in
+  return (choices, fmax, factor *. at_fmax)
+
+let print_waterfill_case (choices, fmax, deadline) =
+  Printf.sprintf "fmax %h deadline %h\n%s" fmax deadline
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map
+             (fun (c : Rel.choice) ->
+               Printf.sprintf "time %h energy %h floor %h" c.time c.energy c.floor)
+             choices)))
+
+let same_speeds a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  | _ -> false
+
+(* replicated is the one choice whose time and energy differ *)
+let qcheck_waterfill_references =
+  QCheck2.Test.make ~name:"waterfill = the chain and replication references, bit for bit" ~count:500
+    ~print:print_waterfill_case waterfill_case_gen (fun (choices, fmax, deadline) ->
+      let got = Tricrit_chain.waterfill choices ~fmax ~deadline in
+      let profile = Array.map (fun (c : Rel.choice) -> (c.time, c.energy, c.floor)) choices in
+      same_speeds got (reference_replication_waterfill profile ~fmax ~deadline)
+      &&
+      if Array.exists (fun (c : Rel.choice) -> c.time <> c.energy) choices then true
+      else begin
+        let eff_weights = Array.map (fun (c : Rel.choice) -> c.time) choices in
+        let floors = Array.map (fun (c : Rel.choice) -> c.floor) choices in
+        same_speeds got (reference_chain_waterfill ~eff_weights ~floors ~fmax ~deadline)
+        &&
+        match got with
+        | None -> true
+        | Some speeds ->
+          Es_check.Kkt.is_ok
+            (Es_check.Kkt.check_waterfill ~eff_weights ~floors ~fmax ~deadline ~speeds)
+      end)
 
 (* chain solvers *)
 
@@ -275,6 +394,7 @@ let suite =
       Alcotest.test_case "waterfill deadline tight" `Quick test_waterfill_deadline_tight;
       Alcotest.test_case "waterfill infeasible" `Quick test_waterfill_infeasible;
       Alcotest.test_case "waterfill KKT" `Quick test_waterfill_time_exhausted_or_floors;
+      QCheck_alcotest.to_alcotest qcheck_waterfill_references;
       Alcotest.test_case "chain: tight deadline, no re-exec" `Quick
         test_chain_no_reexec_at_tight_deadline;
       Alcotest.test_case "chain: slack brings re-exec" `Quick test_chain_reexec_appears_with_slack;

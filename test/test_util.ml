@@ -79,6 +79,32 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 Fun.id) sorted
 
+(* The stream itself: a digest of seed 42's first 1,000 outputs, as
+   decimal lines. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create ~seed:42 in
+  let b = Buffer.create 20_000 in
+  for _ = 1 to 1000 do
+    Buffer.add_string b (Int64.to_string (Rng.bits64 r));
+    Buffer.add_char b '\n'
+  done;
+  Alcotest.(check string) "digest" "e1e9640bafcca84f37dad8338067d177"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* A draw boxes its result at most; the generator's state is stored
+   unboxed. *)
+let test_rng_bernoulli_allocation () =
+  let r = Rng.create ~seed:1 in
+  let draws = 100_000 and hits = ref 0 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_words in
+  for _ = 1 to draws do
+    if Rng.bernoulli r 0.3 then incr hits
+  done;
+  let words = ((Gc.quick_stat ()).Gc.minor_words -. before) /. float_of_int draws in
+  ignore (Sys.opaque_identity !hits);
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per draw <= 8" words) true (words <= 8.)
+
 let test_rng_split_independent () =
   let r = Rng.create ~seed:12 in
   let a = Rng.split r in
@@ -189,6 +215,9 @@ let suite =
       Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
       Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
       Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
+      Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+      Alcotest.test_case "rng bernoulli allocates <= 8 words" `Quick
+        test_rng_bernoulli_allocation;
       Alcotest.test_case "stats mean/var/median" `Quick test_stats_mean_var;
       Alcotest.test_case "stats quantiles" `Quick test_stats_quantiles;
       Alcotest.test_case "stats quantile NaN total order" `Quick
