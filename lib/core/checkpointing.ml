@@ -1,3 +1,5 @@
+module Obs = Es_obs.Obs
+
 type segmentation = int list
 
 type solution = {
@@ -27,7 +29,10 @@ let segment_works ~checkpoint_work ~weights segmentation =
     Some (Array.of_list works)
   end
 
+let c_evaluations = Obs.counter "checkpointing_evaluations"
+
 let evaluate ~rel ~checkpoint_work ~deadline ~weights segmentation =
+  Obs.incr c_evaluations;
   let twice works = Rel.choices rel ~weights:works ~subset:(Array.map (fun _ -> true) works) in
   match Option.bind (segment_works ~checkpoint_work ~weights segmentation) twice with
   | None -> None
@@ -62,7 +67,7 @@ let solve ~rel ~checkpoint_work ~deadline ~weights =
         twice_tbl.(i).(j) <- Rel.twice rel ~w:(interval_work i j)
       done
     done;
-    let best = ref None in
+    let best = ref None and seen = ref [] in
     let try_level fc =
       (* interval DP: minimise Σ 2V·f² with f = clamp(max(fc, floor)) *)
       let dp = Array.make (n + 1) infinity in
@@ -87,12 +92,17 @@ let solve ~rel ~checkpoint_work ~deadline ~weights =
           if j = 0 then acc else rebuild back.(j) ((j - back.(j)) :: acc)
         in
         let segmentation = rebuild n [] in
-        match evaluate ~rel ~checkpoint_work ~deadline ~weights segmentation with
-        | None -> ()
-        | Some sol -> (
-          match !best with
-          | Some b when b.energy <= sol.energy -> ()
-          | _ -> best := Some sol)
+        (* levels often agree on a segmentation; evaluating it again
+           would give the same energy, which cannot displace the first *)
+        if not (List.exists (List.equal Int.equal segmentation) !seen) then begin
+          seen := segmentation :: !seen;
+          match evaluate ~rel ~checkpoint_work ~deadline ~weights segmentation with
+          | None -> ()
+          | Some sol -> (
+            match !best with
+            | Some b when b.energy <= sol.energy -> ()
+            | _ -> best := Some sol)
+        end
       end
     in
     for k = 0 to speed_grid do

@@ -49,7 +49,8 @@ val evaluate :
 (** Optimal speeds for a given segmentation: {!Tricrit_chain.waterfill}
     of each segment's {!Rel.twice} (work [W_s + c_w], floor
     {!Rel.min_reexec_speed} of that work); [None] when infeasible or
-    when the lengths do not partition the chain.
+    when the lengths do not partition the chain.  Each call counts
+    under the {!Es_obs.Obs} counter ["checkpointing_evaluations"].
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 
@@ -62,8 +63,8 @@ val solve :
 (** Best segmentation over a grid of 64 common
     speed levels: per level, an interval DP picks the
     minimum-"energy at that level" segmentation, then {!evaluate}
-    re-optimises its speeds exactly.  Returns the cheapest feasible
-    result.
+    re-optimises its speeds exactly, once per distinct segmentation.
+    Returns the cheapest feasible result, the first found on a tie.
 
     @raise Invalid_argument if a root-bracketing step finds no sign change (degenerate reliability or speed bounds). *)
 

@@ -3,7 +3,7 @@ type task = int
 type t = {
   n : int;
   weights : float array;
-  labels : string array;
+  labels : string array option; (* [None]: task i is "T<i>" *)
   succs : task list array; (* ascending *)
   preds : task list array; (* ascending *)
   order : task array; (* Kahn's order, computed once by [make] *)
@@ -12,9 +12,19 @@ type t = {
 let n t = t.n
 let weight t i = t.weights.(i)
 let weights t = Array.copy t.weights
-let label t i = t.labels.(i)
 let succs t i = t.succs.(i)
 let preds t i = t.preds.(i)
+
+(* A task without a given label is formatted when asked for, as
+   [Printf.sprintf "T%d"] would: most DAGs are never printed.  A task
+   out of range fails the weights' bounds check, as it fails a given
+   label array's. *)
+let label t i =
+  match t.labels with
+  | Some labels -> labels.(i)
+  | None ->
+    ignore (t.weights.(i) : float);
+    "T" ^ Int.to_string i
 
 let edges t =
   let acc = ref [] in
@@ -77,6 +87,10 @@ let kahn ~preds ~succs =
   if !k <> n then invalid_arg "Dag: cycle detected";
   order
 
+(* Every edge is checked (range, then self-loop) and pushed in list
+   order; sorting each adjacency list without repeats then collapses
+   duplicate edges.  A list of one task or none is kept as it is,
+   without the closures [List.sort_uniq] allocates per call. *)
 let make ?labels ~weights ~edges =
   let n = Array.length weights in
   Array.iteri
@@ -86,23 +100,22 @@ let make ?labels ~weights ~edges =
     match labels with
     | Some l ->
       if Array.length l <> n then invalid_arg "Dag.make: labels length mismatch";
-      Array.copy l
-    | None -> Array.init n (Printf.sprintf "T%d")
+      Some (Array.copy l)
+    | None -> None
   in
   let succs = Array.make n [] and preds = Array.make n [] in
-  let seen = Hashtbl.create (List.length edges) in
   List.iter
     (fun (i, j) ->
       if i < 0 || i >= n || j < 0 || j >= n then invalid_arg "Dag.make: edge out of range";
       if i = j then invalid_arg "Dag.make: self loop";
-      if not (Hashtbl.mem seen (i, j)) then begin
-        Hashtbl.add seen (i, j) ();
-        succs.(i) <- j :: succs.(i);
-        preds.(j) <- i :: preds.(j)
-      end)
+      succs.(i) <- j :: succs.(i);
+      preds.(j) <- i :: preds.(j))
     edges;
-  Array.iteri (fun i l -> succs.(i) <- List.sort Int.compare l) succs;
-  Array.iteri (fun i l -> preds.(i) <- List.sort Int.compare l) preds;
+  let sort_uniq = function ([] | [ _ ]) as l -> l | l -> List.sort_uniq Int.compare l in
+  for i = 0 to n - 1 do
+    succs.(i) <- sort_uniq succs.(i);
+    preds.(i) <- sort_uniq preds.(i)
+  done;
   { n; weights = Array.copy weights; labels; succs; preds; order = kahn ~preds ~succs }
 
 let topological_order t = Array.copy t.order
@@ -269,11 +282,11 @@ let transitive_reduction t =
 
 let reverse t =
   let edges = List.map (fun (i, j) -> (j, i)) (edges t) in
-  make ~labels:t.labels ~weights:t.weights ~edges
+  make ?labels:t.labels ~weights:t.weights ~edges
 
 let pp ppf t =
   for i = 0 to t.n - 1 do
     Format.fprintf ppf "%s (w=%g) -> %s@."
-      t.labels.(i) t.weights.(i)
-      (String.concat ", " (List.map (fun j -> t.labels.(j)) t.succs.(i)))
+      (label t i) t.weights.(i)
+      (String.concat ", " (List.map (label t) t.succs.(i)))
   done

@@ -13,8 +13,9 @@ type t
 val make : ?labels:string array -> weights:float array -> edges:(task * task) list -> t
 (** [make ~weights ~edges] builds a DAG with [Array.length weights]
     tasks.  Weights must be strictly positive.  Duplicate edges are
-    collapsed; self-loops or cycles raise [Invalid_argument].
-    [labels] (default ["T<i>"]) are used by exports only.  The
+    collapsed; self-loops or cycles raise [Invalid_argument], the edges
+    being checked in list order.  [labels] (default ["T<i>"], formatted
+    only when {!label} or {!pp} asks) are used by exports only.  The
     topological order is computed here, once, and kept.
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
@@ -29,6 +30,7 @@ val weights : t -> float array
 (** All weights (a fresh copy). *)
 
 val label : t -> task -> string
+(** The task's label: the one given to {!make}, else ["T<i>"]. *)
 
 val succs : t -> task -> task list
 (** Immediate successors, ascending. *)

@@ -31,7 +31,9 @@ exception Parse_error of string
 
 val of_string : string -> t
 (** Parse JSON text.  Handles everything {!to_string} emits (plus
-    arbitrary whitespace); @raise Parse_error on malformed input. *)
+    arbitrary whitespace), with arrays and objects nested at most 512
+    deep; @raise Parse_error on malformed input, and at the bracket
+    that would open a 513th level. *)
 
 val member : string -> t -> t option
 (** [member name (Obj fields)] looks up a field; [None] on missing

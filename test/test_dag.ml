@@ -395,6 +395,173 @@ let test_kahn_allocation () =
     true
     (order +. path < 8. *. float_of_int n)
 
+(* [Dag.make] as it was with a hash table: edges checked (range, then
+   self-loop) and collapsed through a [Hashtbl] keyed by pairs, each
+   list sorted, every label formatted.  The order comes from the
+   Set-based pass above, which equals the heap's. *)
+type reference_dag = {
+  r_weights : float array;
+  r_labels : string array;
+  r_succs : int list array;
+  r_preds : int list array;
+  r_order : int array;
+}
+
+let reference_make ?labels ~weights ~edges =
+  let n = Array.length weights in
+  Array.iteri
+    (fun i w -> if w <= 0. then invalid_arg (Printf.sprintf "Dag.make: weight %d not positive" i))
+    weights;
+  let labels =
+    match labels with
+    | Some l ->
+      if Array.length l <> n then invalid_arg "Dag.make: labels length mismatch";
+      Array.copy l
+    | None -> Array.init n (Printf.sprintf "T%d")
+  in
+  let succs = Array.make n [] and preds = Array.make n [] in
+  let seen = Hashtbl.create (List.length edges) in
+  List.iter
+    (fun (i, j) ->
+      if i < 0 || i >= n || j < 0 || j >= n then invalid_arg "Dag.make: edge out of range";
+      if i = j then invalid_arg "Dag.make: self loop";
+      if not (Hashtbl.mem seen (i, j)) then begin
+        Hashtbl.add seen (i, j) ();
+        succs.(i) <- j :: succs.(i);
+        preds.(j) <- i :: preds.(j)
+      end)
+    edges;
+  Array.iteri (fun i l -> succs.(i) <- List.sort Int.compare l) succs;
+  Array.iteri (fun i l -> preds.(i) <- List.sort Int.compare l) preds;
+  match reference_order n edges with
+  | Some order ->
+    {
+      r_weights = Array.copy weights;
+      r_labels = labels;
+      r_succs = succs;
+      r_preds = preds;
+      r_order = order;
+    }
+  | None -> invalid_arg "Dag: cycle detected"
+
+let reference_edges r =
+  let acc = ref [] in
+  for i = Array.length r.r_succs - 1 downto 0 do
+    List.iter (fun j -> acc := (i, j) :: !acc) r.r_succs.(i)
+  done;
+  !acc
+
+let reference_pp r =
+  String.concat ""
+    (List.init (Array.length r.r_succs) (fun i ->
+         Printf.sprintf "%s (w=%g) -> %s\n" r.r_labels.(i) r.r_weights.(i)
+           (String.concat ", " (List.map (fun j -> r.r_labels.(j)) r.r_succs.(i)))))
+
+let raises_index f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument m -> String.equal m "index out of bounds"
+
+(* [d] reads as [r]: adjacency, order, edge list, labels (out-of-range
+   tasks raise as an array would) and the debugging print. *)
+let same_dag d r =
+  let n = Array.length r.r_succs in
+  Dag.n d = n
+  && Array.init n (Dag.succs d) = r.r_succs
+  && Array.init n (Dag.preds d) = r.r_preds
+  && Dag.topological_order d = r.r_order
+  && Dag.edges d = reference_edges r
+  && Array.init n (Dag.label d) = r.r_labels
+  && raises_index (fun () -> Dag.label d n)
+  && raises_index (fun () -> Dag.label d (-1))
+  && String.equal (Format.asprintf "%a" Dag.pp d) (reference_pp r)
+
+(* Random edge lists over 1-25 tasks: forward edges of a shuffled
+   order, repeated, and now and then an out-of-range end (or an
+   out-of-range self-loop, which must report its range), a self-loop,
+   a back edge that may close a cycle, a zero weight or labels of the
+   wrong length; half the graphs are labelled. *)
+let qcheck_make_reference =
+  QCheck.Test.make ~name:"make = the hash-table construction: lists, order, edges, labels, errors"
+    ~count:500 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Es_util.Rng.create ~seed in
+      let n = 1 + Es_util.Rng.int r 25 in
+      let sigma = Array.init n Fun.id in
+      Es_util.Rng.shuffle r sigma;
+      let edges = ref [] in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Es_util.Rng.float r 1. < 0.2 then begin
+            edges := (sigma.(i), sigma.(j)) :: !edges;
+            if Es_util.Rng.int r 4 = 0 then edges := (sigma.(i), sigma.(j)) :: !edges
+          end
+        done
+      done;
+      let edges = Array.of_list !edges in
+      Es_util.Rng.shuffle r edges;
+      let edges = Array.to_list edges in
+      let odd k = Es_util.Rng.int r k = 0 in
+      let edges =
+        if odd 8 then
+          let out = if Es_util.Rng.bool r then n else -1 in
+          (if Es_util.Rng.bool r then (out, out) else (Es_util.Rng.int r n, out)) :: edges
+        else edges
+      in
+      let edges = if odd 8 then (let i = Es_util.Rng.int r n in (i, i)) :: edges else edges in
+      let edges =
+        if n >= 2 && odd 4 then
+          let i = Es_util.Rng.int r (n - 1) in
+          (sigma.(i + 1 + Es_util.Rng.int r (n - 1 - i)), sigma.(i)) :: edges
+        else edges
+      in
+      let weights = Array.init n (fun _ -> Es_util.Rng.uniform_in r 0.5 3.) in
+      if odd 16 then weights.(Es_util.Rng.int r n) <- 0.;
+      let labels =
+        if Es_util.Rng.bool r then
+          Some (Array.init (if odd 16 then n + 1 else n) (fun i -> Printf.sprintf "v%d" (n - i)))
+        else None
+      in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      match
+        ( outcome (fun () -> Dag.make ?labels ~weights ~edges),
+          outcome (fun () -> reference_make ?labels ~weights ~edges) )
+      with
+      | Ok d, Ok expected ->
+        let reduced = Dag.transitive_reduction d in
+        let reduced_expected =
+          reference_make ~labels:expected.r_labels ~weights ~edges:(Dag.edges reduced)
+        in
+        same_dag d expected
+        && same_dag (Dag.reverse d)
+             (reference_make ~labels:expected.r_labels ~weights
+                ~edges:(List.map (fun (i, j) -> (j, i)) (reference_edges expected)))
+        && same_dag reduced { reduced_expected with r_order = expected.r_order }
+        && Array.init n (Dag.label (Dag.map_weights d (fun _ w -> 2. *. w))) = expected.r_labels
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* A 60-task layered DAG, its 84 edges shuffled so that the adjacency
+   lists need sorting: the lists, their sorts, the weights, the order
+   and Kahn's arrays take 2,434 words; the hash table and a label per
+   task took 6,616. *)
+let test_make_allocation () =
+  let r = Es_util.Rng.create ~seed:1 in
+  let d = Generators.random_layered r ~layers:30 ~width:6 ~density:0.3 ~wlo:0.5 ~whi:3. in
+  let n = 60 in
+  let weights = Array.sub (Dag.weights d) 0 n in
+  let edges = Array.of_list (List.filter (fun (a, b) -> a < n && b < n) (Dag.edges d)) in
+  Es_util.Rng.shuffle r edges;
+  let edges = Array.to_list edges in
+  let words =
+    allocated_words (fun () -> ignore (Sys.opaque_identity (Dag.make ?labels:None ~weights ~edges)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d tasks and %d edges <= 48 per task" words n
+       (List.length edges))
+    true
+    (words <= 48. *. float_of_int n)
+
 let suite =
   ( fst suite,
     snd suite
@@ -407,4 +574,6 @@ let suite =
         Alcotest.test_case "topological order rejects a 3-cycle" `Quick test_cycle_reference;
         Alcotest.test_case "topological order and critical path allocate only their arrays" `Quick
           test_kahn_allocation;
+        QCheck_alcotest.to_alcotest qcheck_make_reference;
+        Alcotest.test_case "make allocates <= 48 words per task" `Quick test_make_allocation;
       ] )

@@ -158,6 +158,121 @@ let test_ckpt_infeasible () =
        ~deadline:(1.5 *. dmin) ~weights
     = None)
 
+(* [solve] as it was before it skipped repeated segmentations: the
+   interval DP at each of the 65 grid levels, then [evaluate] of the
+   segmentation it gives, the first of equal energies kept. *)
+let reference_ckpt_solve ~rel ~checkpoint_work ~deadline ~weights =
+  let n = Array.length weights in
+  if n = 0 then None
+  else begin
+    let prefix = Array.make (n + 1) 0. in
+    for i = 0 to n - 1 do
+      prefix.(i + 1) <- prefix.(i) +. weights.(i)
+    done;
+    let twice_tbl = Array.make_matrix (n + 1) (n + 1) None in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n do
+        twice_tbl.(i).(j) <- Rel.twice rel ~w:(prefix.(j) -. prefix.(i) +. checkpoint_work)
+      done
+    done;
+    let best = ref None in
+    for k = 0 to 64 do
+      let fc = rel.Rel.fmin +. ((rel.Rel.fmax -. rel.Rel.fmin) *. float_of_int k /. 64.) in
+      let dp = Array.make (n + 1) infinity and back = Array.make (n + 1) (-1) in
+      dp.(0) <- 0.;
+      for j = 1 to n do
+        for i = 0 to j - 1 do
+          match twice_tbl.(i).(j) with
+          | None -> ()
+          | Some (c : Rel.choice) ->
+            let f = Es_util.Futil.clamp ~lo:c.floor ~hi:rel.Rel.fmax fc in
+            let cost = dp.(i) +. (c.energy *. f *. f) in
+            if cost < dp.(j) then begin
+              dp.(j) <- cost;
+              back.(j) <- i
+            end
+        done
+      done;
+      if dp.(n) < infinity then begin
+        let rec rebuild j acc = if j = 0 then acc else rebuild back.(j) ((j - back.(j)) :: acc) in
+        match Checkpointing.evaluate ~rel ~checkpoint_work ~deadline ~weights (rebuild n []) with
+        | None -> ()
+        | Some sol -> (
+          match !best with
+          | Some (b : Checkpointing.solution) when b.energy <= sol.energy -> ()
+          | _ -> best := Some sol)
+      end
+    done;
+    !best
+  end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_ckpt_solution (a : Checkpointing.solution option) (b : Checkpointing.solution option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    List.equal Int.equal a.segments b.segments
+    && Array.length a.speeds = Array.length b.speeds
+    && Array.for_all2 same_bits a.speeds b.speeds
+    && same_bits a.energy b.energy && same_bits a.time b.time
+  | Some _, None | None, Some _ -> false
+
+(* E14's instance: ten weights in [0.5, 2.5) from seed 42, a deadline
+   of 4 Σw and E14's checkpoint costs.  The 65 grid levels give one
+   segmentation at every positive cost and 26 distinct ones at zero
+   cost; each is evaluated once, and the answer is the per-level
+   loop's, bit for bit. *)
+let test_ckpt_evaluates_each_segmentation_once () =
+  let module Obs = Es_obs.Obs in
+  let weights = Es_util.Rng.sample_weights (Es_util.Rng.create ~seed:42) ~n:10 ~lo:0.5 ~hi:2.5 in
+  let deadline = 4. *. Array.fold_left ( +. ) 0. weights in
+  let evaluations = Obs.counter "checkpointing_evaluations" in
+  List.iter
+    (fun (checkpoint_work, distinct) ->
+      Obs.reset ();
+      Obs.enable ();
+      let sol =
+        Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+        Checkpointing.solve ~rel ~checkpoint_work ~deadline ~weights
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "evaluations at cost %g" checkpoint_work)
+        distinct (Obs.value evaluations);
+      Alcotest.(check bool)
+        (Printf.sprintf "= the per-level loop at cost %g" checkpoint_work)
+        true
+        (same_ckpt_solution sol (reference_ckpt_solve ~rel ~checkpoint_work ~deadline ~weights)))
+    [ (0., 26); (0.05, 1); (0.1, 1); (0.25, 1); (0.5, 1); (1., 1); (2., 1) ]
+
+(* Random chains of 1-12 tasks, speed bounds and reliability speeds,
+   checkpoint costs (zero a quarter of the time) and deadlines from
+   below the all-fmax worst case to far above it. *)
+let qcheck_ckpt_solve_reference =
+  QCheck.Test.make ~name:"checkpointing solve = the per-level loop, bit for bit" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Es_util.Rng.create ~seed in
+      let n = 1 + Es_util.Rng.int r 12 in
+      let weights = Es_util.Rng.sample_weights r ~n ~lo:0.2 ~hi:3. in
+      let fmin = Es_util.Rng.uniform_in r 0.05 0.6 in
+      let frel = Es_util.Rng.uniform_in r fmin 1. in
+      let rel = Rel.make ~lambda0:1e-5 ~sensitivity:3. ~fmin ~fmax:1. ~frel () in
+      let checkpoint_work =
+        if Es_util.Rng.int r 4 = 0 then 0. else Es_util.Rng.uniform_in r 0.01 2.
+      in
+      let deadline =
+        Es_util.Rng.uniform_in r 1.5 8. *. Array.fold_left ( +. ) checkpoint_work weights
+      in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      match
+        ( outcome (fun () -> Checkpointing.solve ~rel ~checkpoint_work ~deadline ~weights),
+          outcome (fun () -> reference_ckpt_solve ~rel ~checkpoint_work ~deadline ~weights) )
+      with
+      | Ok a, Ok b -> same_ckpt_solution a b
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* --- static power --------------------------------------------------- *)
 
 let test_power_critical_speed () =
@@ -241,6 +356,9 @@ let suite =
       Alcotest.test_case "ckpt cost coarsens" `Quick test_ckpt_cost_coarsens_segments;
       Alcotest.test_case "ckpt time within deadline" `Quick test_ckpt_time_within_deadline;
       Alcotest.test_case "ckpt infeasible" `Quick test_ckpt_infeasible;
+      Alcotest.test_case "ckpt evaluates each segmentation once" `Quick
+        test_ckpt_evaluates_each_segmentation_once;
+      QCheck_alcotest.to_alcotest qcheck_ckpt_solve_reference;
       Alcotest.test_case "power critical speed" `Quick test_power_critical_speed;
       Alcotest.test_case "power energy formula" `Quick test_power_energy_formula;
       Alcotest.test_case "power aware floors at critical" `Quick

@@ -327,6 +327,409 @@ let test_json_lit_written_as_is () =
     (Json.to_string (Json.Obj [ ("x", Json.Num x) ]))
     (Json.to_string (Json.Obj [ ("x", lit) ]))
 
+(* The reader as it was before it stopped allocating per byte, kept
+   as the reference: the same values (numbers to the bit) and the same
+   error text at the same offset. *)
+module Reference_reader = struct
+  open Json
+
+  exception Parse_error of string
+
+  type cursor = { s : string; mutable pos : int }
+
+  let fail cur msg =
+    raise (Parse_error (Printf.sprintf "%s at offset %d" msg cur.pos))
+
+  let peek cur = if cur.pos < String.length cur.s then Some cur.s.[cur.pos] else None
+
+  let advance cur = cur.pos <- cur.pos + 1
+
+  let skip_ws cur =
+    let rec go () =
+      match peek cur with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance cur;
+        go ()
+      | _ -> ()
+    in
+    go ()
+
+  let expect cur c =
+    match peek cur with
+    | Some c' when c' = c -> advance cur
+    | _ -> fail cur (Printf.sprintf "expected '%c'" c)
+
+  let literal cur word value =
+    let n = String.length word in
+    if
+      cur.pos + n <= String.length cur.s
+      && String.sub cur.s cur.pos n = word
+    then begin
+      cur.pos <- cur.pos + n;
+      value
+    end
+    else fail cur (Printf.sprintf "expected %s" word)
+
+  let parse_string cur =
+    expect cur '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek cur with
+      | None -> fail cur "unterminated string"
+      | Some '"' ->
+        advance cur;
+        Buffer.contents buf
+      | Some '\\' ->
+        advance cur;
+        (match peek cur with
+        | Some '"' -> Buffer.add_char buf '"'
+        | Some '\\' -> Buffer.add_char buf '\\'
+        | Some '/' -> Buffer.add_char buf '/'
+        | Some 'n' -> Buffer.add_char buf '\n'
+        | Some 'r' -> Buffer.add_char buf '\r'
+        | Some 't' -> Buffer.add_char buf '\t'
+        | Some 'b' -> Buffer.add_char buf '\b'
+        | Some 'f' -> Buffer.add_char buf '\012'
+        | Some 'u' ->
+          (* decode \uXXXX; non-ASCII code points are emitted raw as a
+             single byte when < 256, else replaced — our own output never
+             produces them *)
+          if cur.pos + 4 >= String.length cur.s then fail cur "bad \\u escape";
+          let hex = String.sub cur.s (cur.pos + 1) 4 in
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
+          | Some _ -> Buffer.add_char buf '?'
+          | None -> fail cur "bad \\u escape");
+          cur.pos <- cur.pos + 4
+        | _ -> fail cur "bad escape");
+        advance cur;
+        go ()
+      | Some c ->
+        advance cur;
+        Buffer.add_char buf c;
+        go ()
+    in
+    go ()
+
+  let parse_number cur =
+    let start = cur.pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while (match peek cur with Some c -> is_num_char c | None -> false) do
+      advance cur
+    done;
+    let text = String.sub cur.s start (cur.pos - start) in
+    match float_of_string_opt text with
+    | Some x -> Num x
+    | None -> fail cur "bad number"
+
+  let rec parse_value cur =
+    skip_ws cur;
+    match peek cur with
+    | None -> fail cur "unexpected end of input"
+    | Some 'n' -> literal cur "null" Null
+    | Some 't' -> literal cur "true" (Bool true)
+    | Some 'f' -> literal cur "false" (Bool false)
+    | Some '"' -> Str (parse_string cur)
+    | Some '[' ->
+      advance cur;
+      skip_ws cur;
+      if peek cur = Some ']' then begin
+        advance cur;
+        List []
+      end
+      else begin
+        let rec items acc =
+          let v = parse_value cur in
+          skip_ws cur;
+          match peek cur with
+          | Some ',' ->
+            advance cur;
+            items (v :: acc)
+          | Some ']' ->
+            advance cur;
+            List.rev (v :: acc)
+          | _ -> fail cur "expected ',' or ']'"
+        in
+        List (items [])
+      end
+    | Some '{' ->
+      advance cur;
+      skip_ws cur;
+      if peek cur = Some '}' then begin
+        advance cur;
+        Obj []
+      end
+      else begin
+        let field () =
+          skip_ws cur;
+          let name = parse_string cur in
+          skip_ws cur;
+          expect cur ':';
+          (name, parse_value cur)
+        in
+        let rec fields acc =
+          let f = field () in
+          skip_ws cur;
+          match peek cur with
+          | Some ',' ->
+            advance cur;
+            fields (f :: acc)
+          | Some '}' ->
+            advance cur;
+            List.rev (f :: acc)
+          | _ -> fail cur "expected ',' or '}'"
+        in
+        Obj (fields [])
+      end
+    | Some _ -> parse_number cur
+
+  let of_string s =
+    let cur = { s; pos = 0 } in
+    let v = parse_value cur in
+    skip_ws cur;
+    if cur.pos <> String.length s then fail cur "trailing garbage";
+    v
+end
+
+let rec same_json a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Null, Json.Null -> true
+  | Json.Bool x, Json.Bool y -> Bool.equal x y
+  | Json.Str x, Json.Str y | Json.Lit x, Json.Lit y -> String.equal x y
+  | Json.List xs, Json.List ys -> List.equal same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && same_json v v') xs ys
+  | (Json.Num _ | Json.Null | Json.Bool _ | Json.Str _ | Json.Lit _ | Json.List _ | Json.Obj _), _
+    -> false
+
+let same_reading text =
+  match
+    ( (match Json.of_string text with v -> Ok v | exception Json.Parse_error m -> Error m),
+      match Reference_reader.of_string text with
+      | v -> Ok v
+      | exception Reference_reader.Parse_error m -> Error m )
+  with
+  | Ok a, Ok b -> same_json a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Trees of every node kind, numbers of any bit pattern and strings
+   with every character the writers escape. *)
+let gen_tree =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:
+        (oneof
+           [ printable; oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\001'; '\031'; '\xe9' ] ])
+      (int_bound 10)
+  in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Num x) gen_double;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            (1, map (fun xs -> Json.List xs) (list_size (int_bound 5) (self (depth - 1))));
+            ( 1,
+              map (fun fs -> Json.Obj fs) (list_size (int_bound 5) (pair str (self (depth - 1))))
+            );
+          ])
+    4
+
+(* Tasks 0 .. n-1 dealt round-robin to [procs] processors, as mapping
+   rows of task ids *)
+let round_robin ~procs n =
+  List.init procs (fun q ->
+      Json.List
+        (List.filter_map
+           (fun t -> if t mod procs = q then Some (Json.Num (float_of_int t)) else None)
+           (List.init n Fun.id)))
+
+(* Request lines of the wire protocol, as a client might write them:
+   weights, edges (repeats and out-of-range ends included), a mapping,
+   every speed model, an optional reliability block. *)
+let gen_request =
+  let open QCheck2.Gen in
+  let num x = Json.Num x and int k = Json.Num (float_of_int k) in
+  let* n = int_range 1 20 in
+  let* weights = list_repeat n (oneof [ float_range 0.1 5.; map float_of_int (int_range 1 9) ]) in
+  let* edges = list_size (int_bound (2 * n)) (pair (int_bound n) (int_bound (n - 1))) in
+  let* procs = int_range 1 4 and* with_mapping = bool and* with_rel = bool in
+  let* kind = oneofl [ "continuous"; "discrete"; "vdd"; "incremental" ] in
+  let* levels = list_size (int_range 1 6) (float_range 0.1 3.) in
+  let* deadline = float_range 0.5 100. and* id = int_bound 100_000 in
+  let model =
+    match kind with
+    | "continuous" -> [ ("fmin", num 0.1); ("fmax", num 5.) ]
+    | "incremental" -> [ ("fmin", num 0.2); ("fmax", num 2.); ("delta", num 0.2) ]
+    | _ -> [ ("levels", Json.List (List.map num levels)) ]
+  in
+  let fields =
+    [
+      ("id", int id);
+      ("tasks", Json.List (List.map num weights));
+      ("edges", Json.List (List.map (fun (a, b) -> Json.List [ int a; int b ]) edges));
+      ("procs", int procs);
+    ]
+    @ (if with_mapping then [ ("mapping", Json.List (round_robin ~procs n)) ] else [])
+    @ [ ("model", Json.Obj (("kind", Json.Str kind) :: model)); ("deadline", num deadline) ]
+    @ if with_rel then [ ("rel", Json.Obj [ ("lambda0", num 1e-5); ("frel", num 0.8) ]) ] else []
+  in
+  let* pretty = bool in
+  pure ((if pretty then Json.to_string else Json.to_compact_string) (Json.Obj fields))
+
+(* Number tokens the fast path must tell apart: signs, leading zeros,
+   15 and 16 digits, exponents, a lone point or minus. *)
+let number_tokens =
+  [
+    "-0"; "0"; "00"; "-00"; "007"; "-007"; "123456789012345"; "999999999999999";
+    "-999999999999999"; "1234567890123456"; "-1234567890123456"; "9007199254740993";
+    "1e999"; "-1e999"; "+1"; "1."; "-"; ".5"; "-.5"; "1e5"; "1E-5"; "1-2"; "--1"; "e5"; "0.1";
+  ]
+
+let gen_number_text =
+  let open QCheck2.Gen in
+  let* tok =
+    oneof
+      [
+        oneofl number_tokens;
+        string_size ~gen:(oneofl (List.of_seq (String.to_seq "0123456789-+.eE"))) (int_bound 18);
+      ]
+  in
+  oneofl [ tok; "[" ^ tok ^ "]"; "[1," ^ tok ^ " ]"; "{\"x\":" ^ tok ^ "}"; " " ^ tok ^ "\n" ]
+
+let insert s i piece = String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i)
+
+(* One byte flipped, a prefix kept, whitespace or an escape inserted *)
+let gen_mutation s =
+  let open QCheck2.Gen in
+  let n = String.length s in
+  oneof
+    [
+      (let* i = int_bound (max 0 (n - 1))
+       and* c =
+         oneof [ char; oneofl (List.of_seq (String.to_seq "[]{}\",:\\ 0123456789-+.eEtrufalsn")) ]
+       in
+       pure (String.mapi (fun k x -> if k = i then c else x) s));
+      map (fun k -> String.sub s 0 k) (int_bound n);
+      (let* i = int_bound n and* w = oneofl [ " "; "\t"; "\n"; "\r"; " \r\n\t" ] in
+       pure (insert s i w));
+      (let* i = int_bound n
+       and* e =
+         oneofl
+           [ {|\"|}; {|\\|}; {|\/|}; {|\n|}; {|\b|}; {|\f|}; {|\t|}; {|\u00e9|}; {|\u0041|};
+             {|\u12|}; {|\u00_1|}; {|\uzzzz|}; {|\u12345|}; {|\x|}; {|\|} ]
+       in
+       pure (insert s i e));
+    ]
+
+let gen_reader_input =
+  let open QCheck2.Gen in
+  let text =
+    oneof
+      [
+        map Json.to_string gen_tree;
+        map Json.to_compact_string gen_tree;
+        gen_request;
+        gen_number_text;
+      ]
+  in
+  let* s = text and* mutations = int_bound 3 in
+  let rec apply k s = if k = 0 then pure s else gen_mutation s >>= apply (k - 1) in
+  apply mutations s
+
+let qcheck_reader_is_reference =
+  QCheck2.Test.make ~name:"reader = the reference reader, values to the bit and errors" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_reader_input same_reading
+
+let test_reader_tokens () =
+  List.iter
+    (fun tok ->
+      List.iter
+        (fun text -> Alcotest.(check bool) (Printf.sprintf "%S" text) true (same_reading text))
+        [ tok; "[" ^ tok ^ "]"; "{\"a\":" ^ tok ^ "}" ])
+    number_tokens;
+  (match Json.of_string "-0" with
+  | Json.Num x -> Alcotest.(check bool) "-0 reads -0.0" true (Float.sign_bit x && x = 0.)
+  | _ -> Alcotest.fail "-0 is a number")
+
+(* 512 nested arrays read; one more is refused at its own bracket. *)
+let test_reader_nesting_bound () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool) "512 levels read" true (same_reading (nested 512));
+  Alcotest.(check string) "the 513th bracket"
+    "nesting deeper than 512 at offset 512"
+    (match Json.of_string (nested 513) with
+    | _ -> "read"
+    | exception Json.Parse_error m -> m);
+  Alcotest.(check string) "objects count too"
+    "nesting deeper than 512 at offset 2560"
+    (match Json.of_string (String.concat "" (List.init 513 (fun _ -> "{\"a\":")) ^ "1") with
+    | _ -> "read"
+    | exception Json.Parse_error m -> m)
+
+(* Words [f ()] allocates, net of the measurement's own.  A minor
+   collection before each reading of the allocation counter makes it
+   count the minor heap's words too. *)
+let allocated_words f =
+  let measure f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    f ();
+    Gc.minor ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  measure f -. measure ignore
+
+(* A request line of about 700 bytes, 20 tasks with full-width
+   weights, 22 edges and a mapping on 3 processors, the size of an
+   average serve-hot line.  The reader allocates the values it returns
+   and the text of each unescaped string once (the reference reader,
+   which boxes an option per byte and copies each number's text,
+   takes 7.6 words per byte). *)
+let test_reader_allocation () =
+  let r = Es_util.Rng.create ~seed:3 in
+  let n = 20 in
+  let int k = Json.Num (float_of_int k) in
+  let edges =
+    List.init 22 (fun k -> Json.List [ int (k mod (n - 1)); int (1 + (k mod (n - 1))) ])
+  in
+  let line =
+    Json.to_compact_string
+      (Json.Obj
+         [
+           ("id", int 1234);
+           ("tasks", Json.List (List.init n (fun _ -> Json.Num (Es_util.Rng.uniform_in r 0.5 3.))));
+           ("edges", Json.List edges);
+           ("mapping", Json.List (round_robin ~procs:3 n));
+           ( "model",
+             Json.Obj
+               [ ("kind", Json.Str "continuous"); ("fmin", Json.Num 0.1); ("fmax", Json.Num 5.) ] );
+           ("deadline", Json.Num (Es_util.Rng.uniform_in r 10. 40.));
+         ])
+  in
+  let words = allocated_words (fun () -> ignore (Sys.opaque_identity (Json.of_string line))) in
+  let per_byte = words /. float_of_int (String.length line) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d bytes (%.2f per byte) <= 3 per byte" words
+       (String.length line) per_byte)
+    true (per_byte <= 3.)
+
 let suite =
   ( "obs",
     [
@@ -356,4 +759,8 @@ let suite =
         test_json_printer_round_trips_floats;
       QCheck_alcotest.to_alcotest qcheck_number_literal_is_printf;
       Alcotest.test_case "JSON literal nodes written as is" `Quick test_json_lit_written_as_is;
+      QCheck_alcotest.to_alcotest qcheck_reader_is_reference;
+      Alcotest.test_case "reader number tokens = the reference reader" `Quick test_reader_tokens;
+      Alcotest.test_case "reader nesting bound" `Quick test_reader_nesting_bound;
+      Alcotest.test_case "reader allocates <= 3 words per byte" `Quick test_reader_allocation;
     ] )
