@@ -7,17 +7,15 @@
      eslint --skip U001,U002,U003 lib    switch off a whole rule family
      eslint --format sarif lib           GitHub code-scanning report
      eslint --exclude test/fixtures ...  prune a subtree from the scan
-     eslint --allow-file lint.allow ...  load checked-in path exemptions
-     eslint --stats lib                  report analysis timings on stderr
+     eslint --stats lib                  report timings and per-rule counts
      eslint --list-rules                 print the rule catalogue
 
    Exit codes: 0 clean, 1 findings reported, 2 operational error
-   (unparsable file, bad allowlist, unknown rule id). *)
+   (unparsable file, unknown rule id, missing path). *)
 
 open Cmdliner
 module Lint = Es_analysis.Lint
 module Rules = Es_analysis.Rules
-module Allowlist = Es_analysis.Allowlist
 module Obs = Es_obs.Obs
 
 let parse_rules spec =
@@ -129,9 +127,21 @@ let print_stats () =
       Printf.eprintf "eslint: stats: %s count=%d total=%s\n" name
         (Obs.timer_count t)
         (Obs.pp_duration (Obs.timer_total t)))
-    stats_timers
+    stats_timers;
+  (* per-rule counters, also shared with lint.ml by name; a rule with
+     neither a reported nor a suppressed finding is omitted *)
+  List.iter
+    (fun r ->
+      let count kind =
+        Obs.value (Obs.counter (Printf.sprintf "eslint.%s.%s" kind (Rules.id r)))
+      in
+      let reported = count "reported" and suppressed = count "suppressed" in
+      if reported > 0 || suppressed > 0 then
+        Printf.eprintf "eslint: stats: %s reported=%d suppressed=%d\n"
+          (Rules.id r) reported suppressed)
+    Rules.all
 
-let run list_only rules_spec skip_spec stats format allow_file exclude paths =
+let run list_only rules_spec skip_spec stats format exclude paths =
   if list_only then list_rules ()
   else
     let fail msg =
@@ -149,16 +159,11 @@ let run list_only rules_spec skip_spec stats format allow_file exclude paths =
           (fun skip -> List.filter (fun r -> not (List.mem r skip)) rs)
           (parse_rules spec)
     in
-    let allow =
-      match allow_file with
-      | None -> Ok Allowlist.empty
-      | Some file -> Allowlist.load file
-    in
-    match (rules, allow) with
-    | Error msg, _ | _, Error msg -> fail msg
-    | Ok [], Ok _ -> fail "empty rule list (--skip removed every rule)"
-    | Ok rules, Ok allow ->
-      let config = { Lint.rules; allow } in
+    match rules with
+    | Error msg -> fail msg
+    | Ok [] -> fail "empty rule list (--skip removed every rule)"
+    | Ok rules ->
+      let config = { Lint.rules } in
       let paths = if paths = [] then [ "." ] else paths in
       let missing = List.filter (fun p -> not (Sys.file_exists p)) paths in
       if missing <> [] then
@@ -200,7 +205,8 @@ let cmd =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Report analysis-phase timings (call-graph construction, \
-                   effect inference) on stderr after the run.")
+                   effect inference) and, per rule, the findings reported \
+                   and suppressed by attributes on stderr after the run.")
   in
   let format_arg =
     Arg.(value
@@ -208,11 +214,6 @@ let cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"Output format: $(b,human) (default) or $(b,sarif) \
                    (GitHub code-scanning annotations).")
-  in
-  let allow_arg =
-    Arg.(value & opt (some string) None
-         & info [ "allow-file" ] ~docv:"FILE"
-             ~doc:"Checked-in allowlist of '<path> <rule>' exemptions.")
   in
   let exclude_arg =
     Arg.(value & opt_all string []
@@ -229,8 +230,8 @@ let cmd =
       Cmd.Exit.info 0 ~doc:"the scan completed with no findings.";
       Cmd.Exit.info 1 ~doc:"the scan completed and reported findings.";
       Cmd.Exit.info 2
-        ~doc:"operational error: unparsable source file, bad allowlist, \
-              unknown rule id or missing path.";
+        ~doc:"operational error: unparsable source file, unknown rule id \
+              or missing path.";
     ]
   in
   let info =
@@ -240,6 +241,6 @@ let cmd =
   in
   Cmd.v info
     Term.(const run $ list_arg $ rules_arg $ skip_arg $ stats_arg $ format_arg
-          $ allow_arg $ exclude_arg $ paths_arg)
+          $ exclude_arg $ paths_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -119,6 +119,19 @@ let rec peel (e : Parsetree.expression) =
   | Pexp_constraint (inner, _) | Pexp_newtype (_, inner) -> peel inner
   | _ -> e
 
+let string_payload (payload : Parsetree.payload) =
+  match payload with
+  | PStr
+      [
+        {
+          pstr_desc =
+            Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+          _;
+        };
+      ] ->
+    Some s
+  | _ -> None
+
 (* Every variable name bound anywhere under [expr]: function
    parameters, let bindings, match/try cases.  (Shadowing an outer
    name anywhere in the expression hides the outer one — an accepted

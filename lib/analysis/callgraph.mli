@@ -64,6 +64,11 @@ val first_positional : (Asttypes.arg_label * 'a) list -> 'a option
 val peel : Parsetree.expression -> Parsetree.expression
 (** Strip type constraints and [fun (type a) ->] binders. *)
 
+val string_payload : Parsetree.payload -> string option
+(** The string of an attribute payload that is one string literal
+    ([\[@lint.allow "E001"\]], [\[@units "energy"\]], a doc comment);
+    [None] for any other payload. *)
+
 val bound_names : Parsetree.expression -> SSet.t
 (** Every name bound by any pattern under the expression (parameters,
     lets, match/try cases). *)

@@ -152,6 +152,24 @@ let raise_site env id exn = Hashtbl.find_opt env.raise_sites (id, exn)
 (* expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
+type evidence = {
+  e_exn : string option;
+  e_hops : (string * Location.t) list;
+}
+
+(* Evidence while the walk is under way.  A node reference keeps only
+   its name: the query builds that node's witness chain once, for the
+   evidence it finally reports. *)
+type hint = Site of evidence | Node of string * Location.t
+
+let site exn name loc = Some (Site { e_exn = exn; e_hops = [ (name, loc) ] })
+let first a b = match a with Some _ -> a | None -> b
+let first_of hints = List.fold_left first None hints
+
+(* A reference names a node only when the node may raise. *)
+let node_hint env name loc =
+  if is_pure (summary env name) then None else Some (Node (name, loc))
+
 type eval_ctx = {
   env : env;
   file : string;
@@ -246,14 +264,49 @@ let partial_constant_match cases =
        (fun (c : Parsetree.case) -> constant_pattern c.pc_lhs)
        value_cases
 
-let rec eval ctx (e : Parsetree.expression) : t =
-  if ctx.masked e then pure
+let partial_match ctx (e : Parsetree.expression) cases =
+  if partial_constant_match cases then begin
+    record ctx "Match_failure" e.pexp_loc;
+    ( known_one "Match_failure",
+      site (Some "Match_failure") "partial match" e.pexp_loc )
+  end
+  else (pure, None)
+
+(* A bare reference to a raising node counts (passing it to List.map
+   is reachability, matching the callgraph's edge semantics); a bare
+   reference to anything else contributes nothing. *)
+let ident_effect ctx txt loc =
+  match Callgraph.resolve ctx.env.graph ~file:ctx.file txt with
+  | Some name
+    when ctx.deep
+         && Callgraph.has_def ctx.env.graph name
+         && not (Callgraph.node_sanctioned ctx.env.graph name) ->
+    (summary ctx.env name, node_hint ctx.env name loc)
+  | _ -> (pure, None)
+
+(* One walk yields an expression's summary and its evidence: the first
+   raising thing in reading order.  A [raise]/[failwith]/[invalid_arg]
+   head is read before its arguments, any other call's arguments before
+   its head, a [try] body before its handlers (and a [try] that ends
+   pure yields nothing), a partial constant match's scrutinee before
+   the match.  Evidence is indicative, not exact: an impure [try] body
+   is read without replaying the narrowing, so the named hop may be a
+   handled one — the summary, not the evidence, decides whether to
+   report. *)
+let rec eval ctx (e : Parsetree.expression) : t * hint option =
+  if ctx.masked e then (pure, None)
   else
     match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> ident_effect ctx txt
-    | Pexp_apply (head, args) -> apply_effect ctx head args
+    | Pexp_ident { txt; loc } -> ident_effect ctx txt loc
+    | Pexp_apply (head, args) ->
+      let eff, arg_hints, head_hint, head_first = apply_effect ctx head args in
+      ( eff,
+        if head_first then head_hint else first (first_of arg_hints) head_hint )
     | Pexp_try (body, cases) ->
-      union (narrow (eval ctx body) cases) (cases_effect ctx cases)
+      let body_eff, body_hint = eval ctx body in
+      let handlers, handlers_hint = cases_effect ctx ~guard_hints:false cases in
+      let eff = union (narrow body_eff cases) handlers in
+      (eff, if is_pure eff then None else first body_hint handlers_hint)
     | Pexp_letexception (ext, body) -> (
       (* [let exception E in body]: E is scoped — no caller can write
          a handler for it, so it is dropped from the escaping summary
@@ -261,116 +314,145 @@ let rec eval ctx (e : Parsetree.expression) : t =
          the scope; the charge-at-definition model would otherwise
          keep them even past their local handler) *)
       match eval ctx body with
-      | Top -> Top
-      | Known s -> Known (SSet.remove ext.pext_name.txt s))
+      | Top, hint -> (Top, hint)
+      | Known s, hint -> (Known (SSet.remove ext.pext_name.txt s), hint))
     | Pexp_match (scrut, cases) ->
-      let exn_cases = List.filter is_exception_case cases in
-      let scrut_eff = narrow (eval ctx scrut) exn_cases in
-      let partial =
-        if partial_constant_match cases then begin
-          record ctx "Match_failure" e.pexp_loc;
-          known_one "Match_failure"
-        end
-        else pure
-      in
-      union (union scrut_eff partial) (cases_effect ctx cases)
+      let scrut_eff, scrut_hint = eval ctx scrut in
+      let scrut_eff = narrow scrut_eff (List.filter is_exception_case cases) in
+      let partial, partial_hint = partial_match ctx e cases in
+      let cases_eff, cases_hint = cases_effect ctx ~guard_hints:true cases in
+      ( union (union scrut_eff partial) cases_eff,
+        first scrut_hint (first partial_hint cases_hint) )
     | Pexp_function cases ->
-      let partial =
-        if partial_constant_match cases then begin
-          record ctx "Match_failure" e.pexp_loc;
-          known_one "Match_failure"
-        end
-        else pure
-      in
-      union partial (cases_effect ctx cases)
+      let partial, partial_hint = partial_match ctx e cases in
+      let cases_eff, cases_hint = cases_effect ctx ~guard_hints:true cases in
+      (union partial cases_eff, first partial_hint cases_hint)
     | _ ->
       List.fold_left
-        (fun acc c -> union acc (eval ctx c))
-        pure (immediate_children e)
+        (fun (acc, hint) c ->
+          let eff, h = eval ctx c in
+          (union acc eff, first hint h))
+        (pure, None) (immediate_children e)
 
-and cases_effect ctx cases =
+(* [~guard_hints:false] is a [try]'s reading: its handler guards are
+   not searched for evidence. *)
+and cases_effect ctx ~guard_hints cases =
   List.fold_left
-    (fun acc (c : Parsetree.case) ->
-      let acc =
-        match c.pc_guard with Some g -> union acc (eval ctx g) | None -> acc
+    (fun (acc, hint) (c : Parsetree.case) ->
+      let acc, hint =
+        match c.pc_guard with
+        | Some g ->
+          let eff, h = eval ctx g in
+          (union acc eff, if guard_hints then first hint h else hint)
+        | None -> (acc, hint)
       in
-      union acc (eval ctx c.pc_rhs))
-    pure cases
+      let eff, h = eval ctx c.pc_rhs in
+      (union acc eff, first hint h))
+    (pure, None) cases
 
-(* A bare reference to a raising node counts (passing it to List.map
-   is reachability, matching the callgraph's edge semantics); a bare
-   reference to anything else contributes nothing. *)
-and ident_effect ctx txt =
-  match Callgraph.resolve ctx.env.graph ~file:ctx.file txt with
-  | None -> pure
-  | Some name ->
-    if
-      ctx.deep
-      && Callgraph.has_def ctx.env.graph name
-      && not (Callgraph.node_sanctioned ctx.env.graph name)
-    then summary ctx.env name
-    else pure
-
+(* [head args]: the summary, one hint per argument as written, the
+   head's hint and whether it is read before the arguments.  The
+   summary re-associates pipes so [x |> f] and [f @@ x] apply [f]; the
+   hints read a pipe as written — its operands, then the operator. *)
 and apply_effect ctx (head : Parsetree.expression) args =
-  (* re-associate pipes so [x |> f] and [f @@ x] apply [f] *)
   match (head.pexp_desc, args) with
-  | Pexp_ident { txt = Longident.Lident "|>"; _ }, [ (_, x); (_, f) ]
-  | Pexp_ident { txt = Longident.Lident "@@"; _ }, [ (_, f); (_, x) ] -> (
-    match f.pexp_desc with
-    | Pexp_apply (inner_head, inner_args) ->
-      apply_effect ctx inner_head (inner_args @ [ (Asttypes.Nolabel, x) ])
-    | _ -> apply_effect ctx f [ (Asttypes.Nolabel, x) ])
+  | ( Pexp_ident { txt = Longident.Lident (("|>" | "@@") as op); _ },
+      [ (_, a); (_, b) ] ) ->
+    let x, f = if op = "|>" then (a, b) else (b, a) in
+    let eff, x_hint, f_hint =
+      match f.pexp_desc with
+      | Pexp_apply (inner_head, inner_args) ->
+        let eff, hints, head_hint, head_first =
+          apply_effect ctx inner_head (inner_args @ [ (Asttypes.Nolabel, x) ])
+        in
+        let x_hint, inner_hints =
+          match List.rev hints with
+          | x_hint :: rev_inner -> (x_hint, List.rev rev_inner)
+          | [] -> (None, [])
+        in
+        let f_hint =
+          if ctx.masked f then None
+          else if head_first then head_hint
+          else first (first_of inner_hints) head_hint
+        in
+        (eff, x_hint, f_hint)
+      | _ ->
+        let eff, hints, head_hint, _ =
+          apply_effect ctx f [ (Asttypes.Nolabel, x) ]
+        in
+        let f_hint =
+          match f.pexp_desc with
+          | Pexp_ident _ -> snd (eval ctx f)
+          | _ -> head_hint
+        in
+        (eff, first_of hints, f_hint)
+    in
+    let _, op_hint, _ = head_effect ctx head args in
+    ( eff,
+      (if op = "|>" then [ x_hint; f_hint ] else [ f_hint; x_hint ]),
+      op_hint,
+      false )
   | _ ->
-    let arg_eff =
-      List.fold_left (fun acc (_, a) -> union acc (eval ctx a)) pure args
-    in
-    let head_eff =
-      match head.pexp_desc with
-      | Pexp_ident { txt; loc } -> (
-        match txt with
-        | Longident.Lident ("raise" | "raise_notrace") -> (
-          match args with
-          | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, _); _ }) :: _
-            -> (
-            match Callgraph.last_segment c with
-            | Some exn ->
-              record ctx exn loc;
-              known_one exn
-            | None -> Top)
-          | _ -> Top (* raising a computed exception value *))
-        | Longident.Lident "failwith" ->
-          record ctx "Failure" loc;
-          known_one "Failure"
-        | Longident.Lident "invalid_arg" ->
-          record ctx "Invalid_argument" loc;
-          known_one "Invalid_argument"
-        | _ -> (
-          match Callgraph.resolve ctx.env.graph ~file:ctx.file txt with
-          | None -> Top
-          | Some name -> (
-            match Hashtbl.find_opt raising_tbl name with
-            | Some exns ->
-              List.iter (fun exn -> record ctx exn loc) exns;
-              Known (SSet.of_list exns)
-            | None ->
-              if is_pure_name name then pure
-              else if SSet.mem name ctx.bound then
-                pure (* local closure or parameter: charged elsewhere *)
-              else if Callgraph.has_def ctx.env.graph name then
-                if Callgraph.node_sanctioned ctx.env.graph name then pure
-                else if ctx.deep then summary ctx.env name
-                else pure
-              else Top (* unknown external in call position *))))
-      | Pexp_field (record_expr, _) ->
-        (* [obj.f x]: a callback stored in a record field.  Like a
-           bound parameter, the closure's body was charged where the
-           closure was built (eval descends through [Pexp_fun]), so
-           the application itself contributes nothing beyond
-           evaluating the record expression. *)
-        eval ctx record_expr
-      | _ -> union (eval ctx head) Top (* applying a computed function *)
-    in
-    union arg_eff head_eff
+    let results = List.map (fun (_, a) -> eval ctx a) args in
+    let head_eff, head_hint, head_first = head_effect ctx head args in
+    ( List.fold_left (fun acc (eff, _) -> union acc eff) head_eff results,
+      List.map snd results,
+      head_hint,
+      head_first )
+
+(* The head of [head args]: its summary, its hint, and whether that hint
+   is read before the arguments — a [raise]/[failwith]/[invalid_arg]
+   introduces its exception (a computed exception value is [Top]). *)
+and head_effect ctx (head : Parsetree.expression) args =
+  let introduce name loc exn =
+    Option.iter (fun exn -> record ctx exn loc) exn;
+    (Option.fold ~none:Top ~some:known_one exn, site exn name loc, true)
+  in
+  match head.pexp_desc with
+  | Pexp_ident { txt = Longident.Lident ("raise" | "raise_notrace"); loc } ->
+    introduce "raise" loc
+      (match args with
+      | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, _); _ }) :: _ ->
+        Callgraph.last_segment c
+      | _ -> None)
+  | Pexp_ident { txt = Longident.Lident "failwith"; loc } ->
+    introduce "failwith" loc (Some "Failure")
+  | Pexp_ident { txt = Longident.Lident "invalid_arg"; loc } ->
+    introduce "invalid_arg" loc (Some "Invalid_argument")
+  | Pexp_ident { txt; loc } -> (
+    let graph = ctx.env.graph in
+    match Callgraph.resolve graph ~file:ctx.file txt with
+    | None -> (Top, None, false)
+    | Some name -> (
+      match Hashtbl.find_opt raising_tbl name with
+      | Some exns ->
+        List.iter (fun exn -> record ctx exn loc) exns;
+        ( Known (SSet.of_list exns),
+          (match exns with exn :: _ -> site (Some exn) name loc | [] -> None),
+          false )
+      | None ->
+        if is_pure_name name then (pure, None, false)
+        else if SSet.mem name ctx.bound then
+          (* local closure or parameter: charged elsewhere *)
+          (pure, None, false)
+        else if Callgraph.has_def graph name then
+          if Callgraph.node_sanctioned graph name || not ctx.deep then
+            (pure, None, false)
+          else (summary ctx.env name, node_hint ctx.env name loc, false)
+        else
+          (* unknown external in call position *)
+          (Top, site None name loc, false)))
+  | Pexp_field (record_expr, _) ->
+    (* [obj.f x]: a callback stored in a record field.  Like a
+       bound parameter, the closure's body was charged where the
+       closure was built (eval descends through [Pexp_fun]), so
+       the application itself contributes nothing beyond
+       evaluating the record expression. *)
+    let eff, hint = eval ctx record_expr in
+    (eff, (if ctx.masked head then None else hint), false)
+  | _ ->
+    let eff, hint = eval ctx head in
+    (union eff Top (* applying a computed function *), hint, false)
 
 (* ------------------------------------------------------------------ *)
 (* fixpoint                                                            *)
@@ -401,7 +483,7 @@ let node_effect env ~deep id =
       let ctx =
         make_ctx ?record env ~file:d.Callgraph.d_file ~deep d.Callgraph.d_expr
       in
-      union acc (eval ctx d.Callgraph.d_expr))
+      union acc (fst (eval ctx d.Callgraph.d_expr)))
     pure
     (Callgraph.defs env.graph id)
 
@@ -439,13 +521,6 @@ let infer graph =
       Hashtbl.replace env.locals id (node_effect env ~deep:false id))
     ids;
   env
-
-(* ------------------------------------------------------------------ *)
-(* public expression queries                                           *)
-(* ------------------------------------------------------------------ *)
-
-let expr_summary ?mask ?bound env ~file expr =
-  eval (make_ctx ?mask ?bound env ~file ~deep:true expr) expr
 
 (* ------------------------------------------------------------------ *)
 (* witnesses                                                           *)
@@ -504,100 +579,21 @@ let witness env start ~exn =
       hops @ [ (exn, site) ]
   end
 
-type evidence = {
-  e_exn : string option;
-  e_hops : (string * Location.t) list;
-}
+(* ------------------------------------------------------------------ *)
+(* public expression query                                             *)
+(* ------------------------------------------------------------------ *)
 
-(* First raising thing in reading order.  Indicative, not exact: a
-   try-block that stays impure is descended without replaying the
-   narrowing, so the named hop may occasionally be a handled one — the
-   summary (not the evidence) is what decides whether to report. *)
-let expr_evidence ?(mask = fun _ -> false) ?bound env ~file expr =
-  let ctx = make_ctx ~mask ?bound env ~file ~deep:true expr in
-  let node_evidence name loc =
+let evidence_of_hint env = function
+  | Site ev -> Some ev
+  | Node (name, loc) -> (
     match summary env name with
-    | Known s when not (SSet.is_empty s) ->
-      let exn = SSet.min_elt s in
-      Some { e_exn = Some exn; e_hops = (name, loc) :: witness env name ~exn }
     | Top -> Some { e_exn = None; e_hops = [ (name, loc) ] }
-    | _ -> None
-  in
-  let rec search (e : Parsetree.expression) =
-    if ctx.masked e then None
-    else
-      match e.pexp_desc with
-      | Pexp_try (body, cases) ->
-        if is_pure (eval ctx e) then None
-        else first (body :: List.map (fun c -> c.Parsetree.pc_rhs) cases)
-      | Pexp_apply (head, args) -> (
-        let from_args () = first (List.map snd args) in
-        match head.pexp_desc with
-        | Pexp_ident { txt; loc } -> (
-          match txt with
-          | Longident.Lident ("raise" | "raise_notrace") ->
-            let exn =
-              match args with
-              | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, _); _ })
-                :: _ ->
-                Callgraph.last_segment c
-              | _ -> None
-            in
-            Some { e_exn = exn; e_hops = [ ("raise", loc) ] }
-          | Longident.Lident "failwith" ->
-            Some { e_exn = Some "Failure"; e_hops = [ ("failwith", loc) ] }
-          | Longident.Lident "invalid_arg" ->
-            Some
-              {
-                e_exn = Some "Invalid_argument";
-                e_hops = [ ("invalid_arg", loc) ];
-              }
-          | _ -> (
-            match from_args () with
-            | Some ev -> Some ev
-            | None -> (
-              match Callgraph.resolve env.graph ~file txt with
-              | None -> None
-              | Some name -> (
-                match Hashtbl.find_opt raising_tbl name with
-                | Some (exn :: _) ->
-                  Some { e_exn = Some exn; e_hops = [ (name, loc) ] }
-                | _ ->
-                  if
-                    is_pure_name name
-                    || SSet.mem name ctx.bound
-                    || Callgraph.node_sanctioned env.graph name
-                  then None
-                  else if Callgraph.has_def env.graph name then
-                    node_evidence name loc
-                  else Some { e_exn = None; e_hops = [ (name, loc) ] }))))
-        | _ -> (
-          match from_args () with Some ev -> Some ev | None -> search head))
-      | Pexp_ident { txt; loc } -> (
-        match Callgraph.resolve env.graph ~file txt with
-        | Some name
-          when Callgraph.has_def env.graph name
-               && not (Callgraph.node_sanctioned env.graph name) ->
-          node_evidence name loc
-        | _ -> None)
-      | Pexp_match (scrut, cases) when partial_constant_match cases -> (
-        match search scrut with
-        | Some ev -> Some ev
-        | None ->
-          Some
-            {
-              e_exn = Some "Match_failure";
-              e_hops = [ ("partial match", e.pexp_loc) ];
-            })
-      | Pexp_function cases when partial_constant_match cases ->
-        Some
-          {
-            e_exn = Some "Match_failure";
-            e_hops = [ ("partial match", e.pexp_loc) ];
-          }
-      | _ -> first (immediate_children e)
-  and first = function
-    | [] -> None
-    | e :: rest -> ( match search e with Some ev -> Some ev | None -> first rest)
-  in
-  search expr
+    | Known s ->
+      Option.map
+        (fun exn ->
+          { e_exn = Some exn; e_hops = (name, loc) :: witness env name ~exn })
+        (SSet.min_elt_opt s))
+
+let expr_effect ?mask ?bound env ~file expr =
+  let eff, hint = eval (make_ctx ?mask ?bound env ~file ~deep:true expr) expr in
+  (eff, Option.bind hint (evidence_of_hint env))

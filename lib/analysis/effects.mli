@@ -72,20 +72,6 @@ val summary : env -> string -> t
 (** Full interprocedural summary of a node; [pure] for unknown
     names. *)
 
-val expr_summary :
-  ?mask:(Parsetree.expression -> bool) ->
-  ?bound:SSet.t ->
-  env ->
-  file:string ->
-  Parsetree.expression ->
-  t
-(** Effect of an arbitrary expression in [file]'s resolution scope,
-    looking callee nodes up in [env].  [mask] prunes subtrees (treated
-    as pure) — {!Resource_rules} masks release calls and everything
-    after them; [bound] adds names bound by enclosing patterns, such as
-    the {!Callgraph.bound_names} of the whole binding (the
-    expression's own binders are always included). *)
-
 type evidence = {
   e_exn : string option;
       (** the exception, or [None] when only an unknown external is to
@@ -95,17 +81,28 @@ type evidence = {
           the introduction site *)
 }
 
-val expr_evidence :
+val expr_effect :
   ?mask:(Parsetree.expression -> bool) ->
   ?bound:SSet.t ->
   env ->
   file:string ->
   Parsetree.expression ->
-  evidence option
-(** First concrete raise evidence inside the expression, in reading
-    order: a direct [raise]/catalogue hit, or a reference to a raising
-    node followed by its {!witness} chain.  [None] when the expression
-    is pure (or its impurity has no nameable source). *)
+  t * evidence option
+(** Effect of an arbitrary expression in [file]'s resolution scope,
+    looking callee nodes up in [env], and the first raise evidence
+    inside it, both from one walk.  [mask] prunes subtrees (treated as
+    pure) — {!Resource_rules} masks release calls and everything after
+    them; [bound] adds names bound by enclosing patterns, such as the
+    {!Callgraph.bound_names} of the whole binding (the expression's own
+    binders are always included).
+
+    The evidence is the first raising thing in reading order: a
+    [raise]/[failwith]/[invalid_arg] head before its arguments, any
+    other call's arguments before the call (a catalogue hit, or an
+    unknown external), a [try] body before its handlers and nothing
+    from a [try] that ends pure, a reference to a raising node followed
+    by its {!witness} chain.  [None] when the expression is pure (or
+    its impurity has no nameable source). *)
 
 val witness : env -> string -> exn:string -> (string * Location.t) list
 (** Shortest reference chain from the node to a binding whose own body

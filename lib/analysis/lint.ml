@@ -4,16 +4,16 @@
    (compiler-libs.common, no ppx) and walked once with [Ast_iterator].
    The walk collects raw findings *and* suppression ranges from
    [@lint.allow "E00x"] attributes; at the end every finding whose
-   character range falls inside a matching suppression range (or whose
-   file/rule pair is on the checked-in allowlist) is dropped.
+   character range falls inside a matching suppression range is
+   dropped.  Attributes are the only suppression mechanism.
 
    Findings are keyed on fully-qualified identifier paths, with a
    leading [Stdlib.] stripped, so [Stdlib.compare] and [compare] are the
    same offence while [Float.compare] is not. *)
 
-type config = { rules : Rules.t list; allow : Allowlist.t }
+type config = { rules : Rules.t list }
 
-let default_config = { rules = Rules.all; allow = Allowlist.empty }
+let default_config = { rules = Rules.all }
 
 type diagnostic = {
   file : string;
@@ -63,10 +63,13 @@ let print_fns =
 (* paths                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Library code is anything with a [lib] path segment.  Test runners
-   (a [test] segment) are held to the same E004/E005 bar — exemptions
-   go in the checked-in allowlist, not in the scanner. *)
-let is_lib_source file =
+(* Library code is anything with a [lib] path segment, and only library
+   modules owe an interface (E005): a test runner is an executable.
+   Test runners (a [test] segment) are held to the library's
+   no-printing bar (E004) all the same. *)
+let is_lib_source file = List.mem "lib" (Callgraph.segments file)
+
+let is_lib_or_test_source file =
   let segs = Callgraph.segments file in
   List.mem "lib" segs || List.mem "test" segs
 
@@ -112,20 +115,12 @@ let allow_attr_rules st (attr : Parsetree.attribute) =
         :: st.errors;
       []
     in
-    match attr.attr_payload with
-    | PStr
-        [
-          {
-            pstr_desc =
-              Pstr_eval
-                ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-            _;
-          };
-        ] ->
+    match Callgraph.string_payload attr.attr_payload with
+    | Some s ->
       let ids = String.split_on_char ',' s in
       let rules = List.filter_map Rules.of_id ids in
       if List.length rules <> List.length ids then malformed () else rules
-    | _ -> malformed ()
+    | None -> malformed ()
 
 let add_suppressions st ~(scope : Location.t) attrs =
   List.iter
@@ -339,13 +334,27 @@ let suppressed st (f : raw_finding) =
     (fun s -> s.s_rule = f.r_rule && s.s_from <= c && c <= s.s_to)
     st.suppressions
 
+module Obs = Es_obs.Obs
+
+(* [eslint --stats] reads these back by name, like the timers below *)
+let rule_counters kind =
+  List.map
+    (fun r -> (r, Obs.counter (Printf.sprintf "eslint.%s.%s" kind (Rules.id r))))
+    Rules.all
+
+let reported_counters = rule_counters "reported"
+let suppressed_counters = rule_counters "suppressed"
+let tally counters rule = Option.iter Obs.incr (List.assq_opt rule counters)
+
 let finalise config st =
   let diags =
     List.filter_map
       (fun f ->
         if not (List.mem f.r_rule config.rules) then None
-        else if suppressed st f then None
-        else if Allowlist.permits config.allow ~file:st.src_file f.r_rule then None
+        else if suppressed st f then begin
+          tally suppressed_counters f.r_rule;
+          None
+        end
         else
           let p = f.r_loc.loc_start in
           Some
@@ -363,28 +372,19 @@ let finalise config st =
   | [] -> Ok diags
   | errs -> Error (String.concat "\n" (List.rev errs))
 
-let missing_mli config ~has_mli file =
+(* E005 anchors at the file's first character, so a floating
+   [@@@lint.allow "E005"] suppresses it like any other rule *)
+let check_missing_mli st ~has_mli file =
   if
-    List.mem Rules.E005 config.rules
-    && Filename.check_suffix file ".ml"
+    Filename.check_suffix file ".ml"
     && is_lib_source file
     && not (has_mli file)
-    && not (Allowlist.permits config.allow ~file Rules.E005)
   then
-    [
-      {
-        file;
-        line = 1;
-        col = 0;
-        rule = Rules.E005;
-        message =
-          Printf.sprintf
-            "library module %s has no .mli interface; write one (or \
-             allow-list generated modules)"
-            (Filename.basename file);
-      };
-    ]
-  else []
+    let pos = { Lexing.pos_fname = file; pos_lnum = 1; pos_bol = 0; pos_cnum = 0 } in
+    report st Rules.E005
+      { Location.loc_start = pos; loc_end = pos; loc_ghost = true }
+      (Printf.sprintf "library module %s has no .mli interface; write one"
+         (Filename.basename file))
 
 let parse_error_message file exn =
   match Location.error_of_exn exn with
@@ -396,8 +396,6 @@ let parse_error_message file exn =
 (* Is any rule of the family ([Rules.units], [par], [effects]) on? *)
 let enabled config family =
   List.exists (fun r -> List.mem r config.rules) family
-
-module Obs = Es_obs.Obs
 
 (* [eslint --stats] reads these back from the Obs snapshot *)
 let callgraph_timer = Obs.timer "eslint.callgraph.build"
@@ -426,7 +424,7 @@ let lint_ast config ~has_mli ~units_env ~par_ctx ~eff file ast =
   let report = report st in
   let error msg = st.errors <- msg :: st.errors in
   let iter =
-    make_iterator st ~lib:(is_lib_source file)
+    make_iterator st ~lib:(is_lib_or_test_source file)
       ~domain:(Callgraph.in_lib domain_scope file)
   in
   (match ast with
@@ -451,10 +449,8 @@ let lint_ast config ~has_mli ~units_env ~par_ctx ~eff file ast =
     Option.iter
       (fun eff -> Resource_rules.check_structure ~eff ~file ~report str)
       eff);
-  match finalise config st with
-  | Ok diags ->
-    Ok (missing_mli config ~has_mli file @ diags |> List.sort compare_diagnostic)
-  | Error msg -> Error msg
+  check_missing_mli st ~has_mli file;
+  finalise config st
 
 (* Full order including the message, so a file reached both directly
    and through a directory walk cannot yield duplicate findings. *)
@@ -516,8 +512,11 @@ let lint_parsed config sources =
       | Error msg -> (diags, msg :: errors))
     ([], []) sources
   |> fun (diags, errors) ->
-  ( List.concat (List.rev diags) |> List.sort_uniq compare_diagnostic_full,
-    List.rev errors )
+  let diags =
+    List.concat (List.rev diags) |> List.sort_uniq compare_diagnostic_full
+  in
+  List.iter (fun d -> tally reported_counters d.rule) diags;
+  (diags, List.rev errors)
 
 let lint_sources config sources =
   lint_parsed config
@@ -537,10 +536,13 @@ let is_source file =
    [eslint lib/core lib/core/ ./lib//core] all name the same root and
    [--exclude test/fixtures/] matches what the walker compares. *)
 let normalise_path p =
-  let p = Allowlist.normalise_path p in
-  if String.length p > 1 && p.[String.length p - 1] = '/' then
-    String.sub p 0 (String.length p - 1)
-  else p
+  let p = String.map (fun c -> if c = '\\' then '/' else c) p in
+  let segs = String.split_on_char '/' p |> List.filter (fun s -> s <> "") in
+  if String.starts_with ~prefix:"/" p then "/" ^ String.concat "/" segs
+  else
+    match segs with
+    | "." :: (_ :: _ as rest) -> String.concat "/" rest
+    | _ -> String.concat "/" segs
 
 let is_excluded ~exclude path =
   let path = normalise_path path in

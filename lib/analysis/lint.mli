@@ -5,19 +5,21 @@
     reports [file:line:col \[RULE\] message] diagnostics for the rule
     catalogue in {!Rules}.
 
-    Suppression: attach [\[@lint.allow "E001"\]] to an expression,
-    [\[@@lint.allow "E001"\]] to a let-binding or module binding, or
-    float [\[@@@lint.allow "E001"\]] at the top level to suppress a rule
-    for the whole file.  Payloads take a comma-separated rule list.
-    Checked-in path-level exemptions go in the {!Allowlist} file. *)
+    Suppression is by attribute only: attach [\[@lint.allow "E001"\]]
+    to an expression, [\[@@lint.allow "E001"\]] to a let-binding or
+    module binding, or float [\[@@@lint.allow "E001"\]] at the top
+    level to suppress a rule for the whole file.  Payloads take a
+    comma-separated rule list.  With {!Es_obs.Obs} enabled, the run
+    counts the findings it reports and those attributes suppress, per
+    rule, in the counters ["eslint.reported.<RULE>"] and
+    ["eslint.suppressed.<RULE>"]. *)
 
 type config = {
   rules : Rules.t list;  (** rules to enforce; others are ignored *)
-  allow : Allowlist.t;  (** checked-in path/rule exemptions *)
 }
 
 val default_config : config
-(** All rules on, empty allowlist. *)
+(** All rules on. *)
 
 type diagnostic = {
   file : string;

@@ -130,6 +130,12 @@ let rec sequence_chain (e : Parsetree.expression) =
   | Pexp_sequence (a, b) -> a :: sequence_chain b
   | _ -> [ e ]
 
+(* mask for an {!Effects.expr_effect} stretch: every subtree starting
+   at or after [cutoff] (a release) is out of scope *)
+let from_cutoff cutoff (e : Parsetree.expression) =
+  let c = e.pexp_loc.loc_start.pos_cnum in
+  c >= 0 && c >= cutoff
+
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -180,13 +186,10 @@ let check_handle ~eff ~file ~bound ~report ~x ~acquire_head ~resource
       (* everything from the first unprotected release on is out of
          scope: only the stretch between acquire and release decides
          whether the exceptional path can skip the close *)
-      let mask (e : Parsetree.expression) =
-        let c = e.pexp_loc.loc_start.pos_cnum in
-        c >= 0 && c >= cutoff
+      let between, ev =
+        Effects.expr_effect ~mask:(from_cutoff cutoff) ~bound eff ~file body
       in
-      let between = Effects.expr_summary ~mask ~bound eff ~file body in
       if not (Effects.is_pure between) then
-        let ev = Effects.expr_evidence ~mask ~bound eff ~file body in
         report Rules.R002 acq_loc
           (Printf.sprintf
              "%s '%s' is released, but the code between acquire and release \
@@ -199,11 +202,59 @@ let check_handle ~eff ~file ~bound ~report ~x ~acquire_head ~resource
 (* sequence protocols: Mutex.lock/unlock and Obs.enable/disable        *)
 (* ------------------------------------------------------------------ *)
 
+(* A protocol opened by an acquire call must be closed by a release
+   later in the same statement sequence (or in the acquiring statement
+   itself).  One row per protocol: the acquire and release heads, the
+   rules for a missing and for an unprotected release, and the message
+   text. *)
+type protocol = {
+  acquire : string;
+  release : string;
+  targeted : bool;  (* the release names the acquired lock *)
+  release_word : string;  (* the release, as messages name it *)
+  missing : Rules.t;
+  never_released : string;  (* message tail after the acquire *)
+  unprotected : Rules.t;
+  fix : string;
+}
+
+let protocols =
+  [
+    {
+      acquire = "Mutex.lock";
+      release = "Mutex.unlock";
+      targeted = true;
+      release_word = "unlock";
+      missing = Rules.R001;
+      never_released =
+        "has no matching unlock in the rest of this statement sequence; \
+         the raising (or early-return) path leaves it held — use \
+         Mutex.protect";
+      unprotected = Rules.R002;
+      fix = "use Mutex.protect so the unlock runs on the raising path";
+    };
+    {
+      acquire = "Obs.enable";
+      release = "Obs.disable";
+      targeted = false;
+      release_word = "Obs.disable";
+      missing = Rules.R003;
+      never_released =
+        "is never balanced by Obs.disable in the rest of this statement \
+         sequence; the telemetry toggle leaks across the next caller — put \
+         the disable in a Fun.protect ~finally";
+      unprotected = Rules.R003;
+      fix =
+        "move the disable into a Fun.protect ~finally so the raising path \
+         restores the toggle";
+    };
+  ]
+
 (* first application under [stmt] satisfying [pred] *)
 let find_apply ~resolve stmt pred =
   let found = ref None in
   iter_applies ~resolve stmt (fun ~head ~args ~loc ->
-      if !found = None && pred ~head ~args then found := Some (loc, args));
+      if !found = None && pred ~head ~args ~loc then found := Some (loc, args));
   !found
 
 let check_chain ~eff ~file ~bound ~report ~seen stmts =
@@ -216,15 +267,6 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
       report rule loc msg
     end
   in
-  let between_summary stmts =
-    List.fold_left
-      (fun acc s ->
-        Effects.union acc (Effects.expr_summary ~bound eff ~file s))
-      Effects.pure stmts
-  in
-  let between_evidence stmts =
-    List.find_map (fun s -> Effects.expr_evidence ~bound eff ~file s) stmts
-  in
   (* split [rest] at the first stmt containing an (unmasked) release;
      returns the in-between stmts, the releasing stmt with the release
      location, and whether the release sits inside a [Fun.protect
@@ -233,7 +275,10 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
     let rec go acc = function
       | [] -> None
       | stmt :: tl -> (
-        match find_apply ~resolve stmt is_release with
+        match
+          find_apply ~resolve stmt (fun ~head ~args ~loc:_ ->
+              is_release ~head ~args)
+        with
         | Some (loc, _) ->
           let protected = in_ranges (finally_ranges ~resolve stmt) loc in
           Some (List.rev acc, stmt, loc, protected)
@@ -241,151 +286,85 @@ let check_chain ~eff ~file ~bound ~report ~seen stmts =
     in
     go [] rest
   in
-  (* effect of the stretch between acquire and release: the whole
-     in-between stmts plus the part of the releasing stmt before the
-     release (a [let r = step () in Obs.disable (); r] releasing stmt
-     hides the raising [step] from the in-between list otherwise) *)
-  let stretch_summary between stmt (rel_loc : Location.t) =
-    let cutoff = rel_loc.loc_start.pos_cnum in
-    let mask (e : Parsetree.expression) =
-      let c = e.pexp_loc.loc_start.pos_cnum in
-      c >= 0 && c >= cutoff
+  (* effect and evidence of the stretch between acquire and release:
+     the whole in-between stmts plus the part of the releasing stmt
+     before the release (a [let r = step () in Obs.disable (); r]
+     releasing stmt hides the raising [step] from the in-between list
+     otherwise) *)
+  let stretch between stmt (rel_loc : Location.t) =
+    let effects =
+      List.map (Effects.expr_effect ~bound eff ~file) between
+      @ [
+          Effects.expr_effect ~mask:(from_cutoff rel_loc.loc_start.pos_cnum)
+            ~bound eff ~file stmt;
+        ]
     in
-    Effects.union (between_summary between)
-      (Effects.expr_summary ~mask ~bound eff ~file stmt)
+    ( List.fold_left
+        (fun acc (sum, _) -> Effects.union acc sum)
+        Effects.pure effects,
+      List.find_map snd effects )
   in
-  let stretch_evidence between stmt (rel_loc : Location.t) =
-    match between_evidence between with
-    | Some ev -> Some ev
-    | None ->
-      let cutoff = rel_loc.loc_start.pos_cnum in
-      let mask (e : Parsetree.expression) =
-        let c = e.pexp_loc.loc_start.pos_cnum in
-        c >= 0 && c >= cutoff
+  let check stmt rest p =
+    match
+      find_apply ~resolve stmt (fun ~head ~args:_ ~loc:_ ->
+          Callgraph.last_two_segments head = p.acquire)
+    with
+    | None -> ()
+    | Some (acq_loc, acq_args) -> (
+      let target = if p.targeted then arg_name acq_args else None in
+      let is_release ~head ~args =
+        Callgraph.last_two_segments head = p.release
+        && (target = None || arg_name args = target)
       in
-      Effects.expr_evidence ~mask ~bound eff ~file stmt
-  in
-  (* a statement of an OUTER sequence can contain the whole protocol
-     (acquire, body and release); search the same statement for a
-     release strictly after the acquire before consulting [rest] *)
-  let find_release_in stmt ~after is_release =
-    let found = ref None in
-    iter_applies ~resolve stmt (fun ~head ~args ~loc ->
-        if
-          !found = None
-          && loc.Location.loc_start.pos_cnum > after
-          && is_release ~head ~args
-        then found := Some loc);
-    !found
-  in
-  (* release found in the acquiring statement itself: silent when it
-     sits in a [~finally]; otherwise flag if the masked in-between
-     stretch may raise *)
-  let same_stmt_release stmt ~en_loc dis_loc ~rule ~msg =
-    if not (in_ranges (finally_ranges ~resolve stmt) dis_loc) then begin
-      let lo = en_loc.Location.loc_end.pos_cnum in
-      let hi = dis_loc.Location.loc_start.pos_cnum in
-      (* prune only subtrees ENTIRELY outside the acquire..release
-         window — the mask prunes children too, so a spanning
-         container must stay visible for its in-window descendants *)
-      let mask (e : Parsetree.expression) =
-        let s = e.pexp_loc.loc_start.pos_cnum in
-        let f = e.pexp_loc.loc_end.pos_cnum in
-        s >= 0 && f >= 0 && (s >= hi || f <= lo)
+      let subject =
+        if p.targeted then
+          Printf.sprintf "%s '%s'" p.acquire
+            (Option.value ~default:"<lock>" target)
+        else p.acquire
       in
-      let sum = Effects.expr_summary ~mask ~bound eff ~file stmt in
-      if not (Effects.is_pure sum) then
-        once rule en_loc (msg (raise_phrase sum))
-    end
+      let unprotected phrase suffix =
+        Printf.sprintf "code between %s and its unprotected %s %s%s; %s"
+          subject p.release_word phrase suffix p.fix
+      in
+      (* a statement of an OUTER sequence can contain the whole protocol
+         (acquire, body and release); search the same statement for a
+         release strictly after the acquire before consulting [rest] *)
+      let lo = acq_loc.Location.loc_end.pos_cnum in
+      match
+        find_apply ~resolve stmt (fun ~head ~args ~loc ->
+            loc.Location.loc_start.pos_cnum > lo && is_release ~head ~args)
+      with
+      | Some (rel_loc, _) ->
+        (* silent when the release sits in a [~finally]; otherwise flag
+           if the acquire..release window may raise *)
+        if not (in_ranges (finally_ranges ~resolve stmt) rel_loc) then begin
+          let hi = rel_loc.Location.loc_start.pos_cnum in
+          (* prune only subtrees ENTIRELY outside the window — the mask
+             prunes children too, so a spanning container must stay
+             visible for its in-window descendants *)
+          let mask (e : Parsetree.expression) =
+            let s = e.pexp_loc.loc_start.pos_cnum in
+            let f = e.pexp_loc.loc_end.pos_cnum in
+            s >= 0 && f >= 0 && (s >= hi || f <= lo)
+          in
+          let sum, _ = Effects.expr_effect ~mask ~bound eff ~file stmt in
+          if not (Effects.is_pure sum) then
+            once p.unprotected acq_loc (unprotected (raise_phrase sum) "")
+        end
+      | None -> (
+        match find_release rest is_release with
+        | None -> once p.missing acq_loc (subject ^ " " ^ p.never_released)
+        | Some (_, _, _, true) -> ()
+        | Some (between, rstmt, rloc, false) ->
+          let sum, ev = stretch between rstmt rloc in
+          if not (Effects.is_pure sum) then
+            once p.unprotected acq_loc
+              (unprotected (raise_phrase sum) (evidence_suffix ev))))
   in
   let rec walk = function
     | [] -> ()
     | stmt :: rest ->
-      (* Mutex.lock m, protocol scoped to this sequence *)
-      (match
-         find_apply ~resolve stmt (fun ~head ~args:_ ->
-             Callgraph.last_two_segments head = "Mutex.lock")
-       with
-      | Some (lock_loc, lock_args) -> (
-        let target = arg_name lock_args in
-        let is_unlock ~head ~args =
-          Callgraph.last_two_segments head = "Mutex.unlock"
-          && (target = None || arg_name args = target)
-        in
-        let lock_name = Option.value ~default:"<lock>" target in
-        match
-          find_release_in stmt ~after:lock_loc.Location.loc_end.pos_cnum
-            is_unlock
-        with
-        | Some dis_loc ->
-          same_stmt_release stmt ~en_loc:lock_loc dis_loc ~rule:Rules.R002
-            ~msg:(fun phrase ->
-              Printf.sprintf
-                "code between Mutex.lock '%s' and its unprotected unlock %s; \
-                 use Mutex.protect so the unlock runs on the raising path"
-                lock_name phrase)
-        | None -> (
-        match find_release rest is_unlock with
-        | None ->
-          once Rules.R001 lock_loc
-            (Printf.sprintf
-               "Mutex.lock '%s' has no matching unlock in the rest of this \
-                statement sequence; the raising (or early-return) path \
-                leaves it held — use Mutex.protect"
-               lock_name)
-        | Some (_, _, _, true) -> ()
-        | Some (between, rstmt, rloc, false) ->
-          let sum = stretch_summary between rstmt rloc in
-          if not (Effects.is_pure sum) then
-            once Rules.R002 lock_loc
-              (Printf.sprintf
-                 "code between Mutex.lock '%s' and its unprotected unlock \
-                  %s%s; use Mutex.protect so the unlock runs on the raising \
-                  path"
-                 lock_name (raise_phrase sum)
-                 (evidence_suffix (stretch_evidence between rstmt rloc)))))
-      | None -> ());
-      (* Obs.enable () toggle protocol *)
-      (match
-         find_apply ~resolve stmt (fun ~head ~args:_ ->
-             Callgraph.last_two_segments head = "Obs.enable")
-       with
-      | Some (en_loc, _) -> (
-        let is_disable ~head ~args:_ =
-          Callgraph.last_two_segments head = "Obs.disable"
-        in
-        match
-          find_release_in stmt ~after:en_loc.Location.loc_end.pos_cnum
-            is_disable
-        with
-        | Some dis_loc ->
-          same_stmt_release stmt ~en_loc dis_loc ~rule:Rules.R003
-            ~msg:(fun phrase ->
-              Printf.sprintf
-                "code between Obs.enable and its unprotected Obs.disable %s; \
-                 move the disable into a Fun.protect ~finally so the raising \
-                 path restores the toggle"
-                phrase)
-        | None -> (
-        match find_release rest is_disable with
-        | None ->
-          once Rules.R003 en_loc
-            (Printf.sprintf
-               "Obs.enable is never balanced by Obs.disable in the rest of \
-                this statement sequence; the telemetry toggle leaks across \
-                the next caller — put the disable in a Fun.protect ~finally")
-        | Some (_, _, _, true) -> ()
-        | Some (between, rstmt, rloc, false) ->
-          let sum = stretch_summary between rstmt rloc in
-          if not (Effects.is_pure sum) then
-            once Rules.R003 en_loc
-              (Printf.sprintf
-                 "code between Obs.enable and its unprotected Obs.disable \
-                  %s%s; move the disable into a Fun.protect ~finally so the \
-                  raising path restores the toggle"
-                 (raise_phrase sum)
-                 (evidence_suffix (stretch_evidence between rstmt rloc)))))
-      | None -> ());
+      List.iter (check stmt rest) protocols;
       walk rest
   in
   walk stmts
@@ -398,23 +377,7 @@ let doc_strings (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       match a.attr_name.txt with
-      | "ocaml.doc" | "doc" -> (
-        match a.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ( {
-                        pexp_desc = Pexp_constant (Pconst_string (s, _, _));
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
-          Some s
-        | _ -> None)
+      | "ocaml.doc" | "doc" -> Callgraph.string_payload a.attr_payload
       | _ -> None)
     attrs
 
@@ -472,7 +435,13 @@ let check_structure ~eff ~file ~report str =
       let bound = Callgraph.bound_names b in
       let open Ast_iterator in
       let expr_iter iter (e : Parsetree.expression) =
-        (match e.pexp_desc with
+        match e.pexp_desc with
+        | Pexp_sequence _ ->
+          (* [a; b; c] nests as [a; (b; c)]: check the whole chain once
+             and descend into its statements, not into its suffixes *)
+          let chain = sequence_chain e in
+          check_chain ~eff ~file ~bound ~report ~seen chain;
+          List.iter (iter.expr iter) chain
         | Pexp_let (_, vbs, body) ->
           List.iter
             (fun (vb : Parsetree.value_binding) ->
@@ -488,11 +457,9 @@ let check_structure ~eff ~file ~report str =
                     ~resource ~acq_loc:vb.pvb_loc body
                 | None -> ())
               | _ -> ())
-            vbs
-        | Pexp_sequence _ ->
-          check_chain ~eff ~file ~bound ~report ~seen (sequence_chain e)
-        | _ -> ());
-        default_iterator.expr iter e
+            vbs;
+          default_iterator.expr iter e
+        | _ -> default_iterator.expr iter e
       in
       let iter = { default_iterator with expr = expr_iter } in
       iter.expr iter b

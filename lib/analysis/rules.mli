@@ -5,7 +5,8 @@
       [Option.get], [Float.of_string]).
     - E003: catch-all exception handlers ([with _ ->], [with e -> ()]).
     - E004: direct printing from [lib/] (and [test/]) code.
-    - E005: [lib/] (or [test/]) module missing its [.mli].
+    - E005: [lib/] module missing its [.mli] (test runners are
+      executables and owe none).
     - E006: [Obj.magic] / [Marshal] anywhere.
     - E007: module-level mutable state ([ref], [mutable] record fields,
       [Hashtbl]/[Queue]/[Stack]/[Buffer] created at top level) in the

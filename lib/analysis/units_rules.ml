@@ -34,18 +34,9 @@ let empty_env () = { vals = Hashtbl.create 64; fields = Hashtbl.create 64 }
 let units_payload (attr : Parsetree.attribute) =
   if attr.attr_name.txt <> "units" then None
   else
-    match attr.attr_payload with
-    | PStr
-        [
-          {
-            pstr_desc =
-              Pstr_eval
-                ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-            _;
-          };
-        ] ->
-      Some (Units.parse s)
-    | _ -> Some (Error "expected a string literal such as [@units \"energy\"]")
+    match Callgraph.string_payload attr.attr_payload with
+    | Some s -> Some (Units.parse s)
+    | None -> Some (Error "expected a string literal such as [@units \"energy\"]")
 
 let pos_error loc msg =
   let p = loc.Location.loc_start in

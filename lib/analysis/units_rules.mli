@@ -57,7 +57,7 @@ val check_interface :
 (** Pass 2 over an interface: U003, enabled when [annotate_scope] (the
     file lives under [lib/core] or [lib/platform]), plus malformed
     [\[@units\]] payloads through [error] (an operational error, like a
-    malformed allowlist line). *)
+    malformed [\[@lint.allow\]] payload). *)
 
 val check_structure :
   env ->

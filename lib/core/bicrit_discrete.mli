@@ -37,9 +37,9 @@ val round_up :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   Schedule.t option
-(** Continuous relaxation + per-task round-up.  [None] when the
-    relaxation is infeasible or a rounded speed exceeds the largest
-    level.
+(** Continuous relaxation + per-task round-up.  [None] exactly when the
+    relaxation is infeasible: its speeds are clamped to the largest
+    level, so every one of them rounds up to a level.
 
     @raise Invalid_argument on a schedule whose executions disagree with the mapping (length mismatch or empty execution list). *)
 

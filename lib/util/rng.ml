@@ -69,23 +69,6 @@ let uniform_in t lo hi =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 
-let gaussian ?(mu = 0.) ?(sigma = 1.) t =
-  let rec nonzero () =
-    let u = unit_float t in
-    if u = 0. then nonzero () else u
-  in
-  let u1 = nonzero () and u2 = unit_float t in
-  let r = sqrt (-2. *. log u1) in
-  mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))
-
-let exponential t ~rate =
-  assert (rate > 0.);
-  let rec nonzero () =
-    let u = unit_float t in
-    if u = 0. then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -38,13 +38,6 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val gaussian : ?mu:float -> ?sigma:float -> t -> float
-(** Normal deviate via Box–Muller.  Defaults: [mu = 0.], [sigma = 1.]. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential deviate with the given rate (mean [1/rate]).  Used by
-    the fault injector. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

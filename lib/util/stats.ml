@@ -1,26 +1,3 @@
-let mean xs =
-  assert (Array.length xs > 0);
-  Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs in
-    acc /. float_of_int (n - 1)
-  end
-
-let stddev xs = sqrt (variance xs)
-
-let min xs =
-  assert (Array.length xs > 0);
-  Array.fold_left Float.min xs.(0) xs
-
-let max xs =
-  assert (Array.length xs > 0);
-  Array.fold_left Float.max xs.(0) xs
-
 let quantile xs q =
   assert (Array.length xs > 0);
   assert (0. <= q && q <= 1.);
@@ -45,22 +22,3 @@ let geometric_mean xs =
       0. xs
   in
   exp (acc /. float_of_int (Array.length xs))
-
-let summary xs =
-  Printf.sprintf "%.4g ± %.2g [%.4g, %.4g]" (mean xs) (stddev xs) (min xs) (max xs)
-
-type online = { mutable count : int; mutable m : float; mutable s : float }
-
-let online_create () = { count = 0; m = 0.; s = 0. }
-
-let online_add o x =
-  o.count <- o.count + 1;
-  let delta = x -. o.m in
-  o.m <- o.m +. (delta /. float_of_int o.count);
-  o.s <- o.s +. (delta *. (x -. o.m))
-
-let online_count o = o.count
-let online_mean o = o.m
-
-let online_stddev o =
-  if o.count < 2 then 0. else sqrt (o.s /. float_of_int (o.count - 1))

@@ -1,21 +1,5 @@
 (** Descriptive statistics over float samples, used by the experiment
-    harness to summarise repeated runs. *)
-
-val mean : float array -> float
-(** Arithmetic mean.  Requires a non-empty array. *)
-
-val variance : float array -> float
-(** Unbiased sample variance (denominator [n - 1]); [0.] when the
-    sample has fewer than two points. *)
-
-val stddev : float array -> float
-(** Square root of {!variance}. *)
-
-val min : float array -> float
-(** Smallest sample.  Requires a non-empty array. *)
-
-val max : float array -> float
-(** Largest sample.  Requires a non-empty array. *)
+    harness and the benchmarks to summarise repeated runs. *)
 
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [\[0, 1\]], linear interpolation between
@@ -27,15 +11,3 @@ val median : float array -> float
 val geometric_mean : float array -> float
 (** Geometric mean; all samples must be positive.  Used for ratio
     aggregation across heterogeneous instances. *)
-
-val summary : float array -> string
-(** Compact human-readable ["mean ± std [min, max]"] rendering. *)
-
-type online
-(** Numerically stable streaming accumulator (Welford). *)
-
-val online_create : unit -> online
-val online_add : online -> float -> unit
-val online_count : online -> int
-val online_mean : online -> float
-val online_stddev : online -> float

@@ -2,7 +2,8 @@
    exception-flow pass): introduction from raise/failwith/invalid_arg,
    cross-module propagation, try/with narrowing and catch-all
    clearing, locally-scoped exceptions, Top on unknown externals,
-   fixpoint termination on recursion, and (as a QCheck property)
+   fixpoint termination on recursion, the reading order of the raise
+   evidence [expr_effect] reports, and (as a QCheck property)
    monotonicity of summaries under edge insertion on generated
    sources. *)
 
@@ -121,6 +122,54 @@ let test_recursion_fixpoint () =
     (Some [ "Invalid_argument" ])
 
 (* ------------------------------------------------------------------ *)
+(* evidence: the first raising thing in reading order                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [expr_effect] over the binding [M.<name>] of one source: the
+   evidence's exception and its hops as [name:line] *)
+let evidence_of src name =
+  let env = env_of [ ("lib/x/m.ml", src) ] in
+  match Callgraph.defs (Effects.graph env) ("M." ^ name) with
+  | [ d ] ->
+    Option.map
+      (fun (ev : Effects.evidence) ->
+        ( ev.e_exn,
+          List.map
+            (fun (hop, (loc : Location.t)) ->
+              Printf.sprintf "%s:%d" hop loc.loc_start.pos_lnum)
+            ev.e_hops ))
+      (snd (Effects.expr_effect env ~file:d.d_file d.d_expr))
+  | _ -> Alcotest.failf "no single binding M.%s" name
+
+let check_evidence msg expected actual =
+  Alcotest.(check (option (pair (option string) (list string))))
+    msg expected actual
+
+let test_evidence_raise_head_first () =
+  let src =
+    "let f x = if x < 0 then invalid_arg \"f\" else x\n\
+     let g x = raise (Failure (string_of_int (f x)))\n"
+  in
+  check_evidence "the raise, not the raising argument"
+    (Some (Some "Failure", [ "raise:2" ]))
+    (evidence_of src "g")
+
+let test_evidence_pure_try () =
+  let src = "let h x = try if x then raise Exit else 0 with Exit -> 1\n" in
+  check_evidence "a try whose handler catches its body's raise" None
+    (evidence_of src "h")
+
+let test_evidence_body_before_handlers () =
+  let src =
+    "let k x =\n\
+    \  try if x then failwith \"body\" else raise Exit\n\
+    \  with Exit -> invalid_arg \"handler\"\n"
+  in
+  check_evidence "the body's first raise, then the handlers'"
+    (Some (Some "Failure", [ "failwith:2" ]))
+    (evidence_of src "k")
+
+(* ------------------------------------------------------------------ *)
 (* property: summaries are monotone under adding callgraph edges       *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,6 +268,12 @@ let suite =
         test_local_exception_scoped;
       Alcotest.test_case "recursion reaches a fixpoint" `Quick
         test_recursion_fixpoint;
+      Alcotest.test_case "evidence names a raise before its argument" `Quick
+        test_evidence_raise_head_first;
+      Alcotest.test_case "evidence skips a try that ends pure" `Quick
+        test_evidence_pure_try;
+      Alcotest.test_case "evidence reads a try body before its handlers"
+        `Quick test_evidence_body_before_handlers;
       summaries_monotone;
     ] )
 

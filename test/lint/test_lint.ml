@@ -1,25 +1,22 @@
 (* Tests for the static-analysis subsystem (Es_analysis): each rule of
    the catalogue fires on its fixture, clean code is silent, and
-   [@lint.allow] / the checked-in allowlist suppress exactly the rules
-   they name.  Fixtures live in test/fixtures/lint and are declared as
-   test deps, so paths are relative to the test's working directory. *)
+   [@lint.allow] attributes suppress exactly the rules they name.
+   Fixtures live in test/fixtures/lint and are declared as test deps,
+   so paths are relative to the test's working directory. *)
 
 module Lint = Es_analysis.Lint
 module Rules = Es_analysis.Rules
-module Allowlist = Es_analysis.Allowlist
 
 let fixture name = Filename.concat "../fixtures/lint" name
 
-let lint ?(rules = Rules.all) ?(allow = Allowlist.empty) name =
-  let diags, errors = Lint.lint_paths { Lint.rules; allow } [ fixture name ] in
+let lint ?(rules = Rules.all) name =
+  let diags, errors = Lint.lint_paths { Lint.rules } [ fixture name ] in
   List.iter (fun e -> Alcotest.failf "lint_paths %s: %s" name e) errors;
   diags
 
 (* Lint in-memory sources as one run; per-file errors fail the test. *)
 let lint_sources ?(rules = Rules.all) sources =
-  let diags, errors =
-    Lint.lint_sources { Lint.rules; allow = Allowlist.empty } sources
-  in
+  let diags, errors = Lint.lint_sources { Lint.rules } sources in
   List.iter (fun e -> Alcotest.failf "lint_sources: %s" e) errors;
   diags
 
@@ -45,6 +42,8 @@ let trigger_fixtures =
     (Rules.E003, "e003_catchall.ml", 2);
     (Rules.E004, "e004/lib/printy.ml", 2);
     (Rules.E005, "e005/lib/nomli.ml", 1);
+    (* a test runner is an executable: no interface owed *)
+    (Rules.E005, "e005/test/runner.ml", 0);
     (Rules.E006, "e006_unsafe.ml", 3);
     (Rules.E007, "e007/lib/core/mutstate.ml", 3);
   ]
@@ -89,7 +88,11 @@ let test_suppression_is_rule_specific () =
 let test_file_wide_suppression_is_rule_specific () =
   let src = "[@@@lint.allow \"E006\"]\nlet x : int = Obj.magic (List.hd [])\n" in
   check_ids "E002 survives file-wide E006" [ "E002" ]
-    (rule_ids (lint_string ~file:"wide.ml" src))
+    (rule_ids (lint_string ~file:"wide.ml" src));
+  (* E005 is a finding like any other: a floating attribute covers it *)
+  check_ids "a library module's missing .mli, suppressed" []
+    (rule_ids
+       (lint_string ~file:"lib/gen/wide.ml" "[@@@lint.allow \"E005\"]\nlet x = 1\n"))
 
 let test_malformed_allow_payload_is_an_error () =
   let src = "let x = (compare 1 2) [@lint.allow]\n" in
@@ -112,7 +115,9 @@ let test_rules_are_toggleable () =
 let test_e004_only_applies_to_lib_paths () =
   let src = "let main () = print_string \"cli output is fine\"\n" in
   check_ids "no E004 outside lib/" []
-    (rule_ids (lint_string ~file:"bin/tool.ml" src))
+    (rule_ids (lint_string ~file:"bin/tool.ml" src));
+  check_ids "test runners keep the library's bar" [ "E004" ]
+    (rule_ids (lint_string ~file:"test/runner.ml" src))
 
 let test_e007_scoped_to_domain_libs () =
   let src = "let total = ref 0\ntype t = { mutable n : int }\n" in
@@ -147,48 +152,6 @@ let test_e007_factories_and_locals_ok () =
   in
   check_ids "per-call and function-local allocation is fine" []
     (rule_ids (lint_string ~rules:[ Rules.E007 ] ~file:"lib/sched/factory.ml" src))
-
-(* ------------------------------------------------------------------ *)
-(* allowlist                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let allowlist_of_string s =
-  match Allowlist.parse ~file:"<test>" s with
-  | Ok t -> t
-  | Error msg -> Alcotest.failf "allowlist parse: %s" msg
-
-let test_allowlist_suppresses_by_path_suffix () =
-  let allow = allowlist_of_string "# comment\nlint/e006_unsafe.ml E006\n" in
-  check_ids "allow-listed rule silenced" []
-    (rule_ids (lint ~allow "e006_unsafe.ml"));
-  (* the exemption names E006 only: other rules still fire there *)
-  let allow = allowlist_of_string "lint/e001_poly_compare.ml E002" in
-  let diags = lint ~allow "e001_poly_compare.ml" in
-  Alcotest.(check int) "E001 unaffected by an E002 exemption" 3 (List.length diags)
-
-let test_allowlist_rejects_unknown_rules () =
-  match Allowlist.parse ~file:"<test>" "lib/foo.ml E999" with
-  | Ok _ -> Alcotest.fail "unknown rule id must be rejected"
-  | Error _ -> ()
-
-let test_allowlist_no_partial_segment_match () =
-  let allow = allowlist_of_string "e001_poly_compare.ml E001" in
-  (* suffix must start at a path-segment boundary *)
-  Alcotest.(check bool) "segment boundary respected" false
-    (Allowlist.permits allow ~file:"not_e001_poly_compare.ml" Rules.E001)
-
-let test_allowlist_directory_entries () =
-  let allow = allowlist_of_string "lint/ E006" in
-  check_ids "directory entry silences the whole subtree" []
-    (rule_ids (lint ~allow "e006_unsafe.ml"));
-  Alcotest.(check bool) "leading-prefix form matches too" true
-    (Allowlist.permits
-       (allowlist_of_string "test/ E004")
-       ~file:"test/lint/runner.ml" Rules.E004);
-  Alcotest.(check bool) "a directory entry is not a suffix match" false
-    (Allowlist.permits
-       (allowlist_of_string "lint/ E006")
-       ~file:"notlint/e006_unsafe.ml" Rules.E006)
 
 (* ------------------------------------------------------------------ *)
 (* dimensional analysis: the U rules                                   *)
@@ -286,11 +249,6 @@ let test_p004_domain_ownership () =
   let diags = lint ~rules:[ Rules.P004 ] "p004/spawn.ml" in
   check_ids "spawn and join" [ "P004"; "P004" ] (rule_ids diags)
 
-let test_p004_allowlisted () =
-  let allow = allowlist_of_string "p004/spawn.ml P004" in
-  check_ids "allow-listed file is silent" []
-    (rule_ids (lint ~rules:[ Rules.P004 ] ~allow "p004/spawn.ml"))
-
 let test_p_rules_toggle_off () =
   (* with the Rules.par family skipped, the raciest fixture of the set
      is silent *)
@@ -302,6 +260,33 @@ let test_p_rules_toggle_off () =
        (List.filter
           (fun (d : Lint.diagnostic) -> List.mem d.Lint.rule Rules.par)
           (lint ~rules "p001")))
+
+(* The lock and telemetry protocols share one checker: a missing
+   unlock, and a release in the acquiring statement itself behind a
+   raising step, for each protocol. *)
+let test_sequence_protocols () =
+  let src =
+    "let m = Mutex.create ()\n\
+     let step x = if x < 0 then failwith \"neg\" else x\n\
+     let held x = Mutex.lock m; ignore (step x)\n\
+     let inline x = ignore x; (Mutex.lock m; ignore (step x); Mutex.unlock m); ()\n\
+     let toggled x = ignore x; (Obs.enable (); ignore (step x); Obs.disable ()); ()\n"
+  in
+  Alcotest.(check (list string))
+    "one finding per protocol path"
+    [
+      "locks.ml:3:13 [R001] Mutex.lock 'm' has no matching unlock in the \
+       rest of this statement sequence; the raising (or early-return) path \
+       leaves it held — use Mutex.protect";
+      "locks.ml:4:26 [R002] code between Mutex.lock 'm' and its unprotected \
+       unlock may raise Failure; use Mutex.protect so the unlock runs on the \
+       raising path";
+      "locks.ml:5:27 [R003] code between Obs.enable and its unprotected \
+       Obs.disable may raise Failure; move the disable into a Fun.protect \
+       ~finally so the raising path restores the toggle";
+    ]
+    (List.map Lint.to_string
+       (lint_string ~rules:Rules.effects ~file:"locks.ml" src))
 
 let lock_helper =
   "let m = Mutex.create ()\n\
@@ -472,14 +457,6 @@ let suite =
         test_e007_exempts_domain_safe_creators;
       Alcotest.test_case "E007 skips factories and locals" `Quick
         test_e007_factories_and_locals_ok;
-      Alcotest.test_case "allowlist suppresses by path suffix" `Quick
-        test_allowlist_suppresses_by_path_suffix;
-      Alcotest.test_case "allowlist rejects unknown rules" `Quick
-        test_allowlist_rejects_unknown_rules;
-      Alcotest.test_case "allowlist respects segment boundaries" `Quick
-        test_allowlist_no_partial_segment_match;
-      Alcotest.test_case "allowlist directory entries" `Quick
-        test_allowlist_directory_entries;
       Alcotest.test_case "U001 triggers on mixed units" `Quick
         test_u001_triggers;
       Alcotest.test_case "U001 suppressible at the site" `Quick
@@ -502,9 +479,9 @@ let suite =
         test_p003_blocking;
       Alcotest.test_case "P004 flags raw Domain use" `Quick
         test_p004_domain_ownership;
-      Alcotest.test_case "P004 allowlist exemption" `Quick
-        test_p004_allowlisted;
       Alcotest.test_case "P family toggles off" `Quick test_p_rules_toggle_off;
+      Alcotest.test_case "lock and telemetry protocols" `Quick
+        test_sequence_protocols;
       Alcotest.test_case "sanctioned owners are terminal" `Quick
         test_par_sanctioned_owner_is_terminal;
       Alcotest.test_case "a module name shared with lib/obs stays analysed"

@@ -154,10 +154,6 @@ let test_rel_default_params () =
   Alcotest.(check bool) "lambda0 positive" true (d.Rel.lambda0 > 0.);
   Alcotest.(check bool) "frel = fmax by default" true (d.Rel.frel = d.Rel.fmax)
 
-let test_stats_summary_string () =
-  let s = Es_util.Stats.summary [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "mentions mean" true (Astring.String.is_infix ~affix:"2" s)
-
 let suite =
   ( "facade-and-edges",
     [
@@ -175,7 +171,6 @@ let suite =
       Alcotest.test_case "speed pp" `Quick test_speed_pp;
       Alcotest.test_case "single-task instance" `Quick test_single_task_instance;
       Alcotest.test_case "rel default params" `Quick test_rel_default_params;
-      Alcotest.test_case "stats summary" `Quick test_stats_summary_string;
     ] )
 
 let qcheck_solver_always_validates =

@@ -6,6 +6,11 @@
    solver libraries, so every test starts from [reset] and restores
    the disabled state and the real clock on the way out. *)
 
+(* The Obs hammer tests spawn raw domains on purpose: they validate the
+   atomic counters and per-domain span stacks without the pool in the
+   loop, so routing them through Es_par.Pool would defeat the test. *)
+[@@@lint.allow "P004"]
+
 module Obs = Es_obs.Obs
 module Json = Es_obs.Obs_json
 

@@ -50,18 +50,6 @@ let test_rng_float_range () =
     Alcotest.(check bool) "in [2,5)" true (v >= 2. && v < 5.)
   done
 
-let test_rng_gaussian_moments () =
-  let r = Rng.create ~seed:8 in
-  let n = 50_000 in
-  let xs = Array.init n (fun _ -> Rng.gaussian ~mu:3. ~sigma:2. r) in
-  Alcotest.(check bool) "mean ~ 3" true (Float.abs (Stats.mean xs -. 3.) < 0.05);
-  Alcotest.(check bool) "std ~ 2" true (Float.abs (Stats.stddev xs -. 2.) < 0.05)
-
-let test_rng_exponential_mean () =
-  let r = Rng.create ~seed:9 in
-  let xs = Array.init 50_000 (fun _ -> Rng.exponential r ~rate:4.) in
-  Alcotest.(check bool) "mean ~ 1/4" true (Float.abs (Stats.mean xs -. 0.25) < 0.01)
-
 let test_rng_bernoulli () =
   let r = Rng.create ~seed:10 in
   let hits = ref 0 in
@@ -112,9 +100,9 @@ let test_rng_split_independent () =
   Alcotest.(check bool) "split streams differ" true (Rng.bits64 a <> Rng.bits64 b)
 
 let test_stats_mean_var () =
+  (* [Stats.mean] and [Stats.variance] are gone (no caller); the case
+     keeps the median of its sample *)
   let xs = [| 1.; 2.; 3.; 4.; 5. |] in
-  check_float "mean" 3. (Stats.mean xs);
-  check_float "variance" 2.5 (Stats.variance xs);
   check_float "median" 3. (Stats.median xs)
 
 let test_stats_quantiles () =
@@ -145,14 +133,6 @@ let test_stats_quantile_signed_zero_and_negatives () =
 
 let test_stats_geometric_mean () =
   check_float "gm(1,4) = 2" 2. (Stats.geometric_mean [| 1.; 4. |])
-
-let test_stats_online () =
-  let o = Stats.online_create () in
-  let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  Array.iter (Stats.online_add o) xs;
-  Alcotest.(check int) "count" 8 (Stats.online_count o);
-  check_float "mean" (Stats.mean xs) (Stats.online_mean o);
-  check_float "stddev" (Stats.stddev xs) (Stats.online_stddev o)
 
 let test_futil_approx () =
   Alcotest.(check bool) "close" true (Futil.approx_equal 1.0 (1.0 +. 1e-12));
@@ -192,7 +172,9 @@ let qcheck_quantile_bounds =
     (fun (xs, q) ->
       QCheck.assume (Array.length xs > 0);
       let v = Stats.quantile xs q in
-      v >= Stats.min xs -. 1e-9 && v <= Stats.max xs +. 1e-9)
+      let lo = Array.fold_left Float.min xs.(0) xs
+      and hi = Array.fold_left Float.max xs.(0) xs in
+      v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
 let qcheck_clamp_idempotent =
   QCheck.Test.make ~name:"clamp is idempotent" ~count:500
@@ -210,8 +192,6 @@ let suite =
       Alcotest.test_case "rng int range" `Quick test_rng_int_range;
       Alcotest.test_case "rng int uniform" `Quick test_rng_int_uniform;
       Alcotest.test_case "rng float range" `Quick test_rng_float_range;
-      Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
-      Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential_mean;
       Alcotest.test_case "rng bernoulli" `Quick test_rng_bernoulli;
       Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
       Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
@@ -225,7 +205,6 @@ let suite =
       Alcotest.test_case "stats quantile signed zeros" `Quick
         test_stats_quantile_signed_zero_and_negatives;
       Alcotest.test_case "stats geometric mean" `Quick test_stats_geometric_mean;
-      Alcotest.test_case "stats online accumulator" `Quick test_stats_online;
       Alcotest.test_case "futil approx_equal" `Quick test_futil_approx;
       Alcotest.test_case "futil clamp" `Quick test_futil_clamp;
       Alcotest.test_case "futil kahan sum" `Quick test_futil_kahan;
