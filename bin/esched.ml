@@ -42,6 +42,12 @@ let with_stats stats f =
       end;
       code)
 
+(* The subcommands' phases, listed by `--stats` under these names *)
+let solve_timer = Obs.timer "esched.solve"
+let validate_timer = Obs.timer "esched.validate"
+let heuristics_timer = Obs.timer "esched.heuristics"
+let monte_carlo_timer = Obs.timer "esched.monte_carlo"
+
 let fmin = 0.2
 let fmax = 1.0
 
@@ -128,7 +134,7 @@ let solve kind n seed p slack model_kind reliability gantt stats =
          else None);
     }
   in
-  match Obs.with_span "solve" (fun () -> Solver.solve request) with
+  match Obs.time solve_timer (fun () -> Solver.solve request) with
   | Error msg ->
     print_endline msg;
     1
@@ -144,7 +150,7 @@ let solve kind n seed p slack model_kind reliability gantt stats =
       else None
     in
     let violations =
-      Obs.with_span "validate" (fun () -> Validate.check ~deadline ?rel ~model sched)
+      Obs.time validate_timer (fun () -> Validate.check ~deadline ?rel ~model sched)
     in
     if violations = [] then print_endline "validation: OK"
     else
@@ -164,13 +170,13 @@ let simulate kind n seed p slack trials lambda0 stats j =
   let dmin = List_sched.makespan_at_speed mapping ~f:fmax in
   let deadline = slack *. dmin in
   let rel = Rel.make ~lambda0 ~sensitivity:3. ~fmin ~fmax ~frel:0.8 () in
-  match Obs.with_span "heuristics" (fun () -> Heuristics.best_of ~rel ~deadline mapping) with
+  match Obs.time heuristics_timer (fun () -> Heuristics.best_of ~rel ~deadline mapping) with
   | None ->
     print_endline "infeasible";
     1
   | Some (sol, _) ->
     let report =
-      Obs.with_span "monte_carlo" (fun () ->
+      Obs.time monte_carlo_timer (fun () ->
           Sim.monte_carlo_par ?pool:(current_pool ())
             (Rng.create ~seed:(seed + 1))
             ~rel ~trials sol.Heuristics.schedule)
@@ -272,7 +278,7 @@ let slack_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"Print solver telemetry (counters, per-phase timers, spans) after the run.")
+         ~doc:"Print solver telemetry (counters, solver and per-phase timers) after the run.")
 
 let jobs_arg =
   Arg.(

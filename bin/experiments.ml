@@ -8,6 +8,7 @@ module Table = Es_util.Table
 module Stats = Es_util.Stats
 module Par = Es_par.Par
 module Pool = Es_par.Pool
+module Brute = Es_check.Brute
 
 (* --jobs N: worker domains for the repetition sweeps (0 = the
    machine's recommended domain count).  The pool is created lazily on
@@ -853,7 +854,7 @@ let e16 ~seed () =
     (fun slack ->
       let deadline = slack *. w in
       match
-        ( Vdd_hull.chain_energy ~levels ~total_weight:w ~deadline,
+        ( Brute.vdd_chain_optimum ~levels ~weights:(Dag.weights dag) ~deadline,
           Bicrit_vdd.energy ~deadline ~levels m )
       with
       | Some hull, Some lp ->

@@ -73,7 +73,7 @@ let in_lib dirs file =
   pairs (segments file)
 
 (* lib/par owns the pool and its blocking joins; lib/obs owns the
-   (atomic) telemetry and the per-domain span stacks. *)
+   telemetry: atomic cells behind one mutex-guarded registry. *)
 let sanctioned = [ "par"; "obs" ]
 
 let module_name_of_file file =

@@ -177,10 +177,15 @@ type eval_ctx = {
   deep : bool;  (* contribute callee-node fixpoint summaries *)
   record : (string -> Location.t -> unit) option;
   masked : Parsetree.expression -> bool;
+  read : string -> unit;  (* told of every callee summary consulted *)
 }
 
 let record ctx exn loc =
   match ctx.record with Some f -> f exn loc | None -> ()
+
+let callee ctx name loc =
+  ctx.read name;
+  (summary ctx.env name, node_hint ctx.env name loc)
 
 (* Immediate child expressions: the default iterator calls [sub.expr]
    exactly once per direct subexpression, so a non-recursive hook
@@ -281,7 +286,7 @@ let ident_effect ctx txt loc =
     when ctx.deep
          && Callgraph.has_def ctx.env.graph name
          && not (Callgraph.node_sanctioned ctx.env.graph name) ->
-    (summary ctx.env name, node_hint ctx.env name loc)
+    callee ctx name loc
   | _ -> (pure, None)
 
 (* One walk yields an expression's summary and its evidence: the first
@@ -438,7 +443,9 @@ and head_effect ctx (head : Parsetree.expression) args =
         else if Callgraph.has_def graph name then
           if Callgraph.node_sanctioned graph name || not ctx.deep then
             (pure, None, false)
-          else (summary ctx.env name, node_hint ctx.env name loc, false)
+          else
+            let eff, hint = callee ctx name loc in
+            (eff, hint, false)
         else
           (* unknown external in call position *)
           (Top, site None name loc, false)))
@@ -458,8 +465,8 @@ and head_effect ctx (head : Parsetree.expression) args =
 (* fixpoint                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let make_ctx ?record ?(mask = fun _ -> false) ?(bound = SSet.empty) env ~file
-    ~deep expr =
+let make_ctx ?record ?(mask = fun _ -> false) ?(bound = SSet.empty)
+    ?(read = ignore) env ~file ~deep expr =
   {
     env;
     file;
@@ -467,9 +474,10 @@ let make_ctx ?record ?(mask = fun _ -> false) ?(bound = SSet.empty) env ~file
     deep;
     record;
     masked = mask;
+    read;
   }
 
-let node_effect env ~deep id =
+let node_effect ?read env ~deep id =
   List.fold_left
     (fun acc d ->
       let record =
@@ -481,7 +489,7 @@ let node_effect env ~deep id =
                 Hashtbl.add env.raise_sites (id, exn) loc)
       in
       let ctx =
-        make_ctx ?record env ~file:d.Callgraph.d_file ~deep d.Callgraph.d_expr
+        make_ctx ?record ?read env ~file:d.Callgraph.d_file ~deep d.Callgraph.d_expr
       in
       union acc (fst (eval ctx d.Callgraph.d_expr)))
     pure
@@ -498,23 +506,30 @@ let infer graph =
   in
   let ids = Callgraph.nodes graph in
   List.iter (fun id -> Hashtbl.replace env.summaries id pure) ids;
-  (* monotone fixpoint; eval is monotone in the summary table, so the
-     extra union-with-current is belt and braces for termination *)
-  let changed = ref true in
-  let iterations = ref 0 in
-  while !changed && !iterations < 64 do
-    incr iterations;
-    changed := false;
-    List.iter
-      (fun id ->
-        let cur = summary env id in
-        let next = union cur (node_effect env ~deep:true id) in
-        if not (equal cur next) then begin
-          Hashtbl.replace env.summaries id next;
-          changed := true
-        end)
-      ids
-  done;
+  (* Worklist fixpoint: every node is evaluated once, then again only
+     when a summary its last walk consulted has grown.  [eval] is
+     monotone in the summary table, so this reaches the least fixpoint
+     that repeated rounds over every node reach.  The walks record
+     their own readers: [Callgraph.edges] can list a callee under a
+     name that resolves to a node only once later files are
+     declared. *)
+  let readers : (string, SSet.t) Hashtbl.t = Hashtbl.create 256 in
+  let readers_of id = Option.value ~default:SSet.empty (Hashtbl.find_opt readers id) in
+  let rec drain pending =
+    match SSet.min_elt_opt pending with
+    | None -> ()
+    | Some id ->
+      let read name = Hashtbl.replace readers name (SSet.add id (readers_of name)) in
+      let cur = summary env id in
+      let next = union cur (node_effect ~read env ~deep:true id) in
+      let pending = SSet.remove id pending in
+      if equal cur next then drain pending
+      else begin
+        Hashtbl.replace env.summaries id next;
+        drain (SSet.union pending (readers_of id))
+      end
+  in
+  drain (SSet.of_list ids);
   (* direct (intraprocedural) seeds + raise sites, for witnesses *)
   List.iter
     (fun id ->

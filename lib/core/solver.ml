@@ -34,7 +34,7 @@ let check_rel_consistency model rel =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-(* Instance-size bound for the exponential exact engines in the
+(* Instance-size bound for the exponential searches in the
    NP-complete cells: DISCRETE branch and bound up to this many tasks,
    TRI-CRIT VDD-HOPPING subset search up to four fewer. *)
 let exact_threshold = 14
@@ -57,9 +57,11 @@ let solve { mapping; model; deadline; rel } =
   | Speed.Vdd_hopping levels, Some rel -> (
     let* () = check_rel_consistency model rel in
     if n <= exact_threshold - 4 then begin
+      (* optimal over the subsets at the even budget split only, not
+         under the true product constraint *)
       match Tricrit_vdd.solve_exact ~rel ~deadline ~levels mapping with
       | Some sol ->
-        answer ~exact:true ~engine:"tri-crit vdd exact (subset x LP)"
+        answer ~exact:false ~engine:"tri-crit vdd branch and bound (even budget split)"
           sol.Tricrit_vdd.schedule
       | None -> Error "infeasible: the deadline cannot be met under this model"
     end

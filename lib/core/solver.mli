@@ -10,7 +10,9 @@
     model        BI-CRIT                       TRI-CRIT
     ───────────  ────────────────────────────  ─────────────────────────────
     CONTINUOUS   convex solve (exact)          best-of heuristics (A/B)
-    VDD-HOPPING  LP (exact)                    continuous bridge + LP
+    VDD-HOPPING  LP (exact)                    B&B at the even budget split
+                                               if small, else continuous
+                                               bridge + LP
     DISCRETE     B&B if small, else round-up   (not in the paper — rejected)
     INCREMENTAL  round-up approximation        (not in the paper — rejected)
     v}
@@ -18,7 +20,11 @@
     The exact/heuristic choice per cell mirrors the paper's complexity
     results: polynomial cells get exact algorithms, NP-complete cells
     get the approximation/heuristic the paper proposes (with exact
-    search when the instance is small enough). *)
+    search when the instance is small enough).  TRI-CRIT VDD-HOPPING
+    is never exact: its search is optimal over the re-execution
+    subsets only with each re-executed task's failure budget split
+    evenly between its two attempts ({!Tricrit_vdd}), a restriction of
+    the true product constraint that a better split can beat. *)
 
 type request = {
   mapping : Mapping.t;
@@ -30,14 +36,14 @@ type request = {
 type answer = {
   schedule : Schedule.t;
   energy : (float[@units "energy"]);
-  exact : bool;  (** whether the engine used is provably optimal *)
+  exact : bool;  (** whether the answer is provably optimal *)
   engine : string;  (** human-readable engine name, for reports *)
 }
 
 val solve : request -> (answer, string) result
-(** The exponential exact engines run in NP-complete cells up to 14
-    tasks (DISCRETE) or 10 tasks (TRI-CRIT VDD-HOPPING); larger
-    instances get the approximation or heuristic.  Errors are
+(** The exponential searches run in NP-complete cells up to 14 tasks
+    (DISCRETE, exact) or 10 tasks (TRI-CRIT VDD-HOPPING, at the even
+    split); larger instances get the approximation or heuristic.  Errors are
     human-readable: infeasible deadline, unsupported model/reliability
     combination, or inconsistent parameters (e.g. [rel] bounds
     disagreeing with the model's).

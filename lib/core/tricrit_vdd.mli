@@ -18,7 +18,10 @@
     [ε₁·ε₂ ≤ ε_target]; we linearise it by splitting the budget
     equally ([εₑ ≤ √ε_target] per attempt), which is the natural
     symmetric choice and an upper-bounding restriction (any feasible
-    point of the restricted LP is feasible for the true problem).
+    point of the restricted LP is feasible for the true problem).  It
+    is a restriction, not the problem: an uneven split can meet the
+    product at lower energy ({!refine_splits} finds such splits), so
+    no answer of this module is optimal for the true constraint.
 
     That LP is {!Bicrit_vdd}'s, given one failure budget per
     execution ({!Bicrit_vdd.build}); this module sets the budgets.
@@ -59,7 +62,8 @@ val solve_exact :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   solution option
-(** Minimum over all [2ⁿ] subsets: {!solve_subset}'s answer for the
+(** Minimum over all [2ⁿ] subsets at the even split (not under the
+    product constraint; see above): {!solve_subset}'s answer for the
     subset the plain enumeration ({!Subset_search.exhaustive} with no
     bound) would return — the same energy bits, subset and schedule,
     first of ties included — or [None] when no subset is feasible.

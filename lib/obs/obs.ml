@@ -1,7 +1,7 @@
-(* Global, process-wide solver telemetry: named counters, wall-clock
-   timers and hierarchical spans.  Everything is disabled by default;
-   the single [on] test keeps the instrumented hot paths within noise
-   of the uninstrumented code when telemetry is off.
+(* Global, process-wide solver telemetry: named counters and
+   wall-clock timers.  Everything is disabled by default; the single
+   [on] test keeps the instrumented hot paths within noise of the
+   uninstrumented code when telemetry is off.
 
    Handles ([counter]/[timer]) are meant to be created once at module
    initialisation and hit through a record field, so the hot path never
@@ -9,10 +9,10 @@
 
    Domain safety: the toggle and the clock are [Atomic.t]; counter and
    timer cells are atomic integers (durations accumulate in integer
-   nanoseconds, so [Atomic.fetch_and_add] applies); the span stack is
-   per-domain state in [Domain.DLS]; and the name->handle registries
-   are guarded by one mutex, taken only on the cold find-or-create and
-   snapshot/reset paths. *)
+   nanoseconds, so [Atomic.fetch_and_add] applies); and the
+   name->handle registries are guarded by one mutex, taken only on the
+   cold find-or-create and snapshot/reset paths.  No state is
+   per-domain. *)
 
 let on = Atomic.make false
 
@@ -100,73 +100,26 @@ let timer_total t = seconds_of_ns (Atomic.get t.total_ns)
 let timer_count t = Atomic.get t.count
 
 (* ------------------------------------------------------------------ *)
-(* spans                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Aggregated by full path: entering "solve" then "lp" accumulates
-   under the key ["solve"; "lp"].  Each domain has its own nesting
-   stack (stored reversed); the aggregation cells are shared and
-   atomic, so concurrent domains entering the same path accumulate
-   into one cell without losing updates. *)
-
-type span_cell = { s_total_ns : int Atomic.t; s_count : int Atomic.t }
-
-let spans : (string list, span_cell) Hashtbl.t = Hashtbl.create 64
-
-let span_stack_key : string list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let span_cell path =
-  locked @@ fun () ->
-  match Hashtbl.find_opt spans path with
-  | Some c -> c
-  | None ->
-    let c = { s_total_ns = Atomic.make 0; s_count = Atomic.make 0 } in
-    Hashtbl.add spans path c;
-    c
-
-let with_span name f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let stack = Domain.DLS.get span_stack_key in
-    let path = name :: !stack in
-    stack := path;
-    let cell = span_cell path in
-    let t0 = now () in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add cell.s_total_ns (ns_of_seconds (now () -. t0)));
-        Atomic.incr cell.s_count;
-        stack := (match !stack with _ :: tl -> tl | [] -> []))
-      f
-  end
-
-(* ------------------------------------------------------------------ *)
 (* reset / snapshot                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let reset () =
   (* zero in place: modules hold handles obtained at init time.  Call
      when no other domain is mid-measurement; concurrent increments
-     land in the fresh epoch.  Only the calling domain's span stack can
-     be cleared — other domains' stacks unwind on their own. *)
-  locked (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
-      Hashtbl.iter
-        (fun _ t ->
-          Atomic.set t.total_ns 0;
-          Atomic.set t.count 0)
-        timers;
-      Hashtbl.reset spans);
-  Domain.DLS.get span_stack_key := []
+     land in the fresh epoch. *)
+  locked @@ fun () ->
+  Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
+  Hashtbl.iter
+    (fun _ t ->
+      Atomic.set t.total_ns 0;
+      Atomic.set t.count 0)
+    timers
 
 type timer_stat = { total : float; count : int }
-type span_stat = { path : string list; span_total : float; span_count : int }
 
 type snapshot = {
   counters : (string * int) list;
   timers : (string * timer_stat) list;
-  spans : span_stat list;
 }
 
 let snapshot () =
@@ -189,19 +142,7 @@ let snapshot () =
       timers []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let sps =
-    Hashtbl.fold
-      (fun path c acc ->
-        {
-          path = List.rev path;
-          span_total = seconds_of_ns (Atomic.get c.s_total_ns);
-          span_count = Atomic.get c.s_count;
-        }
-        :: acc)
-      spans []
-    |> List.sort (fun a b -> List.compare String.compare a.path b.path)
-  in
-  { counters = cs; timers = ts; spans = sps }
+  { counters = cs; timers = ts }
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
@@ -216,7 +157,7 @@ let pp_duration secs =
 let render_text snap =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  if snap.counters = [] && snap.timers = [] && snap.spans = [] then
+  if snap.counters = [] && snap.timers = [] then
     line "obs: no telemetry recorded (was Obs.enable called?)"
   else begin
     if snap.counters <> [] then begin
@@ -230,93 +171,6 @@ let render_text snap =
           line "  %-36s %12s %8d %12s" name (pp_duration t.total) t.count
             (pp_duration (t.total /. float_of_int t.count)))
         snap.timers
-    end;
-    if snap.spans <> [] then begin
-      line "spans:";
-      List.iter
-        (fun s ->
-          let depth = List.length s.path - 1 in
-          let name =
-            match List.rev s.path with [] -> "?" | leaf :: _ -> leaf
-          in
-          line "  %s%-*s %12s %8d"
-            (String.concat "" (List.init depth (fun _ -> "  ")))
-            (36 - (2 * depth)) name (pp_duration s.span_total) s.span_count)
-        snap.spans
     end
   end;
   Buffer.contents buf
-
-let to_json snap =
-  let open Obs_json in
-  Obj
-    [
-      ("counters", Obj (List.map (fun (n, v) -> (n, Num (float_of_int v))) snap.counters));
-      ( "timers",
-        Obj
-          (List.map
-             (fun (n, (t : timer_stat)) ->
-               ( n,
-                 Obj
-                   [
-                     ("total_s", Num t.total);
-                     ("count", Num (float_of_int t.count));
-                   ] ))
-             snap.timers) );
-      ( "spans",
-        List
-          (List.map
-             (fun s ->
-               Obj
-                 [
-                   ("path", List (List.map (fun p -> Str p) s.path));
-                   ("total_s", Num s.span_total);
-                   ("count", Num (float_of_int s.span_count));
-                 ])
-             snap.spans) );
-    ]
-
-let render_json snap = Obs_json.to_string (to_json snap)
-
-let of_json j =
-  let open Obs_json in
-  let num = function Some (Num x) -> x | _ -> raise (Parse_error "expected number") in
-  let counters =
-    match member "counters" j with
-    | Some (Obj fields) ->
-      List.map (fun (n, v) -> (n, int_of_float (num (Some v)))) fields
-    | _ -> []
-  in
-  let timers =
-    match member "timers" j with
-    | Some (Obj fields) ->
-      List.map
-        (fun (n, v) ->
-          ( n,
-            {
-              total = num (member "total_s" v);
-              count = int_of_float (num (member "count" v));
-            } ))
-        fields
-    | _ -> []
-  in
-  let spans =
-    match member "spans" j with
-    | Some (List items) ->
-      List.map
-        (fun item ->
-          let path =
-            match member "path" item with
-            | Some (List ps) ->
-              List.map (function Str p -> p | _ -> raise (Parse_error "path")) ps
-            | _ -> raise (Parse_error "path")
-          in
-          {
-            path;
-            span_total = num (member "total_s" item);
-            span_count = int_of_float (num (member "count" item));
-          })
-        items
-    | _ -> []
-  in
-  { counters; timers; spans }

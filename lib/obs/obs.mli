@@ -1,5 +1,5 @@
-(** Solver telemetry: named counters, wall-clock timers and
-    hierarchical spans behind one process-wide toggle.
+(** Solver telemetry: named counters and wall-clock timers behind one
+    process-wide toggle.
 
     The paper's headline results are complexity claims — the
     VDD-HOPPING LP is polynomial, the TRI-CRIT heuristics avoid the
@@ -9,20 +9,18 @@
     report that work without paying for it when nobody is looking:
 
     - everything is {b disabled by default}; when disabled, a counter
-      bump is a single load-test-branch and [time]/[with_span] run the
-      thunk directly (< 2 % overhead on the instrumented paths);
+      bump is a single load-test-branch and [time] runs the thunk
+      directly (< 2 % overhead on the instrumented paths);
     - handles are created once at module-initialisation time
       ([counter]/[timer] memoise by name), so the hot path never
       touches a hashtable;
     - state is global and process-wide, matching how the CLI tools
       use it: enable, run the solve, snapshot, render.
 
-    {b Domain-safe.}  The toggle and the clock are atomic; counter,
-    timer and span cells are atomic integers (durations accumulate in
-    integer nanoseconds), so concurrent increments from several
-    domains are never lost; each domain keeps its own span-nesting
-    stack in [Domain.DLS], so [with_span] nests correctly per domain
-    while aggregation cells are shared by path.  The name->handle
+    {b Domain-safe.}  The toggle and the clock are atomic; counter and
+    timer cells are atomic integers (durations accumulate in integer
+    nanoseconds), so concurrent increments from several domains are
+    never lost, and no state is kept per domain.  The name->handle
     registries are mutex-guarded on the cold find-or-create and
     snapshot paths only.  [reset] and [set_clock] are meant for
     quiescent points (between runs): concurrent measurements straddle
@@ -34,10 +32,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Zero every counter and timer and clear all spans.  Existing
-    handles remain valid.  Call between runs, when no other domain is
-    mid-measurement; only the calling domain's span-nesting stack is
-    cleared (other domains' stacks unwind on their own). *)
+(** Zero every counter and timer.  Existing handles remain valid.
+    Call between runs, when no other domain is mid-measurement. *)
 
 (** {1 Clock} *)
 
@@ -81,39 +77,21 @@ val timer_total : timer -> float
 
 val timer_count : timer -> int
 
-(** {1 Spans}
-
-    Spans are timers with context: [with_span "solve" (fun () ->
-    with_span "lp" ...)] accumulates under the path [solve/lp].
-    Aggregation is by full path, so recursive or repeated entry adds
-    to the same cell. *)
-
-val with_span : string -> (unit -> 'a) -> 'a
-
 (** {1 Snapshots and rendering} *)
 
 type timer_stat = { total : float; count : int }
-type span_stat = { path : string list; span_total : float; span_count : int }
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name; zero entries omitted *)
   timers : (string * timer_stat) list;  (** sorted by name; idle timers omitted *)
-  spans : span_stat list;  (** sorted by path *)
 }
 
 val snapshot : unit -> snapshot
 
 val render_text : snapshot -> string
-(** Aligned human-readable listing (counters, timers, span tree). *)
-
-val to_json : snapshot -> Obs_json.t
-
-val render_json : snapshot -> string
-
-val of_json : Obs_json.t -> snapshot
-(** Inverse of {!to_json} up to float printing precision.
-    @raise Obs_json.Parse_error on structurally invalid input. *)
+(** Aligned human-readable listing: counters, then timers with total,
+    count and mean. *)
 
 val pp_duration : float -> string
-(** [1.5e-4] ↦ ["150.000 us"] — shared by the renderers and the bench
-    harness. *)
+(** [1.5e-4] ↦ ["150.000 us"] — shared by {!render_text} and
+    [eslint --stats]. *)

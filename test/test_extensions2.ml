@@ -1,38 +1,42 @@
-(* Tests for the convex-hull view of VDD-HOPPING, the realised-trace
-   simulator, the Cholesky generator, and cross-solver property
-   tests. *)
+(* Tests for the convex-hull view of VDD-HOPPING (the hull reference
+   of Es_check.Brute against the LP and the time-matching emulation),
+   the realised-trace simulator, the Cholesky generator, and
+   cross-solver property tests. *)
+
+module Brute = Es_check.Brute
 
 let rel = Rel.make ~lambda0:1e-5 ~sensitivity:3. ~fmin:0.2 ~fmax:1.0 ~frel:0.8 ()
 let levels = [| 0.2; 0.4; 0.6; 0.8; 1.0 |]
 
-(* --- Vdd_hull ------------------------------------------------------- *)
+(* --- the hull reference and the time-matching emulation ------------- *)
 
 let test_hull_at_level_points () =
   (* g(1/f_k) = f_k² exactly at every level *)
   Array.iter
     (fun f ->
-      Alcotest.(check (float 1e-9))
+      Alcotest.(check (option (float 1e-9)))
         (Printf.sprintf "g(1/%g)" f)
-        (f *. f)
-        (Vdd_hull.energy_per_work ~levels (1. /. f)))
+        (Some (f *. f))
+        (Brute.energy_per_work ~levels ~u:(1. /. f)))
     levels
 
 let test_hull_between_levels () =
   (* between levels, g is the chord: strictly above the continuous
      curve u⁻², strictly below the worse of the two endpoints *)
   let u = 0.5 *. ((1. /. 0.8) +. (1. /. 0.6)) in
-  let g = Vdd_hull.energy_per_work ~levels u in
-  Alcotest.(check bool) "above continuous curve" true (g > (1. /. u) ** 2.);
-  Alcotest.(check bool) "below slow endpoint" true (g < 0.8 *. 0.8)
+  match Brute.energy_per_work ~levels ~u with
+  | None -> Alcotest.fail "u is within the level range"
+  | Some g ->
+    Alcotest.(check bool) "above continuous curve" true (g > (1. /. u) ** 2.);
+    Alcotest.(check bool) "below slow endpoint" true (g < 0.8 *. 0.8)
 
 let test_hull_too_fast_infeasible () =
-  Alcotest.(check bool) "u < 1/fmax" true
-    (Vdd_hull.energy_per_work ~levels 0.5 = infinity)
+  Alcotest.(check bool) "u < 1/fmax" true (Brute.energy_per_work ~levels ~u:0.5 = None)
 
 let test_hull_slow_saturates () =
   (* slower than 1/fmin: cost stays at the fmin point *)
-  Alcotest.(check (float 1e-9)) "saturated" (0.2 *. 0.2)
-    (Vdd_hull.energy_per_work ~levels 100.)
+  Alcotest.(check (option (float 1e-9))) "saturated" (Some (0.2 *. 0.2))
+    (Brute.energy_per_work ~levels ~u:100.)
 
 let test_hull_chain_matches_lp () =
   List.iter
@@ -45,7 +49,7 @@ let test_hull_chain_matches_lp () =
         (fun slack ->
           let deadline = slack *. w in
           match
-            ( Vdd_hull.chain_energy ~levels ~total_weight:w ~deadline,
+            ( Brute.vdd_chain_optimum ~levels ~weights:(Dag.weights dag) ~deadline,
               Bicrit_vdd.energy ~deadline ~levels m )
           with
           | Some closed, Some lp ->
@@ -58,32 +62,41 @@ let test_hull_chain_matches_lp () =
         [ 1.05; 1.33; 1.8; 2.6; 6. ])
     [ 601; 602 ]
 
+(* On a single-processor chain every task runs at the common speed
+   max(fmin, W/D); its time-matching mix is the hull's optimum. *)
+let chain_schedule ~deadline m =
+  let dag = Mapping.dag m in
+  let f = Float.max levels.(0) (Dag.total_weight dag /. deadline) in
+  Bicrit_vdd.emulate_continuous ~levels ~speeds:(Array.make (Dag.n dag) f) m
+
 let test_hull_chain_schedule_feasible () =
   let rng = Es_util.Rng.create ~seed:603 in
   let dag = Generators.chain rng ~n:5 ~wlo:0.5 ~whi:2. in
   let m = Mapping.single_processor dag in
   let deadline = 1.5 *. Dag.total_weight dag in
-  match Vdd_hull.chain_schedule ~levels ~deadline m with
+  match chain_schedule ~deadline m with
   | None -> Alcotest.fail "feasible"
   | Some sched ->
     Alcotest.(check bool) "validator accepts" true
       (Validate.is_feasible ~deadline ~model:(Speed.vdd_hopping levels) sched);
     (* energy matches the closed form *)
-    (match
-       Vdd_hull.chain_energy ~levels ~total_weight:(Dag.total_weight dag) ~deadline
-     with
+    (match Brute.vdd_chain_optimum ~levels ~weights:(Dag.weights dag) ~deadline with
     | Some closed ->
       Alcotest.(check bool) "energy matches closed form" true
         (Float.abs (Schedule.energy sched -. closed) < 1e-6 *. closed)
     | None -> Alcotest.fail "closed form exists")
 
 let test_hull_bracket_consecutive () =
-  match Vdd_hull.bracket_for_time ~levels 1.4 with
-  | Some (lo, hi) ->
-    (* 1/0.8 = 1.25 <= 1.4 <= 1/0.6 ≈ 1.67 *)
-    Alcotest.(check (float 1e-9)) "lo" 0.6 lo;
-    Alcotest.(check (float 1e-9)) "hi" 0.8 hi
+  (* 1/0.8 = 1.25 <= 1.4 <= 1/0.6 ≈ 1.67: the mix uses exactly the
+     two consecutive levels around speed 1/1.4 *)
+  let dag = Dag.make ?labels:None ~weights:[| 1. |] ~edges:[] in
+  match chain_schedule ~deadline:1.4 (Mapping.single_processor dag) with
   | None -> Alcotest.fail "bracket exists"
+  | Some sched ->
+    Alcotest.(check (list (float 1e-9))) "levels" [ 0.6; 0.8 ]
+      (List.concat_map
+         (List.map (fun (p : Schedule.part) -> p.speed))
+         (Schedule.executions sched 0))
 
 (* --- traced runs ---------------------------------------------------- *)
 

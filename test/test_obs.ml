@@ -1,14 +1,14 @@
-(* Tests for the telemetry layer (Es_obs): counter/timer/span
-   semantics under a fake clock, disabled-mode no-ops, snapshot
-   filtering, and the JSON round-trip used by the bench baseline.
+(* Tests for the telemetry layer (Es_obs): counter/timer semantics
+   under a fake clock, disabled-mode no-ops, snapshot filtering and
+   rendering, and the JSON reader and writers.
 
    Obs state is process-global and shared with the instrumented
    solver libraries, so every test starts from [reset] and restores
    the disabled state and the real clock on the way out. *)
 
 (* The Obs hammer tests spawn raw domains on purpose: they validate the
-   atomic counters and per-domain span stacks without the pool in the
-   loop, so routing them through Es_par.Pool would defeat the test. *)
+   atomic counter and timer cells without the pool in the loop, so
+   routing them through Es_par.Pool would defeat the test. *)
 [@@@lint.allow "P004"]
 
 module Obs = Es_obs.Obs
@@ -60,7 +60,6 @@ let test_disabled_is_noop () =
   Fun.protect ~finally:(fun () -> Obs.set_clock Unix.gettimeofday) @@ fun () ->
   let t = Obs.timer "test_obs_disabled_timer" in
   Alcotest.(check int) "thunk still runs" 41 (Obs.time t (fun () -> 41));
-  Alcotest.(check int) "span thunk still runs" 42 (Obs.with_span "s" (fun () -> 42));
   Alcotest.(check int) "no invocation recorded" 0 (Obs.timer_count t)
 
 let test_timer_accumulates_fake_clock () =
@@ -94,24 +93,36 @@ let test_timer_clamps_backward_clock () =
   check_float "negative delta clamped to zero" 0. (Obs.timer_total t);
   Alcotest.(check int) "still counted" 1 (Obs.timer_count t)
 
-let test_span_nesting_aggregates_by_path () =
+let test_nested_timers_time_independently () =
   with_obs @@ fun () ->
+  let outer = Obs.timer "test_obs_outer" and inner = Obs.timer "test_obs_inner" in
   for _ = 1 to 2 do
-    Obs.with_span "outer" (fun () ->
+    Obs.time outer (fun () ->
         fake_time := !fake_time +. 1.;
-        Obs.with_span "inner" (fun () -> fake_time := !fake_time +. 0.5))
+        Obs.time inner (fun () -> fake_time := !fake_time +. 0.5))
   done;
+  Alcotest.(check int) "outer entered twice" 2 (Obs.timer_count outer);
+  Alcotest.(check int) "inner entered twice" 2 (Obs.timer_count inner);
+  check_float "outer includes inner" 3. (Obs.timer_total outer);
+  check_float "inner total" 1. (Obs.timer_total inner)
+
+let test_snapshot_matches_handles () =
+  with_obs @@ fun () ->
+  let c = Obs.counter "test_obs_snap_counter" in
+  Obs.add c 17;
+  let t = Obs.timer "test_obs_snap_timer" in
+  ignore (Obs.time t (fun () -> fake_time := !fake_time +. 0.125));
+  ignore (Obs.time t (fun () -> fake_time := !fake_time +. 0.0625));
   let snap = Obs.snapshot () in
-  let find path =
-    match List.find_opt (fun (s : Obs.span_stat) -> s.path = path) snap.Obs.spans with
-    | Some s -> s
-    | None -> Alcotest.failf "span %s missing" (String.concat "/" path)
-  in
-  let outer = find [ "outer" ] and inner = find [ "outer"; "inner" ] in
-  Alcotest.(check int) "outer entered twice" 2 outer.Obs.span_count;
-  Alcotest.(check int) "inner entered twice" 2 inner.Obs.span_count;
-  check_float "outer includes inner" 3. outer.Obs.span_total;
-  check_float "inner total" 1. inner.Obs.span_total
+  Alcotest.(check (list (pair string int)))
+    "counter entry" [ ("test_obs_snap_counter", 17) ] snap.Obs.counters;
+  match snap.Obs.timers with
+  | [ (name, { Obs.total; count }) ] ->
+      Alcotest.(check string) "timer name" "test_obs_snap_timer" name;
+      Alcotest.(check int) "count = timer_count" (Obs.timer_count t) count;
+      check_float "total = timer_total" (Obs.timer_total t) total;
+      check_float "total" 0.1875 total
+  | ts -> Alcotest.failf "expected one timer entry, got %d" (List.length ts)
 
 let test_snapshot_omits_idle_and_sorts () =
   with_obs @@ fun () ->
@@ -128,19 +139,6 @@ let test_snapshot_omits_idle_and_sorts () =
     (List.mem "test_obs_idle" names);
   Alcotest.(check bool) "idle timer omitted" true (snap.Obs.timers = []);
   Alcotest.(check (list string)) "sorted by name" [ "test_obs_a"; "test_obs_b" ] names
-
-let test_json_round_trip () =
-  with_obs @@ fun () ->
-  let c = Obs.counter "test_obs_rt_counter" in
-  Obs.add c 17;
-  let t = Obs.timer "test_obs_rt_timer" in
-  ignore (Obs.time t (fun () -> fake_time := !fake_time +. 0.125));
-  Obs.with_span "solve" (fun () ->
-      fake_time := !fake_time +. 0.0625;
-      Obs.with_span "lp" (fun () -> fake_time := !fake_time +. 0.03125));
-  let snap = Obs.snapshot () in
-  let parsed = Obs.of_json (Json.of_string (Obs.render_json snap)) in
-  Alcotest.(check bool) "snapshot survives JSON round-trip" true (parsed = snap)
 
 let test_render_text_mentions_everything () =
   with_obs @@ fun () ->
@@ -216,37 +214,39 @@ let test_timer_hammer () =
       (hammer_domains * iters) (Obs.timer_count t);
     check_float "constant clock accumulates zero" 0. (Obs.timer_total t)
 
-let test_span_stacks_are_per_domain () =
-  with_obs @@ fun () ->
-  (* each domain nests its own spans; a shared-stack implementation
-     would interleave the paths and fabricate cross-domain nestings *)
-  let doms =
-    List.init hammer_domains (fun k ->
-        Domain.spawn (fun () ->
-            let name = Printf.sprintf "dom%d" k in
-            for _ = 1 to 500 do
-              Obs.with_span name (fun () -> Obs.with_span "inner" (fun () -> ()))
-            done))
-  in
-  List.iter Domain.join doms;
-  let snap = Obs.snapshot () in
-  let expected =
-    List.concat_map
-      (fun k ->
-        let name = Printf.sprintf "dom%d" k in
-        [ [ name ]; [ name; "inner" ] ])
-      (List.init hammer_domains Fun.id)
-    |> List.sort (List.compare String.compare)
-  in
-  Alcotest.(check (list (list string)))
-    "exactly the per-domain paths, no interleavings" expected
-    (List.map (fun (s : Obs.span_stat) -> s.path) snap.Obs.spans);
-  List.iter
-    (fun (s : Obs.span_stat) ->
-      Alcotest.(check int)
-        (String.concat "/" s.path ^ " count")
-        500 s.Obs.span_count)
-    snap.Obs.spans
+let test_registry_across_domains () =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ();
+      Obs.set_clock Unix.gettimeofday)
+    @@ fun () ->
+    Obs.set_clock (fun () -> 1.);
+    (* every domain finds-or-creates its own timer and a shared one on
+       its own; the registry must hand out one cell per name *)
+    let iters = 500 in
+    let own k = Printf.sprintf "test_obs_dom%d" k in
+    let doms =
+      List.init hammer_domains (fun k ->
+          Domain.spawn (fun () ->
+              for _ = 1 to iters do
+                ignore (Obs.time (Obs.timer (own k)) (fun () -> ()));
+                ignore (Obs.time (Obs.timer "test_obs_dom_shared") (fun () -> ()))
+              done))
+    in
+    List.iter Domain.join doms;
+    let expected =
+      ("test_obs_dom_shared", hammer_domains * iters)
+      :: List.init hammer_domains (fun k -> (own k, iters))
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    Alcotest.(check (list (pair string int)))
+      "one cell per name, no invocation lost" expected
+      (List.map
+         (fun (name, (s : Obs.timer_stat)) -> (name, s.Obs.count))
+         (Obs.snapshot ()).Obs.timers)
 
 let test_json_parser_values () =
   let open Json in
@@ -746,17 +746,16 @@ let suite =
         test_timer_records_on_exception;
       Alcotest.test_case "timer clamps backward clock" `Quick
         test_timer_clamps_backward_clock;
-      Alcotest.test_case "span nesting aggregates by path" `Quick
-        test_span_nesting_aggregates_by_path;
+      Alcotest.test_case "nested timers time independently" `Quick
+        test_nested_timers_time_independently;
       Alcotest.test_case "snapshot omits idle, sorts" `Quick
         test_snapshot_omits_idle_and_sorts;
-      Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
+      Alcotest.test_case "snapshot matches the handles" `Quick test_snapshot_matches_handles;
       Alcotest.test_case "text rendering" `Quick test_render_text_mentions_everything;
       Alcotest.test_case "pp_duration units" `Quick test_pp_duration_units;
       Alcotest.test_case "counter hammer (4 domains)" `Quick test_counter_hammer;
       Alcotest.test_case "timer hammer (4 domains)" `Quick test_timer_hammer;
-      Alcotest.test_case "span stacks are per-domain" `Quick
-        test_span_stacks_are_per_domain;
+      Alcotest.test_case "timer registry across domains" `Quick test_registry_across_domains;
       Alcotest.test_case "JSON parser values" `Quick test_json_parser_values;
       Alcotest.test_case "JSON parser rejects garbage" `Quick
         test_json_parser_rejects_garbage;
