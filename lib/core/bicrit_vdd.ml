@@ -9,6 +9,7 @@ type built = {
   mapping : Mapping.t;
   alpha : Problem.var array array array; (* task → execution → level *)
   start : Problem.var array;
+  weight : Problem.var option array; (* per task, λᵢ if its choice is open *)
   weight_rows : int array; (* per task, the row of λᵢ ≤ hᵢ, or -1 *)
   first_edge_row : int;
   upper : float array; (* per column, in registration order *)
@@ -105,6 +106,7 @@ let build ~deadline ~levels ~reliability mapping =
     mapping;
     alpha;
     start;
+    weight;
     weight_rows;
     first_edge_row;
     upper = Array.of_list (List.rev !upper);
@@ -165,6 +167,11 @@ let with_choices b sp choice =
       end)
     b.weight_rows;
   Sparse.with_rhs sp rhs
+
+let choice_weight b solution i =
+  match b.weight.(i) with
+  | Some l -> Problem.value solution l
+  | None -> invalid_arg (Printf.sprintf "Bicrit_vdd.choice_weight: task %d has no open choice" i)
 
 (* Weak duality: for x feasible and y of the rows' signs (≤ 0 on ≤
    rows), c·x ≥ b·y + (c − Aᵀy)·x, and 0 ≤ x ≤ u bounds the last term

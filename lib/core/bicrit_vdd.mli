@@ -250,6 +250,13 @@ val with_choices : built -> Es_lp.Sparse.t -> (int -> bool option) -> Es_lp.Spar
 
     @raise Invalid_argument if [sp] has fewer rows than [problem b]. *)
 
+val choice_weight : built -> Es_lp.Problem.solution -> int -> (float[@units "dimensionless"])
+(** [choice_weight b s i]: the weight [λᵢ] of task [i]'s open choice
+    in a solution [s] of {!problem} or of one of its {!with_choices}
+    restatements; [0] runs the task once, [1] re-executes it.
+
+    @raise Invalid_argument if task [i]'s choice is not open. *)
+
 val dual_bound :
   built -> Es_lp.Sparse.t -> Es_lp.Problem.solution -> (float[@units "energy"])
 (** [dual_bound b sp s]: the weak-duality lower bound

@@ -42,7 +42,6 @@ let all_kinds = [| Single; Reexecute; Replicate |]
 
 let solve_over_kinds menu ~rel ~deadline ~weights =
   Subset_search.exhaustive ~menu ~vary:(Array.make (Array.length weights) true)
-    ~bound:(fun _ _ -> neg_infinity)
     ~evaluate:(fun kinds -> evaluate ~rel ~deadline ~weights ~kinds)
     ~energy:(fun s -> s.energy)
 

@@ -1,3 +1,8 @@
+type 'c node =
+  | Infeasible
+  | Split of { bound : float; at : int; first : int }
+  | Attained of { bound : float; vector : 'c array }
+
 let first_choices menu vary =
   if Array.length menu = 0 then invalid_arg "Subset_search: empty menu";
   Array.make (Array.length vary) menu.(0)
@@ -8,36 +13,69 @@ let first_choices menu vary =
    enumeration would return. *)
 let prune_margin = 1e-9
 
-let exhaustive ~menu ~vary ~bound ~evaluate ~energy =
-  let choice = first_choices menu vary in
-  let positions = List.filter (fun i -> vary.(i)) (List.init (Array.length vary) Fun.id) in
+let branch_and_bound ~menu ~vary ~node ~evaluate ~energy =
+  let partial = Array.mapi (fun i c -> if vary.(i) then None else Some c) (first_choices menu vary) in
+  let decided = Array.map Option.some menu in
+  (* an entry's menu position: its first, which the enumeration
+     reaches first *)
+  let index c =
+    let rec from k = if menu.(k) = c then k else from (k + 1) in
+    from 0
+  in
+  (* whether [v] comes before [w] in the plain enumeration's order *)
+  let rec earlier v w i =
+    i < Array.length v
+    &&
+    let a = index v.(i) and b = index w.(i) in
+    a < b || (a = b && earlier v w (i + 1))
+  in
+  (* the incumbent and its vector *)
   let best = ref None in
-  let consider () =
-    match evaluate choice with
-    | None -> ()
-    | Some sol -> (
-      match !best with
-      | Some b when energy b <= energy sol -> ()
-      | _ -> best := Some sol)
+  let consider v =
+    match evaluate v with
+    | None -> false
+    | Some sol ->
+      (match !best with
+      | Some (b, w) when energy b < energy sol || (energy b = energy sol && not (earlier v w 0)) -> ()
+      | _ -> best := Some (sol, Array.copy v));
+      true
   in
-  let pruned decided =
-    let incumbent = match !best with Some b -> energy b | None -> infinity in
-    bound choice decided >= incumbent +. (prune_margin *. Float.abs incumbent)
+  let pruned bound =
+    let incumbent = match !best with Some (b, _) -> energy b | None -> infinity in
+    bound >= incumbent +. (prune_margin *. Float.abs incumbent)
   in
-  (* depth first, the first position outermost, each in menu order;
-     positions below [decided] are fixed in this subtree *)
-  let rec enum decided = function
-    | [] -> consider ()
-    | i :: rest ->
-      if not (pruned decided) then
-        Array.iter
-          (fun c ->
-            choice.(i) <- c;
-            enum (i + 1) rest)
-          menu
+  let rec visit () =
+    match node partial with
+    | Infeasible -> ()
+    | Split { bound; at; first } -> if not (pruned bound) then split at first
+    | Attained { bound; vector } ->
+      (* an infeasible vector leaves its subtree open, unless a leaf *)
+      if not (pruned bound || consider vector) then
+        Option.iter (fun at -> split at 0) (Array.find_index Option.is_none partial)
+  and split at first =
+    if Option.is_some partial.(at) then invalid_arg "Subset_search: split on a decided position";
+    let take k =
+      partial.(at) <- decided.(k);
+      visit ()
+    in
+    take first;
+    Array.iteri (fun k _ -> if k <> first then take k) menu;
+    partial.(at) <- None
   in
-  enum 0 positions;
-  !best
+  visit ();
+  Option.map fst !best
+
+(* The lowest open position first, in menu order: the enumeration's
+   own order. *)
+let no_bound partial =
+  match Array.find_index Option.is_none partial with
+  | Some at -> Split { bound = neg_infinity; at; first = 0 }
+  | None ->
+    (* a leaf: every position is decided *)
+    Attained { bound = neg_infinity; vector = Array.map (function Some c -> c | None -> assert false) partial }
+
+let exhaustive ~menu ~vary ~evaluate ~energy =
+  branch_and_bound ~menu ~vary ~node:no_bound ~evaluate ~energy
 
 let descent ~menu ~vary ~evaluate ~energy =
   let choice = first_choices menu vary in

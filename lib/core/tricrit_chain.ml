@@ -72,7 +72,6 @@ let solve_exact ~rel ~deadline mapping =
   if n > max_n then
     invalid_arg (Printf.sprintf "Tricrit_chain.solve_exact: n = %d > %d" n max_n);
   Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
-    ~bound:(fun _ _ -> neg_infinity)
     ~evaluate:(fun subset -> evaluate_subset ~rel ~deadline mapping ~subset)
     ~energy:(fun s -> s.energy)
 

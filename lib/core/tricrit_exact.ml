@@ -16,6 +16,5 @@ let solve ~rel ~deadline mapping =
   if k > max_n then
     invalid_arg (Printf.sprintf "Tricrit_exact.solve: %d candidates > %d" k max_n);
   Subset_search.exhaustive ~menu:[| false; true |] ~vary:cand
-    ~bound:(fun _ _ -> neg_infinity)
     ~evaluate:(fun subset -> Heuristics.evaluate_subset ~rel ~deadline mapping ~subset)
     ~energy:(fun (s : solution) -> s.energy)

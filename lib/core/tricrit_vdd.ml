@@ -77,15 +77,23 @@ let refine_splits ~rel ~deadline ~levels mapping solution =
   done;
   !best
 
-(* The bound of [solve_exact]'s search: one LP relaxation per request,
+(* The search nodes of [solve_exact]: one LP relaxation per request,
    every task's choice open, re-solved at each node with the decided
    tasks' weights fixed — new right-hand sides only, so the dual
    simplex restarts from the optimal basis of the node's parent, as a
    deadline sweep chains its deadlines; the root, and a node whose
    parent has no basis, start from the crash basis.  An infeasible
-   relaxation has no feasible completion; one whose solve raises
-   prunes nothing. *)
-let relaxation_bound ~rel ~deadline ~levels mapping =
+   relaxation has no feasible completion.  A feasible one bounds its
+   subtree and splits it on the open task whose weight is the most
+   fractional, the side it rounds to first; with every open weight
+   within [integral] of 0 or 1, the relaxation's optimum is a point of
+   the rounded subset's LP, which is then the subtree's minimum (at a
+   leaf, every weight is fixed and the relaxation is the leaf's own
+   LP).  A relaxation whose solve raises bounds nothing: its node is
+   the plain enumeration's. *)
+let integral = 1e-9
+
+let relaxation ~rel ~deadline ~levels mapping =
   let cdag = Mapping.constraint_dag mapping in
   let n = Dag.n cdag in
   let rates = Array.map (fun f -> Rel.rate rel ~f) levels in
@@ -100,22 +108,41 @@ let relaxation_bound ~rel ~deadline ~levels mapping =
   (* bases.(d): the optimal basis of the node with d tasks decided on
      the current path *)
   let bases = Array.make (n + 1) None in
-  fun subset decided ->
+  fun partial ->
     Obs.incr c_bounds;
-    let node = Bicrit_vdd.with_choices b sp (fun i -> if i < decided then Some subset.(i) else None) in
+    let decided = Array.fold_left (fun d c -> if Option.is_some c then d + 1 else d) 0 partial in
+    let node = Bicrit_vdd.with_choices b sp (Array.get partial) in
     let parent = if decided = 0 then None else bases.(decided - 1) in
     match Problem.solve_sparse ~basis:(Option.value parent ~default:crash) node with
     | Problem.Solution s, next ->
       bases.(decided) <- next;
-      Bicrit_vdd.dual_bound b node s
-    | Problem.Infeasible, _ -> infinity
+      let bound = Bicrit_vdd.dual_bound b node s in
+      (* the most fractional open weight, the lowest task on ties *)
+      let at = ref (-1) and fraction = ref 0. in
+      Array.iteri
+        (fun i c ->
+          if Option.is_none c then begin
+            let l = Bicrit_vdd.choice_weight b s i in
+            let f = Float.min l (1. -. l) in
+            if !at < 0 || f > !fraction then begin
+              at := i;
+              fraction := f
+            end
+          end)
+        partial;
+      let rounded i = Bicrit_vdd.choice_weight b s i >= 0.5 in
+      if !fraction <= integral then
+        Subset_search.Attained
+          { bound; vector = Array.mapi (fun i c -> match c with Some c -> c | None -> rounded i) partial }
+      else Subset_search.Split { bound; at = !at; first = Bool.to_int (rounded !at) }
+    | Problem.Infeasible, _ -> Subset_search.Infeasible
     | Problem.Unbounded, _ ->
       (* energy is bounded below by 0: cannot happen on well-formed input *)
       assert false
     | exception Failure _ ->
       Obs.incr c_bound_failures;
       bases.(decided) <- None;
-      neg_infinity
+      Subset_search.no_bound partial
 
 let max_n = 12
 
@@ -123,8 +150,8 @@ let solve_exact ~rel ~deadline ~levels mapping =
   let n = Dag.n (Mapping.dag mapping) in
   if n > max_n then
     invalid_arg (Printf.sprintf "Tricrit_vdd.solve_exact: n = %d > %d" n max_n);
-  Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
-    ~bound:(relaxation_bound ~rel ~deadline ~levels mapping)
+  Subset_search.branch_and_bound ~menu:[| false; true |] ~vary:(Array.make n true)
+    ~node:(relaxation ~rel ~deadline ~levels mapping)
     ~evaluate:(fun subset -> solve_subset ~rel ~deadline ~levels mapping ~subset)
     ~energy:(fun s -> s.energy)
 

@@ -26,11 +26,11 @@
     That LP is {!Bicrit_vdd}'s, given one failure budget per
     execution ({!Bicrit_vdd.build}); this module sets the budgets.
 
-    Solvers: branch and bound over the subsets ({!Subset_search}), an
-    LP at each leaf and the LP relaxation as the bound, for small
-    instances, and the paper's adaptation of the CONTINUOUS heuristics
-    (take the best-of-two continuous subset, then let the LP mix
-    speeds). *)
+    Solvers: for small instances, branch and bound over the subsets
+    ({!Subset_search}), bounded and guided by an LP relaxation and
+    closed by a subset LP wherever the relaxation is integral; and the
+    paper's adaptation of the CONTINUOUS heuristics (take the
+    best-of-two continuous subset, then let the LP mix speeds). *)
 
 type solution = {
   schedule : Schedule.t;
@@ -64,33 +64,40 @@ val solve_exact :
   solution option
 (** Minimum over all [2ⁿ] subsets at the even split (not under the
     product constraint; see above): {!solve_subset}'s answer for the
-    subset the plain enumeration ({!Subset_search.exhaustive} with no
-    bound) would return — the same energy bits, subset and schedule,
-    first of ties included — or [None] when no subset is feasible.
-    Size guard: [n <= 12].
+    subset the plain enumeration ({!Subset_search.exhaustive}) would
+    return — the same energy bits, subset and schedule, first of ties
+    included but for the exceptions {!Subset_search.branch_and_bound}
+    states — or [None] when no subset is feasible.  Size guard:
+    [n <= 12].
 
-    The search is branch and bound: {!Subset_search.exhaustive} with
-    a lower bound at every node, so that only the leaves it cannot
-    prune cost a subset LP.  The bound comes from one LP relaxation
-    per request, stated by {!Bicrit_vdd.build} with every task's
-    choice open (a weight [λᵢ ∈ [0, 1]] between running once within
-    [t] and twice within [√t] per attempt).  A node fixes its decided
-    tasks' weights at 0 or 1 through right-hand sides only
+    The search is {!Subset_search.branch_and_bound}, driven by one LP
+    relaxation per request, stated by {!Bicrit_vdd.build} with every
+    task's choice open (a weight [λᵢ ∈ [0, 1]] between running once
+    within [t] and twice within [√t] per attempt).  A node fixes its
+    decided tasks' weights at 0 or 1 through right-hand sides only
     ({!Bicrit_vdd.with_choices}), so the dual simplex re-solves it
     from its parent's optimal basis; the root starts from
-    {!Bicrit_vdd.crash}.  With every weight fixed the relaxation is
-    that subset's LP, so its optimum bounds every completion from
-    below.  The bound is {!Bicrit_vdd.dual_bound} of the returned
-    duals, a weak-duality value that an inexact solve can only lower
-    (rounding aside); an infeasible relaxation prunes its subtree, and
-    one whose solve raises prunes nothing (counted under
+    {!Bicrit_vdd.crash}.  The relaxation's optimum bounds every
+    completion from below; the bound is {!Bicrit_vdd.dual_bound} of
+    the returned duals, a weak-duality value that an inexact solve can
+    only lower (rounding aside).  An infeasible relaxation prunes its
+    subtree.  Otherwise the node splits on the open task whose [λᵢ] is
+    the most fractional (the largest [min(λᵢ, 1 − λᵢ)], the lowest
+    task on ties), the side [λᵢ] rounds to first; and when every open
+    [λᵢ] lies within [1e-9] of 0 or 1 — at a leaf, where none is
+    open, too — the relaxation's optimum is a point of the rounded
+    subset's LP, which {!solve_subset} then solves once for the whole
+    subtree.  A subtree is skipped when its bound reaches the
+    incumbent plus [1e-9] of it, which a bound a rounding error high
+    cannot do to a subtree holding a better subset.  A relaxation
+    solve that raises bounds nothing: its node is
+    {!Subset_search.no_bound}'s, which splits the lowest open task, or
+    at a leaf solves its subset (counted under
     ["tricrit_vdd_bound_failures"], the relaxation solves under
-    ["tricrit_vdd_bounds"], the leaves under ["tricrit_vdd_subsets"]).
-    A subtree is skipped when its bound reaches the incumbent plus
-    [1e-9] of it, which a bound a rounding error high cannot do to a
-    subtree holding a better subset.
+    ["tricrit_vdd_bounds"], the subset LPs under
+    ["tricrit_vdd_subsets"]).
 
-    @raise Failure if a leaf's LP exhausts the simplex pivot limit.
+    @raise Failure if a subset LP exhausts the simplex pivot limit.
     @raise Invalid_argument above the guard. *)
 
 val solve_heuristic :

@@ -118,6 +118,34 @@ let make ?labels ~weights ~edges =
   done;
   { n; weights = Array.copy weights; labels; succs; preds; order = kahn ~preds ~succs }
 
+(* [l], ascending without repeats, with [x]: [l] itself when it holds
+   [x] already. *)
+let insert x l =
+  let rec go acc = function
+    | y :: rest when y < x -> go (y :: acc) rest
+    | y :: _ when y = x -> l
+    | rest -> List.rev_append acc (x :: rest)
+  in
+  go [] l
+
+(* [t]'s lists are already sorted and distinct, and its edges valid:
+   only the chain pairs are checked, in [make]'s order and words, and
+   merged in place of a re-sort of every edge. *)
+let add_chains t chains =
+  let n = t.n in
+  let succs = Array.copy t.succs and preds = Array.copy t.preds in
+  let rec pairs = function
+    | a :: (b :: _ as rest) ->
+      if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Dag.make: edge out of range";
+      if a = b then invalid_arg "Dag.make: self loop";
+      succs.(a) <- insert b succs.(a);
+      preds.(b) <- insert a preds.(b);
+      pairs rest
+    | [ _ ] | [] -> ()
+  in
+  Array.iter pairs chains;
+  { t with labels = None; succs; preds; order = kahn ~preds ~succs }
+
 let topological_order t = Array.copy t.order
 
 let total_weight t = Es_util.Futil.sum t.weights

@@ -20,6 +20,19 @@ val make : ?labels:string array -> weights:float array -> edges:(task * task) li
 
     @raise Invalid_argument on a malformed task graph (nonpositive weight, out-of-range or self-loop edge, or cycle). *)
 
+val add_chains : t -> task list array -> t
+(** [add_chains t chains]: [t] with an edge from each task of every
+    chain to the next one in it — with one chain per processor, a
+    mapping's constraint DAG.  The result equals
+    [make ~weights:(weights t) ~edges:(edges t @ pairs)], where [pairs]
+    lists the chains' consecutive pairs in order, in its lists, its
+    order and its errors, with no labels; only the pairs are checked,
+    and each is merged into [t]'s sorted lists.
+
+    @raise Invalid_argument as {!make} on a pair with an end out of
+    range or equal ends, and ["Dag: cycle detected"] if the chains
+    close a cycle. *)
+
 val n : t -> int
 (** Number of tasks. *)
 

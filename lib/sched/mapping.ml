@@ -10,21 +10,6 @@ type t = {
   cdag : Dag.t;
 }
 
-let build_constraint_dag dag order =
-  let proc_edges =
-    Array.to_list order
-    |> List.concat_map (fun tasks ->
-           let rec pairs = function
-             | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-             | [ _ ] | [] -> []
-           in
-           pairs tasks)
-  in
-  (* Dag.make validates acyclicity, which is exactly the "order
-     respects precedence" requirement. *)
-  Dag.make ?labels:None ~weights:(Dag.weights dag)
-    ~edges:(Dag.edges dag @ proc_edges)
-
 let make ~p dag ~order =
   if Array.length order <> p then invalid_arg "Mapping.make: order length <> p";
   let n = Dag.n dag in
@@ -42,8 +27,9 @@ let make ~p dag ~order =
   Array.iteri
     (fun i k -> if k < 0 then invalid_arg (Printf.sprintf "Mapping.make: task %d unmapped" i))
     proc_of;
-  (* Raises through Dag.make if the order conflicts with precedence. *)
-  let cdag = build_constraint_dag dag order in
+  (* Raises "Dag: cycle detected" if the order conflicts with
+     precedence. *)
+  let cdag = Dag.add_chains dag order in
   { p; dag; order = Array.map (fun l -> l) order; proc_of; rank_of; cdag }
 
 let single_processor dag =

@@ -562,6 +562,53 @@ let test_make_allocation () =
     true
     (words <= 48. *. float_of_int n)
 
+(* Random DAGs of 1-30 tasks, their tasks dealt into 1-4 chains that
+   follow a topological order half the time (acyclic) and a random one
+   otherwise (often cyclic), and now and then a chain with an
+   out-of-range task or a task twice in a row: [add_chains] equals
+   [make] over the DAG's edges and the chains' pairs, lists, order,
+   weights and labels, or raises the same error. *)
+let qcheck_add_chains_is_make =
+  QCheck.Test.make ~name:"add_chains = make over edges @ chain pairs: lists, order, errors"
+    ~count:500 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Es_util.Rng.create ~seed in
+      let n = 1 + Es_util.Rng.int r 30 in
+      let d = Generators.random_dag r ~n ~p:(Es_util.Rng.uniform_in r 0. 0.4) ~wlo:0.5 ~whi:3. in
+      let tasks =
+        if Es_util.Rng.bool r then Dag.topological_order d
+        else begin
+          let a = Array.init n Fun.id in
+          Es_util.Rng.shuffle r a;
+          a
+        end
+      in
+      let p = 1 + Es_util.Rng.int r 4 in
+      let chains = Array.make p [] in
+      for k = n - 1 downto 0 do
+        let c = Es_util.Rng.int r p in
+        chains.(c) <- tasks.(k) :: chains.(c)
+      done;
+      (match Es_util.Rng.int r 16 with
+      | 0 -> chains.(0) <- chains.(0) @ [ (if Es_util.Rng.bool r then n else -1) ]
+      | 1 -> chains.(0) <- chains.(0) @ [ n - 1; n - 1 ]
+      | _ -> ());
+      let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | [ _ ] | [] -> [] in
+      let edges = Dag.edges d @ List.concat_map pairs (Array.to_list chains) in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      match
+        ( outcome (fun () -> Dag.add_chains d chains),
+          outcome (fun () -> Dag.make ?labels:None ~weights:(Dag.weights d) ~edges) )
+      with
+      | Ok a, Ok b ->
+        Array.init n (Dag.succs a) = Array.init n (Dag.succs b)
+        && Array.init n (Dag.preds a) = Array.init n (Dag.preds b)
+        && Dag.topological_order a = Dag.topological_order b
+        && Dag.weights a = Dag.weights b
+        && Array.init n (Dag.label a) = Array.init n (Dag.label b)
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let suite =
   ( fst suite,
     snd suite
@@ -576,4 +623,5 @@ let suite =
           test_kahn_allocation;
         QCheck_alcotest.to_alcotest qcheck_make_reference;
         Alcotest.test_case "make allocates <= 48 words per task" `Quick test_make_allocation;
+        QCheck_alcotest.to_alcotest qcheck_add_chains_is_make;
       ] )

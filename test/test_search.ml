@@ -57,37 +57,71 @@ let odometer ?start ~menu ~vary ~evaluate () =
   done;
   !best
 
-let no_bound _ _ = neg_infinity
-
-(* Bounds valid by construction: the odometer's minimum over the
-   subtree, [infinity] when the subtree has no feasible vector.  A
-   draw from the decided prefix keeps it exact two times in five, so
-   that subtrees tying with the incumbent are pruned too, lowers it
-   otherwise, and for a third of the seeds sometimes gives no bound. *)
-let oracle_bound ~menu ~vary ~evaluate ~seed v decided =
-  let draw =
-    match synthetic ~seed:(seed + decided) (Array.sub v 0 decided) with
-    | Some (_, e) -> int_of_float e
-    | None -> 4
-  in
-  let subtree = Array.mapi (fun i varies -> varies && i >= decided) vary in
-  if draw = 4 && seed mod 3 = 0 then neg_infinity
-  else
-    match odometer ~start:v ~menu ~vary:subtree ~evaluate () with
-    | None -> infinity
-    | Some s -> energy s -. if draw < 2 then 0. else 0.25 *. float_of_int draw
-
-(* With no bound and with the oracle's bounds alike. *)
+(* The plain enumeration. *)
 let qcheck_exhaustive_is_odometer =
   QCheck.Test.make ~name:"exhaustive = odometer enumeration" ~count:500 arb
     (fun (menu, vary, seed) ->
       let evaluate = synthetic ~seed in
+      Subset_search.exhaustive ~menu ~vary ~evaluate ~energy = odometer ~menu ~vary ~evaluate ())
+
+(* Nodes valid by construction: each subtree's answer comes from the
+   odometer over it, and a subtree with no feasible vector is
+   [Infeasible].  A draw from the node's decided positions sets the
+   bound: the subtree's minimum, that minimum lowered, or, for a third
+   of the seeds, no bound at all.  A leaf is [Attained] by its own
+   vector; so is any node, by the odometer's, for some draws of half
+   the seeds; the others split a random open position, first side at
+   random. *)
+let oracle_node ~menu ~evaluate ~seed partial =
+  let start = Array.map (function Some c -> c | None -> menu.(0)) partial in
+  let opened = Array.map Option.is_none partial in
+  let n_open = Array.fold_left (fun k o -> if o then k + 1 else k) 0 opened in
+  let draw =
+    match synthetic ~seed:(seed + n_open) start with
+    | Some (_, e) -> int_of_float e
+    | None -> 4
+  in
+  let nth_open j =
+    let rec from i j = if opened.(i) then if j = 0 then i else from (i + 1) (j - 1) else from (i + 1) j in
+    from 0 j
+  in
+  match odometer ~start ~menu ~vary:opened ~evaluate () with
+  | None -> Subset_search.Infeasible
+  | Some (v, e) ->
+    let bound =
+      if draw = 4 && seed mod 3 = 0 then neg_infinity
+      else e -. if draw < 2 then 0. else 0.25 *. float_of_int draw
+    in
+    if n_open = 0 || (draw < 2 && seed mod 2 = 0) then Subset_search.Attained { bound; vector = v }
+    else
+      Subset_search.Split
+        { bound; at = nth_open ((draw + seed) mod n_open); first = ((draw * 7) + seed) mod Array.length menu }
+
+(* The odometer's energy, and its vector whenever no other vector has
+   that energy.  On a tie the search may keep another minimum: a
+   subtree closed by [Attained], or one whose exact bound reaches an
+   incumbent of energy 0, is not searched for ties. *)
+let qcheck_branch_and_bound_is_odometer =
+  QCheck.Test.make ~name:"branch and bound = odometer enumeration" ~count:500 arb
+    (fun (menu, vary, seed) ->
+      let evaluate = synthetic ~seed in
       let expected = odometer ~menu ~vary ~evaluate () in
-      Subset_search.exhaustive ~menu ~vary ~bound:no_bound ~evaluate ~energy = expected
-      && Subset_search.exhaustive ~menu ~vary
-           ~bound:(oracle_bound ~menu ~vary ~evaluate ~seed)
-           ~evaluate ~energy
-         = expected)
+      let found =
+        Subset_search.branch_and_bound ~menu ~vary ~node:(oracle_node ~menu ~evaluate ~seed)
+          ~evaluate ~energy
+      in
+      match (expected, found) with
+      | None, None -> true
+      | Some _, None | None, Some _ -> false
+      | Some (v, e), Some (w, f) ->
+        let unique = ref true in
+        ignore
+          (odometer ~menu ~vary
+             ~evaluate:(fun u ->
+               (match evaluate u with Some (u, g) when g = e && u <> v -> unique := false | _ -> ());
+               None)
+             ());
+        e = f && ((not !unique) || v = w))
 
 let qcheck_descent_local_minimum =
   QCheck.Test.make ~name:"descent: no worse than its start, no improving move left"
@@ -119,7 +153,7 @@ let test_menu_order_and_ties () =
   let menu = [| 7; 3; 5 |] and vary = [| true; false; true |] in
   Alcotest.(check (option (pair (array int) (float 0.))))
     "first of equal energies" (Some ([| 7; 7; 7 |], 1.))
-    (Subset_search.exhaustive ~menu ~vary ~bound:no_bound ~evaluate:flat ~energy);
+    (Subset_search.exhaustive ~menu ~vary ~evaluate:flat ~energy);
   Alcotest.(check (option (pair (array int) (float 0.))))
     "descent stays at the start" (Some ([| 7; 7; 7 |], 1.))
     (Subset_search.descent ~menu ~vary ~evaluate:flat ~energy);
@@ -134,37 +168,104 @@ let test_menu_order_and_ties () =
     None
   in
   ignore
-    (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~bound:no_bound
-       ~evaluate:record ~energy);
+    (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~evaluate:record
+       ~energy);
   Alcotest.(check (list (list bool)))
     "depth first, first position outermost"
     [ [ false; false ]; [ false; true ]; [ true; false ]; [ true; true ] ]
     (List.rev !seen)
 
 (* The margin: a bound above the incumbent by less than 1e-9 of it
-   prunes nothing, one above it by more skips the subtree. *)
+   prunes nothing, one above it by more skips the subtree, whether it
+   splits or is attained. *)
 let test_prune_margin () =
-  let evaluated bound =
+  let evaluated node =
     let seen = ref 0 in
     let evaluate v =
       incr seen;
       Some (Array.copy v, 1.)
     in
     ignore
-      (Subset_search.exhaustive ~menu:[| false; true |] ~vary:[| true; true |] ~bound ~evaluate
-         ~energy);
+      (Subset_search.branch_and_bound ~menu:[| false; true |] ~vary:[| true; true |] ~node
+         ~evaluate ~energy);
     !seen
   in
-  let above by _ decided = if decided = 0 then neg_infinity else 1. +. by in
-  Alcotest.(check int) "within the margin: every vector" 4 (evaluated (above 0.5e-9));
-  Alcotest.(check int) "beyond it: the second subtree is skipped" 2 (evaluated (above 2e-9))
+  let root = Subset_search.Split { bound = neg_infinity; at = 0; first = 0 } in
+  let split by (p : bool option array) =
+    match p with
+    | [| None; _ |] -> root
+    | [| Some _; None |] -> Subset_search.Split { bound = 1. +. by; at = 1; first = 0 }
+    | _ -> Subset_search.Attained { bound = neg_infinity; vector = Array.map (( = ) (Some true)) p }
+  in
+  let attained by (p : bool option array) =
+    match p.(0) with
+    | None -> root
+    | Some c -> Subset_search.Attained { bound = 1. +. by; vector = [| c; false |] }
+  in
+  Alcotest.(check int) "within the margin: every vector" 4 (evaluated (split 0.5e-9));
+  Alcotest.(check int) "beyond it: the second subtree is skipped" 2 (evaluated (split 2e-9));
+  Alcotest.(check int) "attained within the margin: both subtrees" 2 (evaluated (attained 0.5e-9));
+  Alcotest.(check int) "attained beyond it: the first only" 1 (evaluated (attained 2e-9))
+
+(* Sides in the order asked, an attained vector as the subtree's
+   answer, an infeasible one splitting its subtree instead, and ties
+   going to the vector the enumeration reaches first, whichever the
+   search reaches first. *)
+let test_split_order_and_attained () =
+  let seen = ref [] in
+  let record v =
+    seen := Array.to_list v :: !seen;
+    if v.(1) then None else Some (Array.copy v, if v.(0) then 1. else 2.)
+  in
+  let search node =
+    seen := [];
+    let answer =
+      Subset_search.branch_and_bound ~menu:[| false; true |] ~vary:[| true; true |] ~node
+        ~evaluate:record ~energy
+    in
+    (answer, List.rev !seen)
+  in
+  let check name expected actual =
+    Alcotest.(check (pair (option (pair (array bool) (float 0.))) (list (list bool))))
+      name expected actual
+  in
+  let leaf p = Subset_search.Attained { bound = neg_infinity; vector = Array.map (( = ) (Some true)) p } in
+  let second_first (p : bool option array) =
+    match p with
+    | [| _; None |] -> Subset_search.Split { bound = neg_infinity; at = 1; first = 1 }
+    | [| None; Some _ |] -> Subset_search.Split { bound = neg_infinity; at = 0; first = 1 }
+    | _ -> leaf p
+  in
+  check "last position outermost, true first"
+    (Some ([| true; false |], 1.), [ [ true; true ]; [ false; true ]; [ true; false ]; [ false; false ] ])
+    (search second_first);
+  let attained (p : bool option array) =
+    match p with
+    | [| None; _ |] -> Subset_search.Split { bound = neg_infinity; at = 0; first = 0 }
+    | [| Some c; None |] -> Subset_search.Attained { bound = 0.; vector = [| c; c |] }
+    | _ -> leaf p
+  in
+  check "an attained subtree evaluates its vector, an infeasible one splits"
+    (Some ([| true; false |], 1.), [ [ false; false ]; [ true; true ]; [ true; false ]; [ true; true ] ])
+    (search attained);
+  let flat v = Some (Array.copy v, 1.) in
+  Alcotest.(check (option (pair (array bool) (float 0.))))
+    "of equal energies, the first in enumeration order" (Some ([| false; false |], 1.))
+    (Subset_search.branch_and_bound ~menu:[| false; true |] ~vary:[| true; true |] ~node:second_first
+       ~evaluate:flat ~energy);
+  Alcotest.check_raises "a decided position" (Invalid_argument "Subset_search: split on a decided position")
+    (fun () -> ignore (search (fun _ -> Subset_search.Split { bound = neg_infinity; at = 0; first = 0 })))
 
 let test_empty_menu () =
   let empty = Invalid_argument "Subset_search: empty menu" in
   let evaluate _ = None in
   Alcotest.check_raises "exhaustive" empty (fun () ->
+      ignore (Subset_search.exhaustive ~menu:[||] ~vary:[| true |] ~evaluate ~energy));
+  Alcotest.check_raises "branch and bound" empty (fun () ->
       ignore
-        (Subset_search.exhaustive ~menu:[||] ~vary:[| true |] ~bound:no_bound ~evaluate ~energy));
+        (Subset_search.branch_and_bound ~menu:[||] ~vary:[| true |]
+           ~node:(fun _ -> Subset_search.Infeasible)
+           ~evaluate ~energy));
   Alcotest.check_raises "descent" empty (fun () ->
       ignore (Subset_search.descent ~menu:[||] ~vary:[| true |] ~evaluate ~energy))
 
@@ -175,5 +276,7 @@ let suite =
       Alcotest.test_case "empty menu" `Quick test_empty_menu;
       Alcotest.test_case "prune margin" `Quick test_prune_margin;
       QCheck_alcotest.to_alcotest qcheck_exhaustive_is_odometer;
+      QCheck_alcotest.to_alcotest qcheck_branch_and_bound_is_odometer;
       QCheck_alcotest.to_alcotest qcheck_descent_local_minimum;
+      Alcotest.test_case "split order and attained vectors" `Quick test_split_order_and_attained;
     ] )

@@ -255,7 +255,6 @@ let test_pruned_search_matches_enumeration () =
     let n = Dag.n (Mapping.dag m) in
     let plain =
       Subset_search.exhaustive ~menu:[| false; true |] ~vary:(Array.make n true)
-        ~bound:(fun _ _ -> neg_infinity)
         ~evaluate:(fun subset -> Tricrit_vdd.solve_subset ~rel ~deadline ~levels m ~subset)
         ~energy:(fun (s : Tricrit_vdd.solution) -> s.energy)
     in
@@ -337,6 +336,31 @@ let test_even_split_not_optimal () =
     | Error e -> Alcotest.fail e
     | Ok a -> Alcotest.(check bool) "not claimed exact" false a.Solver.exact)
 
+(* The relaxation drives the search: on a 12-task DAG on three
+   processors (slack 2) it closes its subtrees with 2 subset LPs after
+   25 relaxation solves.  Solving every leaf it could not prune took
+   12 subset LPs and 59 relaxations, and closing only the leaves 53
+   relaxations. *)
+let test_subset_lp_count () =
+  let module Obs = Es_obs.Obs in
+  let rng = Es_util.Rng.create ~seed:12 in
+  let dag = Generators.random_dag rng ~n:12 ~p:0.3 ~wlo:0.5 ~whi:2. in
+  let m = List_sched.schedule dag ~p:3 ~priority:List_sched.Bottom_level in
+  let deadline = 2. *. List_sched.makespan_at_speed m ~f:1.0 in
+  let bounds = Obs.counter "tricrit_vdd_bounds" and subsets = Obs.counter "tricrit_vdd_subsets" in
+  Obs.reset ();
+  Obs.enable ();
+  let solved, relaxations, lps =
+    Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+    let solved = Tricrit_vdd.solve_exact ~rel ~deadline ~levels m in
+    (solved, Obs.value bounds, Obs.value subsets)
+  in
+  Alcotest.(check bool) "feasible" true (Option.is_some solved);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d subset LPs below %d relaxations, at most 4 and 40" lps relaxations)
+    true
+    (lps < relaxations && lps <= 4 && relaxations <= 40)
+
 let test_infeasible_detected () =
   let m, dmin = small_instance ~seed:308 in
   Alcotest.(check bool) "too tight" true
@@ -369,6 +393,7 @@ let suite =
         test_pruned_search_matches_enumeration;
       Alcotest.test_case "root bound and certificate" `Quick test_root_bound_and_certificate;
       Alcotest.test_case "even split is not optimal" `Quick test_even_split_not_optimal;
+      Alcotest.test_case "subset LPs per search" `Quick test_subset_lp_count;
       Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
       Alcotest.test_case "max_n guard" `Quick test_max_n_guard;
     ] )
