@@ -1,30 +1,30 @@
-(* Conservative cross-module call graph over compiler-libs ASTs.
+(* The declaration table behind eslint's interprocedural passes, over
+   compiler-libs ASTs.
 
-   One eslint run feeds every .ml of the lint set into a single graph
-   (pass 1, like the [@units] environment); the parallel-safety pass
-   (pass 2) then asks reachability questions against it.  The model is
-   deliberately value-level and syntactic:
+   One eslint run declares every .ml of the lint set in a single table
+   (pass 1, like the [@units] environment).  The table holds no
+   references: the parallel-safety and exception-flow passes (pass 2)
+   resolve each reference where they read it, once every file is
+   declared, so a wrapped path into a file that sorts later
+   ([Es_x.Beta.g]) names its node.  The model is deliberately
+   value-level and syntactic:
 
    - a node is one top-level [let] binding, keyed
      "<Module>.<value>" where <Module> is the innermost enclosing
      module (the file's module for top-level bindings, the submodule
      name for bindings inside [module Sub = struct ... end]);
-   - an edge goes from a binding to every identifier path its body
-     mentions, whether in call position or not — referencing a value
-     is enough to (conservatively) reach it;
    - [module P = Es_par.Par]-style aliases are expanded per file, so
      [P.parallel_map] and [Es_par.Par.parallel_map] resolve alike;
-   - identifiers that resolve to no node of the graph (stdlib,
-     external libraries, local variables) are terminal: they appear in
-     edge lists under their resolved name but have no outgoing edges.
-     Reachability treats them as opaque leaves — the soundness default
+   - identifiers that resolve to no node (stdlib, external libraries,
+     local variables) keep their resolved name but have no definition.
+     The passes treat them as opaque leaves — the soundness default
      for unknown externals is "no further effects visible here", with
-     the explicit deny-lists of {!Par_rules} covering the dangerous
-     ones by name.
+     the deny-lists of {!Par_rules} and the catalogues of {!Effects}
+     naming the dangerous ones.
 
    Functors are not tracked (no higher-order module flow), and [open]
    does not re-scope bare identifiers; both are documented caveats of
-   the pass (DESIGN.md §9). *)
+   the passes (DESIGN.md §9). *)
 
 module SSet = Set.Make (String)
 
@@ -37,7 +37,6 @@ type def = {
 
 type t = {
   defs : (string, def) Hashtbl.t;
-  edges : (string, (string * Location.t) list) Hashtbl.t;
   modules : (string, unit) Hashtbl.t;
   (* per-file [module X = Path] aliases: file -> (X -> path segments) *)
   aliases : (string * string, string list) Hashtbl.t;
@@ -47,7 +46,6 @@ type t = {
 let create () =
   {
     defs = Hashtbl.create 256;
-    edges = Hashtbl.create 256;
     modules = Hashtbl.create 64;
     aliases = Hashtbl.create 64;
     file_module = Hashtbl.create 64;
@@ -192,7 +190,7 @@ let resolve t ~file lid =
       | _ -> Some (String.concat "." segs)))
 
 (* ------------------------------------------------------------------ *)
-(* harvest                                                             *)
+(* declarations                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Parameter names of the outermost [fun]-chain of a binding. *)
@@ -213,27 +211,6 @@ let rec fun_params acc (e : Parsetree.expression) =
   | Pexp_constraint (body, _) -> fun_params acc body
   | _ -> acc
 
-(* Every identifier the expression mentions, resolved; first
-   occurrence keeps its location (the witness-trace hop). *)
-let referenced_idents t ~file expr =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let out = ref [] in
-  let open Ast_iterator in
-  let expr_iter iter (e : Parsetree.expression) =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-      match resolve t ~file txt with
-      | Some name when not (Hashtbl.mem seen name) ->
-        Hashtbl.replace seen name ();
-        out := (name, loc) :: !out
-      | _ -> ())
-    | _ -> ());
-    default_iterator.expr iter e
-  in
-  let iter = { default_iterator with expr = expr_iter } in
-  iter.expr iter expr;
-  List.rev !out
-
 let binding_name (vb : Parsetree.value_binding) =
   let rec go (p : Parsetree.pattern) =
     match p.ppat_desc with
@@ -243,19 +220,9 @@ let binding_name (vb : Parsetree.value_binding) =
   in
   go vb.pvb_pat
 
-let record_edges t ~file ~module_name (vb : Parsetree.value_binding) =
-  match binding_name vb with
-  | None -> ()
-  | Some name ->
-    let id = module_name ^ "." ^ name in
-    let callees = referenced_idents t ~file vb.pvb_expr in
-    let existing = Option.value ~default:[] (Hashtbl.find_opt t.edges id) in
-    Hashtbl.replace t.edges id (existing @ callees)
-
-(* Two sub-passes per file: declarations (defs, submodules, aliases)
-   first, then edges — so a binding's references to later bindings of
-   the same module (and to its [let rec ... and] siblings) still
-   resolve to module-local nodes. *)
+(* Defs, submodules and aliases.  No reference is resolved here: the
+   passes resolve against the finished table, so forward, recursive and
+   later-file references all see every declaration. *)
 let add_source t ~file str =
   let module_name = module_name_of_file file in
   Hashtbl.replace t.file_module file module_name;
@@ -284,9 +251,9 @@ let add_source t ~file str =
               | Some name ->
                 let id = module_name ^ "." ^ name in
                 (* same key from ANOTHER file (module-name collision
-                   across directories): stack both defs, union their
-                   edges — conservative.  Shadowing within one file
-                   keeps the first binding. *)
+                   across directories): stack both defs, which the
+                   passes read together — conservative.  Shadowing
+                   within one file keeps the first binding. *)
                 let from_this_file =
                   List.exists
                     (fun d -> d.d_file = file)
@@ -339,24 +306,7 @@ let add_source t ~file str =
     in
     { default_iterator with expr = expr_iter }
   in
-  letmodule_iter.structure letmodule_iter str;
-  (* pass 2: edges only — defs are entirely owned by pass 1, so every
-     module-local reference (including forward and recursive ones)
-     resolves against the complete declaration set *)
-  let rec harvest ~module_name (items : Parsetree.structure) =
-    List.iter
-      (fun (si : Parsetree.structure_item) ->
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) -> List.iter (record_edges t ~file ~module_name) vbs
-        | Pstr_module mb -> (
-          match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
-          | Some sub, Pmod_structure sub_items ->
-            harvest ~module_name:sub sub_items
-          | _ -> ())
-        | _ -> ())
-      items
-  in
-  harvest ~module_name str
+  letmodule_iter.structure letmodule_iter str
 
 (* ------------------------------------------------------------------ *)
 (* queries                                                             *)
@@ -372,36 +322,6 @@ let node_sanctioned t id =
   | [] -> false
   | ds -> List.for_all (fun d -> in_lib sanctioned d.d_file) ds
 
-let edges t id =
-  match Hashtbl.find_opt t.edges id with
-  | None -> []
-  | Some callees ->
-    (* stable first-occurrence order, deduped by name *)
-    let seen = Hashtbl.create 16 in
-    List.filter
-      (fun (name, _) ->
-        if Hashtbl.mem seen name then false
-        else begin
-          Hashtbl.replace seen name ();
-          true
-        end)
-      callees
-
 let nodes t =
   Hashtbl.fold (fun id _ acc -> SSet.add id acc) t.defs SSet.empty
   |> SSet.elements
-
-(* ------------------------------------------------------------------ *)
-(* reachability                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let reachable t ~roots =
-  let visited = ref SSet.empty in
-  let rec visit name =
-    if not (SSet.mem name !visited) then begin
-      visited := SSet.add name !visited;
-      List.iter (fun (callee, _) -> visit callee) (edges t name)
-    end
-  in
-  List.iter visit roots;
-  SSet.elements !visited

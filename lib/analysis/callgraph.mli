@@ -1,16 +1,16 @@
-(** Conservative cross-module call graph over compiler-libs ASTs.
+(** The declaration table of eslint's interprocedural passes, over
+    compiler-libs ASTs.
 
-    Pass 1 of an eslint run feeds every [.ml] file into one graph;
-    pass 2 ({!Par_rules}) asks reachability questions against it.  A
-    node is a top-level [let] binding keyed ["Module.value"]; an edge
-    goes to every identifier path the body mentions (reference is
-    reachability — conservative over-approximation).  [module X =
-    Path] aliases are expanded per file.  Identifiers that resolve to
-    no node (stdlib, external libraries, local variables) are opaque
-    terminal leaves: the graph assumes nothing about their effects,
-    and the deny-lists of {!Par_rules} name the dangerous ones
-    explicitly.  Functor applications and [open]-scoped bare
-    identifiers are not tracked (DESIGN.md §9 caveats). *)
+    Pass 1 of an eslint run declares every [.ml] file in one table; in
+    pass 2, {!Par_rules} and {!Effects} resolve each reference where
+    they read it, against the finished table.  A node is a top-level
+    [let] binding keyed ["Module.value"]; [module X = Path] aliases are
+    expanded per file.  Identifiers that resolve to no node (stdlib,
+    external libraries, local variables) have no definition: the passes
+    treat them as opaque leaves, and the deny-lists of {!Par_rules} and
+    the catalogues of {!Effects} name the dangerous ones.  Functor
+    applications and [open]-scoped bare identifiers are not tracked
+    (DESIGN.md §9 caveats). *)
 
 module SSet : Set.S with type elt = string
 
@@ -29,7 +29,7 @@ val in_lib : string list -> string -> bool
 
 val sanctioned : string list
 (** [\["par"; "obs"\]]: lib/par and lib/obs are the audited owners of
-    domains, blocking joins and telemetry.  Reachability stops at their
+    domains, blocking joins and telemetry.  The passes stop at their
     nodes ({!node_sanctioned}); their files are exempt from region
     scanning, P004 and the X/R rules. *)
 
@@ -73,7 +73,7 @@ val bound_names : Parsetree.expression -> SSet.t
 (** Every name bound by any pattern under the expression (parameters,
     lets, match/try cases). *)
 
-(** {1 The graph} *)
+(** {1 The table} *)
 
 type t
 
@@ -87,16 +87,17 @@ type def = {
 val create : unit -> t
 
 val add_source : t -> file:string -> Parsetree.structure -> unit
-(** Harvest one parsed implementation: top-level (and one-level
-    nested-module) bindings become nodes, their referenced identifier
-    paths become edges, [module X = Path] becomes a per-file alias. *)
+(** Declare one parsed implementation: top-level (and one-level
+    nested-module) bindings become nodes, [module X = Path] (also under
+    [let module]) becomes a per-file alias.  Nothing is resolved here:
+    {!resolve} a reference once every file of the run is declared. *)
 
 val resolve : t -> file:string -> Longident.t -> string option
 (** Canonical name of an identifier path as seen from [file]:
     alias-expanded, [Stdlib.]-stripped, bare names qualified with the
     file's module when that module defines them, dotted paths
     shortened to ["Parent.leaf"] when [Parent] is a module of the
-    graph.  [None] only for [Lapply] (functor application). *)
+    table.  [None] only for [Lapply] (functor application). *)
 
 val defs : t -> string -> def list
 (** Definitions recorded under a node key — more than one when two
@@ -110,16 +111,5 @@ val node_sanctioned : t -> string -> bool
     lib/obs and elsewhere is not sanctioned: its other definitions are
     still analysed. *)
 
-val edges : t -> string -> (string * Location.t) list
-(** Resolved identifiers referenced by the node's body, deduped by
-    name in first-occurrence order; the location is the first
-    reference site (used as the witness-trace hop). *)
-
 val nodes : t -> string list
 (** Every node key, sorted. *)
-
-val reachable : t -> roots:string list -> string list
-(** Every name reachable from [roots] (roots included), following
-    edges transitively; terminal names (no outgoing edges) are
-    included.  Sorted.  Termination is by visited-set, so cycles
-    (recursion) are fine. *)

@@ -1,11 +1,11 @@
-(* May-raise effect inference: a monotone fixpoint over the shared
-   {!Callgraph}.  See effects.mli for the lattice and the soundness
-   caveats; the short version is that summaries over-approximate
-   except through three deliberate holes — ambient exceptions
-   (Assert_failure, Division_by_zero, bounds), unknown externals that
-   are referenced but never applied, and callbacks invoked through a
-   parameter (whose effects are charged to the caller that built the
-   closure). *)
+(* May-raise effect inference: a monotone fixpoint over the nodes of
+   the shared {!Callgraph}.  See effects.mli for the lattice and the
+   soundness caveats; the short version is that summaries
+   over-approximate except through three deliberate holes — ambient
+   exceptions (Assert_failure, Division_by_zero, bounds), unknown
+   externals that are referenced but never applied, and callbacks
+   invoked through a parameter (whose effects are charged to the
+   caller that built the closure). *)
 
 module SSet = Callgraph.SSet
 
@@ -136,6 +136,8 @@ type env = {
   summaries : (string, t) Hashtbl.t;
   locals : (string, t) Hashtbl.t;
   raise_sites : (string * string, Location.t) Hashtbl.t;
+  (* node -> the callee nodes its walk read, first site of each *)
+  references : (string, (string * Location.t) list) Hashtbl.t;
 }
 
 let graph env = env.graph
@@ -177,14 +179,15 @@ type eval_ctx = {
   deep : bool;  (* contribute callee-node fixpoint summaries *)
   record : (string -> Location.t -> unit) option;
   masked : Parsetree.expression -> bool;
-  read : string -> unit;  (* told of every callee summary consulted *)
+  read : string -> Location.t -> unit;
+      (* told of every callee summary consulted, and where *)
 }
 
 let record ctx exn loc =
   match ctx.record with Some f -> f exn loc | None -> ()
 
 let callee ctx name loc =
-  ctx.read name;
+  ctx.read name loc;
   (summary ctx.env name, node_hint ctx.env name loc)
 
 (* Immediate child expressions: the default iterator calls [sub.expr]
@@ -278,8 +281,8 @@ let partial_match ctx (e : Parsetree.expression) cases =
   else (pure, None)
 
 (* A bare reference to a raising node counts (passing it to List.map
-   is reachability, matching the callgraph's edge semantics); a bare
-   reference to anything else contributes nothing. *)
+   may call it); a bare reference to anything else contributes
+   nothing. *)
 let ident_effect ctx txt loc =
   match Callgraph.resolve ctx.env.graph ~file:ctx.file txt with
   | Some name
@@ -466,7 +469,7 @@ and head_effect ctx (head : Parsetree.expression) args =
 (* ------------------------------------------------------------------ *)
 
 let make_ctx ?record ?(mask = fun _ -> false) ?(bound = SSet.empty)
-    ?(read = ignore) env ~file ~deep expr =
+    ?(read = fun _ _ -> ()) env ~file ~deep expr =
   {
     env;
     file;
@@ -502,6 +505,7 @@ let infer graph =
       summaries = Hashtbl.create 256;
       locals = Hashtbl.create 256;
       raise_sites = Hashtbl.create 128;
+      references = Hashtbl.create 256;
     }
   in
   let ids = Callgraph.nodes graph in
@@ -509,19 +513,28 @@ let infer graph =
   (* Worklist fixpoint: every node is evaluated once, then again only
      when a summary its last walk consulted has grown.  [eval] is
      monotone in the summary table, so this reaches the least fixpoint
-     that repeated rounds over every node reach.  The walks record
-     their own readers: [Callgraph.edges] can list a callee under a
-     name that resolves to a node only once later files are
-     declared. *)
+     that repeated rounds over every node reach.  A walk reports each
+     callee summary it consults, resolved against the finished table:
+     the node becomes one of the callee's readers, and the callee one
+     of the node's references, at its first site in reading order —
+     the chains [witness] follows. *)
   let readers : (string, SSet.t) Hashtbl.t = Hashtbl.create 256 in
   let readers_of id = Option.value ~default:SSet.empty (Hashtbl.find_opt readers id) in
   let rec drain pending =
     match SSet.min_elt_opt pending with
     | None -> ()
     | Some id ->
-      let read name = Hashtbl.replace readers name (SSet.add id (readers_of name)) in
+      let seen = Hashtbl.create 16 and refs = ref [] in
+      let read name loc =
+        if not (Hashtbl.mem seen name) then begin
+          Hashtbl.replace seen name ();
+          refs := (name, loc) :: !refs;
+          Hashtbl.replace readers name (SSet.add id (readers_of name))
+        end
+      in
       let cur = summary env id in
       let next = union cur (node_effect ~read env ~deep:true id) in
+      Hashtbl.replace env.references id (List.rev !refs);
       let pending = SSet.remove id pending in
       if equal cur next then drain pending
       else begin
@@ -562,17 +575,13 @@ let witness env start ~exn =
       else
         List.iter
           (fun (callee, loc) ->
-            if
-              (not (Hashtbl.mem visited callee))
-              && mem exn (summary env callee)
-              && Callgraph.has_def env.graph callee
-              && not (Callgraph.node_sanctioned env.graph callee)
+            if (not (Hashtbl.mem visited callee)) && mem exn (summary env callee)
             then begin
               Hashtbl.replace visited callee ();
               Hashtbl.replace parent callee (n, loc);
               Queue.add callee q
             end)
-          (Callgraph.edges env.graph n)
+          (Option.value ~default:[] (Hashtbl.find_opt env.references n))
     done;
     match !found with
     | None -> []

@@ -1,5 +1,5 @@
-(** May-raise effect inference over the {!Callgraph} (layer 1 of the
-    exception-flow pass; {!Resource_rules} is layer 2).
+(** May-raise effect inference over the nodes of the {!Callgraph}
+    (layer 1 of the exception-flow pass; {!Resource_rules} is layer 2).
 
     A summary is an element of the lattice
 
@@ -8,8 +8,8 @@
     read "this binding can raise at most the exceptions of S" — [Top]
     means an unknown external was reached in call position and anything
     may come out.  [infer] runs a monotone fixpoint over every node of
-    the graph: a node's summary is the effect of its bound expression,
-    where
+    the table, resolving each reference where it reads it: a node's
+    summary is the effect of its bound expression, where
 
     - [raise (C ...)], [failwith], [invalid_arg] and the known-partial
       stdlib catalogue (the E002 list plus channel I/O) introduce
@@ -60,11 +60,13 @@ val to_list : t -> string list option
 
 type env
 (** The result of one fixpoint run: per-node summaries, per-node
-    direct (intraprocedural) seeds, and first-raise-site locations for
-    witness reconstruction. *)
+    direct (intraprocedural) seeds, and for witness reconstruction
+    first-raise-site locations and each node's references — the callee
+    nodes whose summaries its walk read, the first site of each in
+    reading order. *)
 
 val infer : Callgraph.t -> env
-(** Run the fixpoint over every node of the graph. *)
+(** Run the fixpoint over every node of the table. *)
 
 val graph : env -> Callgraph.t
 
@@ -105,8 +107,8 @@ val expr_effect :
     its impurity has no nameable source). *)
 
 val witness : env -> string -> exn:string -> (string * Location.t) list
-(** Shortest reference chain from the node to a binding whose own body
-    (callee nodes treated as pure) introduces [exn], as
+(** Shortest chain of recorded references from the node to a binding
+    whose own body (callee nodes treated as pure) introduces [exn], as
     [(callee, reference site); ...; (exn, raise site)].  Empty when
     the node's summary does not contain [exn] or no direct introducer
     is reachable (a [Top] cause). *)

@@ -403,8 +403,8 @@ let effects_timer = Obs.timer "eslint.effects.infer"
 
 type ast = Intf of Parsetree.signature | Impl of Parsetree.structure
 
-(* The one parse of a file: the [@units] harvest, the call graph and
-   the per-file rules all read this AST. *)
+(* The one parse of a file: the [@units] harvest, the declaration
+   table and the per-file rules all read this AST. *)
 let parse ~file contents =
   let lexbuf = Lexing.from_string contents in
   Location.init lexbuf file;
@@ -459,8 +459,8 @@ let compare_diagnostic_full a b =
   if c <> 0 then c else String.compare a.message b.message
 
 (* Pass 1 harvests [@units] annotations from every interface and
-   builds ONE call graph over every implementation, shared by the P
-   and X/R families; pass 2 lints file by file.  A file that failed to
+   declares every implementation in ONE table, shared by the P and
+   X/R families; pass 2 lints file by file.  A file that failed to
    parse contributes nothing to pass 1 and reports its error in pass 2,
    in file order. *)
 let lint_parsed config sources =

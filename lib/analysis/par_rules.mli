@@ -5,8 +5,10 @@
     ([Pool.submit] / [submit_batch]) — including calls through
     {e derived combinators}, top-level wrappers that forward a
     parameter into a region position (computed as a fixpoint over the
-    {!Callgraph}).  Each region's closure body and everything reachable
-    from it is checked for:
+    nodes of the {!Callgraph}).  Each region's closure body and every
+    node it reaches through the references of the bodies it scans,
+    each resolved against the {!Callgraph} where it is read, is checked
+    for:
 
     - P001 — writes to captured mutable state ([:=], [incr]/[decr],
       mutable-field assignment, Hashtbl/Queue/Stack/Buffer mutators)
@@ -27,8 +29,8 @@
     ([[@lint.allow "P001"]], lint.allow) applies unchanged. *)
 
 type ctx
-(** Analysis context for one eslint run: the call graph plus the
-    derived-combinator fixpoint and a per-node fact cache. *)
+(** Analysis context for one eslint run: the declaration table plus
+    the derived-combinator fixpoint and a per-node fact cache. *)
 
 val make_ctx : Callgraph.t -> ctx
 

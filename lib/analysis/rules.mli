@@ -70,8 +70,8 @@ val par : t list
 
 val effects : t list
 (** The exception-flow / resource-lifecycle family ([X001], [R001]-
-    [R003]).  The call graph is built only when a P or X/R rule is
-    enabled, the effect fixpoint only for the latter. *)
+    [R003]).  The declaration table is built only when a P or X/R rule
+    is enabled, the effect fixpoint only for the latter. *)
 
 val id : t -> string
 (** ["E001"] ... ["P004"]. *)

@@ -5,15 +5,11 @@ type priority =
   | Lightest_first
   | Max_out_degree
 
+(* At deadline 0 a task's latest start is [-b -. w], [b] the largest
+   bottom level below it; rounding is symmetric in sign, so negating
+   it gives [w +. b] bit for bit. *)
 let bottom_levels dag =
-  let order = Dag.topological_order dag in
-  let bl = Array.make (Dag.n dag) 0. in
-  for k = Dag.n dag - 1 downto 0 do
-    let i = order.(k) in
-    let below = List.fold_left (fun acc s -> Float.max acc bl.(s)) 0. (Dag.succs dag i) in
-    bl.(i) <- Dag.weight dag i +. below
-  done;
-  bl
+  Array.map Float.neg (Dag.latest_start dag ~durations:(Dag.weights dag) ~deadline:0.)
 
 let top_levels dag = Dag.earliest_start dag ~durations:(Dag.weights dag)
 

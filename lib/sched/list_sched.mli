@@ -19,7 +19,8 @@ type priority =
   | Max_out_degree  (** most successors first *)
 
 val bottom_levels : Dag.t -> float array
-(** Longest weight-path from each task to a sink (inclusive). *)
+(** Longest weight-path from each task to a sink (inclusive):
+    {!Dag.latest_start} at the weights and deadline 0, negated. *)
 
 val top_levels : Dag.t -> float array
 (** Longest weight-path from a source to each task (exclusive):

@@ -1,8 +1,11 @@
-(* Tests for the call-graph harvester behind the parallel-safety pass:
-   direct and cross-module edges, module-alias expansion, fixpoint
-   termination on recursion, the opaque-terminal default for unknown
-   externals, and (as a QCheck property) monotonicity of reachability
-   under edge insertion. *)
+(* Tests for the declaration table behind the interprocedural passes:
+   how a reference resolves from the file that reads it — direct,
+   cross-module, through a module alias, with [Stdlib.] stripped,
+   through a wrapped library path into a file declared later — and the
+   opaque-leaf default for unknown externals.  The walks over the
+   table (the P pass's region walk, the effects fixpoint and its
+   witnesses) are tested through their rules in test_lint.ml and
+   test_effects.ml. *)
 
 module Callgraph = Es_analysis.Callgraph
 
@@ -18,9 +21,11 @@ let graph_of sources =
     sources;
   g
 
-let edge_names g id = List.map fst (Callgraph.edges g id)
-let contains xs x = List.mem x xs
-let check_mem msg xs x = Alcotest.(check bool) msg true (contains xs x)
+(* [path] as a pass reading it in [file] resolves it *)
+let check_resolves msg g ~file path expected =
+  Alcotest.(check (option string))
+    msg (Some expected)
+    (Callgraph.resolve g ~file (Parse.longident (Lexing.from_string path)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -32,13 +37,13 @@ let test_direct_call () =
           "let helper x = x + 1\nlet main xs = List.map helper xs\n" );
       ]
   in
-  check_mem "main references helper" (edge_names g "M.main") "M.helper";
-  check_mem "helper reachable from main"
-    (Callgraph.reachable g ~roots:[ "M.main" ])
-    "M.helper";
-  Alcotest.(check bool)
-    "no reverse edge" false
-    (contains (edge_names g "M.helper") "M.main")
+  check_resolves "a name the module defines is its node" g ~file:"lib/x/m.ml"
+    "helper" "M.helper";
+  check_resolves "a name it does not define stays bare" g ~file:"lib/x/m.ml"
+    "xs" "xs";
+  Alcotest.(check (list string))
+    "every top-level binding is a node" [ "M.helper"; "M.main" ]
+    (Callgraph.nodes g)
 
 let test_cross_module_call () =
   let g =
@@ -48,8 +53,8 @@ let test_cross_module_call () =
         ("lib/x/client.ml", "let go k = Store.put k\n");
       ]
   in
-  check_mem "edge crosses module boundary" (edge_names g "Client.go")
-    "Store.put";
+  check_resolves "the path names the other module's node" g
+    ~file:"lib/x/client.ml" "Store.put" "Store.put";
   Alcotest.(check bool) "callee is a known def" true
     (Callgraph.has_def g "Store.put")
 
@@ -61,112 +66,62 @@ let test_module_alias () =
         ("lib/x/client.ml", "module S = Store\nlet go k = S.put k\n");
       ]
   in
-  (* [S.put] must resolve through the alias to the Store node *)
-  check_mem "alias expands to the aliased module" (edge_names g "Client.go")
-    "Store.put";
-  check_mem "reachability follows the alias"
-    (Callgraph.reachable g ~roots:[ "Client.go" ])
-    "Store.put"
+  check_resolves "alias expands to the aliased module" g
+    ~file:"lib/x/client.ml" "S.put" "Store.put";
+  check_resolves "the alias is per file" g ~file:"lib/x/store.ml" "S.put"
+    "S.put"
 
-let test_recursion_terminates () =
-  (* mutual recursion plus self-recursion: reachability must terminate
-     by visited-set and include the whole cycle once *)
+let test_wrapped_path_into_later_file () =
+  (* alpha.ml is declared before beta.ml, as a sorted directory walk
+     declares them; resolution reads the finished table, so the wrapped
+     library path still names Beta's node *)
   let g =
     graph_of
       [
-        ( "lib/x/cycle.ml",
-          "let rec odd n = if n = 0 then false else even (n - 1)\n\
-           and even n = if n = 0 then true else odd (n - 1)\n\
-           let rec loop x = loop x\n" );
+        ("lib/x/alpha.ml", "let f x = Es_x.Beta.g x\n");
+        ("lib/x/beta.ml", "let g x = x\n");
       ]
   in
-  let r = Callgraph.reachable g ~roots:[ "Cycle.odd" ] in
-  check_mem "odd reaches even" r "Cycle.even";
-  check_mem "cycle includes the root" r "Cycle.odd";
-  let self = Callgraph.reachable g ~roots:[ "Cycle.loop" ] in
-  check_mem "self-recursion terminates" self "Cycle.loop"
+  check_resolves "the wrapped path names the later file's node" g
+    ~file:"lib/x/alpha.ml" "Es_x.Beta.g" "Beta.g";
+  Alcotest.(check bool) "and that node is declared" true
+    (Callgraph.has_def g "Beta.g")
 
 let test_unknown_external_is_opaque_terminal () =
   let g = graph_of [ ("lib/x/m.ml", "let f xs = External_lib.frob xs\n") ] in
-  (* the unknown name appears as a leaf: reachable, but with no def and
-     no outgoing edges — the soundness default assumes no further
-     effects and leaves danger to the explicit deny-lists *)
-  let r = Callgraph.reachable g ~roots:[ "M.f" ] in
-  check_mem "external is reachable" r "External_lib.frob";
+  (* the unknown name keeps its resolved name but has no def: the
+     passes stop there, assume no further effects and leave danger to
+     their explicit deny-lists and catalogues *)
+  check_resolves "external keeps its name" g ~file:"lib/x/m.ml"
+    "External_lib.frob" "External_lib.frob";
   Alcotest.(check bool) "external has no def" false
     (Callgraph.has_def g "External_lib.frob");
-  Alcotest.(check (list (pair string Alcotest.reject)))
-    "external has no outgoing edges" []
-    (Callgraph.edges g "External_lib.frob")
+  Alcotest.(check bool) "and is not sanctioned" false
+    (Callgraph.node_sanctioned g "External_lib.frob");
+  Alcotest.(check (list string)) "only the binding is a node" [ "M.f" ]
+    (Callgraph.nodes g)
 
 let test_resolve_strips_stdlib () =
   let g = graph_of [ ("lib/x/m.ml", "let f h = Stdlib.Hashtbl.reset h\n") ] in
-  check_mem "Stdlib. prefix is stripped" (edge_names g "M.f") "Hashtbl.reset"
-
-(* ------------------------------------------------------------------ *)
-(* property: reachability is monotone under adding edges               *)
-(* ------------------------------------------------------------------ *)
-
-let node_names = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ]
-let node_gen = QCheck.Gen.oneofl node_names
-
-let spec_gen =
-  QCheck.Gen.(list_size (int_range 0 12) (pair node_gen (list_size (int_range 0 3) node_gen)))
-
-let print_spec spec =
-  String.concat "; "
-    (List.map (fun (s, ds) -> s ^ "->[" ^ String.concat "," ds ^ "]") spec)
-
-let arb_case =
-  QCheck.make
-    ~print:(fun (spec, (s, d), root) ->
-      Printf.sprintf "{%s} +%s->%s from %s" (print_spec spec) s d root)
-    QCheck.Gen.(triple spec_gen (pair node_gen node_gen) node_gen)
-
-(* Every node gets a [let]; every edge becomes a call in its body. *)
-let source_of spec =
-  String.concat ""
-    (List.map
-       (fun n ->
-         let calls =
-           List.concat_map
-             (fun (s, ds) -> if s = n then List.map (fun d -> d ^ " ()") ds else [])
-             spec
-         in
-         Printf.sprintf "let %s () = %s\n" n
-           (if calls = [] then "()" else String.concat "; " calls))
-       node_names)
-
-let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
-
-let monotone_law (spec, (src, dst), root) =
-  let reach spec =
-    Callgraph.reachable
-      (graph_of [ ("lib/x/m.ml", source_of spec) ])
-      ~roots:[ "M." ^ root ]
-  in
-  subset (reach spec) (reach (spec @ [ (src, [ dst ]) ]))
-
-let reachability_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"reachable set only grows with edges"
-       arb_case monotone_law)
+  check_resolves "Stdlib. prefix is stripped" g ~file:"lib/x/m.ml"
+    "Stdlib.Hashtbl.reset" "Hashtbl.reset"
 
 (* ------------------------------------------------------------------ *)
 
 let suite =
   ( "callgraph",
     [
-      Alcotest.test_case "direct call becomes an edge" `Quick test_direct_call;
+      Alcotest.test_case "direct call resolves to a module node" `Quick
+        test_direct_call;
       Alcotest.test_case "cross-module call resolves" `Quick
         test_cross_module_call;
       Alcotest.test_case "module alias expands" `Quick test_module_alias;
-      Alcotest.test_case "recursion terminates" `Quick test_recursion_terminates;
+      Alcotest.test_case "wrapped path into a later file resolves" `Quick
+        test_wrapped_path_into_later_file;
       Alcotest.test_case "unknown external is an opaque terminal" `Quick
         test_unknown_external_is_opaque_terminal;
       Alcotest.test_case "Stdlib prefix stripped" `Quick
         test_resolve_strips_stdlib;
-      reachability_monotone;
     ] )
 
 let () = Alcotest.run "energy_sched_callgraph" [ suite ]

@@ -2,9 +2,10 @@
    exception-flow pass): introduction from raise/failwith/invalid_arg,
    cross-module propagation, try/with narrowing and catch-all
    clearing, locally-scoped exceptions, Top on unknown externals,
-   fixpoint termination on recursion, the reading order of the raise
-   evidence [expr_effect] reports, and (as a QCheck property)
-   monotonicity of summaries under edge insertion on generated
+   fixpoint termination on recursion, a witness chain through a
+   wrapped path into a file declared later, the reading order of the
+   raise evidence [expr_effect] reports, and (as a QCheck property)
+   monotonicity of summaries under call insertion on generated
    sources. *)
 
 module Callgraph = Es_analysis.Callgraph
@@ -121,6 +122,23 @@ let test_recursion_fixpoint () =
   check_exns "the introducer keeps it too" env "Cycle.even"
     (Some [ "Invalid_argument" ])
 
+let test_witness_into_later_file () =
+  (* alpha.ml is declared before beta.ml, as a sorted directory walk
+     declares them: the chain follows the wrapped path the fixpoint
+     read, resolved once both files were declared *)
+  let env =
+    env_of
+      [
+        ("lib/x/alpha.ml", "let f x = Es_x.Beta.g x\n");
+        ("lib/x/beta.ml", "let g x = if x < 0 then invalid_arg \"g\" else x\n");
+      ]
+  in
+  Alcotest.(check (list string))
+    "the chain names the later file's node"
+    [ "Beta.g@lib/x/alpha.ml:1"; "Invalid_argument@lib/x/beta.ml:1" ]
+    (List.map Callgraph.hop
+       (Effects.witness env "Alpha.f" ~exn:"Invalid_argument"))
+
 (* ------------------------------------------------------------------ *)
 (* evidence: the first raising thing in reading order                  *)
 (* ------------------------------------------------------------------ *)
@@ -170,7 +188,7 @@ let test_evidence_body_before_handlers () =
     (evidence_of src "k")
 
 (* ------------------------------------------------------------------ *)
-(* property: summaries are monotone under adding callgraph edges       *)
+(* property: summaries are monotone under adding calls                *)
 (* ------------------------------------------------------------------ *)
 
 let node_names = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ]
@@ -268,6 +286,8 @@ let suite =
         test_local_exception_scoped;
       Alcotest.test_case "recursion reaches a fixpoint" `Quick
         test_recursion_fixpoint;
+      Alcotest.test_case "witness follows a path into a later file" `Quick
+        test_witness_into_later_file;
       Alcotest.test_case "evidence names a raise before its argument" `Quick
         test_evidence_raise_head_first;
       Alcotest.test_case "evidence skips a try that ends pure" `Quick

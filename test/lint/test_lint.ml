@@ -233,6 +233,34 @@ let test_p001_cross_module_witness () =
          && infix "counter.ml" m)
        (messages diags))
 
+(* The region walk meets a cycle: the write is reached only through a
+   self-recursive entry and a mutually recursive pair, and the walk's
+   visited set ends each cycle with the chain intact. *)
+let test_p001_through_recursive_helpers () =
+  let tally =
+    "let hits = Hashtbl.create 8\n\
+     let rec spin n = if n > 0 then spin (n - 1) else walk n\n\
+     and walk n = if n > 0 then hop (n - 1)\n\
+     and hop n = Hashtbl.replace hits n (); walk n\n"
+  in
+  let sweep =
+    "let run pool xs =\n\
+    \  Es_par.Par.parallel_map ~pool (fun x -> Tally.spin x; x) xs\n"
+  in
+  Alcotest.(check (list string))
+    "one finding, chained through the cycle"
+    [
+      "lib/x/sweep.ml:2:2 [P001] parallel region (Par.parallel_map) writes \
+       captured mutable state without Atomic/Mutex protection: \
+       Hashtbl.replace on captured container 'hits'; witness: \
+       region@lib/x/sweep.ml:2 -> Tally.spin@lib/x/sweep.ml:2 -> \
+       Tally.walk@lib/x/tally.ml:2 -> Tally.hop@lib/x/tally.ml:3 -> \
+       Hashtbl.replace hits@lib/x/tally.ml:4";
+    ]
+    (List.map Lint.to_string
+       (lint_sources ~rules:[ Rules.P001 ]
+          [ ("lib/x/tally.ml", tally); ("lib/x/sweep.ml", sweep) ]))
+
 let test_p002_triggers_and_suppression () =
   (* seeds.ml fires; seeds_quiet.ml carries [@lint.allow "P002"] on
      the region expression and must stay silent *)
@@ -287,6 +315,28 @@ let test_sequence_protocols () =
     ]
     (List.map Lint.to_string
        (lint_string ~rules:Rules.effects ~file:"locks.ml" src))
+
+(* The X001 witness meets a cycle: [odd] and [even] call each other,
+   and the shortest chain leaves the cycle for the raising [check]. *)
+let test_x001_witness_through_a_cycle () =
+  let ml =
+    "let check n = if n < 0 then invalid_arg \"check\" else n\n\
+     let rec odd n = if n = 0 then false else even (n - 1)\n\
+     and even n = if n = 0 then true else odd (check n - 1)\n"
+  in
+  Alcotest.(check (list string))
+    "the chain through the cycle"
+    [
+      "lib/x/cycle.mli:1:0 [X001] exported value 'odd' may raise \
+       Invalid_argument but its doc comment has no @raise tag; witness: \
+       Cycle.odd@lib/x/cycle.mli:1 -> Cycle.even@lib/x/cycle.ml:2 -> \
+       Cycle.check@lib/x/cycle.ml:3 -> Invalid_argument@lib/x/cycle.ml:1; \
+       document the contract (@raise Invalid_argument ...) or narrow the \
+       exceptions in the implementation";
+    ]
+    (List.map Lint.to_string
+       (lint_sources ~rules:[ Rules.X001 ]
+          [ ("lib/x/cycle.ml", ml); ("lib/x/cycle.mli", "val odd : int -> bool\n") ]))
 
 let lock_helper =
   "let m = Mutex.create ()\n\
@@ -473,6 +523,8 @@ let suite =
         test_malformed_units_payload_is_an_error;
       Alcotest.test_case "P001 cross-module witness chain" `Quick
         test_p001_cross_module_witness;
+      Alcotest.test_case "P001 through recursive helpers" `Quick
+        test_p001_through_recursive_helpers;
       Alcotest.test_case "P002 triggers and suppresses" `Quick
         test_p002_triggers_and_suppression;
       Alcotest.test_case "P003 flags blocking regions" `Quick
@@ -482,6 +534,8 @@ let suite =
       Alcotest.test_case "P family toggles off" `Quick test_p_rules_toggle_off;
       Alcotest.test_case "lock and telemetry protocols" `Quick
         test_sequence_protocols;
+      Alcotest.test_case "X001 witness through a cycle" `Quick
+        test_x001_witness_through_a_cycle;
       Alcotest.test_case "sanctioned owners are terminal" `Quick
         test_par_sanctioned_owner_is_terminal;
       Alcotest.test_case "a module name shared with lib/obs stays analysed"

@@ -290,8 +290,8 @@ let test_of_assignment () =
     (Invalid_argument "Mapping.of_assignment: processor out of range") (fun () ->
       ignore (Mapping.of_assignment ~p:2 d ~proc:[| 0; 1; 2; 0 |]))
 
-(* The top-level fold [List_sched] kept before it called
-   [Dag.earliest_start] at the weights. *)
+(* The level folds [List_sched] kept before it called
+   [Dag.earliest_start] and [Dag.latest_start] at the weights. *)
 let reference_top_levels dag =
   let tl = Array.make (Dag.n dag) 0. in
   Array.iter
@@ -303,8 +303,18 @@ let reference_top_levels dag =
     (Dag.topological_order dag);
   tl
 
+let reference_bottom_levels dag =
+  let order = Dag.topological_order dag in
+  let bl = Array.make (Dag.n dag) 0. in
+  for k = Dag.n dag - 1 downto 0 do
+    let i = order.(k) in
+    let below = List.fold_left (fun acc s -> Float.max acc bl.(s)) 0. (Dag.succs dag i) in
+    bl.(i) <- Dag.weight dag i +. below
+  done;
+  bl
+
 let qcheck_top_levels_reference =
-  QCheck.Test.make ~name:"top levels = the reference fold, bit for bit" ~count:300
+  QCheck.Test.make ~name:"top levels = the reference fold, bottom levels too" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let r = Es_util.Rng.create ~seed in
@@ -319,7 +329,8 @@ let qcheck_top_levels_reference =
         | _ -> Generators.out_tree r ~n ~max_children:(1 + Es_util.Rng.int r 4) ~wlo:1e-3 ~whi:1e3
       in
       let bits a = Array.map Int64.bits_of_float a in
-      bits (List_sched.top_levels dag) = bits (reference_top_levels dag))
+      bits (List_sched.top_levels dag) = bits (reference_top_levels dag)
+      && bits (List_sched.bottom_levels dag) = bits (reference_bottom_levels dag))
 
 let suite =
   ( fst suite,
