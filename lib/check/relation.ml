@@ -80,25 +80,26 @@ let run_lp_cert t =
 (* ---- lp-warm ------------------------------------------------------- *)
 
 (* Warm-started re-optimisation must be indistinguishable from cold
-   solving: sweep the VDD LP over a handful of deadlines, chaining the
-   optimal basis from one solve into the next, and demand (a) the same
-   outcome class as an independent cold solve, (b) objectives within
-   rtol 1e-8, and (c) that every warm optimum still carries a valid
-   primal-dual certificate against the raw LP statement.  (d)
-   [Bicrit_vdd.energy_sweep], which builds the LP once and restates
-   only its rhs, must return bit for bit what the chain of rebuilt LPs
-   returns at every deadline.  Like the sweep, the chain visits the
+   solving: sweep the VDD LP over a handful of deadlines, re-solving
+   one solver ([Es_lp.Revised.resolve]) at the LP rebuilt at each
+   deadline, and demand (a) the same outcome class as an independent
+   cold solve, (b) objectives within rtol 1e-8, and (c) that every warm
+   optimum still carries a valid primal-dual certificate against the
+   raw LP statement.  (d) [Bicrit_vdd.energy_sweep], which builds the
+   LP once and restates only its rhs, must return bit for bit what the
+   chain of rebuilt LPs returns at every deadline; each re-solve also
+   asserts that the rebuilt LP has the columns of the first (it raises
+   [Invalid_argument] otherwise).  Like the sweep, the chain visits the
    deadlines loosest first (a stable sort, so equal deadlines keep
-   their order) and starts every step with no basis to chain from at
-   [Bicrit_vdd.crash_basis]; verdicts and energies stay in input
-   order. *)
+   their order) and starts its solver at [Bicrit_vdd.crash_basis];
+   verdicts and energies stay in input order. *)
 let run_lp_warm t =
   let mapping = Gen.mapping t in
   let levels = t.Gen.levels in
   let base = Gen.deadline t in
   let deadlines = Array.map (fun s -> s *. base) [| 1.; 1.3; 0.9; 1.8 |] in
   let crash = Bicrit_vdd.crash_basis ~levels mapping in
-  let basis = ref None in
+  let solver = ref None in
   let chained = Array.make (Array.length deadlines) None in
   let verdicts = Array.make (Array.length deadlines) Pass in
   let order = Array.init (Array.length deadlines) Fun.id in
@@ -106,9 +107,17 @@ let run_lp_warm t =
   let check_at i =
     let deadline = deadlines.(i) in
     let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
+    let sp = Problem.to_sparse lp in
     let cold = Problem.solve lp in
-    let warm, basis' = Problem.solve_warm ~basis:(Option.value !basis ~default:crash) lp in
-    basis := basis';
+    let s =
+      match !solver with
+      | Some s -> s
+      | None ->
+        let s = Es_lp.Revised.start crash sp in
+        solver := Some s;
+        s
+    in
+    let warm, _ = Problem.resolve s sp in
     (match warm with
     | Problem.Solution w -> chained.(i) <- Some (Problem.objective w)
     | Problem.Infeasible | Problem.Unbounded -> ());
@@ -139,7 +148,7 @@ let run_lp_warm t =
     | Some c, Some s when Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float s) -> Pass
     | c, s ->
       Fail
-        (Printf.sprintf "D=%g: energy_sweep %s vs chained solve_warm %s" deadline (show s)
+        (Printf.sprintf "D=%g: energy_sweep %s vs chained resolve %s" deadline (show s)
            (show c))
   in
   combine (Array.to_list verdicts @ Array.to_list (Array.mapi same_as_chain deadlines))

@@ -9,14 +9,15 @@
       is re-certified by {!Lp_cert} (primal/dual feasibility,
       complementary slackness, zero gap); an [Infeasible] claim is
       cross-checked against the all-[fmax] schedule.
-    - ["lp-warm"]: sweeping the VDD LP over several deadlines with the
-      optimal basis chained from one solve into the next
-      ({!Es_lp.Problem.solve_warm}, loosest deadline first, as
-      {!Bicrit_vdd.energy_sweep} visits them, the first step from the
-      crash basis) yields the same outcome class and objective (rtol
-      1e-8) as independent cold solves, every warm optimum is
-      re-certified by {!Lp_cert}, and {!Bicrit_vdd.energy_sweep}
-      returns the chain's energies bit for bit.
+    - ["lp-warm"]: sweeping the VDD LP over several deadlines, the LP
+      rebuilt at each and re-solved through one solver
+      ({!Es_lp.Problem.resolve}, loosest deadline first, as
+      {!Bicrit_vdd.energy_sweep} visits them, the solver started at
+      the crash basis) yields the same outcome class and objective
+      (rtol 1e-8) as independent cold solves, every warm optimum is
+      re-certified by {!Lp_cert}, every rebuilt LP has the first one's
+      columns, and {!Bicrit_vdd.energy_sweep} returns the chain's
+      energies bit for bit.
     - ["kkt"]: every {!Bicrit_continuous.solve_general} result passes
       {!Kkt.check_general} (feasibility, energy accounting,
       critical-path saturation, exchange stationarity).

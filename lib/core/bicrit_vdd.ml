@@ -1,5 +1,6 @@
 module Problem = Es_lp.Problem
 module Sparse = Es_lp.Sparse
+module Revised = Es_lp.Revised
 
 type reliability = { rates : float array; budgets : float array array }
 
@@ -253,9 +254,10 @@ let energy ~deadline ~levels mapping =
    enters only as the right-hand side of the deadline rows — so the
    sweep builds the LP once and restates it per deadline with
    [Sparse.with_rhs], and the optimal basis at one deadline is a legal
-   warm start at the next.  Chaining bases turns a sweep of solves into
-   a chain of few-pivot dual-simplex re-optimisations; a step with no
-   basis to chain from starts from the crash basis.
+   warm start at the next.  One solver re-solves every restatement, so
+   a sweep of solves becomes a chain of few-pivot dual-simplex
+   re-optimisations that share one factorisation, eta file and set of
+   buffers; the first step starts from the crash basis.
 
    The chain visits the deadlines loosest first.  The crash basis is
    optimal for every deadline past the fmin makespan, so the first LP
@@ -267,7 +269,7 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
   let sp = Problem.to_sparse b.lp in
   let rhs = Sparse.rhs sp in
   let crash = crash b sp in
-  let basis = ref None in
+  let shared = if warm then Some (Revised.start crash sp) else None in
   let energies = Array.make (Array.length deadlines) None in
   (* stable: equal deadlines keep their input order *)
   let order = Array.init (Array.length deadlines) Fun.id in
@@ -279,10 +281,10 @@ let energy_sweep ?(warm = true) ~deadlines ~levels mapping =
     (fun i ->
       if !feasible then begin
         List.iter (fun r -> rhs.(r) <- deadlines.(i)) b.deadline_rows;
-        let start = Option.value !basis ~default:crash in
-        let outcome, next = Problem.solve_sparse ~basis:start (Sparse.with_rhs sp rhs) in
-        if warm then basis := next;
-        match outcome with
+        let solver =
+          match shared with Some s -> s | None -> Revised.start crash sp
+        in
+        match fst (Problem.resolve solver (Sparse.with_rhs sp rhs)) with
         | Problem.Solution s -> energies.(i) <- Some (Problem.objective s)
         | Problem.Infeasible -> feasible := false
         | Problem.Unbounded ->

@@ -110,20 +110,25 @@ val energy_sweep :
   levels:(float[@units "freq"]) array ->
   Mapping.t ->
   (float[@units "energy"]) option array
-(** {!energy} at each deadline, returned in the order of [deadlines],
-    re-optimising each LP from the optimal basis of the deadline
-    solved before it (the LPs differ only in their right-hand side).
-    The deadlines are visited from the loosest to the tightest, equal
-    ones in input order: {!crash_basis} is optimal for any deadline
-    past the fmin makespan, so the loosest deadline, solved first from
-    it, is the nearest to it, and each later step repairs a slightly
-    tighter deadline by the dual simplex.  Feasibility is monotone in
-    the deadline, so the infeasible deadlines form the tight tail of
-    the chain: the first of them is solved, and every later one is
-    [None] without a solve.  [~warm:false] solves every deadline up
-    to that one independently from {!crash_basis}, exactly as
-    {!energy} does — same results, no basis reuse; the warm-invariance
-    tests pin the two paths against each other point-for-point.
+(** {!energy} at each deadline, returned in the order of [deadlines].
+    The LPs differ only in their right-hand side, so the sweep builds
+    the LP once and keeps one solver ({!Es_lp.Revised.start}) for the
+    whole call: each deadline re-solves it
+    ({!Es_lp.Problem.resolve}) from the optimal basis, factors, eta
+    file and reduced costs of the deadline solved before it, with no
+    new factorisation or buffers.  The deadlines are visited from the
+    loosest to the tightest, equal ones in input order:
+    {!crash_basis} is optimal for any deadline past the fmin makespan,
+    so the loosest deadline, which starts the solver from it, is the
+    nearest to it, and each later step repairs a slightly tighter
+    deadline by the dual simplex.  Feasibility is monotone in the
+    deadline, so the infeasible deadlines form the tight tail of the
+    chain: the first of them is solved, and every later one is [None]
+    without a solve.  [~warm:false] starts a fresh solver from
+    {!crash_basis} at every deadline up to that one, exactly as
+    {!energy} does — bit for bit the same results, no reuse; the
+    warm-invariance tests pin the two paths against each other
+    point-for-point.
 
     @raise Failure if an internal iteration or node budget is exhausted (e.g. the simplex pivot limit).
     @raise Invalid_argument if [levels] is empty. *)

@@ -16,10 +16,10 @@ let bicrit_front ?pool ~fmin ~fmax ~deadlines mapping =
 
 (* Warm chaining runs inside fixed 25-deadline blocks: the partition
    is a function of the deadline list alone, never of the pool size,
-   so the basis handed to each solve — and therefore every computed
-   point — is identical under --jobs 1 and --jobs 4.  Blocks are the
-   parallelism grain; within a block each LP re-starts from the
-   optimal basis of the next looser deadline
+   so the solver state each solve starts from — and therefore every
+   computed point — is identical under --jobs 1 and --jobs 4.  Blocks
+   are the parallelism grain; each owns one solver, and within a block
+   each LP is re-solved from where the next looser deadline left it
    ([Bicrit_vdd.energy_sweep] visits them loosest first). *)
 let vdd_block = 25
 

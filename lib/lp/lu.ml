@@ -9,7 +9,7 @@ exception Unstable
    [eta_idx]/[eta_val] over [eta_start.(e) .. eta_start.(e + 1) − 1].
    L and U are flat pools of the same shape, one column after another.
    The pools outlive refactorisations, so once they have grown to a
-   solve's working size neither an update nor a refactorisation
+   solver's working size neither an update nor a refactorisation
    allocates. *)
 type t = {
   m : int;
@@ -69,7 +69,7 @@ let pivot_floor = 1e-12
    the CSC arrays. *)
 let refactor t basis =
   let m = t.m in
-  if Array.length basis <> m then invalid_arg "Lu.factor: basis length";
+  if Array.length basis <> m then invalid_arg "Lu.refactor: basis length";
   let { l_start; u_start; u_diag; prow; pinv; x; stamp; _ } = t in
   let { node_stack; child_pos; order; pattern; _ } = t in
   Array.fill prow 0 m (-1);
@@ -200,41 +200,37 @@ let refactor t basis =
 
 let eta_capacity = 8
 
-let factor sp ~art_sign basis =
+let create sp ~art_sign =
   let m = Sparse.m sp in
-  let t =
-    {
-      m;
-      n_cols = Sparse.n_cols sp;
-      col_ptr = Sparse.col_ptr sp;
-      row_idx = Sparse.row_idx sp;
-      col_val = Sparse.col_val sp;
-      art_sign;
-      l_start = Array.make (m + 1) 0;
-      l_idx = Array.make m 0;
-      l_val = Array.make m 0.;
-      u_start = Array.make (m + 1) 0;
-      u_idx = Array.make m 0;
-      u_val = Array.make m 0.;
-      u_diag = Array.make m 0.;
-      prow = Array.make m (-1);
-      pinv = Array.make m (-1);
-      n_etas = 0;
-      eta_pos = Array.make eta_capacity 0;
-      eta_diag = Array.make eta_capacity 0.;
-      eta_start = Array.make (eta_capacity + 1) 0;
-      eta_idx = Array.make m 0;
-      eta_val = Array.make m 0.;
-      x = Array.make m 0.;
-      stamp = Array.make m (-1);
-      node_stack = Array.make m 0;
-      child_pos = Array.make m 0;
-      order = Array.make m 0;
-      pattern = Array.make m 0;
-    }
-  in
-  refactor t basis;
-  t
+  {
+    m;
+    n_cols = Sparse.n_cols sp;
+    col_ptr = Sparse.col_ptr sp;
+    row_idx = Sparse.row_idx sp;
+    col_val = Sparse.col_val sp;
+    art_sign;
+    l_start = Array.make (m + 1) 0;
+    l_idx = Array.make m 0;
+    l_val = Array.make m 0.;
+    u_start = Array.make (m + 1) 0;
+    u_idx = Array.make m 0;
+    u_val = Array.make m 0.;
+    u_diag = Array.make m 0.;
+    prow = Array.make m (-1);
+    pinv = Array.make m (-1);
+    n_etas = 0;
+    eta_pos = Array.make eta_capacity 0;
+    eta_diag = Array.make eta_capacity 0.;
+    eta_start = Array.make (eta_capacity + 1) 0;
+    eta_idx = Array.make m 0;
+    eta_val = Array.make m 0.;
+    x = Array.make m 0.;
+    stamp = Array.make m (-1);
+    node_stack = Array.make m 0;
+    child_pos = Array.make m 0;
+    order = Array.make m 0;
+    pattern = Array.make m 0;
+  }
 
 let n_updates t = t.n_etas
 

@@ -15,9 +15,10 @@
     is.  The factorisation scratch and the three pools are reused by
     {!refactor} and {!update}, and {!ftran} and {!btran} write into a
     result buffer the caller passes, so neither a pivot nor a
-    refactorisation allocates once the pools have grown to the solve's
-    working size.  A [t] belongs to one solve: nothing is shared
-    between solves or domains. *)
+    refactorisation allocates once the pools have grown to their
+    working size.  A [t] belongs to one {!Revised.t} solver, which
+    keeps it across the re-solves of a sweep, so the pools grow once
+    per sweep: nothing is shared between solvers or domains. *)
 
 type t
 (** A factorisation [P·B = L·U] plus an ordered eta file and the
@@ -25,31 +26,30 @@ type t
 
 exception Singular
 (** The supplied basis columns are linearly dependent (to working
-    precision).  {!Revised.solve_from} treats this as "the warm basis
-    is stale" and falls back to a cold start. *)
+    precision).  {!Revised.resolve} treats this as "the warm basis is
+    stale" and falls back to a cold start. *)
 
 exception Unstable
 (** A product-form update would divide by a pivot too small relative
     to the column — the caller must refactorise instead. *)
 
-val factor : Sparse.t -> art_sign:float array -> int array -> t
-(** [factor sp ~art_sign basis] factorises the m×m matrix whose k-th
-    column is column [basis.(k)] of [sp], read straight from its CSC
-    arrays.  An entry [j ≥ Sparse.n_cols sp] names the virtual unit
-    artificial [art_sign.(i)·e_i] of row [i = j − n_cols] (see
-    {!Revised}).
+val create : Sparse.t -> art_sign:float array -> t
+(** [create sp ~art_sign] allocates the buffers of a factorisation
+    over [sp]'s columns, read straight from its CSC arrays, and holds
+    no factors until the first {!refactor}.  [art_sign] is kept, not
+    copied: an entry [j ≥ Sparse.n_cols sp] of a basis names the
+    virtual unit artificial [art_sign.(i)·e_i] of row
+    [i = j − n_cols] (see {!Revised}), with the sign the array holds
+    when {!refactor} runs. *)
+
+val refactor : t -> int array -> unit
+(** [refactor t basis] factorises in place, reusing [t]'s buffers, the
+    m×m matrix whose k-th column is column [basis.(k)] of [t]'s
+    columns, and empties the eta file.  After [Singular] the factors
+    are unusable until a successful [refactor].
 
     @raise Singular if the basis is numerically rank-deficient.
     @raise Invalid_argument if [basis] does not have length [m]. *)
-
-val refactor : t -> int array -> unit
-(** [refactor t basis] factorises a new basis over the same columns in
-    place, reusing [t]'s buffers, and empties the eta file.  After
-    [Singular] the factors are unusable until a successful
-    [refactor].
-
-    @raise Singular as {!factor}.
-    @raise Invalid_argument as {!factor}. *)
 
 val ftran : t -> float array -> float array -> unit
 (** [ftran t b x] solves [B x = b].  [b] is in row space and is

@@ -85,14 +85,10 @@ let basis sp ~slacks ~vars =
   in
   Revised.basis_of_columns (Array.of_list (List.map slack slacks @ vars))
 
-let solve_sparse ?basis sp =
+let counted solve =
   Obs.incr c_solves;
   Obs.time t_solve @@ fun () ->
-  let outcome, next =
-    match basis with
-    | None -> Revised.solve sp
-    | Some b -> Revised.solve_from b sp
-  in
+  let outcome, next = solve () in
   let outcome =
     match outcome with
     | Revised.Optimal { objective; solution; duals } ->
@@ -101,6 +97,14 @@ let solve_sparse ?basis sp =
     | Revised.Unbounded -> Unbounded
   in
   (outcome, next)
+
+let solve_sparse ?basis sp =
+  counted @@ fun () ->
+  match basis with
+  | None -> Revised.solve sp
+  | Some b -> Revised.solve_from b sp
+
+let resolve solver sp = counted (fun () -> Revised.resolve solver sp)
 
 let solve t = fst (solve_sparse (to_sparse t))
 let solve_warm ?basis t = solve_sparse ?basis (to_sparse t)

@@ -64,10 +64,20 @@ val basis : Sparse.t -> slacks:int list -> vars:var list -> Revised.basis
 
 val solve_sparse : ?basis:Revised.basis -> Sparse.t -> outcome * Revised.basis option
 (** Minimise an already-built problem, cold or from [basis] as
-    {!solve_warm} does.  A deadline sweep builds {!to_sparse} once and
-    solves each deadline's {!Sparse.with_rhs} restatement here.  Counts
-    under ["lp_solves"] and times under ["lp_solve"] like {!solve}.
+    {!solve_warm} does.  Counts under ["lp_solves"] and times under
+    ["lp_solve"] like {!solve}.
 
+    @raise Failure if the simplex iteration limit is exceeded. *)
+
+val resolve : Revised.t -> Sparse.t -> outcome * Revised.basis option
+(** {!Revised.resolve}, counted under ["lp_solves"] and timed under
+    ["lp_solve"] as {!solve_sparse} is.  A deadline sweep builds
+    {!to_sparse} once, starts one solver on it
+    ({!Revised.start}) and re-solves each deadline's
+    {!Sparse.with_rhs} restatement here.
+
+    @raise Invalid_argument if [sp] does not have the solver's
+    columns and objective.
     @raise Failure if the simplex iteration limit is exceeded. *)
 
 val solve : t -> outcome
@@ -80,10 +90,10 @@ val solve_warm : ?basis:Revised.basis -> t -> outcome * Revised.basis option
 (** Like {!solve}, but optionally re-optimises from a previous optimal
     basis and returns the optimal basis alongside the outcome ([Some]
     exactly when the outcome is [Solution]).  The basis is valid as a
-    warm start for any problem with the same variables and rows — in a
-    Pareto deadline sweep, the same LP re-stated at the next deadline.
-    A stale or mismatched basis silently degrades to a cold solve (see
-    {!Revised.solve_from}).
+    warm start for any problem with the same variables and rows.  Each
+    call factorises its basis afresh; a sweep over right-hand sides
+    re-solves one solver instead ({!resolve}).  A stale or mismatched
+    basis silently degrades to a cold solve (see {!Revised.resolve}).
 
     @raise Failure if the simplex iteration limit is exceeded.
     @raise Invalid_argument as {!to_sparse}. *)

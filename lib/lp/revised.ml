@@ -34,28 +34,38 @@ let max_iters = 200_000
 
 (* Columns 0..n_cols-1 come from the sparse problem; n_cols..n_cols+m-1
    are virtual artificials: the unit column sign(b_i)·e_i for row
-   i = j − n_cols.  The sign is fixed per solve from the current
-   right-hand side so a phase-1 artificial starts at |b_i| ≥ 0; it is
-   never materialised in the CSC arrays.  Every array a primal pivot
-   touches is allocated here once per solve; the dual simplex adds its
-   reduced costs and pivot row. *)
-type state = {
-  sp : Sparse.t;
+   i = j − n_cols.  The sign follows the current right-hand side so a
+   phase-1 artificial starts at |b_i| ≥ 0; it is never materialised in
+   the CSC arrays.  Every array a pivot touches is allocated here once
+   per solver and kept across its re-solves, the factors and eta file
+   included. *)
+type t = {
+  sp : Sparse.t; (* the columns and objective every re-solve shares *)
   m : int;
   n_cols : int;
   n_struct : int;
   col_ptr : int array;
   row_idx : int array;
   col_val : float array;
-  b : float array;
-  art_sign : float array;
+  bland_after : int;
+  refactor_every : int;
+  b : float array; (* the current right-hand side *)
+  art_sign : float array; (* read by [lu] at every refactorisation *)
   basis : int array; (* per position: its basic column *)
   in_basis : bool array; (* length n_cols + m *)
   lu : Lu.t;
+  mutable fresh : bool;
+      (* [basis] is not factorised: the next re-solve factorises it, or
+         starts cold if it is not a nonsingular basis *)
   mutable factorizations : int; (* bumped by every refactor *)
   xb : float array; (* basic values, position space *)
   cost : float array; (* current phase costs, length n_cols + m *)
   mutable price_from : int; (* partial-pricing rotation pointer *)
+  d : float array; (* phase-2 reduced costs, length n_cols *)
+  mutable priced_at : int;
+      (* [factorizations] when [d] was last priced from scratch, or -1
+         when [d] is not the current basis's *)
+  alpha_row : float array; (* the dual simplex's pivot row, length n_cols *)
   (* kernel buffers *)
   scatter : float array; (* row space: ftran input, consumed *)
   w : float array; (* position space: B⁻¹ a_j of the entering column *)
@@ -113,7 +123,7 @@ let refactor st =
 
 (* Swap column [j] into position [p] at primal step [theta] along
    [st.w = B⁻¹ a_j]. *)
-let apply_pivot st ~p ~j ~theta ~refactor_every =
+let apply_pivot st ~p ~j ~theta =
   for k = 0 to st.m - 1 do
     let v = st.xb.(k) -. (theta *. st.w.(k)) in
     st.xb.(k) <- (if Float.abs v < 1e-12 then 0. else v)
@@ -122,7 +132,7 @@ let apply_pivot st ~p ~j ~theta ~refactor_every =
   st.in_basis.(st.basis.(p)) <- false;
   st.in_basis.(j) <- true;
   st.basis.(p) <- j;
-  if Lu.n_updates st.lu + 1 >= refactor_every then refactor st
+  if Lu.n_updates st.lu + 1 >= st.refactor_every then refactor st
   else
     match Lu.update st.lu ~pos:p ~w:st.w with
     | () -> ()
@@ -216,7 +226,9 @@ let ratio_test st =
   done;
   (!p, !best)
 
-let optimise st ~bland_after ~refactor_every ~phase_pivots =
+(* Primal simplex on the current phase's costs.  A pivot leaves [d]
+   stale: only the dual simplex keeps it up to date. *)
+let optimise st ~phase_pivots =
   let iters = ref 0 in
   let rec loop () =
     if !iters > max_iters then
@@ -224,7 +236,7 @@ let optimise st ~bland_after ~refactor_every ~phase_pivots =
     incr iters;
     btran_costs st st.y;
     let j =
-      if !iters < bland_after then entering_dantzig st else entering_bland st
+      if !iters < st.bland_after then entering_dantzig st else entering_bland st
     in
     if j < 0 then `Optimal
     else begin
@@ -235,7 +247,8 @@ let optimise st ~bland_after ~refactor_every ~phase_pivots =
         Obs.incr c_pivots;
         Obs.incr phase_pivots;
         if theta <= ratio_eps then Obs.incr c_degenerate;
-        apply_pivot st ~p ~j ~theta ~refactor_every;
+        st.priced_at <- -1;
+        apply_pivot st ~p ~j ~theta;
         loop ()
       end
     end
@@ -245,7 +258,7 @@ let optimise st ~bland_after ~refactor_every ~phase_pivots =
 (* After phase 1, swap any zero-level basic artificial for a real
    column with a nonzero pivot in its row; rows where none exists are
    redundant and keep their artificial pinned at zero. *)
-let drive_out_artificials st ~refactor_every =
+let drive_out_artificials st =
   for p = 0 to st.m - 1 do
     if st.basis.(p) >= st.n_cols && Float.abs st.xb.(p) <= art_tol then begin
       btran_unit st p;
@@ -264,7 +277,7 @@ let drive_out_artificials st ~refactor_every =
         ftran_col st j;
         if Float.abs st.w.(p) > ratio_eps then begin
           let theta = st.xb.(p) /. st.w.(p) in
-          apply_pivot st ~p ~j ~theta ~refactor_every
+          apply_pivot st ~p ~j ~theta
         end
       end
     end
@@ -276,11 +289,12 @@ let set_phase1_costs st =
     st.cost.(st.n_cols + i) <- 1.
   done
 
+(* Blitted rather than read column by column: without cross-module
+   inlining (dune's dev profile) each float [Sparse.obj] returns is
+   boxed, two minor-heap words per column at every solve. *)
 let set_phase2_costs st =
-  Array.fill st.cost 0 (st.n_cols + st.m) 0.;
-  for j = 0 to st.n_cols - 1 do
-    st.cost.(j) <- Sparse.obj st.sp j
-  done
+  Sparse.blit_obj st.sp st.cost;
+  Array.fill st.cost st.n_cols st.m 0.
 
 let extract st =
   let solution = Array.make st.n_struct 0. in
@@ -296,39 +310,6 @@ let extract st =
   let duals = Array.make st.m 0. in
   btran_costs st duals;
   Optimal { objective = !objective; solution; duals }
-
-let mk_state sp basis =
-  let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
-  let b = Sparse.rhs sp in
-  let art_sign = Array.map (fun v -> if v >= 0. then 1. else -1.) b in
-  let in_basis = Array.make (n_cols + m) false in
-  Array.iter (fun j -> in_basis.(j) <- true) basis;
-  let st =
-    {
-      sp;
-      m;
-      n_cols;
-      n_struct = Sparse.n_struct sp;
-      col_ptr = Sparse.col_ptr sp;
-      row_idx = Sparse.row_idx sp;
-      col_val = Sparse.col_val sp;
-      b;
-      art_sign;
-      basis;
-      in_basis;
-      lu = Lu.factor sp ~art_sign basis;
-      factorizations = 0;
-      xb = Array.make m 0.;
-      cost = Array.make (n_cols + m) 0.;
-      price_from = 0;
-      scatter = Array.make m 0.;
-      w = Array.make m 0.;
-      cb = Array.make m 0.;
-      y = Array.make m 0.;
-    }
-  in
-  basic_values st;
-  st
 
 let phase1_objective st =
   let acc = ref 0. in
@@ -356,19 +337,23 @@ let primal_feasible st =
   !ok && artificials_at_zero st
 
 (* d_j = c_j − y·a_j from scratch for every real column (0 on basic
-   ones); the dual simplex keeps [d] up to date between calls. *)
-let reduced_costs st d =
+   ones); the dual simplex keeps [d] up to date between pricings. *)
+let reduced_costs st =
   btran_costs st st.y;
   for j = 0 to st.n_cols - 1 do
-    d.(j) <- (if st.in_basis.(j) then 0. else st.cost.(j) -. col_dot st j st.y)
-  done
+    st.d.(j) <-
+      (if st.in_basis.(j) then 0. else st.cost.(j) -. col_dot st j st.y)
+  done;
+  st.priced_at <- st.factorizations
 
-(* Fills [d] with the reduced costs, which the dual simplex starts from. *)
-let dual_feasible st d =
-  reduced_costs st d;
+(* Whether every reduced cost is non-negative, the dual simplex's
+   starting condition.  [d] is priced afresh unless the dual simplex
+   left it up to date on this basis and factorisation. *)
+let dual_feasible st =
+  if st.priced_at <> st.factorizations then reduced_costs st;
   let ok = ref true in
   for j = 0 to st.n_cols - 1 do
-    if d.(j) < -.art_tol then ok := false
+    if st.d.(j) < -.art_tol then ok := false
   done;
   !ok
 
@@ -380,19 +365,16 @@ let dual_feasible st d =
    recomputes d from scratch after every refactorisation.  Returns
    [`Feasible] once x_B ≥ 0, [`Infeasible] when the dual is unbounded
    (no entering column), or [`Stalled] on numerical trouble — the
-   caller falls back to a cold solve. *)
-let dual_simplex st d ~refactor_every =
-  let alpha_row = Array.make st.n_cols 0. in
+   caller falls back to a cold solve.  Either way [d] stays the
+   basis's reduced costs. *)
+let dual_simplex st =
+  let d = st.d and alpha_row = st.alpha_row in
   let iters = ref 0 and retried = ref false in
-  let priced_at = ref st.factorizations in
   let rec loop () =
     if !iters > max_iters then
       failwith "Lp.Revised: dual iteration limit exceeded";
     incr iters;
-    if st.factorizations <> !priced_at then begin
-      reduced_costs st d;
-      priced_at := st.factorizations
-    end;
+    if st.factorizations <> st.priced_at then reduced_costs st;
     let p = ref (-1) and most = ref (-.feas_tol) in
     for k = 0 to st.m - 1 do
       if st.xb.(k) < !most then begin
@@ -445,7 +427,7 @@ let dual_simplex st d ~refactor_every =
           let theta = st.xb.(p) /. st.w.(p) in
           Obs.incr c_pivots;
           Obs.incr c_dual_pivots;
-          apply_pivot st ~p ~j ~theta ~refactor_every;
+          apply_pivot st ~p ~j ~theta;
           loop ()
         end
       end
@@ -453,99 +435,179 @@ let dual_simplex st d ~refactor_every =
   in
   loop ()
 
-let default_bland_after = 20_000
-let default_refactor_every = 64
-
 (* Phase 2 from a primal-feasible state; assumes costs are set. *)
-let finish_phase2 st ~bland_after ~refactor_every =
+let finish_phase2 st =
   match
-    Obs.time t_phase2 (fun () ->
-        optimise st ~bland_after ~refactor_every
-          ~phase_pivots:c_phase2_pivots)
+    Obs.time t_phase2 (fun () -> optimise st ~phase_pivots:c_phase2_pivots)
   with
   | `Unbounded -> (Unbounded, None)
   | `Optimal -> (extract st, Some (Array.copy st.basis))
 
-let solve ?(bland_after = default_bland_after)
-    ?(refactor_every = default_refactor_every) sp =
-  let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
-  let b = Sparse.rhs sp in
-  (* Slack-basic where the slack is feasible at this rhs (≤ with b ≥ 0,
-     ≥ with b ≤ 0), artificial-basic otherwise: B is diagonal ±1. *)
-  let basis =
-    Array.init m (fun i ->
-        let sc = Sparse.slack_col sp i in
-        if sc < 0 then n_cols + i
-        else begin
-          let sigma =
-            match Sparse.row_relation sp i with
-            | Sparse.Le -> 1.
-            | Sparse.Ge -> -1.
-            | Sparse.Eq -> 0.
-          in
-          if sigma *. b.(i) >= 0. then sc else n_cols + i
-        end)
-  in
-  let st = mk_state sp basis in
-  let needs_phase1 = ref false in
-  Array.iter (fun j -> if j >= n_cols then needs_phase1 := true) st.basis;
+(* Marks [basis]'s columns in [in_basis]; false if it names a column
+   twice or one outside [0 .. n_cols + m − 1]. *)
+let mark_basis st =
+  Array.fill st.in_basis 0 (st.n_cols + st.m) false;
+  Array.for_all
+    (fun j ->
+      j >= 0
+      && j < st.n_cols + st.m
+      && (not st.in_basis.(j))
+      &&
+      (st.in_basis.(j) <- true;
+       true))
+    st.basis
+
+(* The cold two-phase solve at the current right-hand side, from the
+   basis that is slack where the slack is feasible at this rhs (≤ with
+   b ≥ 0, ≥ with b ≤ 0) and artificial otherwise: B is diagonal ±1. *)
+let cold st =
+  let sp = st.sp in
+  for i = 0 to st.m - 1 do
+    let sc = Sparse.slack_col sp i in
+    st.basis.(i) <-
+      (if sc < 0 then st.n_cols + i
+       else begin
+         let sigma =
+           match Sparse.row_relation sp i with
+           | Sparse.Le -> 1.
+           | Sparse.Ge -> -1.
+           | Sparse.Eq -> 0.
+         in
+         if sigma *. st.b.(i) >= 0. then sc else st.n_cols + i
+       end)
+  done;
+  ignore (mark_basis st : bool);
+  Lu.refactor st.lu st.basis;
+  st.price_from <- 0;
+  st.priced_at <- -1;
+  basic_values st;
+  let needs_phase1 = Array.exists (fun j -> j >= st.n_cols) st.basis in
   let infeasible = ref false in
-  if !needs_phase1 then begin
+  if needs_phase1 then begin
     set_phase1_costs st;
     (match
-       Obs.time t_phase1 (fun () ->
-           optimise st ~bland_after ~refactor_every ~phase_pivots:c_phase1_pivots)
+       Obs.time t_phase1 (fun () -> optimise st ~phase_pivots:c_phase1_pivots)
      with
     | `Unbounded -> failwith "Lp.Revised: phase-1 objective unbounded"
     | `Optimal -> ());
     if phase1_objective st > art_tol then infeasible := true
-    else drive_out_artificials st ~refactor_every
+    else drive_out_artificials st
   end;
   if !infeasible then (Infeasible, None)
   else begin
     set_phase2_costs st;
-    finish_phase2 st ~bland_after ~refactor_every
+    finish_phase2 st
   end
 
-let valid_basis ~m ~n_cols basis =
-  Array.length basis = m
-  && Array.for_all (fun j -> j >= 0 && j < n_cols + m) basis
-  &&
-  let seen = Array.make (n_cols + m) false in
-  Array.for_all
-    (fun j ->
-      if seen.(j) then false
-      else begin
-        seen.(j) <- true;
-        true
-      end)
-    basis
+let fallback st =
+  Obs.incr c_warm_fallback;
+  cold st
 
-let solve_from ?(bland_after = default_bland_after)
-    ?(refactor_every = default_refactor_every) basis0 sp =
-  let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
-  let fallback () =
-    Obs.incr c_warm_fallback;
-    solve ~bland_after ~refactor_every sp
-  in
-  if not (valid_basis ~m ~n_cols basis0) then fallback ()
+(* Re-optimise from a factorised basis whose basic values are those
+   of the current right-hand side: phase 2 if it is primal feasible,
+   the dual simplex if it is dual feasible, a cold solve otherwise. *)
+let warm st =
+  Obs.incr c_warm;
+  st.price_from <- 0;
+  set_phase2_costs st;
+  if primal_feasible st then finish_phase2 st
+  else if not (dual_feasible st) then fallback st
   else
-    match mk_state sp (Array.copy basis0) with
-    | exception Lu.Singular -> fallback ()
-    | st ->
-      Obs.incr c_warm;
-      set_phase2_costs st;
-      if primal_feasible st then
-        finish_phase2 st ~bland_after ~refactor_every
-      else begin
-        let d = Array.make n_cols 0. in
-        if not (dual_feasible st d) then fallback ()
-        else
-          match dual_simplex st d ~refactor_every with
-          | `Infeasible -> (Infeasible, None)
-          | `Stalled -> fallback ()
-          | `Feasible ->
-            if artificials_at_zero st then
-              finish_phase2 st ~bland_after ~refactor_every
-            else fallback ()
-      end
+    match dual_simplex st with
+    | `Infeasible -> (Infeasible, None)
+    | `Stalled -> fallback st
+    | `Feasible ->
+      if artificials_at_zero st then finish_phase2 st else fallback st
+
+(* Copies [sp]'s right-hand side in and the artificials' signs with
+   it; true when a basic artificial changed sign, so that the factors
+   no longer describe the basis. *)
+let load_rhs st sp =
+  Sparse.blit_rhs sp st.b;
+  let flipped = ref false in
+  for i = 0 to st.m - 1 do
+    let sign = if st.b.(i) >= 0. then 1. else -1. in
+    if sign <> st.art_sign.(i) then begin
+      st.art_sign.(i) <- sign;
+      if st.in_basis.(st.n_cols + i) then flipped := true
+    end
+  done;
+  !flipped
+
+let default_bland_after = 20_000
+let default_refactor_every = 64
+
+let create ?(bland_after = default_bland_after)
+    ?(refactor_every = default_refactor_every) sp =
+  let m = Sparse.m sp and n_cols = Sparse.n_cols sp in
+  let art_sign = Array.make m 1. in
+  {
+    sp;
+    m;
+    n_cols;
+    n_struct = Sparse.n_struct sp;
+    col_ptr = Sparse.col_ptr sp;
+    row_idx = Sparse.row_idx sp;
+    col_val = Sparse.col_val sp;
+    bland_after;
+    refactor_every;
+    b = Array.make m 0.;
+    art_sign;
+    basis = Array.make m (-1);
+    in_basis = Array.make (n_cols + m) false;
+    lu = Lu.create sp ~art_sign;
+    fresh = true;
+    factorizations = 0;
+    xb = Array.make m 0.;
+    cost = Array.make (n_cols + m) 0.;
+    price_from = 0;
+    d = Array.make n_cols 0.;
+    priced_at = -1;
+    alpha_row = Array.make n_cols 0.;
+    scatter = Array.make m 0.;
+    w = Array.make m 0.;
+    cb = Array.make m 0.;
+    y = Array.make m 0.;
+  }
+
+let solve ?bland_after ?refactor_every sp =
+  let st = create ?bland_after ?refactor_every sp in
+  ignore (load_rhs st sp : bool);
+  cold st
+
+let start basis sp =
+  let st = create sp in
+  (* a basis of the wrong length stays all −1: not a basis *)
+  if Array.length basis = st.m then Array.blit basis 0 st.basis 0 st.m;
+  st
+
+let resolve st sp =
+  if not (Sparse.same_columns st.sp sp) then
+    invalid_arg "Revised.resolve: the problem's columns are not the solver's";
+  let flipped = load_rhs st sp in
+  let fresh = st.fresh in
+  (* until this re-solve returns: one that raises leaves its basis to
+     be factorised again *)
+  st.fresh <- true;
+  let result =
+    if not fresh then begin
+      if flipped then refactor st else basic_values st;
+      warm st
+    end
+    else if
+      mark_basis st
+      &&
+      match Lu.refactor st.lu st.basis with
+      | () -> true
+      | exception Lu.Singular -> false
+    then begin
+      st.priced_at <- -1;
+      basic_values st;
+      warm st
+    end
+    else fallback st
+  in
+  st.fresh <- false;
+  result
+
+let solve_from basis sp = resolve (start basis sp) sp

@@ -8,7 +8,7 @@
     rotating window, on wide problems) with a Bland fallback after
     [bland_after] iterations of a phase to escape cycling.
 
-    The payoff is {!solve_from}: a solve may start from any named
+    The payoff is the warm start: a solve may start from any named
     basis — the previous deadline's optimum in a sweep, or a crash
     basis built from the problem's structure — and runs primal simplex
     if the basis is primal feasible, the dual simplex if it is only
@@ -22,10 +22,15 @@
     solve, and [Lp_cert] certifies every [Optimal] independently of
     how it was reached.
 
-    Every array a pivot touches — the FTRAN/BTRAN buffers, the basic
-    costs, the reduced costs and the pivot row — is allocated once per
-    solve and owned by it, so pivots allocate nothing on the major
-    heap and concurrent solves share no state. *)
+    A solver {!t} lives across the solves of problems that differ only
+    in their right-hand side (a deadline sweep's restatements).  It
+    owns every array a pivot touches — the {!Lu} factors and eta file,
+    the FTRAN/BTRAN buffers, the basic costs, the reduced costs and
+    the pivot row — allocated once by {!start}; {!resolve} copies the
+    new right-hand side in and re-optimises from the basis, factors,
+    eta file and reduced costs the previous solve left.  Pivots
+    allocate nothing on the major heap, a re-solve nothing beyond the
+    result it returns, and concurrent solvers share no state. *)
 
 type outcome =
   | Optimal of {
@@ -52,8 +57,8 @@ val basis_of_columns : int array -> basis
 (** Name a starting basis by its columns in {!Sparse} numbering
     (structural columns, then the slack/surplus columns of
     {!Sparse.slack_col}), one per row; the position order is the order
-    {!Lu.factor} eliminates them in.  Nothing is checked here:
-    {!solve_from} falls back to a cold solve if the columns are not a
+    {!Lu.refactor} eliminates them in.  Nothing is checked here:
+    {!resolve} falls back to a cold solve if the columns are not a
     nonsingular basis of the problem it is given. *)
 
 val solve :
@@ -63,13 +68,42 @@ val solve :
     @raise Failure if a phase exceeds 200_000 pivots or the basis
     becomes numerically singular mid-solve. *)
 
-val solve_from :
-  ?bland_after:int -> ?refactor_every:int -> basis -> Sparse.t -> outcome * basis option
-(** Warm solve from a previous optimal basis or a named starting basis
-    (counted under ["lp_warm_starts"]).  Invalid, singular or
-    otherwise stale bases, bases neither primal nor dual feasible, and
-    stalled dual simplex runs fall back to {!solve} (counted under the
-    ["lp_warm_cold_fallbacks"] telemetry counter), so the result is
-    identical in kind to a cold solve — only faster.
+type t
+(** A solver over one problem's columns and objective, holding a basis
+    and everything needed to re-optimise from it. *)
+
+val start : basis -> Sparse.t -> t
+(** [start basis sp] allocates a solver for [sp]'s columns that will
+    start from [basis].  Nothing is factorised or checked here: the
+    first {!resolve} factorises [basis], or falls back to a cold solve
+    if it is not a nonsingular basis of [sp]. *)
+
+val resolve : t -> Sparse.t -> outcome * basis option
+(** [resolve solver sp] re-optimises for [sp], which must have the
+    solver's columns and objective ({!Sparse.same_columns}) and may
+    have any right-hand side.  It is a warm solve (counted under
+    ["lp_warm_starts"]) from the basis the previous {!resolve} ended
+    at, or from {!start}'s basis the first time: the basic values of
+    the new right-hand side come from one FTRAN through the factors
+    and eta file that solve left, and the reduced costs the dual
+    simplex left are reused.  Then the solve runs phase 2 if the basis
+    is primal feasible, else the dual simplex if it is dual feasible.
+    An invalid or singular start basis, a basis neither primal nor
+    dual feasible, and a stalled dual simplex fall back to the cold
+    two-phase solve of {!solve} (counted under
+    ["lp_warm_cold_fallbacks"]) inside the solver's own buffers, and
+    the next {!resolve} continues from where that cold solve ended.
+    The result is identical in kind to a cold solve — only faster.
+    Every outcome, [Infeasible] and [Unbounded] included, leaves a
+    basis to continue from; a [resolve] that raises leaves its basis
+    to be factorised again by the next one.
+
+    @raise Invalid_argument if [sp]'s columns or objective are not the
+    solver's.
+    @raise Failure as {!solve}. *)
+
+val solve_from : basis -> Sparse.t -> outcome * basis option
+(** [solve_from basis sp] is [resolve (start basis sp) sp]: the
+    one-shot warm solve, with the same arithmetic and fallbacks.
 
     @raise Failure as {!solve}. *)

@@ -107,6 +107,20 @@ let with_rhs t rhs =
     invalid_arg "Sparse.with_rhs: rhs length does not match the row count";
   { t with rhs = Array.copy rhs }
 
+let same_columns a b =
+  a == b
+  || a.col_ptr == b.col_ptr
+     && a.row_idx == b.row_idx
+     && a.col_val == b.col_val
+     && a.obj == b.obj
+  || a.m = b.m
+     && a.n_struct = b.n_struct
+     && a.n_cols = b.n_cols
+     && Array.for_all2 Int.equal a.col_ptr b.col_ptr
+     && Array.for_all2 Int.equal a.row_idx b.row_idx
+     && Array.for_all2 Float.equal a.col_val b.col_val
+     && Array.for_all2 Float.equal a.obj b.obj
+
 let m t = t.m
 let n_struct t = t.n_struct
 let n_cols t = t.n_cols
@@ -115,6 +129,8 @@ let row_relation t i = t.rels.(i)
 let nnz t = t.col_ptr.(t.n_cols)
 let rhs t = Array.copy t.rhs
 let obj t j = t.obj.(j)
+let blit_rhs t dst = Array.blit t.rhs 0 dst 0 t.m
+let blit_obj t dst = Array.blit t.obj 0 dst 0 t.n_cols
 
 let col_ptr t = t.col_ptr
 let row_idx t = t.row_idx

@@ -5,8 +5,9 @@
     column per inequality row.  The column structure depends only on
     the rows' coefficients and senses — never on the right-hand side —
     so a basis found at one [b] is a structurally valid starting basis
-    at any other [b]; {!with_rhs} plus {!Revised.solve_from} is the
-    warm-start path the Pareto deadline sweeps use.
+    at any other [b]; {!with_rhs} plus {!Revised.resolve} is the
+    warm-start path the Pareto deadline sweeps use: one solver per
+    sweep, re-solved at each restated right-hand side.
 
     This module is pure data: {!Revised} does the pivoting, and the
     dense reference implementation of the tests, [Dense_simplex],
@@ -49,6 +50,13 @@ val with_rhs : t -> float array -> t
 
     @raise Invalid_argument if the length differs from the row count. *)
 
+val same_columns : t -> t -> bool
+(** Whether two problems have the same columns and objective, so that
+    they differ at most in their right-hand side: at once when the
+    column arrays are shared ({!with_rhs}), else entry for entry (an
+    LP rebuilt the same way).  {!Revised.resolve} accepts exactly
+    these. *)
+
 val m : t -> int
 (** Row count. *)
 
@@ -74,6 +82,15 @@ val rhs : t -> float array
 
 val obj : t -> int -> float
 (** Objective coefficient of a column (0 on slack columns). *)
+
+val blit_rhs : t -> float array -> unit
+val blit_obj : t -> float array -> unit
+(** [blit_rhs t dst] copies the right-hand side into [dst.(0 .. m − 1)]
+    and [blit_obj t dst] the objective into [dst.(0 .. n_cols − 1)],
+    with no allocation: {!Revised} reloads both into its own buffers
+    at every re-solve.
+
+    @raise Invalid_argument if [dst] is too short. *)
 
 val col_ptr : t -> int array
 val row_idx : t -> int array

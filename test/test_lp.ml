@@ -321,11 +321,11 @@ let is_certified ~obj ~constraints outcome =
   | Some (Lp_cert.Rejected _) -> false
   | None -> true (* Infeasible/Unbounded claims carry no certificate *)
 
-let outcomes_agree a b =
+let outcomes_agree ?rtol a b =
   match (a, b) with
   | Revised.Optimal { objective = oa; _ }, Revised.Optimal { objective = ob; _ }
     ->
-    close_rel oa ob
+    close_rel ?rtol oa ob
   | Revised.Infeasible, Revised.Infeasible -> true
   | Revised.Unbounded, Revised.Unbounded -> true
   | _ -> false
@@ -443,6 +443,77 @@ let qcheck_differential_vdd =
         && fst (check_at ?basis (1.25 *. deadline))
         && fst (check_at ?basis (0.8 *. deadline)))
 
+(* One solver re-solved through a chain of restatements, infeasible
+   ones included: each outcome must have the class of an independent
+   cold solve of the same statement, optima within 1e-9, and every
+   optimum must certify against the restated rows.  Halfway through,
+   the solver is handed [other], an LP with other columns or another
+   objective, which must raise [Invalid_argument] and leave the
+   solver as it was.  The random LPs' chain restates one [Sparse.t]
+   (shared columns) and starts from the cold optimum's basis, or from
+   no basis at all when there is none; the VDD chain rebuilds the LP
+   at 3–8 deadlines in random order (columns compared entry for
+   entry) and starts from the crash basis. *)
+let resolve_chain ~what ~other solver statements =
+  let half = List.length statements / 2 in
+  List.for_all
+    (fun (k, (sp, obj, rows)) ->
+      (k <> half
+      ||
+      match Revised.resolve solver other with
+      | exception Invalid_argument _ -> true
+      | _ -> QCheck.Test.fail_reportf "%s: a re-solve accepted other columns" what)
+      &&
+      let warm, _ = Revised.resolve solver sp in
+      let cold, _ = Revised.solve sp in
+      (outcomes_agree ~rtol:1e-9 warm cold
+      || QCheck.Test.fail_reportf "%s, step %d: the re-solve and a cold solve disagree" what k)
+      && (is_certified ~obj ~constraints:rows warm
+         || QCheck.Test.fail_reportf "%s, step %d: the re-solved optimum does not certify" what k))
+    (List.mapi (fun k st -> (k, st)) statements)
+
+let qcheck_resolve_chain =
+  QCheck.Test.make ~name:"re-solve chain = cold solve at every rhs" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Es_util.Rng.create ~seed:(seed + 9_000_000) in
+      let obj, rows = random_lp rng in
+      let sp = Sparse.of_rows ~obj rows in
+      let restated _ =
+        let rhs =
+          Array.map
+            (fun v -> (v *. Es_util.Rng.uniform_in rng 0.5 1.5) +. Es_util.Rng.uniform_in rng (-1.) 1.)
+            (Sparse.rhs sp)
+        in
+        ( Sparse.with_rhs sp rhs,
+          obj,
+          List.mapi (fun i (r : Sparse.constr) -> { r with rhs = rhs.(i) }) rows )
+      in
+      let start = Option.value (snd (Revised.solve sp)) ~default:(Revised.basis_of_columns [||]) in
+      let inst = CGen.generate rng in
+      let mapping = CGen.mapping inst and levels = inst.CGen.levels in
+      let dmin = CGen.dmin inst in
+      let dslow = List_sched.makespan_at_speed mapping ~f:(CGen.fmin inst) in
+      let at deadline =
+        let lp = Bicrit_vdd.lp ~deadline ~levels mapping in
+        (Problem.to_sparse lp, Problem.objective_coeffs lp, Problem.constraints lp)
+      in
+      let deadlines =
+        List.init (3 + Es_util.Rng.int rng 6) (fun _ ->
+            Es_util.Rng.uniform_in rng (0.8 *. dmin) (1.2 *. dslow))
+      in
+      let started, _, _ = at dmin in
+      resolve_chain ~what:"random LP"
+        ~other:(Sparse.of_rows ~obj:(Array.map (fun c -> c +. 1.) obj) rows)
+        (Revised.start start sp)
+        (List.init (3 + Es_util.Rng.int rng 4) restated)
+      && resolve_chain ~what:"VDD LP"
+           ~other:
+             (Problem.to_sparse
+                (Bicrit_vdd.lp ~deadline:dmin ~levels:(Array.map (fun f -> 1.5 *. f) levels) mapping))
+           (Revised.start (Bicrit_vdd.crash_basis ~levels mapping) started)
+           (List.map at deadlines))
+
 (* --- degeneracy regression corpus ------------------------------------ *)
 
 (* Beale's classic cycling LP: Dantzig pricing with fixed tie-breaking
@@ -531,6 +602,12 @@ let sparse_of_cols m cols =
   in
   Sparse.of_sparse_rows ~obj:(Array.make (Array.length cols) 0.) rows
 
+(* [basis]'s factors over [sp]'s columns, no artificial among them. *)
+let factor sp basis =
+  let lu = Lu.create sp ~art_sign:[||] in
+  Lu.refactor lu basis;
+  lu
+
 (* After k product-form updates, the factorisation must still solve
    against the *current* basis matrix: B·ftran(b) ≈ b and
    Bᵀ·btran-consistency (column · y = c), both to rtol 1e-10 — the
@@ -558,7 +635,7 @@ let qcheck_lu_reconstruction =
         List.sort (fun (a, _) (b, _) -> Int.compare a b) !entries
       in
       let cols = Array.init m random_col in
-      let lu = Lu.factor (sparse_of_cols m cols) ~art_sign:[||] (Array.init m Fun.id) in
+      let lu = factor (sparse_of_cols m cols) (Array.init m Fun.id) in
       (* k eta updates, each replacing a random position with a fresh
          column; keep the shadow matrix in sync *)
       let k_updates = 1 + Es_util.Rng.int rng 20 in
@@ -612,14 +689,14 @@ let qcheck_lu_reconstruction =
 let test_lu_singular_detected () =
   (* two identical columns: factor must raise Singular *)
   let cols = [| [ (0, 1.); (1, 1.) ]; [ (0, 1.); (1, 1.) ] |] in
-  match Lu.factor (sparse_of_cols 2 cols) ~art_sign:[||] [| 0; 1 |] with
+  match factor (sparse_of_cols 2 cols) [| 0; 1 |] with
   | _ -> Alcotest.fail "expected Singular"
   | exception Lu.Singular -> ()
 
 (* [Lu.refactor] refills the L and U pools in place.  Whatever an
    earlier factorisation left in them, and a refactorisation that
-   raised [Singular] half-way, the solves must equal those of a fresh
-   [Lu.factor] of the same basis, bit for bit. *)
+   raised [Singular] half-way, the solves must equal those of a
+   factorisation into fresh buffers of the same basis, bit for bit. *)
 let test_lu_refactor_reuses_pools () =
   let m = 12 in
   let rng = Es_util.Rng.create ~seed:5 in
@@ -643,8 +720,8 @@ let test_lu_refactor_reuses_pools () =
     Lu.btran lu (Array.copy rhs) y;
     Array.map Int64.bits_of_float (Array.append x y)
   in
-  let fresh basis = solves (Lu.factor sp ~art_sign:[||] basis) in
-  let lu = Lu.factor sp ~art_sign:[||] identity in
+  let fresh basis = solves (factor sp basis) in
+  let lu = factor sp identity in
   Lu.refactor lu dense;
   Alcotest.(check (array int64)) "grown from the identity" (fresh dense) (solves lu);
   (match Lu.refactor lu singular with
@@ -681,6 +758,7 @@ let revised_cases =
     QCheck_alcotest.to_alcotest qcheck_differential_random;
     QCheck_alcotest.to_alcotest qcheck_differential_warm_random;
     QCheck_alcotest.to_alcotest qcheck_differential_vdd;
+    QCheck_alcotest.to_alcotest qcheck_resolve_chain;
     Alcotest.test_case "beale terminates (dantzig+fallback)" `Quick test_beale_terminates;
     Alcotest.test_case "beale under pure bland" `Quick test_beale_pure_bland;
     Alcotest.test_case "duplicate-row rhs ties" `Quick test_duplicate_row_ties;

@@ -171,9 +171,9 @@ let solve_large_menu () =
 
 (* The cold solve starts from the dual-feasible crash basis (no phase
    1, no fallback to the two-phase solve), and its pivots reuse the
-   solve's buffers.  Words allocated straight on the major heap —
+   solver's buffers.  Words allocated straight on the major heap —
    arrays past the minor heap's 256-word limit, such as any m-long
-   float array — are then a per-solve cost: measured 149 per pivot
+   float array — are then a per-solve cost: measured 146 per pivot
    over 713 pivots (122 when L and U were per-column arrays, on the
    minor heap; 216 with every implied row stated), against 5,468
    over 2,115 two-phase pivots on the 1,138-row LP (about 4.75 m-long
@@ -208,6 +208,43 @@ let test_crash_start_allocation () =
        (Obs.value pivots) (m / 2))
     true
     (per_pivot < float_of_int m /. 2.)
+
+(* A pareto-sweep-sized front: 127 tasks on four processors, five
+   levels from fmax/4 to fmax, and 25 deadlines from 1.05 times the
+   fmax makespan to 0.9 times the fmin makespan, all feasible.  One
+   solver re-solves every deadline in the buffers, factors and eta
+   file the previous solve left, so a re-solve allocates on the major
+   heap only what it returns (solution, duals, basis), the restated
+   right-hand side and the pools' growth: 13.6·m words on this front.
+   A solver state per deadline took 113.5·m. *)
+let test_sweep_allocation () =
+  let rng = Es_util.Rng.create ~seed:2 in
+  let dag = Generators.random_layered rng ~layers:28 ~width:8 ~density:0.4 ~wlo:0.5 ~whi:3. in
+  let mapping = List_sched.schedule dag ~p:4 ~priority:List_sched.Bottom_level in
+  let levels = [| 0.25; 0.4375; 0.625; 0.8125; 1. |] in
+  let dmin = List_sched.makespan_at_speed mapping ~f:1. in
+  let dslow = List_sched.makespan_at_speed mapping ~f:0.25 in
+  let deadlines =
+    Array.init 25 (fun i ->
+        (1.05 *. dmin) +. (((0.9 *. dslow) -. (1.05 *. dmin)) *. float_of_int i /. 24.))
+  in
+  let m = Es_lp.Problem.n_constraints (Bicrit_vdd.lp ~deadline:dmin ~levels mapping) in
+  let direct deadlines =
+    Gc.minor ();
+    let _, promoted0, major0 = Gc.counters () in
+    let energies = Bicrit_vdd.energy_sweep ~deadlines ~levels mapping in
+    Gc.minor ();
+    let _, promoted1, major1 = Gc.counters () in
+    Alcotest.(check bool) "every deadline feasible" true (Array.for_all Option.is_some energies);
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  (* the sweep's first solve alone: the loosest deadline *)
+  let first = direct [| deadlines.(24) |] in
+  let per_solve = (direct deadlines -. first) /. 24. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major-heap words per re-solve < 25·m = %d" per_solve (25 * m))
+    true
+    (per_solve < float_of_int (25 * m))
 
 (* ---- the reduced LP against the LP with every implied row ---------- *)
 
@@ -360,18 +397,26 @@ let test_row_count () =
 (* ---- the deadline sweep ------------------------------------------- *)
 
 (* [Bicrit_vdd.energy_sweep]'s reference: the LP rebuilt at each
-   deadline and solved from the previous solve's basis, visiting the
-   deadlines in [order]; the first step, and any after an infeasible
-   one, from the crash basis.  Energies in input order. *)
+   deadline and re-solved through one solver, started at the crash
+   basis, visiting the deadlines in [order] (each re-solve raises if
+   the rebuilt LP's columns are not the first one's).  Energies in
+   input order. *)
 let chained_energies ~levels mapping deadlines order =
   let crash = Bicrit_vdd.crash_basis ~levels mapping in
-  let basis = ref None in
+  let solver = ref None in
   let energies = Array.make (Array.length deadlines) None in
   Array.iter
     (fun i ->
-      let lp = Bicrit_vdd.lp ~deadline:deadlines.(i) ~levels mapping in
-      let outcome, next = Problem.solve_warm ~basis:(Option.value !basis ~default:crash) lp in
-      basis := next;
+      let sp = Problem.to_sparse (Bicrit_vdd.lp ~deadline:deadlines.(i) ~levels mapping) in
+      let s =
+        match !solver with
+        | Some s -> s
+        | None ->
+          let s = Es_lp.Revised.start crash sp in
+          solver := Some s;
+          s
+      in
+      let outcome, _ = Problem.resolve s sp in
       energies.(i) <-
         (match outcome with
         | Problem.Solution s -> Some (Problem.objective s)
@@ -493,6 +538,7 @@ let suite =
       Alcotest.test_case "lp feasible schedule" `Quick test_lp_feasible_schedule;
       Alcotest.test_case "lp infeasible detected" `Quick test_lp_infeasible_detected;
       Alcotest.test_case "crash start allocation" `Quick test_crash_start_allocation;
+      Alcotest.test_case "sweep re-solve allocation" `Quick test_sweep_allocation;
       Alcotest.test_case "two-speed support" `Quick test_two_speed_support;
       Alcotest.test_case "cont <= vdd <= discrete" `Slow test_lp_between_continuous_and_discrete;
       Alcotest.test_case "more levels help" `Quick test_lp_tightens_with_more_levels;
